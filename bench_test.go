@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (one testing.B per artifact, wrapping internal/exp), plus
 // engine microbenchmarks for the substrates the experiments run on.
-// Quick mode keeps `go test -bench=.` tractable; run cmd/sigbench with
-// -full for publication-resolution sweeps.
+// Quick mode keeps `go test -bench=.` tractable; run cmd/sigfig without
+// -quick for publication-resolution sweeps.
 package softstate_test
 
 import (

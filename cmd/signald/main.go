@@ -31,7 +31,7 @@
 // explicit removal, reliable trigger/removal, hard-state orphan probes).
 //
 // Scaling knobs: -shards sets the state-table shard count (one lock and
-// one timing-wheel goroutine per shard), -summary-refresh batches up to
+// one timing-wheel timer per shard), -summary-refresh batches up to
 // -summary-keys key renewals into each refresh datagram (RFC 2961-style
 // refresh reduction), -coalesce-acks batches a receiver's replies into
 // one ack-batch datagram per peer per flush tick, and -peer-idle bounds

@@ -1,6 +1,6 @@
 // Command sigsim runs ad-hoc signaling simulations and analytic solutions
 // at user-chosen parameter points — the interactive counterpart to
-// sigbench's fixed paper sweeps.
+// sigfig's fixed paper sweeps.
 //
 // Examples:
 //

@@ -5,15 +5,17 @@
 //
 // Every time-dependent layer — internal/statetable's timing wheels,
 // internal/lossy's delayed datagram delivery, internal/signal's summary
-// sweeper and ack flusher — takes a Clock in its config and schedules all
-// deadlines through it. Under clock.System the implementations are thin
-// wrappers over package time and behavior is exactly the pre-Clock
-// runtime. Under a *Virtual clock no wall time passes at all: deadlines
-// become kernel events, the experiment driver pumps them with Run, and a
-// simulated hour of 64-peer refresh traffic executes in however long the
-// event processing takes — deterministically, which is what lets the
-// paper's experiments run on the production code path (internal/sim) and
-// lets protocol tests replace sleep/poll loops with virtual waits.
+// sweeper, idle reaper and ack flusher — takes a Clock in its config and
+// schedules all deadlines through it as Timer callbacks; a Clock does not
+// say which kind it is, so there is one driver per job, not one per
+// clock. Under clock.System a Timer is a time.AfterFunc and each callback
+// runs on its own goroutine. Under a *Virtual clock no wall time passes at
+// all: deadlines become kernel events, the experiment driver pumps them
+// with Run, and a simulated hour of 64-peer refresh traffic executes in
+// however long the event processing takes — deterministically, which is
+// what lets the paper's experiments run on the production code path
+// (internal/sim) and lets protocol tests replace sleep/poll loops with
+// virtual waits.
 package clock
 
 import (
@@ -27,8 +29,11 @@ import (
 
 // Timer is a restartable one-shot timer bound to a callback, mirroring
 // time.AfterFunc. Reset replaces any pending expiry; Stop disarms. Like
-// time.Timer, stopping does not guarantee a callback that already began
-// is not running — callers guard with their own closed flags.
+// time.Timer, neither recalls a callback the clock already dispatched:
+// it still runs, possibly alongside the re-armed one. Callbacks are
+// therefore written to act on the present state (advance to now, take
+// what is pending) and to re-check their owner's closed flag under the
+// lock its Close passes through.
 type Timer interface {
 	Reset(d time.Duration)
 	Stop()
@@ -45,10 +50,6 @@ type Clock interface {
 	NewTimer(fn func()) Timer
 	// AfterFunc returns a timer armed to run fn after d.
 	AfterFunc(d time.Duration, fn func()) Timer
-	// Virtual reports whether this clock is simulated. Virtual callbacks
-	// run serialized on the goroutine driving Run, so components may pick
-	// an event-driven strategy instead of goroutine sleep loops.
-	Virtual() bool
 }
 
 // Or returns c, or System when c is nil — the config-default helper used
@@ -67,22 +68,63 @@ type systemClock struct{}
 
 func (systemClock) Now() time.Time                  { return time.Now() }
 func (systemClock) Since(t time.Time) time.Duration { return time.Since(t) }
-func (systemClock) Virtual() bool                   { return false }
 
-func (systemClock) NewTimer(fn func()) Timer {
-	t := time.AfterFunc(time.Hour, fn)
-	t.Stop() // time has no unarmed AfterFunc constructor; disarm immediately
-	return sysTimer{t}
-}
+func (systemClock) NewTimer(fn func()) Timer { return &sysTimer{fn: fn} }
 
 func (systemClock) AfterFunc(d time.Duration, fn func()) Timer {
-	return sysTimer{time.AfterFunc(d, fn)}
+	t := &sysTimer{fn: fn}
+	t.Reset(d)
+	return t
 }
 
-type sysTimer struct{ t *time.Timer }
+// sysTimer is the wall-clock Timer: a time.AfterFunc timer, made the first
+// time it is armed and dropped when it is stopped. Dropped, because the Go
+// runtime keeps a stopped AfterFunc timer in its timer heap until the old
+// deadline comes up, and with it whatever the callback references — a
+// closed million-key table would stay reachable for a refresh interval.
+// So the runtime timer calls through a cell that Stop empties: what stays
+// behind in the heap pins the cell and nothing else, and a callback
+// dispatched just before Stop finds the cell empty and does nothing.
+type sysTimer struct {
+	fn   func()
+	mu   sync.Mutex
+	cell *sysCell // nil until Reset, nil again after Stop
+}
 
-func (t sysTimer) Reset(d time.Duration) { t.t.Reset(d) }
-func (t sysTimer) Stop()                 { t.t.Stop() }
+// sysCell is one runtime timer and the callback it may still run.
+type sysCell struct {
+	t  *time.Timer
+	fn atomic.Pointer[func()]
+}
+
+func (c *sysCell) fire() {
+	if fn := c.fn.Load(); fn != nil {
+		(*fn)()
+	}
+}
+
+func (t *sysTimer) Reset(d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.cell != nil {
+		t.cell.t.Reset(d)
+		return
+	}
+	c := &sysCell{}
+	c.fn.Store(&t.fn)
+	c.t = time.AfterFunc(d, c.fire)
+	t.cell = c
+}
+
+func (t *sysTimer) Stop() {
+	t.mu.Lock()
+	if c := t.cell; c != nil {
+		c.t.Stop()
+		c.fn.Store(nil)
+		t.cell = nil
+	}
+	t.mu.Unlock()
+}
 
 // epoch is the fixed origin of every virtual clock: runs are reproducible,
 // so virtual time must not depend on when the process started.
@@ -136,9 +178,6 @@ func (v *Virtual) Elapsed() time.Duration {
 	defer v.mu.Unlock()
 	return time.Duration(v.k.Now())
 }
-
-// Virtual reports true.
-func (v *Virtual) Virtual() bool { return true }
 
 // NewTimer returns an unarmed virtual timer running fn on expiry.
 func (v *Virtual) NewTimer(fn func()) Timer {

@@ -1,15 +1,13 @@
 package clock
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func TestSystemBasics(t *testing.T) {
-	if System.Virtual() {
-		t.Fatal("System claims to be virtual")
-	}
 	if Or(nil) != System {
 		t.Fatal("Or(nil) != System")
 	}
@@ -39,6 +37,71 @@ func TestSystemNewTimerUnarmed(t *testing.T) {
 	for !fired.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("reset system timer never fired")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSystemTimerStopReleasesCallback: the runtime keeps a stopped
+// AfterFunc timer in its heap until the old deadline, so a stopped system
+// timer must not leave its callback — and the closed table or endpoint
+// behind it — reachable from there. It must also stay restartable.
+func TestSystemTimerStopReleasesCallback(t *testing.T) {
+	// The runtime sweeps stopped timers out of a heap once they are over a
+	// quarter of it; a populated heap, as in a running daemon, keeps them.
+	for i := 0; i < 64; i++ {
+		defer time.AfterFunc(time.Hour, func() {}).Stop()
+	}
+	type owner struct{ big [1 << 16]byte }
+	freed := make(chan struct{})
+	var fired atomic.Int32
+	tm := func() Timer {
+		o := &owner{}
+		runtime.SetFinalizer(o, func(*owner) { close(freed) })
+		return System.AfterFunc(time.Hour, func() { fired.Add(int32(o.big[0])) })
+	}()
+	tm.Stop()
+	tm = nil // the owner goes away with its timer, as a closed table does
+	// One collection, then wait for the finalizer without timers or further
+	// collections: either would prompt the runtime to tidy its timer heap
+	// and hide the leak, as it never would for an idle daemon.
+	runtime.GC()
+	for start := time.Now(); ; runtime.Gosched() {
+		select {
+		case <-freed:
+			return
+		default:
+		}
+		if time.Since(start) > 2*time.Second {
+			t.Fatal("callback still reachable after Stop: the stopped runtime timer pins it")
+		}
+	}
+}
+
+// TestSystemTimerRestartsAfterStop: Stop drops the runtime timer; the next
+// Reset arms a fresh one with the same callback, and a stopped expiry
+// never fires.
+func TestSystemTimerRestartsAfterStop(t *testing.T) {
+	var fired atomic.Int32
+	tm := System.AfterFunc(5*time.Millisecond, func() { fired.Add(1) })
+	tm.Stop()
+	tm.Stop() // stopping a stopped timer is a no-op
+	time.Sleep(20 * time.Millisecond)
+	if fired.Load() != 0 {
+		t.Fatal("stopped system timer fired")
+	}
+	tm.Reset(time.Millisecond)
+	deadline := time.Now().Add(3 * time.Second)
+	for fired.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("system timer never fired after Stop then Reset")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	tm.Reset(time.Millisecond) // and again after it has fired
+	for fired.Load() == 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("system timer never fired on its second Reset")
 		}
 		time.Sleep(time.Millisecond)
 	}

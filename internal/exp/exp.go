@@ -1,7 +1,7 @@
 // Package exp regenerates every table and figure of the paper's
 // evaluation section, plus the ablation studies listed in DESIGN.md. Each
 // experiment is a named generator producing a report.Table with the same
-// series the paper plots; cmd/sigbench and the repository benchmarks are
+// series the paper plots; cmd/sigfig and the repository benchmarks are
 // thin wrappers around this registry.
 package exp
 

@@ -1,6 +1,6 @@
 // Package report renders experiment outputs as aligned ASCII tables and
 // tab-separated values (for plotting). Every figure and table regenerated
-// by internal/exp flows through this package, so cmd/sigbench and the
+// by internal/exp flows through this package, so cmd/sigfig and the
 // benchmarks share one formatting path.
 package report
 

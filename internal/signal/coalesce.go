@@ -9,14 +9,12 @@ import (
 
 // ackBatcher accumulates acknowledgements between flush ticks, grouped by
 // destination peer so each tick emits one ack-batch datagram per peer.
-// The kick channel fires on the empty→non-empty transition, so the
-// flusher sleeps indefinitely while no replies are pending instead of
-// polling every interval (the same idle-wakeup discipline as the timing
-// wheel).
+// add reports the empty→non-empty transition and the receiver arms its
+// flush timer on it, so nothing is armed while no replies are pending
+// (the same idle discipline as the timing wheel).
 type ackBatcher struct {
 	mu      sync.Mutex
 	pending map[string]*peerAcks
-	kick    chan struct{}
 }
 
 // peerAcks is one peer's accumulated acknowledgements.
@@ -27,15 +25,11 @@ type peerAcks struct {
 }
 
 func newAckBatcher() *ackBatcher {
-	return &ackBatcher{
-		pending: make(map[string]*peerAcks),
-		kick:    make(chan struct{}, 1),
-	}
+	return &ackBatcher{pending: make(map[string]*peerAcks)}
 }
 
-// add queues one acknowledgement for to, waking the flusher if the
-// batcher was empty, and reports that empty→non-empty transition (the
-// virtual-mode flush path arms its clock timer on it).
+// add queues one acknowledgement for to and reports whether the batcher
+// was empty: the caller arms the flush on that transition.
 func (b *ackBatcher) add(to net.Addr, item wire.AckItem) bool {
 	addr := to.String()
 	b.mu.Lock()
@@ -47,12 +41,6 @@ func (b *ackBatcher) add(to net.Addr, item wire.AckItem) bool {
 	}
 	pa.items = append(pa.items, item)
 	b.mu.Unlock()
-	if wasEmpty {
-		select {
-		case b.kick <- struct{}{}:
-		default:
-		}
-	}
 	return wasEmpty
 }
 

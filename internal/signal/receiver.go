@@ -24,14 +24,13 @@ import (
 // with independent timeouts and sequence spaces, and replies (ACKs, NACKs,
 // notifications) go to the source address of the triggering datagram.
 // State lives in a sharded state table whose timing wheels drive every
-// state-timeout deadline, so one Receiver holds millions of keys with a
-// fixed number of goroutines. All methods are safe for concurrent use.
+// state-timeout deadline, so one Receiver holds millions of keys with
+// only its read loops running. All methods are safe for concurrent use.
 type Receiver struct {
 	tp   fencedConn
 	cfg  Config
 	prof variant.Profile
 	clk  clock.Clock
-	det  bool      // virtual clock: order traffic deterministically
 	born time.Time // clock origin for renewal stamps
 
 	tbl    *statetable.Table[receiverEntry]
@@ -51,13 +50,11 @@ type Receiver struct {
 	measure    bool
 
 	events     eventSink
-	acks       *ackBatcher  // nil unless cfg.CoalesceAcks
-	ackBW      *batchWriter // flush datagram coalescer (guarded by ackMu)
-	ackMu      sync.Mutex   // serializes flushAcks
-	flushTimer clock.Timer  // ack flusher (virtual mode)
-	done       chan struct{}
+	acks       *ackBatcher    // nil unless cfg.CoalesceAcks
+	ackBW      *batchWriter   // flush datagram coalescer (guarded by ackMu)
+	ackMu      sync.Mutex     // serializes flushAcks
+	flushTimer clock.Timer    // ack flusher, armed by the first ack of a window
 	wg         sync.WaitGroup // read loops (one per transport lane)
-	flushWG    sync.WaitGroup // ack flusher; drained before the transport closes
 }
 
 // receiverEntry is one installed piece of state for one (peer, key) pair.
@@ -93,10 +90,8 @@ func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 		cfg:    cfg,
 		prof:   *cfg.Variant,
 		clk:    clk,
-		det:    clk.Virtual(),
 		born:   clk.Now(),
 		events: eventSink{ch: make(chan Event, cfg.EventBuffer), fn: cfg.OnEvent},
-		done:   make(chan struct{}),
 		trace:  cfg.Trace,
 	}
 	r.measure = cfg.Metrics != nil
@@ -126,14 +121,9 @@ func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 	if cfg.CoalesceAcks {
 		r.acks = newAckBatcher()
 		r.ackBW = newBatchWriter(&r.tp, &r.ctrs)
-		if r.det {
-			// Virtual mode: flushes are clock callbacks armed by the first
-			// ack of each batch window — no goroutine, no wall sleeps.
-			r.flushTimer = clk.NewTimer(r.flushVirtual)
-		} else {
-			r.flushWG.Add(1)
-			go r.flushLoop()
-		}
+		// Flushes are clock callbacks armed by the first ack of each batch
+		// window: an idle coalescing receiver has nothing armed.
+		r.flushTimer = clk.NewTimer(r.flush)
 	}
 	// One read loop per transport lane: sharded kernel-socket backends
 	// expose each SO_REUSEPORT socket as its own lane, so inbound fan-in
@@ -232,16 +222,16 @@ func (r *Receiver) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
-	close(r.done)
-	// The closed flag stops handle() from queueing new acks; wait for the
-	// flusher's final drain while the transport is still open, so pending
-	// coalesced replies go out instead of being dropped by the fence —
-	// matching the immediate-send behavior of the non-coalescing path.
+	// The closed flag stops handle() from queueing new acks; drain what is
+	// pending while the transport is still open, so coalesced replies go
+	// out instead of being dropped by the fence — matching the
+	// immediate-send behavior of the non-coalescing path. flushAcks waits
+	// on ackMu for a flush callback already in flight, so that one's
+	// writes land before the transport closes too.
 	if r.flushTimer != nil {
 		r.flushTimer.Stop()
 		r.flushAcks()
 	}
-	r.flushWG.Wait()
 	r.tbl.Close() // no timeout callback runs past this point
 	err := r.tp.close()
 	r.wg.Wait()
@@ -565,7 +555,7 @@ func (r *Receiver) armTimeout(tc statetable.TimerControl[receiverEntry]) {
 }
 
 // onTimeout fires when a key's state-timeout (soft state) or probe timer
-// (hard state) expires; it runs on a shard goroutine with the shard
+// (hard state) expires; it runs on a shard's timer callback with the shard
 // locked.
 func (r *Receiver) onTimeout(_ string, kind statetable.TimerKind, e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
 	if r.closed.Load() {
@@ -624,12 +614,10 @@ func (r *Receiver) drop(e *receiverEntry, tc statetable.TimerControl[receiverEnt
 }
 
 // ack queues (or, without coalescing, immediately sends) one
-// acknowledgement to to. In virtual mode the first ack of a batch window
-// arms the flush as a clock callback instead of kicking a flusher
-// goroutine.
+// acknowledgement to to. The first ack of a batch window arms the flush.
 func (r *Receiver) ack(kind wire.Type, seq uint64, key string, to net.Addr) {
 	if r.acks != nil {
-		if r.acks.add(to, wire.AckItem{Kind: kind, Seq: seq, Key: key}) && r.flushTimer != nil {
+		if r.acks.add(to, wire.AckItem{Kind: kind, Seq: seq, Key: key}) {
 			r.flushTimer.Reset(r.cfg.AckFlushInterval)
 		}
 		return
@@ -637,60 +625,29 @@ func (r *Receiver) ack(kind wire.Type, seq uint64, key string, to net.Addr) {
 	r.send(wire.Message{Type: kind, Seq: seq, Key: key}, to)
 }
 
-// flushVirtual is the virtual-mode flush callback; the close-time drain is
-// handled by Close itself.
-func (r *Receiver) flushVirtual() {
+// flush is the ack flusher's clock callback, one AckFlushInterval after
+// replies start accumulating; the close-time drain is Close's own. It
+// takes whatever is pending, so a callback the wall clock dispatched
+// before a Reset re-armed the window finds nothing or flushes early.
+func (r *Receiver) flush() {
 	if r.closed.Load() {
 		return
 	}
 	r.flushAcks()
 }
 
-// flushLoop drains the ack batcher one AckFlushInterval after replies
-// start accumulating: one ack-batch datagram per peer per flush (more
-// only if a batch overflows the wire budget), mirroring summary refresh
-// on the reply path. While no acks are pending it sleeps on the kick
-// channel — an idle coalescing receiver costs zero wakeups.
-func (r *Receiver) flushLoop() {
-	defer r.flushWG.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	for {
-		select {
-		case <-r.acks.kick:
-			timer.Reset(r.cfg.AckFlushInterval)
-			select {
-			case <-timer.C:
-				r.flushAcks()
-			case <-r.done:
-				r.flushAcks() // final drain; Close holds the transport open
-				return
-			}
-		case <-r.done:
-			r.flushAcks()
-			return
-		}
-	}
-}
-
-// flushAcks sends every pending coalesced acknowledgement. The per-peer
-// ack-batch datagrams of one flush ride the batch writer, so a fan-in
-// receiver answering many senders spends one write syscall per
-// WriteBatch-ful of peers, not one per peer.
+// flushAcks sends every pending coalesced acknowledgement: one ack-batch
+// datagram per peer (more only if a batch overflows the wire budget),
+// mirroring summary refresh on the reply path. The datagrams of one flush
+// ride the batch writer, so a fan-in receiver answering many senders
+// spends one write syscall per WriteBatch-ful of peers, not one per peer.
 func (r *Receiver) flushAcks() {
-	pending := r.acks.take()
-	if len(pending) == 0 {
-		return
-	}
-	if r.det {
-		// Deterministic reply order for reproducible virtual runs.
-		sort.Slice(pending, func(i, j int) bool { return pending[i].addr < pending[j].addr })
-	}
 	r.ackMu.Lock()
 	defer r.ackMu.Unlock()
+	pending := r.acks.take()
+	// Address order, so the reply sequence does not depend on map
+	// iteration (virtual runs replay byte for byte).
+	sort.Slice(pending, func(i, j int) bool { return pending[i].addr < pending[j].addr })
 	for _, pa := range pending {
 		items := pa.items
 		for len(items) > 0 {

@@ -124,7 +124,7 @@ func (s *Sender) readLoop() {
 
 // summarySweep and summaryInterval are exercised directly by tests and
 // benchmarks.
-func (s *Sender) summarySweep() int              { return s.ss.summarySweep() }
+func (s *Sender) summarySweep() int              { return s.ss.SummarySweep() }
 func (s *Sender) summaryInterval() time.Duration { return s.ss.summaryInterval() }
 
 func isNetTemporary(err error) bool {

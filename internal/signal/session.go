@@ -20,7 +20,7 @@ import (
 
 // Sessions is the multi-peer sender core extracted from Sender: the
 // signaling state for every (peer, key) pair lives in one shared sharded
-// statetable (so timer goroutines and lock domains scale with the shard
+// statetable (so wheel timers and lock domains scale with the shard
 // count, not the peer count), while each peer gets its own Session handle
 // carrying its sequence space, live-key counter, and summary-refresh
 // batches. One summary sweeper renews all peers, one datagram batch per
@@ -34,7 +34,6 @@ type Sessions struct {
 	prof variant.Profile
 	tp   fencedConn
 	clk  clock.Clock
-	det  bool      // virtual clock: order traffic deterministically
 	born time.Time // clock origin for session activity stamps
 
 	tbl    *statetable.Table[senderEntry]
@@ -51,14 +50,15 @@ type Sessions struct {
 	measure        bool
 
 	events eventSink
-	done   chan struct{}
-	wg     sync.WaitGroup // summary sweeper + idle reaper (wall mode)
 
-	sweepTimer clock.Timer  // summary sweeper (virtual mode)
-	sweepMu    sync.Mutex   // serializes sweeps and guards session sweep caches
+	// sweepMu serializes the periodic callbacks (sweep, reap) and direct
+	// SummarySweep calls against each other and against Shutdown, and
+	// guards the session sweep caches.
+	sweepMu    sync.Mutex
+	sweepTimer clock.Timer  // summary sweeper; nil outside summary mode
 	sweepBW    *batchWriter // sweep datagram coalescer (guarded by sweepMu)
 
-	reapTimer clock.Timer       // idle-peer reaper (virtual mode)
+	reapTimer clock.Timer       // idle-peer reaper; nil without PeerIdleTimeout
 	evictions telemetry.Counter // idle sessions evicted from the peer table
 
 	// Census exchange plumbing: CensusPeer parks a channel here under its
@@ -222,10 +222,8 @@ func NewSessions(conn net.PacketConn, cfg Config) *Sessions {
 		prof:   *cfg.Variant,
 		tp:     fencedConn{bc: transport.As(conn)},
 		clk:    clk,
-		det:    clk.Virtual(),
 		born:   clk.Now(),
 		events: eventSink{ch: make(chan Event, cfg.EventBuffer), fn: cfg.OnEvent},
-		done:   make(chan struct{}),
 		trace:  cfg.Trace,
 	}
 	ss.measure = cfg.Metrics != nil
@@ -258,24 +256,17 @@ func NewSessions(conn net.PacketConn, cfg Config) *Sessions {
 	}
 	ss.sweepBW = newBatchWriter(&ss.tp, &ss.ctrs)
 	ss.registerMetrics()
+	// The sweeper and the reaper are self-rearming clock callbacks: a
+	// time.AfterFunc goroutine per run on the wall clock, an event on the
+	// simulation driver under a virtual one. Each timer is stored before
+	// it is armed, so its callback never reads a nil field.
 	if ss.summaryMode() {
-		if ss.det {
-			// Virtual mode: the sweep is a clock callback on the simulation
-			// driver — no goroutine, no wall sleeps, deterministic order
-			// against every other event.
-			ss.sweepTimer = clk.AfterFunc(ss.summaryInterval(), ss.sweepVirtual)
-		} else {
-			ss.wg.Add(1)
-			go ss.summaryLoop()
-		}
+		ss.sweepTimer = clk.NewTimer(ss.sweep)
+		ss.sweepTimer.Reset(ss.summaryInterval())
 	}
 	if cfg.PeerIdleTimeout > 0 {
-		if ss.det {
-			ss.reapTimer = clk.AfterFunc(ss.reapInterval(), ss.reapVirtual)
-		} else {
-			ss.wg.Add(1)
-			go ss.reapLoop()
-		}
+		ss.reapTimer = clk.NewTimer(ss.reap)
+		ss.reapTimer.Reset(ss.reapInterval())
 	}
 	return ss
 }
@@ -427,22 +418,25 @@ func (ss *Sessions) HandleDatagram(data []byte, from net.Addr) bool {
 }
 
 // Shutdown stops all timers and the sweeper and closes the transport,
-// unblocking any read loop pending in Recv. Idempotent.
+// unblocking any read loop pending in Recv. Idempotent. Stopping a clock
+// timer does not recall a callback already dispatched, so Shutdown stops
+// the periodic timers under sweepMu: a sweep in flight finishes its
+// writes before the transport closes, and one that starts later finds the
+// closed flag and neither writes nor re-arms.
 func (ss *Sessions) Shutdown() error {
 	if ss.closed.Swap(true) {
 		return nil
 	}
-	close(ss.done)
+	ss.sweepMu.Lock()
 	if ss.sweepTimer != nil {
 		ss.sweepTimer.Stop()
 	}
 	if ss.reapTimer != nil {
 		ss.reapTimer.Stop()
 	}
+	ss.sweepMu.Unlock()
 	ss.tbl.Close() // no expiry callback runs past this point
-	err := ss.tp.close()
-	ss.wg.Wait()
-	return err
+	return ss.tp.close()
 }
 
 // CloseEvents closes the events channel; call only after every goroutine
@@ -669,7 +663,7 @@ func (s *Session) Keys() []string {
 	return out
 }
 
-// --- timers (fired by the shared table's wheel goroutines) ---
+// --- timers (fired by the shared table's shard wheels) ---
 
 // armRefresh schedules the next per-key refresh; in summary mode the
 // sweeper carries refreshes instead, so no per-key deadline exists.
@@ -728,8 +722,8 @@ func (ss *Sessions) refreshInterval() time.Duration {
 	return interval
 }
 
-// onExpire dispatches wheel deadlines; it runs on a shard goroutine with
-// the shard locked.
+// onExpire dispatches wheel deadlines; it runs on a shard's timer callback
+// with the shard locked.
 func (ss *Sessions) onExpire(ck string, kind statetable.TimerKind, e *senderEntry, tc statetable.TimerControl[senderEntry]) {
 	if ss.closed.Load() {
 		return
@@ -798,30 +792,18 @@ func (ss *Sessions) removalRetx(key string, e *senderEntry, tc statetable.TimerC
 
 // --- summary refresh (RFC 2961-style refresh reduction) ---
 
-// summaryLoop periodically renews every live key of every session with
-// batched summary datagrams instead of one refresh per key.
-func (ss *Sessions) summaryLoop() {
-	defer ss.wg.Done()
-	timer := time.NewTimer(ss.summaryInterval())
-	defer timer.Stop()
-	for {
-		select {
-		case <-timer.C:
-			ss.summarySweep()
-			timer.Reset(ss.summaryInterval())
-		case <-ss.done:
-			return
-		}
-	}
-}
-
-// sweepVirtual is the virtual-mode sweeper: one clock callback per sweep,
-// rearmed against the current (possibly stretched) interval.
-func (ss *Sessions) sweepVirtual() {
+// sweep is the summary sweeper: one clock callback per sweep, renewing
+// every live key of every session with batched summary datagrams instead
+// of one refresh per key, then rearmed against the current (possibly
+// stretched) interval. A sweep covers whatever is live when it runs, so a
+// callback the wall clock dispatched late or twice is harmless.
+func (ss *Sessions) sweep() {
+	ss.sweepMu.Lock()
+	defer ss.sweepMu.Unlock()
 	if ss.closed.Load() {
 		return
 	}
-	ss.summarySweep()
+	ss.sweepLocked()
 	ss.sweepTimer.Reset(ss.summaryInterval())
 }
 
@@ -843,21 +825,27 @@ func (ss *Sessions) summaryInterval() time.Duration {
 
 // SummarySweep sends one round of summary refreshes covering every live
 // key of every session — one batch stream per peer — and returns the
-// number of datagrams it took. The sweeper calls it every refresh
-// interval; benchmarks and drivers may call it directly.
-func (ss *Sessions) SummarySweep() int { return ss.summarySweep() }
+// number of datagrams it took (none after Shutdown). The sweeper runs the
+// same round every refresh interval; benchmarks and drivers may call it
+// directly.
+func (ss *Sessions) SummarySweep() int {
+	ss.sweepMu.Lock()
+	defer ss.sweepMu.Unlock()
+	if ss.closed.Load() {
+		return 0
+	}
+	return ss.sweepLocked()
+}
 
-// summarySweep implements SummarySweep. Each session carries a cached,
-// sorted list of its live keys, rebuilt — with a single scan of the
-// shared table — only for sessions whose key membership changed since the
-// last sweep. A steady-state sweep (the common case: millions of keys,
+// sweepLocked is one sweep round; callers hold sweepMu. Each session
+// carries a cached, sorted list of its live keys, rebuilt — with a single
+// scan of the shared table — only for sessions whose key membership
+// changed since the last sweep. A steady-state sweep (millions of keys,
 // no churn) therefore walks no table shards and sorts nothing; it just
 // streams each session's cached list into summary datagrams. The sorted
 // order doubles as the determinism guarantee for virtual runs: datagram
 // composition no longer depends on map iteration.
-func (ss *Sessions) summarySweep() int {
-	ss.sweepMu.Lock()
-	defer ss.sweepMu.Unlock()
+func (ss *Sessions) sweepLocked() int {
 	if ss.peersDirty.Swap(false) {
 		ss.sweepSessions = ss.Peers()
 		sort.Slice(ss.sweepSessions, func(i, j int) bool {
@@ -1045,24 +1033,12 @@ func (ss *Sessions) reapInterval() time.Duration {
 	return ri
 }
 
-// reapLoop is the wall-mode idle reaper.
-func (ss *Sessions) reapLoop() {
-	defer ss.wg.Done()
-	timer := time.NewTimer(ss.reapInterval())
-	defer timer.Stop()
-	for {
-		select {
-		case <-timer.C:
-			ss.reapIdle()
-			timer.Reset(ss.reapInterval())
-		case <-ss.done:
-			return
-		}
-	}
-}
-
-// reapVirtual is the virtual-mode reaper: one clock callback per scan.
-func (ss *Sessions) reapVirtual() {
+// reap is the idle reaper: one clock callback per scan. reapIdle judges
+// every session against the clock as it reads now, so a late or repeated
+// callback evicts nothing a punctual one would have kept.
+func (ss *Sessions) reap() {
+	ss.sweepMu.Lock()
+	defer ss.sweepMu.Unlock()
 	if ss.closed.Load() {
 		return
 	}

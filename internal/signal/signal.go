@@ -4,18 +4,18 @@
 // the mechanism set (refresh, state timeout, explicit removal, reliable
 // trigger/removal, removal notification) selected by the protocol.
 //
-// Unlike internal/sim, which runs in virtual time for experiments, this
-// package runs in real time over goroutines, making it usable as an
-// actual soft-state signaling library (IGMP-style membership, RSVP-style
+// By default it runs in real time, making it usable as an actual
+// soft-state signaling library (IGMP-style membership, RSVP-style
 // reservations, P2P registrations) and as a live demonstration of the
-// paper's mechanisms over UDP (see examples/livewire).
+// paper's mechanisms over UDP (see examples/livewire); given a virtual
+// Config.Clock the same code is internal/sim's experiment engine.
 //
 // Both endpoints keep their keys in an internal/statetable sharded table:
 // every refresh, retransmit, and state-timeout deadline is multiplexed
 // onto one hierarchical timing wheel per shard, so an endpoint scales to
-// millions of keys with a fixed number of goroutines and no per-key
-// time.Timer. With Config.SummaryRefresh the sender additionally batches
-// refreshes RFC 2961-style: one summary datagram renews up to
+// millions of keys with no per-key time.Timer and no goroutine beyond
+// its read loops. With Config.SummaryRefresh the sender additionally
+// batches refreshes RFC 2961-style: one summary datagram renews up to
 // SummaryMaxKeys keys, and receivers NACK unknown keys so the sender
 // falls back to full triggers.
 package signal
@@ -101,7 +101,7 @@ type Config struct {
 	EventBuffer int
 	// Shards is the state-table shard count (rounded up to a power of
 	// two; the statetable default when 0). Each shard has its own lock
-	// and timing-wheel goroutine, so this bounds both lock contention and
+	// and timing-wheel timer, so this bounds both lock contention and
 	// timer parallelism.
 	Shards int
 	// SummaryRefresh, on a sender, replaces per-key refresh messages with
@@ -123,12 +123,13 @@ type Config struct {
 	// will trigger spurious retransmissions.
 	AckFlushInterval time.Duration
 	// Clock is the time source for every endpoint deadline — state-table
-	// wheels, summary sweeps, ack flushes (clock.System when nil). Pass a
-	// *clock.Virtual (and the same clock in the transport's lossy.Config)
-	// to run the endpoint in simulated time: all periodic work then runs
-	// as clock callbacks on the simulation driver with deterministic
-	// ordering, which internal/sim uses to run the paper's experiments on
-	// this exact code path.
+	// wheels, summary sweeps, idle reaps, ack flushes (clock.System when
+	// nil). All periodic work is clock timer callbacks under any clock:
+	// goroutines of their own under clock.System, events on the
+	// simulation driver, in deterministic order, under a *clock.Virtual
+	// (pass the same clock in the transport's lossy.Config) — which is
+	// how internal/sim runs the paper's experiments on this exact code
+	// path.
 	Clock clock.Clock
 	// OnEvent, when set, is called synchronously for every event before
 	// it is offered to the Events channel — unlike the channel, it never

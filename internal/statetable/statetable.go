@@ -4,8 +4,9 @@
 // time.Timer per key per endpoint, the table hashes keys (FNV-1a) across a
 // power-of-two number of shards, guards each shard with its own lock, and
 // multiplexes every refresh/timeout/retransmit deadline of a shard onto a
-// single goroutine driving a timing wheel — millions of keys cost millions
-// of map entries, not millions of timers or goroutines.
+// timing wheel driven by one clock.Timer — millions of keys cost millions
+// of map entries, not millions of timers, and a table at rest owns no
+// goroutine at all.
 //
 // Each entry owns NumTimerKinds independently schedulable timers whose
 // nodes are embedded in the entry, so arming, rearming, and expiry never
@@ -46,16 +47,17 @@ const DefaultDigestBuckets = 16
 // deferred digest refresh cannot resurrect its contribution.
 const digDropped = ^uint32(0)
 
-// ExpireFunc is called when a timer fires. It runs on the shard's wheel
-// goroutine with the shard locked; use tc to reschedule, cancel, or delete,
-// and do not call Table methods from inside it.
+// ExpireFunc is called when a timer fires. It runs on the shard's clock
+// timer callback with the shard locked; use tc to reschedule, cancel, or
+// delete, and do not call Table methods from inside it.
 type ExpireFunc[V any] func(key string, kind TimerKind, v *V, tc TimerControl[V])
 
 // Config parameterizes a Table.
 type Config[V any] struct {
 	// Shards is the shard count, rounded up to a power of two
 	// (DefaultShards when 0). Each shard has one lock, one wheel, and one
-	// goroutine.
+	// clock timer, so it bounds lock contention and how many expiry
+	// callbacks can run at once.
 	Shards int
 	// Tick is the timing-wheel granularity (DefaultTick when 0).
 	Tick time.Duration
@@ -63,11 +65,11 @@ type Config[V any] struct {
 	// plain sharded map, but scheduled timers fire into nothing.
 	OnExpire ExpireFunc[V]
 	// Clock is the time source driving the wheels (clock.System when nil).
-	// Under clock.System each shard runs its own sleep-loop goroutine;
-	// under a virtual clock the shards are event-driven — each wheel
-	// advance is a clock timer callback on the simulation driver, so a
-	// table holds millions of deadlines with zero goroutines and zero wall
-	// sleeps.
+	// Each wheel advance is a callback of the shard's clock timer, armed
+	// for the shard's earliest deadline: a time.AfterFunc goroutine under
+	// clock.System, an event on the simulation driver under a virtual
+	// clock. Either way an idle shard has nothing armed and nothing
+	// running.
 	Clock clock.Clock
 	// DigestFunc, when non-nil, turns on incremental table digests — the
 	// convergence auditor's substrate. It maps an entry to its digest
@@ -102,11 +104,10 @@ type shard[V any] struct {
 	mu       sync.Mutex
 	entries  map[string]*entry[V]
 	wheel    wheel[V]
-	nextWake int64 // absolute tick the wheel goroutine sleeps until
-	needPoke bool  // a deadline earlier than nextWake was scheduled
-	pokeTick int64 // earliest such deadline (virtual mode reschedules to it)
-	wake     chan struct{}
-	vtimer   clock.Timer // virtual mode: drives this shard's wheel advances
+	nextWake int64       // absolute tick the timer is armed for
+	needPoke bool        // a deadline earlier than nextWake was scheduled
+	pokeTick int64       // earliest such deadline (the timer is re-armed to it)
+	timer    clock.Timer // drives this shard's wheel advances (fireShard)
 	dig      []uint64    // per-bucket XOR of entry contributions (digests on)
 	digDirty bool        // the entry under mutation changed its payload
 }
@@ -114,20 +115,17 @@ type shard[V any] struct {
 // Table is the sharded soft-state table. All methods are safe for
 // concurrent use.
 type Table[V any] struct {
-	cfg     Config[V]
-	clk     clock.Clock
-	virtual bool
-	tick    time.Duration
-	start   time.Time
-	shards  []shard[V]
-	mask    uint32
-	size    atomic.Int64
-	done    chan struct{}
-	closed  atomic.Bool
-	wg      sync.WaitGroup
+	cfg    Config[V]
+	clk    clock.Clock
+	tick   time.Duration
+	start  time.Time
+	shards []shard[V]
+	mask   uint32
+	size   atomic.Int64
+	closed atomic.Bool
 }
 
-// New creates a table and starts its shard goroutines.
+// New creates a table. Nothing runs until a deadline is scheduled.
 func New[V any](cfg Config[V]) *Table[V] {
 	n := cfg.Shards
 	if n <= 0 {
@@ -151,39 +149,25 @@ func New[V any](cfg Config[V]) *Table[V] {
 	}
 	clk := clock.Or(cfg.Clock)
 	t := &Table[V]{
-		cfg:     cfg,
-		clk:     clk,
-		virtual: clk.Virtual(),
-		tick:    tick,
-		start:   clk.Now(),
-		shards:  make([]shard[V], shards),
-		mask:    uint32(shards - 1),
-		done:    make(chan struct{}),
+		cfg:    cfg,
+		clk:    clk,
+		tick:   tick,
+		start:  clk.Now(),
+		shards: make([]shard[V], shards),
+		mask:   uint32(shards - 1),
 	}
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.entries = make(map[string]*entry[V])
 		sh.nextWake = int64(1)<<62 - 1
-		sh.wake = make(chan struct{}, 1)
 		if cfg.DigestFunc != nil {
 			sh.dig = make([]uint64, cfg.DigestBuckets)
 		}
-		if t.virtual {
-			// Event-driven: the clock calls fireShard at each due tick; no
-			// goroutine, no sleeps. The timer is armed by unlockAndPoke the
-			// first time a deadline is scheduled.
-			sh.vtimer = clk.NewTimer(t.shardFirer(sh))
-			continue
-		}
-		t.wg.Add(1)
-		go t.runShard(sh)
+		// The clock calls fireShard at each due tick; unlockAndPoke arms
+		// the timer the first time a deadline is scheduled.
+		sh.timer = clk.NewTimer(func() { t.fireShard(sh) })
 	}
 	return t
-}
-
-// shardFirer binds fireShard to one shard for the virtual clock.
-func (t *Table[V]) shardFirer(sh *shard[V]) func() {
-	return func() { t.fireShard(sh) }
 }
 
 // NumShards returns the (power-of-two) shard count.
@@ -213,23 +197,24 @@ func (t *Table[V]) WheelDepths() []int {
 	return out
 }
 
-// Close stops the shard goroutines and waits for in-flight expiry
-// callbacks to finish. Timers never fire after Close returns; the map
-// contents remain readable. In virtual mode Close must run on the clock's
-// driver goroutine (fireShard re-checks the closed flag under the shard
-// lock for the pending-callback race).
+// Close stops the shard timers and waits for in-flight expiry callbacks
+// to finish. Timers never fire after Close returns; the map contents
+// remain readable. Stopping a clock timer does not recall a callback the
+// clock already dispatched, so the guarantee rests on the shard lock:
+// Close passes through each one after setting the closed flag, and
+// fireShard and unlockAndPoke re-check the flag under it — a dispatched
+// callback has either finished by then or will find the table closed.
+// Under a virtual clock Close must run on the clock's driver goroutine.
 func (t *Table[V]) Close() {
 	if t.closed.Swap(true) {
 		return
 	}
-	close(t.done)
-	if t.virtual {
-		for i := range t.shards {
-			t.shards[i].vtimer.Stop()
-		}
-		return
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		sh.timer.Stop()
+		sh.mu.Unlock()
 	}
-	t.wg.Wait()
 }
 
 // Hash32 is the allocation-free FNV-1a hash used to pick a shard; other
@@ -568,30 +553,18 @@ func (t *Table[V]) refreshDigestLocked(sh *shard[V], e *entry[V]) {
 	e.dig, e.digBucket = sum, bucket
 }
 
-// unlockAndPoke releases the shard and wakes its wheel driver if an
-// earlier deadline was scheduled while the lock was held: in wall mode a
-// channel poke to the shard goroutine, in virtual mode a timer reset to
-// the new earliest tick (the clock serializes the callback against other
-// events, so no goroutine is needed).
+// unlockAndPoke releases the shard, first pulling its timer in to the new
+// earliest tick if a deadline earlier than the armed one was scheduled
+// while the lock was held. A closed table arms nothing.
 func (t *Table[V]) unlockAndPoke(sh *shard[V]) {
-	if t.virtual {
-		if sh.needPoke {
-			sh.needPoke = false
+	if sh.needPoke {
+		sh.needPoke = false
+		if !t.closed.Load() {
 			sh.nextWake = sh.pokeTick
-			sh.vtimer.Reset(t.start.Add(time.Duration(sh.pokeTick) * t.tick).Sub(t.clk.Now()))
+			sh.timer.Reset(t.start.Add(time.Duration(sh.pokeTick) * t.tick).Sub(t.clk.Now()))
 		}
-		sh.mu.Unlock()
-		return
 	}
-	poke := sh.needPoke
-	sh.needPoke = false
 	sh.mu.Unlock()
-	if poke {
-		select {
-		case sh.wake <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // TimerControl mutates one entry's timers and lifetime. It is only valid
@@ -650,8 +623,8 @@ func (tc TimerControl[V]) MarkDigestDirty() {
 
 // advanceLocked moves the shard's wheel to the current tick and runs the
 // expiry callbacks of everything due; callers hold sh.mu. It then records
-// the shard's next wake tick and returns the wall-clock wait until it (0
-// when idle, reported separately).
+// the shard's next wake tick and returns the clock wait until it (0 when
+// idle, reported separately).
 func (t *Table[V]) advanceLocked(sh *shard[V]) (wait time.Duration, idle bool) {
 	fired := sh.wheel.advance(t.tickNow())
 	for fired != nil {
@@ -682,55 +655,20 @@ func (t *Table[V]) advanceLocked(sh *shard[V]) (wait time.Duration, idle bool) {
 	return wait, idle
 }
 
-// fireShard is the virtual-mode wheel driver: the clock calls it on the
-// simulation goroutine at each due tick; it advances the wheel and arms
-// the timer for the next one. An idle shard arms nothing — the next
-// Schedule re-arms via unlockAndPoke.
+// fireShard is the wheel driver, the callback of the shard's clock timer:
+// it advances the wheel to the present and arms the timer for the next
+// event. An idle shard arms nothing — the next Schedule re-arms via
+// unlockAndPoke. It is idempotent: a callback the wall clock dispatched
+// just before a Reset moved the deadline finds nothing due and re-arms
+// for the same next event a punctual one would have.
 func (t *Table[V]) fireShard(sh *shard[V]) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if t.closed.Load() {
-		return // Close raced a callback already popped by the driver
+		return // Close raced a callback the clock had already dispatched
 	}
 	wait, idle := t.advanceLocked(sh)
 	if !idle {
-		sh.vtimer.Reset(wait)
-	}
-}
-
-// runShard is the shard's wall-mode wheel goroutine: it advances the wheel
-// to the current tick, fires expired timers, and sleeps until the next
-// event.
-func (t *Table[V]) runShard(sh *shard[V]) {
-	defer t.wg.Done()
-	sleep := time.NewTimer(time.Hour)
-	defer sleep.Stop()
-	for {
-		sh.mu.Lock()
-		wait, idle := t.advanceLocked(sh)
-		sh.mu.Unlock()
-
-		if idle {
-			select {
-			case <-sh.wake:
-			case <-t.done:
-				return
-			}
-		} else if wait > 0 {
-			if !sleep.Stop() {
-				select {
-				case <-sleep.C:
-				default:
-				}
-			}
-			sleep.Reset(wait)
-			select {
-			case <-sleep.C:
-			case <-sh.wake:
-			case <-t.done:
-				return
-			}
-		}
-		// wait ≤ 0: the next event is already due; loop immediately.
+		sh.timer.Reset(wait)
 	}
 }

@@ -257,8 +257,37 @@ func TestDeleteFromCallback(t *testing.T) {
 	eventually(t, "all entries expired away", func() bool { return tbl.Len() == 0 })
 }
 
+// TestTableAtRestOwnsNoGoroutines: a wall-clock table with deadlines armed
+// and none due runs nothing — its wheels are driven by clock timer
+// callbacks, which exist only while they run — and neither does one whose
+// timers have all fired.
+func TestTableAtRestOwnsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var fired atomic.Int32
+	tbl := New(Config[int]{
+		Shards:   8,
+		OnExpire: func(string, TimerKind, *int, TimerControl[int]) { fired.Add(1) },
+	})
+	defer tbl.Close()
+	for i := 0; i < 10_000; i++ {
+		tbl.Upsert(fmt.Sprintf("key/%d", i), func(_ *int, _ bool, tc TimerControl[int]) {
+			tc.Schedule(0, time.Hour)
+			if i%100 == 0 {
+				tc.Schedule(1, time.Millisecond)
+			}
+		})
+	}
+	eventually(t, "the near deadlines", func() bool { return fired.Load() == 100 })
+	eventually(t, "the expiry callbacks to return", func() bool { return runtime.NumGoroutine() <= before })
+	time.Sleep(20 * time.Millisecond)
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("table at rest owns %d goroutines (%d before New, %d with %d timers armed)",
+			g-before, before, g, tbl.Armed(0))
+	}
+}
+
 // TestMassExpiry100kOneTick: 100k keys with identical deadlines all fire,
-// with goroutine count bounded by the shard count, not the key count.
+// and once they have the table is back to owning no goroutine.
 func TestMassExpiry100kOneTick(t *testing.T) {
 	const n = 100_000
 	before := runtime.NumGoroutine()
@@ -275,33 +304,50 @@ func TestMassExpiry100kOneTick(t *testing.T) {
 			tc.Schedule(0, deadline)
 		})
 	}
-	if g := runtime.NumGoroutine(); g > before+tbl.NumShards()+8 {
-		t.Fatalf("goroutines grew to %d for %d keys", g, n)
-	}
 	eventually(t, "mass expiry", func() bool { return fired.Load() == n })
+	eventually(t, "the expiry callbacks to return", func() bool { return runtime.NumGoroutine() <= before })
 }
 
-// TestCloseStopsFiring: no callback runs after Close returns.
+// TestCloseStopsFiring: no callback runs after Close returns, under either
+// clock, and the map stays readable.
 func TestCloseStopsFiring(t *testing.T) {
-	var fired atomic.Int32
-	tbl := New(Config[int]{
-		OnExpire: func(string, TimerKind, *int, TimerControl[int]) { fired.Add(1) },
-	})
-	for i := 0; i < 100; i++ {
-		tbl.Upsert(fmt.Sprintf("k%d", i), func(_ *int, _ bool, tc TimerControl[int]) {
-			tc.Schedule(0, time.Duration(i)*time.Millisecond)
+	for _, d := range testDrivers() {
+		t.Run(d.name, func(t *testing.T) {
+			var fired atomic.Int32
+			tbl := New(Config[int]{
+				Clock:    d.clk,
+				OnExpire: func(string, TimerKind, *int, TimerControl[int]) { fired.Add(1) },
+			})
+			for i := 0; i < 100; i++ {
+				tbl.Upsert(fmt.Sprintf("k%d", i), func(v *int, _ bool, tc TimerControl[int]) {
+					*v = i
+					tc.Schedule(0, time.Duration(i)*5*time.Millisecond)
+				})
+			}
+			d.pass(10 * time.Millisecond) // close mid-stream: a few fired, most armed
+			tbl.Close()
+			settled := fired.Load()
+			d.pass(150 * time.Millisecond)
+			if got := fired.Load(); got != settled {
+				t.Fatalf("timers fired after Close (%d -> %d)", settled, got)
+			}
+			if settled == 100 {
+				t.Fatal("every timer fired before Close; the test closed nothing armed")
+			}
+			if tbl.Len() != 100 {
+				t.Fatalf("Len after close = %d", tbl.Len())
+			}
+			if got, ok := tbl.Get("k7"); !ok || got != 7 {
+				t.Fatalf("closed table unreadable: %d %v", got, ok)
+			}
+			tbl.Upsert("k7", func(_ *int, _ bool, tc TimerControl[int]) { tc.Schedule(0, 0) })
+			d.pass(20 * time.Millisecond)
+			if got := fired.Load(); got != settled {
+				t.Fatal("a deadline scheduled after Close fired")
+			}
+			tbl.Close() // double close is a no-op
 		})
 	}
-	tbl.Close()
-	settled := fired.Load()
-	time.Sleep(150 * time.Millisecond)
-	if got := fired.Load(); got != settled {
-		t.Fatalf("timers fired after Close (%d -> %d)", settled, got)
-	}
-	if tbl.Len() != 100 {
-		t.Fatalf("Len after close = %d", tbl.Len())
-	}
-	tbl.Close() // double close is a no-op
 }
 
 // TestConcurrentChurn hammers every operation from many goroutines; run

@@ -105,26 +105,3 @@ func TestVirtualEarlierDeadlinePokes(t *testing.T) {
 		t.Fatalf("fired = %v, want early then late", fired)
 	}
 }
-
-// TestVirtualCloseStopsTimers: no expiry runs after Close, and the map
-// stays readable.
-func TestVirtualCloseStopsTimers(t *testing.T) {
-	v := clock.NewVirtual()
-	fired := 0
-	tbl := New(Config[int]{
-		Clock:    v,
-		OnExpire: func(string, TimerKind, *int, TimerControl[int]) { fired++ },
-	})
-	tbl.Upsert("k", func(val *int, _ bool, tc TimerControl[int]) {
-		*val = 7
-		tc.Schedule(0, 10*time.Millisecond)
-	})
-	tbl.Close()
-	v.Run(time.Second)
-	if fired != 0 {
-		t.Fatal("timer fired after Close")
-	}
-	if got, ok := tbl.Get("k"); !ok || got != 7 {
-		t.Fatalf("closed table unreadable: %d %v", got, ok)
-	}
-}

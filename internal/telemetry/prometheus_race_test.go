@@ -21,16 +21,25 @@ func TestWritePrometheusRacesRegistration(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
+		// Bounded: every scrape sorts and renders the whole registry, so a
+		// registrar that outpaces the 50 scrapes would otherwise grow it
+		// (and each scrape) without limit. Past the cap the last counter
+		// keeps moving, so scrapes still race a writer.
+		const maxRegistered = 4096
+		var c *Counter
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			reg.NewCounter(Opts{
-				Name:   "softstate_race_total",
-				Labels: Labels{"i": strconv.Itoa(i)},
-			}).Inc()
+			if i < maxRegistered {
+				c = reg.NewCounter(Opts{
+					Name:   "softstate_race_total",
+					Labels: Labels{"i": strconv.Itoa(i)},
+				})
+			}
+			c.Inc()
 		}
 	}()
 	go func() {

@@ -34,7 +34,7 @@
 //	}
 //
 // Every table and figure of the paper's evaluation can be regenerated
-// with cmd/sigbench or the benchmarks in bench_test.go; see DESIGN.md for
+// with cmd/sigfig or the benchmarks in bench_test.go; see DESIGN.md for
 // the package map, the statetable architecture, and measured numbers.
 package softstate
 
