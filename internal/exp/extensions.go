@@ -139,6 +139,11 @@ func init() {
 					}
 					el := (math.Log(up.Inconsistency) - math.Log(down.Inconsistency)) /
 						(math.Log(1+h) - math.Log(1-h))
+					if math.Abs(el) < 0.0005 {
+						// An elasticity that is zero up to rounding noise
+						// (±1e-17) prints as +0.000, never -0.000.
+						el = 0
+					}
 					cells = append(cells, fmt.Sprintf("%+.3f", el))
 				}
 				t.AddRow(cells...)

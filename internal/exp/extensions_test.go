@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"bytes"
 	"strconv"
 	"testing"
+
+	"softstate/internal/report"
 )
 
 func TestExtConvergence(t *testing.T) {
@@ -42,6 +45,32 @@ func TestExtRepair(t *testing.T) {
 	for _, variant := range []string{"SS+staged", "SS+NACK", "SS+RT"} {
 		if got := inc[key{highLoss, variant}]; !(got < ss) {
 			t.Fatalf("%s (%v) should beat SS (%v) at 20%% loss", variant, got, ss)
+		}
+	}
+}
+
+// TestExtSensitivityDeterministic: the analytic pipeline sums each
+// state's rates in model order, so repeated runs agree to the last bit
+// and no cell carries a negative zero.
+func TestExtSensitivityDeterministic(t *testing.T) {
+	e, _ := ByID("ext-sensitivity")
+	var first []byte
+	for run := 0; run < 8; run++ {
+		a, err := BuildArtifact(e, Options{Quick: true, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := report.EncodeArtifact(&buf, a); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(buf.Bytes(), []byte("-0.000")) {
+			t.Fatalf("run %d prints a negative zero:\n%s", run, buf.Bytes())
+		}
+		if first == nil {
+			first = buf.Bytes()
+		} else if !bytes.Equal(first, buf.Bytes()) {
+			t.Fatalf("run %d differs from run 0", run)
 		}
 	}
 }

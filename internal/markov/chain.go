@@ -40,8 +40,18 @@ type Transition struct {
 type Chain struct {
 	names []string
 	index map[string]StateID
-	// rates[from][to] = accumulated rate.
-	rates []map[StateID]float64
+	// rates[from] holds the state's outgoing edges, one per destination,
+	// in the order the model added them. The order must be fixed: every
+	// analysis sums over a row (the exit rate on the generator's
+	// diagonal) and float addition is not associative, so an unordered
+	// row — a map — changes the last bits of a solution from run to run.
+	rates [][]edge
+}
+
+// edge is one outgoing rate of a state.
+type edge struct {
+	to   StateID
+	rate float64
 }
 
 // NewChain returns an empty chain.
@@ -57,7 +67,7 @@ func (c *Chain) State(name string) StateID {
 	id := StateID(len(c.names))
 	c.names = append(c.names, name)
 	c.index[name] = id
-	c.rates = append(c.rates, make(map[StateID]float64))
+	c.rates = append(c.rates, nil)
 	return id
 }
 
@@ -91,7 +101,19 @@ func (c *Chain) AddTransition(from, to StateID, rate float64) {
 	}
 	c.checkID(from)
 	c.checkID(to)
-	c.rates[from][to] += rate
+	c.add(from, to, rate)
+}
+
+// add accumulates rate onto the from → to edge, appending it if new.
+func (c *Chain) add(from, to StateID, rate float64) {
+	row := c.rates[from]
+	for i := range row {
+		if row[i].to == to {
+			row[i].rate += rate
+			return
+		}
+	}
+	c.rates[from] = append(row, edge{to, rate})
 }
 
 func (c *Chain) checkID(id StateID) {
@@ -104,15 +126,20 @@ func (c *Chain) checkID(id StateID) {
 func (c *Chain) Rate(from, to StateID) float64 {
 	c.checkID(from)
 	c.checkID(to)
-	return c.rates[from][to]
+	for _, e := range c.rates[from] {
+		if e.to == to {
+			return e.rate
+		}
+	}
+	return 0
 }
 
 // ExitRate returns the total outgoing rate of a state.
 func (c *Chain) ExitRate(from StateID) float64 {
 	c.checkID(from)
 	var sum float64
-	for _, r := range c.rates[from] {
-		sum += r
+	for _, e := range c.rates[from] {
+		sum += e.rate
 	}
 	return sum
 }
@@ -121,8 +148,8 @@ func (c *Chain) ExitRate(from StateID) float64 {
 func (c *Chain) Transitions() []Transition {
 	var out []Transition
 	for from, row := range c.rates {
-		for to, r := range row {
-			out = append(out, Transition{From: StateID(from), To: to, Rate: r})
+		for _, e := range row {
+			out = append(out, Transition{From: StateID(from), To: e.to, Rate: e.rate})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -141,9 +168,9 @@ func (c *Chain) Generator() *linalg.Matrix {
 	q := linalg.NewMatrix(n, n)
 	for from, row := range c.rates {
 		var exit float64
-		for to, r := range row {
-			q.Set(from, int(to), r)
-			exit += r
+		for _, e := range row {
+			q.Set(from, int(e.to), e.rate)
+			exit += e.rate
 		}
 		q.Set(from, from, -exit)
 	}
@@ -157,9 +184,7 @@ func (c *Chain) Clone() *Chain {
 		n.State(name)
 	}
 	for from, row := range c.rates {
-		for to, r := range row {
-			n.rates[from][to] = r
-		}
+		n.rates[from] = append([]edge(nil), row...)
 	}
 	return n
 }
@@ -178,23 +203,24 @@ func (c *Chain) Redirect(from, into StateID) *Chain {
 	}
 	n := c.Clone()
 	for src, row := range n.rates {
-		r, ok := row[from]
-		if !ok {
-			continue
-		}
-		delete(row, from)
-		if StateID(src) == into {
+		for i, e := range row {
+			if e.to != from {
+				continue
+			}
+			n.rates[src] = append(row[:i], row[i+1:]...)
 			// A transition into → from would become a self-loop after the
 			// merge; in a regeneration structure it means "restart
 			// immediately", which contributes no sojourn time, so drop it.
-			continue
+			if StateID(src) != into {
+				n.add(StateID(src), into, e.rate)
+			}
+			break
 		}
-		row[into] += r
 	}
 	if len(n.rates[from]) == 0 {
 		// The merged state is now unreachable; give it a drain edge so the
 		// stationary system stays nonsingular and assigns it zero mass.
-		n.rates[from][into] = 1
+		n.add(from, into, 1)
 	}
 	return n
 }
@@ -207,7 +233,7 @@ func (c *Chain) Freeze(states ...StateID) *Chain {
 	n := c.Clone()
 	for _, s := range states {
 		n.checkID(s)
-		n.rates[s] = make(map[StateID]float64)
+		n.rates[s] = nil
 	}
 	return n
 }

@@ -102,9 +102,9 @@ func (c *Chain) BalanceResidual(pi []float64) float64 {
 func (c *Chain) maxRate() float64 {
 	var max float64
 	for _, row := range c.rates {
-		for _, r := range row {
-			if r > max {
-				max = r
+		for _, e := range row {
+			if e.rate > max {
+				max = e.rate
 			}
 		}
 	}
@@ -162,11 +162,11 @@ func (c *Chain) Absorption(start StateID, absorbing ...StateID) (*AbsorptionResu
 	for _, s := range transient {
 		row := c.rates[s]
 		var exit float64
-		for to, r := range row {
-			exit += r
-			if !isAbs[to] {
+		for _, e := range row {
+			exit += e.rate
+			if !isAbs[e.to] {
 				// Qᵀ entry: column s, row to.
-				a.Add(tIndex[to], tIndex[s], r)
+				a.Add(tIndex[e.to], tIndex[s], e.rate)
 			}
 		}
 		a.Add(tIndex[s], tIndex[s], -exit)
@@ -237,12 +237,12 @@ func (c *Chain) HitProbability(start, target StateID, absorbing ...StateID) (flo
 	for _, s := range transient {
 		row := c.rates[s]
 		var exit float64
-		for to, r := range row {
-			exit += r
-			if to == target {
-				b[tIndex[s]] -= r
-			} else if !isAbs[to] {
-				a.Add(tIndex[s], tIndex[to], r)
+		for _, e := range row {
+			exit += e.rate
+			if e.to == target {
+				b[tIndex[s]] -= e.rate
+			} else if !isAbs[e.to] {
+				a.Add(tIndex[s], tIndex[e.to], e.rate)
 			}
 		}
 		a.Add(tIndex[s], tIndex[s], -exit)

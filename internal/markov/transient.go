@@ -66,9 +66,9 @@ func (c *Chain) TransientAt(p0 []float64, t float64) ([]float64, error) {
 				continue
 			}
 			exit := 0.0
-			for to, r := range c.rates[s] {
-				out[to] += vs * r / q
-				exit += r
+			for _, e := range c.rates[s] {
+				out[e.to] += vs * e.rate / q
+				exit += e.rate
 			}
 			out[s] -= vs * exit / q
 		}

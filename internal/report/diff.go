@@ -19,8 +19,11 @@ const DefaultRelTol = 1e-6
 // experiment ships its policy change in the same diff.
 type Checks struct {
 	// RelTol maps a column to its allowed relative drift. Keys are tried
-	// most-specific first: "frame/column", then "column", then "" (the
-	// artifact-wide default), then DefaultRelTol.
+	// most-specific first: "frame/column@row" (one cell: row is the row's
+	// first-column value), then "frame/column", then "column", then ""
+	// (the artifact-wide default), then DefaultRelTol. The per-cell form
+	// is for a cell whose value is one sample path of a rare event: its
+	// bound is the measured seed-to-seed spread, not drift headroom.
 	RelTol map[string]float64 `json:"rel_tol,omitempty"`
 	// AbsTol maps a column to an absolute drift floor (same key scheme).
 	// A cell passes when |new−old| ≤ abs + rel·max(|old|,|new|), so noisy
@@ -31,14 +34,15 @@ type Checks struct {
 	Orderings []OrderRule `json:"orderings,omitempty"`
 }
 
-// tol resolves the (rel, abs) tolerance for a column of a frame.
-func (c *Checks) tol(frame, column string) (rel, abs float64) {
+// tol resolves the (rel, abs) tolerance for the cell of a frame's column on
+// the row whose first-column value is row.
+func (c *Checks) tol(frame, column, row string) (rel, abs float64) {
 	rel = DefaultRelTol
 	look := func(m map[string]float64) (float64, bool) {
 		if m == nil {
 			return 0, false
 		}
-		for _, k := range []string{frame + "/" + column, column, ""} {
+		for _, k := range []string{frame + "/" + column + "@" + row, frame + "/" + column, column, ""} {
 			if v, ok := m[k]; ok {
 				return v, true
 			}
@@ -292,7 +296,7 @@ func DiffArtifacts(old, new *Artifact) []string {
 						nf.Name, ri, nrow[0], col, nc, oc)
 					continue
 				}
-				rel, abs := new.Checks.tol(nf.Name, col)
+				rel, abs := new.Checks.tol(nf.Name, col, nrow[0])
 				limit := abs + rel*math.Max(math.Abs(ov), math.Abs(nv))
 				if d := math.Abs(nv - ov); d > limit {
 					fail("frame %q row %d (%s) column %q: %g vs baseline %g (|Δ|=%.4g > %.4g)",

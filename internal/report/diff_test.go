@@ -76,6 +76,23 @@ func TestDiffFrameQualifiedTolerance(t *testing.T) {
 	}
 }
 
+// TestDiffCellQualifiedTolerance: a "frame/column@row" key bounds one
+// cell — the same column drifts freely on that row and not on the next.
+func TestDiffCellQualifiedTolerance(t *testing.T) {
+	a := mkArtifact()
+	b := clone(t, a)
+	b.Checks = &Checks{RelTol: map[string]float64{"analytic/SS@0.1": 0.5}}
+	b.Frames[0].Rows[0][1] = "0.06"
+	if msgs := DiffArtifacts(a, b); len(msgs) != 0 {
+		t.Fatalf("cell-qualified tolerance should cover its cell: %v", msgs)
+	}
+	b.Frames[0].Rows[1][1] = "0.14" // row 0.3 has no key of its own
+	msgs := DiffArtifacts(a, b)
+	if len(msgs) != 1 || !strings.Contains(msgs[0], "row 1 (0.3)") {
+		t.Fatalf("want one violation on row 0.3, got %v", msgs)
+	}
+}
+
 func TestDiffAbsoluteTolerance(t *testing.T) {
 	a := mkArtifact()
 	a.Frames[0].Rows[0][2] = "0"

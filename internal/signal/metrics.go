@@ -15,20 +15,15 @@ import (
 // Observe calls are two atomic increments guarded by the endpoint's
 // measure flag.
 
-// registerTableGauges exposes a state table's occupancy and per-shard
-// wheel depth.
+// registerTableGauges exposes a state table's occupancy and, per shard,
+// its wheel depth and deferred re-bucket count.
 func registerTableGauges[V any](r *telemetry.Registry, labels telemetry.Labels, tbl *statetable.Table[V]) {
 	r.GaugeFunc(telemetry.Opts{
 		Name:   "softstate_table_keys",
 		Help:   "Entries in the endpoint's sharded state table.",
 		Labels: labels,
 	}, func() float64 { return float64(tbl.Len()) })
-	registerWheelDepths(r, labels, tbl.NumShards(), tbl.WheelDepth)
-}
-
-// registerWheelDepths registers one wheel-depth gauge per shard.
-func registerWheelDepths(r *telemetry.Registry, labels telemetry.Labels, shards int, depth func(int) int) {
-	for i := 0; i < shards; i++ {
+	for i := 0; i < tbl.NumShards(); i++ {
 		shard := i
 		sl := make(telemetry.Labels, len(labels)+1)
 		for k, v := range labels {
@@ -39,7 +34,12 @@ func registerWheelDepths(r *telemetry.Registry, labels telemetry.Labels, shards 
 			Name:   "softstate_wheel_depth",
 			Help:   "Armed timers on one shard's hierarchical timing wheel.",
 			Labels: sl,
-		}, func() float64 { return float64(depth(shard)) })
+		}, func() float64 { return float64(tbl.WheelDepth(shard)) })
+		r.GaugeFunc(telemetry.Opts{
+			Name:   "softstate_wheel_rebuckets_total",
+			Help:   "Renewed timers one shard's wheel reached before their deadline and re-bucketed instead of firing.",
+			Labels: sl,
+		}, func() float64 { return float64(tbl.WheelRebuckets(shard)) })
 	}
 }
 

@@ -286,6 +286,10 @@ type summaryScratch struct {
 	unknown []string
 	visit   func(seq uint64, key []byte)
 	renew   func(e *receiverEntry, tc statetable.TimerControl[receiverEntry])
+	// The datagram's r.lifetime(), read once per datagram, not once per key.
+	kind statetable.TimerKind
+	tick int64
+	arm  bool
 }
 
 func (r *Receiver) newSummaryScratch() *summaryScratch {
@@ -303,7 +307,9 @@ func (r *Receiver) newSummaryScratch() *summaryScratch {
 			}
 			e.renewedAt = sc.now
 		}
-		r.armTimeout(tc)
+		if sc.arm {
+			tc.ScheduleAt(sc.kind, sc.tick)
+		}
 	}
 	sc.visit = func(seq uint64, key []byte) {
 		sc.seq = seq
@@ -332,6 +338,7 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *summaryScra
 	if r.measure {
 		sc.now = r.clk.Since(r.born) + 1
 	}
+	sc.kind, sc.tick, sc.arm = r.lifetime()
 	seq, err := wire.VisitSummaryKeys(data, sc.visit)
 	if err != nil {
 		r.ctrs.decodeErrors.Add(1)
@@ -541,17 +548,20 @@ func (r *Receiver) handleDigest(m wire.Message, from net.Addr) {
 	}
 }
 
-func (r *Receiver) armTimeout(tc statetable.TimerControl[receiverEntry]) {
+// lifetime names the timer a renewal restarts and the wheel tick it is now
+// due at. Hard state never times out; its lifetime guard is the orphan
+// probe instead. ok is false for a profile with neither.
+func (r *Receiver) lifetime() (kind statetable.TimerKind, tick int64, ok bool) {
 	if r.prof.HardState {
-		// Hard state never times out; its lifetime guard is the orphan
-		// probe instead.
-		tc.Schedule(timerProbe, r.cfg.ProbeInterval)
-		return
+		return timerProbe, r.tbl.DeadlineTick(r.cfg.ProbeInterval), true
 	}
-	if !r.prof.Refresh {
-		return
+	return timerTimeout, r.tbl.DeadlineTick(r.cfg.Timeout), r.prof.Refresh
+}
+
+func (r *Receiver) armTimeout(tc statetable.TimerControl[receiverEntry]) {
+	if kind, tick, ok := r.lifetime(); ok {
+		tc.ScheduleAt(kind, tick)
 	}
-	tc.Schedule(timerTimeout, r.cfg.Timeout)
 }
 
 // onTimeout fires when a key's state-timeout (soft state) or probe timer

@@ -3,6 +3,7 @@ package signal
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -139,5 +140,40 @@ func TestStatsSnapshotConcurrentWithSends(t *testing.T) {
 	st := c.snd.Stats()
 	if st.TotalSent() == 0 {
 		t.Fatal("no datagrams counted")
+	}
+}
+
+// TestWheelRebucketsExported: a receiver whose keys are kept alive by
+// summary refresh re-buckets their timeout timers instead of firing them,
+// and says so per shard beside the wheel depth — a shard wake-up that
+// expired nothing is attributable from the scrape.
+func TestWheelRebucketsExported(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	c := vEndpoints(t, SS, 0, func(cfg *Config) {
+		cfg.Metrics = reg
+		cfg.SummaryRefresh = true
+		cfg.Shards = 2
+	})
+	for i := 0; i < 32; i++ {
+		if err := c.snd.Install(fmt.Sprintf("k%02d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.run(20 * fastConfig(SS).Timeout)
+	if c.rcv.Len() != 32 {
+		t.Fatalf("receiver holds %d of 32 refreshed keys", c.rcv.Len())
+	}
+	series, rebuckets := 0, 0.0
+	for _, s := range reg.Gather() {
+		if s.Name == "softstate_wheel_rebuckets_total" && strings.Contains(s.ID, `role="receiver"`) {
+			series++
+			rebuckets += s.Value
+		}
+	}
+	if series != 2 {
+		t.Fatalf("%d receiver rebucket series, want one per shard (2)", series)
+	}
+	if rebuckets == 0 {
+		t.Fatal("20 timeouts of refreshed state and no re-bucket counted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"softstate/internal/signal"
+	"softstate/internal/variant"
 )
 
 // fastCensus is a small audited chain run: 3 links, churned keys, loss.
@@ -98,8 +99,10 @@ func TestCensusAuditObservesDivergence(t *testing.T) {
 
 // TestCensusVariantsOrdering: the auditor's divergence measure must
 // reproduce the paper's qualitative protocol ordering — reliable
-// removal (SS+RTR, HS) beats silent-timeout SS — and every variant's
-// chain must converge once churn stops.
+// removal (SS+RTR, HS) beats silent-timeout SS — and every
+// refresh-bearing variant's chain must converge once churn stops. HS has
+// no refresh to repair with, so whether one seed's chain drains is luck;
+// TestCensusHardStateDrainsLessOften asserts its contrast over seeds.
 func TestCensusVariantsOrdering(t *testing.T) {
 	base := fastCensus(signal.SS, 0.15)
 	results, err := RunCensusVariants(base)
@@ -111,7 +114,7 @@ func TestCensusVariantsOrdering(t *testing.T) {
 		t.Logf("%-6v audited=%.4f sampled_I=%.4f final_divergent=%d",
 			r.Protocol, r.AuditedDivergence, r.Inconsistency, r.FinalDivergent)
 		byProto[r.Protocol] = r
-		if !r.Drained {
+		if variant.For(r.Protocol).Refresh && !r.Drained {
 			t.Errorf("%v: no quiesce census read converged (last: %d divergent keys)",
 				r.Protocol, r.FinalDivergent)
 		}
@@ -122,5 +125,37 @@ func TestCensusVariantsOrdering(t *testing.T) {
 	if byProto[signal.SSRTR].AuditedDivergence >= byProto[signal.SS].AuditedDivergence {
 		t.Errorf("reliable removal did not reduce audited divergence: SS+RTR %.4f vs SS %.4f",
 			byProto[signal.SSRTR].AuditedDivergence, byProto[signal.SS].AuditedDivergence)
+	}
+}
+
+// TestCensusHardStateDrainsLessOften: what loss broke when churn stopped
+// only a refresh repairs, so over a fixed seed set every refresh-bearing
+// variant drains in the quiesce window on every seed and HS on strictly
+// fewer (about two seeds in three, measured over seeds 40–69) — the
+// contrast, not any one seed's sample path, is the behaviour.
+func TestCensusHardStateDrainsLessOften(t *testing.T) {
+	const seeds = 12
+	drained := map[signal.Protocol]int{}
+	for seed := uint64(42); seed < 42+seeds; seed++ {
+		cfg := fastCensus(signal.SS, 0.15)
+		cfg.Seed = seed
+		results, err := RunCensusVariants(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Drained {
+				drained[r.Protocol]++
+			}
+		}
+	}
+	t.Logf("drained of %d seeds: %v", seeds, drained)
+	for _, prof := range variant.All() {
+		switch n := drained[prof.Proto]; {
+		case prof.Refresh && n != seeds:
+			t.Errorf("%v drained on %d of %d seeds, want all", prof.Proto, n, seeds)
+		case !prof.Refresh && n >= seeds:
+			t.Errorf("%v drained on every seed: nothing separates it from the refresh-bearing variants", prof.Proto)
+		}
 	}
 }

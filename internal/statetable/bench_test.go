@@ -2,6 +2,7 @@ package statetable
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -55,6 +56,42 @@ func BenchmarkStateTable_1MKeys(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(n), "keys/op")
+}
+
+// BenchmarkStateTableRenew measures the steady state of a soft-state
+// receiver: 65,536 installed (peer, key) entries, each with an armed
+// timeout, renewed through the byte-key path — every op pushes one
+// deadline later, nothing else. One op is one renewal. In random order
+// each lookup misses the cache and that chain of misses is the whole
+// cost; in install order (a sweep's order: the order the wheel's bucket
+// lists were built in) the lookups are cheap and what the wheel itself
+// does per renewal shows.
+func BenchmarkStateTableRenew(b *testing.B) {
+	const n = 1 << 16
+	for _, order := range []string{"random", "install-order"} {
+		b.Run(order, func(b *testing.B) {
+			tbl := New(Config[uint64]{Shards: 64})
+			defer tbl.Close()
+			keys := make([][]byte, n)
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("127.0.0.1:%d\x00flow/%07d", 7000+i>>10, i&1023))
+				tbl.Upsert(string(keys[i]), func(_ *uint64, _ bool, tc TimerControl[uint64]) {
+					tc.Schedule(0, time.Hour)
+				})
+			}
+			if order == "random" {
+				rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			}
+			renew := func(_ *uint64, tc TimerControl[uint64]) { tc.Schedule(0, time.Hour) }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !tbl.UpdateBytes(keys[i&(n-1)], renew) {
+					b.Fatal("renewed key missing")
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkStateTablePut measures steady-state upsert+schedule throughput

@@ -187,6 +187,15 @@ func (t *Table[V]) WheelDepth(i int) int {
 	return n
 }
 
+// WheelRebuckets counts the renewed timers shard i's wheel reached before
+// their deadline and re-bucketed instead of firing. Scrape-time use only.
+func (t *Table[V]) WheelRebuckets(i int) uint64 {
+	sh := &t.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.wheel.rebuckets
+}
+
 // WheelDepths returns every shard's armed-timer count, index-aligned with
 // shard numbers.
 func (t *Table[V]) WheelDepths() []int {
@@ -248,9 +257,9 @@ func (t *Table[V]) tickNow() int64 {
 	return int64(t.clk.Since(t.start) / t.tick)
 }
 
-// deadlineTick converts a relative delay to an absolute tick, rounding up
-// so timers never fire early.
-func (t *Table[V]) deadlineTick(delay time.Duration) int64 {
+// DeadlineTick converts a relative delay to an absolute tick, rounding up
+// so timers never fire early: the argument of TimerControl.ScheduleAt.
+func (t *Table[V]) DeadlineTick(delay time.Duration) int64 {
 	if delay < 0 {
 		delay = 0
 	}
@@ -582,6 +591,12 @@ func (tc TimerControl[V]) Key() string { return tc.e.key }
 // Schedule arms the kind timer to fire after delay, replacing any earlier
 // deadline. A non-positive delay fires on the next wheel tick.
 func (tc TimerControl[V]) Schedule(kind TimerKind, delay time.Duration) {
+	tc.ScheduleAt(kind, tc.t.DeadlineTick(delay))
+}
+
+// ScheduleAt is Schedule for a tick from Table.DeadlineTick, which a caller
+// arming many timers with one delay at one instant converts once.
+func (tc TimerControl[V]) ScheduleAt(kind TimerKind, tick int64) {
 	n := &tc.e.timers[kind]
 	if tc.sh.wheel.count == 0 {
 		// An empty wheel's clock goes stale while the shard idles; re-sync
@@ -591,7 +606,7 @@ func (tc TimerControl[V]) Schedule(kind TimerKind, delay time.Duration) {
 			tc.sh.wheel.now = now
 		}
 	}
-	tc.sh.wheel.schedule(n, tc.t.deadlineTick(delay))
+	tc.sh.wheel.schedule(n, tick)
 	if n.deadline < tc.sh.nextWake {
 		if !tc.sh.needPoke || n.deadline < tc.sh.pokeTick {
 			tc.sh.pokeTick = n.deadline

@@ -105,3 +105,63 @@ func TestVirtualEarlierDeadlinePokes(t *testing.T) {
 		t.Fatalf("fired = %v, want early then late", fired)
 	}
 }
+
+// TestVirtualRenewalDefersRelink is the soft-state receiver's steady state
+// at the table surface: keys renewed every R with lifetime T = 3R never
+// expire, the wheel re-buckets each at most once per T−R of clock progress
+// (not once per renewal) and says so in WheelRebuckets, and when renewals
+// stop every key fires exactly T after its last one. ScheduleAt with one
+// DeadlineTick per sweep arms every key of a sweep for the same tick.
+func TestVirtualRenewalDefersRelink(t *testing.T) {
+	const (
+		keys   = 64
+		R      = 100 * time.Millisecond
+		T      = 3 * R
+		sweeps = 50
+	)
+	v := clock.NewVirtual()
+	firedAt := map[string]time.Duration{}
+	tbl := New(Config[int]{
+		Shards: 1,
+		Clock:  v,
+		OnExpire: func(key string, _ TimerKind, _ *int, tc TimerControl[int]) {
+			firedAt[key] = v.Elapsed()
+			tc.Delete()
+		},
+	})
+	defer tbl.Close()
+	name := func(i int) string { return fmt.Sprintf("k%02d", i) }
+	for i := 0; i < keys; i++ {
+		tbl.Upsert(name(i), func(_ *int, _ bool, tc TimerControl[int]) { tc.Schedule(0, T) })
+	}
+	for s := 0; s < sweeps; s++ {
+		v.Run(R)
+		tick := tbl.DeadlineTick(T)
+		for i := 0; i < keys; i++ {
+			tbl.UpdateBytes([]byte(name(i)), func(_ *int, tc TimerControl[int]) { tc.ScheduleAt(0, tick) })
+		}
+	}
+	if len(firedAt) != 0 || tbl.Len() != keys {
+		t.Fatalf("renewed keys expired: %v", firedAt)
+	}
+	got := tbl.WheelRebuckets(0)
+	// One level-0 re-bucket per key per T−R at most: the bucket it is met
+	// in was chosen for a deadline at least T−R after the previous one.
+	if most := uint64(keys * sweeps * int(R) / int(T-R)); got == 0 || got > most {
+		t.Fatalf("WheelRebuckets = %d over %d renewals, want 1…%d", got, keys*sweeps, most)
+	}
+	last := v.Elapsed()
+	v.Run(T - time.Millisecond)
+	if len(firedAt) != 0 {
+		t.Fatalf("fired before T after the last renewal: %v", firedAt)
+	}
+	v.Run(time.Millisecond)
+	if len(firedAt) != keys || tbl.Len() != 0 {
+		t.Fatalf("%d of %d keys fired at T after the last renewal", len(firedAt), keys)
+	}
+	for key, at := range firedAt {
+		if at != last+T {
+			t.Fatalf("%s fired at %v, want %v", key, at, last+T)
+		}
+	}
+}

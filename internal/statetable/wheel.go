@@ -6,8 +6,16 @@ package statetable
 // four levels of 256 cover 2^32 ticks — 49 days at the 1 ms default tick.
 // A timer is bucketed at the lowest level whose span still contains its
 // delta; when the clock crosses a level boundary the matching upper bucket
-// cascades down, so a timer is rehashed at most wheelLevels-1 times in its
-// life and insert/cancel/expire are all O(1).
+// cascades down, and insert/cancel/expire are all O(1).
+//
+// Moving an armed deadline later — what every refresh does — relinks
+// nothing: schedule stores the deadline and leaves the node in the bucket
+// chosen for the earlier one, whose tick is never after the deadline, and
+// advance re-buckets the node by its current deadline on reaching it, so
+// nothing fires early or late. A node linked by deadline d is relinked at
+// most wheelLevels-1 times before the clock reaches d: a timer of lifetime
+// T renewed every R costs at most wheelLevels links per T-R ticks, however
+// many renewals fall in between.
 //
 // All wheel methods require the owning shard's lock.
 
@@ -33,7 +41,8 @@ const (
 // points at the previous node's next field (or the bucket head), making
 // unlink O(1) with no per-bucket sentinels. qnext is separate linkage for
 // the expired chain, so a callback rescheduling a still-queued node cannot
-// corrupt the chain being drained.
+// corrupt the chain being drained. slack sits in the padding after state:
+// the node is 48 bytes (TestTimerNodeSize), and every entry embeds two.
 type timerNode[V any] struct {
 	next     *timerNode[V]
 	pprev    **timerNode[V]
@@ -42,6 +51,7 @@ type timerNode[V any] struct {
 	deadline int64 // absolute tick
 	kind     TimerKind
 	state    uint8
+	slack    uint32 // deadline minus the tick the bucket was chosen for; < wheelSpan
 }
 
 // wheel is the per-shard hierarchical timing wheel.
@@ -49,18 +59,25 @@ type wheel[V any] struct {
 	now   int64 // last tick advanced to
 	count int   // armed timers
 	slots [wheelLevels][wheelSlots]*timerNode[V]
+
+	rebuckets uint64 // renewed nodes advance reached early and put back
 }
 
 // schedule (re)arms n for the given absolute tick. Past deadlines are
-// pulled to the next tick so they fire on the next advance.
+// pulled to the next tick so they fire on the next advance. An armed node
+// stays linked unless the deadline moves before its bucket's tick.
 func (w *wheel[V]) schedule(n *timerNode[V], deadline int64) {
-	w.cancel(n)
 	if deadline <= w.now {
 		deadline = w.now + 1
 	}
 	if deadline-w.now >= wheelSpan {
 		deadline = w.now + wheelSpan - 1
 	}
+	if slack := deadline - (n.deadline - int64(n.slack)); n.state == timerArmed && slack >= 0 {
+		n.deadline, n.slack = deadline, uint32(slack)
+		return
+	}
+	w.cancel(n)
 	n.deadline = deadline
 	w.insert(n)
 	n.state = timerArmed
@@ -85,6 +102,7 @@ func (w *wheel[V]) cancel(n *timerNode[V]) {
 // (only reachable while cascading) lands in the level-0 bucket the current
 // advance step is about to expire.
 func (w *wheel[V]) insert(n *timerNode[V]) {
+	n.slack = 0
 	delta := n.deadline - w.now
 	level := 0
 	for level < wheelLevels-1 && delta >= int64(1)<<(wheelBits*(level+1)) {
@@ -153,6 +171,14 @@ func (w *wheel[V]) advance(target int64) *timerNode[V] {
 		slot := &w.slots[0][w.now&wheelMask]
 		for n := *slot; n != nil; {
 			next := n.next
+			if n.deadline > w.now {
+				// Pushed later since it was bucketed: back in by deadline,
+				// never into this bucket (a full rotation away by now).
+				w.insert(n)
+				w.rebuckets++
+				n = next
+				continue
+			}
 			n.next = nil
 			n.pprev = nil
 			n.state = timerQueued

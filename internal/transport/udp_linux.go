@@ -17,16 +17,22 @@ import (
 // constant on linux.
 const soReusePort = 0xf
 
-// ListenUDPBatch binds o.Sockets SO_REUSEPORT UDP sockets on addr and
-// returns a Conn whose ReadBatch/WriteBatch are real recvmmsg/sendmmsg
-// calls — up to o.BatchSize datagrams per kernel crossing. With several
+// ListenUDPBatch binds o.Sockets UDP sockets on addr (sharing the port
+// through SO_REUSEPORT when there are several) and returns a Conn whose
+// ReadBatch/WriteBatch are real recvmmsg/sendmmsg calls — up to
+// o.BatchSize datagrams per kernel crossing. With several
 // sockets the kernel hashes inbound flows across them; Fanout exposes
 // each as an independent read lane.
 func ListenUDPBatch(addr string, o Options) (Conn, error) {
 	o = o.withDefaults()
 	st := &Stats{}
-	lc := net.ListenConfig{
-		Control: func(_, _ string, c syscall.RawConn) error {
+	var lc net.ListenConfig
+	if o.Sockets > 1 {
+		// Only a sharded listener shares its port. A lone socket must not
+		// set the option: the kernel hands one free port to any number of
+		// port-0 binds that all carry it, so two single-socket listeners
+		// of one process could land on the same port and split its flows.
+		lc.Control = func(_, _ string, c syscall.RawConn) error {
 			var serr error
 			err := c.Control(func(fd uintptr) {
 				serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReusePort, 1)
@@ -35,7 +41,7 @@ func ListenUDPBatch(addr string, o Options) (Conn, error) {
 				return err
 			}
 			return serr
-		},
+		}
 	}
 	conns := make([]Conn, 0, o.Sockets)
 	closeAll := func() {
