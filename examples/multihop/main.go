@@ -163,14 +163,8 @@ func virtualChain(seed uint64, trace bool) {
 			cleared = (v.Elapsed() - start).Round(time.Millisecond).String()
 		}
 
-		sent := c.Origin.Stats().TotalSent()
-		for _, r := range c.Relays {
-			sent += r.Downstream().Stats().TotalSent()
-			sent += r.Receiver().Stats().TotalSent()
-		}
-		sent += c.Tail.Stats().TotalSent()
 		fmt.Printf("%8v %18s %10d/5 %16s %10d\n",
-			proto, install, holds, cleared, sent)
+			proto, install, holds, cleared, totalSent(c))
 		c.Close()
 		if tr != nil {
 			digests = append(digests, traceDigest(proto, tr))
@@ -257,22 +251,24 @@ func liveChain(seed uint64) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		// Count both directions: installs/refreshes/removals downstream
-		// and acks/notifies/NACKs back — the reliable protocols' reply
-		// cost is exactly what the closing comparison is about.
-		sent := c.Origin.Stats().TotalSent()
-		for _, r := range c.Relays {
-			sent += r.Downstream().Stats().TotalSent()
-			sent += r.Receiver().Stats().TotalSent()
-		}
-		sent += c.Tail.Stats().TotalSent()
 		fmt.Printf("%8v %18s %10d/5 %16s %10d\n",
-			proto, install, holds, cleared, sent)
+			proto, install, holds, cleared, totalSent(c))
 		c.Close()
 	}
 	fmt.Println("\nNote how explicit removal (HS) clears the path in one round trip per")
 	fmt.Println("hop while pure soft state waits out a timeout chain — and how the")
 	fmt.Println("refreshing protocols pay for that patience with steady datagrams.")
+}
+
+// totalSent counts both directions at every hop: installs/refreshes/
+// removals downstream and acks/notifies/NACKs back — the reliable
+// protocols' reply cost is exactly what the closing comparison is about.
+func totalSent(c *node.Chain) int {
+	sent := 0
+	for _, st := range c.Stats() {
+		sent += st.TotalSent()
+	}
+	return sent
 }
 
 // awaitTail waits for the first tail event of the given kind, reporting

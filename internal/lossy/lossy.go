@@ -38,7 +38,11 @@ type Config struct {
 	// Jitter, when positive, spreads the delay uniformly over
 	// [Delay-Jitter, Delay+Jitter].
 	Jitter time.Duration
-	// Seed drives the loss/jitter stream (0 means a fixed default).
+	// Seed drives the loss/jitter stream (0 means a fixed default). The
+	// stream is a pure function of the seed, so two Pipes (or two
+	// Networks) built from one Config draw the same drops in the same
+	// order; links that must fail independently are endpoints of one
+	// Network, or carry distinct seeds.
 	Seed uint64
 	// Clock schedules deliveries (clock.System when nil). Pass a
 	// *clock.Virtual to run the link in simulated time.
@@ -85,7 +89,9 @@ type packet struct {
 // Pipe returns two connected in-memory PacketConns, a ↔ b, each direction
 // independently subjected to cfg. Datagram boundaries are preserved; FIFO
 // order is maintained (delays are applied to the queue head, mirroring the
-// paper's no-reorder channel).
+// paper's no-reorder channel). The two directions split their streams off
+// cfg.Seed; a second Pipe built from the same cfg shares both streams with
+// the first (see Config.Seed).
 func Pipe(cfg Config) (a, b net.PacketConn, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
@@ -104,7 +110,9 @@ func Pipe(cfg Config) (a, b net.PacketConn, err error) {
 }
 
 // Network is an in-memory switch: any number of named endpoints, every
-// datagram between them subject to the shared impairment config. It is
+// datagram between them subject to the shared impairment config, each
+// endpoint drawing its own loss/jitter stream (split off cfg.Seed in
+// endpoint-creation order, so a world is reproducible from one seed). It is
 // the many-party form of Pipe, letting one node.Node fan out to dozens of
 // receivers inside a single (virtual or wall) clock domain.
 type Network struct {

@@ -10,12 +10,14 @@ import (
 // Ring is a unidirectional signaling ring of n nodes: the origin signals
 // its successor, every interior node relays to the next, and the last
 // hop closes the cycle by delivering back to a receiver co-located with
-// the origin. Structurally it is a chain of n+1 endpoints whose tail
+// the origin. Structurally it is a Chain of n+1 endpoints whose tail
 // lives at node 0, so installed state travels the full circumference —
 // the worst-case propagation path for an n-node cycle — and the origin
-// can observe its own install arriving after n hops.
+// can observe its own install arriving after n hops. Everything a Chain
+// does (Install/Update/Remove, Receivers, Holds, Stats, faults, Close) a
+// Ring does through the embedded chain.
 type Ring struct {
-	chain *Chain
+	*Chain
 }
 
 // NewRing builds an n-node ring (n ≥ 2): n links, each independently
@@ -28,34 +30,9 @@ func NewRing(nodes int, cfg signal.Config, link lossy.Config) (*Ring, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Ring{chain: c}, nil
+	return &Ring{Chain: c}, nil
 }
-
-// Install starts key around the ring.
-func (r *Ring) Install(key string, value []byte) error { return r.chain.Install(key, value) }
-
-// Update changes key's value around the ring.
-func (r *Ring) Update(key string, value []byte) error { return r.chain.Update(key, value) }
-
-// Remove withdraws key around the ring.
-func (r *Ring) Remove(key string) error { return r.chain.Remove(key) }
-
-// Origin returns the node that originates signals.
-func (r *Ring) Origin() *Node { return r.chain.Origin }
-
-// Relays returns the interior nodes in propagation order.
-func (r *Ring) Relays() []*Relay { return r.chain.Relays }
 
 // Home returns the receiver co-located with the origin — the point where
 // a signal has survived the whole cycle.
-func (r *Ring) Home() *signal.Receiver { return r.chain.Tail }
-
-// Receivers returns every state-holding node in propagation order,
-// ending at Home.
-func (r *Ring) Receivers() []*signal.Receiver { return r.chain.Receivers() }
-
-// Holds reports how many nodes currently hold state for key.
-func (r *Ring) Holds(key string) int { return r.chain.Holds(key) }
-
-// Close shuts every node down.
-func (r *Ring) Close() error { return r.chain.Close() }
+func (r *Ring) Home() *signal.Receiver { return r.Tail }

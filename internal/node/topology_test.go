@@ -141,11 +141,11 @@ func TestFanRelayValidation(t *testing.T) {
 		t.Fatal("nil conns must be rejected")
 	}
 	v := clock.NewVirtual()
-	link := lossy.Config{Clock: v}
-	a, b, err := lossy.Pipe(link)
+	nw, err := lossy.NewNetwork(lossy.Config{Clock: v})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := nw.Endpoint("a"), nw.Endpoint("b")
 	defer a.Close()
 	defer b.Close()
 	if _, err := NewFanRelay(a, b, nil, signal.Config{Clock: v}); err == nil {

@@ -157,6 +157,10 @@ func (t *Tree) Receivers() []*signal.Receiver {
 	return append(out, t.Leaves...)
 }
 
+// Stats snapshots every endpoint's counters: root, relays breadth-first,
+// leaves left to right.
+func (t *Tree) Stats() []signal.Stats { return endpointStats(t.Root, t.Relays, t.Leaves) }
+
 // Holds reports how many nodes currently hold state for key (full-table
 // scan per node; test/demo use).
 func (t *Tree) Holds(key string) int {

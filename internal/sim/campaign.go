@@ -15,7 +15,7 @@ import (
 // Failure campaigns: seeded, replayable schedules of the faults the paper
 // only gestures at — node crash/restart with state resynchronization,
 // network partitions and healing, relay flaps mid-chain, asymmetric loss
-// — executed against the real runtime (a switch-backed node.NetChain) in
+// — executed against the real runtime (the switch-backed node.Chain) in
 // virtual time. Every run appends each fault and each periodic audit
 // (state agreement + signal.CheckInvariants) to a deterministic log, so a
 // campaign is byte-replayable from its configuration alone and two runs
@@ -188,7 +188,7 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 		Seed:  cfg.Seed ^ 0x11ce,
 		Clock: v,
 	}
-	chain, err := livenode.NewNetChain(cfg.Nodes, scfg, link)
+	chain, err := livenode.NewChain(cfg.Nodes, scfg, link)
 	if err != nil {
 		return CampaignResult{}, err
 	}

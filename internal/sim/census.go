@@ -1,14 +1,11 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"softstate/internal/clock"
-	"softstate/internal/lossy"
 	livenode "softstate/internal/node"
-	"softstate/internal/rand"
 	"softstate/internal/signal"
 	"softstate/internal/telemetry"
 	"softstate/internal/variant"
@@ -69,43 +66,6 @@ type CensusConfig struct {
 	TraceSampleEvery int
 }
 
-func (cfg *CensusConfig) applyDefaults() error {
-	if cfg.Hops <= 0 {
-		cfg.Hops = 1
-	}
-	if cfg.Keys <= 0 {
-		return fmt.Errorf("sim: census run needs Keys > 0")
-	}
-	if cfg.RefreshInterval <= 0 {
-		cfg.RefreshInterval = 100 * time.Millisecond
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 3 * cfg.RefreshInterval
-	}
-	if cfg.Retransmit <= 0 {
-		cfg.Retransmit = 25 * time.Millisecond
-	}
-	if cfg.CensusInterval <= 0 {
-		cfg.CensusInterval = cfg.RefreshInterval
-	}
-	if cfg.Sample <= 0 {
-		cfg.Sample = cfg.RefreshInterval / 2
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 30 * time.Second
-	}
-	if cfg.Quiesce <= 0 {
-		cfg.Quiesce = time.Duration(cfg.Hops+2) * cfg.Timeout
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 0x5057a7e
-	}
-	return nil
-}
-
 // CensusResult aggregates one audited run. Every field is a pure
 // function of the CensusConfig, so reflect.DeepEqual across same-seed
 // runs is the determinism check.
@@ -163,28 +123,31 @@ type CensusResult struct {
 }
 
 // RunCensusAudit executes one audited chain experiment on the real
-// runtime in virtual time.
+// runtime in virtual time. The run is a LiveConfig chain run — same
+// defaults, same endpoint and link configuration, same workload driver —
+// with the census, the origin estimator and a churn-free quiesce window
+// added.
 func RunCensusAudit(cfg CensusConfig) (CensusResult, error) {
-	if err := cfg.applyDefaults(); err != nil {
+	live := LiveConfig{
+		Protocol: cfg.Protocol, Hops: cfg.Hops, Keys: cfg.Keys,
+		Loss: cfg.Loss, Delay: cfg.Delay, Jitter: cfg.Jitter,
+		RefreshInterval: cfg.RefreshInterval, Timeout: cfg.Timeout, Retransmit: cfg.Retransmit,
+		MeanLifetime: cfg.MeanLifetime, MeanGap: cfg.MeanGap,
+		Duration: cfg.Duration, Sample: cfg.Sample, Shards: cfg.Shards,
+		Seed: cfg.Seed, Metrics: cfg.Metrics,
+	}
+	if err := live.applyDefaults(); err != nil {
 		return CensusResult{}, err
 	}
+	if cfg.CensusInterval <= 0 {
+		cfg.CensusInterval = live.RefreshInterval
+	}
+	if cfg.Quiesce <= 0 {
+		cfg.Quiesce = time.Duration(live.Hops+2) * live.Timeout
+	}
 	v := clock.NewVirtual()
-	scfg := signal.Config{
-		Protocol:        cfg.Protocol,
-		RefreshInterval: cfg.RefreshInterval,
-		Timeout:         cfg.Timeout,
-		Retransmit:      cfg.Retransmit,
-		Shards:          cfg.Shards,
-		Clock:           v,
-		Census:          true,
-		Metrics:         cfg.Metrics,
-	}
-	if cfg.Metrics != nil {
-		scfg.MetricsLabels = telemetry.Labels{
-			"protocol": variant.For(cfg.Protocol).Name,
-			"topology": "chain",
-		}
-	}
+	scfg := live.signalConfig(v)
+	scfg.Census = true
 	if cfg.TraceSampleEvery > 0 {
 		scfg.Trace = telemetry.NewTracer(telemetry.TracerConfig{
 			SampleEvery: uint32(cfg.TraceSampleEvery),
@@ -194,15 +157,15 @@ func RunCensusAudit(cfg CensusConfig) (CensusResult, error) {
 
 	// The origin link's independent observer: the paper-metric estimator
 	// fed from the origin sender's events only. The chain's first-hop
-	// address is only known after construction, so the filter closure
-	// late-binds it; the hook must be in place before the endpoints start.
-	var chainStats func() int64
+	// address and its counters exist only after construction, so both are
+	// late-bound; the hook must be in place before the endpoints start.
+	var stack *liveStack
 	pm := telemetry.NewPaperMetrics(telemetry.PaperConfig{
 		Clock:       v,
 		AckExpected: variant.For(cfg.Protocol).ReliableTrigger,
 		Sent: func() int64 {
-			if chainStats != nil {
-				return chainStats()
+			if stack != nil {
+				return int64(stack.totalSent())
 			}
 			return 0
 		},
@@ -215,81 +178,23 @@ func RunCensusAudit(cfg CensusConfig) (CensusResult, error) {
 		}
 	}
 
-	link := lossy.Config{
-		Loss:   cfg.Loss,
-		Delay:  cfg.Delay,
-		Jitter: cfg.Jitter,
-		Seed:   cfg.Seed ^ 0x11ce,
-		Clock:  v,
-	}
-	c, err := livenode.NewChain(cfg.Hops+1, scfg, link)
+	c, err := livenode.NewChain(live.Hops+1, scfg, live.linkConfig(v))
 	if err != nil {
 		return CensusResult{}, err
 	}
 	defer c.Close()
-	// Identify the origin's (sole) downstream peer by installing nothing
-	// yet: the first hop's upstream address is what Chain.Install targets,
-	// and the origin's sender events carry it as Event.Peer.
+	// The first hop's upstream address is what Chain.Install targets, and
+	// the origin's sender events carry it as Event.Peer.
 	originPeer = c.FirstHop().String()
 	links := c.CensusLinks()
-	chainStats = func() int64 {
-		var n int64
-		for _, st := range chainAllStats(c) {
-			n += int64(st.TotalSent())
-		}
-		return n
-	}
+	stack = chainStack(c)
 
 	res := CensusResult{
-		Protocol: cfg.Protocol, Hops: cfg.Hops, Keys: cfg.Keys, Loss: cfg.Loss,
+		Protocol: cfg.Protocol, Hops: live.Hops, Keys: live.Keys, Loss: cfg.Loss,
 	}
-	rng := rand.NewSource(cfg.Seed)
-	intent := make([][]byte, cfg.Keys)
-	version := make([]int, cfg.Keys)
-	keyName := func(k int) string { return fmt.Sprintf("flow/%05d", k) }
-	expDelay := func(mean time.Duration) time.Duration {
-		return time.Duration(rng.Exp(mean.Seconds()) * float64(time.Second))
-	}
-
-	// Workload: LiveConfig's staggered install + exponential churn, with
-	// an `active` latch so the quiesce window runs churn-free (callbacks
-	// scheduled before the latch flips simply return).
-	active := true
-	var churn func(k int)
-	doInstall := func(k int) {
-		if !active {
-			return
-		}
-		val := []byte(fmt.Sprintf("v%d.%d", k, version[k]))
-		version[k]++
-		if c.Install(keyName(k), val) == nil {
-			intent[k] = val
-			res.KeyEvents++
-		}
-		churn(k)
-	}
-	churn = func(k int) {
-		if cfg.MeanLifetime <= 0 {
-			return
-		}
-		v.AfterFunc(expDelay(cfg.MeanLifetime), func() {
-			if !active || intent[k] == nil {
-				return
-			}
-			if c.Remove(keyName(k)) == nil {
-				intent[k] = nil
-				res.KeyEvents++
-			}
-			if cfg.MeanGap > 0 {
-				v.AfterFunc(expDelay(cfg.MeanGap), func() { doInstall(k) })
-			}
-		})
-	}
-	for k := 0; k < cfg.Keys; k++ {
-		k := k
-		v.AfterFunc(time.Duration(k)*cfg.RefreshInterval/time.Duration(cfg.Keys),
-			func() { doInstall(k) })
-	}
+	// Workload: RunLive's, stopped at the end of the measured window so the
+	// quiesce window runs churn-free.
+	w := startWorkload(live, v, stack)
 
 	// The periodic census: every CensusInterval, audit all links and
 	// accumulate the divergence counts. Census callbacks run with the
@@ -299,7 +204,7 @@ func RunCensusAudit(cfg CensusConfig) (CensusResult, error) {
 	var census func()
 	census = func() {
 		rep := telemetry.RunCensus(links)
-		if !active {
+		if w.stopped {
 			res.QuiesceCensuses++
 			res.FinalDivergent = rep.Divergent
 			if rep.Converged() {
@@ -317,55 +222,24 @@ func RunCensusAudit(cfg CensusConfig) (CensusResult, error) {
 	}
 	v.AfterFunc(cfg.CensusInterval, census)
 
-	// End-to-end intent sampling at the tail, as RunLive.
-	var sample func()
-	sample = func() {
-		if !active {
-			return
-		}
-		for k := 0; k < cfg.Keys; k++ {
-			want := intent[k]
-			got, ok := c.Tail.Get(keyName(k))
-			res.Samples++
-			if ok != (want != nil) || (ok && !bytes.Equal(got, want)) {
-				res.InconsistentSamples++
-			}
-		}
-		v.AfterFunc(cfg.Sample, sample)
-	}
-	v.AfterFunc(cfg.Sample, sample)
-
-	v.Run(cfg.Duration)
+	v.Run(live.Duration)
 	// Close the measured window before the quiesce run: the estimator and
 	// the sampled I both describe the churned interval only.
 	res.EstimatedInconsistency = pm.Inconsistency()
-	active = false
+	w.stopped = true
 	v.Run(cfg.Quiesce)
 
 	if res.Censuses > 0 {
-		denom := float64(res.Censuses) * float64(cfg.Hops) * float64(cfg.Keys)
+		denom := float64(res.Censuses) * float64(live.Hops) * float64(live.Keys)
 		res.AuditedDivergence = float64(res.DivergentKeySamples) / denom
 		res.Hop1Divergence = float64(res.Hop1DivergentSamples) /
-			(float64(res.Censuses) * float64(cfg.Keys))
+			(float64(res.Censuses) * float64(live.Keys))
 	}
-	if res.Samples > 0 {
-		res.Inconsistency = float64(res.InconsistentSamples) / float64(res.Samples)
-	}
-	for _, st := range chainAllStats(c) {
-		res.Datagrams += st.TotalSent()
-	}
-	res.VirtualSeconds = cfg.Duration.Seconds()
+	res.Inconsistency, res.Samples, res.InconsistentSamples = w.inconsistency(), w.samples, w.inconsistent
+	res.KeyEvents = w.keyEvents
+	res.Datagrams = stack.totalSent()
+	res.VirtualSeconds = live.Duration.Seconds()
 	return res, nil
-}
-
-// chainAllStats snapshots every endpoint's counters, origin to tail.
-func chainAllStats(c *livenode.Chain) []signal.Stats {
-	out := []signal.Stats{c.Origin.Stats()}
-	for _, r := range c.Relays {
-		out = append(out, r.Receiver().Stats(), r.Downstream().Stats())
-	}
-	out = append(out, c.Tail.Stats())
-	return out
 }
 
 // RunCensusVariants audits the same chain workload once per paper

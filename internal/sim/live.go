@@ -18,8 +18,8 @@ import (
 // rest of internal/sim re-implements the protocols as abstract state
 // machines, RunLive instantiates actual signal.Sender / signal.Receiver /
 // node.Chain endpoints — goroutine read loops, sharded state tables,
-// summary refresh, ack coalescing, the full wire codec — over lossy pipes,
-// and drives everything from one clock.Virtual. The paper's experiments
+// summary refresh, ack coalescing, the full wire codec — over seeded lossy
+// links, and drives everything from one clock.Virtual. The paper's experiments
 // (signaling-state consistency vs. loss, delay, refresh interval) thus run
 // on the production code path: deterministically (same seed → identical
 // LiveResult), at simulated hours of protocol time in wall milliseconds,
@@ -183,25 +183,9 @@ func (r LiveResult) Machinery() int {
 		r.Sent["removal-ack"] + r.Sent["probe"] + r.Sent["probe-ack"]
 }
 
-// liveStack abstracts the topologies under one workload driver.
-type liveStack struct {
-	install func(key string, value []byte) error
-	remove  func(key string) error
-	// tails are the consistency sampling points — every endpoint whose
-	// view should match the origin's intent (one for chain/ring, every
-	// leaf for tree).
-	tails  []func(key string) ([]byte, bool)
-	inject func(key string) bool
-	stats  func() []signal.Stats
-	close  func()
-}
-
-// RunLive executes one experiment on the real runtime in virtual time.
-func RunLive(cfg LiveConfig) (LiveResult, error) {
-	if err := cfg.applyDefaults(); err != nil {
-		return LiveResult{}, err
-	}
-	v := clock.NewVirtual()
+// signalConfig is the endpoint configuration every hop of a live run
+// shares, on virtual clock v.
+func (cfg LiveConfig) signalConfig(v *clock.Virtual) signal.Config {
 	scfg := signal.Config{
 		Protocol:        cfg.Protocol,
 		RefreshInterval: cfg.RefreshInterval,
@@ -219,7 +203,14 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 			"topology": cfg.Topology,
 		}
 	}
-	link := lossy.Config{
+	return scfg
+}
+
+// linkConfig is the impairment every link of a live run shares. Each
+// endpoint of the run's switch (or of the one-hop pipe) splits its own
+// loss/jitter stream off this seed.
+func (cfg LiveConfig) linkConfig(v *clock.Virtual) lossy.Config {
+	return lossy.Config{
 		Loss:      cfg.Loss,
 		Delay:     cfg.Delay,
 		Jitter:    cfg.Jitter,
@@ -227,108 +218,189 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 		Clock:     v,
 		Unbatched: cfg.Unbatched,
 	}
-	stack, err := buildLiveStack(cfg, scfg, link)
+}
+
+// liveStack abstracts the topologies under the one workload driver.
+type liveStack struct {
+	install func(key string, value []byte) error
+	remove  func(key string) error
+	// tails are the consistency sampling points — every endpoint whose
+	// view should match the origin's intent (one for chain/ring, every
+	// leaf for tree).
+	tails  []func(key string) ([]byte, bool)
+	inject func(key string) bool
+	// stats snapshots every endpoint's counters, origin first.
+	stats func() []signal.Stats
+	close func()
+}
+
+// totalSent counts every datagram every endpoint has sent so far.
+func (s *liveStack) totalSent() int {
+	n := 0
+	for _, st := range s.stats() {
+		n += st.TotalSent()
+	}
+	return n
+}
+
+// workload is the one churn-and-sample driver of the live harness, shared
+// by RunLive and RunCensusAudit: every key is installed (staggered across
+// one refresh interval so wheel ticks don't all collide) and churned
+// through exponential remove/reinstall cycles, the paper's false removal
+// signal fires at the stack's injection point, and every Sample each
+// sampling point's view of each key is compared against the origin's
+// intent. All randomness comes from one rng seeded with cfg.Seed, drawn
+// in callback order, so a run is a pure function of its config. It reads
+// only cfg's Keys, RefreshInterval, MeanLifetime, MeanGap,
+// MeanFalseSignal, Sample and Seed.
+type workload struct {
+	cfg   LiveConfig
+	v     *clock.Virtual
+	stack *liveStack
+	rng   *rand.Source
+
+	intent  [][]byte // nil = removed; the origin's truth
+	version []int
+	// stopped latches the workload off (callbacks already scheduled
+	// return without drawing or re-arming), so a caller can run on
+	// churn-free.
+	stopped bool
+
+	keyEvents, samples, inconsistent int
+}
+
+// startWorkload schedules cfg's workload against stack on v.
+func startWorkload(cfg LiveConfig, v *clock.Virtual, stack *liveStack) *workload {
+	w := &workload{
+		cfg: cfg, v: v, stack: stack,
+		rng:     rand.NewSource(cfg.Seed),
+		intent:  make([][]byte, cfg.Keys),
+		version: make([]int, cfg.Keys),
+	}
+	for k := 0; k < cfg.Keys; k++ {
+		v.AfterFunc(time.Duration(k)*cfg.RefreshInterval/time.Duration(cfg.Keys),
+			func() { w.install(k) })
+	}
+	if cfg.MeanFalseSignal > 0 {
+		v.AfterFunc(w.expDelay(cfg.MeanFalseSignal), w.falseSignal)
+	}
+	v.AfterFunc(cfg.Sample, w.sample)
+	return w
+}
+
+func flowKey(k int) string { return fmt.Sprintf("flow/%05d", k) }
+
+func (w *workload) expDelay(mean time.Duration) time.Duration {
+	return time.Duration(w.rng.Exp(mean.Seconds()) * float64(time.Second))
+}
+
+func (w *workload) install(k int) {
+	if w.stopped {
+		return
+	}
+	val := []byte(fmt.Sprintf("v%d.%d", k, w.version[k]))
+	w.version[k]++
+	if w.stack.install(flowKey(k), val) == nil {
+		w.intent[k] = val
+		w.keyEvents++
+	}
+	if w.cfg.MeanLifetime <= 0 {
+		return
+	}
+	w.v.AfterFunc(w.expDelay(w.cfg.MeanLifetime), func() {
+		if w.stopped || w.intent[k] == nil {
+			return
+		}
+		if w.stack.remove(flowKey(k)) == nil {
+			w.intent[k] = nil
+			w.keyEvents++
+		}
+		if w.cfg.MeanGap > 0 {
+			w.v.AfterFunc(w.expDelay(w.cfg.MeanGap), func() { w.install(k) })
+		}
+	})
+}
+
+// falseSignal is the hard-state failure mode: the external false removal
+// signal fired against a random key, repeatedly.
+func (w *workload) falseSignal() {
+	if w.stopped {
+		return
+	}
+	if w.stack.inject(flowKey(w.rng.Intn(w.cfg.Keys))) {
+		w.keyEvents++
+	}
+	w.v.AfterFunc(w.expDelay(w.cfg.MeanFalseSignal), w.falseSignal)
+}
+
+func (w *workload) sample() {
+	if w.stopped {
+		return
+	}
+	for k, want := range w.intent {
+		for _, tail := range w.stack.tails {
+			got, ok := tail(flowKey(k))
+			w.samples++
+			if ok != (want != nil) || (ok && !bytes.Equal(got, want)) {
+				w.inconsistent++
+			}
+		}
+	}
+	w.v.AfterFunc(w.cfg.Sample, w.sample)
+}
+
+// inconsistency is the sampled fraction of (key, sampling point, time) in
+// which a sampling point disagreed with the origin's intent.
+func (w *workload) inconsistency() float64 {
+	if w.samples == 0 {
+		return 0
+	}
+	return float64(w.inconsistent) / float64(w.samples)
+}
+
+// RunLive executes one experiment on the real runtime in virtual time.
+func RunLive(cfg LiveConfig) (LiveResult, error) {
+	if err := cfg.applyDefaults(); err != nil {
+		return LiveResult{}, err
+	}
+	v := clock.NewVirtual()
+	stack, err := buildLiveStack(cfg, cfg.signalConfig(v), cfg.linkConfig(v))
 	if err != nil {
 		return LiveResult{}, err
 	}
 	defer stack.close()
 
+	w := startWorkload(cfg, v, stack)
+	v.Run(cfg.Duration)
+
 	res := LiveResult{
 		Protocol: cfg.Protocol, Hops: cfg.Hops, Keys: cfg.Keys, Loss: cfg.Loss,
 		Topology: cfg.Topology, Leaves: len(stack.tails),
+		Inconsistency: w.inconsistency(), Samples: w.samples, InconsistentSamples: w.inconsistent,
+		KeyEvents: w.keyEvents, VirtualSeconds: cfg.Duration.Seconds(),
+		Sent: make(map[string]int),
 	}
-	rng := rand.NewSource(cfg.Seed)
-	intent := make([][]byte, cfg.Keys) // nil = removed; the origin's truth
-	version := make([]int, cfg.Keys)
-	keyName := func(k int) string { return fmt.Sprintf("flow/%05d", k) }
-
-	expDelay := func(mean time.Duration) time.Duration {
-		return time.Duration(rng.Exp(mean.Seconds()) * float64(time.Second))
-	}
-
-	// Workload: install every key (staggered across one refresh interval
-	// so wheel ticks don't all collide), then churn each through
-	// exponential remove/reinstall cycles.
-	var churn func(k int)
-	doInstall := func(k int) {
-		val := []byte(fmt.Sprintf("v%d.%d", k, version[k]))
-		version[k]++
-		if stack.install(keyName(k), val) == nil {
-			intent[k] = val
-			res.KeyEvents++
-		}
-		churn(k)
-	}
-	churn = func(k int) {
-		if cfg.MeanLifetime <= 0 {
-			return
-		}
-		v.AfterFunc(expDelay(cfg.MeanLifetime), func() {
-			if intent[k] == nil {
-				return
-			}
-			if stack.remove(keyName(k)) == nil {
-				intent[k] = nil
-				res.KeyEvents++
-			}
-			if cfg.MeanGap > 0 {
-				v.AfterFunc(expDelay(cfg.MeanGap), func() { doInstall(k) })
-			}
-		})
-	}
-	for k := 0; k < cfg.Keys; k++ {
-		k := k
-		v.AfterFunc(time.Duration(k)*cfg.RefreshInterval/time.Duration(cfg.Keys),
-			func() { doInstall(k) })
-	}
-
-	// False external removal signal (the hard-state failure mode): fire at
-	// the tail against a random key, repeatedly.
-	if cfg.MeanFalseSignal > 0 {
-		var falseSig func()
-		falseSig = func() {
-			k := rng.Intn(cfg.Keys)
-			if stack.inject(keyName(k)) {
-				res.KeyEvents++
-			}
-			v.AfterFunc(expDelay(cfg.MeanFalseSignal), falseSig)
-		}
-		v.AfterFunc(expDelay(cfg.MeanFalseSignal), falseSig)
-	}
-
-	// Consistency sampling: every Sample, compare each sampling point's
-	// view of each key against the origin's intent.
-	var sample func()
-	sample = func() {
-		for k := 0; k < cfg.Keys; k++ {
-			want := intent[k]
-			for _, tail := range stack.tails {
-				got, ok := tail(keyName(k))
-				res.Samples++
-				if ok != (want != nil) || (ok && !bytes.Equal(got, want)) {
-					res.InconsistentSamples++
-				}
-			}
-		}
-		v.AfterFunc(cfg.Sample, sample)
-	}
-	v.AfterFunc(cfg.Sample, sample)
-
-	v.Run(cfg.Duration)
-
-	res.Sent = make(map[string]int)
 	for _, st := range stack.stats() {
 		for typ, n := range st.Sent {
 			res.Sent[typ] += n
 		}
 		res.Datagrams += st.TotalSent()
 	}
-	res.VirtualSeconds = cfg.Duration.Seconds()
 	res.Rate = float64(res.Datagrams) / float64(cfg.Keys) / res.VirtualSeconds
-	if res.Samples > 0 {
-		res.Inconsistency = float64(res.InconsistentSamples) / float64(res.Samples)
-	}
 	return res, nil
+}
+
+// chainStack is the workload's view of a chain (a ring is the chain whose
+// tail sits at the origin).
+func chainStack(c *livenode.Chain) *liveStack {
+	return &liveStack{
+		install: c.Install,
+		remove:  c.Remove,
+		tails:   []func(string) ([]byte, bool){c.Tail.Get},
+		inject:  c.Tail.InjectFalseRemoval,
+		stats:   c.Stats,
+		close:   func() { c.Close() },
+	}
 }
 
 // buildLiveStack wires the endpoints for the configured topology and hop
@@ -340,21 +412,7 @@ func buildLiveStack(cfg LiveConfig, scfg signal.Config, link lossy.Config) (*liv
 		if err != nil {
 			return nil, err
 		}
-		return &liveStack{
-			install: r.Install,
-			remove:  r.Remove,
-			tails:   []func(string) ([]byte, bool){r.Home().Get},
-			inject:  r.Home().InjectFalseRemoval,
-			stats: func() []signal.Stats {
-				out := []signal.Stats{r.Origin().Stats()}
-				for _, rel := range r.Relays() {
-					out = append(out, rel.Receiver().Stats(), rel.Downstream().Stats())
-				}
-				out = append(out, r.Home().Stats())
-				return out
-			},
-			close: func() { r.Close() },
-		}, nil
+		return chainStack(r.Chain), nil
 	case "tree":
 		t, err := livenode.NewTree(cfg.TreeFanout, cfg.Hops, scfg, link)
 		if err != nil {
@@ -369,89 +427,66 @@ func buildLiveStack(cfg LiveConfig, scfg signal.Config, link lossy.Config) (*liv
 			remove:  t.Remove,
 			tails:   tails,
 			inject:  t.Leaves[0].InjectFalseRemoval,
-			stats: func() []signal.Stats {
-				out := []signal.Stats{t.Root.Stats()}
-				for _, r := range t.Relays {
-					out = append(out, r.Receiver().Stats(), r.Downstream().Stats())
-				}
-				for _, l := range t.Leaves {
-					out = append(out, l.Stats())
-				}
-				return out
-			},
-			close: func() { t.Close() },
+			stats:   t.Stats,
+			close:   func() { t.Close() },
 		}, nil
 	}
-	if cfg.Hops == 1 {
-		a, b, err := lossy.Pipe(link)
+	if cfg.Hops > 1 {
+		c, err := livenode.NewChain(cfg.Hops+1, scfg, link)
 		if err != nil {
 			return nil, err
 		}
-		// On the instrumented single-hop run, attach the live paper-metric
-		// collector to the sender: its I and Λ gauges are the snapshot
-		// sigfig embeds next to the run's sampled inconsistency. The
-		// datagram supplier is late-bound (the collector registers before
-		// the endpoints exist), exactly signald's wiring.
-		var sentSupplier func() int64
-		if cfg.Metrics != nil {
-			pm := telemetry.NewPaperMetrics(telemetry.PaperConfig{
-				Clock:       scfg.Clock,
-				AckExpected: variant.For(cfg.Protocol).ReliableTrigger,
-				Sent: func() int64 {
-					if sentSupplier != nil {
-						return sentSupplier()
-					}
-					return 0
-				},
-			})
-			pm.Register(cfg.Metrics, scfg.MetricsLabels)
-			scfg.OnEvent = paperHook(pm)
-		}
-		snd, err := signal.NewSender(a, b.LocalAddr(), scfg)
-		if err != nil {
-			return nil, err
-		}
-		rcfg := scfg
-		rcfg.OnEvent = nil // the collector observes the sender side only
-		rcv, err := signal.NewReceiver(b, rcfg)
-		if err != nil {
-			snd.Close()
-			return nil, err
-		}
-		sentSupplier = func() int64 {
-			return int64(snd.Stats().TotalSent() + rcv.Stats().TotalSent())
-		}
-		from := a.LocalAddr()
-		return &liveStack{
-			install: snd.Install,
-			remove:  snd.Remove,
-			tails:   []func(string) ([]byte, bool){func(key string) ([]byte, bool) { return rcv.GetFrom(from, key) }},
-			inject:  rcv.InjectFalseRemoval,
-			stats:   func() []signal.Stats { return []signal.Stats{snd.Stats(), rcv.Stats()} },
-			close: func() {
-				snd.Close()
-				rcv.Close()
-			},
-		}, nil
+		return chainStack(c), nil
 	}
-	c, err := livenode.NewChain(cfg.Hops+1, scfg, link)
+	a, b, err := lossy.Pipe(link)
 	if err != nil {
 		return nil, err
 	}
+	// On the instrumented single-hop run, attach the live paper-metric
+	// collector to the sender: its I and Λ gauges are the snapshot
+	// sigfig embeds next to the run's sampled inconsistency. The
+	// datagram supplier is late-bound (the collector registers before
+	// the endpoints exist), exactly signald's wiring.
+	var sentSupplier func() int64
+	if cfg.Metrics != nil {
+		pm := telemetry.NewPaperMetrics(telemetry.PaperConfig{
+			Clock:       scfg.Clock,
+			AckExpected: variant.For(cfg.Protocol).ReliableTrigger,
+			Sent: func() int64 {
+				if sentSupplier != nil {
+					return sentSupplier()
+				}
+				return 0
+			},
+		})
+		pm.Register(cfg.Metrics, scfg.MetricsLabels)
+		scfg.OnEvent = paperHook(pm)
+	}
+	snd, err := signal.NewSender(a, b.LocalAddr(), scfg)
+	if err != nil {
+		return nil, err
+	}
+	rcfg := scfg
+	rcfg.OnEvent = nil // the collector observes the sender side only
+	rcv, err := signal.NewReceiver(b, rcfg)
+	if err != nil {
+		snd.Close()
+		return nil, err
+	}
+	sentSupplier = func() int64 {
+		return int64(snd.Stats().TotalSent() + rcv.Stats().TotalSent())
+	}
+	from := a.LocalAddr()
 	return &liveStack{
-		install: c.Install,
-		remove:  c.Remove,
-		tails:   []func(string) ([]byte, bool){c.Tail.Get},
-		inject:  c.Tail.InjectFalseRemoval,
-		stats: func() []signal.Stats {
-			out := []signal.Stats{c.Origin.Stats()}
-			for _, r := range c.Relays {
-				out = append(out, r.Receiver().Stats(), r.Downstream().Stats())
-			}
-			out = append(out, c.Tail.Stats())
-			return out
+		install: snd.Install,
+		remove:  snd.Remove,
+		tails:   []func(string) ([]byte, bool){func(key string) ([]byte, bool) { return rcv.GetFrom(from, key) }},
+		inject:  rcv.InjectFalseRemoval,
+		stats:   func() []signal.Stats { return []signal.Stats{snd.Stats(), rcv.Stats()} },
+		close: func() {
+			snd.Close()
+			rcv.Close()
 		},
-		close: func() { c.Close() },
 	}, nil
 }
 
