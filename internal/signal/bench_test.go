@@ -144,10 +144,11 @@ func BenchmarkReceiverInstallExpire(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { rcv.Close() })
+	sc := rcv.newDispatchScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rcv.handle(wire.Message{Type: wire.TypeTrigger, Seq: uint64(i), Key: fmt.Sprintf("k/%d", i%100_000), Value: []byte("v")}, discardAddr{})
+		rcv.handle(wire.Message{Type: wire.TypeTrigger, Seq: uint64(i), Key: fmt.Sprintf("k/%d", i%100_000), Value: []byte("v")}, discardAddr{}, sc)
 	}
 	b.StopTimer()
 	// Drain scheduled expiries so Close is not fighting 100k timers.
@@ -171,17 +172,17 @@ func BenchmarkSummaryHandleReceiver(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { rcv.Close() })
+	sc := rcv.newDispatchScratch()
 	keys := make([]string, 64)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k/%d", i)
-		rcv.handle(wire.Message{Type: wire.TypeTrigger, Seq: 1, Key: keys[i], Value: []byte("v")}, discardAddr{})
+		rcv.handle(wire.Message{Type: wire.TypeTrigger, Seq: 1, Key: keys[i], Value: []byte("v")}, discardAddr{}, sc)
 	}
 	m := wire.Message{Type: wire.TypeSummaryRefresh, Seq: 2, Keys: keys}
 	data, err := m.MarshalBinary()
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := rcv.newSummaryScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -34,11 +34,9 @@ func (r *Receiver) CheckInvariants() []string {
 	r.idx.mu.Lock()
 	idxTotal := 0
 	cks := make([]string, 0, tblLen)
-	for _, set := range r.idx.m {
-		idxTotal += len(set)
-		for ck := range set {
-			cks = append(cks, ck)
-		}
+	for _, holders := range r.idx.m {
+		idxTotal += len(holders)
+		cks = append(cks, holders...)
 	}
 	r.idx.mu.Unlock()
 	if idxTotal != tblLen {

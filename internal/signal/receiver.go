@@ -3,6 +3,7 @@ package signal
 import (
 	"errors"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -95,7 +96,7 @@ func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 		trace:  cfg.Trace,
 	}
 	r.measure = cfg.Metrics != nil
-	r.idx.m = make(map[string]map[string]struct{})
+	r.idx.m = make(map[string][]string)
 	stcfg := statetable.Config[receiverEntry]{
 		Shards:   cfg.Shards,
 		Clock:    cfg.Clock,
@@ -245,7 +246,7 @@ func (r *Receiver) Close() error {
 func (r *Receiver) readLoop(c transport.Conn) {
 	defer r.wg.Done()
 	ms := transport.NewBatch(transport.DefaultBatchSize)
-	scratch := r.newSummaryScratch()
+	scratch := r.newDispatchScratch()
 	for {
 		cnt, err := c.ReadBatch(ms)
 		if err != nil {
@@ -258,7 +259,7 @@ func (r *Receiver) readLoop(c transport.Conn) {
 }
 
 // dispatch routes one raw datagram.
-func (r *Receiver) dispatch(data []byte, from net.Addr, scratch *summaryScratch) {
+func (r *Receiver) dispatch(data []byte, from net.Addr, scratch *dispatchScratch) {
 	if wire.PeekType(data) == wire.TypeSummaryRefresh {
 		// Summary refreshes are the steady-state hot path (one datagram
 		// renews up to SummaryMaxKeys keys); decode them in place instead
@@ -271,14 +272,16 @@ func (r *Receiver) dispatch(data []byte, from net.Addr, scratch *summaryScratch)
 		r.ctrs.decodeErrors.Add(1)
 		return
 	}
-	r.handle(m, from)
+	r.handle(m, from, scratch)
 }
 
-// summaryScratch is the read loop's reusable state for in-place summary
-// handling: the composite (peer, key) lookup buffer, the unknown-key list
-// for NACKs, and the two hoisted closures — built once per read loop so
-// the per-key path allocates nothing.
-type summaryScratch struct {
+// dispatchScratch is the read loop's reusable state: the composite (peer,
+// key) lookup buffer every frame type builds its table key in, and, for
+// in-place summary handling, the unknown-key list for NACKs and the two
+// hoisted closures — built once per read loop so the per-key path
+// allocates nothing.
+type dispatchScratch struct {
+	from    net.Addr      // the source ck's prefix was formatted from
 	ck      []byte        // addr + NUL + key, rebuilt per key
 	prefix  int           // length of the addr + NUL prefix in ck
 	seq     uint64        // current datagram's sequence number
@@ -292,8 +295,8 @@ type summaryScratch struct {
 	arm  bool
 }
 
-func (r *Receiver) newSummaryScratch() *summaryScratch {
-	sc := &summaryScratch{}
+func (r *Receiver) newDispatchScratch() *dispatchScratch {
+	sc := &dispatchScratch{}
 	sc.renew = func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
 		// Same staleness guard as per-key refreshes: a delayed or replayed
 		// summary must not renew state that a newer per-key message has
@@ -321,19 +324,39 @@ func (r *Receiver) newSummaryScratch() *summaryScratch {
 	return sc
 }
 
+// setPeer makes from the source whose addr + NUL prefix heads ck. Frames
+// arrive in runs from one source, and formatting a kernel address
+// allocates, so the prefix is kept while from compares equal to the one it
+// was formatted from: the same pointer out of the transport's address
+// cache, the same string for the in-memory and stream address types.
+func (sc *dispatchScratch) setPeer(from net.Addr) {
+	if from == sc.from {
+		return
+	}
+	sc.from = from
+	sc.ck = append(append(sc.ck[:0], from.String()...), 0)
+	sc.prefix = len(sc.ck)
+}
+
+// rkey builds the (from, key) table key in the scratch buffer; the result
+// is valid until the next setPeer or rkey.
+func (sc *dispatchScratch) rkey(from net.Addr, key string) []byte {
+	sc.setPeer(from)
+	sc.ck = append(sc.ck[:sc.prefix], key...)
+	return sc.ck
+}
+
 // handleSummaryFast is handleSummary without allocations: it validates
 // and walks the datagram in place (wire.VisitSummaryKeys), builds each
 // (peer, key) composite lookup key in a reusable buffer, and renews
 // matching entries through the state table's byte-key path. Only the
 // NACK fallback for unknown keys — rare by construction — copies
 // anything.
-func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *summaryScratch) {
+func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScratch) {
 	if r.closed.Load() {
 		return
 	}
-	sc.ck = append(sc.ck[:0], from.String()...)
-	sc.ck = append(sc.ck, 0)
-	sc.prefix = len(sc.ck)
+	sc.setPeer(from)
 	sc.unknown = sc.unknown[:0]
 	if r.measure {
 		sc.now = r.clk.Since(r.born) + 1
@@ -356,19 +379,18 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *summaryScra
 	}
 }
 
-func (r *Receiver) handle(m wire.Message, from net.Addr) {
+func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 	if r.closed.Load() {
 		return
 	}
 	r.ctrs.received[m.Type].Add(1)
 	switch m.Type {
 	case wire.TypeTrigger, wire.TypeRefresh:
-		ck := rkey(from.String(), m.Key)
 		var now time.Duration
 		if r.measure {
 			now = r.clk.Since(r.born) + 1
 		}
-		r.tbl.Upsert(ck, func(e *receiverEntry, created bool, tc statetable.TimerControl[receiverEntry]) {
+		install := func(e *receiverEntry, created bool, tc statetable.TimerControl[receiverEntry]) {
 			// Accept only non-stale payloads: a retransmitted old trigger
 			// must not clobber a newer value (sequence numbers are monotone
 			// within one sender session, and entries are per-sender).
@@ -376,7 +398,7 @@ func (r *Receiver) handle(m wire.Message, from net.Addr) {
 			if created {
 				e.key = m.Key
 				e.peer = from
-				r.idx.add(m.Key, ck)
+				r.idx.add(m.Key, tc.Key())
 				r.trace.Record(telemetry.TraceInstall, m.Key, m.Seq, from)
 				r.emit(Event{Kind: EventInstalled, Key: m.Key, Value: m.Value, Seq: m.Seq, Peer: from, Trace: m.Trace})
 			} else if accepted {
@@ -417,9 +439,17 @@ func (r *Receiver) handle(m wire.Message, from net.Addr) {
 			if m.Type == wire.TypeTrigger && r.prof.ReliableTrigger {
 				r.ack(wire.TypeAck, m.Seq, m.Key, from)
 			}
-		})
+		}
+		// An entry that exists — every refresh, every retransmitted
+		// trigger — is found straight from the scratch buffer; only a first
+		// install pays for the table key string.
+		ck := sc.rkey(from, m.Key)
+		renew := func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) { install(e, false, tc) }
+		if !r.tbl.UpdateBytes(ck, renew) {
+			r.tbl.Upsert(string(ck), install)
+		}
 	case wire.TypeRemoval:
-		r.tbl.Update(rkey(from.String(), m.Key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
+		r.tbl.UpdateBytes(sc.rkey(from, m.Key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
 			if m.Seq >= e.lastSeq {
 				r.drop(e, tc, EventRemoved)
 			}
@@ -436,7 +466,7 @@ func (r *Receiver) handle(m wire.Message, from net.Addr) {
 	case wire.TypeProbeAck:
 		// The key's sender answered a liveness probe: clear the miss
 		// counter and push the next probe a full interval out.
-		r.tbl.Update(rkey(from.String(), m.Key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
+		r.tbl.UpdateBytes(sc.rkey(from, m.Key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
 			e.probeMisses = 0
 			if r.prof.HardState {
 				tc.Schedule(timerProbe, r.cfg.ProbeInterval)
@@ -696,50 +726,48 @@ func (r *Receiver) send(m wire.Message, to net.Addr) {
 
 func (r *Receiver) emit(ev Event) { r.events.emit(ev) }
 
-// keyIndex is the receiver's secondary index: user key → set of (source,
-// key) table keys holding it. It is what keeps the any-sender Get and the
-// removal paths (InjectFalseRemoval) O(senders per key) instead of a full
-// table scan; GetFrom never touches it. The index mutex is a leaf lock:
-// add/remove run under a state-table shard lock, lookup runs lock-free of
-// the table and re-checks entries against it.
+// keyIndex is the receiver's secondary index: user key → the (source, key)
+// table keys holding it — a slice, since a key almost always has exactly
+// one holder. It is what keeps the any-sender Get and the removal paths
+// (InjectFalseRemoval) O(senders per key) instead of a full table scan;
+// GetFrom never touches it. The index mutex is a leaf lock: add/remove run
+// under a state-table shard lock, lookup runs lock-free of the table and
+// re-checks entries against it.
 type keyIndex struct {
 	mu sync.Mutex
-	m  map[string]map[string]struct{}
+	m  map[string][]string
 }
 
 func (ix *keyIndex) add(key, ck string) {
 	ix.mu.Lock()
-	set := ix.m[key]
-	if set == nil {
-		set = make(map[string]struct{})
-		ix.m[key] = set
+	defer ix.mu.Unlock()
+	if holders := ix.m[key]; !slices.Contains(holders, ck) {
+		ix.m[key] = append(holders, ck)
 	}
-	set[ck] = struct{}{}
-	ix.mu.Unlock()
 }
 
 func (ix *keyIndex) remove(key, ck string) {
 	ix.mu.Lock()
-	if set := ix.m[key]; set != nil {
-		delete(set, ck)
-		if len(set) == 0 {
-			delete(ix.m, key)
-		}
+	defer ix.mu.Unlock()
+	holders := ix.m[key]
+	i := slices.Index(holders, ck)
+	if i < 0 {
+		return
 	}
-	ix.mu.Unlock()
+	if holders = slices.Delete(holders, i, i+1); len(holders) == 0 {
+		delete(ix.m, key)
+	} else {
+		ix.m[key] = holders
+	}
 }
 
-// lookup returns the table keys holding key, sorted so iteration order is
-// deterministic.
+// lookup returns a copy of the table keys holding key, sorted so iteration
+// order is deterministic.
 func (ix *keyIndex) lookup(key string) []string {
 	ix.mu.Lock()
-	set := ix.m[key]
-	out := make([]string, 0, len(set))
-	for ck := range set {
-		out = append(out, ck)
-	}
+	out := slices.Clone(ix.m[key])
 	ix.mu.Unlock()
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -109,9 +109,10 @@ func TestRetransmittedTriggerDedup(t *testing.T) {
 	_, rcv := endpoints(t, SSRT, 1)
 	from := testAddr("sender")
 	dup := wireTrigger(5, "k", []byte("v2"))
-	rcv.handle(dup, from)
-	rcv.handle(dup, from)                               // retransmission of the same Seq
-	rcv.handle(wireTrigger(4, "k", []byte("v1")), from) // stale retransmission
+	sc := rcv.newDispatchScratch()
+	rcv.handle(dup, from, sc)
+	rcv.handle(dup, from, sc)                               // retransmission of the same Seq
+	rcv.handle(wireTrigger(4, "k", []byte("v1")), from, sc) // stale retransmission
 	if v, ok := rcv.GetFrom(from, "k"); !ok || string(v) != "v2" {
 		t.Fatalf("value = %q, want v2 (stale or duplicate trigger clobbered it)", v)
 	}

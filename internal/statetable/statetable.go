@@ -2,11 +2,11 @@
 // hierarchical timing wheel per shard. It is the scaling substrate for
 // internal/signal: where the naive runtime kept one mutex and one
 // time.Timer per key per endpoint, the table hashes keys (FNV-1a) across a
-// power-of-two number of shards, guards each shard with its own lock, and
-// multiplexes every refresh/timeout/retransmit deadline of a shard onto a
-// timing wheel driven by one clock.Timer — millions of keys cost millions
-// of map entries, not millions of timers, and a table at rest owns no
-// goroutine at all.
+// power-of-two number of shards, guards each shard with its own lock, finds
+// a key through the shard's open-addressed index, and multiplexes every
+// refresh/timeout/retransmit deadline of a shard onto a timing wheel driven
+// by one clock.Timer — millions of keys cost millions of index slots, not
+// millions of timers, and a table at rest owns no goroutine at all.
 //
 // Each entry owns NumTimerKinds independently schedulable timers whose
 // nodes are embedded in the entry, so arming, rearming, and expiry never
@@ -17,6 +17,7 @@
 package statetable
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,21 +89,24 @@ type Config[V any] struct {
 	DigestBuckets int
 }
 
-// entry is one key's slot: the caller's value plus the embedded timers
-// and its cached digest contribution (bucket index and XOR-folded sum),
-// which is what lets a mutation update the shard digest in O(1).
+// entry is one key's record: the caller's value plus the embedded timers,
+// its cached digest contribution (bucket index and XOR-folded sum), which
+// is what lets a mutation update the shard digest in O(1), and the index
+// tag it is filed under (in what was padding after digBucket), so removing
+// it never rehashes the key.
 type entry[V any] struct {
 	key       string
 	value     V
 	dig       uint64
 	digBucket uint32
+	tag       uint32
 	timers    [NumTimerKinds]timerNode[V]
 }
 
-// shard is one lock domain: a map partition plus its timing wheel.
+// shard is one lock domain: an index of its keys plus its timing wheel.
 type shard[V any] struct {
 	mu       sync.Mutex
-	entries  map[string]*entry[V]
+	idx      index[V]
 	wheel    wheel[V]
 	nextWake int64       // absolute tick the timer is armed for
 	needPoke bool        // a deadline earlier than nextWake was scheduled
@@ -116,6 +120,7 @@ type shard[V any] struct {
 // concurrent use.
 type Table[V any] struct {
 	cfg    Config[V]
+	seed   maphash.Seed // per table, so slot placement cannot be precomputed
 	clk    clock.Clock
 	tick   time.Duration
 	start  time.Time
@@ -150,6 +155,7 @@ func New[V any](cfg Config[V]) *Table[V] {
 	clk := clock.Or(cfg.Clock)
 	t := &Table[V]{
 		cfg:    cfg,
+		seed:   maphash.MakeSeed(),
 		clk:    clk,
 		tick:   tick,
 		start:  clk.Now(),
@@ -158,7 +164,7 @@ func New[V any](cfg Config[V]) *Table[V] {
 	}
 	for i := range t.shards {
 		sh := &t.shards[i]
-		sh.entries = make(map[string]*entry[V])
+		sh.idx = newIndex[V]()
 		sh.nextWake = int64(1)<<62 - 1
 		if cfg.DigestFunc != nil {
 			sh.dig = make([]uint64, cfg.DigestBuckets)
@@ -207,7 +213,7 @@ func (t *Table[V]) WheelDepths() []int {
 }
 
 // Close stops the shard timers and waits for in-flight expiry callbacks
-// to finish. Timers never fire after Close returns; the map contents
+// to finish. Timers never fire after Close returns; the table contents
 // remain readable. Stopping a clock timer does not recall a callback the
 // clock already dispatched, so the guarantee rests on the shard lock:
 // Close passes through each one after setting the closed flag, and
@@ -228,7 +234,10 @@ func (t *Table[V]) Close() {
 
 // Hash32 is the allocation-free FNV-1a hash used to pick a shard; other
 // sharded structures in the runtime (e.g. the per-destination peer table
-// in internal/signal) reuse it so the repo has one string hash.
+// in internal/signal) reuse it so the repo has one string hash. It is
+// deterministic, which keeps a key on the same shard — and so its timers in
+// the same fire order — from run to run; it is also computable by anyone,
+// which is why it picks only the shard and never a slot inside it (tagOf).
 func Hash32(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -252,6 +261,13 @@ func (t *Table[V]) shardOf(key string) *shard[V] {
 	return &t.shards[Hash32(key)&t.mask]
 }
 
+// tagOf is a key's index tag: the upper half of its hash under the table's
+// seed. A peer that crafts keys to collide under FNV-1a lands them all on
+// one shard, but cannot aim them at one slot of that shard's index.
+func (t *Table[V]) tagOf(key string) uint32 {
+	return uint32(maphash.String(t.seed, key) >> 32)
+}
+
 // tickNow converts clock progress to wheel ticks.
 func (t *Table[V]) tickNow() int64 {
 	return int64(t.clk.Since(t.start) / t.tick)
@@ -270,22 +286,23 @@ func (t *Table[V]) DeadlineTick(delay time.Duration) int64 {
 // creating the entry first if absent (created reports which). fn may be
 // nil to just ensure presence.
 func (t *Table[V]) Upsert(key string, fn func(v *V, created bool, tc TimerControl[V])) {
-	sh := t.shardOf(key)
+	sh, tag := t.shardOf(key), t.tagOf(key)
 	sh.mu.Lock()
-	e, ok := sh.entries[key]
-	if !ok {
-		e = &entry[V]{key: key}
+	e := sh.idx.get(tag, key)
+	created := e == nil
+	if created {
+		e = &entry[V]{key: key, tag: tag}
 		for i := range e.timers {
 			e.timers[i].owner = e
 			e.timers[i].kind = TimerKind(i)
 		}
-		sh.entries[key] = e
+		sh.idx.put(e)
 		t.size.Add(1)
 	}
 	if fn != nil {
-		fn(&e.value, !ok, TimerControl[V]{t: t, sh: sh, e: e})
+		fn(&e.value, created, TimerControl[V]{t: t, sh: sh, e: e})
 	}
-	if t.cfg.DigestFunc != nil && (!ok || sh.digDirty) {
+	if t.cfg.DigestFunc != nil && (created || sh.digDirty) {
 		t.refreshDigestLocked(sh, e)
 	}
 	t.unlockAndPoke(sh)
@@ -294,9 +311,10 @@ func (t *Table[V]) Upsert(key string, fn func(v *V, created bool, tc TimerContro
 // Update locks the key's shard and calls fn if the entry exists, reporting
 // whether it did.
 func (t *Table[V]) Update(key string, fn func(v *V, tc TimerControl[V])) bool {
-	sh := t.shardOf(key)
+	sh, tag := t.shardOf(key), t.tagOf(key)
 	sh.mu.Lock()
-	e, ok := sh.entries[key]
+	e := sh.idx.get(tag, key)
+	ok := e != nil
 	if ok && fn != nil {
 		fn(&e.value, TimerControl[V]{t: t, sh: sh, e: e})
 		if sh.digDirty {
@@ -307,14 +325,17 @@ func (t *Table[V]) Update(key string, fn func(v *V, tc TimerControl[V])) bool {
 	return ok
 }
 
-// UpdateBytes is Update for a byte-slice key: the lookup converts key in
-// place (no string allocation), so decode paths that renew existing
-// entries straight out of a datagram buffer — a receiver absorbing
-// summary refreshes — touch the table allocation-free. It never inserts.
+// UpdateBytes is Update for a byte-slice key: the lookup hashes and
+// compares key in place (no string allocation), so decode paths that renew
+// existing entries straight out of a datagram buffer — a receiver
+// absorbing summary refreshes — touch the table allocation-free. It never
+// inserts.
 func (t *Table[V]) UpdateBytes(key []byte, fn func(v *V, tc TimerControl[V])) bool {
 	sh := &t.shards[Hash32Bytes(key)&t.mask]
+	tag := uint32(maphash.Bytes(t.seed, key) >> 32) // tagOf, without the string
 	sh.mu.Lock()
-	e, ok := sh.entries[string(key)]
+	e := sh.idx.getBytes(tag, key)
+	ok := e != nil
 	if ok && fn != nil {
 		fn(&e.value, TimerControl[V]{t: t, sh: sh, e: e})
 		if sh.digDirty {
@@ -330,7 +351,7 @@ func (t *Table[V]) Get(key string) (V, bool) {
 	sh := t.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.entries[key]; ok {
+	if e := sh.idx.get(t.tagOf(key), key); e != nil {
 		return e.value, true
 	}
 	var zero V
@@ -343,8 +364,8 @@ func (t *Table[V]) Delete(key string) bool {
 	sh := t.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if !ok {
+	e := sh.idx.get(t.tagOf(key), key)
+	if e == nil {
 		return false
 	}
 	t.dropLocked(sh, e)
@@ -371,8 +392,8 @@ func (t *Table[V]) Range(fn func(key string, v *V) bool) {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if !fn(e.key, &e.value) {
+		for _, s := range sh.idx.slots {
+			if s.e != nil && !fn(s.e.key, &s.e.value) {
 				sh.mu.Unlock()
 				return
 			}
@@ -391,8 +412,8 @@ func (t *Table[V]) Armed(kind TimerKind) int {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.timers[kind].state != timerIdle {
+		for _, s := range sh.idx.slots {
+			if s.e != nil && s.e.timers[kind].state != timerIdle {
 				n++
 			}
 		}
@@ -410,9 +431,12 @@ func (t *Table[V]) TimersArmed() [NumTimerKinds]int {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.entries {
-			for k := range e.timers {
-				if e.timers[k].state != timerIdle {
+		for _, s := range sh.idx.slots {
+			if s.e == nil {
+				continue
+			}
+			for k := range s.e.timers {
+				if s.e.timers[k].state != timerIdle {
 					n[k]++
 				}
 			}
@@ -463,8 +487,9 @@ func (t *Table[V]) RangeDigest(fn func(key string, v *V, bucket uint32, sum uint
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.dig == 0 {
+		for _, s := range sh.idx.slots {
+			e := s.e
+			if e == nil || e.dig == 0 {
 				continue
 			}
 			if !fn(e.key, &e.value, e.digBucket, e.dig) {
@@ -530,8 +555,12 @@ func (t *Table[V]) Keys() []string {
 	return out
 }
 
-// dropLocked removes e from its shard; callers hold sh.mu.
+// dropLocked removes e from its shard; callers hold sh.mu. Dropping an
+// entry a second time (a closure that calls Delete twice) does nothing.
 func (t *Table[V]) dropLocked(sh *shard[V], e *entry[V]) {
+	if !sh.idx.del(e) {
+		return
+	}
 	for i := range e.timers {
 		sh.wheel.cancel(&e.timers[i])
 	}
@@ -541,7 +570,6 @@ func (t *Table[V]) dropLocked(sh *shard[V], e *entry[V]) {
 		e.digBucket = digDropped // a pending dirty refresh must not resurrect it
 		sh.digDirty = false
 	}
-	delete(sh.entries, e.key)
 	t.size.Add(-1)
 }
 
