@@ -21,18 +21,21 @@
 // Every artifact is written twice: <id>.json (schema-versioned, byte-
 // deterministic per seed) and <id>.md (rendered tables). Generation also
 // evaluates each artifact's embedded ordering checks and fails if the
-// paper's qualitative claims do not hold in the fresh data.
+// paper's qualitative claims do not hold in the fresh data. Each
+// artifact's wall time and the total go to stderr, never into an artifact.
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"softstate/internal/exp"
 	"softstate/internal/report"
@@ -91,7 +94,7 @@ func main() {
 		if v == "" {
 			v = gitDescribe()
 		}
-		if err := generate(targets, exp.Options{Quick: *quick, Seed: *seed}, *out, v, os.Stdout); err != nil {
+		if err := generate(targets, exp.Options{Quick: *quick, Seed: *seed}, *out, v, os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "sigfig: %v\n", err)
 			os.Exit(1)
 		}
@@ -148,12 +151,15 @@ func gitDescribe() string {
 // generate builds and writes every target's artifact pair (<id>.json,
 // <id>.md) into outDir, evaluating each artifact's embedded ordering
 // checks along the way. It fails on the first build, check, or write
-// error.
-func generate(targets []exp.Experiment, o exp.Options, outDir, version string, log *os.File) error {
+// error. A non-nil log gets one line per artifact; a non-nil timing gets
+// each artifact's wall time and the total.
+func generate(targets []exp.Experiment, o exp.Options, outDir, version string, log, timing io.Writer) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
+	begin := time.Now()
 	for _, e := range targets {
+		start := time.Now()
 		a, err := exp.BuildArtifact(e, o)
 		if err != nil {
 			return err
@@ -184,6 +190,12 @@ func generate(targets []exp.Experiment, o exp.Options, outDir, version string, l
 			}
 			fmt.Fprintf(log, "%-22s %s [%s]\n", e.ID, a.Mode, strings.Join(frames, "+"))
 		}
+		if timing != nil {
+			fmt.Fprintf(timing, "%-22s %8.3f s\n", e.ID, time.Since(start).Seconds())
+		}
+	}
+	if timing != nil {
+		fmt.Fprintf(timing, "%-22s %8.3f s\n", "total", time.Since(begin).Seconds())
 	}
 	return nil
 }

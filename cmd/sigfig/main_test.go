@@ -24,7 +24,7 @@ func mustResolve(t *testing.T, ids ...string) []exp.Experiment {
 func genInto(t *testing.T, o exp.Options, version string, ids ...string) string {
 	t.Helper()
 	dir := t.TempDir()
-	if err := generate(mustResolve(t, ids...), o, dir, version, nil); err != nil {
+	if err := generate(mustResolve(t, ids...), o, dir, version, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	return dir

@@ -361,3 +361,14 @@ func TestSingleHopDegenerate(t *testing.T) {
 		t.Fatalf("N=1 I = %v", met.Inconsistency)
 	}
 }
+
+// BenchmarkAnalyzeMultihop20 measures the 20-hop chain solve (≈42 states).
+func BenchmarkAnalyzeMultihop20(b *testing.B) {
+	p := DefaultParams()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Analyze(singlehop.SSRT, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 type ackBatcher struct {
 	mu      sync.Mutex
 	pending map[string]*peerAcks
+	last    *peerAcks // the previous add's peer, while it is still pending
 }
 
 // peerAcks is one peer's accumulated acknowledgements.
@@ -29,15 +30,23 @@ func newAckBatcher() *ackBatcher {
 }
 
 // add queues one acknowledgement for to and reports whether the batcher
-// was empty: the caller arms the flush on that transition.
+// was empty: the caller arms the flush on that transition. Acks come in
+// runs for one peer and formatting a kernel address allocates, so the
+// previous peer's record is reused while to compares equal to its address
+// (as dispatchScratch.setPeer does on the way in): one String() per peer
+// per flush window, not one per ack.
 func (b *ackBatcher) add(to net.Addr, item wire.AckItem) bool {
-	addr := to.String()
 	b.mu.Lock()
 	wasEmpty := len(b.pending) == 0
-	pa := b.pending[addr]
-	if pa == nil {
-		pa = &peerAcks{to: to, addr: addr}
-		b.pending[addr] = pa
+	pa := b.last
+	if pa == nil || pa.to != to {
+		addr := to.String()
+		pa = b.pending[addr]
+		if pa == nil {
+			pa = &peerAcks{to: to, addr: addr}
+			b.pending[addr] = pa
+		}
+		b.last = pa
 	}
 	pa.items = append(pa.items, item)
 	b.mu.Unlock()
@@ -56,5 +65,6 @@ func (b *ackBatcher) take() []*peerAcks {
 		out = append(out, pa)
 	}
 	b.pending = make(map[string]*peerAcks)
+	b.last = nil
 	return out
 }

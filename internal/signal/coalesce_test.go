@@ -80,12 +80,15 @@ func TestCoalescedAcksReduceDatagrams(t *testing.T) {
 		}
 	}
 	eventually(t, "all installs", func() bool { return rcv.Len() == keys })
-	eventually(t, "all acks flushed", func() bool { return rcv.Stats().CoalescedAcks >= keys })
+	// An ack is counted as coalesced when its batch is queued, the batch as
+	// sent when the write returns: wait for both, or the last flush can be
+	// caught between the two.
+	eventually(t, "all acks flushed", func() bool {
+		rs := rcv.Stats()
+		return rs.CoalescedAcks >= keys && rs.Sent["ack-batch"] > 0
+	})
 	rs := rcv.Stats()
 	datagrams := rs.Sent["ack-batch"]
-	if datagrams == 0 {
-		t.Fatal("no ack batches sent")
-	}
 	if ratio := float64(rs.CoalescedAcks) / float64(datagrams); ratio < 4 {
 		t.Fatalf("ack coalescing reduced reply datagrams only %.1f× (%d acks in %d datagrams), want ≥4×",
 			ratio, rs.CoalescedAcks, datagrams)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"softstate/internal/clock"
 	"softstate/internal/wire"
 )
 
@@ -15,7 +16,8 @@ import (
 // key) table key is built again. What remains is the decoder's own key and
 // value copies: 2 allocations per trigger, 1 per probe-ack, 0 per summary,
 // where formatting a *net.UDPAddr and concatenating the table key per frame
-// made it 6, 4 and 3.
+// made it 6, 4 and 3. The last row is the same bound on the reply path: a
+// coalesced ack is queued without formatting the address again.
 func TestDispatchAllocs(t *testing.T) {
 	// SS sends no reply to any of these frames, so the counts below are the
 	// receive path's alone (a reply borrows a pooled buffer, and under the
@@ -49,20 +51,42 @@ func TestDispatchAllocs(t *testing.T) {
 		{"probe-ack", probeAck},
 		{"summary-refresh", summary},
 	} {
-		// The generic decoder copies the key and the value out of the
-		// datagram (the summary path decodes in place); dispatch must add
-		// nothing to that.
-		decode := 0.0
-		if wire.PeekType(c.data) != wire.TypeSummaryRefresh {
-			decode = testing.AllocsPerRun(200, func() {
-				var m wire.Message
-				if err := m.UnmarshalBinary(c.data); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		if got := testing.AllocsPerRun(200, func() { rcv.dispatch(c.data, from, sc) }); got != decode {
-			t.Errorf("%s: %.0f allocations per frame, %.0f of them the decoder's", c.name, got, decode)
-		}
+		expectDecoderAllocs(t, rcv, sc, c.name, c.data, from)
+	}
+
+	// The reply path, under ack coalescing: every SS+RT trigger queues an
+	// ack for its sender, and the batcher files it under the sender's
+	// formatted address. One source repeating formats it once per flush
+	// window, not once per ack. The virtual clock never advances, so the
+	// window stays open and no flush runs beside the measurement.
+	acking, err := NewReceiver(newDiscardConn(), Config{
+		Protocol: SSRT, Timeout: time.Hour, Shards: 4, CoalesceAcks: true, Clock: clock.NewVirtual(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer acking.Close()
+	sc = acking.newDispatchScratch()
+	acking.dispatch(trigger, from, sc)
+	expectDecoderAllocs(t, acking, sc, "trigger, coalesced ack", trigger, from)
+}
+
+// expectDecoderAllocs fails unless dispatching data allocates exactly what
+// decoding it does: the generic decoder copies the key and the value out
+// of the datagram (the summary path decodes in place), and dispatch must
+// add nothing to that.
+func expectDecoderAllocs(t *testing.T, rcv *Receiver, sc *dispatchScratch, name string, data []byte, from net.Addr) {
+	t.Helper()
+	decode := 0.0
+	if wire.PeekType(data) != wire.TypeSummaryRefresh {
+		decode = testing.AllocsPerRun(200, func() {
+			var m wire.Message
+			if err := m.UnmarshalBinary(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got := testing.AllocsPerRun(200, func() { rcv.dispatch(data, from, sc) }); got != decode {
+		t.Errorf("%s: %.0f allocations per frame, %.0f of them the decoder's", name, got, decode)
 	}
 }

@@ -18,15 +18,10 @@ import (
 // 16k-key regime of the node benchmarks, but deterministic and with the
 // refresh windows simulated instead of slept.
 type FanoutConfig struct {
-	Peers int
-	Keys  int // per peer
-	// Protocol defaults to SS; summary refresh defaults on (that is the
-	// scaling configuration the node subsystem exists for).
-	Protocol        signal.Protocol
+	Peers           int
+	Keys            int           // per peer
 	RefreshInterval time.Duration // default 100 ms
 	Timeout         time.Duration // default 3R
-	SummaryMaxKeys  int           // default 64
-	Shards          int           // default 16
 	Loss            float64
 	Delay           time.Duration
 	Duration        time.Duration // virtual run length after install; default 3R
@@ -39,9 +34,14 @@ type FanoutConfig struct {
 	// the virtual clock's gate-park counter. Nil runs exactly the
 	// pre-telemetry hot path.
 	Metrics *telemetry.Registry
-	// Trace, when non-nil, records the node side's lifecycle events.
-	Trace *telemetry.Tracer
 }
+
+// Every fan-out runs pure SS under summary refresh (the scaling
+// configuration the node subsystem exists for) at these sizes.
+const (
+	fanoutSummaryMaxKeys = 64
+	fanoutShards         = 16
+)
 
 func (cfg *FanoutConfig) applyDefaults() error {
 	if cfg.Peers <= 0 || cfg.Keys <= 0 {
@@ -52,12 +52,6 @@ func (cfg *FanoutConfig) applyDefaults() error {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 3 * cfg.RefreshInterval
-	}
-	if cfg.SummaryMaxKeys <= 0 {
-		cfg.SummaryMaxKeys = 64
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 3 * cfg.RefreshInterval
@@ -76,7 +70,7 @@ type FanoutResult struct {
 	Held int
 	// SummaryDatagrams is how many summary refreshes the receivers took;
 	// KeysRenewed is the key renewals they carried (sweep-average exact:
-	// delivered datagrams × Keys / ⌈Keys/SummaryMaxKeys⌉).
+	// delivered datagrams × Keys / ⌈Keys/fanoutSummaryMaxKeys⌉).
 	SummaryDatagrams int
 	KeysRenewed      int
 	// Datagrams is every datagram sent by the node (installs included).
@@ -86,21 +80,12 @@ type FanoutResult struct {
 	KeysPerDatagram float64
 }
 
-// liveFanout is the live topology, shared by RunLiveFanout and the
-// throughput benchmark.
-type liveFanout struct {
-	clk   *clock.Virtual
-	cfg   FanoutConfig
-	node  *livenode.Node
-	rcvs  []*signal.Receiver
-	addrs []net.Addr
-}
-
-// buildLiveFanout wires the node and its receivers and installs every key
-// (running virtual time forward until all installs have landed).
-func buildLiveFanout(cfg FanoutConfig) (*liveFanout, error) {
+// RunLiveFanout wires the node and its receivers, installs every key,
+// runs Duration of virtual time, and reports how summary refresh carried
+// the key population.
+func RunLiveFanout(cfg FanoutConfig) (FanoutResult, error) {
 	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
+		return FanoutResult{}, err
 	}
 	v := clock.NewVirtual()
 	nw, err := lossy.NewNetwork(lossy.Config{
@@ -108,24 +93,22 @@ func buildLiveFanout(cfg FanoutConfig) (*liveFanout, error) {
 		Unbatched: cfg.Unbatched,
 	})
 	if err != nil {
-		return nil, err
+		return FanoutResult{}, err
 	}
 	scfg := signal.Config{
-		Protocol:        cfg.Protocol,
+		Protocol:        signal.SS,
 		RefreshInterval: cfg.RefreshInterval,
 		Timeout:         cfg.Timeout,
 		SummaryRefresh:  true,
-		SummaryMaxKeys:  cfg.SummaryMaxKeys,
-		Shards:          cfg.Shards,
+		SummaryMaxKeys:  fanoutSummaryMaxKeys,
+		Shards:          fanoutShards,
 		Clock:           v,
 	}
-	f := &liveFanout{clk: v, cfg: cfg}
-	// Only the node side carries instruments and the tracer: Peers copies
-	// of every receiver series would bury the scrape, and the node is
-	// where the throughput question lives.
+	// Only the node side carries instruments: Peers copies of every
+	// receiver series would bury the scrape, and the node is where the
+	// throughput question lives.
 	ncfg := scfg
 	ncfg.Metrics = cfg.Metrics
-	ncfg.Trace = cfg.Trace
 	if cfg.Metrics != nil {
 		cfg.Metrics.GaugeFunc(telemetry.Opts{
 			Name: "softstate_gate_parks_total",
@@ -134,101 +117,46 @@ func buildLiveFanout(cfg FanoutConfig) (*liveFanout, error) {
 	}
 	n, err := livenode.New(nw.Endpoint("node"), ncfg)
 	if err != nil {
-		return nil, err
+		return FanoutResult{}, err
 	}
-	f.node = n
+	rcvs := make([]*signal.Receiver, 0, cfg.Peers)
+	defer func() {
+		n.Close()
+		for _, r := range rcvs {
+			r.Close()
+		}
+	}()
+	addrs := make([]net.Addr, 0, cfg.Peers)
 	for p := 0; p < cfg.Peers; p++ {
 		conn := nw.Endpoint(fmt.Sprintf("peer%04d", p))
-		f.addrs = append(f.addrs, conn.LocalAddr())
+		addrs = append(addrs, conn.LocalAddr())
 		rcv, err := signal.NewReceiver(conn, scfg)
 		if err != nil {
-			f.close()
-			return nil, err
+			return FanoutResult{}, err
 		}
-		f.rcvs = append(f.rcvs, rcv)
+		rcvs = append(rcvs, rcv)
 	}
-	for p := 0; p < cfg.Peers; p++ {
+	for _, addr := range addrs {
 		for k := 0; k < cfg.Keys; k++ {
-			if err := n.Install(f.addrs[p], fmt.Sprintf("flow/%05d", k), nil); err != nil {
-				f.close()
-				return nil, err
+			if err := n.Install(addr, fmt.Sprintf("flow/%05d", k), nil); err != nil {
+				return FanoutResult{}, err
 			}
 		}
 	}
 	v.Run(2 * cfg.Delay) // drain the install burst
-	return f, nil
-}
+	v.Run(cfg.Duration)
 
-func (f *liveFanout) close() {
-	if f.node != nil {
-		f.node.Close()
-	}
-	for _, r := range f.rcvs {
-		r.Close()
-	}
-}
-
-// held sums the (peer, key) entries across receivers.
-func (f *liveFanout) held() int {
-	total := 0
-	for _, r := range f.rcvs {
-		total += r.Len()
-	}
-	return total
-}
-
-// FanoutBench is a pre-built fan-out topology for throughput
-// benchmarking: construction (install burst included) happens in
-// NewFanoutBench, so Run measures only steady-state refresh traffic. It
-// is the exported form of the harness behind
-// BenchmarkLiveFanoutThroughput, reused by cmd/bench for the tracked
-// benchmark trajectory.
-type FanoutBench struct {
-	f *liveFanout
-}
-
-// NewFanoutBench wires the topology and installs every key.
-func NewFanoutBench(cfg FanoutConfig) (*FanoutBench, error) {
-	f, err := buildLiveFanout(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &FanoutBench{f: f}, nil
-}
-
-// RefreshInterval returns the configured refresh interval R; each Run(R)
-// performs one summary sweep of every peer.
-func (b *FanoutBench) RefreshInterval() time.Duration { return b.f.cfg.RefreshInterval }
-
-// KeysPerInterval returns the keys renewed per refresh interval
-// (Peers × Keys).
-func (b *FanoutBench) KeysPerInterval() int { return b.f.cfg.Peers * b.f.cfg.Keys }
-
-// Run advances virtual time by d.
-func (b *FanoutBench) Run(d time.Duration) { b.f.clk.Run(d) }
-
-// Close tears the topology down.
-func (b *FanoutBench) Close() { b.f.close() }
-
-// RunLiveFanout builds the topology, runs Duration of virtual time, and
-// reports how summary refresh carried the key population.
-func RunLiveFanout(cfg FanoutConfig) (FanoutResult, error) {
-	f, err := buildLiveFanout(cfg)
-	if err != nil {
-		return FanoutResult{}, err
-	}
-	defer f.close()
-	f.clk.Run(f.cfg.Duration)
-	res := FanoutResult{Peers: f.cfg.Peers, Keys: f.cfg.Keys, Held: f.held()}
-	for _, r := range f.rcvs {
+	res := FanoutResult{Peers: cfg.Peers, Keys: cfg.Keys}
+	for _, r := range rcvs {
+		res.Held += r.Len()
 		res.SummaryDatagrams += r.Stats().Received["summary-refresh"]
 	}
-	// One sweep renews a peer's Keys keys in ⌈Keys/SummaryMaxKeys⌉
+	// One sweep renews a peer's Keys keys in ⌈Keys/fanoutSummaryMaxKeys⌉
 	// datagrams (the tail chunk is partial), so renewals per datagram is
-	// the sweep average, not SummaryMaxKeys.
-	chunks := (f.cfg.Keys + f.cfg.SummaryMaxKeys - 1) / f.cfg.SummaryMaxKeys
-	res.KeysRenewed = res.SummaryDatagrams * f.cfg.Keys / chunks
-	st := f.node.Stats()
+	// the sweep average, not fanoutSummaryMaxKeys.
+	chunks := (cfg.Keys + fanoutSummaryMaxKeys - 1) / fanoutSummaryMaxKeys
+	res.KeysRenewed = res.SummaryDatagrams * cfg.Keys / chunks
+	st := n.Stats()
 	res.Datagrams = st.TotalSent()
 	if sent := st.Sent["summary-refresh"]; sent > 0 {
 		res.KeysPerDatagram = float64(res.KeysRenewed) / float64(sent)

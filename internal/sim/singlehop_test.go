@@ -272,3 +272,21 @@ func TestEstimateString(t *testing.T) {
 		t.Fatal("empty estimate string")
 	}
 }
+
+// BenchmarkSimulateSession measures event-simulator throughput in sessions
+// per second at the Kazaa operating point (shortened sessions).
+func BenchmarkSimulateSession(b *testing.B) {
+	p := fastParams()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunSingleHop(Config{
+			Protocol: singlehop.SSER,
+			Params:   p,
+			Sessions: 10,
+			Seed:     uint64(i) + 1,
+			Timers:   rand.Deterministic,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -503,3 +503,15 @@ func TestLifetimeExceedsSessionLength(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAnalyzeSingleProtocol measures one CTMC build+solve, the unit
+// of work behind every analytic sweep point.
+func BenchmarkAnalyzeSingleProtocol(b *testing.B) {
+	p := DefaultParams()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Analyze(SSRTR, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -34,8 +34,8 @@
 //	}
 //
 // Every table and figure of the paper's evaluation can be regenerated
-// with cmd/sigfig or the benchmarks in bench_test.go; see DESIGN.md for
-// the package map, the statetable architecture, and measured numbers.
+// with cmd/sigfig; see DESIGN.md for the package map, the statetable
+// architecture, and how performance is measured (benchmark/).
 package softstate
 
 import "softstate/internal/core"
