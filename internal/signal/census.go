@@ -241,9 +241,9 @@ func (r *Receiver) CensusSource(name string) telemetry.CensusSource {
 				return nil, ErrNoCensus
 			}
 			var out []telemetry.KeyDigest
-			r.tbl.RangeDigest(func(_ string, e *receiverEntry, bucket uint32, sum uint64) bool {
+			r.tbl.RangeDigest(func(ck string, _ *receiverEntry, bucket uint32, sum uint64) bool {
 				if int(bucket) == b {
-					out = append(out, telemetry.KeyDigest{Key: e.key, Sum: sum})
+					out = append(out, telemetry.KeyDigest{Key: userKeyOf(ck), Sum: sum})
 				}
 				return true
 			})

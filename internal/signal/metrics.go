@@ -136,5 +136,15 @@ func (r *Receiver) registerMetrics() {
 		Help:   "End-to-end install latency of traced triggers (origin stamp to receipt, across all hops).",
 		Labels: labels,
 	})
+	reg.RegisterCounter(telemetry.Opts{
+		Name:   "softstate_summary_renewals_total",
+		Help:   "Keys found while absorbing summary refreshes.",
+		Labels: labels,
+	}, &r.ctrs.summaryRenewals)
+	reg.RegisterCounter(telemetry.Opts{
+		Name:   "softstate_summary_index_lookups_total",
+		Help:   "Summary-refresh keys looked up through the state table's index because the sweep-order hint did not lead to them.",
+		Labels: labels,
+	}, &r.ctrs.summaryIndexLookups)
 	registerTableGauges(reg, labels, r.tbl)
 }

@@ -59,8 +59,9 @@ type Receiver struct {
 }
 
 // receiverEntry is one installed piece of state for one (peer, key) pair.
+// The user key is not stored: it is the table key past the peer prefix
+// (userKeyOf). The entry is 64 bytes (TestEntrySizes).
 type receiverEntry struct {
-	key     string // user key (the table key carries the peer prefix)
 	value   []byte
 	lastSeq uint64
 	peer    net.Addr
@@ -77,6 +78,10 @@ type receiverEntry struct {
 // rkey builds the (peer, key) table key. Address strings contain no NUL
 // byte on any supported transport, so the separator is unambiguous.
 func rkey(from, key string) string { return from + "\x00" + key }
+
+// userKeyOf is rkey's inverse on the key: the part of a table key after the
+// separator. A user key may itself contain NUL bytes; an address never does.
+func userKeyOf(ck string) string { return ck[strings.IndexByte(ck, 0)+1:] }
 
 // NewReceiver creates a receiver speaking cfg.Protocol on conn and starts
 // its receive loop.
@@ -113,8 +118,9 @@ func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 			buckets = statetable.DefaultDigestBuckets
 		}
 		stcfg.DigestBuckets = buckets
-		stcfg.DigestFunc = func(_ string, e *receiverEntry) (uint32, uint64) {
-			return statetable.DigestBucketOf(e.key, buckets), statetable.DigestKV(e.key, e.value, e.lastSeq)
+		stcfg.DigestFunc = func(ck string, e *receiverEntry) (uint32, uint64) {
+			k := userKeyOf(ck)
+			return statetable.DigestBucketOf(k, buckets), statetable.DigestKV(k, e.value, e.lastSeq)
 		}
 	}
 	r.tbl = statetable.New(stcfg)
@@ -185,8 +191,8 @@ func (r *Receiver) Len() int { return r.tbl.Len() }
 // appears once per sender.
 func (r *Receiver) Keys() []string {
 	out := make([]string, 0, r.tbl.Len())
-	r.tbl.Range(func(_ string, e *receiverEntry) bool {
-		out = append(out, e.key)
+	r.tbl.Range(func(ck string, _ *receiverEntry) bool {
+		out = append(out, userKeyOf(ck))
 		return true
 	})
 	return out
@@ -289,6 +295,12 @@ type dispatchScratch struct {
 	unknown []string
 	visit   func(seq uint64, key []byte)
 	renew   func(e *receiverEntry, tc statetable.TimerControl[receiverEntry])
+	// cur follows the source's sweep order through the table: a summary's
+	// keys arrive in the order the last sweep's did, so each is found from
+	// the one before it (statetable.Cursor). found counts the current
+	// datagram's keys that resolved to an entry.
+	cur   statetable.Cursor[receiverEntry]
+	found int64
 	// The datagram's r.lifetime(), read once per datagram, not once per key.
 	kind statetable.TimerKind
 	tick int64
@@ -317,7 +329,9 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 	sc.visit = func(seq uint64, key []byte) {
 		sc.seq = seq
 		sc.ck = append(sc.ck[:sc.prefix], key...)
-		if !r.tbl.UpdateBytes(sc.ck, sc.renew) {
+		if r.tbl.UpdateBytesAfter(&sc.cur, sc.ck, sc.renew) {
+			sc.found++
+		} else {
 			sc.unknown = append(sc.unknown, string(key))
 		}
 	}
@@ -328,12 +342,14 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 // arrive in runs from one source, and formatting a kernel address
 // allocates, so the prefix is kept while from compares equal to the one it
 // was formatted from: the same pointer out of the transport's address
-// cache, the same string for the in-memory and stream address types.
+// cache, the same string for the in-memory and stream address types. A new
+// source starts a new sweep order, so the cursor starts over with it.
 func (sc *dispatchScratch) setPeer(from net.Addr) {
 	if from == sc.from {
 		return
 	}
 	sc.from = from
+	sc.cur.Reset()
 	sc.ck = append(append(sc.ck[:0], from.String()...), 0)
 	sc.prefix = len(sc.ck)
 }
@@ -362,12 +378,18 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScr
 		sc.now = r.clk.Since(r.born) + 1
 	}
 	sc.kind, sc.tick, sc.arm = r.lifetime()
+	sc.found = 0
+	lookups := sc.cur.IndexLookups()
 	seq, err := wire.VisitSummaryKeys(data, sc.visit)
 	if err != nil {
 		r.ctrs.decodeErrors.Add(1)
 		return
 	}
 	r.ctrs.received[wire.TypeSummaryRefresh].Add(1)
+	// Once per datagram, not per key: the keys it renewed, and how many of
+	// its keys (unknown ones included) had to go through the table's index.
+	r.ctrs.summaryRenewals.Add(sc.found)
+	r.ctrs.summaryIndexLookups.Add(int64(sc.cur.IndexLookups() - lookups))
 	unknown := sc.unknown
 	for len(unknown) > 0 {
 		n := wire.SummaryFits(unknown)
@@ -396,7 +418,6 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 			// within one sender session, and entries are per-sender).
 			accepted := m.Seq >= e.lastSeq || created
 			if created {
-				e.key = m.Key
 				e.peer = from
 				r.idx.add(m.Key, tc.Key())
 				r.trace.Record(telemetry.TraceInstall, m.Key, m.Seq, from)
@@ -539,9 +560,9 @@ func (r *Receiver) handleDigest(m wire.Message, from net.Addr) {
 			return
 		}
 		var keys []wire.DigestKeySum
-		r.tbl.RangeDigest(func(ck string, e *receiverEntry, bucket uint32, sum uint64) bool {
+		r.tbl.RangeDigest(func(ck string, _ *receiverEntry, bucket uint32, sum uint64) bool {
 			if bucket == uint32(req.Bucket) && strings.HasPrefix(ck, prefix) {
-				keys = append(keys, wire.DigestKeySum{Key: e.key, Sum: sum})
+				keys = append(keys, wire.DigestKeySum{Key: ck[len(prefix):], Sum: sum})
 			}
 			return true
 		})
@@ -605,7 +626,7 @@ func (r *Receiver) onTimeout(_ string, kind statetable.TimerKind, e *receiverEnt
 		r.probeOrOrphan(e, tc)
 		return
 	}
-	key, peer := e.key, e.peer
+	key, peer := userKeyOf(tc.Key()), e.peer
 	r.drop(e, tc, EventExpired)
 	// SS+RT and SS+RTR notify the sender of timeout removals so false
 	// removals are repaired promptly.
@@ -623,21 +644,22 @@ func (r *Receiver) onTimeout(_ string, kind statetable.TimerKind, e *receiverEnt
 // through the usual notify → re-trigger path; a dead one stays silent,
 // which is the point.
 func (r *Receiver) probeOrOrphan(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
+	key := userKeyOf(tc.Key())
 	if e.probeMisses >= r.cfg.MaxProbeMisses {
-		key, peer := e.key, e.peer
+		peer := e.peer
 		r.drop(e, tc, EventOrphaned)
 		r.send(wire.Message{Type: wire.TypeNotify, Key: key}, peer)
 		return
 	}
 	e.probeMisses++
-	r.send(wire.Message{Type: wire.TypeProbe, Seq: e.lastSeq, Key: e.key}, e.peer)
+	r.send(wire.Message{Type: wire.TypeProbe, Seq: e.lastSeq, Key: key}, e.peer)
 	tc.Schedule(timerProbe, r.cfg.ProbeInterval)
 }
 
 // drop removes an entry (and its index slot) and emits the given event;
 // callers hold the entry's shard lock via tc.
 func (r *Receiver) drop(e *receiverEntry, tc statetable.TimerControl[receiverEntry], kind EventKind) {
-	key, value, peer := e.key, e.value, e.peer
+	key, value, peer := userKeyOf(tc.Key()), e.value, e.peer
 	r.idx.remove(key, tc.Key())
 	tc.Delete()
 	if r.trace != nil {

@@ -180,8 +180,10 @@ type senderEntry struct {
 	value    []byte
 	seq      uint64 // latest trigger sequence (session-scoped)
 	ackedSeq uint64
-	retries  int
 
+	// retries shares a word with removing: the entry is 96 bytes
+	// (TestEntrySizes), and a word more moves every key up a size class.
+	retries    int32
 	removing   bool // removal sent, awaiting removal-ack
 	removalSeq uint64
 
@@ -761,7 +763,7 @@ func (ss *Sessions) triggerRetx(key string, e *senderEntry, tc statetable.TimerC
 	if e.ackedSeq >= e.seq {
 		return
 	}
-	if ss.cfg.MaxRetransmits > 0 && e.retries >= ss.cfg.MaxRetransmits {
+	if ss.cfg.MaxRetransmits > 0 && int(e.retries) >= ss.cfg.MaxRetransmits {
 		ss.emit(Event{Kind: EventGaveUp, Key: key, Seq: e.seq, Peer: e.sess.peer})
 		return
 	}
@@ -772,11 +774,11 @@ func (ss *Sessions) triggerRetx(key string, e *senderEntry, tc statetable.TimerC
 	// the loss sensitivity the paper's install-latency curves show.
 	ss.send(ss.tracedMsg(wire.Message{Type: wire.TypeTrigger, Seq: e.seq, Key: key, Value: e.value}, e.traceCtx), e.sess.peer)
 	ss.trace.Record(telemetry.TraceRetransmit, key, e.seq, e.sess.peer)
-	tc.Schedule(timerRetx, ss.retxDelay(e.retries))
+	tc.Schedule(timerRetx, ss.retxDelay(int(e.retries)))
 }
 
 func (ss *Sessions) removalRetx(key string, e *senderEntry, tc statetable.TimerControl[senderEntry]) {
-	if ss.cfg.MaxRetransmits > 0 && e.retries >= ss.cfg.MaxRetransmits {
+	if ss.cfg.MaxRetransmits > 0 && int(e.retries) >= ss.cfg.MaxRetransmits {
 		seq := e.removalSeq
 		peer := e.sess.peer
 		ss.deleteEntry(e.sess, tc)
@@ -787,7 +789,7 @@ func (ss *Sessions) removalRetx(key string, e *senderEntry, tc statetable.TimerC
 	e.sess.retxs.Add(1)
 	ss.send(wire.Message{Type: wire.TypeRemoval, Seq: e.removalSeq, Key: key}, e.sess.peer)
 	ss.trace.Record(telemetry.TraceRetransmit, key, e.removalSeq, e.sess.peer)
-	tc.Schedule(timerRetx, ss.retxDelay(e.retries))
+	tc.Schedule(timerRetx, ss.retxDelay(int(e.retries)))
 }
 
 // --- summary refresh (RFC 2961-style refresh reduction) ---
@@ -884,10 +886,9 @@ func (ss *Sessions) sweepLocked() int {
 	for _, sess := range sessions {
 		keys := sess.sweepKeys
 		for len(keys) > 0 {
-			n := wire.SummaryFits(keys)
-			if n > ss.cfg.SummaryMaxKeys {
-				n = ss.cfg.SummaryMaxKeys
-			}
+			// SummaryFits walks what it is handed up to the wire limits (1,024
+			// keys or 8 KB), so it is handed no more than one datagram may take.
+			n := wire.SummaryFits(keys[:min(len(keys), ss.cfg.SummaryMaxKeys)])
 			if n == 0 {
 				break // unreachable: every installed key fits a datagram
 			}

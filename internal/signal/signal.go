@@ -324,6 +324,15 @@ type Stats struct {
 	// unpacked on a sender. Compare with Sent["ack-batch"] (or
 	// Received["ack-batch"]) for the reply-datagram reduction.
 	CoalescedAcks int
+	// SummaryRenewals counts the keys a receiver found while absorbing
+	// summary refreshes, and SummaryIndexLookups how many summary keys
+	// (unknown ones included) it had to look up through the state table's
+	// index because the sweep-order hint did not lead to them. In steady
+	// state the second stays flat while the first grows by one per key per
+	// refresh interval; their ratio is the share of renewals that left the
+	// fast path. Both stay 0 on a sender.
+	SummaryRenewals     int
+	SummaryIndexLookups int
 }
 
 // TotalSent sums sent datagrams across types.
@@ -346,6 +355,10 @@ type counters struct {
 	received      [wire.NumTypes]telemetry.Counter
 	decodeErrors  telemetry.Counter
 	coalescedAcks telemetry.Counter
+	// Receiver only, added to once per summary datagram (Stats has the
+	// definitions).
+	summaryRenewals     telemetry.Counter
+	summaryIndexLookups telemetry.Counter
 }
 
 // typeNames is the sorted-once key set snapshot() reuses: wire type names
@@ -370,6 +383,8 @@ func (c *counters) snapshot() Stats {
 	}
 	out.DecodeErrors = int(c.decodeErrors.Value())
 	out.CoalescedAcks = int(c.coalescedAcks.Value())
+	out.SummaryRenewals = int(c.summaryRenewals.Value())
+	out.SummaryIndexLookups = int(c.summaryIndexLookups.Value())
 	return out
 }
 
