@@ -18,6 +18,9 @@ var (
 	docPath      = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:cmd|internal|examples|scripts|benchmark|figures)/[\w./*-]*)`)
 	docBenchmark = regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	benchFunc    = regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`)
+	testFunc     = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	// One word of a workflow command line: quoted, or bare.
+	shellWord = regexp.MustCompile(`'[^']*'|"[^"]*"|[^\s'"]+`)
 )
 
 // TestDocsNameOnlyWhatExists keeps README.md and DESIGN.md from describing
@@ -85,4 +88,83 @@ func docPathExists(p string) bool {
 		return err == nil
 	}
 	return false
+}
+
+// TestWorkflowPatternsMatch keeps .github/workflows/ci.yml from naming
+// tests that are gone: a `go test -run` whose pattern matches nothing
+// passes with "no tests to run". Every |-alternative of every -run, -bench
+// and -fuzz pattern must match a function of that kind in each package the
+// command runs against (-run=XXX, the match-nothing idiom, aside).
+func TestWorkflowPatternsMatch(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]string{"-run": "Test", "-bench": "Benchmark", "-fuzz": "Fuzz"}
+	checked := 0
+	for _, line := range strings.Split(string(ci), "\n") {
+		i := strings.Index(line, "go test ")
+		if i < 0 {
+			continue
+		}
+		var pkgs []string
+		patterns := map[string]string{} // function kind → pattern
+		words := shellWord.FindAllString(line[i:], -1)
+		for j := 0; j < len(words); j++ {
+			w := strings.Trim(words[j], `'"`)
+			flag, pattern, joined := strings.Cut(w, "=")
+			switch {
+			case strings.HasPrefix(w, "./"):
+				pkgs = append(pkgs, w)
+			case kinds[flag] == "":
+			case joined:
+				patterns[kinds[flag]] = strings.Trim(pattern, `'"`)
+			case j+1 < len(words):
+				j++
+				patterns[kinds[flag]] = strings.Trim(words[j], `'"`)
+			}
+		}
+		for kind, pattern := range patterns {
+			if pattern == "XXX" {
+				continue
+			}
+			for _, pkg := range pkgs {
+				names := testFuncsIn(t, pkg, kind)
+				for _, alt := range strings.Split(pattern, "|") {
+					re, err := regexp.Compile(alt)
+					if err != nil {
+						t.Errorf("ci.yml: %q in %q: %v", alt, strings.TrimSpace(line), err)
+					} else if !slices.ContainsFunc(names, re.MatchString) {
+						t.Errorf("ci.yml: %q matches no %s function in %s (%s)", alt, kind, pkg, strings.TrimSpace(line))
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no test patterns in ci.yml: the parser no longer reads it")
+	}
+}
+
+// testFuncsIn lists the functions of one kind (Test, Benchmark, Fuzz)
+// declared in a package directory's _test.go files.
+func testFuncsIn(t *testing.T, dir, kind string) []string {
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil || len(files) == 0 {
+		t.Errorf("ci.yml: no test files in %s (%v)", dir, err)
+	}
+	var names []string
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			if name := string(m[1]); strings.HasPrefix(name, kind) {
+				names = append(names, name)
+			}
+		}
+	}
+	return names
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"softstate/internal/statetable"
 	"softstate/internal/telemetry"
 	"softstate/internal/wire"
 )
@@ -241,15 +242,37 @@ func (r *Receiver) CensusSource(name string) telemetry.CensusSource {
 				return nil, ErrNoCensus
 			}
 			var out []telemetry.KeyDigest
-			r.tbl.RangeDigest(func(ck string, _ *receiverEntry, bucket uint32, sum uint64) bool {
+			r.tbl.RangeDigest(func(ck string, e *receiverEntry, bucket uint32, sum uint64) bool {
 				if int(bucket) == b {
-					out = append(out, telemetry.KeyDigest{Key: userKeyOf(ck), Sum: sum})
+					out = append(out, telemetry.KeyDigest{Key: r.peers.resolve(e.peer).userKey(ck), Sum: sum})
 				}
 				return true
 			})
 			sortKeyDigests(out)
 			return out, nil
 		},
+	}
+}
+
+// censusDigest turns on stcfg's digest when cfg.Census is set: fold names
+// what an entry contributes — (user key, value, seq), or ok false to leave
+// it out. Both ends bucket on the user key, so that the census detail
+// round lines their listings up.
+func censusDigest[V any](cfg Config, stcfg *statetable.Config[V], fold func(ck string, e *V) (key string, value []byte, seq uint64, ok bool)) {
+	if !cfg.Census {
+		return
+	}
+	buckets := cfg.CensusBuckets
+	if buckets <= 0 {
+		buckets = statetable.DefaultDigestBuckets
+	}
+	stcfg.DigestBuckets = buckets
+	stcfg.DigestFunc = func(ck string, e *V) (uint32, uint64) {
+		k, v, seq, ok := fold(ck, e)
+		if !ok {
+			return 0, 0
+		}
+		return statetable.DigestBucketOf(k, buckets), statetable.DigestKV(k, v, seq)
 	}
 }
 

@@ -15,17 +15,18 @@ import (
 	"softstate/internal/wire"
 )
 
-// TestEntrySizes pins both table values inside the allocator size class
-// their entries had before the sweep-order hint: the state table adds 144
-// bytes to a value (TestEntryOverhead there), so a 64-byte receiverEntry
-// lands in the 208-byte class and a 96-byte senderEntry in the 240-byte
-// one. A word more on either is 16 bytes per installed key.
+// TestEntrySizes pins both table values inside their allocator size class:
+// the state table adds 144 bytes to a value (TestEntryOverhead there), so a
+// 48-byte receiverEntry — the sender named by a peer id sharing a word with
+// the probe-miss count, not by a two-word net.Addr — lands in the 192-byte
+// class and a 96-byte senderEntry in the 240-byte one. A word more on
+// either is 16 bytes per installed key.
 func TestEntrySizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(receiverEntry{}); got > 64 {
-		t.Errorf("receiverEntry is %d bytes, want at most 64", got)
+	if got := unsafe.Sizeof(receiverEntry{}); got > 48 {
+		t.Errorf("receiverEntry is %d bytes, want at most 48", got)
 	}
 	if got := unsafe.Sizeof(senderEntry{}); got > 96 {
 		t.Errorf("senderEntry is %d bytes, want at most 96", got)
@@ -116,10 +117,10 @@ func (g *summaryRig) install(from net.Addr, seq uint64, keys ...string) {
 // held lists the keys from holds, sorted.
 func (g *summaryRig) held(from net.Addr) []string {
 	var out []string
-	prefix := from.String() + "\x00"
+	prefix := RKey(from, "")
 	g.rcv.tbl.Range(func(ck string, _ *receiverEntry) bool {
-		if strings.HasPrefix(ck, prefix) {
-			out = append(out, userKeyOf(ck))
+		if key, ok := strings.CutPrefix(ck, prefix); ok {
+			out = append(out, key)
 		}
 		return true
 	})

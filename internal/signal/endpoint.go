@@ -3,9 +3,81 @@ package signal
 import (
 	"net"
 	"sync"
+	"sync/atomic"
+	"time"
 
+	"softstate/internal/bufpool"
+	"softstate/internal/clock"
+	"softstate/internal/telemetry"
 	"softstate/internal/transport"
+	"softstate/internal/variant"
+	"softstate/internal/wire"
 )
+
+// endpoint is what the sender core and the receiver have in common: the
+// fenced transport, the configuration and the mechanism bundle it selects,
+// the clock, the message counters and the observability stream.
+type endpoint struct {
+	cfg  Config
+	prof variant.Profile
+	tp   fencedConn
+	clk  clock.Clock
+	born time.Time // clock origin for activity and renewal stamps
+
+	ctrs   counters
+	closed atomic.Bool
+	events eventSink
+	// trace is the per-key lifecycle tracer (nil-safe); measure gates the
+	// clock reads that stamp latencies, and the histograms each endpoint
+	// keeps exist only when it is set (Config.Metrics).
+	trace   *telemetry.Tracer
+	measure bool
+}
+
+func (ep *endpoint) init(conn net.PacketConn, cfg Config) {
+	cfg = cfg.withDefaults()
+	ep.cfg, ep.prof = cfg, *cfg.Variant
+	ep.tp.bc = transport.As(conn)
+	ep.clk = clock.Or(cfg.Clock)
+	ep.born = ep.clk.Now()
+	ep.events = eventSink{ch: make(chan Event, cfg.EventBuffer), fn: cfg.OnEvent}
+	ep.trace, ep.measure = cfg.Trace, cfg.Metrics != nil
+}
+
+// Events exposes the observability stream; the channel closes when the
+// endpoint is closed.
+func (ep *endpoint) Events() <-chan Event { return ep.events.ch }
+
+// Stats returns a snapshot of message counters.
+func (ep *endpoint) Stats() Stats { return ep.ctrs.snapshot() }
+
+// SentDatagrams returns the cumulative signaling datagrams written.
+func (ep *endpoint) SentDatagrams() int64 { return total(&ep.ctrs.sent) }
+
+// ReceivedDatagrams returns the cumulative signaling datagrams accepted.
+func (ep *endpoint) ReceivedDatagrams() int64 { return total(&ep.ctrs.received) }
+
+func (ep *endpoint) emit(ev Event) { ep.events.emit(ev) }
+
+// send encodes m onto a pooled buffer and transmits it to to, counting it
+// if the transport took it. The buffer is recycled as soon as the write
+// returns — safe because every transport (in-memory pipes, UDP sockets)
+// copies the datagram before WriteTo returns.
+func (ep *endpoint) send(m wire.Message, to net.Addr) {
+	if to == nil {
+		return
+	}
+	buf := bufpool.Get()
+	defer buf.Free()
+	data, err := m.Append(buf.B[:0])
+	if err != nil {
+		return
+	}
+	buf.B = data
+	if ep.tp.write(data, to) {
+		ep.ctrs.sent[m.Type].Add(1)
+	}
+}
 
 // fencedConn fences writes to a transport.Conn against its closure.
 // Writers hold the read lock across WriteTo/WriteBatch and close takes

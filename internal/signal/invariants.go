@@ -2,7 +2,7 @@ package signal
 
 import (
 	"fmt"
-	"net"
+	"strings"
 )
 
 // Invariant checking: every structural promise the sender and receiver
@@ -19,8 +19,12 @@ import (
 
 // CheckInvariants audits the receiver's internal consistency:
 //
+//   - the peer records account for the table: every entry's id resolves to
+//     the record whose prefix heads its table key, the records' entry
+//     counts sum to the table size, and no record holds neither an entry
+//     nor a pending ack;
 //   - the secondary key index and the state table agree entry for entry
-//     (same size, and every indexed (source, key) resolves in the table);
+//     (same size, and every indexed (key, peer) resolves in the table);
 //   - the armed-timer census matches the profile — hard state arms
 //     exactly one probe timer per entry and no timeouts, refresh
 //     profiles exactly one state-timeout per entry and no probes.
@@ -28,19 +32,37 @@ func (r *Receiver) CheckInvariants() []string {
 	var bad []string
 	tblLen := r.tbl.Len()
 
-	// Snapshot the index under its own lock, then verify against the
-	// table lock-free of it: idx.mu is a leaf lock under the table's
-	// shard locks, so holding it across tbl.Get could deadlock.
-	r.idx.mu.Lock()
-	idxTotal := 0
-	cks := make([]string, 0, tblLen)
-	for _, holders := range r.idx.m {
-		idxTotal += len(holders)
-		cks = append(cks, holders...)
+	r.tbl.Range(func(ck string, e *receiverEntry) bool {
+		if p := r.peers.resolve(e.peer); p == nil || !strings.HasPrefix(ck, p.prefix) {
+			bad = append(bad, fmt.Sprintf("receiver: entry %q names peer %d, which is not the record its key starts with", ck, e.peer))
+		}
+		return true
+	})
+	held, indexed := 0, 0
+	r.peers.mu.RLock()
+	for _, p := range r.peers.byAddr.all() {
+		held += p.entries
+		if p.entries <= 0 && len(p.acks) == 0 {
+			bad = append(bad, fmt.Sprintf("receiver: peer %d (%s) holds %d entries and no pending ack", p.id, p.addr, p.entries))
+		}
 	}
-	r.idx.mu.Unlock()
-	if idxTotal != tblLen {
-		bad = append(bad, fmt.Sprintf("receiver: key index holds %d entries, state table holds %d", idxTotal, tblLen))
+	var cks []string // the index's (peer, key) pairs, checked against the table once mu is released
+	for key, ids := range r.peers.holders {
+		indexed += len(ids)
+		for _, id := range ids {
+			if p := r.peers.byID[id]; p == nil {
+				bad = append(bad, fmt.Sprintf("receiver: key index files %q under peer %d, which has no record", key, id))
+			} else {
+				cks = append(cks, p.key(key))
+			}
+		}
+	}
+	r.peers.mu.RUnlock()
+	if held != tblLen {
+		bad = append(bad, fmt.Sprintf("receiver: peer records count %d entries, state table holds %d", held, tblLen))
+	}
+	if indexed != tblLen {
+		bad = append(bad, fmt.Sprintf("receiver: key index holds %d entries, state table holds %d", indexed, tblLen))
 	}
 	for _, ck := range cks {
 		if _, ok := r.tbl.Get(ck); !ok {
@@ -48,34 +70,18 @@ func (r *Receiver) CheckInvariants() []string {
 		}
 	}
 
-	armed := r.tbl.TimersArmed()
-	switch {
-	case r.prof.HardState:
-		if armed[timerProbe] != tblLen {
-			bad = append(bad, fmt.Sprintf("receiver: hard state armed %d probe timers for %d entries", armed[timerProbe], tblLen))
-		}
-		if armed[timerTimeout] != 0 {
-			bad = append(bad, fmt.Sprintf("receiver: hard state armed %d state-timeout timers", armed[timerTimeout]))
-		}
-	case r.prof.Refresh:
-		if armed[timerTimeout] != tblLen {
-			bad = append(bad, fmt.Sprintf("receiver: soft state armed %d state-timeout timers for %d entries", armed[timerTimeout], tblLen))
-		}
-		if armed[timerProbe] != 0 {
-			bad = append(bad, fmt.Sprintf("receiver: soft state armed %d probe timers", armed[timerProbe]))
-		}
-	default:
-		if armed[timerTimeout]+armed[timerProbe] != 0 {
-			bad = append(bad, fmt.Sprintf("receiver: timerless profile armed %d timers", armed[timerTimeout]+armed[timerProbe]))
-		}
+	wantTimeout, wantProbe := 0, 0
+	if r.prof.HardState {
+		wantProbe = tblLen
+	} else if r.prof.Refresh {
+		wantTimeout = tblLen
+	}
+	if armed := r.tbl.TimersArmed(); armed[timerTimeout] != wantTimeout || armed[timerProbe] != wantProbe {
+		bad = append(bad, fmt.Sprintf("receiver: %s armed %d state-timeout and %d probe timers for %d entries, want %d and %d",
+			r.prof.Name, armed[timerTimeout], armed[timerProbe], tblLen, wantTimeout, wantProbe))
 	}
 	return bad
 }
-
-// RKey returns the composite (source, key) identifier SeqSnapshot keys
-// its map with, so external auditors (the chaos engine) can correlate
-// lifecycle events with snapshot entries.
-func RKey(from net.Addr, key string) string { return rkey(from.String(), key) }
 
 // SeqSnapshot returns the per-(source, key) sequence high-water marks,
 // keyed by the composite table key. The chaos engine diffs successive

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"softstate/internal/statetable"
 )
 
 // TestCheckInvariantsCleanAcrossVariants: a converged sender/receiver
@@ -54,18 +56,47 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	c.within(time.Second, "install", func() bool { return c.rcv.Len() == 1 })
 
 	// Receiver: un-index the entry — table and index now disagree.
-	c.rcv.idx.remove("k", rkey(c.sndAddr.String(), "k"))
+	p := c.rcv.peers.byAddr.get(c.sndAddr.String())
+	c.rcv.peers.holders.remove("k", p.id)
 	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
 		t.Fatal("receiver index/table mismatch not detected")
 	}
-	c.rcv.idx.add("k", rkey(c.sndAddr.String(), "k")) // repair
+	c.rcv.peers.holders.add("k", p.id) // repair
 
 	// Receiver: index a phantom entry — a dangling reference.
-	c.rcv.idx.add("ghost", rkey(c.sndAddr.String(), "ghost"))
+	c.rcv.peers.holders.add("ghost", p.id)
 	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
 		t.Fatal("receiver dangling index entry not detected")
 	}
-	c.rcv.idx.remove("ghost", rkey(c.sndAddr.String(), "ghost"))
+	c.rcv.peers.holders.remove("ghost", p.id)
+
+	// Receiver: skew the sender's entry count against the table.
+	p.entries++
+	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
+		t.Fatal("receiver peer entry-count skew not detected")
+	}
+	p.entries--
+
+	// Receiver: file the entry under a peer that is not its sender.
+	other := c.rcv.peers.install(nil, testAddr("stranger"), "k")
+	c.rcv.peers.holders.remove("k", other.id)
+	setPeer := func(id uint32) {
+		c.rcv.tbl.Update(RKey(c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.peer = id })
+	}
+	setPeer(other.id)
+	p.entries--
+	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
+		t.Fatal("receiver entry naming another sender's record not detected")
+	}
+	setPeer(p.id)
+	p.entries++
+
+	// Receiver: a record left behind with nothing to hold.
+	other.entries--
+	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
+		t.Fatal("receiver empty peer record not detected")
+	}
+	c.rcv.peers.reap(other)
 
 	// Sender: skew the live gauge against the table census.
 	c.snd.ss.live.Add(1)

@@ -25,11 +25,7 @@ func registerTableGauges[V any](r *telemetry.Registry, labels telemetry.Labels, 
 	}, func() float64 { return float64(tbl.Len()) })
 	for i := 0; i < tbl.NumShards(); i++ {
 		shard := i
-		sl := make(telemetry.Labels, len(labels)+1)
-		for k, v := range labels {
-			sl[k] = v
-		}
-		sl["shard"] = strconv.Itoa(shard)
+		sl := withLabel(labels, "shard", strconv.Itoa(shard))
 		r.GaugeFunc(telemetry.Opts{
 			Name:   "softstate_wheel_depth",
 			Help:   "Armed timers on one shard's hierarchical timing wheel.",
@@ -146,5 +142,10 @@ func (r *Receiver) registerMetrics() {
 		Help:   "Summary-refresh keys looked up through the state table's index because the sweep-order hint did not lead to them.",
 		Labels: labels,
 	}, &r.ctrs.summaryIndexLookups)
+	reg.GaugeFunc(telemetry.Opts{
+		Name:   "softstate_receiver_peers",
+		Help:   "Senders holding state (or owed a coalesced ack) at the receiver.",
+		Labels: labels,
+	}, func() float64 { return float64(r.NumPeers()) })
 	registerTableGauges(reg, labels, r.tbl)
 }

@@ -1,21 +1,17 @@
 package signal
 
 import (
+	"bytes"
 	"errors"
 	"net"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"softstate/internal/bufpool"
 	"softstate/internal/clock"
 	"softstate/internal/statetable"
 	"softstate/internal/telemetry"
 	"softstate/internal/transport"
-	"softstate/internal/variant"
 	"softstate/internal/wire"
 )
 
@@ -28,46 +24,35 @@ import (
 // state-timeout deadline, so one Receiver holds millions of keys with
 // only its read loops running. All methods are safe for concurrent use.
 type Receiver struct {
-	tp   fencedConn
-	cfg  Config
-	prof variant.Profile
-	clk  clock.Clock
-	born time.Time // clock origin for renewal stamps
+	endpoint
 
-	tbl    *statetable.Table[receiverEntry]
-	idx    keyIndex // secondary key→entries index for any-sender lookups
-	ctrs   counters
-	closed atomic.Bool
+	tbl   *statetable.Table[receiverEntry]
+	peers peerTable // who holds state here: one record per source address
 
-	// Telemetry: trace is the lifecycle tracer (nil-safe), the histograms
-	// exist only when Config.Metrics was set, and measure gates the
-	// clock reads stamping renewal times. histHop and histE2E are fed by
-	// inbound wire trace contexts: per-hop propagation latency on any
-	// traced frame, end-to-end install latency on traced triggers.
-	trace      *telemetry.Tracer
+	// histHop and histE2E are fed by inbound wire trace contexts: per-hop
+	// propagation latency on any traced frame, end-to-end install latency
+	// on traced triggers.
 	histJitter *telemetry.Histogram
 	histHop    *telemetry.Histogram
 	histE2E    *telemetry.Histogram
-	measure    bool
 
-	events     eventSink
-	acks       *ackBatcher    // nil unless cfg.CoalesceAcks
-	ackBW      *batchWriter   // flush datagram coalescer (guarded by ackMu)
+	ackBW      *batchWriter   // flush datagram coalescer (guarded by ackMu); nil unless cfg.CoalesceAcks
 	ackMu      sync.Mutex     // serializes flushAcks
 	flushTimer clock.Timer    // ack flusher, armed by the first ack of a window
 	wg         sync.WaitGroup // read loops (one per transport lane)
 }
 
 // receiverEntry is one installed piece of state for one (peer, key) pair.
-// The user key is not stored: it is the table key past the peer prefix
-// (userKeyOf). The entry is 64 bytes (TestEntrySizes).
+// Neither the sender's address nor the user key is stored: peer names the
+// sender's record, and the user key is the table key past that record's
+// prefix. The entry is 48 bytes (TestEntrySizes).
 type receiverEntry struct {
 	value   []byte
 	lastSeq uint64
-	peer    net.Addr
+	peer    uint32 // id of the installing sender's peer record
 	// probeMisses counts consecutive unanswered liveness probes (hard
 	// state only); MaxProbeMisses of them orphan the entry.
-	probeMisses int
+	probeMisses int32
 	// renewedAt stamps the last accepted renewal (trigger, refresh, or
 	// summary), feeding the refresh-jitter histogram; biased by +1 ns so
 	// a renewal at virtual time zero still reads as stamped. Written only
@@ -75,62 +60,41 @@ type receiverEntry struct {
 	renewedAt time.Duration
 }
 
-// rkey builds the (peer, key) table key. Address strings contain no NUL
-// byte on any supported transport, so the separator is unambiguous.
-func rkey(from, key string) string { return from + "\x00" + key }
-
-// userKeyOf is rkey's inverse on the key: the part of a table key after the
-// separator. A user key may itself contain NUL bytes; an address never does.
-func userKeyOf(ck string) string { return ck[strings.IndexByte(ck, 0)+1:] }
-
 // NewReceiver creates a receiver speaking cfg.Protocol on conn and starts
 // its receive loop.
 func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 	if conn == nil {
 		return nil, errors.New("signal: nil conn")
 	}
-	cfg = cfg.withDefaults()
-	clk := clock.Or(cfg.Clock)
-	r := &Receiver{
-		tp:     fencedConn{bc: transport.As(conn)},
-		cfg:    cfg,
-		prof:   *cfg.Variant,
-		clk:    clk,
-		born:   clk.Now(),
-		events: eventSink{ch: make(chan Event, cfg.EventBuffer), fn: cfg.OnEvent},
-		trace:  cfg.Trace,
-	}
-	r.measure = cfg.Metrics != nil
-	r.idx.m = make(map[string][]string)
+	r := &Receiver{}
+	r.init(conn, cfg)
+	cfg, clk := r.cfg, r.clk
+	r.peers.byID, r.peers.holders = make(map[uint32]*peer), make(keyIndex)
 	stcfg := statetable.Config[receiverEntry]{
 		Shards:   cfg.Shards,
 		Clock:    cfg.Clock,
 		OnExpire: r.onTimeout,
 	}
-	if cfg.Census {
-		// The receiver's held digest: every installed key folds (user key,
-		// value, accepted seq) — the mirror of the sender's intent fold, so
-		// matching sums mean the link converged. Bucketed on the user key:
-		// both ends must place a key in the same bucket for the census
-		// detail round to line their listings up.
-		buckets := cfg.CensusBuckets
-		if buckets <= 0 {
-			buckets = statetable.DefaultDigestBuckets
-		}
-		stcfg.DigestBuckets = buckets
-		stcfg.DigestFunc = func(ck string, e *receiverEntry) (uint32, uint64) {
-			k := userKeyOf(ck)
-			return statetable.DigestBucketOf(k, buckets), statetable.DigestKV(k, e.value, e.lastSeq)
-		}
-	}
+	// The receiver's held digest: every installed key folds (user key,
+	// value, accepted seq) — the mirror of the sender's intent fold, so
+	// matching sums mean the link converged.
+	censusDigest(cfg, &stcfg, func(ck string, e *receiverEntry) (string, []byte, uint64, bool) {
+		return r.peers.resolve(e.peer).userKey(ck), e.value, e.lastSeq, true
+	})
 	r.tbl = statetable.New(stcfg)
 	r.registerMetrics()
 	if cfg.CoalesceAcks {
-		r.acks = newAckBatcher()
 		r.ackBW = newBatchWriter(&r.tp, &r.ctrs)
 		// Flushes are clock callbacks armed by the first ack of each batch
-		// window: an idle coalescing receiver has nothing armed.
-		r.flushTimer = clk.NewTimer(r.flush)
+		// window: an idle coalescing receiver has nothing armed. One takes
+		// whatever is pending, so a callback the wall clock dispatched
+		// before a Reset re-armed the window finds nothing or flushes early;
+		// the close-time drain is Close's own.
+		r.flushTimer = clk.NewTimer(func() {
+			if !r.closed.Load() {
+				r.flushAcks()
+			}
+		})
 	}
 	// One read loop per transport lane: sharded kernel-socket backends
 	// expose each SO_REUSEPORT socket as its own lane, so inbound fan-in
@@ -143,30 +107,15 @@ func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 	return r, nil
 }
 
-// Events exposes the observability stream; closed on Close.
-func (r *Receiver) Events() <-chan Event { return r.events.ch }
-
-// Stats returns a snapshot of message counters.
-func (r *Receiver) Stats() Stats { return r.ctrs.snapshot() }
-
-// SentDatagrams returns the cumulative signaling datagrams written
-// (replies: acks, nacks, notifies, probes) across wire types.
-func (r *Receiver) SentDatagrams() int64 { return r.ctrs.totalSent() }
-
-// ReceivedDatagrams returns the cumulative signaling datagrams accepted.
-func (r *Receiver) ReceivedDatagrams() int64 { return r.ctrs.totalReceived() }
-
 // Get returns an installed value for key from any sender, resolved
 // through the secondary key index — O(senders holding key), not a table
 // scan. With a single sender it is equivalent to GetFrom; with several
 // holding the same key it returns the one whose (source, key) entry sorts
 // first, which keeps virtual-time runs deterministic.
 func (r *Receiver) Get(key string) ([]byte, bool) {
-	for _, ck := range r.idx.lookup(key) {
+	for _, ck := range r.matches(key) {
 		if e, ok := r.tbl.Get(ck); ok {
-			out := make([]byte, len(e.value))
-			copy(out, e.value)
-			return out, true
+			return append([]byte{}, e.value...), true
 		}
 	}
 	return nil, false
@@ -175,33 +124,29 @@ func (r *Receiver) Get(key string) ([]byte, bool) {
 // GetFrom returns the value installed for key by the sender at from — an
 // O(1) lookup on the (peer, key) table.
 func (r *Receiver) GetFrom(from net.Addr, key string) ([]byte, bool) {
-	e, ok := r.tbl.Get(rkey(from.String(), key))
+	e, ok := r.tbl.Get(RKey(from, key))
 	if !ok {
 		return nil, false
 	}
-	out := make([]byte, len(e.value))
-	copy(out, e.value)
-	return out, true
+	return append([]byte{}, e.value...), true
 }
 
 // Len returns the number of installed (peer, key) entries.
 func (r *Receiver) Len() int { return r.tbl.Len() }
 
+// NumPeers returns the number of senders holding state (or owed a coalesced
+// ack) here, mirroring Sessions.NumPeers.
+func (r *Receiver) NumPeers() int { return r.peers.byAddr.len() }
+
 // Keys returns the installed keys. A key installed by several senders
 // appears once per sender.
 func (r *Receiver) Keys() []string {
 	out := make([]string, 0, r.tbl.Len())
-	r.tbl.Range(func(ck string, _ *receiverEntry) bool {
-		out = append(out, userKeyOf(ck))
+	r.tbl.Range(func(ck string, e *receiverEntry) bool {
+		out = append(out, r.peers.resolve(e.peer).userKey(ck))
 		return true
 	})
 	return out
-}
-
-// matches collects the (peer, key) table keys currently holding state for
-// key, across all senders — an index lookup, not a table scan.
-func (r *Receiver) matches(key string) []string {
-	return r.idx.lookup(key)
 }
 
 // InjectFalseRemoval simulates the hard-state external failure signal
@@ -216,8 +161,7 @@ func (r *Receiver) InjectFalseRemoval(key string) bool {
 	for _, ck := range r.matches(key) {
 		r.tbl.Update(ck, func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
 			dropped = true
-			peer := e.peer
-			r.drop(e, tc, EventFalseRemoval)
+			_, peer := r.drop(e, tc, EventFalseRemoval)
 			r.send(wire.Message{Type: wire.TypeNotify, Key: key}, peer)
 		})
 	}
@@ -281,15 +225,14 @@ func (r *Receiver) dispatch(data []byte, from net.Addr, scratch *dispatchScratch
 	r.handle(m, from, scratch)
 }
 
-// dispatchScratch is the read loop's reusable state: the composite (peer,
-// key) lookup buffer every frame type builds its table key in, and, for
-// in-place summary handling, the unknown-key list for NACKs and the two
-// hoisted closures — built once per read loop so the per-key path
+// dispatchScratch is the read loop's reusable state: the current source's
+// peer record, the lookup buffer every frame type builds its table key in,
+// and, for in-place summary handling, the unknown-key list for NACKs and
+// the two hoisted closures — built once per read loop so the per-key path
 // allocates nothing.
 type dispatchScratch struct {
-	from    net.Addr      // the source ck's prefix was formatted from
-	ck      []byte        // addr + NUL + key, rebuilt per key
-	prefix  int           // length of the addr + NUL prefix in ck
+	peer    *peer         // the current source's record, whose prefix heads ck; nil for a stranger
+	ck      []byte        // the table key, rebuilt per key past the peer's prefix
 	seq     uint64        // current datagram's sequence number
 	now     time.Duration // clock offset, read once per datagram (metrics)
 	unknown []string
@@ -328,37 +271,40 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 	}
 	sc.visit = func(seq uint64, key []byte) {
 		sc.seq = seq
-		sc.ck = append(sc.ck[:sc.prefix], key...)
-		if r.tbl.UpdateBytesAfter(&sc.cur, sc.ck, sc.renew) {
-			sc.found++
-		} else {
-			sc.unknown = append(sc.unknown, string(key))
+		// A stranger holds nothing, so its every key is unknown.
+		if sc.peer != nil {
+			sc.ck = append(sc.ck[:len(sc.peer.prefix)], key...)
+			if r.tbl.UpdateBytesAfter(&sc.cur, sc.ck, sc.renew) {
+				sc.found++
+				return
+			}
 		}
+		sc.unknown = append(sc.unknown, string(key))
 	}
 	return sc
 }
 
-// setPeer makes from the source whose addr + NUL prefix heads ck. Frames
-// arrive in runs from one source, and formatting a kernel address
-// allocates, so the prefix is kept while from compares equal to the one it
-// was formatted from: the same pointer out of the transport's address
-// cache, the same string for the in-memory and stream address types. A new
-// source starts a new sweep order, so the cursor starts over with it.
-func (sc *dispatchScratch) setPeer(from net.Addr) {
-	if from == sc.from {
-		return
+// source makes from the current source and returns its record, nil if the
+// address holds nothing here. Frames arrive in runs from one source, and
+// formatting a kernel address allocates, so the record is kept while it is
+// live and from compares equal to its address: the same pointer out of the
+// transport's address cache, the same string for the in-memory and stream
+// address types. A new source starts a new sweep order, so the cursor
+// starts over with it.
+func (r *Receiver) source(sc *dispatchScratch, from net.Addr) *peer {
+	if p := sc.peer; p == nil || p.addr != from || p.gone.Load() {
+		if sc.peer = r.peers.byAddr.get(from.String()); sc.peer != nil {
+			sc.ck = append(sc.ck[:0], sc.peer.prefix...)
+		}
+		sc.cur.Reset()
 	}
-	sc.from = from
-	sc.cur.Reset()
-	sc.ck = append(append(sc.ck[:0], from.String()...), 0)
-	sc.prefix = len(sc.ck)
+	return sc.peer
 }
 
-// rkey builds the (from, key) table key in the scratch buffer; the result
-// is valid until the next setPeer or rkey.
-func (sc *dispatchScratch) rkey(from net.Addr, key string) []byte {
-	sc.setPeer(from)
-	sc.ck = append(sc.ck[:sc.prefix], key...)
+// key builds the current source's table key for key in the scratch buffer,
+// valid until the next source or key. A stranger has none.
+func (sc *dispatchScratch) key(key string) []byte {
+	sc.ck = append(sc.ck[:len(sc.peer.prefix)], key...)
 	return sc.ck
 }
 
@@ -372,7 +318,7 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScr
 	if r.closed.Load() {
 		return
 	}
-	sc.setPeer(from)
+	r.source(sc, from)
 	sc.unknown = sc.unknown[:0]
 	if r.measure {
 		sc.now = r.clk.Since(r.born) + 1
@@ -412,18 +358,19 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 		if r.measure {
 			now = r.clk.Since(r.born) + 1
 		}
+		p := r.source(sc, from)
 		install := func(e *receiverEntry, created bool, tc statetable.TimerControl[receiverEntry]) {
 			// Accept only non-stale payloads: a retransmitted old trigger
 			// must not clobber a newer value (sequence numbers are monotone
 			// within one sender session, and entries are per-sender).
 			accepted := m.Seq >= e.lastSeq || created
 			if created {
-				e.peer = from
-				r.idx.add(m.Key, tc.Key())
+				p = r.peers.install(p, from, m.Key)
+				e.peer = p.id
 				r.trace.Record(telemetry.TraceInstall, m.Key, m.Seq, from)
 				r.emit(Event{Kind: EventInstalled, Key: m.Key, Value: m.Value, Seq: m.Seq, Peer: from, Trace: m.Trace})
 			} else if accepted {
-				changed := !bytesEqual(e.value, m.Value)
+				changed := !bytes.Equal(e.value, m.Value)
 				if changed {
 					r.emit(Event{Kind: EventUpdated, Key: m.Key, Value: m.Value, Seq: m.Seq, Peer: from, Trace: m.Trace})
 				}
@@ -458,36 +405,43 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 				r.armTimeout(tc)
 			}
 			if m.Type == wire.TypeTrigger && r.prof.ReliableTrigger {
-				r.ack(wire.TypeAck, m.Seq, m.Key, from)
+				r.ack(wire.TypeAck, m.Seq, m.Key, p, from)
 			}
 		}
 		// An entry that exists — every refresh, every retransmitted
 		// trigger — is found straight from the scratch buffer; only a first
-		// install pays for the table key string.
-		ck := sc.rkey(from, m.Key)
+		// install pays for the table key string, and only a stranger's for
+		// formatting its address.
 		renew := func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) { install(e, false, tc) }
-		if !r.tbl.UpdateBytes(ck, renew) {
+		if p == nil {
+			r.tbl.Upsert(RKey(from, m.Key), install)
+		} else if ck := sc.key(m.Key); !r.tbl.UpdateBytes(ck, renew) {
 			r.tbl.Upsert(string(ck), install)
 		}
 	case wire.TypeRemoval:
-		r.tbl.UpdateBytes(sc.rkey(from, m.Key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
-			if m.Seq >= e.lastSeq {
-				r.drop(e, tc, EventRemoved)
-			}
-		})
+		if r.source(sc, from) != nil {
+			r.tbl.UpdateBytes(sc.key(m.Key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
+				if m.Seq >= e.lastSeq {
+					r.drop(e, tc, EventRemoved)
+				}
+			})
+		}
 		// ACK removals even for unknown keys: the state may have timed out
 		// while the sender kept retransmitting.
 		if r.prof.ReliableRemoval {
-			r.ack(wire.TypeRemovalAck, m.Seq, m.Key, from)
+			r.ack(wire.TypeRemovalAck, m.Seq, m.Key, sc.peer, from)
 		}
 	case wire.TypeDigest:
 		// A census audit asks for this receiver's digest of the
 		// requester's keys.
-		r.handleDigest(m, from)
+		r.handleDigest(m, from, r.source(sc, from))
 	case wire.TypeProbeAck:
 		// The key's sender answered a liveness probe: clear the miss
 		// counter and push the next probe a full interval out.
-		r.tbl.UpdateBytes(sc.rkey(from, m.Key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
+		if r.source(sc, from) == nil {
+			return
+		}
+		r.tbl.UpdateBytes(sc.key(m.Key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
 			e.probeMisses = 0
 			if r.prof.HardState {
 				tc.Schedule(timerProbe, r.cfg.ProbeInterval)
@@ -529,8 +483,10 @@ func (r *Receiver) observeTrace(m wire.Message, from net.Addr) {
 // digests fold per-(peer, key) entries and the auditing sender compares
 // against its own intent for that one link. A receiver running without
 // Config.Census stays silent: the requester's timeout then reports the
-// link as failed instead of falsely converged.
-func (r *Receiver) handleDigest(m wire.Message, from net.Addr) {
+// link as failed instead of falsely converged. p is the requester's record:
+// a stranger's (nil) answer — zero sums, one empty detail part — is known
+// without walking the table.
+func (r *Receiver) handleDigest(m wire.Message, from net.Addr, p *peer) {
 	n := r.tbl.NumDigestBuckets()
 	if n == 0 {
 		return
@@ -540,31 +496,37 @@ func (r *Receiver) handleDigest(m wire.Message, from net.Addr) {
 		r.ctrs.decodeErrors.Add(1)
 		return
 	}
-	prefix := from.String() + "\x00"
-	switch req.Kind {
-	case wire.DigestSummary:
-		sums := make([]uint64, n)
-		r.tbl.RangeDigest(func(ck string, _ *receiverEntry, bucket uint32, sum uint64) bool {
-			if strings.HasPrefix(ck, prefix) {
-				sums[bucket] ^= sum
+	// held visits the digest of every entry p holds.
+	held := func(fn func(ck string, bucket uint32, sum uint64)) {
+		if p == nil {
+			return
+		}
+		r.tbl.RangeDigest(func(ck string, e *receiverEntry, bucket uint32, sum uint64) bool {
+			if e.peer == p.id {
+				fn(ck, bucket, sum)
 			}
 			return true
 		})
-		val, err := (&wire.DigestReply{Kind: wire.DigestSummary, Sums: sums}).Encode()
-		if err != nil {
-			return
+	}
+	reply := func(dr wire.DigestReply) {
+		if val, err := dr.Encode(); err == nil {
+			r.send(wire.Message{Type: wire.TypeDigestReply, Seq: m.Seq, Value: val}, from)
 		}
-		r.send(wire.Message{Type: wire.TypeDigestReply, Seq: m.Seq, Value: val}, from)
+	}
+	switch req.Kind {
+	case wire.DigestSummary:
+		sums := make([]uint64, n)
+		held(func(_ string, bucket uint32, sum uint64) { sums[bucket] ^= sum })
+		reply(wire.DigestReply{Kind: wire.DigestSummary, Sums: sums})
 	case wire.DigestDetail:
 		if int(req.Bucket) >= n {
 			return
 		}
 		var keys []wire.DigestKeySum
-		r.tbl.RangeDigest(func(ck string, _ *receiverEntry, bucket uint32, sum uint64) bool {
-			if bucket == uint32(req.Bucket) && strings.HasPrefix(ck, prefix) {
-				keys = append(keys, wire.DigestKeySum{Key: ck[len(prefix):], Sum: sum})
+		held(func(ck string, bucket uint32, sum uint64) {
+			if bucket == uint32(req.Bucket) {
+				keys = append(keys, wire.DigestKeySum{Key: p.userKey(ck), Sum: sum})
 			}
-			return true
 		})
 		sort.Slice(keys, func(i, j int) bool { return keys[i].Key < keys[j].Key })
 		// Chunk the listing to the wire budget, part count declared up
@@ -584,17 +546,7 @@ func (r *Receiver) handleDigest(m wire.Message, from net.Addr) {
 			rest = rest[fit:]
 		}
 		for i, c := range chunks {
-			val, err := (&wire.DigestReply{
-				Kind:   wire.DigestDetail,
-				Bucket: req.Bucket,
-				Part:   uint16(i),
-				Parts:  uint16(len(chunks)),
-				Keys:   c,
-			}).Encode()
-			if err != nil {
-				return
-			}
-			r.send(wire.Message{Type: wire.TypeDigestReply, Seq: m.Seq, Value: val}, from)
+			reply(wire.DigestReply{Kind: wire.DigestDetail, Bucket: req.Bucket, Part: uint16(i), Parts: uint16(len(chunks)), Keys: c})
 		}
 	}
 }
@@ -626,8 +578,7 @@ func (r *Receiver) onTimeout(_ string, kind statetable.TimerKind, e *receiverEnt
 		r.probeOrOrphan(e, tc)
 		return
 	}
-	key, peer := userKeyOf(tc.Key()), e.peer
-	r.drop(e, tc, EventExpired)
+	key, peer := r.drop(e, tc, EventExpired)
 	// SS+RT and SS+RTR notify the sender of timeout removals so false
 	// removals are repaired promptly.
 	if r.prof.ReliableTrigger {
@@ -644,24 +595,25 @@ func (r *Receiver) onTimeout(_ string, kind statetable.TimerKind, e *receiverEnt
 // through the usual notify → re-trigger path; a dead one stays silent,
 // which is the point.
 func (r *Receiver) probeOrOrphan(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
-	key := userKeyOf(tc.Key())
-	if e.probeMisses >= r.cfg.MaxProbeMisses {
-		peer := e.peer
-		r.drop(e, tc, EventOrphaned)
+	if int(e.probeMisses) >= r.cfg.MaxProbeMisses {
+		key, peer := r.drop(e, tc, EventOrphaned)
 		r.send(wire.Message{Type: wire.TypeNotify, Key: key}, peer)
 		return
 	}
 	e.probeMisses++
-	r.send(wire.Message{Type: wire.TypeProbe, Seq: e.lastSeq, Key: key}, e.peer)
+	p := r.peers.resolve(e.peer)
+	r.send(wire.Message{Type: wire.TypeProbe, Seq: e.lastSeq, Key: p.userKey(tc.Key())}, p.addr)
 	tc.Schedule(timerProbe, r.cfg.ProbeInterval)
 }
 
-// drop removes an entry (and its index slot) and emits the given event;
-// callers hold the entry's shard lock via tc.
-func (r *Receiver) drop(e *receiverEntry, tc statetable.TimerControl[receiverEntry], kind EventKind) {
-	key, value, peer := userKeyOf(tc.Key()), e.value, e.peer
-	r.idx.remove(key, tc.Key())
+// drop removes an entry (with its index slot and its share of its peer's
+// record) and emits the given event, returning the entry's user key and its
+// sender's address; callers hold the entry's shard lock via tc.
+func (r *Receiver) drop(e *receiverEntry, tc statetable.TimerControl[receiverEntry], kind EventKind) (string, net.Addr) {
+	p := r.peers.resolve(e.peer)
+	key, value, peer := p.userKey(tc.Key()), e.value, p.addr
 	tc.Delete()
+	r.peers.uninstall(p, key)
 	if r.trace != nil {
 		tk := telemetry.TraceRemoval
 		switch kind {
@@ -673,29 +625,18 @@ func (r *Receiver) drop(e *receiverEntry, tc statetable.TimerControl[receiverEnt
 		r.trace.Record(tk, key, e.lastSeq, peer)
 	}
 	r.emit(Event{Kind: kind, Key: key, Value: value, Peer: peer})
+	return key, peer
 }
 
-// ack queues (or, without coalescing, immediately sends) one
-// acknowledgement to to. The first ack of a batch window arms the flush.
-func (r *Receiver) ack(kind wire.Type, seq uint64, key string, to net.Addr) {
-	if r.acks != nil {
-		if r.acks.add(to, wire.AckItem{Kind: kind, Seq: seq, Key: key}) {
-			r.flushTimer.Reset(r.cfg.AckFlushInterval)
-		}
-		return
+// ack queues on to's record (p, if the caller has it) or, without
+// coalescing, immediately sends one acknowledgement to to. The first ack
+// of a batch window arms the flush.
+func (r *Receiver) ack(kind wire.Type, seq uint64, key string, p *peer, to net.Addr) {
+	if r.ackBW == nil {
+		r.send(wire.Message{Type: kind, Seq: seq, Key: key}, to)
+	} else if r.peers.queueAck(p, to, wire.AckItem{Kind: kind, Seq: seq, Key: key}) {
+		r.flushTimer.Reset(r.cfg.AckFlushInterval)
 	}
-	r.send(wire.Message{Type: kind, Seq: seq, Key: key}, to)
-}
-
-// flush is the ack flusher's clock callback, one AckFlushInterval after
-// replies start accumulating; the close-time drain is Close's own. It
-// takes whatever is pending, so a callback the wall clock dispatched
-// before a Reset re-armed the window finds nothing or flushes early.
-func (r *Receiver) flush() {
-	if r.closed.Load() {
-		return
-	}
-	r.flushAcks()
 }
 
 // flushAcks sends every pending coalesced acknowledgement: one ack-batch
@@ -706,101 +647,18 @@ func (r *Receiver) flush() {
 func (r *Receiver) flushAcks() {
 	r.ackMu.Lock()
 	defer r.ackMu.Unlock()
-	pending := r.acks.take()
-	// Address order, so the reply sequence does not depend on map
-	// iteration (virtual runs replay byte for byte).
-	sort.Slice(pending, func(i, j int) bool { return pending[i].addr < pending[j].addr })
-	for _, pa := range pending {
-		items := pa.items
+	r.peers.takeAcks(func(to net.Addr, items []wire.AckItem) {
 		for len(items) > 0 {
 			n := wire.AckBatchFits(items)
 			if n == 0 {
 				break // unreachable (ACKed keys arrived in a datagram);
 				// abandons only this peer's batch, never the whole flush
 			}
-			if r.ackBW.add(wire.Message{Type: wire.TypeAckBatch, Acks: items[:n]}, pa.to) {
+			if r.ackBW.add(wire.Message{Type: wire.TypeAckBatch, Acks: items[:n]}, to) {
 				r.ctrs.coalescedAcks.Add(int64(n))
 			}
 			items = items[n:]
 		}
-	}
+	})
 	r.ackBW.flush()
-}
-
-// send encodes m onto a pooled buffer and transmits it to to; the buffer
-// is recycled once the transport write returns (all transports copy).
-func (r *Receiver) send(m wire.Message, to net.Addr) {
-	if to == nil {
-		return
-	}
-	buf := bufpool.Get()
-	data, err := m.Append(buf.B[:0])
-	if err != nil {
-		buf.Free()
-		return
-	}
-	buf.B = data
-	if r.tp.write(data, to) {
-		r.ctrs.sent[m.Type].Add(1)
-	}
-	buf.Free()
-}
-
-func (r *Receiver) emit(ev Event) { r.events.emit(ev) }
-
-// keyIndex is the receiver's secondary index: user key → the (source, key)
-// table keys holding it — a slice, since a key almost always has exactly
-// one holder. It is what keeps the any-sender Get and the removal paths
-// (InjectFalseRemoval) O(senders per key) instead of a full table scan;
-// GetFrom never touches it. The index mutex is a leaf lock: add/remove run
-// under a state-table shard lock, lookup runs lock-free of the table and
-// re-checks entries against it.
-type keyIndex struct {
-	mu sync.Mutex
-	m  map[string][]string
-}
-
-func (ix *keyIndex) add(key, ck string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if holders := ix.m[key]; !slices.Contains(holders, ck) {
-		ix.m[key] = append(holders, ck)
-	}
-}
-
-func (ix *keyIndex) remove(key, ck string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	holders := ix.m[key]
-	i := slices.Index(holders, ck)
-	if i < 0 {
-		return
-	}
-	if holders = slices.Delete(holders, i, i+1); len(holders) == 0 {
-		delete(ix.m, key)
-	} else {
-		ix.m[key] = holders
-	}
-}
-
-// lookup returns a copy of the table keys holding key, sorted so iteration
-// order is deterministic.
-func (ix *keyIndex) lookup(key string) []string {
-	ix.mu.Lock()
-	out := slices.Clone(ix.m[key])
-	ix.mu.Unlock()
-	slices.Sort(out)
-	return out
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

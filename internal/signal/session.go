@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"softstate/internal/bufpool"
 	"softstate/internal/clock"
 	"softstate/internal/statetable"
 	"softstate/internal/telemetry"
@@ -30,26 +29,13 @@ import (
 // multi-peer Node (and relay chains) on the same core by demultiplexing
 // one net.PacketConn across many Sessions.
 type Sessions struct {
-	cfg  Config
-	prof variant.Profile
-	tp   fencedConn
-	clk  clock.Clock
-	born time.Time // clock origin for session activity stamps
+	endpoint
 
-	tbl    *statetable.Table[senderEntry]
-	live   atomic.Int64 // live keys across all sessions
-	ctrs   counters
-	closed atomic.Bool
+	tbl  *statetable.Table[senderEntry]
+	live atomic.Int64 // live keys across all sessions
 
-	// Telemetry: trace is the per-key lifecycle tracer (nil-safe), the
-	// histograms exist only when Config.Metrics was set, and measure
-	// gates the clock reads that stamp latency start points.
-	trace          *telemetry.Tracer
 	histInstallAck *telemetry.Histogram
 	histRemoval    *telemetry.Histogram
-	measure        bool
-
-	events eventSink
 
 	// sweepMu serializes the periodic callbacks (sweep, reap) and direct
 	// SummarySweep calls against each other and against Shutdown, and
@@ -76,17 +62,8 @@ type Sessions struct {
 	peersDirty    atomic.Bool
 
 	nextID atomic.Uint32
-	peers  [peerShardCount]peerShard
-}
+	peers  addrMap[Session]
 
-// peerShardCount shards the peer-address table so high-rate demux lookups
-// do not serialize on one lock.
-const peerShardCount = 16
-
-// peerShard is one lock domain of the per-destination peer table.
-type peerShard struct {
-	mu sync.RWMutex
-	m  map[string]*Session
 	// retired remembers the last sequence number of each evicted session
 	// so a returning peer's new session resumes the address's sequence
 	// space instead of restarting it (receivers discard lower-seq
@@ -95,8 +72,9 @@ type peerShard struct {
 	// receiver-side state for the silent peer has long expired or been
 	// orphan-probed away (PeerIdleTimeout is documented to exceed the
 	// timeout), so a later return may safely restart at zero and the map
-	// never grows past the recently-evicted set.
-	retired map[string]retiredPeer
+	// never grows past the recently-evicted set. An address's bookmark is
+	// only written while its peer-table shard is write-locked.
+	retired sync.Map // address string → retiredPeer
 }
 
 // retiredPeer is one evicted address's sequence-space bookmark.
@@ -217,45 +195,22 @@ func userKey(ck string) string { return ck[4:] }
 // drain with Recv and route each message to a Session. Call Shutdown,
 // then CloseEvents once the read loop has drained.
 func NewSessions(conn net.PacketConn, cfg Config) *Sessions {
-	cfg = cfg.withDefaults()
-	clk := clock.Or(cfg.Clock)
-	ss := &Sessions{
-		cfg:    cfg,
-		prof:   *cfg.Variant,
-		tp:     fencedConn{bc: transport.As(conn)},
-		clk:    clk,
-		born:   clk.Now(),
-		events: eventSink{ch: make(chan Event, cfg.EventBuffer), fn: cfg.OnEvent},
-		trace:  cfg.Trace,
-	}
-	ss.measure = cfg.Metrics != nil
+	ss := &Sessions{}
+	ss.init(conn, cfg)
+	cfg, clk := ss.cfg, ss.clk
 	stcfg := statetable.Config[senderEntry]{
 		Shards:   cfg.Shards,
 		Clock:    cfg.Clock,
 		OnExpire: ss.onExpire,
 	}
-	if cfg.Census {
-		// The sender's intent digest: every live (non-removing) key folds
-		// (user key, value, latest trigger seq) — the exact tuple the
-		// downstream receiver folds once the key converges, so matching
-		// sums mean the link has converged.
-		buckets := cfg.CensusBuckets
-		if buckets <= 0 {
-			buckets = statetable.DefaultDigestBuckets
-		}
-		stcfg.DigestBuckets = buckets
-		stcfg.DigestFunc = func(ck string, e *senderEntry) (uint32, uint64) {
-			if e.removing {
-				return 0, 0
-			}
-			k := userKey(ck)
-			return statetable.DigestBucketOf(k, buckets), statetable.DigestKV(k, e.value, e.seq)
-		}
-	}
+	// The sender's intent digest: every live (non-removing) key folds
+	// (user key, value, latest trigger seq) — the exact tuple the downstream
+	// receiver folds once the key converges, so matching sums mean the link
+	// has converged.
+	censusDigest(cfg, &stcfg, func(ck string, e *senderEntry) (string, []byte, uint64, bool) {
+		return userKey(ck), e.value, e.seq, !e.removing
+	})
 	ss.tbl = statetable.New(stcfg)
-	for i := range ss.peers {
-		ss.peers[i].m = make(map[string]*Session)
-	}
 	ss.sweepBW = newBatchWriter(&ss.tp, &ss.ctrs)
 	ss.registerMetrics()
 	// The sweeper and the reaper are self-rearming clock callbacks: a
@@ -281,99 +236,46 @@ func (ss *Sessions) summaryMode() bool {
 	return ss.cfg.SummaryRefresh && ss.prof.Refresh
 }
 
-// peerShardOf picks the peer-table shard for an address string.
-func (ss *Sessions) peerShardOf(addr string) *peerShard {
-	return &ss.peers[statetable.Hash32(addr)%peerShardCount]
-}
-
 // Session returns the session for peer, creating it on first use. Peers
 // are identified by their address string, so the same address always maps
 // to the same session.
 func (ss *Sessions) Session(peer net.Addr) *Session {
 	addr := peer.String()
-	sh := ss.peerShardOf(addr)
-	sh.mu.RLock()
-	s := sh.m[addr]
-	sh.mu.RUnlock()
-	if s != nil {
-		return s
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s = sh.m[addr]; s != nil {
-		return s
-	}
-	s = &Session{ss: ss, id: ss.nextID.Add(1), peer: peer}
-	base := ss.incarnationSeq()
-	if rp, ok := sh.retired[addr]; ok {
-		// A previously evicted peer returned: resume its sequence space so
+	return ss.peers.getOrCreate(addr, func() *Session {
+		s := &Session{ss: ss, id: ss.nextID.Add(1), peer: peer}
+		// A previously evicted peer returning resumes its sequence space so
 		// receivers do not mistake the new session's traffic for stale
 		// retransmissions of the old one. The bookmark still matters in
 		// virtual time, where a burst of operations can outrun the
 		// nanosecond base within one instant.
-		if rp.seq > base {
-			base = rp.seq
-		}
-		delete(sh.retired, addr)
-	}
-	s.seq.Store(base)
-	s.lastActive.Store(int64(ss.clk.Since(ss.born)))
-	sh.m[addr] = s
-	ss.peersDirty.Store(true)
-	return s
+		s.seq.Store(max(ss.incarnationSeq(), ss.unretire(addr)))
+		s.lastActive.Store(int64(ss.clk.Since(ss.born)))
+		ss.peersDirty.Store(true)
+		return s
+	})
+}
+
+// unretire forgets addr's retired sequence bookmark and returns it (0 if
+// there was none).
+func (ss *Sessions) unretire(addr string) uint64 {
+	rp, _ := ss.retired.LoadAndDelete(addr)
+	seq, _ := rp.(retiredPeer)
+	return seq.seq
 }
 
 // Lookup returns the existing session for a source address, if any —
-// the demultiplexing step of a multi-peer read loop.
+// the demultiplexing step of a multi-peer read loop. The address is
+// formatted once: this runs per inbound datagram.
 func (ss *Sessions) Lookup(from net.Addr) (*Session, bool) {
-	addr := from.String() // formatted once: this runs per inbound datagram
-	sh := ss.peerShardOf(addr)
-	sh.mu.RLock()
-	s, ok := sh.m[addr]
-	sh.mu.RUnlock()
-	return s, ok
+	s := ss.peers.get(from.String())
+	return s, s != nil
 }
 
-// NumPeers returns the number of sessions in the peer table — an O(shard
-// count) sum of map sizes, cheap enough for scrape-time gauges.
-func (ss *Sessions) NumPeers() int {
-	n := 0
-	for i := range ss.peers {
-		sh := &ss.peers[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// SentDatagrams returns the cumulative signaling datagrams written across
-// all sessions and wire types.
-func (ss *Sessions) SentDatagrams() int64 { return ss.ctrs.totalSent() }
-
-// ReceivedDatagrams returns the cumulative signaling datagrams accepted.
-func (ss *Sessions) ReceivedDatagrams() int64 { return ss.ctrs.totalReceived() }
+// NumPeers returns the number of sessions in the peer table.
+func (ss *Sessions) NumPeers() int { return ss.peers.len() }
 
 // Peers returns all sessions in no particular order.
-func (ss *Sessions) Peers() []*Session {
-	var out []*Session
-	for i := range ss.peers {
-		sh := &ss.peers[i]
-		sh.mu.RLock()
-		for _, s := range sh.m {
-			out = append(out, s)
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// Events exposes the observability stream shared by all sessions. The
-// channel closes after CloseEvents.
-func (ss *Sessions) Events() <-chan Event { return ss.events.ch }
-
-// Stats returns a snapshot of message counters across all sessions.
-func (ss *Sessions) Stats() Stats { return ss.ctrs.snapshot() }
+func (ss *Sessions) Peers() []*Session { return ss.peers.all() }
 
 // Live returns the number of live (non-removing) keys across all
 // sessions.
@@ -444,26 +346,6 @@ func (ss *Sessions) Shutdown() error {
 // CloseEvents closes the events channel; call only after every goroutine
 // that routes messages into sessions has drained.
 func (ss *Sessions) CloseEvents() { ss.events.close() }
-
-// send encodes m onto a pooled buffer and transmits it to to. The buffer
-// is recycled as soon as the transport write returns — safe because every
-// transport (in-memory pipes, UDP sockets) copies the datagram before
-// WriteTo returns.
-func (ss *Sessions) send(m wire.Message, to net.Addr) {
-	buf := bufpool.Get()
-	data, err := m.Append(buf.B[:0])
-	if err != nil {
-		buf.Free()
-		return
-	}
-	buf.B = data
-	if ss.tp.write(data, to) {
-		ss.ctrs.sent[m.Type].Add(1)
-	}
-	buf.Free()
-}
-
-func (ss *Sessions) emit(ev Event) { ss.events.emit(ev) }
 
 // --- per-session operations ---
 
@@ -1054,32 +936,22 @@ func (ss *Sessions) reap() {
 func (ss *Sessions) reapIdle() {
 	now := ss.clk.Since(ss.born)
 	idle := ss.cfg.PeerIdleTimeout
-	for i := range ss.peers {
-		sh := &ss.peers[i]
-		sh.mu.Lock()
-		for addr, rp := range sh.retired {
-			if now-rp.at >= retiredTTLFactor*idle {
-				delete(sh.retired, addr)
-			}
+	ss.retired.Range(func(addr, rp any) bool {
+		if now-rp.(retiredPeer).at >= retiredTTLFactor*idle {
+			ss.retired.Delete(addr)
 		}
-		for addr, s := range sh.m {
-			if s.tabled.Load() != 0 {
-				continue
-			}
-			if now-time.Duration(s.lastActive.Load()) < idle {
-				continue
-			}
-			if sh.retired == nil {
-				sh.retired = make(map[string]retiredPeer)
-			}
-			sh.retired[addr] = retiredPeer{seq: s.seq.Load(), at: now}
-			s.gone.Store(true)
-			delete(sh.m, addr)
-			ss.evictions.Add(1)
-			ss.peersDirty.Store(true)
+		return true
+	})
+	ss.peers.deleteIf(func(addr string, s *Session) bool {
+		if s.tabled.Load() != 0 || now-time.Duration(s.lastActive.Load()) < idle {
+			return false
 		}
-		sh.mu.Unlock()
-	}
+		ss.retired.Store(addr, retiredPeer{seq: s.seq.Load(), at: now})
+		s.gone.Store(true)
+		ss.evictions.Add(1)
+		ss.peersDirty.Store(true)
+		return true
+	})
 }
 
 // reattach re-registers an evicted session a caller kept a handle to and
@@ -1088,15 +960,12 @@ func (ss *Sessions) reapIdle() {
 // inbound replies route to the table's session for the address).
 func (ss *Sessions) reattach(s *Session) {
 	addr := s.peer.String()
-	sh := ss.peerShardOf(addr)
-	sh.mu.Lock()
-	if _, taken := sh.m[addr]; !taken {
-		delete(sh.retired, addr)
-		sh.m[addr] = s
+	ss.peers.getOrCreate(addr, func() *Session {
+		ss.unretire(addr)
 		s.gone.Store(false)
 		ss.peersDirty.Store(true)
-	}
-	sh.mu.Unlock()
+		return s
+	})
 }
 
 // retrigger re-installs key at the peer with a fresh sequence number.

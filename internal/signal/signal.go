@@ -267,30 +267,15 @@ const (
 	EventOrphaned
 )
 
+var eventKindNames = [...]string{"installed", "updated", "removed", "expired",
+	"false-removal", "repaired", "acked", "gave-up", "orphaned"}
+
 // String implements fmt.Stringer.
 func (k EventKind) String() string {
-	switch k {
-	case EventInstalled:
-		return "installed"
-	case EventUpdated:
-		return "updated"
-	case EventRemoved:
-		return "removed"
-	case EventExpired:
-		return "expired"
-	case EventFalseRemoval:
-		return "false-removal"
-	case EventRepaired:
-		return "repaired"
-	case EventAcked:
-		return "acked"
-	case EventGaveUp:
-		return "gave-up"
-	case EventOrphaned:
-		return "orphaned"
-	default:
+	if k < 0 || int(k) >= len(eventKindNames) {
 		return "unknown"
 	}
+	return eventKindNames[k]
 }
 
 // Event is one observability record.
@@ -388,21 +373,12 @@ func (c *counters) snapshot() Stats {
 	return out
 }
 
-// totalSent and totalReceived sum across wire types — the cheap suppliers
-// behind the paper-metric Rate gauge and the datagram totals snapshot
-// dumps print.
-func (c *counters) totalSent() int64 {
-	var n int64
-	for t := 0; t < wire.NumTypes; t++ {
-		n += c.sent[t].Value()
-	}
-	return n
-}
-
-func (c *counters) totalReceived() int64 {
-	var n int64
-	for t := 0; t < wire.NumTypes; t++ {
-		n += c.received[t].Value()
+// total sums one direction's counters across wire types — the cheap
+// supplier behind the paper-metric Rate gauge and the datagram totals
+// snapshot dumps print.
+func total(cs *[wire.NumTypes]telemetry.Counter) (n int64) {
+	for t := range cs {
+		n += cs[t].Value()
 	}
 	return n
 }
@@ -414,7 +390,7 @@ func (c *counters) register(r *telemetry.Registry, labels telemetry.Labels) {
 		return
 	}
 	for t := 0; t < wire.NumTypes; t++ {
-		tl := withType(labels, typeNames[t])
+		tl := withLabel(labels, "type", typeNames[t])
 		r.RegisterCounter(telemetry.Opts{
 			Name:   "softstate_datagrams_sent_total",
 			Help:   "Signaling datagrams written, by wire type.",
@@ -438,14 +414,14 @@ func (c *counters) register(r *telemetry.Registry, labels telemetry.Labels) {
 	}, &c.coalescedAcks)
 }
 
-// withType copies labels and adds the wire-type dimension.
-func withType(labels telemetry.Labels, typ string) telemetry.Labels {
-	tl := make(telemetry.Labels, len(labels)+1)
+// withLabel copies labels and adds one dimension.
+func withLabel(labels telemetry.Labels, name, value string) telemetry.Labels {
+	out := make(telemetry.Labels, len(labels)+1)
 	for k, v := range labels {
-		tl[k] = v
+		out[k] = v
 	}
-	tl["type"] = typ
-	return tl
+	out[name] = value
+	return out
 }
 
 // metricsLabelsFor returns cfg's constant labels with the endpoint role

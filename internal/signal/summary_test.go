@@ -7,6 +7,7 @@ import (
 
 	"softstate/internal/clock"
 	"softstate/internal/lossy"
+	"softstate/internal/statetable"
 	"softstate/internal/wire"
 )
 
@@ -97,8 +98,9 @@ func TestSummaryNackRepairsUnknownKey(t *testing.T) {
 	// Tear the state down at the receiver only: expiry is silent for SS
 	// (no notify), so only the summary NACK path can repair it.
 	for _, ck := range c.rcv.matches("k") {
-		c.rcv.idx.remove("k", ck)
-		c.rcv.tbl.Delete(ck)
+		c.rcv.tbl.Update(ck, func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
+			c.rcv.drop(e, tc, EventExpired)
+		})
 	}
 	if _, ok := c.rcv.Get("k"); ok {
 		t.Fatal("test setup: key still installed")

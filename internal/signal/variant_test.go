@@ -200,9 +200,9 @@ func TestOrphanNotifyRepairsLiveSender(t *testing.T) {
 	// Force the miss counter past the limit so the very next probe tick
 	// orphans the entry despite the live sender.
 	cfg := fastConfig(HS).withDefaults()
-	forced := c.rcv.tbl.Update(rkey(c.sndAddr.String(), "k"),
+	forced := c.rcv.tbl.Update(RKey(c.sndAddr, "k"),
 		func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) {
-			e.probeMisses = cfg.MaxProbeMisses
+			e.probeMisses = int32(cfg.MaxProbeMisses)
 		})
 	if !forced {
 		t.Fatal("receiver entry not found")
@@ -262,10 +262,7 @@ func TestRetiredSeqResumeAndPrune(t *testing.T) {
 		t.Fatalf("evictions = %d, want 2", ss.Evictions())
 	}
 	v.Run(retiredTTLFactor*100*time.Millisecond + 200*time.Millisecond)
-	sh := ss.peerShardOf(peer.String())
-	sh.mu.RLock()
-	_, still := sh.retired[peer.String()]
-	sh.mu.RUnlock()
+	_, still := ss.retired.Load(peer.String())
 	if still {
 		t.Fatal("retired bookmark survived past its TTL")
 	}

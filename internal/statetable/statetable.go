@@ -210,16 +210,6 @@ func (t *Table[V]) WheelRebuckets(i int) uint64 {
 	return sh.wheel.rebuckets
 }
 
-// WheelDepths returns every shard's armed-timer count, index-aligned with
-// shard numbers.
-func (t *Table[V]) WheelDepths() []int {
-	out := make([]int, len(t.shards))
-	for i := range t.shards {
-		out[i] = t.WheelDepth(i)
-	}
-	return out
-}
-
 // Close stops the shard timers and waits for in-flight expiry callbacks
 // to finish. Timers never fire after Close returns; the table contents
 // remain readable. Stopping a clock timer does not recall a callback the

@@ -12,8 +12,7 @@ import (
 //
 //	/metrics       Prometheus text exposition of the registry
 //	/metrics.json  the same snapshot as a flat JSON object
-//	/debug/vars    standard expvar (cmdline, memstats, plus the registry
-//	               under the "softstate" key)
+//	/debug/vars    standard expvar (cmdline, memstats)
 //	/debug/pprof/  standard runtime profiles
 //
 // Handlers gather on demand; nothing is cached between scrapes.
@@ -82,29 +81,6 @@ func TraceHandler(t *Tracer) http.HandlerFunc {
 		enc.SetIndent("", "  ")
 		enc.Encode(out)
 	}
-}
-
-// PublishExpvar exposes the registry under the given expvar name
-// (typically "softstate"), so /debug/vars carries the full snapshot next
-// to memstats. Publishing twice with one name panics in expvar, so call
-// it once per process.
-func PublishExpvar(name string, r *Registry) {
-	expvar.Publish(name, expvar.Func(func() any {
-		out := make(map[string]any)
-		for _, s := range r.Gather() {
-			if s.Hist != nil {
-				out[s.ID] = map[string]any{
-					"count":  s.Hist.Count,
-					"sum_ns": s.Hist.SumNs,
-					"p50_ns": int64(s.Hist.Quantile(0.50)),
-					"p99_ns": int64(s.Hist.Quantile(0.99)),
-				}
-				continue
-			}
-			out[s.ID] = s.Value
-		}
-		return out
-	}))
 }
 
 // expvarHandler mirrors expvar.Handler() output (that handler is

@@ -129,15 +129,6 @@ func (s *Stats) observeWrite(dgrams int64) {
 	s.WriteBatchSize.Observe(time.Duration(dgrams))
 }
 
-// DatagramsPerRead returns delivered datagrams per read syscall so far
-// (0 before the first read).
-func (s *Stats) DatagramsPerRead() float64 {
-	if c := s.ReadCalls.Value(); c > 0 {
-		return float64(s.ReadDatagrams.Value()) / float64(c)
-	}
-	return 0
-}
-
 // DatagramsPerWrite returns transmitted datagrams per write syscall so
 // far (0 before the first write).
 func (s *Stats) DatagramsPerWrite() float64 {

@@ -104,6 +104,15 @@ for gauge in softstate_inconsistency_ratio softstate_datagrams_per_key_per_s; do
 	echo "ok: $line"
 done
 
+# One sender is holding state: the receiver must count exactly one peer.
+peers=$(grep '^softstate_receiver_peers' "$scrape" | head -1 || true)
+if [ "${peers##* }" != 1 ]; then
+	echo "FAIL: softstate_receiver_peers should read 1 with one sender holding a key: '$peers'" >&2
+	bad=1
+else
+	echo "ok: $peers"
+fi
+
 # The other introspection surfaces must answer too.
 curl -fsS "http://$metrics_addr/metrics.json" >/dev/null
 curl -fsS "http://$metrics_addr/debug/vars" >/dev/null
