@@ -202,6 +202,7 @@ type pipeConn struct {
 	// like the old one-event-per-datagram handoff, so batching never
 	// drops what per-event delivery would have delivered.
 	batches    map[time.Time]*delivBatch // pending batches by due instant
+	lastBatch  *delivBatch               // the pending batch joined last: a burst's datagrams share an instant
 	batchFree  *delivBatch               // recycled batch objects (and their timers)
 	staged     []packet
 	stagedHead int
@@ -352,10 +353,14 @@ func (c *pipeConn) batchDeliver(p []byte, from addr, delay time.Duration) {
 	copy(data, p)
 	var b *delivBatch
 	if !c.cfg.Unbatched {
-		if c.batches == nil {
-			c.batches = make(map[time.Time]*delivBatch)
+		// Consecutive datagrams are almost always due at one instant, so the
+		// map is consulted only when the instant changes.
+		if b = c.lastBatch; b == nil || b.due != due {
+			if c.batches == nil {
+				c.batches = make(map[time.Time]*delivBatch)
+			}
+			b = c.batches[due]
 		}
-		b = c.batches[due]
 	}
 	if b == nil {
 		if b = c.batchFree; b != nil {
@@ -371,6 +376,7 @@ func (c *pipeConn) batchDeliver(p []byte, from addr, delay time.Duration) {
 		}
 		b.tmr.Reset(delay)
 	}
+	c.lastBatch = b // read only when batching
 	b.pkts = append(b.pkts, packet{data: data, from: from})
 	c.mu.Unlock()
 }
@@ -383,6 +389,9 @@ func (c *pipeConn) fireBatch(b *delivBatch) {
 	c.mu.Lock()
 	if c.batches[b.due] == b {
 		delete(c.batches, b.due)
+	}
+	if c.lastBatch == b {
+		c.lastBatch = nil
 	}
 	if !c.closed {
 		c.staged = append(c.staged, b.pkts...)

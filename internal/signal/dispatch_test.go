@@ -16,8 +16,11 @@ import (
 // key) table key is built again. What remains is the decoder's own key and
 // value copies: 2 allocations per trigger, 1 per probe-ack, 0 per summary,
 // where formatting a *net.UDPAddr and concatenating the table key per frame
-// made it 6, 4 and 3. The last row is the same bound on the reply path: a
-// coalesced ack is queued without formatting the address again.
+// made it 6, 4 and 3. The next row is a transport that hands out a fresh
+// *net.UDPAddr with every datagram: the same IP and port behind another
+// pointer is still the same source, told by value and not by formatting it
+// again. The last row is the same bound on the reply path: a coalesced ack
+// is queued without formatting the address again.
 func TestDispatchAllocs(t *testing.T) {
 	// SS sends no reply to any of these frames, so the counts below are the
 	// receive path's alone (a reply borrows a pooled buffer, and under the
@@ -52,6 +55,28 @@ func TestDispatchAllocs(t *testing.T) {
 		{"summary-refresh", summary},
 	} {
 		expectDecoderAllocs(t, rcv, sc, c.name, c.data, from)
+	}
+
+	// Same address, fresh pointer each datagram (the pointers are made ahead
+	// of the measurement; 202 covers AllocsPerRun's warm-up run). The 16-byte
+	// form of the IPv4 address is the same source too.
+	fresh := make([]*net.UDPAddr, 202)
+	for i := range fresh {
+		fresh[i] = &net.UDPAddr{IP: net.IPv4(198, 51, 100, 7), Port: 4242}
+		if i%2 == 1 {
+			fresh[i].IP = fresh[i].IP.To4()
+		}
+	}
+	rcv.dispatch(summary, fresh[201], sc) // the first: told apart from the last row's pointer
+	next := 0
+	if got := testing.AllocsPerRun(200, func() {
+		rcv.dispatch(summary, fresh[next], sc)
+		next++
+	}); got != 0 {
+		t.Errorf("summary-refresh, fresh address pointer per datagram: %.0f allocations per frame, want 0", got)
+	}
+	if n := rcv.NumPeers(); n != 1 {
+		t.Errorf("%d peer records for one address behind %d pointers", n, len(fresh))
 	}
 
 	// The reply path, under ack coalescing: every SS+RT trigger queues an

@@ -23,8 +23,11 @@ import (
 //     the record whose prefix heads its table key, the records' entry
 //     counts sum to the table size, and no record holds neither an entry
 //     nor a pending ack;
-//   - the secondary key index and the state table agree entry for entry
-//     (same size, and every indexed (key, peer) resolves in the table);
+//   - the datagram leases account for their members (refresh profiles):
+//     every entry that names a lease names one its peer has, a lease's
+//     member count is the number of entries naming it, none is kept with
+//     no member, and one that still holds its key list is filed under that
+//     list's hash and has exactly one member per key;
 //   - the armed-timer census matches the profile — hard state arms
 //     exactly one probe timer per entry and no timeouts, refresh
 //     profiles exactly one state-timeout per entry and no probes.
@@ -32,42 +35,52 @@ func (r *Receiver) CheckInvariants() []string {
 	var bad []string
 	tblLen := r.tbl.Len()
 
+	type leaseName struct{ peer, lease uint32 }
+	naming := map[leaseName]int{} // entries naming each lease
 	r.tbl.Range(func(ck string, e *receiverEntry) bool {
 		if p := r.peers.resolve(e.peer); p == nil || !strings.HasPrefix(ck, p.prefix) {
 			bad = append(bad, fmt.Sprintf("receiver: entry %q names peer %d, which is not the record its key starts with", ck, e.peer))
 		}
+		if r.prof.Refresh && e.aux != 0 {
+			naming[leaseName{e.peer, e.aux}]++
+		}
 		return true
 	})
-	held, indexed := 0, 0
+	held := 0
 	r.peers.mu.RLock()
 	for _, p := range r.peers.byAddr.all() {
 		held += p.entries
 		if p.entries <= 0 && len(p.acks) == 0 {
 			bad = append(bad, fmt.Sprintf("receiver: peer %d (%s) holds %d entries and no pending ack", p.id, p.addr, p.entries))
 		}
-	}
-	var cks []string // the index's (peer, key) pairs, checked against the table once mu is released
-	for key, ids := range r.peers.holders {
-		indexed += len(ids)
-		for _, id := range ids {
-			if p := r.peers.byID[id]; p == nil {
-				bad = append(bad, fmt.Sprintf("receiver: key index files %q under peer %d, which has no record", key, id))
-			} else {
-				cks = append(cks, p.key(key))
+		ls := &p.leases
+		ls.mu.Lock()
+		for id, l := range ls.byID {
+			if l == nil {
+				continue
+			}
+			name := leaseName{p.id, uint32(id)}
+			if got := naming[name]; got != int(l.members) || got == 0 {
+				bad = append(bad, fmt.Sprintf("receiver: peer %d lease %d counts %d members, %d entries name it", p.id, id, l.members, got))
+			}
+			delete(naming, name)
+			if l.list != nil && (l.members != l.n || ls.byList[l.hash] != l) {
+				bad = append(bad, fmt.Sprintf("receiver: peer %d lease %d holds a list of %d keys with %d members, or is not filed under it", p.id, id, l.n, l.members))
 			}
 		}
+		for _, l := range ls.byList {
+			if l.list == nil || int(l.id) >= len(ls.byID) || ls.byID[l.id] != l {
+				bad = append(bad, fmt.Sprintf("receiver: peer %d files lease %d by a list it no longer holds", p.id, l.id))
+			}
+		}
+		ls.mu.Unlock()
 	}
 	r.peers.mu.RUnlock()
+	for name, n := range naming {
+		bad = append(bad, fmt.Sprintf("receiver: %d entries of peer %d name lease %d, which it does not have", n, name.peer, name.lease))
+	}
 	if held != tblLen {
 		bad = append(bad, fmt.Sprintf("receiver: peer records count %d entries, state table holds %d", held, tblLen))
-	}
-	if indexed != tblLen {
-		bad = append(bad, fmt.Sprintf("receiver: key index holds %d entries, state table holds %d", indexed, tblLen))
-	}
-	for _, ck := range cks {
-		if _, ok := r.tbl.Get(ck); !ok {
-			bad = append(bad, fmt.Sprintf("receiver: key index references missing table entry %q", ck))
-		}
 	}
 
 	wantTimeout, wantProbe := 0, 0

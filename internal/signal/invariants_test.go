@@ -55,20 +55,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	c.within(time.Second, "install", func() bool { return c.rcv.Len() == 1 })
 
-	// Receiver: un-index the entry — table and index now disagree.
 	p := c.rcv.peers.byAddr.get(c.sndAddr.String())
-	c.rcv.peers.holders.remove("k", p.id)
-	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
-		t.Fatal("receiver index/table mismatch not detected")
-	}
-	c.rcv.peers.holders.add("k", p.id) // repair
-
-	// Receiver: index a phantom entry — a dangling reference.
-	c.rcv.peers.holders.add("ghost", p.id)
-	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
-		t.Fatal("receiver dangling index entry not detected")
-	}
-	c.rcv.peers.holders.remove("ghost", p.id)
 
 	// Receiver: skew the sender's entry count against the table.
 	p.entries++
@@ -78,8 +65,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	p.entries--
 
 	// Receiver: file the entry under a peer that is not its sender.
-	other := c.rcv.peers.install(nil, testAddr("stranger"), "k")
-	c.rcv.peers.holders.remove("k", other.id)
+	other := c.rcv.peers.install(nil, testAddr("stranger"))
 	setPeer := func(id uint32) {
 		c.rcv.tbl.Update(RKey(c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.peer = id })
 	}
@@ -97,6 +83,33 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatal("receiver empty peer record not detected")
 	}
 	c.rcv.peers.reap(other)
+
+	// Receiver: the entry names a datagram lease its peer does not have.
+	setLease := func(id uint32) {
+		c.rcv.tbl.Update(RKey(c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.aux = id })
+	}
+	setLease(7)
+	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
+		t.Fatal("receiver entry naming a lease that does not exist not detected")
+	}
+	// Receiver: a lease that counts a member more than the entries naming
+	// it, and one kept although nothing names it.
+	l := &lease{list: []byte{0, 1, 'k'}, n: 1, members: 2}
+	p.leases.file(l)
+	setLease(l.id)
+	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
+		t.Fatal("receiver lease member-count skew not detected")
+	}
+	l.members = 1
+	if bad := c.rcv.CheckInvariants(); len(bad) != 0 {
+		t.Fatalf("a lease with its one member reports: %v", bad)
+	}
+	setLease(0)
+	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
+		t.Fatal("receiver lease that no entry names not detected")
+	}
+	l.members = 0
+	p.leases.breakLease(l)
 
 	// Sender: skew the live gauge against the table census.
 	c.snd.ss.live.Add(1)

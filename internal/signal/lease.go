@@ -1,0 +1,212 @@
+package signal
+
+import (
+	"bytes"
+	"hash/maphash"
+	"sync"
+	"time"
+
+	"softstate/internal/statetable"
+	"softstate/internal/wire"
+)
+
+// Datagram leases are the third tier of summary renewal, in front of the
+// sweep-order hints as the hints are in front of the index. A sender in
+// steady state repeats each summary datagram's key list byte for byte, so
+// once a list has come through the per-key path in the order it came the
+// time before, the receiver keeps a copy of it in a lease and makes every
+// entry it renewed a member. From then on a datagram whose list equals the
+// copy extends the lease — one (tick, seq) store under the peer's lease
+// mutex — and touches no entry, shard lock or timer node.
+//
+// Soft state needs only that state not re-announced within T disappears,
+// and that is kept lazily, as the wheel keeps a renewed deadline: an entry's
+// own state-timeout still fires where the per-key path last put it, and
+// onTimeout re-arms it to its lease's tick instead of expiring it when the
+// lease's sequence number passes the entry's staleness guard. An entry's
+// deadline is the later of its own timer and its lease's tick, which is
+// what per-key renewal by the same datagrams would have left: lastSeq only
+// grows, so a lease seq that passes the guard at expiry passed it on
+// arrival, and one that does not was overtaken by a trigger whose own
+// deadline is later.
+//
+// An intact lease's members are exactly the entries of its key list: a lease
+// is intact only while members == n, building one attaches only entries
+// found under the list's keys, and any later change of membership breaks
+// it. A broken lease gives its list back at once and is forgotten by hash,
+// so its datagram falls back to the per-key path (which builds a new lease
+// when the list settles again); its header stays, with the last deadline it
+// was given, until its last member leaves.
+//
+// Hard state never sweeps, so only refresh profiles lease, and the entry
+// names its lease in the word hard state counts probe misses in.
+
+// lease is one key list's shared renewal. Every field is guarded by the
+// owning peer's leaseSet.mu.
+type lease struct {
+	list    []byte // the datagram's length-prefixed keys as they arrived; nil once broken
+	hash    uint64 // of list under the receiver's seed, where byList files it while intact
+	id      uint32 // what members' entries call it
+	n       uint16 // keys in list (at most wire.MaxSummaryKeys)
+	members uint16 // entries naming id: at most one per distinct key of list
+	// tick and seq are the newest covering datagram's deadline and sequence
+	// number; renewedAt is when it came (metrics only, as in receiverEntry).
+	tick      int64
+	seq       uint64
+	renewedAt time.Duration
+	// tail rests on the list's last entry: the read loop's cursor moves
+	// there when the lease stands in for the walk.
+	tail statetable.Cursor[receiverEntry]
+}
+
+// leaseSet is one peer's leases. mu is a leaf: it is taken under a state
+// table shard lock (expiry, drops, attaching) or under nothing (extending),
+// and nothing is taken under it.
+type leaseSet struct {
+	mu     sync.Mutex
+	byID   []*lease          // by id, broken ones included; byID[0] is never used: 0 names no lease
+	free   []uint32          // ids whose lease is gone
+	byList map[uint64]*lease // the intact ones, by list hash
+}
+
+// file gives l an id and files it, replacing (and breaking) any lease
+// already filed under its hash.
+func (ls *leaseSet) file(l *lease) {
+	if old := ls.byList[l.hash]; old != nil {
+		ls.breakLease(old)
+	}
+	if n := len(ls.free); n > 0 {
+		l.id, ls.free = ls.free[n-1], ls.free[:n-1]
+		ls.byID[l.id] = l
+	} else {
+		if ls.byID == nil {
+			ls.byID, ls.byList = make([]*lease, 1), make(map[uint64]*lease)
+		}
+		l.id = uint32(len(ls.byID))
+		ls.byID = append(ls.byID, l)
+	}
+	ls.byList[l.hash] = l
+}
+
+// breakLease frees l's list if it still has one, and forgets the lease
+// altogether once no entry names it.
+func (ls *leaseSet) breakLease(l *lease) {
+	if l.list != nil {
+		l.list = nil
+		delete(ls.byList, l.hash)
+	}
+	if l.members == 0 && ls.byID[l.id] == l {
+		ls.byID[l.id] = nil
+		ls.free = append(ls.free, l.id)
+	}
+}
+
+// extendLease is the lease tier of handleSummaryFast: if the datagram's key
+// list is one p holds an intact lease for and its sequence number is not
+// behind the lease's, the lease takes the datagram's deadline and the
+// datagram is done. It reports whether that happened; the scratch carries
+// the datagram's lifetime and clock reading.
+func (r *Receiver) extendLease(sc *dispatchScratch, p *peer, seq uint64, n int, list []byte) bool {
+	hash := maphash.Bytes(r.leaseSeed, list)
+	ls := &p.leases
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	l := ls.byList[hash]
+	if l == nil || l.members != l.n || int(l.n) != n || seq < l.seq || !bytes.Equal(l.list, list) {
+		return false
+	}
+	l.tick, l.seq = sc.tick, seq
+	if r.measure {
+		r.histJitter.ObserveN(sc.now-l.renewedAt, int64(n))
+		l.renewedAt = sc.now
+	}
+	sc.cur.Follow(&l.tail)
+	return true
+}
+
+// buildLease makes the entries under list members of one new lease, after
+// the per-key path renewed every one of them from this datagram. from is
+// where the read loop's cursor stood before that walk, so this one follows
+// the same hints. The lease is usable only if the walk ends with one member
+// per key: a list naming a key twice, or an entry dropped or overtaken by a
+// newer trigger meanwhile, leaves it broken.
+func (r *Receiver) buildLease(sc *dispatchScratch, p *peer, seq uint64, n int, list []byte, from statetable.Cursor[receiverEntry]) {
+	hash := maphash.Bytes(r.leaseSeed, list)
+	ls := &p.leases
+	ls.mu.Lock()
+	if old := ls.byList[hash]; old != nil && int(old.n) == n && bytes.Equal(old.list, list) {
+		ls.mu.Unlock()
+		return // intact already: the datagram was only too old to extend it
+	}
+	l := &lease{list: bytes.Clone(list), hash: hash, n: uint16(n), tick: sc.tick, seq: seq, renewedAt: sc.now}
+	ls.file(l)
+	ls.mu.Unlock()
+
+	sc.joining, sc.walk = l, from
+	_ = wire.VisitKeyList(seq, n, list, sc.attach) // the list validated on the way here
+	ls.mu.Lock()
+	l.tail = sc.walk
+	if l.members != l.n {
+		ls.breakLease(l)
+	}
+	ls.mu.Unlock()
+}
+
+// join is buildLease's per-entry step, under the entry's shard lock. An
+// entry that joins leaves the lease it was in. Nothing of that lease's
+// deadline is lost with it: the walk before this one put the entry's own
+// timer at this datagram's deadline, and the lease it leaves was last
+// extended by an earlier one. An entry this datagram is too old for was not
+// renewed by that walk, and stays where it is.
+func (r *Receiver) join(sc *dispatchScratch, e *receiverEntry) {
+	l := sc.joining
+	if sc.seq < e.lastSeq || e.aux == l.id {
+		return
+	}
+	ls := &sc.peer.leases
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	if l.list == nil {
+		return // broken under the walk
+	}
+	if e.aux != 0 {
+		ls.leave(e)
+	}
+	e.aux = l.id
+	l.members++
+}
+
+// leave takes e out of the lease it names, which breaks that lease; mu and
+// the entry's shard lock are held.
+func (ls *leaseSet) leave(e *receiverEntry) {
+	l := ls.byID[e.aux]
+	e.aux = 0
+	l.members--
+	ls.breakLease(l)
+}
+
+// leased returns what e's lease last recorded: the deadline tick it extends
+// e to, if its sequence number passes e's staleness guard (0 if not), and
+// when its last covering datagram came. The entry's shard lock is held.
+func (r *Receiver) leased(p *peer, e *receiverEntry) (tick int64, renewedAt time.Duration) {
+	ls := &p.leases
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	l := ls.byID[e.aux]
+	if l.seq >= e.lastSeq {
+		tick = l.tick
+	}
+	return tick, l.renewedAt
+}
+
+// lastRenewal is when e was last renewed, by its own frames or through its
+// lease (metrics only); 0 means never stamped.
+func (r *Receiver) lastRenewal(p *peer, e *receiverEntry) time.Duration {
+	at := e.renewedAt
+	if r.prof.Refresh && e.aux != 0 && p != nil {
+		if _, leasedAt := r.leased(p, e); leasedAt > at {
+			at = leasedAt
+		}
+	}
+	return at
+}

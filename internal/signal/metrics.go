@@ -142,6 +142,11 @@ func (r *Receiver) registerMetrics() {
 		Help:   "Summary-refresh keys looked up through the state table's index because the sweep-order hint did not lead to them.",
 		Labels: labels,
 	}, &r.ctrs.summaryIndexLookups)
+	reg.RegisterCounter(telemetry.Opts{
+		Name:   "softstate_summary_leased_total",
+		Help:   "Summary-refresh keys renewed by extending a datagram lease, with no entry touched.",
+		Labels: labels,
+	}, &r.ctrs.summaryLeased)
 	reg.GaugeFunc(telemetry.Opts{
 		Name:   "softstate_receiver_peers",
 		Help:   "Senders holding state (or owed a coalesced ack) at the receiver.",

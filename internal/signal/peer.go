@@ -117,6 +117,8 @@ type peer struct {
 	// Guarded by the owning table's mu.
 	entries int            // installed entries naming id
 	acks    []wire.AckItem // coalesced acknowledgements awaiting the next flush
+
+	leases leaseSet // datagram leases over this peer's entries (lease.go)
 }
 
 // RKey returns the composite (source, key) table key — the identifier
@@ -130,7 +132,7 @@ func (p *peer) key(key string) string    { return p.prefix + key }
 func (p *peer) userKey(ck string) string { return ck[len(p.prefix):] }
 
 // peerTable is the receiver's registry of peer records: by address for the
-// dispatch path, by id for the entries, by user key for any-sender lookups.
+// dispatch path, by id for the entries.
 // Records are filed and reaped under mu, so one found filed under it is
 // live; byAddr's own shard locks serve the dispatch path, which reads it
 // without mu. mu is a leaf under the state table's shard locks and is held
@@ -138,11 +140,10 @@ func (p *peer) userKey(ck string) string { return ck[len(p.prefix):] }
 type peerTable struct {
 	byAddr addrMap[peer]
 
-	mu      sync.RWMutex
-	byID    map[uint32]*peer
-	nextID  uint32
-	holders keyIndex
-	acking  []*peer // records with pending acks
+	mu     sync.RWMutex
+	byID   map[uint32]*peer
+	nextID uint32
+	acking []*peer // records with pending acks
 }
 
 // resolve returns the record an installed entry's id names.
@@ -178,37 +179,32 @@ func (t *peerTable) reap(p *peer) {
 	}
 }
 
-// install counts one more entry, for key, under from's record.
-func (t *peerTable) install(p *peer, from net.Addr, key string) *peer {
+// install counts one more entry under from's record.
+func (t *peerTable) install(p *peer, from net.Addr) *peer {
 	p = t.lock(p, from)
 	defer t.mu.Unlock()
 	p.entries++
-	t.holders.add(key, p.id)
 	return p
 }
 
 // uninstall is install's inverse for an entry of p's being dropped.
-func (t *peerTable) uninstall(p *peer, key string) {
+func (t *peerTable) uninstall(p *peer) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p.entries--
-	t.holders.remove(key, p.id)
 	t.reap(p)
 }
 
-// matches collects the (peer, key) table keys currently holding state for
-// key, across all senders — an index lookup, not a table scan — sorted so
-// iteration order is deterministic.
-func (r *Receiver) matches(key string) []string {
-	r.peers.mu.RLock()
-	var out []string
-	for _, id := range r.peers.holders[key] {
-		out = append(out, r.peers.byID[id].key(key))
-	}
-	r.peers.mu.RUnlock()
-	slices.Sort(out)
-	return out
+// sorted returns every record in address order: the order any-sender
+// lookups try the senders in, so which of several holders of one key
+// answers does not depend on arrival order.
+func (t *peerTable) sorted() []*peer {
+	all := t.byAddr.all()
+	slices.SortFunc(all, comparePeers)
+	return all
 }
+
+func comparePeers(a, b *peer) int { return strings.Compare(a.prefix, b.prefix) }
 
 // queueAck files one acknowledgement under from's record and reports
 // whether no record had any pending: the caller arms the flush on that
@@ -232,7 +228,7 @@ func (t *peerTable) takeAcks(send func(to net.Addr, items []wire.AckItem)) {
 	acking := t.acking
 	t.acking = nil
 	batches := make([][]wire.AckItem, len(acking))
-	slices.SortFunc(acking, func(a, b *peer) int { return strings.Compare(a.prefix, b.prefix) })
+	slices.SortFunc(acking, comparePeers)
 	for i, p := range acking {
 		batches[i], p.acks = p.acks, nil
 		t.reap(p)
@@ -240,25 +236,5 @@ func (t *peerTable) takeAcks(send func(to net.Addr, items []wire.AckItem)) {
 	t.mu.Unlock()
 	for i, p := range acking {
 		send(p.addr, batches[i])
-	}
-}
-
-// keyIndex is the receiver's secondary index: user key → the ids of the
-// peers holding it — a slice, since a key almost always has exactly one
-// holder. It is what keeps the any-sender Get and InjectFalseRemoval
-// O(senders per key) instead of a full table scan; GetFrom never touches it.
-type keyIndex map[string][]uint32
-
-func (ix keyIndex) add(key string, id uint32) {
-	if holders := ix[key]; !slices.Contains(holders, id) {
-		ix[key] = append(holders, id)
-	}
-}
-
-func (ix keyIndex) remove(key string, id uint32) {
-	if holders := slices.DeleteFunc(ix[key], func(h uint32) bool { return h == id }); len(holders) == 0 {
-		delete(ix, key)
-	} else {
-		ix[key] = holders
 	}
 }

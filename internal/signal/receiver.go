@@ -3,7 +3,9 @@ package signal
 import (
 	"bytes"
 	"errors"
+	"hash/maphash"
 	"net"
+	"net/netip"
 	"sort"
 	"sync"
 	"time"
@@ -28,6 +30,9 @@ type Receiver struct {
 
 	tbl   *statetable.Table[receiverEntry]
 	peers peerTable // who holds state here: one record per source address
+	// leaseSeed keys the hash a peer's datagram leases are filed under
+	// (lease.go): per receiver, so no sender can aim two key lists at one hash.
+	leaseSeed maphash.Seed
 
 	// histHop and histE2E are fed by inbound wire trace contexts: per-hop
 	// propagation latency on any traced frame, end-to-end install latency
@@ -50,9 +55,11 @@ type receiverEntry struct {
 	value   []byte
 	lastSeq uint64
 	peer    uint32 // id of the installing sender's peer record
-	// probeMisses counts consecutive unanswered liveness probes (hard
-	// state only); MaxProbeMisses of them orphan the entry.
-	probeMisses int32
+	// aux is the word the two lifetime mechanisms share, since a profile has
+	// one or the other. Hard state counts consecutive unanswered liveness
+	// probes in it; MaxProbeMisses of them orphan the entry. Refresh
+	// profiles name the entry's datagram lease in it (lease.go), 0 for none.
+	aux uint32
 	// renewedAt stamps the last accepted renewal (trigger, refresh, or
 	// summary), feeding the refresh-jitter histogram; biased by +1 ns so
 	// a renewal at virtual time zero still reads as stamped. Written only
@@ -69,7 +76,7 @@ func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 	r := &Receiver{}
 	r.init(conn, cfg)
 	cfg, clk := r.cfg, r.clk
-	r.peers.byID, r.peers.holders = make(map[uint32]*peer), make(keyIndex)
+	r.peers.byID, r.leaseSeed = make(map[uint32]*peer), maphash.MakeSeed()
 	stcfg := statetable.Config[receiverEntry]{
 		Shards:   cfg.Shards,
 		Clock:    cfg.Clock,
@@ -107,14 +114,14 @@ func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 	return r, nil
 }
 
-// Get returns an installed value for key from any sender, resolved
-// through the secondary key index — O(senders holding key), not a table
-// scan. With a single sender it is equivalent to GetFrom; with several
-// holding the same key it returns the one whose (source, key) entry sorts
-// first, which keeps virtual-time runs deterministic.
+// Get returns an installed value for key from any sender: one table lookup
+// per sender holding state here, in address order. With a single sender it
+// is equivalent to GetFrom, which is the O(1) form; with several holding the
+// same key it returns the one whose (source, key) entry sorts first, which
+// keeps virtual-time runs deterministic.
 func (r *Receiver) Get(key string) ([]byte, bool) {
-	for _, ck := range r.matches(key) {
-		if e, ok := r.tbl.Get(ck); ok {
+	for _, p := range r.peers.sorted() {
+		if e, ok := r.tbl.Get(p.key(key)); ok {
 			return append([]byte{}, e.value...), true
 		}
 	}
@@ -158,8 +165,8 @@ func (r *Receiver) InjectFalseRemoval(key string) bool {
 		return false
 	}
 	dropped := false
-	for _, ck := range r.matches(key) {
-		r.tbl.Update(ck, func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
+	for _, p := range r.peers.sorted() {
+		r.tbl.Update(p.key(key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
 			dropped = true
 			_, peer := r.drop(e, tc, EventFalseRemoval)
 			r.send(wire.Message{Type: wire.TypeNotify, Key: key}, peer)
@@ -228,10 +235,11 @@ func (r *Receiver) dispatch(data []byte, from net.Addr, scratch *dispatchScratch
 // dispatchScratch is the read loop's reusable state: the current source's
 // peer record, the lookup buffer every frame type builds its table key in,
 // and, for in-place summary handling, the unknown-key list for NACKs and
-// the two hoisted closures — built once per read loop so the per-key path
+// the hoisted closures — built once per read loop so the per-key path
 // allocates nothing.
 type dispatchScratch struct {
-	peer    *peer         // the current source's record, whose prefix heads ck; nil for a stranger
+	from    net.Addr      // the address the last frame came from, as the transport gave it
+	peer    *peer         // that source's record, whose prefix heads ck; nil for a stranger
 	ck      []byte        // the table key, rebuilt per key past the peer's prefix
 	seq     uint64        // current datagram's sequence number
 	now     time.Duration // clock offset, read once per datagram (metrics)
@@ -241,13 +249,20 @@ type dispatchScratch struct {
 	// cur follows the source's sweep order through the table: a summary's
 	// keys arrive in the order the last sweep's did, so each is found from
 	// the one before it (statetable.Cursor). found counts the current
-	// datagram's keys that resolved to an entry.
+	// datagram's keys that resolved to an entry, fresh the ones of them the
+	// datagram was not too old to renew.
 	cur   statetable.Cursor[receiverEntry]
 	found int64
+	fresh int
 	// The datagram's r.lifetime(), read once per datagram, not once per key.
 	kind statetable.TimerKind
 	tick int64
 	arm  bool
+	// buildLease's second walk: the lease being joined, the walk's own
+	// cursor, and the visitor that joins each entry.
+	joining *lease
+	walk    statetable.Cursor[receiverEntry]
+	attach  func(seq uint64, key []byte)
 }
 
 func (r *Receiver) newDispatchScratch() *dispatchScratch {
@@ -259,9 +274,10 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 		if sc.seq < e.lastSeq {
 			return
 		}
+		sc.fresh++
 		if r.measure {
-			if e.renewedAt > 0 {
-				r.histJitter.Observe(sc.now - e.renewedAt)
+			if at := r.lastRenewal(sc.peer, e); at > 0 {
+				r.histJitter.Observe(sc.now - at)
 			}
 			e.renewedAt = sc.now
 		}
@@ -269,8 +285,7 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 			tc.ScheduleAt(sc.kind, sc.tick)
 		}
 	}
-	sc.visit = func(seq uint64, key []byte) {
-		sc.seq = seq
+	sc.visit = func(_ uint64, key []byte) {
 		// A stranger holds nothing, so its every key is unknown.
 		if sc.peer != nil {
 			sc.ck = append(sc.ck[:len(sc.peer.prefix)], key...)
@@ -281,24 +296,51 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 		}
 		sc.unknown = append(sc.unknown, string(key))
 	}
+	join := func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { r.join(sc, e) }
+	sc.attach = func(_ uint64, key []byte) {
+		sc.ck = append(sc.ck[:len(sc.peer.prefix)], key...)
+		r.tbl.UpdateBytesAfter(&sc.walk, sc.ck, join)
+	}
 	return sc
 }
 
 // source makes from the current source and returns its record, nil if the
 // address holds nothing here. Frames arrive in runs from one source, and
 // formatting a kernel address allocates, so the record is kept while it is
-// live and from compares equal to its address: the same pointer out of the
-// transport's address cache, the same string for the in-memory and stream
-// address types. A new source starts a new sweep order, so the cursor
-// starts over with it.
+// live and from is the address it was found under: the same pointer out of
+// the transport's address cache, an equal value for the in-memory and stream
+// address types, or — a transport that hands out a fresh *net.UDPAddr per
+// datagram — another pointer to the same IP and port, which is compared as
+// a netip.AddrPort and remembered in the first one's place. A new source
+// starts a new sweep order, so the cursor starts over with it.
 func (r *Receiver) source(sc *dispatchScratch, from net.Addr) *peer {
-	if p := sc.peer; p == nil || p.addr != from || p.gone.Load() {
+	if p := sc.peer; p == nil || p.gone.Load() || (from != sc.from && !sameAddr(from, p.addr)) {
 		if sc.peer = r.peers.byAddr.get(from.String()); sc.peer != nil {
 			sc.ck = append(sc.ck[:0], sc.peer.prefix...)
 		}
 		sc.cur.Reset()
 	}
+	sc.from = from
 	return sc.peer
+}
+
+// sameAddr reports whether a, which is not the interface value b's record
+// was last found under, is b's address all the same. Only kernel UDP
+// addresses are worth telling apart without formatting them.
+func sameAddr(a, b net.Addr) bool {
+	ua, ok := a.(*net.UDPAddr)
+	if !ok {
+		return a.String() == b.String()
+	}
+	ub, ok := b.(*net.UDPAddr)
+	return ok && udpAddrPort(ua) == udpAddrPort(ub)
+}
+
+// udpAddrPort is a's comparable form, with an IPv4 address in either of the
+// two lengths net.IP holds it in mapped to the same value, as String does.
+func udpAddrPort(a *net.UDPAddr) netip.AddrPort {
+	ap := a.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // key builds the current source's table key for key in the scratch buffer,
@@ -308,34 +350,58 @@ func (sc *dispatchScratch) key(key string) []byte {
 	return sc.ck
 }
 
-// handleSummaryFast is handleSummary without allocations: it validates
-// and walks the datagram in place (wire.VisitSummaryKeys), builds each
-// (peer, key) composite lookup key in a reusable buffer, and renews
-// matching entries through the state table's byte-key path. Only the
-// NACK fallback for unknown keys — rare by construction — copies
-// anything.
+// handleSummaryFast absorbs a summary refresh without allocating, through
+// the cheapest of three tiers that applies. A datagram whose key list the
+// source holds an intact lease for extends the lease and is done
+// (extendLease). Otherwise the list is walked in place (wire.VisitKeyList):
+// each (peer, key) composite lookup key is built in a reusable buffer and
+// the entry renewed through the state table's byte-key path, reached by the
+// sweep-order hint of the entry before it or, failing that, the index. Only
+// the NACK fallback for unknown keys — rare by construction — copies
+// anything. A walk that found every key fresh and in the order the hints
+// remembered has seen this list before: it ends by building the lease the
+// next such datagram extends.
 func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScratch) {
 	if r.closed.Load() {
 		return
 	}
-	r.source(sc, from)
-	sc.unknown = sc.unknown[:0]
+	seq, n, list, err := wire.SummaryKeyList(data)
+	if err != nil {
+		r.ctrs.decodeErrors.Add(1)
+		return
+	}
+	p := r.source(sc, from)
 	if r.measure {
 		sc.now = r.clk.Since(r.born) + 1
 	}
 	sc.kind, sc.tick, sc.arm = r.lifetime()
-	sc.found = 0
-	lookups := sc.cur.IndexLookups()
-	seq, err := wire.VisitSummaryKeys(data, sc.visit)
-	if err != nil {
+	leasing := p != nil && r.prof.Refresh
+	if leasing && r.extendLease(sc, p, seq, n, list) {
+		r.ctrs.received[wire.TypeSummaryRefresh].Add(1)
+		r.ctrs.summaryRenewals.Add(int64(n))
+		r.ctrs.summaryLeased.Add(int64(n))
+		return
+	}
+	sc.seq, sc.unknown, sc.found, sc.fresh = seq, sc.unknown[:0], 0, 0
+	start, lookups := sc.cur, sc.cur.IndexLookups()
+	if err := wire.VisitKeyList(seq, n, list, sc.visit); err != nil {
 		r.ctrs.decodeErrors.Add(1)
 		return
 	}
 	r.ctrs.received[wire.TypeSummaryRefresh].Add(1)
 	// Once per datagram, not per key: the keys it renewed, and how many of
 	// its keys (unknown ones included) had to go through the table's index.
+	looked := int(sc.cur.IndexLookups() - lookups)
 	r.ctrs.summaryRenewals.Add(sc.found)
-	r.ctrs.summaryIndexLookups.Add(int64(sc.cur.IndexLookups() - lookups))
+	r.ctrs.summaryIndexLookups.Add(int64(looked))
+	// The first key of a datagram that follows another source's has no hint
+	// to be found by; every other key of a list seen before has.
+	if start.Cold() {
+		looked--
+	}
+	if leasing && n > 0 && sc.fresh == n && looked <= 0 {
+		r.buildLease(sc, p, seq, n, list, start)
+	}
 	unknown := sc.unknown
 	for len(unknown) > 0 {
 		n := wire.SummaryFits(unknown)
@@ -365,7 +431,7 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 			// within one sender session, and entries are per-sender).
 			accepted := m.Seq >= e.lastSeq || created
 			if created {
-				p = r.peers.install(p, from, m.Key)
+				p = r.peers.install(p, from)
 				e.peer = p.id
 				r.trace.Record(telemetry.TraceInstall, m.Key, m.Seq, from)
 				r.emit(Event{Kind: EventInstalled, Key: m.Key, Value: m.Value, Seq: m.Seq, Peer: from, Trace: m.Trace})
@@ -382,8 +448,10 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 				e.lastSeq = m.Seq
 				e.value = m.Value
 				if r.measure {
-					if !created && e.renewedAt > 0 {
-						r.histJitter.Observe(now - e.renewedAt)
+					if !created {
+						if at := r.lastRenewal(p, e); at > 0 {
+							r.histJitter.Observe(now - at)
+						}
 					}
 					e.renewedAt = now
 				}
@@ -391,7 +459,9 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 					r.observeTrace(m, from)
 				}
 			}
-			e.probeMisses = 0 // any traffic for the key proves liveness
+			if r.prof.HardState {
+				e.aux = 0 // any traffic for the key proves liveness
+			}
 			if accepted || r.prof.HardState {
 				// Stale traffic must not renew a soft-state lifetime: if a
 				// forged or mis-delivered frame ever installed a higher
@@ -437,15 +507,14 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 		r.handleDigest(m, from, r.source(sc, from))
 	case wire.TypeProbeAck:
 		// The key's sender answered a liveness probe: clear the miss
-		// counter and push the next probe a full interval out.
-		if r.source(sc, from) == nil {
+		// counter and push the next probe a full interval out. Only hard
+		// state probes; to any other profile the frame means nothing.
+		if !r.prof.HardState || r.source(sc, from) == nil {
 			return
 		}
 		r.tbl.UpdateBytes(sc.key(m.Key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
-			e.probeMisses = 0
-			if r.prof.HardState {
-				tc.Schedule(timerProbe, r.cfg.ProbeInterval)
-			}
+			e.aux = 0
+			tc.Schedule(timerProbe, r.cfg.ProbeInterval)
 		})
 	}
 	// wire.TypeSummaryRefresh never reaches here: the read loop routes it
@@ -578,6 +647,14 @@ func (r *Receiver) onTimeout(_ string, kind statetable.TimerKind, e *receiverEnt
 		r.probeOrOrphan(e, tc)
 		return
 	}
+	// The entry's own timer is where the per-key path last put it; summaries
+	// that extended its lease since have moved its deadline without it.
+	if r.prof.Refresh && e.aux != 0 {
+		if tick, _ := r.leased(r.peers.resolve(e.peer), e); tc.Ahead(tick) {
+			tc.ScheduleAt(timerTimeout, tick)
+			return
+		}
+	}
 	key, peer := r.drop(e, tc, EventExpired)
 	// SS+RT and SS+RTR notify the sender of timeout removals so false
 	// removals are repaired promptly.
@@ -595,25 +672,30 @@ func (r *Receiver) onTimeout(_ string, kind statetable.TimerKind, e *receiverEnt
 // through the usual notify → re-trigger path; a dead one stays silent,
 // which is the point.
 func (r *Receiver) probeOrOrphan(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
-	if int(e.probeMisses) >= r.cfg.MaxProbeMisses {
+	if int(e.aux) >= r.cfg.MaxProbeMisses {
 		key, peer := r.drop(e, tc, EventOrphaned)
 		r.send(wire.Message{Type: wire.TypeNotify, Key: key}, peer)
 		return
 	}
-	e.probeMisses++
+	e.aux++
 	p := r.peers.resolve(e.peer)
 	r.send(wire.Message{Type: wire.TypeProbe, Seq: e.lastSeq, Key: p.userKey(tc.Key())}, p.addr)
 	tc.Schedule(timerProbe, r.cfg.ProbeInterval)
 }
 
-// drop removes an entry (with its index slot and its share of its peer's
-// record) and emits the given event, returning the entry's user key and its
-// sender's address; callers hold the entry's shard lock via tc.
+// drop removes an entry (with its place in its lease and its share of its
+// peer's record) and emits the given event, returning the entry's user key
+// and its sender's address; callers hold the entry's shard lock via tc.
 func (r *Receiver) drop(e *receiverEntry, tc statetable.TimerControl[receiverEntry], kind EventKind) (string, net.Addr) {
 	p := r.peers.resolve(e.peer)
 	key, value, peer := p.userKey(tc.Key()), e.value, p.addr
 	tc.Delete()
-	r.peers.uninstall(p, key)
+	if r.prof.Refresh && e.aux != 0 {
+		p.leases.mu.Lock()
+		p.leases.leave(e)
+		p.leases.mu.Unlock()
+	}
+	r.peers.uninstall(p)
 	if r.trace != nil {
 		tk := telemetry.TraceRemoval
 		switch kind {

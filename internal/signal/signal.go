@@ -315,9 +315,13 @@ type Stats struct {
 	// index because the sweep-order hint did not lead to them. In steady
 	// state the second stays flat while the first grows by one per key per
 	// refresh interval; their ratio is the share of renewals that left the
-	// fast path. Both stay 0 on a sender.
+	// fast path. SummaryLeasedKeys counts the renewals among the first that
+	// walked nothing at all: keys of datagrams that extended a datagram lease.
+	// Its ratio to SummaryRenewals is the receiver's lease share, close to 1
+	// while its senders' key sets hold still. All three stay 0 on a sender.
 	SummaryRenewals     int
 	SummaryIndexLookups int
+	SummaryLeasedKeys   int
 }
 
 // TotalSent sums sent datagrams across types.
@@ -344,6 +348,7 @@ type counters struct {
 	// definitions).
 	summaryRenewals     telemetry.Counter
 	summaryIndexLookups telemetry.Counter
+	summaryLeased       telemetry.Counter
 }
 
 // typeNames is the sorted-once key set snapshot() reuses: wire type names
@@ -370,6 +375,7 @@ func (c *counters) snapshot() Stats {
 	out.CoalescedAcks = int(c.coalescedAcks.Value())
 	out.SummaryRenewals = int(c.summaryRenewals.Value())
 	out.SummaryIndexLookups = int(c.summaryIndexLookups.Value())
+	out.SummaryLeasedKeys = int(c.summaryLeased.Value())
 	return out
 }
 

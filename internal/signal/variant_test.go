@@ -202,7 +202,7 @@ func TestOrphanNotifyRepairsLiveSender(t *testing.T) {
 	cfg := fastConfig(HS).withDefaults()
 	forced := c.rcv.tbl.Update(RKey(c.sndAddr, "k"),
 		func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) {
-			e.probeMisses = int32(cfg.MaxProbeMisses)
+			e.aux = uint32(cfg.MaxProbeMisses)
 		})
 	if !forced {
 		t.Fatal("receiver entry not found")

@@ -26,6 +26,16 @@ type Cursor[V any] struct {
 // next.
 func (c *Cursor[V]) Reset() { c.last = nil }
 
+// Cold reports whether the cursor has no position: its next UpdateBytesAfter
+// goes through the index whatever the order, and teaches no hint.
+func (c *Cursor[V]) Cold() bool { return c.last == nil }
+
+// Follow moves the cursor to where o rests, as if it had just renewed what
+// o last renewed. A caller that knows a run of renewals happened without
+// walking it (a receiver extending a datagram lease) keeps its place in the
+// sweep order this way. The index-lookup count stays the cursor's own.
+func (c *Cursor[V]) Follow(o *Cursor[V]) { c.last = o.last }
+
 // IndexLookups counts the UpdateBytesAfter calls on this cursor that went
 // through the index — every call the hint did not answer, found or not.
 func (c *Cursor[V]) IndexLookups() uint64 { return c.lookups }

@@ -645,6 +645,12 @@ func (tc TimerControl[V]) ScheduleAt(kind TimerKind, tick int64) {
 	}
 }
 
+// Ahead reports whether tick is still ahead of the shard's wheel: a timer
+// scheduled at it would wait, where one at or behind the wheel is due. An
+// expiry callback that learns its entry's lifetime was extended elsewhere
+// re-arms only for a tick that is ahead.
+func (tc TimerControl[V]) Ahead(tick int64) bool { return tick > tc.sh.wheel.now }
+
 // Cancel disarms the kind timer and suppresses any pending fire.
 func (tc TimerControl[V]) Cancel(kind TimerKind) {
 	tc.sh.wheel.cancel(&tc.e.timers[kind])

@@ -61,6 +61,16 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNs.Add(int64(d))
 }
 
+// ObserveN records n observations of d at the cost of one.
+func (h *Histogram) ObserveN(d time.Duration, n int64) {
+	if h == nil || n <= 0 {
+		return
+	}
+	h.buckets[bucketOf(d)].Add(n)
+	h.count.Add(n)
+	h.sumNs.Add(int64(d) * n)
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
 	if h == nil {

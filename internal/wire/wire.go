@@ -459,69 +459,88 @@ func PeekType(data []byte) Type {
 // allocated, which is what keeps a receiver renewing millions of keys per
 // second off the garbage collector. visit is only called if the whole
 // datagram validated first, and must not retain the slice past its
-// return.
+// return. It is SummaryKeyList followed by VisitKeyList.
 func VisitSummaryKeys(data []byte, visit func(seq uint64, key []byte)) (seq uint64, err error) {
+	seq, n, list, err := SummaryKeyList(data)
+	if err != nil {
+		return 0, err
+	}
+	return seq, VisitKeyList(seq, n, list, visit)
+}
+
+// SummaryKeyList validates a summary-refresh datagram's envelope —
+// checksum, version, type, the zero key length and the block length — and
+// returns its sequence number, its declared key count and its key list:
+// the length-prefixed keys between the count and the checksum, aliasing
+// data. The list's own structure is VisitKeyList's to check. A sender in
+// steady state repeats a list byte for byte, so a receiver that kept the
+// last one compares the two and walks nothing.
+func SummaryKeyList(data []byte) (seq uint64, n int, list []byte, err error) {
 	if len(data) < headerLen+4+trailerLen {
-		return 0, ErrShort
+		return 0, 0, nil, ErrShort
 	}
 	body, trailer := data[:len(data)-trailerLen], data[len(data)-trailerLen:]
 	if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(trailer); got != want {
-		return 0, ErrChecksum
+		return 0, 0, nil, ErrChecksum
 	}
 	if body[0] != Version {
-		return 0, fmt.Errorf("%w: %d", ErrVersion, body[0])
+		return 0, 0, nil, fmt.Errorf("%w: %d", ErrVersion, body[0])
 	}
 	if Type(body[1]) != TypeSummaryRefresh {
-		return 0, fmt.Errorf("%w: %d", ErrType, body[1])
+		return 0, 0, nil, fmt.Errorf("%w: %d", ErrType, body[1])
 	}
 	seq = binary.BigEndian.Uint64(body[2:10])
 	if binary.BigEndian.Uint16(body[10:12]) != 0 {
-		return 0, fmt.Errorf("%w: nonzero key length", ErrSummary)
+		return 0, 0, nil, fmt.Errorf("%w: nonzero key length", ErrSummary)
 	}
 	rest := body[12:]
 	if len(rest) < 4 {
-		return 0, ErrShort
+		return 0, 0, nil, ErrShort
 	}
 	valLen := int(binary.BigEndian.Uint32(rest[:4]))
 	if valLen > MaxValueLen {
-		return 0, ErrTooLarge
+		return 0, 0, nil, ErrTooLarge
 	}
 	block := rest[4:]
 	if len(block) != valLen || len(block) < 2 {
-		return 0, ErrShort
+		return 0, 0, nil, ErrShort
 	}
-	n := int(binary.BigEndian.Uint16(block))
+	n = int(binary.BigEndian.Uint16(block))
 	if n > MaxSummaryKeys {
-		return 0, fmt.Errorf("%w: %d summary keys", ErrTooLarge, n)
+		return 0, 0, nil, fmt.Errorf("%w: %d summary keys", ErrTooLarge, n)
 	}
-	// Validate the whole key list before visiting any of it, so a
-	// datagram truncated mid-list renews nothing (exactly like the
-	// copying decoder).
-	scan := block[2:]
+	return seq, n, block[2:], nil
+}
+
+// VisitKeyList walks a key list SummaryKeyList returned, calling visit once
+// per key with seq. The whole list is validated before any of it is
+// visited, so a datagram truncated mid-list renews nothing (exactly like
+// the copying decoder).
+func VisitKeyList(seq uint64, n int, list []byte, visit func(seq uint64, key []byte)) error {
+	scan := list
 	for i := 0; i < n; i++ {
 		if len(scan) < 2 {
-			return 0, ErrShort
+			return ErrShort
 		}
 		kl := int(binary.BigEndian.Uint16(scan))
 		if kl > MaxKeyLen {
-			return 0, fmt.Errorf("%w: summary key %d bytes", ErrTooLarge, kl)
+			return fmt.Errorf("%w: summary key %d bytes", ErrTooLarge, kl)
 		}
 		scan = scan[2:]
 		if len(scan) < kl {
-			return 0, ErrShort
+			return ErrShort
 		}
 		scan = scan[kl:]
 	}
 	if len(scan) != 0 {
-		return 0, fmt.Errorf("%w: %d trailing bytes", ErrSummary, len(scan))
+		return fmt.Errorf("%w: %d trailing bytes", ErrSummary, len(scan))
 	}
-	block = block[2:]
 	for i := 0; i < n; i++ {
-		kl := int(binary.BigEndian.Uint16(block))
-		visit(seq, block[2:2+kl])
-		block = block[2+kl:]
+		kl := int(binary.BigEndian.Uint16(list))
+		visit(seq, list[2:2+kl])
+		list = list[2+kl:]
 	}
-	return seq, nil
+	return nil
 }
 
 // UnmarshalBinary decodes data into m. The key and value are copied, so m

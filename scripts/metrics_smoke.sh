@@ -113,6 +113,19 @@ else
 	echo "ok: $peers"
 fi
 
+# The summary-path counters must be exported (this sender refreshes per
+# key, so they read 0): renewals and leased keys are the two whose ratio is
+# a receiver's lease share.
+for counter in softstate_summary_renewals_total softstate_summary_leased_total; do
+	line=$(grep "^$counter" "$scrape" | head -1 || true)
+	if [ -z "$line" ]; then
+		echo "FAIL: $counter missing from /metrics" >&2
+		bad=1
+	else
+		echo "ok: $line"
+	fi
+done
+
 # The other introspection surfaces must answer too.
 curl -fsS "http://$metrics_addr/metrics.json" >/dev/null
 curl -fsS "http://$metrics_addr/debug/vars" >/dev/null
