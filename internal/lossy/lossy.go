@@ -174,7 +174,7 @@ func (nw *Network) lookup(to net.Addr) *pipeConn {
 
 // pipeConn is one endpoint of an in-memory pair or switch.
 type pipeConn struct {
-	name  addr
+	name  net.Addr // an addr, boxed once: every datagram written here carries it
 	cfg   Config
 	clk   clock.Clock
 	gate  *clock.Virtual // non-nil in virtual mode
@@ -287,7 +287,7 @@ func (c *pipeConn) WriteTo(p []byte, to net.Addr) (int, error) {
 	lossP := c.cfg.Loss
 	blocked := false
 	if c.policy != nil && to != nil {
-		allow, lp := c.policy(string(c.name), to.String())
+		allow, lp := c.policy(c.name.String(), to.String())
 		if !allow {
 			blocked = true
 		} else if lp >= 0 {
@@ -342,7 +342,7 @@ func (c *pipeConn) copyBuf(p []byte) []byte {
 // batch: one kernel event, one gate Enter/Exit pair, however many
 // datagrams the instant carries. Under Config.Unbatched every datagram
 // gets a private batch, reproducing the one-event-per-datagram semantics.
-func (c *pipeConn) batchDeliver(p []byte, from addr, delay time.Duration) {
+func (c *pipeConn) batchDeliver(p []byte, from net.Addr, delay time.Duration) {
 	due := c.clk.Now().Add(delay)
 	c.mu.Lock()
 	if c.closed {
@@ -455,7 +455,7 @@ func (c *pipeConn) sampleDelayLocked() time.Duration {
 
 // enqueue copies and delivers one datagram immediately (wall mode;
 // virtual mode delivers through batches).
-func (c *pipeConn) enqueue(p []byte, from addr) {
+func (c *pipeConn) enqueue(p []byte, from net.Addr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {

@@ -246,3 +246,32 @@ func (nopConn) LocalAddr() net.Addr                       { return addr("nop") }
 func (nopConn) SetDeadline(time.Time) error               { return nil }
 func (nopConn) SetReadDeadline(time.Time) error           { return nil }
 func (nopConn) SetWriteDeadline(time.Time) error          { return nil }
+
+// TestPipeHandsOutOneAddress: a datagram crossing a pipe allocates nothing
+// once the link's buffers are warm. The sender's address is boxed into a
+// net.Addr once per endpoint, not once per datagram, and every read returns
+// that same value, so a reader that remembers its last source compares two
+// equal pointers.
+func TestPipeHandsOutOneAddress(t *testing.T) {
+	a, b, err := Pipe(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	defer b.Close()
+	msg, buf := []byte("hello signaling"), make([]byte, 64)
+	var from net.Addr
+	cross := func() {
+		a.WriteTo(msg, b.LocalAddr())
+		if _, from, err = b.ReadFrom(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cross()
+	if allocs := testing.AllocsPerRun(200, cross); allocs != 0 {
+		t.Fatalf("a datagram across the pipe allocates %v times, want 0", allocs)
+	}
+	if from != a.LocalAddr() {
+		t.Fatalf("read from %v, the writer is %v", from, a.LocalAddr())
+	}
+}

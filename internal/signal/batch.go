@@ -19,7 +19,7 @@ type batchWriter struct {
 	tp    *fencedConn
 	ctrs  *counters
 	ms    []transport.Message
-	bufs  []*bufpool.Buf
+	bufs  []*bufpool.Buf // nil where the datagram is the caller's (addEncoded)
 	types []wire.Type
 	n     int
 }
@@ -47,18 +47,27 @@ func (w *batchWriter) add(m wire.Message, to net.Addr) bool {
 	}
 	buf.B = data
 	w.bufs[w.n] = buf
-	w.types[w.n] = m.Type
+	w.addEncoded(data, m.Type, to)
+	return true
+}
+
+// addEncoded queues a datagram the caller encoded and keeps: the writer
+// neither copies nor frees it, so data must stay untouched until the next
+// flush returns. Every transport has consumed a datagram by the time its
+// write returns (the contract endpoint.send states), so it is the caller's
+// again after that.
+func (w *batchWriter) addEncoded(data []byte, typ wire.Type, to net.Addr) {
+	w.types[w.n] = typ
 	w.ms[w.n].Data = data
 	w.ms[w.n].Addr = to
 	w.n++
 	if w.n == len(w.ms) {
 		w.flush()
 	}
-	return true
 }
 
 // flush writes every queued datagram in one transport batch, counts the
-// accepted ones per wire type, and recycles the encode buffers.
+// accepted ones per wire type, and recycles the encode buffers it owns.
 func (w *batchWriter) flush() {
 	if w.n == 0 {
 		return
@@ -68,8 +77,10 @@ func (w *batchWriter) flush() {
 		w.ctrs.sent[w.types[i]].Add(1)
 	}
 	for i := 0; i < w.n; i++ {
-		w.bufs[i].Free()
-		w.bufs[i] = nil
+		if w.bufs[i] != nil {
+			w.bufs[i].Free()
+			w.bufs[i] = nil
+		}
 		w.ms[i].Data = nil
 		w.ms[i].Addr = nil
 	}

@@ -101,18 +101,33 @@ func BenchmarkSenderRefreshPerKey(b *testing.B) {
 
 // BenchmarkSenderRefreshSummary measures the same renewal work as one
 // summary sweep (RFC 2961-style): 64 keys per datagram, ≥10× fewer
-// datagrams for the identical key set.
+// datagrams for the identical key set. steady: the key set holds still, so
+// every sweep re-sends the frames the first one encoded. dirty: one key is
+// replaced before every sweep (inside the timed region), so every sweep
+// scans the table, sorts and re-encodes all 64 frames.
 func BenchmarkSenderRefreshSummary(b *testing.B) {
 	const keys = 4096
-	snd := benchSender(b, keys, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		total += snd.summarySweep()
+	for _, dirty := range []bool{false, true} {
+		b.Run(map[bool]string{false: "steady", true: "dirty"}[dirty], func(b *testing.B) {
+			snd := benchSender(b, keys, true)
+			snd.summarySweep()
+			before := snd.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			total := 0
+			for i := 0; i < b.N; i++ {
+				if dirty {
+					_ = snd.Remove(fmt.Sprintf("flow/%06d", i%keys))
+					_ = snd.Install(fmt.Sprintf("flow/%06d", i%keys), []byte("10Mbps"))
+				}
+				total += snd.summarySweep()
+			}
+			after := snd.Stats()
+			b.ReportMetric(float64(total)/float64(b.N), "datagrams/round")
+			b.ReportMetric(float64(b.N)*keys/b.Elapsed().Seconds(), "keys-refreshed/s")
+			b.ReportMetric(float64(after.SummaryFramesEncoded-before.SummaryFramesEncoded)/float64(after.SummaryFramesSent-before.SummaryFramesSent), "encoded/sent")
+		})
 	}
-	b.ReportMetric(float64(total)/float64(b.N), "datagrams/round")
-	b.ReportMetric(float64(b.N)*keys/b.Elapsed().Seconds(), "keys-refreshed/s")
 }
 
 // BenchmarkSenderInstall measures trigger throughput into the sharded

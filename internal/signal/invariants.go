@@ -26,8 +26,9 @@ import (
 //   - the datagram leases account for their members (refresh profiles):
 //     every entry that names a lease names one its peer has, a lease's
 //     member count is the number of entries naming it, none is kept with
-//     no member, and one that still holds its key list is filed under that
-//     list's hash and has exactly one member per key;
+//     no member, one that still holds its key list is filed under that
+//     list's hash and has exactly one member per key, and one that does not
+//     is neither expected next by the set nor expects a successor itself;
 //   - the armed-timer census matches the profile — hard state arms
 //     exactly one probe timer per entry and no timeouts, refresh
 //     profiles exactly one state-timeout per entry and no probes.
@@ -66,6 +67,9 @@ func (r *Receiver) CheckInvariants() []string {
 			delete(naming, name)
 			if l.list != nil && (l.members != l.n || ls.byList[l.hash] != l) {
 				bad = append(bad, fmt.Sprintf("receiver: peer %d lease %d holds a list of %d keys with %d members, or is not filed under it", p.id, id, l.n, l.members))
+			}
+			if l.list == nil && (l.next != nil || ls.last == l) {
+				bad = append(bad, fmt.Sprintf("receiver: peer %d lease %d is broken and still in the sweep order", p.id, id))
 			}
 		}
 		for _, l := range ls.byList {

@@ -38,6 +38,11 @@ import (
 // when the list settles again); its header stays, with the last deadline it
 // was given, until its last member leaves.
 //
+// A sweep's datagrams arrive in the order the last sweep's did, so leases are
+// expected in that order, as entries are by their hints: a datagram is first
+// compared with the list of the lease extended after the last one last time,
+// and only hashed and looked up, and the successor corrected, if that fails.
+//
 // Hard state never sweeps, so only refresh profiles lease, and the entry
 // names its lease in the word hard state counts probe misses in.
 
@@ -57,6 +62,9 @@ type lease struct {
 	// tail rests on the list's last entry: the read loop's cursor moves
 	// there when the lease stands in for the walk.
 	tail statetable.Cursor[receiverEntry]
+	// next is the lease that was extended after this one last time, where the
+	// peer's next datagram is looked for first; nil once broken.
+	next *lease
 }
 
 // leaseSet is one peer's leases. mu is a leaf: it is taken under a state
@@ -67,6 +75,7 @@ type leaseSet struct {
 	byID   []*lease          // by id, broken ones included; byID[0] is never used: 0 names no lease
 	free   []uint32          // ids whose lease is gone
 	byList map[uint64]*lease // the intact ones, by list hash
+	last   *lease            // the one extended last, nil or intact
 }
 
 // file gives l an id and files it, replacing (and breaking) any lease
@@ -89,11 +98,16 @@ func (ls *leaseSet) file(l *lease) {
 }
 
 // breakLease frees l's list if it still has one, and forgets the lease
-// altogether once no entry names it.
+// altogether once no entry names it. A broken lease keeps no successor and
+// is not the set's last, so broken headers never chain: an intact lease
+// that still expects one keeps only it alive, until its own next extension.
 func (ls *leaseSet) breakLease(l *lease) {
 	if l.list != nil {
-		l.list = nil
+		l.list, l.next = nil, nil
 		delete(ls.byList, l.hash)
+		if ls.last == l {
+			ls.last = nil
+		}
 	}
 	if l.members == 0 && ls.byID[l.id] == l {
 		ls.byID[l.id] = nil
@@ -101,20 +115,42 @@ func (ls *leaseSet) breakLease(l *lease) {
 	}
 }
 
+// holds reports whether l is an intact lease whose list is the n keys of
+// list. The test for a list is explicit: a broken lease's is nil, which an
+// empty datagram's would compare equal to.
+func (l *lease) holds(n int, list []byte) bool {
+	return l != nil && l.list != nil && int(l.n) == n && bytes.Equal(l.list, list)
+}
+
 // extendLease is the lease tier of handleSummaryFast: if the datagram's key
 // list is one p holds an intact lease for and its sequence number is not
 // behind the lease's, the lease takes the datagram's deadline and the
-// datagram is done. It reports whether that happened; the scratch carries
-// the datagram's lifetime and clock reading.
+// datagram is done. The lease is the successor of the one extended last if
+// that holds the list, else the one filed under the list's hash, which
+// becomes the successor. It reports whether that happened; the scratch
+// carries the datagram's lifetime and clock reading.
 func (r *Receiver) extendLease(sc *dispatchScratch, p *peer, seq uint64, n int, list []byte) bool {
-	hash := maphash.Bytes(r.leaseSeed, list)
 	ls := &p.leases
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	l := ls.byList[hash]
-	if l == nil || l.members != l.n || int(l.n) != n || seq < l.seq || !bytes.Equal(l.list, list) {
+	var l *lease
+	prev := ls.last
+	if prev != nil {
+		l = prev.next
+	}
+	if !l.holds(n, list) {
+		r.ctrs.summaryLeaseLookups.Add(1)
+		if l = ls.byList[maphash.Bytes(r.leaseSeed, list)]; !l.holds(n, list) {
+			return false
+		}
+		if prev != nil {
+			prev.next = l
+		}
+	}
+	if l.members != l.n || seq < l.seq {
 		return false
 	}
+	ls.last = l
 	l.tick, l.seq = sc.tick, seq
 	if r.measure {
 		r.histJitter.ObserveN(sc.now-l.renewedAt, int64(n))

@@ -116,6 +116,12 @@ var modelLists = [][]int{
 	{0, 1, 2, 3, 4, 5, 6, 7},
 }
 
+// modelSweep is the sweep the order-bearing operations deliver: four
+// datagrams of two keys, so that "the datagram after this one" means
+// something. The successor pointers are an implementation of "look the list
+// up by its hash", as leases are of the per-key rule.
+var modelSweep = [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
+
 type modelEntry struct {
 	deadline time.Duration
 	lastSeq  uint64
@@ -132,8 +138,13 @@ type leaseModel struct {
 	held   map[modelKey]*modelEntry
 	seq    [2]uint64  // each peer's newest sequence number
 	replay [2]summary // each peer's last summary, for replays
+	swept  [2]int     // the modelSweep datagram each peer sent last
 	op     int
 	what   string
+	// hashed makes the receiver forget its successor pointers before every
+	// frame, so that every lease is found by the hash of its list: the
+	// reference the pointers are compared with.
+	hashed bool
 }
 
 func modelKeyName(i int) string { return fmt.Sprintf("flow/%d", i) }
@@ -145,7 +156,17 @@ const (
 	opRemoval
 	opFalseRemoval
 	opAdvance
+	opSweep     // modelSweep from one peer: in order, permuted, one dropped or one repeated
+	opBreakNext // the datagram a peer's sweep would send next loses a key and gets it back
 	numOps
+)
+
+// Sweep deliveries.
+const (
+	sweepInOrder = iota
+	sweepPermuted
+	sweepDropOne
+	sweepRepeatOne
 )
 
 // Summary sequence-number choices.
@@ -177,6 +198,10 @@ func remOp(peer, key int, stale bool) []byte {
 }
 func falseRemOp(key int) []byte { return []byte{opFalseRemoval, byte(key)} }
 func advOp(ms int) []byte       { return []byte{opAdvance, byte(ms - 1)} }
+func sweepOp(peer, how, pick int) []byte {
+	return []byte{opSweep, byte(peer | how<<1 | pick<<3)}
+}
+func breakNextOp(peer int) []byte { return []byte{opBreakNext, byte(peer)} }
 
 func script(ops ...[]byte) []byte { return slices.Concat(ops...) }
 
@@ -203,18 +228,71 @@ func steadySweep() []byte {
 	return script(sumOp(0, 0, seqCurrent), sumOp(1, 0, seqCurrent), sumOp(0, 1, seqCurrent), sumOp(1, 1, seqCurrent), advOp(20))
 }
 
-// runLeaseScript plays a script against a fresh receiver and model and
-// returns how many keys were renewed through a lease.
+// orderedSweep is both peers' four-datagram sweep in order, and 20 ms.
+func orderedSweep() []byte {
+	return script(sweepOp(0, sweepInOrder, 0), sweepOp(1, sweepInOrder, 0), advOp(20))
+}
+
+// runLeaseScript plays a script against a fresh receiver and model, twice:
+// as the read loop would, and with every lease found by its hash. Both must
+// agree with the model after every operation, and with each other on how
+// many keys were renewed through a lease, which is returned.
 func runLeaseScript(t *testing.T, sc []byte) int {
 	t.Helper()
-	m := &leaseModel{g: newLeaseRig(t), T: fastConfig(SS).Timeout, held: map[modelKey]*modelEntry{}}
-	m.seq = [2]uint64{10, 10}
-	for ; len(sc) >= 2; sc = sc[2:] {
-		m.op++
-		m.step(sc[0]%numOps, int(sc[1]))
-		m.check()
+	play := func(hashed bool) Stats {
+		m := &leaseModel{g: newLeaseRig(t), T: fastConfig(SS).Timeout, held: map[modelKey]*modelEntry{}, hashed: hashed}
+		m.seq = [2]uint64{10, 10}
+		for sc := sc; len(sc) >= 2; sc = sc[2:] {
+			m.op++
+			m.step(sc[0]%numOps, int(sc[1]))
+			m.check()
+		}
+		return m.g.rcv.Stats()
 	}
-	return m.g.leasedKeys()
+	got, want := play(false), play(true)
+	if got.SummaryLeasedKeys != want.SummaryLeasedKeys || got.SummaryLeaseLookups > want.SummaryLeaseLookups {
+		t.Fatalf("%d keys renewed through a lease with %d lists hashed; with every list hashed (%d), %d",
+			got.SummaryLeasedKeys, got.SummaryLeaseLookups, want.SummaryLeaseLookups, want.SummaryLeasedKeys)
+	}
+	return got.SummaryLeasedKeys
+}
+
+// frame delivers one frame, to a receiver that expects no lease in
+// particular if the run is the hashed one.
+func (m *leaseModel) frame(from net.Addr, msg wire.Message) {
+	if m.hashed {
+		for _, p := range m.g.rcv.peers.byAddr.all() {
+			p.leases.mu.Lock()
+			p.leases.last = nil
+			p.leases.mu.Unlock()
+		}
+	}
+	m.g.frame(from, msg)
+}
+
+// summary delivers one summary refresh to the receiver and the model, and
+// holds the receiver's NACKs against the keys the model does not hold.
+func (m *leaseModel) summary(peer int, d summary) {
+	g := m.g
+	var unknown []string
+	for _, k := range d.keys {
+		if e := m.held[modelKey{peer, k}]; e == nil {
+			unknown = append(unknown, k)
+		} else if d.seq >= e.lastSeq {
+			e.deadline = g.now() + m.T
+		}
+	}
+	m.frame(d.from, wire.Message{Type: wire.TypeSummaryRefresh, Seq: d.seq, Keys: d.keys})
+	var nacked []string
+	for _, c := range g.conn.take() {
+		if c.m.Type != wire.TypeSummaryNack || c.to != d.from {
+			g.t.Fatalf("op %d (%s): answered with a %v to %v", m.op, m.what, c.m.Type, c.to)
+		}
+		nacked = append(nacked, c.m.Keys...)
+	}
+	if !slices.Equal(nacked, unknown) {
+		g.t.Fatalf("op %d (%s): NACKed %v, the model does not hold %v", m.op, m.what, nacked, unknown)
+	}
 }
 
 func (m *leaseModel) step(op byte, arg int) {
@@ -253,25 +331,38 @@ func (m *leaseModel) step(op byte, arg int) {
 		}
 		m.replay[peer] = d
 		m.what = fmt.Sprintf("summary from peer %d seq %d keys %v", peer, d.seq, d.keys)
-		var unknown []string
-		for _, k := range d.keys {
-			if e := m.held[modelKey{peer, k}]; e == nil {
-				unknown = append(unknown, k)
-			} else if d.seq >= e.lastSeq {
-				e.deadline = g.now() + m.T
+		m.summary(peer, d)
+	case opSweep:
+		order := []int{0, 1, 2, 3}
+		how, pick := arg>>1&3, arg>>3
+		switch how {
+		case sweepPermuted:
+			// pick names an order by which of the datagrams left comes next.
+			pool := slices.Clone(order)
+			for i := range order {
+				j := pick % len(pool)
+				pick /= len(pool)
+				order[i], pool = pool[j], slices.Delete(pool, j, j+1)
 			}
+		case sweepDropOne:
+			order = slices.Delete(order, pick%4, pick%4+1)
+		case sweepRepeatOne:
+			order = slices.Insert(order, pick%4, pick%4)
 		}
-		g.frame(d.from, wire.Message{Type: wire.TypeSummaryRefresh, Seq: d.seq, Keys: d.keys})
-		var nacked []string
-		for _, c := range g.conn.take() {
-			if c.m.Type != wire.TypeSummaryNack || c.to != d.from {
-				g.t.Fatalf("op %d (%s): answered with a %v to %v", m.op, m.what, c.m.Type, c.to)
+		m.what = fmt.Sprintf("sweep from peer %d, datagrams %v", peer, order)
+		for _, i := range order {
+			d := summary{from: from, seq: m.seq[peer]}
+			for _, k := range modelSweep[i] {
+				d.keys = append(d.keys, modelKeyName(k))
 			}
-			nacked = append(nacked, c.m.Keys...)
+			m.summary(peer, d)
+			m.swept[peer] = i
 		}
-		if !slices.Equal(nacked, unknown) {
-			g.t.Fatalf("op %d (%s): NACKed %v, the model does not hold %v", m.op, m.what, nacked, unknown)
-		}
+	case opBreakNext:
+		next := modelSweep[(m.swept[peer]+1)%len(modelSweep)][0]
+		m.step(opRemoval, peer|next<<1)
+		m.step(opTrigger, peer|next<<1)
+		m.what = fmt.Sprintf("peer %d loses and reinstalls %s, which its sweep names next", peer, modelKeyName(next))
 	case opTrigger:
 		seq := m.seq[peer] - 2
 		if !stale {
@@ -284,7 +375,7 @@ func (m *leaseModel) step(op byte, arg int) {
 		} else if seq >= e.lastSeq {
 			e.deadline, e.lastSeq = g.now()+m.T, seq
 		}
-		g.frame(from, wire.Message{Type: wire.TypeTrigger, Seq: seq, Key: key, Value: []byte("v")})
+		m.frame(from, wire.Message{Type: wire.TypeTrigger, Seq: seq, Key: key, Value: []byte("v")})
 	case opRemoval:
 		seq := m.seq[peer]
 		if stale {
@@ -294,7 +385,7 @@ func (m *leaseModel) step(op byte, arg int) {
 		if e := m.held[mk]; e != nil && seq >= e.lastSeq {
 			delete(m.held, mk)
 		}
-		g.frame(from, wire.Message{Type: wire.TypeRemoval, Seq: seq, Key: key})
+		m.frame(from, wire.Message{Type: wire.TypeRemoval, Seq: seq, Key: key})
 	case opFalseRemoval:
 		key = modelKeyName(arg % modelKeys)
 		m.what = "false removal of " + key
@@ -387,6 +478,15 @@ var leaseSeeds = []struct {
 		times(4, steadySweep()), advOp(64), advOp(64)), 16},
 	{"everything in one datagram", script(installAll(),
 		times(5, sumOp(0, 5, seqCurrent), sumOp(1, 5, seqNewer), advOp(25)), advOp(64), advOp(64)), 2 * 16},
+	{"a sweep out of order, short of a datagram, with one twice", script(installAll(), times(5, orderedSweep()),
+		sweepOp(0, sweepPermuted, 23), sweepOp(1, sweepPermuted, 9), advOp(20), orderedSweep(),
+		sweepOp(0, sweepDropOne, 2), sweepOp(1, sweepDropOne, 0), advOp(20), orderedSweep(),
+		sweepOp(0, sweepRepeatOne, 1), sweepOp(1, sweepRepeatOne, 3), advOp(20), times(2, orderedSweep()),
+		advOp(64), advOp(64)), 2*16 + 16 + 16 + 12 + 16 + 20 + 2*16},
+	{"the lease expected next breaks", script(installAll(), times(5, orderedSweep()),
+		sweepOp(0, sweepDropOne, 3), breakNextOp(0), sweepOp(0, sweepInOrder, 0), advOp(20), // the sweep's first, after its last
+		times(4, orderedSweep()), breakNextOp(1), sweepOp(1, sweepDropOne, 0), breakNextOp(1), advOp(20),
+		times(4, orderedSweep()), advOp(64), advOp(64)), 150},
 }
 
 // TestLeaseModel plays the hand-written scripts, then a few hundred seeded
@@ -406,9 +506,14 @@ func TestLeaseModel(t *testing.T) {
 			sc := installAll()
 			for len(sc) < 600 {
 				// Two thirds of the operations come from a steady sweep, so
-				// that leases get built for the rest to break.
+				// that leases get built for the rest to break: two datagrams of
+				// four keys in even scripts, four of two in odd ones.
 				if rng.Intn(3) > 0 {
-					sc = append(sc, sumOp(rng.Intn(2), rng.Intn(2), seqCurrent)...)
+					if i%2 == 0 {
+						sc = append(sc, sumOp(rng.Intn(2), rng.Intn(2), seqCurrent)...)
+					} else {
+						sc = append(sc, sweepOp(rng.Intn(2), sweepInOrder, 0)...)
+					}
 					sc = append(sc, advOp(1+rng.Intn(12))...)
 				} else {
 					sc = append(sc, byte(rng.Intn(numOps)), byte(rng.Intn(256)))
@@ -610,6 +715,96 @@ func TestLeaseBounded(t *testing.T) {
 	if got := g.leasedKeys(); got != 0 {
 		t.Fatalf("%d keys renewed through a lease, though no datagram repeated", got)
 	}
+	// None of those leases was ever extended, so none expected a successor.
+	// Now the sweep holds still long enough for its leases to be extended and
+	// chained, then breaks them: all at once when its boundaries move by a
+	// key, and one alone, between intact neighbours, when a key is removed and
+	// put back. A broken lease is kept alive by the intact one that expects it
+	// only until that one is next extended, so once the sweep has settled
+	// again no broken lease is reachable from an intact one, and the bounds
+	// hold throughout.
+	settle := func(from int) {
+		ring := append(slices.Clone(keys[from%len(keys):]), keys[:from%len(keys)]...)
+		for i := 0; i < 6; i++ {
+			g.clk.Run(time.Millisecond)
+			for i := 0; i < len(ring); i += perDatagram {
+				g.frame(p, wire.Message{Type: wire.TypeSummaryRefresh, Seq: 9, Keys: ring[i : i+perDatagram]})
+			}
+			c := g.rcv.leaseCensus()
+			if c.listBytes > keyBytes || c.headers > len(keys) || c.idSlots > len(keys)+1 || c.members != c.naming {
+				t.Fatalf("settling from key %d: %+v with %d entries holding %d key bytes", from, c, len(keys), keyBytes)
+			}
+		}
+	}
+	for round := 1; round <= 40; round++ {
+		settle(round)
+		g.frame(p, wire.Message{Type: wire.TypeRemoval, Seq: 9, Key: keys[(3*round)%len(keys)]})
+		g.install(p, 9, keys[(3*round)%len(keys)])
+		before := g.leasedKeys()
+		settle(round)
+		if got := g.leasedKeys() - before; got < 2*len(keys) {
+			t.Fatalf("round %d: six sweeps of a settled ring renewed %d keys through leases", round, got)
+		}
+		ls := &g.rcv.peers.byAddr.get(string(p)).leases
+		ls.mu.Lock()
+		for _, l := range ls.byList {
+			if l.next == nil || l.next.list == nil {
+				t.Fatalf("round %d: an intact lease of a settled sweep expects %+v next", round, l.next)
+			}
+		}
+		ls.mu.Unlock()
+	}
+	g.expectHeld("after the settled rounds", p, keys)
+	if bad := g.rcv.CheckInvariants(); len(bad) != 0 {
+		t.Fatal(bad)
+	}
+}
+
+// TestLeaseFollowsSweepOrder: a sweep that arrives as the last one did is
+// absorbed without hashing a key list — every datagram is the lease the one
+// before it expects next. A sweep that arrives otherwise (reversed, rotated,
+// short of a datagram, with one twice) renews exactly the same keys through
+// the same leases, found by at most one hash lookup per datagram, and the
+// order is learned again within two sweeps.
+func TestLeaseFollowsSweepOrder(t *testing.T) {
+	g := newLeaseRig(t)
+	p := testAddr("10.0.0.1:7000")
+	keys := rigKeys(16)
+	g.install(p, 5, keys...)
+	deliver := func(order ...int) (leased, lookups int) {
+		g.clk.Run(5 * time.Millisecond)
+		before := g.rcv.Stats()
+		for _, i := range order {
+			g.frame(p, wire.Message{Type: wire.TypeSummaryRefresh, Seq: 9, Keys: keys[4*i : 4*i+4]})
+		}
+		after := g.rcv.Stats()
+		return after.SummaryLeasedKeys - before.SummaryLeasedKeys, after.SummaryLeaseLookups - before.SummaryLeaseLookups
+	}
+	inOrder := []int{0, 1, 2, 3}
+	for i := 0; i < 6; i++ {
+		deliver(inOrder...)
+	}
+	for _, c := range []struct {
+		name  string
+		order []int
+	}{
+		{"reversed", []int{3, 2, 1, 0}},
+		{"rotated", []int{2, 3, 0, 1}},
+		{"one dropped", []int{0, 2, 3}},
+		{"one repeated", []int{0, 1, 1, 2, 3}},
+	} {
+		if leased, lookups := deliver(inOrder...); leased != 16 || lookups != 0 {
+			t.Fatalf("before %s: a settled sweep renewed %d keys through leases with %d lists hashed, want 16 and 0", c.name, leased, lookups)
+		}
+		if leased, lookups := deliver(c.order...); leased != 4*len(c.order) || lookups > len(c.order) {
+			t.Fatalf("%s: %d keys renewed through leases with %d lists hashed, want %d and at most %d", c.name, leased, lookups, 4*len(c.order), len(c.order))
+		}
+		deliver(inOrder...)
+		deliver(inOrder...)
+	}
+	if len(g.expired) != 0 {
+		t.Fatalf("expired under refresh: %v", g.expired)
+	}
 	if bad := g.rcv.CheckInvariants(); len(bad) != 0 {
 		t.Fatal(bad)
 	}
@@ -707,13 +902,16 @@ func TestLeaseRaceExtendChurnExpire(t *testing.T) {
 
 // BenchmarkReceiverSummary is one 64-key summary datagram absorbed through
 // each of the three tiers, on a receiver holding 4,096 keys of one sender
-// swept in 64 datagrams. leased: the sweep repeats, so every datagram
-// extends its lease. hinted: the same sweep stamped older than its leases,
-// which declines them and walks the hints. indexed: the sweep's key order
-// reverses every time, so no hint leads anywhere and every key is looked up.
+// swept in 64 datagrams. leased/in-order: the sweep repeats, so every
+// datagram extends the lease the one before it expects next. leased/shuffled:
+// the sweep's datagrams repeat in an order that does not, so every lease is
+// found by the hash of its list. hinted: the same sweep stamped older than
+// its leases, which declines them and walks the hints. indexed: the sweep's
+// key order reverses every time, so no hint leads anywhere and every key is
+// looked up.
 func BenchmarkReceiverSummary(b *testing.B) {
 	const keys, perDatagram = 4096, 64
-	for _, tier := range []string{"leased", "hinted", "indexed"} {
+	for _, tier := range []string{"leased/in-order", "leased/shuffled", "hinted", "indexed"} {
 		b.Run(tier, func(b *testing.B) {
 			rcv, err := NewReceiver(newDiscardConn(), Config{Protocol: SS, Timeout: time.Hour, Shards: 16, Clock: clock.NewVirtual()})
 			if err != nil {
@@ -749,6 +947,15 @@ func BenchmarkReceiverSummary(b *testing.B) {
 			}
 			sweeps := [][][]byte{forward}
 			switch tier {
+			case "leased/shuffled":
+				// Two orders taken in turn, neither a rotation of the other or of
+				// the sweep's own.
+				rng := rand.New(rand.NewSource(20))
+				sweeps = make([][][]byte, 2)
+				for i := range sweeps {
+					sweeps[i] = slices.Clone(forward)
+					rng.Shuffle(len(forward), func(j, k int) { sweeps[i][j], sweeps[i][k] = sweeps[i][k], sweeps[i][j] })
+				}
 			case "hinted":
 				sweeps[0] = sweep(names, 8)
 			case "indexed":
@@ -772,6 +979,7 @@ func BenchmarkReceiverSummary(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/renewed, "ns/key")
 			b.ReportMetric(float64(after.SummaryLeasedKeys-before.SummaryLeasedKeys)/renewed, "leased/key")
 			b.ReportMetric(float64(after.SummaryIndexLookups-before.SummaryIndexLookups)/renewed, "lookups/key")
+			b.ReportMetric(float64(after.SummaryLeaseLookups-before.SummaryLeaseLookups)/float64(b.N), "hashed/datagram")
 		})
 	}
 }

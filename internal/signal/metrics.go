@@ -73,6 +73,16 @@ func (ss *Sessions) registerMetrics() {
 		Help:   "Idle peer sessions evicted from the peer table.",
 		Labels: labels,
 	}, &ss.evictions)
+	reg.RegisterCounter(telemetry.Opts{
+		Name:   "softstate_summary_frames_sent_total",
+		Help:   "Summary datagrams queued by sweeps from the sessions' encoded frames.",
+		Labels: labels,
+	}, &ss.ctrs.summaryFramesSent)
+	reg.RegisterCounter(telemetry.Opts{
+		Name:   "softstate_summary_frames_encoded_total",
+		Help:   "Summary frames encoded because a session's key set changed; flat while sweeps repeat their frames.",
+		Labels: labels,
+	}, &ss.ctrs.summaryFramesEncoded)
 	reg.GaugeFunc(telemetry.Opts{
 		Name:   "softstate_peer_rtt_seconds",
 		Help:   "Mean of the per-peer trigger→ack round-trip EWMAs (peers with at least one measured ack).",
@@ -147,6 +157,11 @@ func (r *Receiver) registerMetrics() {
 		Help:   "Summary-refresh keys renewed by extending a datagram lease, with no entry touched.",
 		Labels: labels,
 	}, &r.ctrs.summaryLeased)
+	reg.RegisterCounter(telemetry.Opts{
+		Name:   "softstate_summary_lease_lookups_total",
+		Help:   "Summary datagrams whose lease was looked up by key-list hash because they did not arrive in sweep order.",
+		Labels: labels,
+	}, &r.ctrs.summaryLeaseLookups)
 	reg.GaugeFunc(telemetry.Opts{
 		Name:   "softstate_receiver_peers",
 		Help:   "Senders holding state (or owed a coalesced ack) at the receiver.",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,6 +44,9 @@ type Sessions struct {
 	sweepMu    sync.Mutex
 	sweepTimer clock.Timer  // summary sweeper; nil outside summary mode
 	sweepBW    *batchWriter // sweep datagram coalescer (guarded by sweepMu)
+	// sweepScratch is where a rebuild sorts the table keys of the sessions it
+	// re-encodes: cleared after use, kept only up to sweepScratchCap.
+	sweepScratch []string
 
 	reapTimer clock.Timer       // idle-peer reaper; nil without PeerIdleTimeout
 	evictions telemetry.Counter // idle sessions evicted from the peer table
@@ -133,14 +137,15 @@ type Session struct {
 	lastActive atomic.Int64
 	gone       atomic.Bool
 
-	// Summary-sweep cache: the sorted live user keys of this session, so
-	// steady-state sweeps neither scan the shared table nor re-sort. The
-	// dirty flag is set by any operation that changes key membership
-	// (install, remove) and claimed by the next sweep, which rebuilds the
-	// stale sessions' lists with a single table scan. Guarded by the
-	// owning Sessions' sweepMu (sweeps are serialized).
+	// Summary-sweep cache: this session's summary datagrams, encoded from
+	// its sorted live user keys, so steady-state sweeps neither scan the
+	// shared table, nor re-sort, nor re-encode. The dirty flag is set by any
+	// operation that changes key membership (install, remove) and claimed by
+	// the next sweep, which re-encodes the stale sessions' frames from a
+	// single table scan. Guarded by the owning Sessions' sweepMu (sweeps are
+	// serialized).
 	sweepDirty atomic.Bool
-	sweepKeys  []string
+	frames     sweepFrames
 
 	// Peer-health estimators: rttNs is a gain-1/8 EWMA of trigger→ack
 	// round trips (0 until the first measured ack; requires
@@ -721,14 +726,98 @@ func (ss *Sessions) SummarySweep() int {
 	return ss.sweepLocked()
 }
 
+// sweepFrames is one session's sweep cache: its summary datagrams as
+// Message.Append encoded them at the last rebuild, back to back in one
+// pointer-free buffer; ends[i] is where frame i ends. stale marks the
+// session for the rebuild of the sweep in progress.
+type sweepFrames struct {
+	buf   []byte
+	ends  []int
+	stale bool
+}
+
+// encode rebuilds f from keys, a session's sorted live user keys, chunked
+// by SummaryFits and encoded by Message.Append with seq: every limit the
+// codec checks is checked here, once per membership change. The buffer is
+// reused when it is large enough and sized exactly when it is not.
+func (f *sweepFrames) encode(keys []string, maxKeys int, seq uint64) {
+	f.ends = f.ends[:0] // each frame's key count, until the frame is encoded
+	need := 0
+	for rest := keys; len(rest) > 0; {
+		// SummaryFits walks what it is handed up to the wire limits (1,024
+		// keys or 8 KB), so it is handed no more than one datagram may take.
+		n := wire.SummaryFits(rest[:min(len(rest), maxKeys)])
+		if n == 0 {
+			break // unreachable: every installed key fits a datagram
+		}
+		need += (&wire.Message{Type: wire.TypeSummaryRefresh, Keys: rest[:n]}).EncodedLen()
+		f.ends = append(f.ends, n)
+		rest = rest[n:]
+	}
+	if cap(f.buf) < need {
+		f.buf = make([]byte, 0, need)
+	}
+	f.buf = f.buf[:0]
+	for i, n := range f.ends {
+		m := wire.Message{Type: wire.TypeSummaryRefresh, Seq: seq, Keys: keys[:n]}
+		buf, err := m.Append(f.buf)
+		if err != nil {
+			f.ends = f.ends[:i] // unreachable: SummaryFits admitted the chunk, Install its keys
+			break
+		}
+		f.buf, f.ends[i], keys = buf, len(buf), keys[n:]
+	}
+}
+
+// sweepScratchCap bounds the key scratch kept between rebuilds (strings).
+const sweepScratchCap = 4096
+
+// rebuildFrames re-encodes the frames of every session marked stale from
+// one scan of the shared table, and returns how many frames that made. A
+// table key is its session's id, big endian, then the user key, so one sort
+// groups the collected keys by session in id order — the order of sessions —
+// and leaves each group in the order of its user keys.
+func (ss *Sessions) rebuildFrames(sessions []*Session) (encoded int) {
+	cks := ss.sweepScratch[:0]
+	ss.tbl.Range(func(ck string, e *senderEntry) bool {
+		if !e.removing && e.sess.frames.stale {
+			cks = append(cks, ck)
+		}
+		return true
+	})
+	sort.Strings(cks)
+	rest := cks
+	for _, sess := range sessions {
+		if !sess.frames.stale {
+			continue
+		}
+		sess.frames.stale = false
+		n, prefix := 0, sess.key("")
+		for ; n < len(rest) && strings.HasPrefix(rest[n], prefix); n++ {
+			rest[n] = userKey(rest[n])
+		}
+		sess.frames.encode(rest[:n], ss.cfg.SummaryMaxKeys, sess.seq.Load())
+		encoded += len(sess.frames.ends)
+		rest = rest[n:]
+	}
+	clear(cks) // the strings alias table keys: do not pin removed ones
+	if cap(cks) > sweepScratchCap {
+		cks = nil
+	}
+	ss.sweepScratch = cks
+	return encoded
+}
+
 // sweepLocked is one sweep round; callers hold sweepMu. Each session
-// carries a cached, sorted list of its live keys, rebuilt — with a single
-// scan of the shared table — only for sessions whose key membership
-// changed since the last sweep. A steady-state sweep (millions of keys,
-// no churn) therefore walks no table shards and sorts nothing; it just
-// streams each session's cached list into summary datagrams. The sorted
-// order doubles as the determinism guarantee for virtual runs: datagram
-// composition no longer depends on map iteration.
+// carries its summary datagrams already encoded (sweepFrames), rebuilt —
+// with a single scan of the shared table — only for sessions whose key
+// membership changed since the last sweep. A steady-state sweep (millions
+// of keys, no churn) therefore walks no table shards, sorts nothing and
+// encodes nothing: it queues each frame as it stands, after giving it the
+// session's current sequence number (wire.RestampSummary) if a re-trigger
+// moved that since the frame was encoded. The sorted order doubles as the
+// determinism guarantee for virtual runs: datagram composition does not
+// depend on map iteration.
 func (ss *Sessions) sweepLocked() int {
 	if ss.peersDirty.Swap(false) {
 		ss.sweepSessions = ss.Peers()
@@ -737,50 +826,35 @@ func (ss *Sessions) sweepLocked() int {
 		})
 	}
 	sessions := ss.sweepSessions
-	var rebuild map[*Session][]string
+	stale := false
 	for _, sess := range sessions {
 		if sess.sweepDirty.Swap(false) {
-			if rebuild == nil {
-				rebuild = make(map[*Session][]string)
-			}
-			rebuild[sess] = sess.sweepKeys[:0]
+			sess.frames.stale, stale = true, true
 		}
 	}
-	if rebuild != nil {
-		ss.tbl.Range(func(ck string, e *senderEntry) bool {
-			if e.removing {
-				return true
-			}
-			if keys, ok := rebuild[e.sess]; ok {
-				rebuild[e.sess] = append(keys, userKey(ck))
-			}
-			return true
-		})
-		for sess, keys := range rebuild {
-			sort.Strings(keys)
-			sess.sweepKeys = keys
-		}
+	if stale {
+		ss.ctrs.summaryFramesEncoded.Add(int64(ss.rebuildFrames(sessions)))
 	}
-	// Datagrams are queued on the sweep's batch writer and leave the
-	// process in WriteBatch-sized bursts — same per-peer composition and
-	// order as before, a fraction of the syscalls on batching backends.
+	// The batch writer does not copy the frames it is handed: they are only
+	// written here, under sweepMu, and the flush below returns first. They
+	// leave in WriteBatch-sized bursts, in per-peer composition and order.
 	sent := 0
 	for _, sess := range sessions {
-		keys := sess.sweepKeys
-		for len(keys) > 0 {
-			// SummaryFits walks what it is handed up to the wire limits (1,024
-			// keys or 8 KB), so it is handed no more than one datagram may take.
-			n := wire.SummaryFits(keys[:min(len(keys), ss.cfg.SummaryMaxKeys)])
-			if n == 0 {
-				break // unreachable: every installed key fits a datagram
+		f, start := &sess.frames, 0
+		for _, end := range f.ends {
+			frame := f.buf[start:end]
+			start = end
+			stamped, n := wire.SummaryFrame(frame)
+			if seq := sess.seq.Load(); seq != stamped {
+				wire.RestampSummary(frame, seq)
 			}
-			ss.sweepBW.add(wire.Message{Type: wire.TypeSummaryRefresh, Seq: sess.seq.Load(), Keys: keys[:n]}, sess.peer)
+			ss.sweepBW.addEncoded(frame, wire.TypeSummaryRefresh, sess.peer)
 			ss.trace.Record(telemetry.TraceSummary, "", uint64(n), sess.peer)
-			keys = keys[n:]
 			sent++
 		}
 	}
 	ss.sweepBW.flush()
+	ss.ctrs.summaryFramesSent.Add(int64(sent))
 	return sent
 }
 

@@ -318,10 +318,20 @@ type Stats struct {
 	// fast path. SummaryLeasedKeys counts the renewals among the first that
 	// walked nothing at all: keys of datagrams that extended a datagram lease.
 	// Its ratio to SummaryRenewals is the receiver's lease share, close to 1
-	// while its senders' key sets hold still. All three stay 0 on a sender.
+	// while its senders' key sets hold still. SummaryLeaseLookups counts the
+	// summary datagrams whose lease had to be looked up by the hash of their
+	// key list because they did not come in the last sweep's order: 0 in
+	// steady state. All four stay 0 on a sender.
 	SummaryRenewals     int
 	SummaryIndexLookups int
 	SummaryLeasedKeys   int
+	SummaryLeaseLookups int
+	// SummaryFramesSent counts the summary datagrams a sender's sweeps queued
+	// from its sessions' cached frames, SummaryFramesEncoded the frames it
+	// encoded because a session's key set had changed (a restamp is not an
+	// encode): flat in steady state. Both stay 0 on a receiver.
+	SummaryFramesSent    int
+	SummaryFramesEncoded int
 }
 
 // TotalSent sums sent datagrams across types.
@@ -349,6 +359,10 @@ type counters struct {
 	summaryRenewals     telemetry.Counter
 	summaryIndexLookups telemetry.Counter
 	summaryLeased       telemetry.Counter
+	summaryLeaseLookups telemetry.Counter
+	// Sender only, added to once per sweep.
+	summaryFramesSent    telemetry.Counter
+	summaryFramesEncoded telemetry.Counter
 }
 
 // typeNames is the sorted-once key set snapshot() reuses: wire type names
@@ -376,6 +390,9 @@ func (c *counters) snapshot() Stats {
 	out.SummaryRenewals = int(c.summaryRenewals.Value())
 	out.SummaryIndexLookups = int(c.summaryIndexLookups.Value())
 	out.SummaryLeasedKeys = int(c.summaryLeased.Value())
+	out.SummaryLeaseLookups = int(c.summaryLeaseLookups.Value())
+	out.SummaryFramesSent = int(c.summaryFramesSent.Value())
+	out.SummaryFramesEncoded = int(c.summaryFramesEncoded.Value())
 	return out
 }
 

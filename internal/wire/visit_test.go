@@ -86,3 +86,35 @@ func TestPeekType(t *testing.T) {
 		t.Fatalf("PeekType(short) = %v, want 0", got)
 	}
 }
+
+// TestRestampSummary: a frame given a new sequence number in place is the
+// frame Append makes of the same keys and that number, for an empty list, a
+// full one and the extremes of the sequence space, and SummaryFrame reads
+// back what was stamped.
+func TestRestampSummary(t *testing.T) {
+	full := make([]string, MaxSummaryKeys)
+	for i := range full {
+		full[i] = string(rune('a' + i%26))
+	}
+	for _, keys := range [][]string{nil, {"a", "flow/0001", "", "zz"}, full} {
+		m := Message{Type: TypeSummaryRefresh, Seq: 42, Keys: keys}
+		frame, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range []uint64{43, 0, 1<<64 - 1, 42} {
+			RestampSummary(frame, seq)
+			m.Seq = seq
+			want, err := m.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(frame) != string(want) {
+				t.Fatalf("%d keys restamped to %d: %x, Append makes %x", len(keys), seq, frame, want)
+			}
+			if gotSeq, gotKeys := SummaryFrame(frame); gotSeq != seq || gotKeys != len(keys) {
+				t.Fatalf("SummaryFrame reads seq %d and %d keys, want %d and %d", gotSeq, gotKeys, seq, len(keys))
+			}
+		}
+	}
+}

@@ -403,6 +403,23 @@ func (m *Message) appendSummary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
+// SummaryFrame reads the sequence number and key count out of a summary
+// datagram appendSummary encoded. It validates nothing: it is for a sender
+// re-reading frames it encoded itself, never for bytes off the network.
+func SummaryFrame(frame []byte) (seq uint64, keys int) {
+	return binary.BigEndian.Uint64(frame[2:]), int(binary.BigEndian.Uint16(frame[headerLen+4:]))
+}
+
+// RestampSummary gives frame, a summary datagram appendSummary encoded, the
+// sequence number seq in place: the eight sequence bytes and the checksum are
+// rewritten and nothing else, so frame is byte for byte what Append returns
+// for the same keys and seq.
+func RestampSummary(frame []byte, seq uint64) {
+	body := frame[:len(frame)-trailerLen]
+	binary.BigEndian.PutUint64(body[2:], seq)
+	binary.BigEndian.PutUint32(frame[len(body):], crc32.ChecksumIEEE(body))
+}
+
 // appendAckBatch encodes an ack batch: zero key length, and the item list
 // in the value region.
 func (m *Message) appendAckBatch(dst []byte) ([]byte, error) {

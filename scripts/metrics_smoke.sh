@@ -115,8 +115,8 @@ fi
 
 # The summary-path counters must be exported (this sender refreshes per
 # key, so they read 0): renewals and leased keys are the two whose ratio is
-# a receiver's lease share.
-for counter in softstate_summary_renewals_total softstate_summary_leased_total; do
+# a receiver's lease share, lease lookups the datagrams that left sweep order.
+for counter in softstate_summary_renewals_total softstate_summary_leased_total softstate_summary_lease_lookups_total; do
 	line=$(grep "^$counter" "$scrape" | head -1 || true)
 	if [ -z "$line" ]; then
 		echo "FAIL: $counter missing from /metrics" >&2
