@@ -6,11 +6,12 @@
 // Every time-dependent layer — internal/statetable's timing wheels,
 // internal/lossy's delayed datagram delivery, internal/signal's summary
 // sweeper, idle reaper and ack flusher — takes a Clock in its config and
-// schedules all deadlines through it as Timer callbacks; a Clock does not
-// say which kind it is, so there is one driver per job, not one per
-// clock. Under clock.System a Timer is a time.AfterFunc and each callback
-// runs on its own goroutine. Under a *Virtual clock no wall time passes at
-// all: deadlines become kernel events, the experiment driver pumps them
+// schedules all deadlines through it as Timer callbacks. A Clock says one
+// thing about its kind — Gate, whether time waits for the work its events
+// induce, which only internal/lossy asks — so there is one driver per job,
+// not one per clock. Under clock.System a Timer is a time.AfterFunc and
+// each callback runs on its own goroutine. Under a *Virtual clock no wall
+// time passes at all: deadlines become kernel events, the driver pumps them
 // with Run, and a simulated hour of 64-peer refresh traffic executes in
 // however long the event processing takes — deterministically, which is
 // what lets the paper's experiments run on the production code path
@@ -50,6 +51,17 @@ type Clock interface {
 	NewTimer(fn func()) Timer
 	// AfterFunc returns a timer armed to run fn after d.
 	AfterFunc(d time.Duration, fn func()) Timer
+	// Gate returns the quiesce gate that work induced by the clock's events
+	// holds while it runs, or nil when time waits for nobody (clock.System).
+	Gate() Gate
+}
+
+// Gate is a simulated clock's quiesce gate: Enter marks one unit of induced
+// work outstanding, the matching Exit retires it, and no further event
+// fires in between.
+type Gate interface {
+	Enter()
+	Exit()
 }
 
 // Or returns c, or System when c is nil — the config-default helper used
@@ -68,6 +80,7 @@ type systemClock struct{}
 
 func (systemClock) Now() time.Time                  { return time.Now() }
 func (systemClock) Since(t time.Time) time.Duration { return time.Since(t) }
+func (systemClock) Gate() Gate                      { return nil }
 
 func (systemClock) NewTimer(fn func()) Timer { return &sysTimer{fn: fn} }
 
@@ -219,6 +232,9 @@ func (t *vTimer) Stop() {
 	t.t.Stop()
 	t.v.mu.Unlock()
 }
+
+// Gate returns the clock itself: Run waits on its Enter/Exit ledger.
+func (v *Virtual) Gate() Gate { return v }
 
 // Enter marks one unit of induced work outstanding: a datagram or wakeup
 // has been handed to a goroutine that has not finished reacting to it.

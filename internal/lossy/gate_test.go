@@ -6,17 +6,18 @@ import (
 	"time"
 
 	"softstate/internal/clock"
+	"softstate/internal/transport"
 )
 
-// These tests prove the quiesce-gate ledger stays balanced across the
-// batched delivery handoff: every Enter is matched by an Exit for normal
-// batch draining, for a conn closed mid-batch, and for batches larger
-// than the delivery queue (which stage and feed instead of dropping).
+// These tests prove the quiesce gate stays balanced across the batched
+// delivery handoff: every Enter is matched by an Exit for normal batch
+// draining, for a conn closed mid-batch, and for a burst larger than the
+// wall-mode queue bound (which the ring carries whole).
 
 // virtualPipe builds a zero-loss virtual-time pipe.
-func virtualPipe(t *testing.T, v *clock.Virtual, unbatched bool) (a, b net.PacketConn) {
+func virtualPipe(t *testing.T, v *clock.Virtual) (a, b net.PacketConn) {
 	t.Helper()
-	a, b, err := Pipe(Config{Clock: v, Unbatched: unbatched})
+	a, b, err := Pipe(Config{Clock: v})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,34 +43,32 @@ func drainN(conn net.PacketConn) <-chan int {
 }
 
 func TestGateBalancedAcrossBatchHandoff(t *testing.T) {
-	for _, unbatched := range []bool{false, true} {
-		v := clock.NewVirtual()
-		a, b := virtualPipe(t, v, unbatched)
-		got := drainN(b)
-		const n = 200
-		for i := 0; i < n; i++ {
-			if _, err := a.WriteTo([]byte("datagram"), b.LocalAddr()); err != nil {
-				t.Fatal(err)
-			}
+	v := clock.NewVirtual()
+	a, b := virtualPipe(t, v)
+	got := drainN(b)
+	const n = 200
+	for i := 0; i < n; i++ {
+		if _, err := a.WriteTo([]byte("datagram"), b.LocalAddr()); err != nil {
+			t.Fatal(err)
 		}
-		v.Run(time.Millisecond) // all deliveries are due at the same instant
-		if busy := v.Busy(); busy != 0 {
-			t.Fatalf("unbatched=%v: gate not drained after batch: busy=%d", unbatched, busy)
-		}
-		b.Close()
-		a.Close()
-		if total := <-got; total != n {
-			t.Fatalf("unbatched=%v: reader got %d of %d datagrams", unbatched, total, n)
-		}
-		if busy := v.Busy(); busy != 0 {
-			t.Fatalf("unbatched=%v: gate unbalanced after close: busy=%d", unbatched, busy)
-		}
+	}
+	v.Run(time.Millisecond) // all deliveries are due at the same instant
+	if busy := v.Busy(); busy != 0 {
+		t.Fatalf("gate not drained after batch: busy=%d", busy)
+	}
+	b.Close()
+	a.Close()
+	if total := <-got; total != n {
+		t.Fatalf("reader got %d of %d datagrams", total, n)
+	}
+	if busy := v.Busy(); busy != 0 {
+		t.Fatalf("gate unbalanced after close: busy=%d", busy)
 	}
 }
 
 func TestGateBalancedOnCloseDuringBatch(t *testing.T) {
 	v := clock.NewVirtual()
-	a, b := virtualPipe(t, v, false)
+	a, b := virtualPipe(t, v)
 	// The reader consumes one datagram of a five-datagram batch, then
 	// closes the conn with the rest still queued: Close must release the
 	// batch's gate hold so the clock never stalls.
@@ -103,26 +102,47 @@ func TestGateBalancedOnCloseDuringBatch(t *testing.T) {
 	a.Close()
 }
 
+// TestBatchLargerThanQueueStagesWithoutDropping: far more same-instant
+// datagrams than the wall-mode bound, or than one ReadBatch stride, cross
+// in one kernel event and one gate hold — nothing drops, the clock stays
+// at the delivery instant while the reader works through the ring, and
+// the hold goes when the reader comes back and finds it empty. (The name
+// predates the ring: a surplus used to be staged beside a bounded queue.)
 func TestBatchLargerThanQueueStagesWithoutDropping(t *testing.T) {
 	v := clock.NewVirtual()
-	a, b := virtualPipe(t, v, false)
-	got := drainN(b)
-	// Far more same-instant datagrams than the queue holds: the batch
-	// must stage the surplus and feed it at the reader's pace — exactly
-	// what per-datagram events did — rather than overflow-drop.
-	n := pipeQueueDepth + 500
+	a, b := virtualPipe(t, v)
+	const n = 5000
 	for i := 0; i < n; i++ {
 		if _, err := a.WriteTo([]byte("datagram"), b.LocalAddr()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	v.Run(time.Millisecond)
+	drained := make(chan struct{})
+	go func() {
+		bc := transport.As(b)
+		ms := make([]transport.Message, transport.DefaultBatchSize)
+		for total := 0; ; {
+			cnt, err := bc.ReadBatch(ms)
+			if err != nil {
+				return
+			}
+			if busy, at := v.Busy(), v.Elapsed(); busy != 1 || at != 0 {
+				t.Errorf("after %d of %d: busy=%d at %v, want one hold at the delivery instant", total, n, busy, at)
+			}
+			if total += cnt; total == n {
+				close(drained)
+			}
+		}
+	}()
+	v.Run(time.Millisecond) // returns once the reader's next call found the ring empty
+	select {
+	case <-drained:
+	default:
+		t.Fatal("the clock moved on before the burst was read whole")
+	}
 	if busy := v.Busy(); busy != 0 {
-		t.Fatalf("gate not drained after staged batch: busy=%d", busy)
+		t.Fatalf("gate not drained after the burst: busy=%d", busy)
 	}
 	b.Close()
 	a.Close()
-	if total := <-got; total != n {
-		t.Fatalf("staged batch dropped datagrams: got %d of %d", total, n)
-	}
 }

@@ -3,17 +3,18 @@
 // many-endpoint switch (Network) with configurable loss, delay, and jitter
 // (deterministic enough for tests), and a wrapper that injects the same
 // impairments into any real net.PacketConn (e.g. a UDP socket) for demos.
+// The in-memory endpoints are batching transport.Conns themselves.
 //
 // All impairment timing goes through a clock.Clock. Under clock.System the
 // transports behave as before — delayed datagrams ride time.AfterFunc.
-// Under a *clock.Virtual every delivery (even a zero-delay one) becomes a
-// kernel event, and the conns participate in the clock's quiesce gate:
-// delivering a datagram to a reader goroutine holds virtual time still
-// until that reader has fully processed it (tracked as Enter on enqueue,
-// Exit when the reader returns for the next datagram). That is what makes
-// whole-protocol runs deterministic: at most one protocol goroutine is
-// ever reacting to an event while the clock decides what fires next. In
-// virtual mode each conn must have at most one reader goroutine.
+// Under a clock with a quiesce gate (clock.Virtual) every delivery, even a
+// zero-delay one, becomes a kernel event, and the conns participate in the
+// gate: delivering datagrams to a reader goroutine holds virtual time still
+// until that reader has fully processed them (Enter when an event fills an
+// empty ring, Exit when the reader comes back and finds it empty). That is
+// what makes whole-protocol runs deterministic: at most one protocol
+// goroutine is ever reacting to an event while the clock decides what fires
+// next. In virtual mode each conn must have at most one reader goroutine.
 package lossy
 
 import (
@@ -27,6 +28,7 @@ import (
 	"softstate/internal/bufpool"
 	"softstate/internal/clock"
 	"softstate/internal/rand"
+	"softstate/internal/transport"
 )
 
 // Config describes channel impairments.
@@ -36,7 +38,9 @@ type Config struct {
 	// Delay is the mean one-way delay added to each datagram.
 	Delay time.Duration
 	// Jitter, when positive, spreads the delay uniformly over
-	// [Delay-Jitter, Delay+Jitter].
+	// [Delay-Jitter, Delay+Jitter], drawn per datagram: a datagram that
+	// draws a shorter delay overtakes the ones written before it, so a
+	// jittered link reorders.
 	Jitter time.Duration
 	// Seed drives the loss/jitter stream (0 means a fixed default). The
 	// stream is a pure function of the seed, so two Pipes (or two
@@ -47,12 +51,6 @@ type Config struct {
 	// Clock schedules deliveries (clock.System when nil). Pass a
 	// *clock.Virtual to run the link in simulated time.
 	Clock clock.Clock
-	// Unbatched disables same-tick delivery batching in virtual mode:
-	// every datagram becomes its own kernel event and its own quiesce-gate
-	// hold, the pre-batching semantics. It exists for the determinism
-	// regression tests that prove batched and unbatched runs produce
-	// identical results; production simulations leave it false.
-	Unbatched bool
 }
 
 func (c Config) validate() error {
@@ -68,12 +66,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// gate returns the virtual clock when the config runs in simulated time.
-func (c Config) gate() *clock.Virtual {
-	v, _ := c.Clock.(*clock.Virtual)
-	return v
-}
-
 // addr is a trivial net.Addr for the in-memory transport.
 type addr string
 
@@ -87,11 +79,14 @@ type packet struct {
 }
 
 // Pipe returns two connected in-memory PacketConns, a ↔ b, each direction
-// independently subjected to cfg. Datagram boundaries are preserved; FIFO
-// order is maintained (delays are applied to the queue head, mirroring the
-// paper's no-reorder channel). The two directions split their streams off
-// cfg.Seed; a second Pipe built from the same cfg shares both streams with
-// the first (see Config.Seed).
+// independently subjected to cfg. Datagram boundaries are preserved. With
+// cfg.Jitter == 0 each direction is FIFO, the paper's no-reorder channel,
+// whatever the loss and delay (under the wall clock every delayed datagram
+// rides its own runtime timer, so there only as far as the scheduler runs
+// successive deadlines in order); with jitter every datagram draws its own
+// delay and later ones overtake earlier ones. The two directions split
+// their streams off cfg.Seed; a second Pipe built from the same cfg shares
+// both streams with the first (see Config.Seed).
 func Pipe(cfg Config) (a, b net.PacketConn, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
@@ -159,9 +154,10 @@ func (nw *Network) Endpoint(name string) net.PacketConn {
 	return c
 }
 
-// lookup resolves a destination address to its endpoint. It runs on every
-// WriteTo, so it reads the endpoint table lock-free: wall-clock fan-out
-// writes from many goroutines no longer contend on a switch mutex.
+// lookup resolves a destination address to its endpoint. It runs once per
+// same-destination run of every write, so it reads the endpoint table
+// lock-free: wall-clock fan-out writes from many goroutines do not contend
+// on a switch mutex.
 func (nw *Network) lookup(to net.Addr) *pipeConn {
 	if to == nil {
 		return nil
@@ -172,64 +168,98 @@ func (nw *Network) lookup(to net.Addr) *pipeConn {
 	return nil
 }
 
-// pipeConn is one endpoint of an in-memory pair or switch.
+// pipeConn is one endpoint of an in-memory pair or switch. It is a
+// transport.Conn, so transport.As hands it to the signal layer as it is and
+// a burst crosses the link in one WriteBatch and one ReadBatch.
 type pipeConn struct {
 	name  net.Addr // an addr, boxed once: every datagram written here carries it
 	cfg   Config
 	clk   clock.Clock
-	gate  *clock.Virtual // non-nil in virtual mode
+	gate  clock.Gate // non-nil in virtual mode
 	route func(to net.Addr) *pipeConn
 	// policy, when non-nil, consults the owning Network's fault rules per
 	// write: allow=false blackholes the datagram (partition, downed
 	// endpoint), loss ≥ 0 overrides the configured loss probability for
 	// this directed link. Pipe conns have no policy.
 	policy func(from, to string) (allow bool, loss float64)
+	st     transport.Stats
 
 	mu     sync.Mutex
 	rng    *rand.Source
-	queue  chan packet // never closed; done signals shutdown instead
-	done   chan struct{}
 	closed bool
 
-	// Virtual-mode gate ledger. Deliveries due at the same virtual instant
-	// coalesce into one delivBatch, one kernel event, and one gate hold:
-	// gateHeld is that hold, unretired counts the datagrams in the queue
-	// or in the reader's hands, and handed counts the ones returned by
-	// ReadFrom but not yet retired by the reader's next call. A batch
-	// larger than the queue stages its surplus in staged/stagedHead and
-	// feeds the queue as the reader drains — the gate stays held (and
-	// virtual time frozen) until the whole batch is processed, exactly
-	// like the old one-event-per-datagram handoff, so batching never
-	// drops what per-event delivery would have delivered.
-	batches    map[time.Time]*delivBatch // pending batches by due instant
-	lastBatch  *delivBatch               // the pending batch joined last: a burst's datagrams share an instant
-	batchFree  *delivBatch               // recycled batch objects (and their timers)
-	staged     []packet
-	stagedHead int
-	unretired  int
-	handed     int
-	gateHeld   bool
+	// ring is the one delivery queue: kernel events (virtual mode) and
+	// writers or their delay timers (wall mode) append to it, reads take
+	// from it. wake carries one token while it may be non-empty and is
+	// closed by Close, so a reader without a deadline blocks on a plain
+	// receive. lent holds the buffers the last ReadBatch handed out, to be
+	// recycled by the next one.
+	ring pktRing
+	wake chan struct{}
+	lent [][]byte
 
-	// Deadline-bearing reads share one reusable timer per conn instead of
-	// allocating a timer and channel per call. dlBusy marks it claimed by
-	// an in-flight read; a concurrent deadline read (legal on a wall-mode
-	// PacketConn) falls back to a private one-shot timer.
-	dlTimer clock.Timer
-	dlCh    chan struct{}
-	dlBusy  bool
+	// Virtual-mode deliveries due at the same instant coalesce into one
+	// delivBatch and one kernel event, which appends the batch to the ring
+	// and takes the gate hold. held is that hold: it is kept while the ring
+	// is non-empty or datagrams are in the reader's hands, and released by
+	// the read call that finds the ring empty — so virtual time stays frozen
+	// until a whole burst, of any size, has been processed.
+	batches   map[time.Time]*delivBatch // pending batches by due instant
+	lastBatch *delivBatch               // the pending batch joined last: a burst's datagrams share an instant
+	batchFree *delivBatch               // recycled batch objects (and their timers)
+	held      bool
 
-	// bufFree recycles datagram copy buffers through the conn they are
-	// delivered to: writers take a buffer under the destination's lock,
-	// the reader returns it after copying out. Steady-state traffic
-	// allocates no per-datagram buffers.
+	// bufFree recycles datagram buffers through the conn they are delivered
+	// to: writers take a buffer under the destination's lock and fill it —
+	// the datagram's one copy — and the reader returns it once done with
+	// it. Steady-state traffic allocates no per-datagram buffers.
 	bufFree [][]byte
 
+	// The read deadline is the conn's, as on any net.Conn: every blocked read
+	// is held to the current one. dlTimer, made by the first read that has to
+	// wait under a deadline, leaves the wake-up token when it runs out.
 	readDeadline time.Time
+	dlTimer      clock.Timer
 }
 
-// maxFreeBufs bounds the recycled-buffer stack: the queue can hold
+var _ transport.Conn = (*pipeConn)(nil)
+
+// pipeQueueDepth bounds the ring in wall mode, where nothing paces the
+// writers; past it a delivery is dropped like a router-buffer overflow.
+// Virtual mode never drops: the gate holds every writer until the ring is read.
+const pipeQueueDepth = 1024
+
+// maxFreeBufs bounds the recycled-buffer stack: the ring can hold
 // pipeQueueDepth datagrams, plus slack for ones in the reader's hands.
-const maxFreeBufs = pipeQueueDepth + 32
+const maxFreeBufs = pipeQueueDepth + transport.DefaultBatchSize
+
+// pktRing is a growable FIFO of datagrams: n of them from buf[head] on,
+// wrapping at len(buf). Slots outside that stretch are zero.
+type pktRing struct {
+	buf     []packet
+	head, n int
+}
+
+func (r *pktRing) push(p packet) {
+	if r.n == len(r.buf) {
+		grown := make([]packet, max(2*len(r.buf), 16))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = p // off the virtual hot path, where fireBatch swaps whole arrays in
+	r.n++
+}
+
+func (r *pktRing) pop() packet {
+	p := r.buf[r.head]
+	r.buf[r.head] = packet{}
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+	return p
+}
 
 // allocLocked returns a length-n buffer, recycled when one fits; callers
 // hold c.mu.
@@ -267,124 +297,186 @@ type delivBatch struct {
 
 func (b *delivBatch) fire() { b.conn.fireBatch(b) }
 
-const pipeQueueDepth = 1024
-
 func newPipeConn(name string, cfg Config, rng *rand.Source) *pipeConn {
+	clk := clock.Or(cfg.Clock)
 	return &pipeConn{
-		name:  addr(name),
-		cfg:   cfg,
-		clk:   clock.Or(cfg.Clock),
-		gate:  cfg.gate(),
-		rng:   rng,
-		queue: make(chan packet, pipeQueueDepth),
-		done:  make(chan struct{}),
+		name: addr(name),
+		cfg:  cfg,
+		clk:  clk,
+		gate: clk.Gate(),
+		rng:  rng,
+		wake: make(chan struct{}, 1),
 	}
 }
 
-// WriteTo applies the fault policy, loss, and delay, then enqueues at the
-// destination.
+func (c *pipeConn) Stats() *transport.Stats { return &c.st }
+
+// WriteTo is WriteBatch for one datagram.
 func (c *pipeConn) WriteTo(p []byte, to net.Addr) (int, error) {
-	lossP := c.cfg.Loss
-	blocked := false
-	if c.policy != nil && to != nil {
-		allow, lp := c.policy(c.name.String(), to.String())
-		if !allow {
-			blocked = true
-		} else if lp >= 0 {
-			lossP = lp
-		}
+	m := [1]transport.Message{{Data: p, Addr: to}}
+	if _, err := c.WriteBatch(m[:]); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// WriteBatch applies the fault policy, loss, and delay to every message in
+// slice order under one acquisition of the sender's lock — the rng stream
+// is consumed exactly as len(ms) WriteTo calls would consume it — and then
+// hands each run of same-destination datagrams to its endpoint under one
+// acquisition of that endpoint's lock. Dropped datagrams count as written,
+// like on a lossy network.
+func (c *pipeConn) WriteBatch(ms []transport.Message) (int, error) {
+	var stack [transport.DefaultBatchSize]time.Duration
+	delays := stack[:0] // per message; negative for a datagram that is lost
+	if len(ms) > len(stack) {
+		delays = make([]time.Duration, 0, len(ms))
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return 0, net.ErrClosed
 	}
-	// The loss draw happens even on a blocked link, so a conn consumes its
-	// rng stream at the same rate whether or not a partition is active —
-	// replays of the same seed and fault schedule stay byte-identical.
-	drop := c.rng.Bernoulli(lossP)
-	delay := c.sampleDelayLocked()
-	c.mu.Unlock()
-
-	peer := c.route(to)
-	if blocked || drop || peer == nil {
-		return len(p), nil // silently dropped, like a lossy network
+	lossP, blocked := c.cfg.Loss, false
+	for i := range ms {
+		if c.policy != nil && (i == 0 || !sameAddr(ms[i].Addr, ms[i-1].Addr)) {
+			lossP, blocked = c.linkPolicy(ms[i].Addr)
+		}
+		// The draws happen even on a blocked link, so a conn consumes its
+		// rng stream at the same rate whether or not a partition is active —
+		// replays of the same seed and fault schedule stay byte-identical.
+		drop := c.rng.Bernoulli(lossP)
+		delay := c.cfg.sampleDelay(c.rng)
+		if drop || blocked {
+			delay = -1
+		}
+		delays = append(delays, delay)
 	}
+	c.mu.Unlock()
+	c.st.ObserveWrite(int64(len(ms)))
+
+	// Under a virtual clock the writer is the driver or a gated reader, so
+	// time cannot advance inside a write: one reading serves the batch.
+	var now time.Time
 	if c.gate != nil {
-		// In virtual mode every datagram rides the kernel — delivery order
-		// is decided by the clock, not by goroutine races — and same-tick
-		// datagrams to one conn share a single event and gate hold.
-		peer.batchDeliver(p, c.name, delay)
-		return len(p), nil
+		now = c.clk.Now()
 	}
-	if delay <= 0 {
-		peer.enqueue(p, c.name)
-		return len(p), nil
+	for lo := 0; lo < len(ms); {
+		if delays[lo] < 0 {
+			lo++
+			continue
+		}
+		hi := lo + 1
+		for hi < len(ms) && sameAddr(ms[hi].Addr, ms[lo].Addr) {
+			hi++
+		}
+		if peer := c.route(ms[lo].Addr); peer != nil { // else unroutable: dropped
+			peer.accept(c.name, ms[lo:hi], delays[lo:hi], now)
+		}
+		lo = hi
 	}
-	data := peer.copyBuf(p)
-	pkt := packet{data: data, from: c.name}
-	c.clk.AfterFunc(delay, func() { peer.enqueueOwned(pkt) })
-	return len(p), nil
+	return len(ms), nil
 }
 
-// copyBuf copies p into a buffer recycled through this (destination)
-// conn.
-func (c *pipeConn) copyBuf(p []byte) []byte {
-	c.mu.Lock()
-	data := c.allocLocked(len(p))
-	c.mu.Unlock()
-	copy(data, p)
-	return data
+// sameAddr reports whether two destinations are the same lossy address, the
+// only kind a Network routes; anything else is looked up on its own.
+func sameAddr(a, b net.Addr) bool {
+	x, ok := a.(addr)
+	y, ok2 := b.(addr)
+	return ok && ok2 && x == y
 }
 
-// batchDeliver schedules pkt for delivery at this conn after delay
-// (virtual mode only). Datagrams due at the same instant join the same
-// batch: one kernel event, one gate Enter/Exit pair, however many
-// datagrams the instant carries. Under Config.Unbatched every datagram
-// gets a private batch, reproducing the one-event-per-datagram semantics.
-func (c *pipeConn) batchDeliver(p []byte, from net.Addr, delay time.Duration) {
-	due := c.clk.Now().Add(delay)
+// linkPolicy asks the owning Network's fault rules about the directed link
+// to to: the loss probability to draw with — the configured one unless the
+// link is open and overridden — and whether the link is blackholed.
+func (c *pipeConn) linkPolicy(to net.Addr) (lossP float64, blocked bool) {
+	if to == nil {
+		return c.cfg.Loss, false
+	}
+	allow, lp := c.policy(c.name.String(), to.String())
+	if !allow || lp < 0 {
+		lp = c.cfg.Loss
+	}
+	return lp, !allow
+}
+
+// sampleDelay draws one datagram's delay; a link without jitter draws nothing.
+func (c Config) sampleDelay(rng *rand.Source) time.Duration {
+	d := c.Delay
+	if c.Jitter > 0 {
+		span := 2 * c.Jitter.Seconds()
+		d = time.Duration((c.Delay.Seconds() - c.Jitter.Seconds() + rng.Float64()*span) * float64(time.Second))
+	}
+	return d
+}
+
+// accept takes one writer's run of datagrams at this (destination) conn.
+// Each survivor is copied into a conn-owned buffer; in virtual mode it then
+// rides the kernel — delivery order is decided by the clock, not by
+// goroutine races — joining the batch of its due instant, and in wall mode
+// it goes to the ring at once or when its delay timer fires.
+func (c *pipeConn) accept(from net.Addr, ms []transport.Message, delays []time.Duration, now time.Time) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
-	data := c.allocLocked(len(p))
-	copy(data, p)
-	var b *delivBatch
-	if !c.cfg.Unbatched {
-		// Consecutive datagrams are almost always due at one instant, so the
-		// map is consulted only when the instant changes.
-		if b = c.lastBatch; b == nil || b.due != due {
-			if c.batches == nil {
-				c.batches = make(map[time.Time]*delivBatch)
+	for i := range ms {
+		delay := delays[i]
+		if delay < 0 {
+			continue
+		}
+		data := c.allocLocked(len(ms[i].Data))
+		copy(data, ms[i].Data)
+		switch {
+		case c.gate != nil:
+			c.joinLocked(packet{data: data, from: from}, now.Add(delay), delay)
+		case delay == 0:
+			c.pushLocked(packet{data: data, from: from})
+		default:
+			pkt := packet{data: data, from: from}
+			c.clk.AfterFunc(delay, func() {
+				c.mu.Lock()
+				if !c.closed {
+					c.pushLocked(pkt)
+				}
+				c.mu.Unlock()
+			})
+		}
+	}
+}
+
+// joinLocked adds pkt to the batch due at this conn at due, delay from now:
+// one kernel event and one gate hold per instant, however many datagrams
+// the instant carries. The batch's timer is armed by its first datagram, so
+// events fire in the order their instants were first written to.
+func (c *pipeConn) joinLocked(pkt packet, due time.Time, delay time.Duration) {
+	// Consecutive datagrams are almost always due at one instant, so the
+	// map is consulted only when the instant changes.
+	b := c.lastBatch
+	if b == nil || b.due != due {
+		if c.batches == nil {
+			c.batches = make(map[time.Time]*delivBatch)
+		}
+		if b = c.batches[due]; b == nil {
+			if b = c.batchFree; b != nil {
+				c.batchFree, b.next = b.next, nil
+			} else {
+				b = &delivBatch{conn: c}
+				b.tmr = c.clk.NewTimer(b.fire)
 			}
-			b = c.batches[due]
-		}
-	}
-	if b == nil {
-		if b = c.batchFree; b != nil {
-			c.batchFree = b.next
-			b.next = nil
-		} else {
-			b = &delivBatch{conn: c}
-			b.tmr = c.clk.NewTimer(b.fire)
-		}
-		b.due = due
-		if !c.cfg.Unbatched {
+			b.due = due
 			c.batches[due] = b
+			b.tmr.Reset(delay)
 		}
-		b.tmr.Reset(delay)
+		c.lastBatch = b
 	}
-	c.lastBatch = b // read only when batching
-	b.pkts = append(b.pkts, packet{data: data, from: from})
-	c.mu.Unlock()
+	b.pkts = append(b.pkts, pkt)
 }
 
 // fireBatch delivers a due batch: it runs as a kernel event on the clock
-// driver, stages the batch's datagrams, feeds as many as fit into the
-// queue, and takes one gate hold that the reader releases only after
-// draining the entire batch.
+// driver, appends the batch's datagrams to the ring and takes the gate
+// hold, which the reader releases once it has drained the ring.
 func (c *pipeConn) fireBatch(b *delivBatch) {
 	c.mu.Lock()
 	if c.batches[b.due] == b {
@@ -393,9 +485,21 @@ func (c *pipeConn) fireBatch(b *delivBatch) {
 	if c.lastBatch == b {
 		c.lastBatch = nil
 	}
-	if !c.closed {
-		c.staged = append(c.staged, b.pkts...)
-		c.feedStagedLocked()
+	if !c.closed { // else the datagrams drop with the conn
+		if c.ring.n == 0 {
+			// As ever under a gate: no event fires before the last one's
+			// datagrams are read. The batch becomes the ring as it stands,
+			// and the ring's emptied array the next batch.
+			c.ring, b.pkts = pktRing{buf: b.pkts, n: len(b.pkts)}, c.ring.buf[:0]
+		}
+		for _, pkt := range b.pkts {
+			c.ring.push(pkt)
+		}
+		if !c.held {
+			c.held = true
+			c.gate.Enter()
+		}
+		c.wakeLocked()
 	}
 	clear(b.pkts)
 	b.pkts = b.pkts[:0]
@@ -404,247 +508,141 @@ func (c *pipeConn) fireBatch(b *delivBatch) {
 	c.mu.Unlock()
 }
 
-// maxStagedCap bounds the staging slice's retained capacity: install-size
-// bursts may grow it, but an idle conn gives the memory back.
-const maxStagedCap = 4096
-
-// feedStagedLocked moves staged datagrams into the queue until it fills
-// or the stage empties, and takes the gate hold covering them; callers
-// hold c.mu. The gate prevents further kernel events until the reader
-// retires everything fed, so a stage larger than the queue drains in
-// reader-paced slices at one frozen virtual instant — never dropping, and
-// never letting the clock advance mid-batch.
-func (c *pipeConn) feedStagedLocked() {
-	fed := 0
-loop:
-	for c.stagedHead < len(c.staged) {
-		select {
-		case c.queue <- c.staged[c.stagedHead]:
-			c.staged[c.stagedHead] = packet{}
-			c.stagedHead++
-			fed++
-		default:
-			break loop
-		}
-	}
-	if c.stagedHead == len(c.staged) {
-		if cap(c.staged) > maxStagedCap {
-			c.staged = nil
-		} else {
-			c.staged = c.staged[:0]
-		}
-		c.stagedHead = 0
-	}
-	if fed > 0 {
-		c.unretired += fed
-		if !c.gateHeld {
-			c.gateHeld = true
-			c.gate.Enter()
-		}
-	}
-}
-
-func (c *pipeConn) sampleDelayLocked() time.Duration {
-	d := c.cfg.Delay
-	if c.cfg.Jitter > 0 {
-		span := 2 * c.cfg.Jitter.Seconds()
-		d = time.Duration((c.cfg.Delay.Seconds() - c.cfg.Jitter.Seconds() + c.rng.Float64()*span) * float64(time.Second))
-	}
-	return d
-}
-
-// enqueue copies and delivers one datagram immediately (wall mode;
-// virtual mode delivers through batches).
-func (c *pipeConn) enqueue(p []byte, from net.Addr) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+// pushLocked appends a wall-mode delivery to the ring; callers hold c.mu
+// and have checked c.closed.
+func (c *pipeConn) pushLocked(pkt packet) {
+	if c.ring.n >= pipeQueueDepth {
+		c.freeLocked(pkt.data) // overflow behaves like router-buffer drop
 		return
 	}
-	data := c.allocLocked(len(p))
-	copy(data, p)
+	c.ring.push(pkt)
+	c.wakeLocked()
+}
+
+// wakeLocked leaves the wake-up token for a blocked reader; callers hold
+// c.mu and have checked c.closed.
+func (c *pipeConn) wakeLocked() {
 	select {
-	case c.queue <- packet{data: data, from: from}:
+	case c.wake <- struct{}{}:
 	default:
-		c.freeLocked(data) // queue overflow behaves like router-buffer drop
 	}
 }
 
-// enqueueOwned delivers a datagram whose buffer was already copied with
-// copyBuf (the delayed wall-mode path).
-func (c *pipeConn) enqueueOwned(p packet) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	select {
-	case c.queue <- p:
-	default:
-		c.freeLocked(p.data)
-	}
-}
-
-// retireLocked tells the gate the reader has finished processing every
-// datagram previously returned. Once everything fed so far is retired it
-// feeds the next queue-sized slice of a staged batch, and releases the
-// hold only when the whole batch has drained; callers hold c.mu.
-func (c *pipeConn) retireLocked() {
-	if c.handed > 0 {
-		c.unretired -= c.handed
-		c.handed = 0
-	}
-	if c.unretired == 0 {
-		if c.stagedHead < len(c.staged) {
-			c.feedStagedLocked()
-			return
-		}
-		if c.gateHeld {
-			c.gateHeld = false
+// awaitLocked starts a read. A fresh read call means the reader has fully
+// processed what the previous one returned, so with the ring empty it
+// releases the gate hold and lets the virtual clock move on; then it blocks
+// until the ring holds a datagram, honoring the read deadline. It is
+// entered with c.mu held and returns nil with c.mu still held, or the
+// error with c.mu released.
+func (c *pipeConn) awaitLocked() error {
+	if c.ring.n == 0 {
+		if c.held {
+			c.held = false
 			c.gate.Exit()
 		}
-	}
-}
-
-// armDeadline arms a deadline timer for one read and returns its signal
-// channel plus the timer to stop and whether the conn's shared timer was
-// claimed. The shared timer and channel are created once per conn and
-// reused by every non-overlapping deadline read (the common single-reader
-// case allocates nothing); stale fires from a previous deadline are
-// drained here and re-checked against the clock by the caller, so reuse
-// never produces an early timeout. Overlapping deadline reads get a
-// private one-shot timer, preserving the old any-number-of-readers
-// semantics.
-func (c *pipeConn) armDeadline(d time.Duration) (<-chan struct{}, clock.Timer, bool) {
-	c.mu.Lock()
-	if !c.dlBusy {
-		c.dlBusy = true
-		if c.dlTimer == nil {
-			ch := make(chan struct{}, 1)
-			c.dlCh = ch
-			c.dlTimer = c.clk.AfterFunc(d, func() {
-				select {
-				case ch <- struct{}{}:
-				default:
-				}
-			})
-			t := c.dlTimer
-			c.mu.Unlock()
-			return ch, t, true
+		if n := cap(c.ring.buf); n > pipeQueueDepth && n > 4*len(c.ring.buf) {
+			c.ring = pktRing{} // grown by an install-size burst, a quarter used by the last: give it back
 		}
-		t, ch := c.dlTimer, c.dlCh
-		c.mu.Unlock()
-		select { // drain a stale fire from an earlier deadline
-		case <-ch:
-		default:
-		}
-		t.Reset(d)
-		return ch, t, true
-	}
-	c.mu.Unlock()
-	ch := make(chan struct{})
-	t := c.clk.AfterFunc(d, func() { close(ch) })
-	return ch, t, false
-}
-
-// releaseDeadline stops a read's deadline timer and, for the shared one,
-// returns it to the conn.
-func (c *pipeConn) releaseDeadline(t clock.Timer, shared bool) {
-	t.Stop()
-	if shared {
-		c.mu.Lock()
-		c.dlBusy = false
-		c.mu.Unlock()
-	}
-}
-
-// ReadFrom blocks for the next datagram, honoring the read deadline. A
-// fresh call signals that the previous datagram has been fully processed,
-// which is what lets the virtual clock advance past its batch.
-func (c *pipeConn) ReadFrom(p []byte) (int, net.Addr, error) {
-	c.mu.Lock()
-	if c.gate != nil {
-		c.retireLocked()
-	}
-	deadline := c.readDeadline
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return 0, nil, net.ErrClosed
-	}
-	var timeout <-chan struct{}
-	var dlTmr clock.Timer
-	var dlShared bool
-	if !deadline.IsZero() {
-		d := deadline.Sub(c.clk.Now())
-		if d <= 0 {
-			return 0, nil, timeoutError{}
-		}
-		timeout, dlTmr, dlShared = c.armDeadline(d)
-		defer c.releaseDeadline(dlTmr, dlShared)
 	}
 	for {
-		select {
-		case pkt := <-c.queue:
-			n := copy(p, pkt.data)
-			c.mu.Lock()
-			c.freeLocked(pkt.data)
-			if c.gate != nil && !c.closed {
-				// Count the datagram as handed to the reader; Close already
-				// zeroed the ledger (and released the hold) if it raced
-				// this dequeue.
-				c.handed++
-			}
-			c.mu.Unlock()
-			return n, pkt.from, nil
-		case <-c.done:
-			return 0, nil, net.ErrClosed
-		case <-timeout:
-			if c.clk.Now().Before(deadline) {
-				// Stale fire from a previous deadline that slipped past the
-				// drain (shared timer only); rearm for the remainder and
-				// keep waiting.
-				dlTmr.Reset(deadline.Sub(c.clk.Now()))
-				continue
-			}
-			return 0, nil, timeoutError{}
+		left := time.Duration(1)
+		if !c.readDeadline.IsZero() {
+			left = c.readDeadline.Sub(c.clk.Now())
 		}
+		switch {
+		case c.closed:
+			c.mu.Unlock()
+			return net.ErrClosed
+		case left <= 0:
+			c.wakeLocked() // the timer left one token: every blocked reader is due it
+			c.mu.Unlock()
+			return timeoutError{}
+		case c.ring.n > 0:
+			return nil
+		case !c.readDeadline.IsZero():
+			if c.dlTimer == nil {
+				c.dlTimer = c.clk.NewTimer(c.kick)
+			}
+			c.dlTimer.Reset(left)
+		}
+		c.mu.Unlock()
+		<-c.wake // a token, or Close
+		c.mu.Lock()
 	}
+}
+
+// leaveLocked ends a read and releases c.mu. Only one token is ever
+// pending, so a wall-mode reader that leaves datagrams behind passes the
+// wake-up on and concurrent ReadFrom callers all make progress.
+func (c *pipeConn) leaveLocked() {
+	if c.gate == nil && c.ring.n > 0 {
+		c.wakeLocked()
+	}
+	c.mu.Unlock()
+}
+
+// ReadBatch blocks for the first datagram, then takes up to len(ms) from
+// the ring under the one lock acquisition. Data is the conn-owned buffer
+// the writer filled, not a copy into Buf: it is recycled by the next
+// ReadBatch, so an endpoint has one ReadBatch consumer.
+func (c *pipeConn) ReadBatch(ms []transport.Message) (int, error) {
+	if len(ms) == 0 {
+		return 0, nil
+	}
+	c.mu.Lock()
+	for i, b := range c.lent {
+		c.freeLocked(b)
+		c.lent[i] = nil
+	}
+	c.lent = c.lent[:0]
+	if err := c.awaitLocked(); err != nil {
+		return 0, err
+	}
+	n := min(len(ms), c.ring.n)
+	for i := 0; i < n; i++ {
+		pkt := c.ring.pop()
+		ms[i].Data, ms[i].Addr = pkt.data, pkt.from
+		c.lent = append(c.lent, pkt.data)
+	}
+	c.leaveLocked()
+	c.st.ObserveRead(int64(n))
+	return n, nil
+}
+
+// ReadFrom takes one datagram and copies it into p. Any number of wall-mode
+// goroutines may call it at once.
+func (c *pipeConn) ReadFrom(p []byte) (int, net.Addr, error) {
+	c.mu.Lock()
+	if err := c.awaitLocked(); err != nil {
+		return 0, nil, err
+	}
+	pkt := c.ring.pop()
+	n := copy(p, pkt.data)
+	c.freeLocked(pkt.data)
+	c.leaveLocked()
+	c.st.ObserveRead(1)
+	return n, pkt.from, nil
 }
 
 // Close shuts the endpoint: pending reads unblock with net.ErrClosed and
-// later deliveries are dropped. The queue channel is never closed, so a
-// peer's in-flight WriteTo can race Close safely. In virtual mode Close
-// zeroes the gate ledger and releases any held batch, so a closed
-// endpoint can never stall the clock; batches still scheduled fire into
-// the closed conn and drop their datagrams.
+// later deliveries are dropped — every path into the ring checks closed
+// under c.mu, so a peer's in-flight write can race Close safely. In
+// virtual mode Close empties the ring and releases the gate hold, so a
+// closed endpoint can never stall the clock; batches still scheduled fire
+// into the closed conn and drop their datagrams.
 func (c *pipeConn) Close() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil
 	}
 	c.closed = true
-	if c.gate != nil {
-		c.handed = 0
-		c.unretired = 0
-		c.staged = nil
-		c.stagedHead = 0
-		if c.gateHeld {
-			c.gateHeld = false
-			c.gate.Exit()
-		}
+	c.ring, c.lent = pktRing{}, nil // a reader may still hold lent's buffers; nobody reuses them
+	if c.held {
+		c.held = false
+		c.gate.Exit()
 	}
-	for {
-		select {
-		case <-c.queue: // discard; the conn (and its free list) is dead
-			continue
-		default:
-		}
-		break
-	}
-	c.mu.Unlock()
-	close(c.done)
+	close(c.wake)
 	return nil
 }
 
@@ -654,12 +652,22 @@ func (c *pipeConn) LocalAddr() net.Addr { return c.name }
 // SetDeadline sets the read deadline (writes never block).
 func (c *pipeConn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
 
-// SetReadDeadline sets the read deadline.
+// SetReadDeadline sets the read deadline, for blocked reads too.
 func (c *pipeConn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.readDeadline = t
+	c.mu.Unlock()
+	c.kick()
 	return nil
+}
+
+// kick wakes a blocked read to look at the clock and the deadline again.
+func (c *pipeConn) kick() {
+	c.mu.Lock()
+	if !c.closed {
+		c.wakeLocked()
+	}
+	c.mu.Unlock()
 }
 
 // SetWriteDeadline is a no-op: writes never block.
@@ -692,7 +700,7 @@ func Wrap(conn net.PacketConn, cfg Config) (*Conn, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.gate() != nil {
+	if clock.Or(cfg.Clock).Gate() != nil {
 		return nil, errors.New("lossy: Wrap does not support virtual clocks; use Pipe or Network")
 	}
 	seed := cfg.Seed
@@ -708,15 +716,7 @@ func Wrap(conn net.PacketConn, cfg Config) (*Conn, error) {
 func (c *Conn) WriteTo(p []byte, to net.Addr) (int, error) {
 	c.mu.Lock()
 	drop := c.rng.Bernoulli(c.cfg.Loss)
-	var delay time.Duration
-	if c.cfg.Delay > 0 {
-		jit := c.cfg.Jitter.Seconds()
-		d := c.cfg.Delay.Seconds()
-		if jit > 0 {
-			d = d - jit + c.rng.Float64()*2*jit
-		}
-		delay = time.Duration(d * float64(time.Second))
-	}
+	delay := c.cfg.sampleDelay(c.rng)
 	c.mu.Unlock()
 	if drop {
 		return len(p), nil

@@ -26,9 +26,6 @@ type FanoutConfig struct {
 	Delay           time.Duration
 	Duration        time.Duration // virtual run length after install; default 3R
 	Seed            uint64
-	// Unbatched disables same-tick delivery batching on the switch; see
-	// LiveConfig.Unbatched.
-	Unbatched bool
 	// Metrics, when non-nil, instruments the node side (not the Peers
 	// receivers, whose per-endpoint series would swamp a scrape) and adds
 	// the virtual clock's gate-park counter. Nil runs exactly the
@@ -90,7 +87,6 @@ func RunLiveFanout(cfg FanoutConfig) (FanoutResult, error) {
 	v := clock.NewVirtual()
 	nw, err := lossy.NewNetwork(lossy.Config{
 		Loss: cfg.Loss, Delay: cfg.Delay, Seed: cfg.Seed ^ 0x11ce, Clock: v,
-		Unbatched: cfg.Unbatched,
 	})
 	if err != nil {
 		return FanoutResult{}, err

@@ -86,11 +86,6 @@ type LiveConfig struct {
 	// pure observers: a run's LiveResult is identical with or without
 	// them.
 	Metrics *telemetry.Registry
-	// Unbatched disables same-tick delivery batching on the links (one
-	// kernel event and one gate hold per datagram, the pre-batching
-	// semantics). The determinism regression tests prove batched and
-	// unbatched runs produce identical LiveResults.
-	Unbatched bool
 }
 
 func (cfg *LiveConfig) applyDefaults() error {
@@ -211,12 +206,11 @@ func (cfg LiveConfig) signalConfig(v *clock.Virtual) signal.Config {
 // loss/jitter stream off this seed.
 func (cfg LiveConfig) linkConfig(v *clock.Virtual) lossy.Config {
 	return lossy.Config{
-		Loss:      cfg.Loss,
-		Delay:     cfg.Delay,
-		Jitter:    cfg.Jitter,
-		Seed:      cfg.Seed ^ 0x11ce, // distinct stream from the workload rng
-		Clock:     v,
-		Unbatched: cfg.Unbatched,
+		Loss:   cfg.Loss,
+		Delay:  cfg.Delay,
+		Jitter: cfg.Jitter,
+		Seed:   cfg.Seed ^ 0x11ce, // distinct stream from the workload rng
+		Clock:  v,
 	}
 }
 

@@ -139,7 +139,7 @@ func (s *Stream) ReadFrom(b []byte) (int, net.Addr, error) {
 		n := copy(b, f.buf.B)
 		from := f.from
 		f.buf.Free()
-		s.st.observeRead(1)
+		s.st.ObserveRead(1)
 		return n, from, nil
 	case <-s.done:
 		return 0, nil, net.ErrClosed

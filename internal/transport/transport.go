@@ -5,17 +5,18 @@
 // batch-size distributions — so the paper's wire-cost metrics extend down
 // to the kernel crossing.
 //
-// Three backends share the Conn interface:
+// Three backends here share the Conn interface, and the in-memory links of
+// internal/lossy implement it themselves (As returns them as they are), so
+// the virtual-time harness batches natively too:
 //
 //   - udp-batch (ListenUDPBatch on linux/amd64 and linux/arm64): real
 //     sendmmsg/recvmmsg over one or more SO_REUSEPORT sockets, the
 //     production path. The x/net ipv4.PacketConn batch API would provide
 //     the same calls, but this repo builds hermetically with a zero-dep
 //     go.mod, so the two syscalls are bound directly.
-//   - plain (Wrap): any net.PacketConn — kernel UDP sockets on other
-//     platforms, and the in-memory lossy pipes the virtual-time harness
-//     runs on. One datagram per syscall, byte-identical WriteTo ordering,
-//     which is what keeps deterministic replays deterministic.
+//   - plain (Wrap): any other net.PacketConn — kernel UDP sockets on other
+//     platforms, a test's or a demo's own wrapper around a link. One
+//     datagram per call, in the WriteTo order of the batch it is handed.
 //   - stream (NewStream): length-prefixed datagram framing over TCP for
 //     the reliable variants, with reconnect-and-resume semantics.
 //
@@ -42,10 +43,15 @@ const (
 	MaxDatagram = 16 << 10
 )
 
-// Message is one datagram slot in a batch ring. Buf is the caller-owned
-// backing storage a ReadBatch fills; Data is the filled region (aliasing
-// some slot's Buf) and stays valid only until the next ReadBatch on the
-// same ring. For writes the caller sets Data and Addr; Buf is ignored.
+// Message is one datagram slot in a batch ring. Buf is caller-owned backing
+// storage a ReadBatch may fill; Data is the datagram read and stays valid
+// only until the next ReadBatch on the same conn. It aliases some slot's
+// Buf on the kernel-socket backends and conn-owned storage on a lossy
+// endpoint, which hands out the buffer its writer filled and takes it back
+// on the next call — so run one ReadBatch consumer per read lane (Fanout),
+// and copy what must outlive the stride. For writes the caller sets Data
+// and Addr, and gets Data back untouched when the write returns; Buf is
+// ignored.
 type Message struct {
 	Buf  []byte
 	Data []byte
@@ -117,13 +123,15 @@ type Stats struct {
 	WriteBatchSize telemetry.Histogram
 }
 
-func (s *Stats) observeRead(dgrams int64) {
+// ObserveRead records one read call that delivered dgrams datagrams.
+func (s *Stats) ObserveRead(dgrams int64) {
 	s.ReadCalls.Add(1)
 	s.ReadDatagrams.Add(dgrams)
 	s.ReadBatchSize.Observe(time.Duration(dgrams))
 }
 
-func (s *Stats) observeWrite(dgrams int64) {
+// ObserveWrite records one write call that took dgrams datagrams.
+func (s *Stats) ObserveWrite(dgrams int64) {
 	s.WriteCalls.Add(1)
 	s.WriteDatagrams.Add(dgrams)
 	s.WriteBatchSize.Observe(time.Duration(dgrams))
@@ -208,9 +216,8 @@ func isTemporary(err error) bool {
 }
 
 // wrapConn adapts any net.PacketConn to Conn: one datagram per call, with
-// syscall accounting. It preserves the exact WriteTo call order of the
-// batch it is handed, which is what keeps virtual-time runs over lossy
-// pipes byte-reproducible.
+// syscall accounting, in the exact WriteTo call order of the batch it is
+// handed.
 type wrapConn struct {
 	net.PacketConn
 	st Stats
@@ -225,7 +232,7 @@ func (c *wrapConn) Stats() *Stats { return &c.st }
 func (c *wrapConn) ReadFrom(p []byte) (int, net.Addr, error) {
 	n, addr, err := c.PacketConn.ReadFrom(p)
 	if err == nil {
-		c.st.observeRead(1)
+		c.st.ObserveRead(1)
 	}
 	return n, addr, err
 }
@@ -233,7 +240,7 @@ func (c *wrapConn) ReadFrom(p []byte) (int, net.Addr, error) {
 func (c *wrapConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	n, err := c.PacketConn.WriteTo(p, addr)
 	if err == nil || isTemporary(err) {
-		c.st.observeWrite(1)
+		c.st.ObserveWrite(1)
 	}
 	return n, err
 }

@@ -152,7 +152,7 @@ func (c *batchConn) ReadBatch(ms []Message) (int, error) {
 			out++
 		}
 		if out > 0 {
-			c.st.observeRead(int64(out))
+			c.st.ObserveRead(int64(out))
 			return out, nil
 		}
 	}
@@ -202,14 +202,14 @@ func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 			if _, err := c.uc.WriteTo(chunk[0].Data, chunk[0].Addr); err != nil && !isTemporary(err) {
 				return written, err
 			}
-			c.st.observeWrite(1)
+			c.st.ObserveWrite(1)
 			written++
 			continue
 		}
 		sent, err := writeChunks(prep, func(off int) (int, error) {
 			cnt, serr := c.rawSend(c.wr.hs[off:prep])
 			if serr == nil && cnt > 0 {
-				c.st.observeWrite(int64(cnt))
+				c.st.ObserveWrite(int64(cnt))
 			}
 			return cnt, serr
 		})
@@ -252,7 +252,7 @@ func (c *batchConn) rawSend(hs []mmsghdr) (int, error) {
 func (c *batchConn) ReadFrom(p []byte) (int, net.Addr, error) {
 	n, addr, err := c.uc.ReadFrom(p)
 	if err == nil {
-		c.st.observeRead(1)
+		c.st.ObserveRead(1)
 	}
 	return n, addr, err
 }
@@ -260,7 +260,7 @@ func (c *batchConn) ReadFrom(p []byte) (int, net.Addr, error) {
 func (c *batchConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	n, err := c.uc.WriteTo(p, addr)
 	if err == nil || isTemporary(err) {
-		c.st.observeWrite(1)
+		c.st.ObserveWrite(1)
 	}
 	return n, err
 }
