@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -17,19 +18,31 @@ var (
 	// path (/tmp/figures/…).
 	docPath      = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:cmd|internal|examples|scripts|benchmark|figures)/[\w./*-]*)`)
 	docBenchmark = regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
-	benchFunc    = regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`)
+	docTest      = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
 	testFunc     = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	// A metric series name in a doc (softstate_transport_ and
+	// softstate_transport_* are prefixes) and in a Go string literal.
+	docSeries = regexp.MustCompile(`\bsoftstate_\w*\*?`)
+	goSeries  = regexp.MustCompile(`"(softstate_\w+)`)
+	// A CHANGES.md entry is one line, "PR n…"; from changesCapFrom on it is
+	// at most changesCap bytes: what / deleted / fixed / tests / medians.
+	changesEntry = regexp.MustCompile(`^PR (\d+)\b`)
 	// One word of a workflow command line: quoted, or bare.
 	shellWord = regexp.MustCompile(`'[^']*'|"[^"]*"|[^\s'"]+`)
 )
 
+const changesCapFrom, changesCap = 23, 2560
+
 // TestDocsNameOnlyWhatExists keeps README.md and DESIGN.md from describing
 // a tree that is gone: every backticked repo path must exist (a
-// pkg.Symbol suffix is read as its package directory, a * as a glob), and
-// every Benchmark… identifier must be a prefix of some benchmark function
-// in a _test.go file, the way -bench would match it.
+// pkg.Symbol suffix is read as its package directory, a * as a glob),
+// every Benchmark… identifier and every backticked Test… or Fuzz… one must
+// be a prefix of some such function in a _test.go file, the way -bench and
+// -run would match it, and every backticked softstate_… series name must be
+// (or, ending in _ or *, begin) a string literal under internal/ or cmd/.
+// It also holds new CHANGES.md entries to their size.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
-	var benchmarks []string
+	var funcs, series []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -37,20 +50,32 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(path, "_test.go") {
+		test := strings.HasSuffix(path, "_test.go")
+		metrics := strings.HasSuffix(path, ".go") && (strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/"))
+		if !test && !metrics {
 			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		for _, m := range benchFunc.FindAllSubmatch(src, -1) {
-			benchmarks = append(benchmarks, string(m[1]))
+		if test {
+			for _, m := range testFunc.FindAllSubmatch(src, -1) {
+				funcs = append(funcs, string(m[1]))
+			}
+		}
+		if metrics {
+			for _, m := range goSeries.FindAllSubmatch(src, -1) {
+				series = append(series, string(m[1]))
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	hasFunc := func(name string) bool {
+		return slices.ContainsFunc(funcs, func(f string) bool { return strings.HasPrefix(f, name) })
 	}
 
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
@@ -59,16 +84,45 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, span := range docSpan.FindAllString(string(text), -1) {
-			for _, m := range docPath.FindAllStringSubmatch(strings.Trim(span, "`"), -1) {
+			inner := strings.Trim(span, "`")
+			for _, m := range docPath.FindAllStringSubmatch(inner, -1) {
 				if p := strings.TrimRight(m[1], "."); !docPathExists(p) {
 					t.Errorf("%s: %s names %s, which does not exist", doc, span, p)
 				}
 			}
+			for _, name := range docTest.FindAllString(inner, -1) {
+				if !hasFunc(name) {
+					t.Errorf("%s: %s names %s, which no test or fuzz function matches", doc, span, name)
+				}
+			}
+			for _, name := range docSeries.FindAllString(inner, -1) {
+				match := func(s string) bool { return s == name }
+				if prefix := strings.TrimSuffix(name, "*"); prefix != name || strings.HasSuffix(name, "_") {
+					match = func(s string) bool { return strings.HasPrefix(s, prefix) }
+				}
+				if !slices.ContainsFunc(series, match) {
+					t.Errorf("%s: %s names the series %s, which no string literal under internal/ or cmd/ matches", doc, span, name)
+				}
+			}
 		}
 		for _, name := range docBenchmark.FindAllString(string(text), -1) {
-			if !slices.ContainsFunc(benchmarks, func(b string) bool { return strings.HasPrefix(b, name) }) {
+			if !hasFunc(name) {
 				t.Errorf("%s: no benchmark function matches %s", doc, name)
 			}
+		}
+	}
+
+	changes, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(changes), "\n") {
+		m := changesEntry.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		if pr, _ := strconv.Atoi(m[1]); pr >= changesCapFrom && len(line) > changesCap {
+			t.Errorf("CHANGES.md: the entry for PR %d is %d bytes, over the %d an entry gets; run lists go in the PR", pr, len(line), changesCap)
 		}
 	}
 }

@@ -101,7 +101,8 @@ const (
 )
 
 // Protocols lists the five variants in canonical order; a fuzz input's
-// first byte mod 5 selects one.
+// first byte mod 10 selects one, and with it how refreshes and acks travel
+// (RunTrace).
 var Protocols = []signal.Protocol{signal.SS, signal.SSER, signal.SSRT, signal.SSRTR, signal.HS}
 
 // DecodeTrace maps fuzz bytes onto the op grammar: two bytes per op,
@@ -236,10 +237,13 @@ type engine struct {
 	res       *Result
 }
 
-// RunTrace executes one decoded trace against variant profileIdx (index into
-// Protocols) and returns the full record. Same inputs, same Result.
+// RunTrace executes one decoded trace against variant profileIdx and returns
+// the full record: 0–4 index Protocols with per-key refreshes and acks, 5–9
+// are the same five with summary refreshes and coalesced acks. Same inputs,
+// same Result.
 func RunTrace(profileIdx int, ops []Op) (*Result, error) {
 	proto := Protocols[profileIdx%len(Protocols)]
+	summary := profileIdx/len(Protocols)%2 == 1
 	v := clock.NewVirtual()
 	nw, err := lossy.NewNetwork(lossy.Config{Delay: chaosLinkDelay, Seed: 1, Clock: v})
 	if err != nil {
@@ -250,6 +254,8 @@ func RunTrace(profileIdx int, ops []Op) (*Result, error) {
 		RefreshInterval: chaosRefresh,
 		Timeout:         chaosTimeout,
 		Retransmit:      chaosRetx,
+		SummaryRefresh:  summary,
+		CoalesceAcks:    summary,
 		Clock:           v,
 	}
 	e := &engine{

@@ -4,7 +4,8 @@ import (
 	"testing"
 )
 
-// seedTrace builds a corpus entry: variant selector byte followed by
+// seedTrace builds a corpus entry: variant selector byte (0–4 per-key, 5–9
+// the same variants with summary refreshes and coalesced acks) followed by
 // two-byte ops.
 func seedTrace(variant byte, ops ...Op) []byte {
 	data := []byte{variant}
@@ -36,15 +37,26 @@ func corpusSeeds() [][]byte {
 		seedTrace(4, install(5), tick(5), Op{OpTypeFlip, 0}, Op{OpRemove, 5}, Op{OpTypeFlip, 0}, tick(40)),
 		// Stale replay resurrecting a removed key (zombie cleanup path).
 		seedTrace(1, install(6), tick(5), Op{OpRemove, 6}, tick(10), Op{OpReplay, 2}, tick(40)),
+		// Summary mode. A captured summary (the third frame the sender
+		// wrote) replayed after one of its keys was withdrawn: an
+		// intact-looking list must neither revive the key nor extend a lease
+		// the removal broke.
+		seedTrace(6, install(0), install(1), tick(31), Op{OpRemove, 0}, tick(5), Op{OpReplay, 2}, tick(40)),
+		// The second session's summary of k0–k3 (its ninth frame) spliced
+		// onto a sender leasing the same list, byte for byte, under another
+		// sequence space.
+		seedTrace(5, install(0), install(1), install(2), install(3), tick(31), tick(31), Op{OpSplice, 8}, tick(31), tick(40)),
+		// A summary cut in the middle of its first key.
+		seedTrace(5, install(0), install(1), tick(31), Op{OpTruncate, 20}, tick(10)),
 	}
 	return seeds
 }
 
 // FuzzSession drives decoded mutation traces into one live
-// sender/receiver pair (first input byte selects the variant) and fails
-// on any structural invariant violation at any step. Every failure
-// reproduces from its corpus entry alone: the engine runs entirely in
-// virtual time over a seeded network.
+// sender/receiver pair (first input byte selects the variant and, from 5
+// up, the summary-refresh mode) and fails on any structural invariant
+// violation at any step. Every failure reproduces from its corpus entry
+// alone: the engine runs entirely in virtual time over a seeded network.
 func FuzzSession(f *testing.F) {
 	for _, s := range corpusSeeds() {
 		f.Add(s)
@@ -53,7 +65,7 @@ func FuzzSession(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		res, err := RunTrace(int(data[0])%len(Protocols), DecodeTrace(data[1:]))
+		res, err := RunTrace(int(data[0])%(2*len(Protocols)), DecodeTrace(data[1:]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,17 +101,21 @@ func FuzzDifferential(f *testing.F) {
 	})
 }
 
-// TestCorpusSeeds replays every corpus seed through both fuzz bodies as a
-// plain test, so `go test` (and CI's short mode) exercises the whole
-// mutation grammar deterministically even when no fuzz engine runs.
+// TestCorpusSeeds replays every corpus seed through FuzzSession's body as a
+// plain test, under the seed's variant in both modes (per-key, then summary
+// refreshes with coalesced acks), so `go test` (and CI's short mode)
+// exercises the whole mutation grammar deterministically even when no fuzz
+// engine runs.
 func TestCorpusSeeds(t *testing.T) {
 	for i, s := range corpusSeeds() {
-		res, err := RunTrace(int(s[0])%len(Protocols), DecodeTrace(s[1:]))
-		if err != nil {
-			t.Fatalf("seed %d: %v", i, err)
-		}
-		if len(res.Violations) != 0 {
-			t.Fatalf("seed %d (%s): %v", i, res.Protocol, res.Violations)
+		for m, mode := range []string{"per-key", "summary"} {
+			res, err := RunTrace(int(s[0])%len(Protocols)+m*len(Protocols), DecodeTrace(s[1:]))
+			if err != nil {
+				t.Fatalf("seed %d, %s: %v", i, mode, err)
+			}
+			if len(res.Violations) != 0 {
+				t.Fatalf("seed %d (%s, %s): %v", i, res.Protocol, mode, res.Violations)
+			}
 		}
 	}
 }

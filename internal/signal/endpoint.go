@@ -40,7 +40,7 @@ func (ep *endpoint) init(conn net.PacketConn, cfg Config) {
 	ep.tp.bc = transport.As(conn)
 	ep.clk = clock.Or(cfg.Clock)
 	ep.born = ep.clk.Now()
-	ep.events = eventSink{ch: make(chan Event, cfg.EventBuffer), fn: cfg.OnEvent}
+	ep.events = eventSink{ch: make(chan Event, eventBuffer), fn: cfg.OnEvent}
 	ep.trace, ep.measure = cfg.Trace, cfg.Metrics != nil
 }
 
@@ -123,6 +123,10 @@ func (tp *fencedConn) close() error {
 	tp.closed = true
 	return tp.bc.Close()
 }
+
+// eventBuffer is the observability channel's size: events beyond a full
+// buffer are dropped, never blocking the protocol.
+const eventBuffer = 256
 
 // eventSink is the non-blocking observability stream, fenced so emitters
 // never race the channel closing. An optional synchronous hook (fn) sees

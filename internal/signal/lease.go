@@ -6,18 +6,17 @@ import (
 	"sync"
 	"time"
 
-	"softstate/internal/statetable"
 	"softstate/internal/wire"
 )
 
-// Datagram leases are the third tier of summary renewal, in front of the
-// sweep-order hints as the hints are in front of the index. A sender in
-// steady state repeats each summary datagram's key list byte for byte, so
-// once a list has come through the per-key path in the order it came the
-// time before, the receiver keeps a copy of it in a lease and makes every
-// entry it renewed a member. From then on a datagram whose list equals the
-// copy extends the lease — one (tick, seq) store under the peer's lease
-// mutex — and touches no entry, shard lock or timer node.
+// Datagram leases are the upper of the two tiers of summary renewal, in
+// front of the walk through the index. A sender in steady state repeats each
+// summary datagram's key list byte for byte, so once a list has come through
+// the per-key path with every key found and renewed, the receiver keeps a
+// copy of it in a lease and makes every entry it renewed a member. From then
+// on a datagram whose list equals the copy extends the lease — one (tick,
+// seq) store under the peer's lease mutex — and touches no entry, shard lock
+// or timer node.
 //
 // Soft state needs only that state not re-announced within T disappears,
 // and that is kept lazily, as the wheel keeps a renewed deadline: an entry's
@@ -39,9 +38,9 @@ import (
 // was given, until its last member leaves.
 //
 // A sweep's datagrams arrive in the order the last sweep's did, so leases are
-// expected in that order, as entries are by their hints: a datagram is first
-// compared with the list of the lease extended after the last one last time,
-// and only hashed and looked up, and the successor corrected, if that fails.
+// expected in that order: a datagram is first compared with the list of the
+// lease extended after the last one last time, and only hashed and looked
+// up, and the successor corrected, if that fails.
 //
 // Hard state never sweeps, so only refresh profiles lease, and the entry
 // names its lease in the word hard state counts probe misses in.
@@ -59,9 +58,6 @@ type lease struct {
 	tick      int64
 	seq       uint64
 	renewedAt time.Duration
-	// tail rests on the list's last entry: the read loop's cursor moves
-	// there when the lease stands in for the walk.
-	tail statetable.Cursor[receiverEntry]
 	// next is the lease that was extended after this one last time, where the
 	// peer's next datagram is looked for first; nil once broken.
 	next *lease
@@ -156,17 +152,15 @@ func (r *Receiver) extendLease(sc *dispatchScratch, p *peer, seq uint64, n int, 
 		r.histJitter.ObserveN(sc.now-l.renewedAt, int64(n))
 		l.renewedAt = sc.now
 	}
-	sc.cur.Follow(&l.tail)
 	return true
 }
 
 // buildLease makes the entries under list members of one new lease, after
-// the per-key path renewed every one of them from this datagram. from is
-// where the read loop's cursor stood before that walk, so this one follows
-// the same hints. The lease is usable only if the walk ends with one member
-// per key: a list naming a key twice, or an entry dropped or overtaken by a
-// newer trigger meanwhile, leaves it broken.
-func (r *Receiver) buildLease(sc *dispatchScratch, p *peer, seq uint64, n int, list []byte, from statetable.Cursor[receiverEntry]) {
+// the per-key path renewed every one of them from this datagram. The lease
+// is usable only if the walk ends with one member per key: a list naming a
+// key twice, or an entry dropped or overtaken by a newer trigger meanwhile,
+// leaves it broken.
+func (r *Receiver) buildLease(sc *dispatchScratch, p *peer, seq uint64, n int, list []byte) {
 	hash := maphash.Bytes(r.leaseSeed, list)
 	ls := &p.leases
 	ls.mu.Lock()
@@ -178,10 +172,9 @@ func (r *Receiver) buildLease(sc *dispatchScratch, p *peer, seq uint64, n int, l
 	ls.file(l)
 	ls.mu.Unlock()
 
-	sc.joining, sc.walk = l, from
+	sc.joining = l
 	_ = wire.VisitKeyList(seq, n, list, sc.attach) // the list validated on the way here
 	ls.mu.Lock()
-	l.tail = sc.walk
 	if l.members != l.n {
 		ls.breakLease(l)
 	}

@@ -541,6 +541,66 @@ func FuzzLease(f *testing.F) {
 	})
 }
 
+// TestLeaseFormsOnFirstCleanSighting: a walked datagram that found every one
+// of its keys and renewed every one builds its lease there and then, so its
+// repeat is leased and looks nothing up. A datagram short of that — one key
+// unknown, one key the datagram is too old for, one key named twice — builds
+// nothing its repeat could extend: the repeat is walked again, key for key.
+func TestLeaseFormsOnFirstCleanSighting(t *testing.T) {
+	g := newLeaseRig(t)
+	p := testAddr("10.0.0.1:7000")
+	keys := rigKeys(16)
+	g.install(p, 5, keys...)
+	g.install(p, 20, keys[9]) // ahead of what the summaries are stamped
+	deliver := func(ks ...string) (lookups, leased int, nacked []string) {
+		g.clk.Run(time.Millisecond)
+		g.conn.take()
+		before := g.rcv.Stats()
+		g.frame(p, wire.Message{Type: wire.TypeSummaryRefresh, Seq: 9, Keys: ks})
+		after := g.rcv.Stats()
+		for _, c := range g.conn.take() {
+			nacked = append(nacked, c.m.Keys...)
+		}
+		return after.SummaryIndexLookups - before.SummaryIndexLookups, after.SummaryLeasedKeys - before.SummaryLeasedKeys, nacked
+	}
+	clean := keys[:8]
+	if lookups, leased, nacked := deliver(clean...); lookups != 8 || leased != 0 || nacked != nil {
+		t.Fatalf("first sighting: %d lookups, %d leased, NACKed %v; want 8, 0 and none", lookups, leased, nacked)
+	}
+	if c := g.rcv.leaseCensus(); c.headers != 1 || c.members != 8 || c.naming != 8 {
+		t.Fatalf("after one clean datagram: %+v, want one lease of 8 members", c)
+	}
+	for i := 0; i < 2; i++ {
+		if lookups, leased, nacked := deliver(clean...); lookups != 0 || leased != 8 || nacked != nil {
+			t.Fatalf("repeat %d: %d lookups, %d leased, NACKed %v; want 0, 8 and none", i, lookups, leased, nacked)
+		}
+	}
+	intact := g.rcv.leaseCensus().listBytes
+	for _, c := range []struct {
+		name   string
+		keys   []string
+		nacked []string
+	}{
+		{"one unknown key", []string{keys[10], "flow/absent", keys[11]}, []string{"flow/absent"}},
+		{"one stale key", []string{keys[8], keys[9], keys[12]}, nil},
+		{"a key named twice", []string{keys[13], keys[14], keys[13]}, nil},
+	} {
+		for i := 0; i < 3; i++ {
+			lookups, leased, nacked := deliver(c.keys...)
+			if lookups != len(c.keys) || leased != 0 || !slices.Equal(nacked, c.nacked) {
+				t.Fatalf("%s, sighting %d: %d lookups, %d leased, NACKed %v; want %d, 0 and %v",
+					c.name, i+1, lookups, leased, nacked, len(c.keys), c.nacked)
+			}
+			if got := g.rcv.leaseCensus().listBytes; got != intact {
+				t.Fatalf("%s, sighting %d: leases hold %d key-list bytes, want the clean datagram's %d", c.name, i+1, got, intact)
+			}
+		}
+	}
+	if bad := g.rcv.CheckInvariants(); len(bad) != 0 {
+		t.Fatal(bad)
+	}
+}
+
 // TestLeaseExpiresWithSweeps: leases change nothing about when state goes.
 // Two datagrams are swept on different schedules until both are leased;
 // then the sweeps stop, and every key expires exactly T after the last
@@ -591,7 +651,7 @@ func TestLeaseExpiresWithSweeps(t *testing.T) {
 	}
 }
 
-// TestLeaseKeepsPeersApart mirrors TestSummaryHintsKeepPeersApart one tier
+// TestLeaseKeepsPeersApart mirrors TestSummaryKeepsPeersApart one tier
 // up: two peers install the same user keys and sweep them in byte-identical
 // datagrams, so each peer's lease sits beside one of the other's over the
 // same list. Extending a lease must renew its own peer's entries only: when
@@ -675,10 +735,10 @@ func TestLeaseKeepsJitterHistogram(t *testing.T) {
 }
 
 // TestLeaseBounded: the worst sender for leases is one whose datagram
-// boundaries move every sweep while its key order holds, because every
-// datagram then follows the hints (so a lease is built for it) and is never
-// seen again (so the lease is never used, and the next sweep takes its
-// members away). Through 10,000 such sweeps the receiver keeps no more than
+// boundaries move every sweep, because every datagram is then a clean first
+// sighting (so a lease is built for it) and is never seen again (so the
+// lease is never used, and the next sweep takes its members away). Through
+// 10,000 such sweeps the receiver keeps no more than
 // one key list per entry's worth of keys — an intact lease's list is its
 // members' keys with their length prefixes, and an entry is a member of one
 // lease — and no more lease headers than entries.
@@ -901,17 +961,15 @@ func TestLeaseRaceExtendChurnExpire(t *testing.T) {
 }
 
 // BenchmarkReceiverSummary is one 64-key summary datagram absorbed through
-// each of the three tiers, on a receiver holding 4,096 keys of one sender
+// each of the two tiers, on a receiver holding 4,096 keys of one sender
 // swept in 64 datagrams. leased/in-order: the sweep repeats, so every
 // datagram extends the lease the one before it expects next. leased/shuffled:
 // the sweep's datagrams repeat in an order that does not, so every lease is
-// found by the hash of its list. hinted: the same sweep stamped older than
-// its leases, which declines them and walks the hints. indexed: the sweep's
-// key order reverses every time, so no hint leads anywhere and every key is
-// looked up.
+// found by the hash of its list. indexed: the same sweep stamped older than
+// its leases, which declines them, so every key is looked up.
 func BenchmarkReceiverSummary(b *testing.B) {
 	const keys, perDatagram = 4096, 64
-	for _, tier := range []string{"leased/in-order", "leased/shuffled", "hinted", "indexed"} {
+	for _, tier := range []string{"leased/in-order", "leased/shuffled", "indexed"} {
 		b.Run(tier, func(b *testing.B) {
 			rcv, err := NewReceiver(newDiscardConn(), Config{Protocol: SS, Timeout: time.Hour, Shards: 16, Clock: clock.NewVirtual()})
 			if err != nil {
@@ -943,7 +1001,7 @@ func BenchmarkReceiverSummary(b *testing.B) {
 			}
 			forward := sweep(names, 9)
 			for i := 0; i < 4; i++ {
-				play(forward) // learn the order, build the leases
+				play(forward) // build the leases, learn their order
 			}
 			sweeps := [][][]byte{forward}
 			switch tier {
@@ -956,12 +1014,8 @@ func BenchmarkReceiverSummary(b *testing.B) {
 					sweeps[i] = slices.Clone(forward)
 					rng.Shuffle(len(forward), func(j, k int) { sweeps[i][j], sweeps[i][k] = sweeps[i][k], sweeps[i][j] })
 				}
-			case "hinted":
-				sweeps[0] = sweep(names, 8)
 			case "indexed":
-				backward := slices.Clone(names)
-				slices.Reverse(backward)
-				sweeps = [][][]byte{sweep(backward, 8), sweep(names, 8)}
+				sweeps[0] = sweep(names, 8)
 			}
 			before := rcv.Stats()
 			b.ReportAllocs()

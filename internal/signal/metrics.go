@@ -149,7 +149,7 @@ func (r *Receiver) registerMetrics() {
 	}, &r.ctrs.summaryRenewals)
 	reg.RegisterCounter(telemetry.Opts{
 		Name:   "softstate_summary_index_lookups_total",
-		Help:   "Summary-refresh keys looked up through the state table's index because the sweep-order hint did not lead to them.",
+		Help:   "Summary-refresh keys looked up through the state table's index: every key of a datagram from a known peer that no lease answered.",
 		Labels: labels,
 	}, &r.ctrs.summaryIndexLookups)
 	reg.RegisterCounter(telemetry.Opts{

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"softstate/internal/clock"
 	"softstate/internal/statetable"
@@ -329,5 +330,23 @@ func TestStrangerDigestWalksNothing(t *testing.T) {
 	}
 	if reflect.DeepEqual(reply.Sums, make([]uint64, buckets)) {
 		t.Fatal("the holder's digest came back empty")
+	}
+}
+
+// TestEntrySizes pins both table values inside their allocator size class:
+// the state table adds 128 bytes to a value (TestEntryOverhead there), so a
+// 48-byte receiverEntry — the sender named by a peer id sharing a word with
+// the probe-miss count, not by a two-word net.Addr — lands in the 176-byte
+// class and a 96-byte senderEntry in the 224-byte one. A word more on
+// either is 16 bytes per installed key.
+func TestEntrySizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(receiverEntry{}); got > 48 {
+		t.Errorf("receiverEntry is %d bytes, want at most 48", got)
+	}
+	if got := unsafe.Sizeof(senderEntry{}); got > 96 {
+		t.Errorf("senderEntry is %d bytes, want at most 96", got)
 	}
 }

@@ -246,22 +246,17 @@ type dispatchScratch struct {
 	unknown []string
 	visit   func(seq uint64, key []byte)
 	renew   func(e *receiverEntry, tc statetable.TimerControl[receiverEntry])
-	// cur follows the source's sweep order through the table: a summary's
-	// keys arrive in the order the last sweep's did, so each is found from
-	// the one before it (statetable.Cursor). found counts the current
-	// datagram's keys that resolved to an entry, fresh the ones of them the
-	// datagram was not too old to renew.
-	cur   statetable.Cursor[receiverEntry]
+	// found counts the current datagram's keys that resolved to an entry,
+	// fresh the ones of them the datagram was not too old to renew.
 	found int64
 	fresh int
 	// The datagram's r.lifetime(), read once per datagram, not once per key.
 	kind statetable.TimerKind
 	tick int64
 	arm  bool
-	// buildLease's second walk: the lease being joined, the walk's own
-	// cursor, and the visitor that joins each entry.
+	// buildLease's second walk: the lease being joined and the visitor that
+	// joins each entry.
 	joining *lease
-	walk    statetable.Cursor[receiverEntry]
 	attach  func(seq uint64, key []byte)
 }
 
@@ -289,7 +284,7 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 		// A stranger holds nothing, so its every key is unknown.
 		if sc.peer != nil {
 			sc.ck = append(sc.ck[:len(sc.peer.prefix)], key...)
-			if r.tbl.UpdateBytesAfter(&sc.cur, sc.ck, sc.renew) {
+			if r.tbl.UpdateBytes(sc.ck, sc.renew) {
 				sc.found++
 				return
 			}
@@ -299,7 +294,7 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 	join := func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { r.join(sc, e) }
 	sc.attach = func(_ uint64, key []byte) {
 		sc.ck = append(sc.ck[:len(sc.peer.prefix)], key...)
-		r.tbl.UpdateBytesAfter(&sc.walk, sc.ck, join)
+		r.tbl.UpdateBytes(sc.ck, join)
 	}
 	return sc
 }
@@ -311,14 +306,12 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 // the transport's address cache, an equal value for the in-memory and stream
 // address types, or — a transport that hands out a fresh *net.UDPAddr per
 // datagram — another pointer to the same IP and port, which is compared as
-// a netip.AddrPort and remembered in the first one's place. A new source
-// starts a new sweep order, so the cursor starts over with it.
+// a netip.AddrPort and remembered in the first one's place.
 func (r *Receiver) source(sc *dispatchScratch, from net.Addr) *peer {
 	if p := sc.peer; p == nil || p.gone.Load() || (from != sc.from && !sameAddr(from, p.addr)) {
 		if sc.peer = r.peers.byAddr.get(from.String()); sc.peer != nil {
 			sc.ck = append(sc.ck[:0], sc.peer.prefix...)
 		}
-		sc.cur.Reset()
 	}
 	sc.from = from
 	return sc.peer
@@ -351,16 +344,14 @@ func (sc *dispatchScratch) key(key string) []byte {
 }
 
 // handleSummaryFast absorbs a summary refresh without allocating, through
-// the cheapest of three tiers that applies. A datagram whose key list the
+// the cheaper of two tiers that applies. A datagram whose key list the
 // source holds an intact lease for extends the lease and is done
 // (extendLease). Otherwise the list is walked in place (wire.VisitKeyList):
 // each (peer, key) composite lookup key is built in a reusable buffer and
-// the entry renewed through the state table's byte-key path, reached by the
-// sweep-order hint of the entry before it or, failing that, the index. Only
-// the NACK fallback for unknown keys — rare by construction — copies
-// anything. A walk that found every key fresh and in the order the hints
-// remembered has seen this list before: it ends by building the lease the
-// next such datagram extends.
+// the entry renewed through the state table's byte-key path. Only the NACK
+// fallback for unknown keys — rare by construction — copies anything. A walk
+// that found every key and renewed every one ends by building the lease the
+// list's next datagram extends.
 func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScratch) {
 	if r.closed.Load() {
 		return
@@ -383,24 +374,20 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScr
 		return
 	}
 	sc.seq, sc.unknown, sc.found, sc.fresh = seq, sc.unknown[:0], 0, 0
-	start, lookups := sc.cur, sc.cur.IndexLookups()
 	if err := wire.VisitKeyList(seq, n, list, sc.visit); err != nil {
 		r.ctrs.decodeErrors.Add(1)
 		return
 	}
 	r.ctrs.received[wire.TypeSummaryRefresh].Add(1)
-	// Once per datagram, not per key: the keys it renewed, and how many of
-	// its keys (unknown ones included) had to go through the table's index.
-	looked := int(sc.cur.IndexLookups() - lookups)
+	// Once per datagram, not per key: the keys it renewed, and the keys
+	// (unknown ones included) the walk looked up in the table's index — a
+	// stranger's are not looked up at all.
 	r.ctrs.summaryRenewals.Add(sc.found)
-	r.ctrs.summaryIndexLookups.Add(int64(looked))
-	// The first key of a datagram that follows another source's has no hint
-	// to be found by; every other key of a list seen before has.
-	if start.Cold() {
-		looked--
+	if p != nil {
+		r.ctrs.summaryIndexLookups.Add(int64(n))
 	}
-	if leasing && n > 0 && sc.fresh == n && looked <= 0 {
-		r.buildLease(sc, p, seq, n, list, start)
+	if leasing && n > 0 && sc.fresh == n {
+		r.buildLease(sc, p, seq, n, list)
 	}
 	unknown := sc.unknown
 	for len(unknown) > 0 {

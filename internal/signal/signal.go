@@ -96,9 +96,6 @@ type Config struct {
 	// for soft state protocols" (paper ref [16]). Receivers should size
 	// their Timeout for the stretched interval or run the same rule.
 	MaxRefreshRate float64
-	// EventBuffer sizes the observability channel (default 256). Events
-	// beyond a full buffer are dropped, never blocking the protocol.
-	EventBuffer int
 	// Shards is the state-table shard count (rounded up to a power of
 	// two; the statetable default when 0). Each shard has its own lock
 	// and timing-wheel timer, so this bounds both lock contention and
@@ -224,9 +221,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxProbeMisses <= 0 {
 		c.MaxProbeMisses = 3
 	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 256
-	}
 	if c.SummaryMaxKeys <= 0 {
 		c.SummaryMaxKeys = 64
 	}
@@ -310,9 +304,9 @@ type Stats struct {
 	// Received["ack-batch"]) for the reply-datagram reduction.
 	CoalescedAcks int
 	// SummaryRenewals counts the keys a receiver found while absorbing
-	// summary refreshes, and SummaryIndexLookups how many summary keys
-	// (unknown ones included) it had to look up through the state table's
-	// index because the sweep-order hint did not lead to them. In steady
+	// summary refreshes, and SummaryIndexLookups the summary keys it looked
+	// up through the state table's index: every key, unknown ones included,
+	// of a datagram from a known peer that no lease answered. In steady
 	// state the second stays flat while the first grows by one per key per
 	// refresh interval; their ratio is the share of renewals that left the
 	// fast path. SummaryLeasedKeys counts the renewals among the first that

@@ -9,29 +9,10 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"softstate/internal/clock"
 	"softstate/internal/wire"
 )
-
-// TestEntrySizes pins both table values inside their allocator size class:
-// the state table adds 144 bytes to a value (TestEntryOverhead there), so a
-// 48-byte receiverEntry — the sender named by a peer id sharing a word with
-// the probe-miss count, not by a two-word net.Addr — lands in the 192-byte
-// class and a 96-byte senderEntry in the 240-byte one. A word more on
-// either is 16 bytes per installed key.
-func TestEntrySizes(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("sizes pinned for 64-bit targets")
-	}
-	if got := unsafe.Sizeof(receiverEntry{}); got > 48 {
-		t.Errorf("receiverEntry is %d bytes, want at most 48", got)
-	}
-	if got := unsafe.Sizeof(senderEntry{}); got > 96 {
-		t.Errorf("senderEntry is %d bytes, want at most 96", got)
-	}
-}
 
 // captureConn is discardConn with a memory: every datagram written is
 // decoded and kept with its destination.
@@ -175,12 +156,12 @@ func rigKeys(n int) []string {
 	return out
 }
 
-// TestSummaryHintsKeepPeersApart: two peers install the same user keys and
-// their summaries interleave, so every hint one peer's sweep leaves sits
-// beside an entry of the other with the same user key. A renewal must land
-// on the (peer, key) it names: when one peer goes quiet its entries time
-// out although the other keeps renewing every one of those keys.
-func TestSummaryHintsKeepPeersApart(t *testing.T) {
+// TestSummaryKeepsPeersApart: two peers install the same user keys and
+// their summaries interleave, so every entry one peer's sweep renews sits
+// beside one of the other's with the same user key. A renewal must land on
+// the (peer, key) it names: when one peer goes quiet its entries time out
+// although the other keeps renewing every one of those keys.
+func TestSummaryKeepsPeersApart(t *testing.T) {
 	g := newSummaryRig(t)
 	a, b := testAddr("10.0.0.1:7000"), testAddr("10.0.0.2:7000")
 	keys := rigKeys(16)
@@ -188,30 +169,22 @@ func TestSummaryHintsKeepPeersApart(t *testing.T) {
 	g.install(a, 5, keys...)
 	g.install(b, 5, keys...)
 	both := []summary{{a, 9, lo}, {b, 9, lo}, {a, 9, hi}, {b, 9, hi}}
-	for i := 0; i < 3; i++ { // taught, followed, then leased
+	// The first sweep walks every datagram through the index and builds its
+	// lease; from the second on none of them is walked at all.
+	for i, want := range []int{32, 0, 0} {
 		before := g.rcv.Stats()
 		if nacked := g.sweep(both...); len(nacked) != 0 {
 			t.Fatalf("sweep %d NACKed %v", i, nacked)
 		}
 		g.expectHeld("both refreshing", a, keys)
 		g.expectHeld("both refreshing", b, keys)
-		// The cursor starts over whenever the source changes, so an
-		// interleaved datagram that follows the hints still costs one index
-		// lookup, for its first key.
-		if got := g.rcv.Stats().SummaryIndexLookups - before.SummaryIndexLookups; i == 1 && got != 4 {
-			t.Fatalf("4 interleaved datagrams following the hints cost %d index lookups, want 4", got)
+		after := g.rcv.Stats()
+		if got := after.SummaryRenewals - before.SummaryRenewals; got != 32 {
+			t.Fatalf("sweep %d of 32 keys counted %d renewals", i, got)
 		}
-	}
-	before := g.rcv.Stats()
-	g.sweep(both...)
-	after := g.rcv.Stats()
-	if got := after.SummaryRenewals - before.SummaryRenewals; got != 32 {
-		t.Fatalf("a sweep of 32 keys counted %d renewals", got)
-	}
-	// The second sweep in one order built each datagram's lease, so from the
-	// third on none of them is walked at all.
-	if got := after.SummaryIndexLookups - before.SummaryIndexLookups; got != 0 {
-		t.Fatalf("4 leased datagrams cost %d index lookups, want 0", got)
+		if got := after.SummaryIndexLookups - before.SummaryIndexLookups; got != want {
+			t.Fatalf("sweep %d: 4 interleaved datagrams cost %d index lookups, want %d", i, got, want)
+		}
 	}
 	// b goes quiet; a renews the same user keys.
 	g.sweep(summary{a, 9, lo}, summary{a, 9, hi})
@@ -226,14 +199,14 @@ func TestSummaryHintsKeepPeersApart(t *testing.T) {
 	g.expectHeld("after b's stale summary", b, nil)
 }
 
-// TestSummaryHintsSurviveLossReorderAndChurn walks one peer's sweep through
-// everything that breaks the order the hints were learnt in — a datagram
-// lost, two swapped, keys re-installed as new entries under hints that
-// still name the dead ones, a key removed from the middle of the chain and
-// put back, a replayed summary with a stale sequence number — and checks
-// after every sweep that exactly the keys it named (and the receiver held)
-// were renewed and exactly the ones it did not hold were NACKed.
-func TestSummaryHintsSurviveLossReorderAndChurn(t *testing.T) {
+// TestSummarySurvivesLossReorderAndChurn walks one peer's sweep through
+// everything that breaks the order and the leases the steady sweeps left —
+// a datagram lost, two swapped, keys re-installed as new entries, a key
+// removed from the middle of a list and put back, a replayed summary with a
+// stale sequence number — and checks after every sweep that exactly the keys
+// it named (and the receiver held) were renewed and exactly the ones it did
+// not hold were NACKed.
+func TestSummarySurvivesLossReorderAndChurn(t *testing.T) {
 	g := newSummaryRig(t)
 	p := testAddr("10.0.0.9:7000")
 	keys := rigKeys(32)
@@ -256,7 +229,7 @@ func TestSummaryHintsSurviveLossReorderAndChurn(t *testing.T) {
 	base := lookups()
 	noNacks("steady", g.sweep(d(0, 50), d(1, 50), d(2, 50), d(3, 50)))
 	if got := lookups() - base; got != 0 {
-		t.Fatalf("a sweep in the learnt order cost %d index lookups", got)
+		t.Fatalf("a leased sweep cost %d index lookups", got)
 	}
 
 	// The second datagram is lost: its keys, and only they, time out.
@@ -270,15 +243,15 @@ func TestSummaryHintsSurviveLossReorderAndChurn(t *testing.T) {
 	}
 	g.expectHeld("after the NACK", p, without(keys, keys[8:16]...))
 
-	// Re-triggered: new entries under keys whose predecessors' hints still
-	// name the dead ones. Then a sweep with two datagrams swapped.
+	// Re-triggered: new entries under the old keys. Then a sweep with two
+	// datagrams swapped.
 	g.install(p, 20, keys[8:16]...)
 	noNacks("swapped", g.sweep(d(0, 50), d(2, 50), d(1, 50), d(3, 50)))
 	g.expectHeld("swapped", p, keys)
 	noNacks("back in order", g.sweep(d(0, 50), d(1, 50), d(2, 50), d(3, 50)))
 	g.expectHeld("back in order", p, keys)
 
-	// A key leaves the middle of the chain; sweeps stop naming it.
+	// A key leaves the middle of a list; sweeps stop naming it.
 	gone := keys[10]
 	g.frame(p, wire.Message{Type: wire.TypeRemoval, Seq: 30, Key: gone})
 	short := summary{p, 50, without(keys[8:16], gone)}
@@ -291,7 +264,7 @@ func TestSummaryHintsSurviveLossReorderAndChurn(t *testing.T) {
 	if want := map[net.Addr][]string{p: {gone}}; !reflect.DeepEqual(nacked, want) {
 		t.Fatalf("NACKed %v, want %v", nacked, want)
 	}
-	// And it comes back, as a new entry, into the same place in the order.
+	// And it comes back, as a new entry, into the same place in its list.
 	g.install(p, 40, gone)
 	for i := 0; i < 2; i++ {
 		noNacks("put back", g.sweep(d(0, 50), d(1, 50), d(2, 50), d(3, 50)))
@@ -299,24 +272,26 @@ func TestSummaryHintsSurviveLossReorderAndChurn(t *testing.T) {
 	}
 
 	// A replayed first datagram from before the re-triggers (seq 5 < every
-	// accepted seq) finds its entries through the hints and must renew none.
+	// accepted seq) is too old for its lease: it is walked, finds its eight
+	// entries and must renew none. The other three are leased.
 	base = lookups()
 	noNacks("stale replay", g.sweep(d(0, 5), d(1, 50), d(2, 50), d(3, 50)))
 	g.expectHeld("stale replay", p, without(keys, keys[:8]...))
-	if got := lookups() - base; got != 0 {
-		t.Fatalf("the stale replay cost %d index lookups: it did not follow the hints", got)
+	if got := lookups() - base; got != 8 {
+		t.Fatalf("the stale replay cost %d index lookups, want its own 8 keys", got)
 	}
 }
 
 // TestSummaryIndexLookupStats is the observability contract end to end,
-// with a real sender sweeping: once the receiver has seen a sweep order it
-// follows it without the index, k membership changes cost the next sweep a
-// few lookups each, and the one after none.
+// with a real sender sweeping 200 keys in four datagrams: a walked datagram
+// counts every one of its keys and a leased one none, so a steady sweep costs
+// no lookups, the sweep after membership changes re-walks only the datagrams
+// whose lists changed, and the one after none.
 func TestSummaryIndexLookupStats(t *testing.T) {
-	const keys, changes = 200, 5
+	const keys, perDatagram = 200, 64
 	c := vEndpoints(t, SS, 0, func(cfg *Config) {
 		cfg.SummaryRefresh = true
-		cfg.SummaryMaxKeys = 64
+		cfg.SummaryMaxKeys = perDatagram
 		cfg.Timeout = time.Minute // removed keys linger: SS removal is silent
 	})
 	R := fastConfig(SS).RefreshInterval
@@ -333,103 +308,32 @@ func TestSummaryIndexLookupStats(t *testing.T) {
 		after := c.rcv.Stats()
 		return after.SummaryRenewals - before.SummaryRenewals, after.SummaryIndexLookups - before.SummaryIndexLookups
 	}
-	c.run(3 * R) // learn the order, and the wrap from the last key to the first
+	c.run(2 * R) // the first sweep of the full key set is walked, and leased from
 	for i := 0; i < 3; i++ {
 		if renewals, lookups := interval(); renewals != keys || lookups != 0 {
 			t.Fatalf("steady sweep %d: %d renewals, %d index lookups; want %d and 0", i, renewals, lookups, keys)
 		}
 	}
-	for i := 0; i < changes; i++ {
-		if err := c.snd.Remove(fmt.Sprintf("k%03d", 80*i+20)); err != nil {
+	// The sweep goes out in key order, so a key that leaves and one that
+	// joins eleven places on move only the keys between them: two such
+	// changes inside the first datagram's list and two inside the third's
+	// leave the second's and the fourth's as they were.
+	changed := []int{20, 100, 260, 340}
+	for _, at := range changed {
+		if err := c.snd.Remove(fmt.Sprintf("k%03d", at)); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.snd.Install(fmt.Sprintf("k%03d", 80*i+41), []byte("v")); err != nil {
+		if err := c.snd.Install(fmt.Sprintf("k%03d", at+21), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	renewals, lookups := interval()
-	if renewals != keys {
-		t.Fatalf("sweep after %d removals and %d installs: %d renewals, want %d", changes, changes, renewals, keys)
-	}
-	// A removed key's successor is looked up once; a new key is looked up
-	// and so is its successor.
-	if lookups < changes || lookups > 3*changes {
-		t.Fatalf("sweep after %d removals and %d installs: %d index lookups, want %d..%d", changes, changes, lookups, changes, 3*changes)
+	if renewals, lookups := interval(); renewals != keys || lookups != 2*perDatagram {
+		t.Fatalf("sweep after %d removals and installs: %d renewals, %d index lookups; want %d and the %d keys of two datagrams",
+			len(changed), renewals, lookups, keys, 2*perDatagram)
 	}
 	for i := 0; i < 2; i++ {
 		if renewals, lookups := interval(); renewals != keys || lookups != 0 {
 			t.Fatalf("healed sweep %d: %d renewals, %d index lookups; want %d and 0", i, renewals, lookups, keys)
 		}
 	}
-}
-
-// TestSweepCompositionUnchanged pins which keys ride in which summary
-// datagram against the rule the sweep had before it stopped measuring the
-// whole remaining list per datagram: the largest prefix of what is left
-// that fits the wire limits, cut to SummaryMaxKeys. One session's short
-// keys make the key cap bind, the other's long ones the byte budget.
-func TestSweepCompositionUnchanged(t *testing.T) {
-	const maxKeys = 64
-	conn := newCaptureConn()
-	ss := NewSessions(conn, Config{
-		Protocol:        SS,
-		RefreshInterval: time.Hour, // sweeps driven by hand
-		Timeout:         3 * time.Hour,
-		SummaryRefresh:  true,
-		SummaryMaxKeys:  maxKeys,
-		Clock:           clock.NewVirtual(),
-	})
-	t.Cleanup(func() { ss.Shutdown(); ss.CloseEvents() })
-	short, long := testAddr("10.0.1.1:7000"), testAddr("10.0.1.2:7000")
-	want := map[net.Addr][]string{}
-	for i := 0; i < 150; i++ {
-		want[short] = append(want[short], fmt.Sprintf("flow/%04d", i))
-	}
-	for i := 0; i < 70; i++ {
-		want[long] = append(want[long], fmt.Sprintf("%0300d", i))
-	}
-	for peer, keys := range want {
-		sess := ss.Session(peer)
-		for _, k := range keys {
-			if err := sess.Install(k, []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	conn.take()
-	sent := ss.SummarySweep()
-	got := map[net.Addr][][]string{}
-	for _, c := range conn.take() {
-		if c.m.Type != wire.TypeSummaryRefresh {
-			t.Fatalf("the sweep wrote a %v", c.m.Type)
-		}
-		got[c.to] = append(got[c.to], c.m.Keys)
-	}
-	total := 0
-	for peer, keys := range want {
-		var ref [][]string
-		for rest := keys; len(rest) > 0; {
-			n := min(wire.SummaryFits(rest), maxKeys)
-			ref = append(ref, rest[:n])
-			rest = rest[n:]
-		}
-		if !reflect.DeepEqual(got[peer], ref) {
-			t.Errorf("%v: datagrams of %v keys, want %v", peer, lens(got[peer]), lens(ref))
-		}
-		total += len(ref)
-	}
-	if l := lens(got[long]); len(l) == 0 || l[0] >= maxKeys {
-		t.Fatalf("long keys: %v keys per datagram — the byte budget never bound", l)
-	}
-	if sent != total {
-		t.Fatalf("SummarySweep reported %d datagrams, want %d", sent, total)
-	}
-}
-
-func lens(dgs [][]string) []int {
-	out := make([]int, len(dgs))
-	for i, d := range dgs {
-		out[i] = len(d)
-	}
-	return out
 }

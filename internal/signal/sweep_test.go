@@ -361,3 +361,74 @@ func TestSweepRaceInstallRemove(t *testing.T) {
 		t.Error(bad)
 	}
 }
+
+// TestSweepCompositionUnchanged pins which keys ride in which summary
+// datagram against the rule the sweep had before it stopped measuring the
+// whole remaining list per datagram: the largest prefix of what is left
+// that fits the wire limits, cut to SummaryMaxKeys. One session's short
+// keys make the key cap bind, the other's long ones the byte budget.
+func TestSweepCompositionUnchanged(t *testing.T) {
+	const maxKeys = 64
+	conn := newCaptureConn()
+	ss := NewSessions(conn, Config{
+		Protocol:        SS,
+		RefreshInterval: time.Hour, // sweeps driven by hand
+		Timeout:         3 * time.Hour,
+		SummaryRefresh:  true,
+		SummaryMaxKeys:  maxKeys,
+		Clock:           clock.NewVirtual(),
+	})
+	t.Cleanup(func() { ss.Shutdown(); ss.CloseEvents() })
+	short, long := testAddr("10.0.1.1:7000"), testAddr("10.0.1.2:7000")
+	want := map[net.Addr][]string{}
+	for i := 0; i < 150; i++ {
+		want[short] = append(want[short], fmt.Sprintf("flow/%04d", i))
+	}
+	for i := 0; i < 70; i++ {
+		want[long] = append(want[long], fmt.Sprintf("%0300d", i))
+	}
+	for peer, keys := range want {
+		sess := ss.Session(peer)
+		for _, k := range keys {
+			if err := sess.Install(k, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	conn.take()
+	sent := ss.SummarySweep()
+	got := map[net.Addr][][]string{}
+	for _, c := range conn.take() {
+		if c.m.Type != wire.TypeSummaryRefresh {
+			t.Fatalf("the sweep wrote a %v", c.m.Type)
+		}
+		got[c.to] = append(got[c.to], c.m.Keys)
+	}
+	total := 0
+	for peer, keys := range want {
+		var ref [][]string
+		for rest := keys; len(rest) > 0; {
+			n := min(wire.SummaryFits(rest), maxKeys)
+			ref = append(ref, rest[:n])
+			rest = rest[n:]
+		}
+		if !reflect.DeepEqual(got[peer], ref) {
+			t.Errorf("%v: datagrams of %v keys, want %v", peer, lens(got[peer]), lens(ref))
+		}
+		total += len(ref)
+	}
+	if l := lens(got[long]); len(l) == 0 || l[0] >= maxKeys {
+		t.Fatalf("long keys: %v keys per datagram — the byte budget never bound", l)
+	}
+	if sent != total {
+		t.Fatalf("SummarySweep reported %d datagrams, want %d", sent, total)
+	}
+}
+
+func lens(dgs [][]string) []int {
+	out := make([]int, len(dgs))
+	for i, d := range dgs {
+		out[i] = len(d)
+	}
+	return out
+}

@@ -65,12 +65,10 @@ func BenchmarkStateTable_1MKeys(b *testing.B) {
 // each lookup misses the cache and that chain of misses is the whole
 // cost; in install order (a sweep's order: the order the wheel's bucket
 // lists were built in) the lookups are cheap and what the wheel itself
-// does per renewal shows; cursor is the same install-order walk through
-// UpdateBytesAfter, the way a receiver absorbs a sweep: after the first
-// lap no renewal touches the index.
+// does per renewal shows.
 func BenchmarkStateTableRenew(b *testing.B) {
 	const n = 1 << 16
-	for _, order := range []string{"random", "install-order", "cursor"} {
+	for _, order := range []string{"random", "install-order"} {
 		b.Run(order, func(b *testing.B) {
 			tbl := New(Config[uint64]{Shards: 64})
 			defer tbl.Close()
@@ -85,18 +83,10 @@ func BenchmarkStateTableRenew(b *testing.B) {
 				rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 			}
 			renew := func(_ *uint64, tc TimerControl[uint64]) { tc.Schedule(0, time.Hour) }
-			var cur Cursor[uint64]
-			useCursor := order == "cursor"
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				key, ok := keys[i&(n-1)], false
-				if useCursor {
-					ok = tbl.UpdateBytesAfter(&cur, key, renew)
-				} else {
-					ok = tbl.UpdateBytes(key, renew)
-				}
-				if !ok {
+				if !tbl.UpdateBytes(keys[i&(n-1)], renew) {
 					b.Fatal("renewed key missing")
 				}
 			}

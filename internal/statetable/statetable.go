@@ -45,8 +45,7 @@ const DefaultTick = time.Millisecond
 const DefaultDigestBuckets = 16
 
 // digDropped marks an entry already removed from its shard, so a
-// deferred digest refresh cannot resurrect its contribution and a stale
-// sweep-order hint cannot resolve to it.
+// deferred digest refresh cannot resurrect its contribution.
 const digDropped = ^uint32(0)
 
 // ExpireFunc is called when a timer fires. It runs on the shard's clock
@@ -92,22 +91,16 @@ type Config[V any] struct {
 
 // entry is one key's record: the caller's value plus the embedded timers,
 // its cached digest contribution (bucket index and XOR-folded sum), which
-// is what lets a mutation update the shard digest in O(1), the index tag
+// is what lets a mutation update the shard digest in O(1), and the index tag
 // it is filed under (in what was padding after digBucket), so removing it
-// never rehashes the key, and its sweep-order hint (cursor.go): the entry
-// a Cursor renewed right after this one, with the number of the shard that
-// guards this entry so a hint is followed without hashing the key. key and
-// shard never change once the entry is published; everything but next is
-// guarded by that shard's lock. digBucket == digDropped marks an entry
-// removed from the table, whether or not the table keeps digests.
+// never rehashes the key. key never changes once the entry is published;
+// everything else is guarded by the shard's lock.
 type entry[V any] struct {
 	key       string
 	value     V
 	dig       uint64
 	digBucket uint32
 	tag       uint32
-	next      atomic.Pointer[entry[V]]
-	shard     uint32
 	timers    [NumTimerKinds]timerNode[V]
 }
 
@@ -284,13 +277,12 @@ func (t *Table[V]) DeadlineTick(delay time.Duration) int64 {
 // creating the entry first if absent (created reports which). fn may be
 // nil to just ensure presence.
 func (t *Table[V]) Upsert(key string, fn func(v *V, created bool, tc TimerControl[V])) {
-	si, tag := Hash32(key)&t.mask, t.tagOf(key)
-	sh := &t.shards[si]
+	sh, tag := t.shardOf(key), t.tagOf(key)
 	sh.mu.Lock()
 	e := sh.idx.get(tag, key)
 	created := e == nil
 	if created {
-		e = &entry[V]{key: key, tag: tag, shard: si}
+		e = &entry[V]{key: key, tag: tag}
 		for i := range e.timers {
 			e.timers[i].owner = e
 			e.timers[i].kind = TimerKind(i)
@@ -566,12 +558,9 @@ func (t *Table[V]) dropLocked(sh *shard[V], e *entry[V]) {
 	if t.cfg.DigestFunc != nil {
 		sh.dig[e.digBucket] ^= e.dig
 		e.dig = 0
+		e.digBucket = digDropped // a pending dirty refresh must not resurrect it
 		sh.digDirty = false
 	}
-	// Neither a pending dirty refresh nor a hint still pointing here may
-	// resurrect it.
-	e.digBucket = digDropped
-	e.next.Store(e) // see Cursor: a dropped entry's hint is never written again
 	t.size.Add(-1)
 }
 

@@ -7,7 +7,22 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestEntryOverhead pins what an entry adds to the caller's value at 128
+// bytes: key, digest cache, tag, two timer nodes. internal/signal sizes its
+// values against this (TestEntrySizes there) so both of its entries stay in
+// their allocator size class.
+func TestEntryOverhead(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size pinned for 64-bit targets")
+	}
+	type v struct{ a, b uint64 }
+	if got := unsafe.Sizeof(entry[v]{}) - unsafe.Sizeof(v{}); got != 128 {
+		t.Fatalf("entry adds %d bytes to its value, want 128", got)
+	}
+}
 
 // eventually polls cond until it holds or the deadline passes.
 func eventually(t *testing.T, what string, cond func() bool) {
