@@ -37,6 +37,11 @@ func corpusSeeds() [][]byte {
 		seedTrace(4, install(5), tick(5), Op{OpTypeFlip, 0}, Op{OpRemove, 5}, Op{OpTypeFlip, 0}, tick(40)),
 		// Stale replay resurrecting a removed key (zombie cleanup path).
 		seedTrace(1, install(6), tick(5), Op{OpRemove, 6}, tick(10), Op{OpReplay, 2}, tick(40)),
+		// The hard-state ghost: k6's trigger (the sender's second frame)
+		// replayed after its acked removal, while the sender lives on with k0
+		// and answers every peer probe. Only the audit its one-short key set
+		// opens can orphan the ghost before the final quiesce ends.
+		seedTrace(4, install(0), install(6), tick(5), Op{OpRemove, 6}, tick(10), Op{OpReplay, 1}, tick(31), tick(31)),
 		// Summary mode. A captured summary (the third frame the sender
 		// wrote) replayed after one of its keys was withdrawn: an
 		// intact-looking list must neither revive the key nor extend a lease

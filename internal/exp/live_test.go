@@ -84,4 +84,19 @@ func TestLiveVsAnalyticOrdering(t *testing.T) {
 			t.Errorf("%s sent no machinery datagrams", pt.Profile.Name)
 		}
 	}
+
+	// HS's message rate: the model's Λ counts no liveness traffic (its
+	// failure signal is external), and the live stack's one probe round per
+	// sender adds 2/ProbeInterval datagrams per sender, not per key, plus
+	// the audits a disagreeing key set opens — so the live rate stays
+	// within 2× Λ.
+	for _, pt := range pts {
+		if pt.Profile.Proto != singlehop.HS {
+			continue
+		}
+		t.Logf("HS live rate %.4g, analytic Λ %.4g (%.2f×)", pt.Live.Rate, pt.Analytic.NormalizedRate, pt.Live.Rate/pt.Analytic.NormalizedRate)
+		if pt.Live.Rate > 2*pt.Analytic.NormalizedRate {
+			t.Errorf("HS live rate %.4g exceeds 2× the analytic Λ %.4g", pt.Live.Rate, pt.Analytic.NormalizedRate)
+		}
+	}
 }

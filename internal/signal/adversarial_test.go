@@ -177,10 +177,12 @@ func TestForgedFutureAckDoesNotWedge(t *testing.T) {
 
 // TestStrayProbeAcks fires hard-state probe answers that correspond to no
 // outstanding probe: duplicated, from a peer the receiver has never
-// installed state for, for a key it does not hold, and — after the key is
-// removed — for the evicted entry itself. A probe-ack must only ever
-// clear the miss counter of a live entry; it must never create one,
-// resurrect one, or arm timers on a ghost.
+// installed state for, for a key it does not hold, a peer probe-ack with a
+// forged pair and a huge count, and — after the key is removed — for the
+// evicted entry itself. A probe-ack must only ever clear a live sender's
+// miss counts (a forged pair at most opens an audit the genuine sender's
+// answers settle); it must never create a record or an entry, resurrect
+// one, or arm timers on a ghost.
 func TestStrayProbeAcks(t *testing.T) {
 	v := clock.NewVirtual()
 	nw, err := lossy.NewNetwork(lossy.Config{Delay: time.Millisecond, Seed: 13, Clock: v})
@@ -218,6 +220,8 @@ func TestStrayProbeAcks(t *testing.T) {
 			for _, m := range []wire.Message{
 				{Type: wire.TypeProbeAck, Seq: ^uint64(0), Key: "ghost"}, // key never held
 				{Type: wire.TypeProbeAck, Seq: 1, Key: "k"},              // dup/stale for live key
+				// A peer probe-ack with a forged pair: a huge count, a made-up fold.
+				{Type: wire.TypeProbeAck, Seq: 2, Value: wire.AppendPair(nil, ^uint64(0), 0xdeadbeef)},
 			} {
 				raw, err := m.MarshalBinary()
 				if err != nil {
@@ -238,6 +242,9 @@ func TestStrayProbeAcks(t *testing.T) {
 
 	if rcv.Len() != 1 {
 		t.Fatalf("stray probe-acks changed the table: %d keys held", rcv.Len())
+	}
+	if rcv.NumPeers() != 1 {
+		t.Fatalf("stray probe-acks left %d peer records, want the sender's one", rcv.NumPeers())
 	}
 	if _, ok := rcv.GetFrom(c.LocalAddr(), "k"); ok {
 		t.Fatal("stranger's probe-ack created a ghost entry")
@@ -265,8 +272,8 @@ func TestStrayProbeAcks(t *testing.T) {
 	}
 	spray()
 	v.Run(4 * cfg.withDefaults().ProbeInterval)
-	if rcv.Len() != 0 {
-		t.Fatalf("probe-acks for an evicted key resurrected state: %d keys held", rcv.Len())
+	if rcv.Len() != 0 || rcv.NumPeers() != 0 {
+		t.Fatalf("probe-acks for an evicted key resurrected state: %d keys held, %d peer records", rcv.Len(), rcv.NumPeers())
 	}
 	if bad := rcv.CheckInvariants(); len(bad) != 0 {
 		t.Fatalf("receiver invariants after evicted-key probe-acks: %v", bad)

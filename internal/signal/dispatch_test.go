@@ -14,13 +14,15 @@ import (
 // per frame, and a frame for an entry that exists is looked up straight
 // from the scratch buffer, so neither the address string nor the (peer,
 // key) table key is built again. What remains is the decoder's own key and
-// value copies: 2 allocations per trigger, 1 per probe-ack, 0 per summary,
-// where formatting a *net.UDPAddr and concatenating the table key per frame
-// made it 6, 4 and 3. The next row is a transport that hands out a fresh
-// *net.UDPAddr with every datagram: the same IP and port behind another
-// pointer is still the same source, told by value and not by formatting it
-// again. The last row is the same bound on the reply path: a coalesced ack
-// is queued without formatting the address again.
+// value copies: 2 allocations per trigger, 1 per per-key probe-ack, 0 per
+// summary, where formatting a *net.UDPAddr and concatenating the table key
+// per frame made it 6, 4 and 3. A peer probe-ack — a hard-state receiver's
+// whole steady state — is read in place and costs 0. The next row is a
+// transport that hands out a fresh *net.UDPAddr with every datagram: the
+// same IP and port behind another pointer is still the same source, told by
+// value and not by formatting it again. The last row is the same bound on
+// the reply path: a coalesced ack is queued without formatting the address
+// again.
 func TestDispatchAllocs(t *testing.T) {
 	// SS sends no reply to any of these frames, so the counts below are the
 	// receive path's alone (a reply borrows a pooled buffer, and under the
@@ -55,6 +57,27 @@ func TestDispatchAllocs(t *testing.T) {
 		{"summary-refresh", summary},
 	} {
 		expectDecoderAllocs(t, rcv, sc, c.name, c.data, from)
+	}
+
+	// A peer probe-ack at a hard-state receiver holding the sender's key, in
+	// both outcomes: pairs that agree, and a pair that opens an audit. The
+	// round timer runs on the wall clock an hour out, so no round runs beside
+	// the measurement.
+	hs, err := NewReceiver(newDiscardConn(), Config{Protocol: HS, Timeout: time.Hour, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hs.Close()
+	hsc := hs.newDispatchScratch()
+	hs.dispatch(trigger, from, hsc)
+	for name, p := range map[string]pair{"agreeing": {1, wire.KeyHash("flow/42")}, "disagreeing": {2, 0}} {
+		peerAck := frame(wire.Message{Type: wire.TypeProbeAck, Seq: 1, Value: wire.AppendPair(nil, p.count, p.fold)})
+		if got := testing.AllocsPerRun(200, func() { hs.dispatch(peerAck, from, hsc) }); got != 0 {
+			t.Errorf("peer probe-ack, %s pair: %.0f allocations per frame, want 0", name, got)
+		}
+	}
+	if st := hs.Stats(); st.Received["probe-ack"] != 2*201 || st.DecodeErrors != 0 {
+		t.Errorf("peer probe-acks: %d received, %d decode errors", st.Received["probe-ack"], st.DecodeErrors)
 	}
 
 	// Same address, fresh pointer each datagram (the pointers are made ahead

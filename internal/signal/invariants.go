@@ -3,6 +3,9 @@ package signal
 import (
 	"fmt"
 	"strings"
+
+	"softstate/internal/statetable"
+	"softstate/internal/wire"
 )
 
 // Invariant checking: every structural promise the sender and receiver
@@ -29,18 +32,26 @@ import (
 //     no member, one that still holds its key list is filed under that
 //     list's hash and has exactly one member per key, and one that does not
 //     is neither expected next by the set nor expects a successor itself;
-//   - the armed-timer census matches the profile — hard state arms
-//     exactly one probe timer per entry and no timeouts, refresh
-//     profiles exactly one state-timeout per entry and no probes.
+//   - under hard state every record's pair — its entry count and key fold —
+//     is the pair recomputed from the entries naming it, and the probe
+//     round is armed while any entry exists;
+//   - the armed-timer census matches the profile — refresh profiles arm
+//     exactly one state-timeout per entry, every other profile (hard state
+//     included) no per-entry timer at all.
 func (r *Receiver) CheckInvariants() []string {
 	var bad []string
 	tblLen := r.tbl.Len()
 
 	type leaseName struct{ peer, lease uint32 }
 	naming := map[leaseName]int{} // entries naming each lease
+	tally := map[uint32]pair{}    // each record's pair, recomputed (hard state)
 	r.tbl.Range(func(ck string, e *receiverEntry) bool {
-		if p := r.peers.resolve(e.peer); p == nil || !strings.HasPrefix(ck, p.prefix) {
+		p := r.peers.resolve(e.peer)
+		if p == nil || !strings.HasPrefix(ck, p.prefix) {
 			bad = append(bad, fmt.Sprintf("receiver: entry %q names peer %d, which is not the record its key starts with", ck, e.peer))
+		} else if r.peers.folding {
+			t := tally[e.peer]
+			tally[e.peer] = pair{t.count + 1, t.fold + wire.KeyHash(p.userKey(ck))}
 		}
 		if r.prof.Refresh && e.aux != 0 {
 			naming[leaseName{e.peer, e.aux}]++
@@ -49,10 +60,16 @@ func (r *Receiver) CheckInvariants() []string {
 	})
 	held := 0
 	r.peers.mu.RLock()
+	if r.peers.folding && tblLen > 0 && !r.peers.probing {
+		bad = append(bad, fmt.Sprintf("receiver: %d entries held and no probe round armed", tblLen))
+	}
 	for _, p := range r.peers.byAddr.all() {
 		held += p.entries
 		if p.entries <= 0 && len(p.acks) == 0 {
 			bad = append(bad, fmt.Sprintf("receiver: peer %d (%s) holds %d entries and no pending ack", p.id, p.addr, p.entries))
+		}
+		if ours := (pair{uint64(p.entries), p.fold}); r.peers.folding && ours != tally[p.id] {
+			bad = append(bad, fmt.Sprintf("receiver: peer %d pairs (%d, %x), its entries (%d, %x)", p.id, ours.count, ours.fold, tally[p.id].count, tally[p.id].fold))
 		}
 		ls := &p.leases
 		ls.mu.Lock()
@@ -87,15 +104,13 @@ func (r *Receiver) CheckInvariants() []string {
 		bad = append(bad, fmt.Sprintf("receiver: peer records count %d entries, state table holds %d", held, tblLen))
 	}
 
-	wantTimeout, wantProbe := 0, 0
-	if r.prof.HardState {
-		wantProbe = tblLen
-	} else if r.prof.Refresh {
-		wantTimeout = tblLen
+	var want [statetable.NumTimerKinds]int
+	if r.prof.Refresh {
+		want[timerTimeout] = tblLen
 	}
-	if armed := r.tbl.TimersArmed(); armed[timerTimeout] != wantTimeout || armed[timerProbe] != wantProbe {
-		bad = append(bad, fmt.Sprintf("receiver: %s armed %d state-timeout and %d probe timers for %d entries, want %d and %d",
-			r.prof.Name, armed[timerTimeout], armed[timerProbe], tblLen, wantTimeout, wantProbe))
+	if armed := r.tbl.TimersArmed(); armed != want {
+		bad = append(bad, fmt.Sprintf("receiver: %s armed %v timers per kind for %d entries, want %v",
+			r.prof.Name, armed, tblLen, want))
 	}
 	return bad
 }
@@ -117,7 +132,8 @@ func (r *Receiver) SeqSnapshot() map[string]uint64 {
 //
 //   - the live-key gauge equals the table's census of non-removing
 //     entries, globally and per session (and per-session tabled counts —
-//     the idle-eviction guard — match the table exactly);
+//     the idle-eviction guard — match the table exactly), and under hard
+//     state each session's fold is its live keys' fold;
 //   - every entry's owning session is either registered in the peer
 //     table or marked evicted;
 //   - the armed-timer census matches the mechanisms: per-key refresh
@@ -126,11 +142,14 @@ func (r *Receiver) SeqSnapshot() map[string]uint64 {
 //     retransmit timers.
 func (ss *Sessions) CheckInvariants() []string {
 	var bad []string
-	type tally struct{ tabled, live int64 }
+	type tally struct {
+		tabled, live int64
+		fold         uint64
+	}
 	counts := make(map[*Session]*tally)
 	var totalLive int64
 	tblLen := 0
-	ss.tbl.Range(func(_ string, e *senderEntry) bool {
+	ss.tbl.Range(func(ck string, e *senderEntry) bool {
 		tblLen++
 		c := counts[e.sess]
 		if c == nil {
@@ -141,6 +160,9 @@ func (ss *Sessions) CheckInvariants() []string {
 		if !e.removing {
 			c.live++
 			totalLive++
+			if ss.prof.HardState {
+				c.fold += wire.KeyHash(userKey(ck))
+			}
 		}
 		return true
 	})
@@ -157,6 +179,9 @@ func (ss *Sessions) CheckInvariants() []string {
 		}
 		if got := s.live.Load(); got != c.live {
 			bad = append(bad, fmt.Sprintf("sender: session %d live counter %d, table holds %d of its live keys", s.id, got, c.live))
+		}
+		if got := s.fold.Load(); got != c.fold {
+			bad = append(bad, fmt.Sprintf("sender: session %d folds %x, its live keys fold %x", s.id, got, c.fold))
 		}
 		delete(counts, s)
 	}

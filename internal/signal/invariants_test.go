@@ -65,7 +65,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	p.entries--
 
 	// Receiver: file the entry under a peer that is not its sender.
-	other := c.rcv.peers.install(nil, testAddr("stranger"))
+	other, _ := c.rcv.peers.install(nil, testAddr("stranger"), "k")
 	setPeer := func(id uint32) {
 		c.rcv.tbl.Update(RKey(c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.peer = id })
 	}

@@ -142,6 +142,18 @@ func (r *Receiver) registerMetrics() {
 		Help:   "End-to-end install latency of traced triggers (origin stamp to receipt, across all hops).",
 		Labels: labels,
 	})
+	if r.prof.HardState {
+		r.histOrphan = reg.NewHistogram(telemetry.Opts{
+			Name:   "softstate_orphan_detection_seconds",
+			Help:   "Time from a sender's last answer to the probe round that orphaned all its state.",
+			Labels: labels,
+		})
+		reg.RegisterCounter(telemetry.Opts{
+			Name:   "softstate_probe_audits_total",
+			Help:   "(Sender, probe round) pairs probed key by key because the sender's key count or fold disagreed.",
+			Labels: labels,
+		}, &r.ctrs.probeAudits)
+	}
 	reg.RegisterCounter(telemetry.Opts{
 		Name:   "softstate_summary_renewals_total",
 		Help:   "Keys found while absorbing summary refreshes.",

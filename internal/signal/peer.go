@@ -116,7 +116,15 @@ type peer struct {
 
 	// Guarded by the owning table's mu.
 	entries int            // installed entries naming id
+	fold    uint64         // Σ wire.KeyHash of their user keys, mod 2⁶⁴ (hard state only)
 	acks    []wire.AckItem // coalesced acknowledgements awaiting the next flush
+	audit   audit          // hard-state pair disagreement (probe.go)
+
+	// Hard-state liveness (probe.go): probe rounds since the sender last
+	// answered, and when that was (clock offset + 1; metrics only). The
+	// dispatch path clears both without mu.
+	misses     atomic.Int32
+	answeredAt atomic.Int64
 
 	leases leaseSet // datagram leases over this peer's entries (lease.go)
 }
@@ -144,6 +152,11 @@ type peerTable struct {
 	byID   map[uint32]*peer
 	nextID uint32
 	acking []*peer // records with pending acks
+
+	// Hard state only (probe.go): folding keeps each record's fold, and
+	// probing says the probe round is armed — from the first entry installed
+	// until a round finds no record holding one.
+	folding, probing bool
 }
 
 // resolve returns the record an installed entry's id names.
@@ -179,19 +192,28 @@ func (t *peerTable) reap(p *peer) {
 	}
 }
 
-// install counts one more entry under from's record.
-func (t *peerTable) install(p *peer, from net.Addr) *peer {
+// install counts one more entry, for user key key, under from's record. arm
+// reports that the entry is the first any record holds since the probe
+// round last stopped: the caller arms the round.
+func (t *peerTable) install(p *peer, from net.Addr, key string) (_ *peer, arm bool) {
 	p = t.lock(p, from)
 	defer t.mu.Unlock()
 	p.entries++
-	return p
+	if t.folding {
+		p.fold += wire.KeyHash(key)
+		arm, t.probing = !t.probing, true
+	}
+	return p, arm
 }
 
-// uninstall is install's inverse for an entry of p's being dropped.
-func (t *peerTable) uninstall(p *peer) {
+// uninstall is install's inverse for p's entry for key being dropped.
+func (t *peerTable) uninstall(p *peer, key string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p.entries--
+	if t.folding {
+		p.fold -= wire.KeyHash(key)
+	}
 	t.reap(p)
 }
 

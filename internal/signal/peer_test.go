@@ -163,12 +163,12 @@ func TestPeerLifecycle(t *testing.T) {
 }
 
 // TestPeerNotCreatedByFramesThatInstallNothing: a summary refresh, a
-// probe-ack, a digest request and a removal nobody acks, each from 10,000
-// distinct sources, leave no record behind — a stranger costs the receiver
-// no memory. (A trigger from a stranger always installs: sequence numbers
-// are per sender. The replay that installs nothing is one below an
-// existing entry's sequence, and it must leave that sender's one record
-// and one entry as they were.)
+// probe-ack of either shape, a digest request and a removal nobody acks,
+// each from 10,000 distinct sources, leave no record behind — a stranger
+// costs the receiver no memory. (A trigger from a stranger always
+// installs: sequence numbers are per sender. The replay that installs
+// nothing is one below an existing entry's sequence, and it must leave that
+// sender's one record and one entry as they were.)
 func TestPeerNotCreatedByFramesThatInstallNothing(t *testing.T) {
 	const strangers = 10000
 	for _, proto := range allProtocols {
@@ -178,6 +178,7 @@ func TestPeerNotCreatedByFramesThatInstallNothing(t *testing.T) {
 			frames := []wire.Message{
 				{Type: wire.TypeSummaryRefresh, Seq: 9, Keys: []string{"k", "k2"}},
 				{Type: wire.TypeProbeAck, Seq: 9, Key: "k"},
+				{Type: wire.TypeProbeAck, Seq: 9, Value: wire.AppendPair(nil, 2, wire.KeyHash("k"))},
 				{Type: wire.TypeDigest, Seq: 9, Value: digest},
 			}
 			if !g.rcv.prof.ReliableRemoval { // an acked removal is answered at once: no record either
@@ -336,9 +337,9 @@ func TestStrangerDigestWalksNothing(t *testing.T) {
 // TestEntrySizes pins both table values inside their allocator size class:
 // the state table adds 128 bytes to a value (TestEntryOverhead there), so a
 // 48-byte receiverEntry — the sender named by a peer id sharing a word with
-// the probe-miss count, not by a two-word net.Addr — lands in the 176-byte
-// class and a 96-byte senderEntry in the 224-byte one. A word more on
-// either is 16 bytes per installed key.
+// aux (the lease id, or a hard-state audit's per-key miss count), not by a
+// two-word net.Addr — lands in the 176-byte class and a 96-byte senderEntry
+// in the 224-byte one. A word more on either is 16 bytes per installed key.
 func TestEntrySizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit targets")

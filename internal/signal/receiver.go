@@ -40,11 +40,18 @@ type Receiver struct {
 	histJitter *telemetry.Histogram
 	histHop    *telemetry.Histogram
 	histE2E    *telemetry.Histogram
+	histOrphan *telemetry.Histogram // last answer → orphan drop of a whole record
 
 	ackBW      *batchWriter   // flush datagram coalescer (guarded by ackMu); nil unless cfg.CoalesceAcks
 	ackMu      sync.Mutex     // serializes flushAcks
 	flushTimer clock.Timer    // ack flusher, armed by the first ack of a window
 	wg         sync.WaitGroup // read loops (one per transport lane)
+
+	// Hard state only (probe.go): the probe round, its serialization
+	// against Close, and the writer its datagrams leave through.
+	probeTimer clock.Timer
+	probeMu    sync.Mutex
+	probeBW    *batchWriter
 }
 
 // receiverEntry is one installed piece of state for one (peer, key) pair.
@@ -56,9 +63,11 @@ type receiverEntry struct {
 	lastSeq uint64
 	peer    uint32 // id of the installing sender's peer record
 	// aux is the word the two lifetime mechanisms share, since a profile has
-	// one or the other. Hard state counts consecutive unanswered liveness
-	// probes in it; MaxProbeMisses of them orphan the entry. Refresh
-	// profiles name the entry's datagram lease in it (lease.go), 0 for none.
+	// one or the other. Refresh profiles name the entry's datagram lease in
+	// it (lease.go), 0 for none. Hard state counts in it the per-key probes
+	// the sender left unanswered while an audit of its pair runs (probe.go);
+	// MaxProbeMisses of them orphan the entry, and outside an audit it is
+	// unused.
 	aux uint32
 	// renewedAt stamps the last accepted renewal (trigger, refresh, or
 	// summary), feeding the refresh-jitter histogram; biased by +1 ns so
@@ -102,6 +111,11 @@ func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 				r.flushAcks()
 			}
 		})
+	}
+	if r.prof.HardState {
+		r.peers.folding = true
+		r.probeBW = newBatchWriter(&r.tp, &r.ctrs)
+		r.probeTimer = clk.NewTimer(r.probeRound)
 	}
 	// One read loop per transport lane: sharded kernel-socket backends
 	// expose each SO_REUSEPORT socket as its own lane, so inbound fan-in
@@ -190,6 +204,13 @@ func (r *Receiver) Close() error {
 		r.flushTimer.Stop()
 		r.flushAcks()
 	}
+	if r.probeTimer != nil {
+		// A round in flight finishes its writes first; a later one finds the
+		// closed flag.
+		r.probeMu.Lock()
+		r.probeTimer.Stop()
+		r.probeMu.Unlock()
+	}
 	r.tbl.Close() // no timeout callback runs past this point
 	err := r.tp.close()
 	r.wg.Wait()
@@ -224,10 +245,14 @@ func (r *Receiver) dispatch(data []byte, from net.Addr, scratch *dispatchScratch
 		r.handleSummaryFast(data, from, scratch)
 		return
 	}
+	// A hard-state receiver's steady state is one peer probe-ack per sender
+	// per round: its pair is read in place too.
 	var m wire.Message
-	if derr := m.UnmarshalBinary(data); derr != nil {
-		r.ctrs.decodeErrors.Add(1)
-		return
+	if !wire.DecodePeer(data, &m) {
+		if derr := m.UnmarshalBinary(data); derr != nil {
+			r.ctrs.decodeErrors.Add(1)
+			return
+		}
 	}
 	r.handle(m, from, scratch)
 }
@@ -251,7 +276,6 @@ type dispatchScratch struct {
 	found int64
 	fresh int
 	// The datagram's r.lifetime(), read once per datagram, not once per key.
-	kind statetable.TimerKind
 	tick int64
 	arm  bool
 	// buildLease's second walk: the lease being joined and the visitor that
@@ -277,7 +301,7 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 			e.renewedAt = sc.now
 		}
 		if sc.arm {
-			tc.ScheduleAt(sc.kind, sc.tick)
+			tc.ScheduleAt(timerTimeout, sc.tick)
 		}
 	}
 	sc.visit = func(_ uint64, key []byte) {
@@ -365,7 +389,7 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScr
 	if r.measure {
 		sc.now = r.clk.Since(r.born) + 1
 	}
-	sc.kind, sc.tick, sc.arm = r.lifetime()
+	sc.tick, sc.arm = r.lifetime()
 	leasing := p != nil && r.prof.Refresh
 	if leasing && r.extendLease(sc, p, seq, n, list) {
 		r.ctrs.received[wire.TypeSummaryRefresh].Add(1)
@@ -418,7 +442,10 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 			// within one sender session, and entries are per-sender).
 			accepted := m.Seq >= e.lastSeq || created
 			if created {
-				p = r.peers.install(p, from)
+				var arm bool
+				if p, arm = r.peers.install(p, from, m.Key); arm {
+					r.probeTimer.Reset(r.cfg.ProbeInterval)
+				}
 				e.peer = p.id
 				r.trace.Record(telemetry.TraceInstall, m.Key, m.Seq, from)
 				r.emit(Event{Kind: EventInstalled, Key: m.Key, Value: m.Value, Seq: m.Seq, Peer: from, Trace: m.Trace})
@@ -445,20 +472,20 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 				if m.Trace.Sampled() {
 					r.observeTrace(m, from)
 				}
-			}
-			if r.prof.HardState {
-				e.aux = 0 // any traffic for the key proves liveness
-			}
-			if accepted || r.prof.HardState {
+				if r.prof.HardState {
+					// The sender is alive and owns the key.
+					e.aux = 0
+					if p != nil {
+						p.answered(now)
+					}
+				}
 				// Stale traffic must not renew a soft-state lifetime: if a
 				// forged or mis-delivered frame ever installed a higher
 				// sequence, the genuine sender's refreshes (now "stale")
 				// could otherwise keep the wrong value alive forever while
 				// being unable to overwrite it. Letting the entry time out
 				// instead lets the next genuine refresh re-create it — the
-				// soft-state repair property. Hard state keeps pushing its
-				// orphan probe on any traffic, since the probe guards sender
-				// liveness, not payload freshness.
+				// soft-state repair property.
 				r.armTimeout(tc)
 			}
 			if m.Type == wire.TypeTrigger && r.prof.ReliableTrigger {
@@ -493,16 +520,7 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 		// requester's keys.
 		r.handleDigest(m, from, r.source(sc, from))
 	case wire.TypeProbeAck:
-		// The key's sender answered a liveness probe: clear the miss
-		// counter and push the next probe a full interval out. Only hard
-		// state probes; to any other profile the frame means nothing.
-		if !r.prof.HardState || r.source(sc, from) == nil {
-			return
-		}
-		r.tbl.UpdateBytes(sc.key(m.Key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
-			e.aux = 0
-			tc.Schedule(timerProbe, r.cfg.ProbeInterval)
-		})
+		r.handleProbeAck(m, from, sc)
 	}
 	// wire.TypeSummaryRefresh never reaches here: the read loop routes it
 	// to handleSummaryFast before the generic decode.
@@ -607,31 +625,26 @@ func (r *Receiver) handleDigest(m wire.Message, from net.Addr, p *peer) {
 	}
 }
 
-// lifetime names the timer a renewal restarts and the wheel tick it is now
-// due at. Hard state never times out; its lifetime guard is the orphan
-// probe instead. ok is false for a profile with neither.
-func (r *Receiver) lifetime() (kind statetable.TimerKind, tick int64, ok bool) {
-	if r.prof.HardState {
-		return timerProbe, r.tbl.DeadlineTick(r.cfg.ProbeInterval), true
+// lifetime is the wheel tick a renewal's state timeout is now due at; ok
+// is false for a profile without refresh, whose entries arm no timer (hard
+// state's lifetime guard is the per-peer probe round, probe.go).
+func (r *Receiver) lifetime() (tick int64, ok bool) {
+	if !r.prof.Refresh {
+		return 0, false
 	}
-	return timerTimeout, r.tbl.DeadlineTick(r.cfg.Timeout), r.prof.Refresh
+	return r.tbl.DeadlineTick(r.cfg.Timeout), true
 }
 
 func (r *Receiver) armTimeout(tc statetable.TimerControl[receiverEntry]) {
-	if kind, tick, ok := r.lifetime(); ok {
-		tc.ScheduleAt(kind, tick)
+	if tick, ok := r.lifetime(); ok {
+		tc.ScheduleAt(timerTimeout, tick)
 	}
 }
 
-// onTimeout fires when a key's state-timeout (soft state) or probe timer
-// (hard state) expires; it runs on a shard's timer callback with the shard
-// locked.
-func (r *Receiver) onTimeout(_ string, kind statetable.TimerKind, e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
+// onTimeout fires when a key's state timeout expires; it runs on a shard's
+// timer callback with the shard locked.
+func (r *Receiver) onTimeout(_ string, _ statetable.TimerKind, e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
 	if r.closed.Load() {
-		return
-	}
-	if kind == timerProbe {
-		r.probeOrOrphan(e, tc)
 		return
 	}
 	// The entry's own timer is where the per-key path last put it; summaries
@@ -650,26 +663,6 @@ func (r *Receiver) onTimeout(_ string, kind statetable.TimerKind, e *receiverEnt
 	}
 }
 
-// probeOrOrphan drives the hard-state orphan detector for one entry: ask
-// the sender for proof of life, and after MaxProbeMisses consecutive
-// silences remove the state explicitly — the paper's HS failure-cleanup
-// dependence on an external removal signal, realized as liveness probing.
-// The removal is announced with a best-effort notify so a live sender
-// that was wrongly declared dead (every probe or ack lost) repairs
-// through the usual notify → re-trigger path; a dead one stays silent,
-// which is the point.
-func (r *Receiver) probeOrOrphan(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
-	if int(e.aux) >= r.cfg.MaxProbeMisses {
-		key, peer := r.drop(e, tc, EventOrphaned)
-		r.send(wire.Message{Type: wire.TypeNotify, Key: key}, peer)
-		return
-	}
-	e.aux++
-	p := r.peers.resolve(e.peer)
-	r.send(wire.Message{Type: wire.TypeProbe, Seq: e.lastSeq, Key: p.userKey(tc.Key())}, p.addr)
-	tc.Schedule(timerProbe, r.cfg.ProbeInterval)
-}
-
 // drop removes an entry (with its place in its lease and its share of its
 // peer's record) and emits the given event, returning the entry's user key
 // and its sender's address; callers hold the entry's shard lock via tc.
@@ -682,7 +675,7 @@ func (r *Receiver) drop(e *receiverEntry, tc statetable.TimerControl[receiverEnt
 		p.leases.leave(e)
 		p.leases.mu.Unlock()
 	}
-	r.peers.uninstall(p)
+	r.peers.uninstall(p, key)
 	if r.trace != nil {
 		tk := telemetry.TraceRemoval
 		switch kind {

@@ -21,6 +21,10 @@ import (
 // incarnation base makes the second life numerically newer, so the
 // reinstall must land, refreshes must renew it, and — under hard state —
 // the restarted sender must answer liveness probes for the re-owned key.
+// A key the first life installed and the second never reinstalls must go:
+// soft state times it out, and hard state — whose restarted sender answers
+// every peer probe, but with a key set one short — orphans it through the
+// audit that disagreement opens, within (MaxProbeMisses+3)·ProbeInterval.
 func TestSenderRestartNewIncarnation(t *testing.T) {
 	for _, proto := range []Protocol{SS, SSER, SSRT, SSRTR, HS} {
 		proto := proto
@@ -44,12 +48,15 @@ func TestSenderRestartNewIncarnation(t *testing.T) {
 			}
 			t.Cleanup(func() { rcv.Close() })
 
-			if err := snd.Install("k", []byte("v1")); err != nil {
-				t.Fatal(err)
+			for _, key := range []string{"k", "old"} {
+				if err := snd.Install(key, []byte("v1")); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if !v.RunUntil(func() bool {
 				val, ok := rcv.GetFrom(a.LocalAddr(), "k")
-				return ok && string(val) == "v1"
+				_, old := rcv.GetFrom(a.LocalAddr(), "old")
+				return ok && old && string(val) == "v1"
 			}, time.Millisecond, time.Second) {
 				t.Fatal("first incarnation's install never converged")
 			}
@@ -76,6 +83,13 @@ func TestSenderRestartNewIncarnation(t *testing.T) {
 				val, _ := rcv.GetFrom(a2.LocalAddr(), "k")
 				t.Fatalf("restarted sender's install never accepted; receiver holds %q", val)
 			}
+			dcfg := cfg.withDefaults()
+			if !v.RunUntil(func() bool {
+				_, ok := rcv.GetFrom(a2.LocalAddr(), "old")
+				return !ok
+			}, time.Millisecond, time.Duration(dcfg.MaxProbeMisses+3)*dcfg.ProbeInterval) {
+				t.Fatal("the first incarnation's leftover key outlived the restart")
+			}
 
 			// The new incarnation must keep the state alive past several
 			// timeout horizons: refreshes renew it (soft state) and probes
@@ -85,7 +99,7 @@ func TestSenderRestartNewIncarnation(t *testing.T) {
 			if val, ok := rcv.GetFrom(a2.LocalAddr(), "k"); !ok || string(val) != "v2" {
 				t.Fatalf("state did not survive after restart: ok=%v val=%q", ok, val)
 			}
-			if fastConfig(proto).withDefaults().Variant.HardState {
+			if dcfg.Variant.HardState {
 				if acks := snd2.Stats().Sent["probe-ack"]; acks == 0 {
 					t.Fatal("restarted hard-state sender answered no liveness probes")
 				}

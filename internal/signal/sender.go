@@ -14,14 +14,13 @@ import (
 var ErrClosed = errors.New("signal: endpoint closed")
 
 // Timer slots in the state table: senders arm refresh and retransmit,
-// receivers arm state-timeout (soft state) or the orphan probe (hard
-// state) — each role uses both slots at most once, so the table's two
-// embedded timer nodes cover every variant.
+// soft-state receivers the state timeout, and hard-state receivers none
+// (their liveness guard is one probe round per interval, probe.go) — the
+// table's two embedded timer nodes cover every variant.
 const (
 	timerRefresh statetable.TimerKind = 0
 	timerRetx    statetable.TimerKind = 1
 	timerTimeout statetable.TimerKind = 0
-	timerProbe   statetable.TimerKind = 1
 )
 
 // Sender installs and maintains keyed state at a single remote Receiver:

@@ -126,6 +126,10 @@ type Session struct {
 	peer net.Addr
 	seq  atomic.Uint64
 	live atomic.Int64
+	// fold is Σ wire.KeyHash over the live keys, mod 2⁶⁴, kept beside live
+	// under hard state: with it, a peer probe is answered with the pair the
+	// receiver compares against its own, without a table lookup.
+	fold atomic.Uint64
 
 	// Idle-eviction bookkeeping: tabled counts this session's entries in
 	// the shared table (live and removing — a session with pending
@@ -457,6 +461,9 @@ func (s *Session) put(key string, value []byte, kind EventKind, fwd wire.TraceCo
 			s.live.Add(1)
 			ss.live.Add(1)
 			s.sweepDirty.Store(true)
+			if ss.prof.HardState {
+				s.fold.Add(wire.KeyHash(key))
+			}
 		}
 		e.sess = s
 		e.value = v
@@ -506,6 +513,9 @@ func (s *Session) Remove(key string) error {
 		s.live.Add(-1)
 		ss.live.Add(-1)
 		s.sweepDirty.Store(true)
+		if ss.prof.HardState {
+			s.fold.Add(-wire.KeyHash(key))
+		}
 		tc.Cancel(timerRefresh)
 		tc.Cancel(timerRetx)
 		if !ss.prof.ExplicitRemoval {
@@ -898,10 +908,9 @@ func (s *Session) Handle(m wire.Message) {
 			s.retrigger(key)
 		}
 	case wire.TypeProbe:
-		// The receiver's hard-state orphan detector asks whether we still
-		// own this key. Answer only if we do: silence is what lets a dead
-		// (or withdrawn) sender's state be cleaned up.
-		s.handleProbe(m.Seq, m.Key)
+		// The receiver's hard-state orphan detector asks whether we are
+		// alive, with which keys — or, auditing, whether we still own one.
+		s.handleProbe(m)
 	case wire.TypeDigestReply:
 		// A census answer from this peer's receiver: route it to the
 		// waiting CensusPeer exchange, if any.
@@ -909,14 +918,22 @@ func (s *Session) Handle(m wire.Message) {
 	}
 }
 
-// handleProbe answers a liveness probe for a key this session still owns.
-func (s *Session) handleProbe(seq uint64, key string) {
+// handleProbe answers a liveness probe. A peer probe is answered from the
+// session alone, with its pair: the live keys and their fold. A per-key
+// probe is answered only for a key the session still owns: silence is what
+// lets withdrawn state be cleaned up.
+func (s *Session) handleProbe(m wire.Message) {
 	ss := s.ss
-	ss.tbl.Update(s.key(key), func(e *senderEntry, _ statetable.TimerControl[senderEntry]) {
+	if _, _, ok := m.Pair(); ok {
+		var v [wire.PairLen]byte
+		ss.send(wire.Message{Type: wire.TypeProbeAck, Seq: m.Seq, Value: wire.AppendPair(v[:0], uint64(s.live.Load()), s.fold.Load())}, s.peer)
+		return
+	}
+	ss.tbl.Update(s.key(m.Key), func(e *senderEntry, _ statetable.TimerControl[senderEntry]) {
 		if e.removing {
 			return
 		}
-		ss.send(wire.Message{Type: wire.TypeProbeAck, Seq: seq, Key: key}, s.peer)
+		ss.send(wire.Message{Type: wire.TypeProbeAck, Seq: m.Seq, Key: m.Key}, s.peer)
 	})
 }
 

@@ -71,13 +71,18 @@ type Config struct {
 	// retry forever (the paper's model). Bounding is an extension for
 	// deployments that must detect dead peers.
 	MaxRetransmits int
-	// ProbeInterval is the hard-state receiver's orphan-probe period: how
-	// often it asks each key's sender for proof of life (default Timeout,
-	// so hard-state cleanup reacts on the same scale soft state would).
+	// ProbeInterval is the hard-state receiver's probe-round period: how
+	// often it asks each sender holding state there for proof of life, one
+	// probe per sender whatever its key count (default Timeout, so
+	// hard-state cleanup reacts on the same scale soft state would). While
+	// a sender's key set disagrees with the receiver's, the rounds also
+	// probe that sender's keys one by one.
 	ProbeInterval time.Duration
-	// MaxProbeMisses is how many consecutive unanswered probes declare a
-	// key orphaned and remove it (default 3). Detection latency is
-	// therefore ≈ MaxProbeMisses×ProbeInterval after the sender dies.
+	// MaxProbeMisses is how many consecutive unanswered rounds declare a
+	// sender dead and orphan all its state, and how many unanswered per-key
+	// probes orphan a key the sender no longer owns (default 3). A dead
+	// sender's state is therefore gone ≈ (MaxProbeMisses+1)×ProbeInterval
+	// after its last answer.
 	MaxProbeMisses int
 	// PeerIdleTimeout, when positive, evicts sender sessions that have
 	// held no table entries (no live or removing keys) and seen no
@@ -326,6 +331,12 @@ type Stats struct {
 	// encode): flat in steady state. Both stay 0 on a receiver.
 	SummaryFramesSent    int
 	SummaryFramesEncoded int
+	// ProbeAudits counts, on a hard-state receiver, the (sender, probe
+	// round) pairs that probed key by key because the sender's pair had
+	// disagreed with the receiver's. Against the rounds' one peer probe
+	// per sender it is the share of rounds that left the fast path. 0
+	// elsewhere.
+	ProbeAudits int
 }
 
 // TotalSent sums sent datagrams across types.
@@ -357,6 +368,8 @@ type counters struct {
 	// Sender only, added to once per sweep.
 	summaryFramesSent    telemetry.Counter
 	summaryFramesEncoded telemetry.Counter
+	// Hard-state receiver only, added to once per audited sender per round.
+	probeAudits telemetry.Counter
 }
 
 // typeNames is the sorted-once key set snapshot() reuses: wire type names
@@ -387,6 +400,7 @@ func (c *counters) snapshot() Stats {
 	out.SummaryLeaseLookups = int(c.summaryLeaseLookups.Value())
 	out.SummaryFramesSent = int(c.summaryFramesSent.Value())
 	out.SummaryFramesEncoded = int(c.summaryFramesEncoded.Value())
+	out.ProbeAudits = int(c.probeAudits.Value())
 	return out
 }
 

@@ -182,9 +182,10 @@ func TestHardStateOrphanRemoval(t *testing.T) {
 	if !orphaned {
 		t.Fatal("no orphaned event emitted")
 	}
-	// The probe slot must not linger after the orphan drop.
-	if armed := c.rcv.tbl.Armed(timerProbe); armed != 0 {
-		t.Fatalf("%d stale probe timers after orphan removal", armed)
+	// No per-entry timer lingers after the orphan drop (hard state arms
+	// none: the probe round is per peer).
+	if armed := c.rcv.tbl.TimersArmed(); armed != [statetable.NumTimerKinds]int{} {
+		t.Fatalf("%v stale timers after orphan removal", armed)
 	}
 }
 
@@ -197,17 +198,15 @@ func TestOrphanNotifyRepairsLiveSender(t *testing.T) {
 	c := vEndpoints(t, HS, 0)
 	c.snd.Install("k", []byte("v"))
 	c.within(time.Second, "install", func() bool { _, ok := c.rcv.Get("k"); return ok })
-	// Force the miss counter past the limit so the very next probe tick
-	// orphans the entry despite the live sender.
+	// Force the sender's miss count to the limit so the very next probe
+	// round orphans its state despite the live sender.
 	cfg := fastConfig(HS).withDefaults()
-	forced := c.rcv.tbl.Update(RKey(c.sndAddr, "k"),
-		func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) {
-			e.aux = uint32(cfg.MaxProbeMisses)
-		})
-	if !forced {
-		t.Fatal("receiver entry not found")
+	p := c.rcv.peers.byAddr.get(c.sndAddr.String())
+	if p == nil {
+		t.Fatal("receiver holds no record of the sender")
 	}
-	// The orphan fires on the next probe tick; the notify must bring the
+	p.misses.Store(int32(cfg.MaxProbeMisses))
+	// The orphan fires on the next probe round; the notify must bring the
 	// state back within one round trip plus a probe interval.
 	c.within(3*cfg.ProbeInterval, "false orphan repaired", func() bool {
 		_, ok := c.rcv.Get("k")

@@ -131,13 +131,16 @@ func TestCensusVariantsOrdering(t *testing.T) {
 // TestCensusHardStateDrainsLessOften: what loss broke when churn stopped
 // only a refresh repairs, so over a fixed seed set every refresh-bearing
 // variant drains in the quiesce window on every seed and HS on strictly
-// fewer (about two seeds in three, measured over seeds 40–69) — the
-// contrast, not any one seed's sample path, is the behaviour.
+// fewer (22 of these 24 at 25 % loss; 44 of seeds 42–89) — the contrast,
+// not any one seed's sample path, is the behaviour. The loss is 25 %
+// because at 15 % HS almost never breaks anything a refresh would have had
+// to repair (it drains on all of seeds 40–69): its one probe round per
+// sender orphans live state only when three round trips in a row are lost.
 func TestCensusHardStateDrainsLessOften(t *testing.T) {
-	const seeds = 12
+	const seeds = 24
 	drained := map[signal.Protocol]int{}
 	for seed := uint64(42); seed < 42+seeds; seed++ {
-		cfg := fastCensus(signal.SS, 0.15)
+		cfg := fastCensus(signal.SS, 0.25)
 		cfg.Seed = seed
 		results, err := RunCensusVariants(cfg)
 		if err != nil {

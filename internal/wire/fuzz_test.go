@@ -31,6 +31,9 @@ func FuzzDecode(f *testing.F) {
 		{Type: TypeProbe, Seq: 11, Key: "flow/1"},
 		{Type: TypeProbeAck, Seq: 12, Key: "flow/1"},
 		{Type: TypeProbe, Seq: 13, Key: ""},
+		// Peer probes: no key, the sender's or receiver's (count, fold).
+		{Type: TypeProbe, Seq: 20, Value: AppendPair(nil, 1024, 0x0123456789abcdef)},
+		{Type: TypeProbeAck, Seq: 20, Value: AppendPair(nil, ^uint64(0), 0)},
 		// VersionExt frames carrying the trace-context TLV.
 		{Type: TypeTrigger, Seq: 14, Key: "flow/1", Value: []byte("10Mbps"),
 			Trace: TraceContext{OriginNs: 1234, HopNs: 5678, Hops: 2}},
@@ -177,6 +180,17 @@ func FuzzDecode(f *testing.F) {
 		}
 		if m.Trace.Sampled() != (data[0] == VersionExt) {
 			t.Fatalf("version %d decoded trace %+v", data[0], m.Trace)
+		}
+		// A probe is a pair or a per-key probe, and the in-place decoder takes
+		// exactly the version-1 pairs, reading what the copying one did.
+		_, _, isPair := m.Pair()
+		if m.Type.Probe() && m.Value != nil && !isPair {
+			t.Fatalf("probe decoded with a %d-byte value", len(m.Value))
+		}
+		var aliased Message
+		if inPlace := DecodePeer(data, &aliased); inPlace != (isPair && data[0] == Version) ||
+			inPlace && (aliased.Type != m.Type || aliased.Seq != m.Seq || !bytes.Equal(aliased.Value, m.Value)) {
+			t.Fatalf("DecodePeer ok=%v read %+v for %+v", inPlace, aliased, m)
 		}
 		// Round trip: an accepted frame re-encodes to the same bytes.
 		out, err := m.MarshalBinary()

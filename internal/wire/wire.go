@@ -148,14 +148,25 @@ const (
 	// TypeAckBatch coalesces many acknowledgements (acks and removal-acks)
 	// into one datagram — the reply-path counterpart of summary refresh.
 	TypeAckBatch
-	// TypeProbe asks a sender whether it still owns a key: the hard-state
-	// receiver's orphan-detection liveness probe (the paper's "external
-	// removal signal" made concrete). Seq echoes the receiver's latest
-	// accepted sequence for the key; there is no value.
+	// TypeProbe is the hard-state receiver's liveness probe — the paper's
+	// "external removal signal" made concrete — in one of two shapes. A peer
+	// probe asks a sender whether it is alive: the key is empty and the value
+	// is the receiver's pair for that sender (PairLen bytes: how many of its
+	// keys the receiver holds, and their fold, see KeyHash); one goes to
+	// every sender holding state once per probe interval. A per-key probe
+	// asks whether the sender still owns one key: the key is set, Seq echoes
+	// the receiver's latest accepted sequence for it, and there is no value;
+	// the receiver sends these only while it audits a sender whose pair
+	// disagreed with its own. The value's length tells the shapes apart, so
+	// a per-key probe for the user key "" is still a per-key probe; any other
+	// value length, or a pair with a key, is malformed (ErrProbe).
 	TypeProbe
-	// TypeProbeAck answers a probe for a key the sender still owns. A
-	// sender that no longer owns the key stays silent, letting the
-	// receiver's miss counter declare the state orphaned.
+	// TypeProbeAck answers a probe in the probe's shape. A peer probe-ack
+	// carries the sender's own pair for the receiver (its live keys there,
+	// and their fold) and Seq echoes the probe's. A per-key probe-ack answers
+	// for a key the sender still owns; a sender that no longer owns the key
+	// stays silent, letting the receiver's key-level miss count declare the
+	// state orphaned.
 	TypeProbeAck
 	// TypeDigest asks a peer for its state-table digest — the census
 	// request of the convergence auditor. The value region carries a
@@ -218,6 +229,72 @@ func (t Type) Summary() bool { return t == TypeSummaryRefresh || t == TypeSummar
 // key/value pair.
 func (t Type) Batch() bool { return t == TypeAckBatch }
 
+// Probe reports whether t is one of the two liveness-probe types.
+func (t Type) Probe() bool { return t == TypeProbe || t == TypeProbeAck }
+
+// PairLen is the value length of a peer probe or peer probe-ack: an 8-byte
+// key count, then the 8-byte fold of those keys, both big endian.
+const PairLen = 16
+
+// KeyHash is the fixed, seedless 64-bit hash a pair's fold sums, modulo
+// 2⁶⁴, over a key set: FNV-1a over the key bytes, then the murmur3
+// finalizer so that keys differing in one byte differ in every bit of the
+// sum. Both ends of a link compute it over the same user keys, so their
+// folds agree exactly when their key sets do (up to a 64-bit collision).
+func KeyHash(key string) uint64 {
+	h := uint64(14695981039346269563)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// AppendPair appends the value of a peer probe or peer probe-ack.
+func AppendPair(dst []byte, count, fold uint64) []byte {
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(dst, count), fold)
+}
+
+// Pair returns the (count, fold) a peer probe or peer probe-ack carries;
+// ok is false for every other message, a per-key probe included.
+func (m *Message) Pair() (count, fold uint64, ok bool) {
+	if !m.Type.Probe() || len(m.Value) != PairLen {
+		return 0, 0, false
+	}
+	return binary.BigEndian.Uint64(m.Value), binary.BigEndian.Uint64(m.Value[8:]), true
+}
+
+// peerFrameLen is the encoded size of a version-1 peer probe or probe-ack.
+const peerFrameLen = headerLen + 4 + PairLen + trailerLen
+
+// DecodePeer is UnmarshalBinary for a version-1 peer probe or peer
+// probe-ack, without the copy: m's value aliases data, so nothing is
+// allocated. It reports false and leaves m alone for anything else,
+// malformed frames included — UnmarshalBinary says why those fail.
+func DecodePeer(data []byte, m *Message) bool {
+	if len(data) != peerFrameLen || data[0] != Version || !Type(data[1]).Probe() ||
+		binary.BigEndian.Uint16(data[10:]) != 0 || binary.BigEndian.Uint32(data[12:]) != PairLen {
+		return false
+	}
+	body := data[:len(data)-trailerLen]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(data[len(body):]) {
+		return false
+	}
+	*m = Message{Type: Type(data[1]), Seq: binary.BigEndian.Uint64(data[2:]), Value: body[headerLen+4:]}
+	return true
+}
+
+// probeShapeOK reports whether a probe-type frame with this key length and
+// value length has one of the two shapes TypeProbe documents.
+func probeShapeOK(keyLen, valLen int) bool {
+	return valLen == 0 || (valLen == PairLen && keyLen == 0)
+}
+
 // Decoding and encoding errors.
 var (
 	ErrShort    = errors.New("wire: message truncated")
@@ -229,6 +306,7 @@ var (
 	ErrAckBatch = errors.New("wire: malformed ack batch")
 	ErrExt      = errors.New("wire: malformed extension block")
 	ErrDigest   = errors.New("wire: malformed digest payload")
+	ErrProbe    = errors.New("wire: malformed probe")
 )
 
 // AckItem is one coalesced acknowledgement inside a TypeAckBatch message.
@@ -347,6 +425,9 @@ func (m *Message) Append(dst []byte) ([]byte, error) {
 	}
 	if len(m.Key) > MaxKeyLen || len(m.Value) > MaxValueLen {
 		return nil, fmt.Errorf("%w: key %d bytes, value %d bytes", ErrTooLarge, len(m.Key), len(m.Value))
+	}
+	if m.Type.Probe() && !probeShapeOK(len(m.Key), len(m.Value)) {
+		return nil, fmt.Errorf("%w: key %d bytes, value %d bytes", ErrProbe, len(m.Key), len(m.Value))
 	}
 	start := len(dst)
 	version := byte(Version)
@@ -627,6 +708,9 @@ func (m *Message) UnmarshalBinary(data []byte) error {
 	rest = rest[4:]
 	if len(rest) != valLen {
 		return ErrShort
+	}
+	if typ.Probe() && !probeShapeOK(keyLen, valLen) {
+		return fmt.Errorf("%w: key %d bytes, value %d bytes", ErrProbe, keyLen, valLen)
 	}
 	if typ.Summary() {
 		keys, err := decodeSummaryBlock(rest)

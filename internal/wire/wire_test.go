@@ -45,8 +45,9 @@ func TestRoundTripEmptyValue(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	prop := func(typRaw uint8, seq uint64, key string, value []byte) bool {
 		typ := Type(typRaw%uint8(maxType-1)) + TypeTrigger
-		if typ.Summary() || typ.Batch() {
-			// Summary and batch types carry lists; covered by their own tests.
+		if typ.Summary() || typ.Batch() || typ.Probe() {
+			// Summary and batch types carry lists, probes one of two fixed
+			// shapes; each is covered by its own tests.
 			typ = TypeTrigger
 		}
 		if len(key) > MaxKeyLen {
@@ -319,6 +320,101 @@ func TestSummaryDecodeDoesNotAliasInput(t *testing.T) {
 	}
 	if out.Keys[0] != "abc" {
 		t.Fatal("decoded summary aliases input buffer")
+	}
+}
+
+// TestProbeShapesRoundTrip: both probe types in both shapes survive the
+// codec, the value's length alone tells a peer frame from a per-key one
+// (even for the user key ""), and the in-place decoder agrees with the
+// copying one on every peer frame and declines every per-key one.
+func TestProbeShapesRoundTrip(t *testing.T) {
+	pair := AppendPair(nil, 1024, 0xfeedfacecafebeef)
+	for _, in := range []Message{
+		{Type: TypeProbe, Seq: 7, Value: pair},
+		{Type: TypeProbeAck, Seq: 7, Value: pair},
+		{Type: TypeProbe, Seq: 8, Key: "flow/1"},
+		{Type: TypeProbeAck, Seq: 8, Key: "flow/1"},
+		{Type: TypeProbe, Seq: 9, Key: ""},
+		{Type: TypeProbeAck, Seq: 9, Key: ""},
+	} {
+		data, err := in.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%v: %v", in, err)
+		}
+		var out Message
+		if err := out.UnmarshalBinary(data); err != nil {
+			t.Fatalf("%v: %v", in, err)
+		}
+		if out.Type != in.Type || out.Seq != in.Seq || out.Key != in.Key || !bytes.Equal(out.Value, in.Value) {
+			t.Fatalf("roundtrip mismatch: %+v vs %+v", out, in)
+		}
+		count, fold, isPair := out.Pair()
+		var aliased Message
+		inPlace := DecodePeer(data, &aliased)
+		if peer := in.Value != nil; isPair != peer || inPlace != peer {
+			t.Fatalf("%v: Pair ok=%v, DecodePeer ok=%v, want %v", in, isPair, inPlace, peer)
+		}
+		if isPair && (count != 1024 || fold != 0xfeedfacecafebeef) {
+			t.Fatalf("%v: Pair (%d, %x)", in, count, fold)
+		}
+		if inPlace && (aliased.Type != out.Type || aliased.Seq != out.Seq || aliased.Key != "" || !bytes.Equal(aliased.Value, out.Value)) {
+			t.Fatalf("DecodePeer %+v, UnmarshalBinary %+v", aliased, out)
+		}
+	}
+}
+
+// TestProbeRejectsOtherShapes: a probe-type frame whose value is neither
+// empty nor a pair, or a pair that names a key, is refused by the encoder
+// and the decoder alike, and the in-place reader never takes it.
+func TestProbeRejectsOtherShapes(t *testing.T) {
+	for _, typ := range []Type{TypeProbe, TypeProbeAck} {
+		for _, bad := range []Message{
+			{Type: typ, Value: []byte("v")},
+			{Type: typ, Value: make([]byte, PairLen+1)},
+			{Type: typ, Value: make([]byte, PairLen-1)},
+			{Type: typ, Key: "k", Value: make([]byte, PairLen)},
+		} {
+			if _, err := bad.MarshalBinary(); !errors.Is(err, ErrProbe) {
+				t.Fatalf("%v with a %d-byte value encoded: %v", typ, len(bad.Value), err)
+			}
+			// The same frame built by a trigger's encoder, retyped and resealed.
+			as := bad
+			as.Type = TypeTrigger
+			data, err := as.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[1] = byte(typ)
+			data = reseal(data)
+			var out Message
+			if err := out.UnmarshalBinary(data); !errors.Is(err, ErrProbe) {
+				t.Fatalf("%v key %q value %d bytes decoded: %v", typ, bad.Key, len(bad.Value), err)
+			}
+			if DecodePeer(data, &out) {
+				t.Fatalf("DecodePeer took a malformed %v", typ)
+			}
+		}
+	}
+}
+
+// TestKeyHashFold: the fold is an order-free multiset sum — the same keys in
+// any order fold alike, one key more or less changes it, and an insert
+// undone by subtracting its hash restores it.
+func TestKeyHashFold(t *testing.T) {
+	keys := []string{"", "a", "b", "flow/1", "flow/2"}
+	var fwd, rev uint64
+	for i := range keys {
+		fwd += KeyHash(keys[i])
+		rev += KeyHash(keys[len(keys)-1-i])
+	}
+	if fwd != rev {
+		t.Fatal("fold depends on order")
+	}
+	if with := fwd + KeyHash("flow/3"); with == fwd || with-KeyHash("flow/3") != fwd {
+		t.Fatal("one key more does not move the fold, or does not come back out")
+	}
+	if KeyHash("ab") == KeyHash("ba") || KeyHash("") == 0 {
+		t.Fatal("KeyHash collides on a transposition or maps the empty key to 0")
 	}
 }
 
