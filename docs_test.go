@@ -31,7 +31,7 @@ var (
 	shellWord = regexp.MustCompile(`'[^']*'|"[^"]*"|[^\s'"]+`)
 )
 
-const changesCapFrom, changesCap = 23, 2560
+const changesCapFrom, changesCap = 11, 2560
 
 // TestDocsNameOnlyWhatExists keeps README.md and DESIGN.md from describing
 // a tree that is gone: every backticked repo path must exist (a

@@ -583,8 +583,8 @@ func (c *pipeConn) leaveLocked() {
 
 // ReadBatch blocks for the first datagram, then takes up to len(ms) from
 // the ring under the one lock acquisition. Data is the conn-owned buffer
-// the writer filled, not a copy into Buf: it is recycled by the next
-// ReadBatch, so an endpoint has one ReadBatch consumer.
+// the writer filled, not a copy: it is recycled by the next ReadBatch, so
+// an endpoint has one ReadBatch consumer.
 func (c *pipeConn) ReadBatch(ms []transport.Message) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil

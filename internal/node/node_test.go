@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -165,6 +167,53 @@ func TestNodeFanoutSummaryRefresh(t *testing.T) {
 	if sweeps < 2 {
 		t.Fatalf("only %d sweeps in 4 timeout windows (%d summaries)", sweeps, st.Sent["summary-refresh"])
 	}
+}
+
+// TestReadLoopAllocs bounds what a node's read loop allocates over a
+// lossy link, which lends the datagrams it delivers: its batch of empty
+// slots and the demultiplexing of an ack, under 64 KB. A loop that brought
+// its own 32 × 16 KB receive ring allocated 512 KB per lane for buffers
+// this transport never touches.
+func TestReadLoopAllocs(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := allocatedUnder("node.(*Node).readLoop")
+	v, n, _, addrs := fanout(t, fastConfig(signal.SSRT), 1)
+	if err := n.Install(addrs[0], "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	within(t, v, time.Second, "the ack", func() bool { return n.Stats().Received["ack"] == 1 })
+	if got := allocatedUnder("node.(*Node).readLoop") - before; got >= 64<<10 {
+		t.Fatalf("the read loop allocated %d B, want under 64 KB", got)
+	} else {
+		t.Logf("the read loop allocated %d B", got)
+	}
+}
+
+// allocatedUnder sums the bytes the memory profile has attributed, since
+// the program started, to stacks through the function whose name ends in
+// fn. The profile lags the heap by up to two collections.
+func allocatedUnder(fn string) int64 {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if strings.HasSuffix(f.Function, fn) {
+				total += r.AllocBytes
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
 }
 
 // TestNodeSelectiveRemove: removing one peer's keys leaves the other

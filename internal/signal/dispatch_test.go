@@ -2,6 +2,8 @@ package signal
 
 import (
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -137,4 +139,51 @@ func expectDecoderAllocs(t *testing.T, rcv *Receiver, sc *dispatchScratch, name 
 	if got := testing.AllocsPerRun(200, func() { rcv.dispatch(data, from, sc) }); got != decode {
 		t.Errorf("%s: %.0f allocations per frame, %.0f of them the decoder's", name, got, decode)
 	}
+}
+
+// TestReadLoopAllocs bounds what a receiver's read loop allocates over a
+// lossy link, which lends the datagrams it delivers: its batch of empty
+// slots and one install's worth of dispatch, under 64 KB. A loop that
+// brought its own 32 × 16 KB receive ring allocated 512 KB per lane for
+// buffers this transport never touches.
+func TestReadLoopAllocs(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := allocatedUnder("signal.(*Receiver).readLoop")
+	c := vEndpoints(t, SS, 0)
+	if err := c.snd.Install("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	c.within(time.Second, "the install", func() bool { return c.rcv.Len() == 1 })
+	if got := allocatedUnder("signal.(*Receiver).readLoop") - before; got >= 64<<10 {
+		t.Fatalf("the read loop allocated %d B, want under 64 KB", got)
+	} else {
+		t.Logf("the read loop allocated %d B", got)
+	}
+}
+
+// allocatedUnder sums the bytes the memory profile has attributed, since
+// the program started, to stacks through the function whose name ends in
+// fn. The profile lags the heap by up to two collections.
+func allocatedUnder(fn string) int64 {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if strings.HasSuffix(f.Function, fn) {
+				total += r.AllocBytes
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
 }

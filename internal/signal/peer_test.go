@@ -334,12 +334,12 @@ func TestStrangerDigestWalksNothing(t *testing.T) {
 	}
 }
 
-// TestEntrySizes pins both table values inside their allocator size class:
-// the state table adds 128 bytes to a value (TestEntryOverhead there), so a
+// TestEntrySizes pins both table values: the state table adds 80 bytes to
+// a value (TestEntryOverhead there) and packs entries into chunks, so a
 // 48-byte receiverEntry — the sender named by a peer id sharing a word with
 // aux (the lease id, or a hard-state audit's per-key miss count), not by a
-// two-word net.Addr — lands in the 176-byte class and a 96-byte senderEntry
-// in the 224-byte one. A word more on either is 16 bytes per installed key.
+// two-word net.Addr — is 128 bytes of a chunk and a 96-byte senderEntry
+// 176. A word more on either is 8 bytes per installed key.
 func TestEntrySizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit targets")

@@ -132,13 +132,12 @@ func BenchmarkStateTableGet(b *testing.B) {
 // BenchmarkWheelScheduleCancel measures the raw arm/disarm cost: two O(1)
 // list operations, no allocation.
 func BenchmarkWheelScheduleCancel(b *testing.B) {
-	var w wheel[int]
-	e := &entry[int]{key: "k"}
-	n := &e.timers[0]
-	n.owner = e
+	w := newTestWheel()
+	id := w.newNode("k")
+	n := w.node(id)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.schedule(n, int64(i%100_000)+w.now+1)
+		w.schedule(id, n, int64(i%100_000)+w.now+1)
 		w.cancel(n)
 	}
 }

@@ -1,10 +1,10 @@
 package statetable
 
 // index is a shard's key → entry lookup: an open-addressed, linearly
-// probed array of (tag, entry) slots. The tag is the upper half of the
-// key's seeded hash (Table.tagOf); its low bits pick the home slot and a
-// probe compares it before touching the entry, so a lookup that hits at
-// home reads one slot and then the entry it was going to read anyway —
+// probed array of 8-byte (tag, entry id) slots. The tag is the upper half
+// of the key's seeded hash (Table.tagOf); its low bits pick the home slot
+// and a probe compares it before touching the entry, so a lookup that hits
+// at home reads one slot and then the entry it was going to read anyway —
 // where a string-keyed Go map reads a control word, a group of (string
 // header, pointer) pairs and the key bytes first. Every tag match is still
 // confirmed against the key byte for byte.
@@ -14,96 +14,104 @@ package statetable
 // run back, so there are no tombstones and a table that churns forever
 // probes no further than one that was filled once. The array never
 // shrinks. Callers hold the shard lock.
-type index[V any] struct {
-	slots []slot[V] // len is a power of two; e == nil marks an empty slot
-	n     int       // occupied slots
+type index struct {
+	slots []slot // len is a power of two; id 0 marks an empty slot
+	n     int    // occupied slots
 }
 
-type slot[V any] struct {
+type slot struct {
 	tag uint32
-	e   *entry[V]
+	id  uint32
 }
 
 const minIndexSlots = 8
 
-func newIndex[V any]() index[V] {
-	return index[V]{slots: make([]slot[V], minIndexSlots)}
+func newIndex() index {
+	return index{slots: make([]slot, minIndexSlots)}
 }
 
-// get returns the entry stored for key, or nil.
-func (ix *index[V]) get(tag uint32, key string) *entry[V] {
-	mask := uint32(len(ix.slots) - 1)
+// find returns the id of the entry stored for key, and the entry, or 0 and
+// nil.
+func (sh *shard[V]) find(tag uint32, key string) (uint32, *entry[V]) {
+	slots := sh.idx.slots
+	mask := uint32(len(slots) - 1)
 	for i := tag & mask; ; i = (i + 1) & mask {
-		s := &ix.slots[i]
-		if s.e == nil {
-			return nil
+		s := slots[i]
+		if s.id == 0 {
+			return 0, nil
 		}
-		if s.tag == tag && s.e.key == key {
-			return s.e
+		if s.tag == tag {
+			if e := sh.ents.at(s.id); e.key == key {
+				return s.id, e
+			}
 		}
 	}
 }
 
-// getBytes is get for a byte-slice key; the comparison converts in place,
-// without allocating.
-func (ix *index[V]) getBytes(tag uint32, key []byte) *entry[V] {
-	mask := uint32(len(ix.slots) - 1)
+// findBytes is find for a byte-slice key; the comparison converts in
+// place, without allocating.
+func (sh *shard[V]) findBytes(tag uint32, key []byte) (uint32, *entry[V]) {
+	slots := sh.idx.slots
+	mask := uint32(len(slots) - 1)
 	for i := tag & mask; ; i = (i + 1) & mask {
-		s := &ix.slots[i]
-		if s.e == nil {
-			return nil
+		s := slots[i]
+		if s.id == 0 {
+			return 0, nil
 		}
-		if s.tag == tag && s.e.key == string(key) {
-			return s.e
+		if s.tag == tag {
+			if e := sh.ents.at(s.id); e.key == string(key) {
+				return s.id, e
+			}
 		}
 	}
 }
 
-// put stores e, whose key the caller has checked is absent, under e.tag.
-func (ix *index[V]) put(e *entry[V]) {
+// put files id under tag; the caller has checked its key is absent.
+func (ix *index) put(tag, id uint32) {
 	if (ix.n+1)*2 > len(ix.slots) {
 		old := ix.slots
-		ix.slots = make([]slot[V], 2*len(old))
+		ix.slots = make([]slot, 2*len(old))
 		for _, s := range old {
-			if s.e != nil {
+			if s.id != 0 {
 				ix.place(s)
 			}
 		}
 	}
-	ix.place(slot[V]{tag: e.tag, e: e})
+	ix.place(slot{tag: tag, id: id})
 	ix.n++
 }
 
 // place writes s into the first empty slot of its probe run.
-func (ix *index[V]) place(s slot[V]) {
+func (ix *index) place(s slot) {
 	mask := uint32(len(ix.slots) - 1)
 	i := s.tag & mask
-	for ix.slots[i].e != nil {
+	for ix.slots[i].id != 0 {
 		i = (i + 1) & mask
 	}
 	ix.slots[i] = s
 }
 
-// del removes e, reporting whether it was present, and shifts the rest of
-// its probe run back over the hole: a later slot moves up when the hole
-// lies between its home and where it sits, so every remaining key stays
-// reachable from its home without crossing an empty slot.
-func (ix *index[V]) del(e *entry[V]) bool {
+// del removes id, filed under tag, reporting whether it was present, and
+// shifts the rest of its probe run back over the hole: a later slot moves
+// up when the hole lies between its home and where it sits, so every
+// remaining key stays reachable from its home without crossing an empty
+// slot.
+func (ix *index) del(tag, id uint32) bool {
 	mask := uint32(len(ix.slots) - 1)
-	hole := e.tag & mask
-	for ix.slots[hole].e != e {
-		if ix.slots[hole].e == nil {
+	hole := tag & mask
+	for ix.slots[hole].id != id {
+		if ix.slots[hole].id == 0 {
 			return false
 		}
 		hole = (hole + 1) & mask
 	}
-	for j := (hole + 1) & mask; ix.slots[j].e != nil; j = (j + 1) & mask {
+	for j := (hole + 1) & mask; ix.slots[j].id != 0; j = (j + 1) & mask {
 		if (j-ix.slots[j].tag)&mask >= (j-hole)&mask {
 			ix.slots[hole] = ix.slots[j]
 			hole = j
 		}
 	}
-	ix.slots[hole] = slot[V]{}
+	ix.slots[hole] = slot{}
 	ix.n--
 	return true
 }

@@ -7,25 +7,26 @@ import (
 	"testing"
 )
 
-// indexModel drives an index and a Go-map reference side by side from a
-// byte script. The test, not maphash, decides every key's tag, so a script
-// can put all keys on one tag and one home slot — at slot 0, or at the
-// array's last slot whatever its size — and exercise the longest probe
-// runs, the wrap at the array end, the backward shift across that wrap,
-// and growth in the middle of a run. One interpreter serves the seeded
-// scripts and the fuzz target.
+// indexModel drives a shard's index, a Go-map reference and the
+// pointer-slot reference index side by side from a byte script. The test,
+// not maphash, decides every key's tag, so a script can put all keys on
+// one tag and one home slot — at slot 0, or at the array's last slot
+// whatever its size — and exercise the longest probe runs, the wrap at the
+// array end, the backward shift across that wrap, and growth in the middle
+// of a run. The map checks what each key finds; the pointer index checks
+// that every key sits in the same slot, which is the order Range walks.
+// One interpreter serves the seeded scripts and the fuzz target.
 type indexModel struct {
 	t      *testing.T
-	ix     index[int]
-	ref    map[string]*modelEntry
+	sh     *shard[int]
+	ref    map[string]uint32 // key → entry id
+	ptr    refIndex
 	base   uint32 // tag of key 0
 	spread uint32 // keys cycle through this many consecutive tags
 	script []byte
 }
 
 const modelKeys = 64
-
-type modelEntry = entry[int]
 
 func (m *indexModel) next() byte {
 	if len(m.script) == 0 {
@@ -44,32 +45,51 @@ func (m *indexModel) keyOf(k uint32) (string, uint32) {
 
 func (m *indexModel) key() (string, uint32) { return m.keyOf(uint32(m.next()) % modelKeys) }
 
-// probeLen is how many slots a lookup of e reads: its distance from the
-// home slot, plus one. Test-only, so the lookup itself counts nothing.
-func (ix *index[V]) probeLen(e *entry[V]) int {
+// probeLen is how many slots a lookup of the entry filed as (tag, id)
+// reads: its distance from the home slot, plus one. Test-only, so the
+// lookup itself counts nothing.
+func (ix *index) probeLen(tag, id uint32) int {
 	mask := uint32(len(ix.slots) - 1)
-	for i := e.tag & mask; ; i = (i + 1) & mask {
-		if ix.slots[i].e == e {
-			return int((i-e.tag)&mask) + 1
+	for i := tag & mask; ; i = (i + 1) & mask {
+		if ix.slots[i].id == id {
+			return int((i-tag)&mask) + 1
 		}
 	}
 }
 
-// check compares the index with the reference and audits the slot array.
+// check compares the index with both references and audits the slot
+// array.
 func (m *indexModel) check() {
-	ix := &m.ix
+	ix := &m.sh.idx
 	if ix.n != len(m.ref) {
 		m.t.Fatalf("n = %d, reference holds %d", ix.n, len(m.ref))
 	}
 	if len(ix.slots)&(len(ix.slots)-1) != 0 || ix.n*2 > len(ix.slots) {
 		m.t.Fatalf("%d entries in %d slots: not a power of two at most half full", ix.n, len(ix.slots))
 	}
-	for key, e := range m.ref {
-		if got := ix.get(e.tag, key); got != e {
-			m.t.Fatalf("get(%q) = %p, reference holds %p", key, got, e)
+	for key, id := range m.ref {
+		tag := m.sh.ents.at(id).tag
+		if got, _ := m.sh.find(tag, key); got != id {
+			m.t.Fatalf("find(%q) = %d, reference holds %d", key, got, id)
 		}
-		if got := ix.getBytes(e.tag, []byte(key)); got != e {
-			m.t.Fatalf("getBytes(%q) = %p, reference holds %p", key, got, e)
+		if got, _ := m.sh.findBytes(tag, []byte(key)); got != id {
+			m.t.Fatalf("findBytes(%q) = %d, reference holds %d", key, got, id)
+		}
+	}
+	if len(m.ptr.slots) != len(ix.slots) {
+		m.t.Fatalf("%d slots, the pointer index %d", len(ix.slots), len(m.ptr.slots))
+	}
+	for i, s := range ix.slots {
+		want := ""
+		if p := m.ptr.slots[i].e; p != nil {
+			want = p.key
+		}
+		got := ""
+		if s.id != 0 {
+			got = m.sh.ents.at(s.id).key
+		}
+		if got != want {
+			m.t.Fatalf("slot %d holds %q, the pointer index %q", i, got, want)
 		}
 	}
 	// No empty slot inside any probe run: an occupied slot d slots past
@@ -78,24 +98,25 @@ func (m *indexModel) check() {
 	// see every run whole, the one that wraps included.
 	mask := len(ix.slots) - 1
 	start := 0
-	for ix.slots[start].e != nil {
+	for ix.slots[start].id != 0 {
 		start++
 	}
 	occupied, run := 0, 0
 	for k := 1; k <= len(ix.slots); k++ {
 		i := (start + k) & mask
 		s := ix.slots[i]
-		if s.e == nil {
+		if s.id == 0 {
 			run = 0
 			continue
 		}
 		occupied++
 		run++
-		if s.tag != s.e.tag {
-			m.t.Fatalf("slot %d carries tag %#x, its entry %q was filed under %#x", i, s.tag, s.e.key, s.e.tag)
+		e := m.sh.ents.at(s.id)
+		if s.tag != e.tag {
+			m.t.Fatalf("slot %d carries tag %#x, its entry %q was filed under %#x", i, s.tag, e.key, e.tag)
 		}
 		if dist := (i - int(s.tag)) & mask; dist >= run {
-			m.t.Fatalf("slot %d holds %q %d slots past its home, behind an empty slot", i, s.e.key, dist)
+			m.t.Fatalf("slot %d holds %q %d slots past its home, behind an empty slot", i, e.key, dist)
 		}
 	}
 	if occupied != ix.n {
@@ -106,40 +127,50 @@ func (m *indexModel) check() {
 // runIndexScript interprets script: five header bytes choose how keys map
 // to tags, then each op is put, delete, or delete-then-reinsert of one key.
 func runIndexScript(t *testing.T, script []byte) {
-	m := &indexModel{t: t, ix: newIndex[int](), ref: make(map[string]*modelEntry), script: script}
+	m := &indexModel{t: t, sh: &shard[int]{idx: newIndex()}, ref: make(map[string]uint32),
+		ptr: newRefIndex(), script: script}
 	m.spread = 1 << (m.next() % 7) // 1 … 64 distinct tags
 	for i := 0; i < 4; i++ {
 		m.base = m.base<<8 | uint32(m.next())
 	}
 	m.check()
+	ptrs := map[string]*refEntry{}
 	for len(m.script) > 0 {
 		op := m.next()
 		key, tag := m.key()
-		e := m.ref[key]
+		id, ok := m.ref[key]
 		switch {
-		case e == nil && op%4 == 3: // delete of an absent key
-			if m.ix.del(&modelEntry{key: key, tag: tag}) {
+		case !ok && op%4 == 3: // delete of an absent key
+			stray, _ := m.sh.ents.alloc()
+			if m.sh.idx.del(tag, stray) || m.ptr.del(&refEntry{key: key, tag: tag}) {
 				t.Fatalf("del reported absent %q present", key)
 			}
-		case e == nil:
-			e = &modelEntry{key: key, tag: tag}
-			m.ix.put(e)
-			m.ref[key] = e
+			m.sh.ents.release(stray, m.sh.ents.at(stray))
+		case !ok:
+			id, e := m.sh.ents.alloc()
+			e.key, e.tag = key, tag
+			m.sh.idx.put(tag, id)
+			m.ref[key] = id
+			ptrs[key] = &refEntry{key: key, tag: tag}
+			m.ptr.put(ptrs[key])
 		case op%4 == 0: // delete, then file the same key again
-			m.ix.del(e)
+			m.sh.idx.del(tag, id)
+			m.ptr.del(ptrs[key])
 			m.absent(key, tag)
-			m.ix.put(e)
+			m.sh.idx.put(tag, id)
+			m.ptr.put(ptrs[key])
 		default:
-			if !m.ix.del(e) {
+			if !m.sh.idx.del(tag, id) || !m.ptr.del(ptrs[key]) {
 				t.Fatalf("del reported %q absent", key)
 			}
+			m.sh.ents.release(id, m.sh.ents.at(id))
 			delete(m.ref, key)
 			m.absent(key, tag)
 		}
 		m.check()
 	}
 	for k := uint32(0); k < modelKeys; k++ {
-		if key, tag := m.keyOf(k); m.ref[key] == nil {
+		if key, tag := m.keyOf(k); m.ref[key] == 0 {
 			m.absent(key, tag)
 		}
 	}
@@ -147,11 +178,11 @@ func runIndexScript(t *testing.T, script []byte) {
 
 // absent asserts key is unreachable.
 func (m *indexModel) absent(key string, tag uint32) {
-	if got := m.ix.get(tag, key); got != nil {
-		m.t.Fatalf("get(%q) finds %p after its delete", key, got)
+	if got, _ := m.sh.find(tag, key); got != 0 {
+		m.t.Fatalf("find(%q) finds %d after its delete", key, got)
 	}
-	if got := m.ix.getBytes(tag, []byte(key)); got != nil {
-		m.t.Fatalf("getBytes(%q) finds %p after its delete", key, got)
+	if got, _ := m.sh.findBytes(tag, []byte(key)); got != 0 {
+		m.t.Fatalf("findBytes(%q) finds %d after its delete", key, got)
 	}
 }
 
@@ -178,6 +209,8 @@ func TestIndexModel(t *testing.T) {
 }
 
 // FuzzIndex is the same check with the fuzzer writing header and script.
+// The pointer index's slot order is Range's order, so a change to
+// placement or probe order fails here.
 func FuzzIndex(f *testing.F) {
 	fill := make([]byte, 0, 2*modelKeys)
 	for k := byte(0); k < modelKeys; k++ {
@@ -221,8 +254,8 @@ func TestIndexFloodBounded(t *testing.T) {
 		}
 		probes := 0
 		for _, s := range ix.slots {
-			if s.e != nil {
-				probes += ix.probeLen(s.e)
+			if s.id != 0 {
+				probes += ix.probeLen(s.tag, s.id)
 			}
 		}
 		if mean := float64(probes) / flood; mean >= 3 {

@@ -10,7 +10,9 @@
 //
 // Each entry owns NumTimerKinds independently schedulable timers whose
 // nodes are embedded in the entry, so arming, rearming, and expiry never
-// allocate. Expiry callbacks and the closures passed to Upsert and Update
+// allocate. Entries live in per-shard chunks that never move (slab.go), and
+// the index and the wheel name them by 32-bit id, not by pointer. Expiry
+// callbacks and the closures passed to Upsert and Update
 // run with the entry's shard locked; they mutate the entry and its timers
 // through the TimerControl handle and must not call other Table methods
 // (that would deadlock on the same shard).
@@ -44,8 +46,10 @@ const DefaultTick = time.Millisecond
 // Config.DigestBuckets is 0 and a DigestFunc is set.
 const DefaultDigestBuckets = 16
 
-// digDropped marks an entry already removed from its shard, so a
-// deferred digest refresh cannot resurrect its contribution.
+// digDropped is the digBucket of an entry removed from its shard whose
+// slot is not yet released: a deferred digest refresh cannot resurrect its
+// contribution, a second delete does nothing, and the closure that deleted
+// it can still read its value.
 const digDropped = ^uint32(0)
 
 // ExpireFunc is called when a timer fires. It runs on the shard's clock
@@ -92,22 +96,24 @@ type Config[V any] struct {
 // entry is one key's record: the caller's value plus the embedded timers,
 // its cached digest contribution (bucket index and XOR-folded sum), which
 // is what lets a mutation update the shard digest in O(1), and the index tag
-// it is filed under (in what was padding after digBucket), so removing it
-// never rehashes the key. key never changes once the entry is published;
-// everything else is guarded by the shard's lock.
+// it is filed under, so removing it never rehashes the key. It adds 80
+// bytes to the value (TestEntryOverhead). key never changes while the entry
+// is filed; everything is guarded by the shard's lock.
 type entry[V any] struct {
 	key       string
 	value     V
 	dig       uint64
 	digBucket uint32
-	tag       uint32
-	timers    [NumTimerKinds]timerNode[V]
+	tag       uint32 // on the free list: the id of the next free slot
+	timers    [NumTimerKinds]timerNode
 }
 
-// shard is one lock domain: an index of its keys plus its timing wheel.
+// shard is one lock domain: its entries, an index of their keys, and its
+// timing wheel.
 type shard[V any] struct {
 	mu       sync.Mutex
-	idx      index[V]
+	ents     slab[V]
+	idx      index
 	wheel    wheel[V]
 	nextWake int64       // absolute tick the timer is armed for
 	needPoke bool        // a deadline earlier than nextWake was scheduled
@@ -165,7 +171,8 @@ func New[V any](cfg Config[V]) *Table[V] {
 	}
 	for i := range t.shards {
 		sh := &t.shards[i]
-		sh.idx = newIndex[V]()
+		sh.idx = newIndex()
+		sh.wheel.ents = &sh.ents
 		sh.nextWake = int64(1)<<62 - 1
 		if cfg.DigestFunc != nil {
 			sh.dig = make([]uint64, cfg.DigestBuckets)
@@ -279,23 +286,19 @@ func (t *Table[V]) DeadlineTick(delay time.Duration) int64 {
 func (t *Table[V]) Upsert(key string, fn func(v *V, created bool, tc TimerControl[V])) {
 	sh, tag := t.shardOf(key), t.tagOf(key)
 	sh.mu.Lock()
-	e := sh.idx.get(tag, key)
+	id, e := sh.find(tag, key)
 	created := e == nil
 	if created {
-		e = &entry[V]{key: key, tag: tag}
-		for i := range e.timers {
-			e.timers[i].owner = e
-			e.timers[i].kind = TimerKind(i)
-		}
-		sh.idx.put(e)
+		id, e = sh.ents.alloc()
+		e.key, e.tag = key, tag
+		sh.idx.put(tag, id)
 		t.size.Add(1)
+		sh.digDirty = t.cfg.DigestFunc != nil // derive its first contribution
 	}
 	if fn != nil {
-		fn(&e.value, created, TimerControl[V]{t: t, sh: sh, e: e})
+		fn(&e.value, created, TimerControl[V]{t: t, sh: sh, e: e, id: id})
 	}
-	if t.cfg.DigestFunc != nil && (created || sh.digDirty) {
-		t.refreshDigestLocked(sh, e)
-	}
+	t.settleLocked(sh, id, e)
 	t.unlockAndPoke(sh)
 }
 
@@ -304,13 +307,11 @@ func (t *Table[V]) Upsert(key string, fn func(v *V, created bool, tc TimerContro
 func (t *Table[V]) Update(key string, fn func(v *V, tc TimerControl[V])) bool {
 	sh, tag := t.shardOf(key), t.tagOf(key)
 	sh.mu.Lock()
-	e := sh.idx.get(tag, key)
+	id, e := sh.find(tag, key)
 	ok := e != nil
 	if ok && fn != nil {
-		fn(&e.value, TimerControl[V]{t: t, sh: sh, e: e})
-		if sh.digDirty {
-			t.refreshDigestLocked(sh, e)
-		}
+		fn(&e.value, TimerControl[V]{t: t, sh: sh, e: e, id: id})
+		t.settleLocked(sh, id, e)
 	}
 	t.unlockAndPoke(sh)
 	return ok
@@ -325,13 +326,11 @@ func (t *Table[V]) UpdateBytes(key []byte, fn func(v *V, tc TimerControl[V])) bo
 	sh := &t.shards[Hash32Bytes(key)&t.mask]
 	tag := uint32(maphash.Bytes(t.seed, key) >> 32) // tagOf, without the string
 	sh.mu.Lock()
-	e := sh.idx.getBytes(tag, key)
+	id, e := sh.findBytes(tag, key)
 	ok := e != nil
 	if ok && fn != nil {
-		fn(&e.value, TimerControl[V]{t: t, sh: sh, e: e})
-		if sh.digDirty {
-			t.refreshDigestLocked(sh, e)
-		}
+		fn(&e.value, TimerControl[V]{t: t, sh: sh, e: e, id: id})
+		t.settleLocked(sh, id, e)
 	}
 	t.unlockAndPoke(sh)
 	return ok
@@ -342,7 +341,7 @@ func (t *Table[V]) Get(key string) (V, bool) {
 	sh := t.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e := sh.idx.get(t.tagOf(key), key); e != nil {
+	if _, e := sh.find(t.tagOf(key), key); e != nil {
 		return e.value, true
 	}
 	var zero V
@@ -355,11 +354,12 @@ func (t *Table[V]) Delete(key string) bool {
 	sh := t.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.idx.get(t.tagOf(key), key)
+	id, e := sh.find(t.tagOf(key), key)
 	if e == nil {
 		return false
 	}
-	t.dropLocked(sh, e)
+	t.dropLocked(sh, id, e)
+	sh.release(id, e)
 	return true
 }
 
@@ -384,7 +384,10 @@ func (t *Table[V]) Range(fn func(key string, v *V) bool) {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		for _, s := range sh.idx.slots {
-			if s.e != nil && !fn(s.e.key, &s.e.value) {
+			if s.id == 0 {
+				continue
+			}
+			if e := sh.ents.at(s.id); !fn(e.key, &e.value) {
 				sh.mu.Unlock()
 				return
 			}
@@ -404,7 +407,7 @@ func (t *Table[V]) Armed(kind TimerKind) int {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		for _, s := range sh.idx.slots {
-			if s.e != nil && s.e.timers[kind].state != timerIdle {
+			if s.id != 0 && sh.ents.at(s.id).timers[kind].state != timerIdle {
 				n++
 			}
 		}
@@ -423,11 +426,11 @@ func (t *Table[V]) TimersArmed() [NumTimerKinds]int {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		for _, s := range sh.idx.slots {
-			if s.e == nil {
+			if s.id == 0 {
 				continue
 			}
-			for k := range s.e.timers {
-				if s.e.timers[k].state != timerIdle {
+			for k, tn := range sh.ents.at(s.id).timers {
+				if tn.state != timerIdle {
 					n[k]++
 				}
 			}
@@ -479,8 +482,11 @@ func (t *Table[V]) RangeDigest(fn func(key string, v *V, bucket uint32, sum uint
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		for _, s := range sh.idx.slots {
-			e := s.e
-			if e == nil || e.dig == 0 {
+			if s.id == 0 {
+				continue
+			}
+			e := sh.ents.at(s.id)
+			if e.dig == 0 {
 				continue
 			}
 			if !fn(e.key, &e.value, e.digBucket, e.dig) {
@@ -546,22 +552,46 @@ func (t *Table[V]) Keys() []string {
 	return out
 }
 
-// dropLocked removes e from its shard; callers hold sh.mu. Dropping an
+// dropLocked removes e, whose id is id, from its shard's index, wheel and
+// digest, leaving the slot to release; callers hold sh.mu. Dropping an
 // entry a second time (a closure that calls Delete twice) does nothing.
-func (t *Table[V]) dropLocked(sh *shard[V], e *entry[V]) {
-	if !sh.idx.del(e) {
+func (t *Table[V]) dropLocked(sh *shard[V], id uint32, e *entry[V]) {
+	if e.digBucket == digDropped {
 		return
 	}
+	sh.idx.del(e.tag, id)
 	for i := range e.timers {
 		sh.wheel.cancel(&e.timers[i])
 	}
 	if t.cfg.DigestFunc != nil {
 		sh.dig[e.digBucket] ^= e.dig
 		e.dig = 0
-		e.digBucket = digDropped // a pending dirty refresh must not resurrect it
 		sh.digDirty = false
 	}
+	e.digBucket = digDropped
 	t.size.Add(-1)
+}
+
+// settleLocked ends a closure's or an expiry callback's turn on e: it
+// re-derives e's digest contribution if the callback changed it, and
+// releases e's slot if the callback deleted it — only now, since the
+// callback could read its value until it returned.
+func (t *Table[V]) settleLocked(sh *shard[V], id uint32, e *entry[V]) {
+	if sh.digDirty {
+		t.refreshDigestLocked(sh, e)
+	}
+	if e.digBucket == digDropped {
+		sh.release(id, e)
+	}
+}
+
+// release returns a dropped entry's slot to the free list. A timer the
+// deleting callback re-armed after the delete is cancelled with it.
+func (sh *shard[V]) release(id uint32, e *entry[V]) {
+	for i := range e.timers {
+		sh.wheel.cancel(&e.timers[i])
+	}
+	sh.ents.release(id, e)
 }
 
 // refreshDigestLocked re-derives e's digest contribution and swaps it
@@ -602,6 +632,7 @@ type TimerControl[V any] struct {
 	t  *Table[V]
 	sh *shard[V]
 	e  *entry[V]
+	id uint32 // e's id
 }
 
 // Key returns the entry's key.
@@ -625,7 +656,7 @@ func (tc TimerControl[V]) ScheduleAt(kind TimerKind, tick int64) {
 			tc.sh.wheel.now = now
 		}
 	}
-	tc.sh.wheel.schedule(n, tick)
+	tc.sh.wheel.schedule(nodeID(tc.id, kind), n, tick)
 	if n.deadline < tc.sh.nextWake {
 		if !tc.sh.needPoke || n.deadline < tc.sh.pokeTick {
 			tc.sh.pokeTick = n.deadline
@@ -647,7 +678,7 @@ func (tc TimerControl[V]) Cancel(kind TimerKind) {
 
 // Delete removes the entry, cancelling all its timers.
 func (tc TimerControl[V]) Delete() {
-	tc.t.dropLocked(tc.sh, tc.e)
+	tc.t.dropLocked(tc.sh, tc.id, tc.e)
 }
 
 // MarkDigestDirty tells a digest-maintaining table that the closure (or
@@ -666,21 +697,17 @@ func (tc TimerControl[V]) MarkDigestDirty() {
 // the shard's next wake tick and returns the clock wait until it (0 when
 // idle, reported separately).
 func (t *Table[V]) advanceLocked(sh *shard[V]) (wait time.Duration, idle bool) {
-	fired := sh.wheel.advance(t.tickNow())
-	for fired != nil {
-		n := fired
-		fired = n.qnext
-		n.qnext = nil
+	for _, nid := range sh.wheel.advance(t.tickNow()) {
+		id, kind := nid/NumTimerKinds, TimerKind(nid%NumTimerKinds)
+		e := sh.ents.at(id)
+		n := &e.timers[kind]
 		if n.state != timerQueued {
-			continue // cancelled or rescheduled while queued
+			continue // cancelled, rescheduled or released while queued
 		}
 		n.state = timerIdle
 		if t.cfg.OnExpire != nil {
-			e := n.owner
-			t.cfg.OnExpire(e.key, n.kind, &e.value, TimerControl[V]{t: t, sh: sh, e: e})
-			if sh.digDirty {
-				t.refreshDigestLocked(sh, e)
-			}
+			t.cfg.OnExpire(e.key, kind, &e.value, TimerControl[V]{t: t, sh: sh, e: e, id: id})
+			t.settleLocked(sh, id, e)
 		}
 	}
 	idle = sh.wheel.count == 0

@@ -8,19 +8,120 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"softstate/internal/clock"
 )
 
-// TestEntryOverhead pins what an entry adds to the caller's value at 128
-// bytes: key, digest cache, tag, two timer nodes. internal/signal sizes its
-// values against this (TestEntrySizes there) so both of its entries stay in
-// their allocator size class.
+// TestEntryOverhead pins what an entry adds to the caller's value at 80
+// bytes: key, digest cache, tag, two 24-byte timer nodes. internal/signal
+// keeps its values small against this (TestEntrySizes there).
 func TestEntryOverhead(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("size pinned for 64-bit targets")
 	}
 	type v struct{ a, b uint64 }
-	if got := unsafe.Sizeof(entry[v]{}) - unsafe.Sizeof(v{}); got != 128 {
-		t.Fatalf("entry adds %d bytes to its value, want 128", got)
+	if got := unsafe.Sizeof(entry[v]{}) - unsafe.Sizeof(v{}); got != 80 {
+		t.Fatalf("entry adds %d bytes to its value, want 80", got)
+	}
+}
+
+// heapVal is a 48-byte value, a receiver entry's size, whose pointer lets
+// the test see whether a freed slot still pins what it pointed at.
+type heapVal struct {
+	ref *[64]byte
+	pad [5]uint64
+}
+
+// TestTableHeapPerEntry holds 65,536 entries with a 48-byte value and an
+// armed timer and bounds the heap they take: the value, the 80 bytes an
+// entry adds, at most four 8-byte index slots (the index doubles past half
+// full) and a few bytes of chunk list, partial chunks and wheel heads. A
+// 176-byte entry allocated on its own and 16-byte (tag, pointer) slots
+// come to over 210. Then it deletes every entry — inside Update and expiry
+// callbacks, which still read the value after the delete, and through
+// Delete — and requires every freed slot to hold nothing: no key, no
+// value, no armed timer.
+func TestTableHeapPerEntry(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit targets")
+	}
+	const n = 1 << 16
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("127.0.0.1:%d\x00flow/%07d", 7000+i>>10, i&1023)
+	}
+	shared := new([64]byte)
+	v := clock.NewVirtual()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tbl := New(Config[heapVal]{
+		Clock: v,
+		OnExpire: func(_ string, _ TimerKind, hv *heapVal, tc TimerControl[heapVal]) {
+			tc.Delete()
+			if hv.ref != shared {
+				t.Error("an expiry callback lost its value to its own delete")
+			}
+		},
+	})
+	defer tbl.Close()
+	for _, k := range keys {
+		tbl.Upsert(k, func(hv *heapVal, _ bool, tc TimerControl[heapVal]) {
+			hv.ref = shared
+			tc.Schedule(0, time.Hour)
+		})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEntry := float64(after.HeapAlloc-before.HeapAlloc) / n
+	t.Logf("%.1f B per entry with a %d-byte value", perEntry, unsafe.Sizeof(heapVal{}))
+	if bound := float64(unsafe.Sizeof(heapVal{})) + 80 + 4*8 + 8; perEntry > bound {
+		t.Fatalf("%.1f B per entry, want at most %.0f", perEntry, bound)
+	}
+
+	for i, k := range keys {
+		switch i % 3 {
+		case 0:
+			tbl.Update(k, func(hv *heapVal, tc TimerControl[heapVal]) {
+				tc.Delete()
+				if hv.ref != shared {
+					t.Fatal("an Update closure lost its value to its own delete")
+				}
+			})
+		case 1:
+			tbl.Delete(k)
+		case 2:
+			tbl.Schedule(k, 0, time.Millisecond)
+		}
+	}
+	v.Run(time.Second)
+	if tbl.Len() != 0 {
+		t.Fatalf("%d entries left", tbl.Len())
+	}
+	for i := range tbl.shards {
+		sh := &tbl.shards[i]
+		free, used := 0, 0
+		for id := sh.ents.free; id != 0; id = sh.ents.at(id).tag {
+			free++
+		}
+		for c, chunk := range sh.ents.chunks {
+			if c == len(sh.ents.chunks)-1 {
+				chunk = chunk[:sh.ents.fill]
+			}
+			for _, e := range chunk {
+				if e != (entry[heapVal]{tag: e.tag}) {
+					t.Fatalf("shard %d: a freed slot still holds key %q, value %v, timers %v", i, e.key, e.value, e.timers)
+				}
+				used++
+			}
+		}
+		if free != used {
+			t.Fatalf("shard %d: %d of %d slots on the free list", i, free, used)
+		}
+		if sh.wheel.count != 0 {
+			t.Fatalf("shard %d: %d timers armed on an empty table", i, sh.wheel.count)
+		}
 	}
 }
 

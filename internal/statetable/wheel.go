@@ -17,6 +17,9 @@ package statetable
 // T renewed every R costs at most wheelLevels links per T-R ticks, however
 // many renewals fall in between.
 //
+// Nodes live in their entries and are linked by node id (nodeID), so a
+// bucket head is a uint32 and the wheel holds no pointers into the heap.
+//
 // All wheel methods require the owning shard's lock.
 
 const (
@@ -27,6 +30,12 @@ const (
 	// wheelSpan is the horizon in ticks; farther deadlines are clamped to
 	// it and simply rehash on the way in.
 	wheelSpan = int64(1) << (wheelBits * wheelLevels)
+	// bucketRef flags a pprev that names a bucket head, level<<wheelBits |
+	// slot, rather than a node. Node ids stay below it (maxEntries).
+	bucketRef = 1 << 31
+	// firedKeep bounds the fired-id buffer a wheel keeps between advances,
+	// so one mass expiry does not pin its peak.
+	firedKeep = 1024
 )
 
 // Timer lifecycle states.
@@ -36,37 +45,43 @@ const (
 	timerQueued              // collected for firing, callback pending
 )
 
+// nodeID names timer kind of the entry with id eid: the wheel's link value.
+func nodeID(eid uint32, kind TimerKind) uint32 { return eid*NumTimerKinds + uint32(kind) }
+
 // timerNode is one schedulable deadline, embedded in its entry so arming a
 // timer never allocates. Bucket membership is kernel-hlist style: pprev
-// points at the previous node's next field (or the bucket head), making
-// unlink O(1) with no per-bucket sentinels. qnext is separate linkage for
-// the expired chain, so a callback rescheduling a still-queued node cannot
-// corrupt the chain being drained. slack sits in the padding after state:
-// the node is 48 bytes (TestTimerNodeSize), and every entry embeds two.
-type timerNode[V any] struct {
-	next     *timerNode[V]
-	pprev    **timerNode[V]
-	qnext    *timerNode[V]
-	owner    *entry[V]
-	deadline int64 // absolute tick
-	kind     TimerKind
-	state    uint8
+// names the previous node, or the bucket whose head this node is, making
+// unlink O(1) with no per-bucket sentinels. The node is 24 bytes
+// (TestTimerNodeSize), and every entry embeds two.
+type timerNode struct {
+	next     uint32 // next node in the bucket; 0 ends it
+	pprev    uint32 // previous node, or bucketRef|level<<wheelBits|slot
+	deadline int64  // absolute tick
 	slack    uint32 // deadline minus the tick the bucket was chosen for; < wheelSpan
+	state    uint8
 }
 
-// wheel is the per-shard hierarchical timing wheel.
+// wheel is the per-shard hierarchical timing wheel over the nodes of the
+// shard's entries.
 type wheel[V any] struct {
-	now   int64 // last tick advanced to
-	count int   // armed timers
-	slots [wheelLevels][wheelSlots]*timerNode[V]
-
-	rebuckets uint64 // renewed nodes advance reached early and put back
+	now       int64 // last tick advanced to
+	count     int   // armed timers
+	slots     [wheelLevels][wheelSlots]uint32
+	fired     []uint32 // advance's result, reused
+	ents      *slab[V] // the shard's entries, which hold the nodes
+	rebuckets uint64   // renewed nodes advance reached early and put back
 }
 
-// schedule (re)arms n for the given absolute tick. Past deadlines are
-// pulled to the next tick so they fire on the next advance. An armed node
-// stays linked unless the deadline moves before its bucket's tick.
-func (w *wheel[V]) schedule(n *timerNode[V], deadline int64) {
+// node resolves a node id.
+func (w *wheel[V]) node(id uint32) *timerNode {
+	return &w.ents.at(id / NumTimerKinds).timers[id%NumTimerKinds]
+}
+
+// schedule (re)arms n, whose id is id, for the given absolute tick. Past
+// deadlines are pulled to the next tick so they fire on the next advance.
+// An armed node stays linked unless the deadline moves before its bucket's
+// tick.
+func (w *wheel[V]) schedule(id uint32, n *timerNode, deadline int64) {
 	if deadline <= w.now {
 		deadline = w.now + 1
 	}
@@ -79,61 +94,70 @@ func (w *wheel[V]) schedule(n *timerNode[V], deadline int64) {
 	}
 	w.cancel(n)
 	n.deadline = deadline
-	w.insert(n)
+	w.insert(id, n)
 	n.state = timerArmed
 	w.count++
 }
 
 // cancel disarms n: an armed node is unlinked from its bucket, a queued
 // node's pending fire is suppressed.
-func (w *wheel[V]) cancel(n *timerNode[V]) {
+func (w *wheel[V]) cancel(n *timerNode) {
 	switch n.state {
 	case timerArmed:
 		w.unlink(n)
 		w.count--
 	case timerQueued:
-		// Still on the expired chain being drained; the drain loop skips
+		// Still in the fired list being drained; the drain loop skips
 		// non-queued nodes, so flipping the state is enough.
 	}
 	n.state = timerIdle
 }
 
-// insert buckets n by its deadline. delta ≥ 0 relative to w.now; delta 0
-// (only reachable while cascading) lands in the level-0 bucket the current
-// advance step is about to expire.
-func (w *wheel[V]) insert(n *timerNode[V]) {
+// insert buckets n, whose id is id, by its deadline. delta ≥ 0 relative to
+// w.now; delta 0 (only reachable while cascading) lands in the level-0
+// bucket the current advance step is about to expire.
+func (w *wheel[V]) insert(id uint32, n *timerNode) {
 	n.slack = 0
 	delta := n.deadline - w.now
 	level := 0
 	for level < wheelLevels-1 && delta >= int64(1)<<(wheelBits*(level+1)) {
 		level++
 	}
-	head := &w.slots[level][(n.deadline>>(wheelBits*level))&wheelMask]
+	slot := uint32(n.deadline>>(wheelBits*level)) & wheelMask
+	head := &w.slots[level][slot]
 	n.next = *head
-	if n.next != nil {
-		n.next.pprev = &n.next
+	if n.next != 0 {
+		w.node(n.next).pprev = id
 	}
-	*head = n
-	n.pprev = head
+	*head = id
+	n.pprev = bucketRef | uint32(level)<<wheelBits | slot
 }
 
-func (w *wheel[V]) unlink(n *timerNode[V]) {
-	*n.pprev = n.next
-	if n.next != nil {
-		n.next.pprev = n.pprev
+func (w *wheel[V]) unlink(n *timerNode) {
+	if n.pprev&bucketRef != 0 {
+		w.slots[n.pprev>>wheelBits&(wheelLevels-1)][n.pprev&wheelMask] = n.next
+	} else {
+		w.node(n.pprev).next = n.next
 	}
-	n.next = nil
-	n.pprev = nil
+	if n.next != 0 {
+		w.node(n.next).pprev = n.pprev
+	}
+	n.next = 0
+	n.pprev = 0
 }
 
-// advance moves the wheel to the target tick and returns the chain (via
-// qnext, in expiry order) of nodes whose deadlines passed. Returned nodes
-// are in state timerQueued; the caller fires each one that is still queued
-// when its turn comes. Spans that provably hold no deadline and no
-// occupied cascade are crossed in one step, so catching up after a long
-// sleep costs O(events), not O(ticks elapsed).
-func (w *wheel[V]) advance(target int64) *timerNode[V] {
-	var head, tail *timerNode[V]
+// advance moves the wheel to the target tick and returns the ids of the
+// nodes whose deadlines passed, in expiry order. Returned nodes are in
+// state timerQueued; the caller fires each one that is still queued when
+// its turn comes. The slice is the wheel's own and is reused by the next
+// advance. Spans that provably hold no deadline and no occupied cascade are
+// crossed in one step, so catching up after a long sleep costs O(events),
+// not O(ticks elapsed).
+func (w *wheel[V]) advance(target int64) []uint32 {
+	if cap(w.fired) > firedKeep {
+		w.fired = nil
+	}
+	w.fired = w.fired[:0]
 	for w.now < target {
 		if w.count == 0 {
 			w.now = target // nothing armed: the rest of the span is empty
@@ -159,42 +183,38 @@ func (w *wheel[V]) advance(target int64) *timerNode[V] {
 				continue
 			}
 			slot := &w.slots[l][(w.now>>(wheelBits*l))&wheelMask]
-			n := *slot
-			*slot = nil
-			for n != nil {
+			id := *slot
+			*slot = 0
+			for id != 0 {
+				n := w.node(id)
 				next := n.next
-				w.insert(n)
-				n = next
+				w.insert(id, n)
+				id = next
 			}
 		}
 		// Expire the level-0 bucket for this tick.
 		slot := &w.slots[0][w.now&wheelMask]
-		for n := *slot; n != nil; {
+		for id := *slot; id != 0; {
+			n := w.node(id)
 			next := n.next
 			if n.deadline > w.now {
 				// Pushed later since it was bucketed: back in by deadline,
 				// never into this bucket (a full rotation away by now).
-				w.insert(n)
+				w.insert(id, n)
 				w.rebuckets++
-				n = next
+				id = next
 				continue
 			}
-			n.next = nil
-			n.pprev = nil
+			n.next = 0
+			n.pprev = 0
 			n.state = timerQueued
-			n.qnext = nil
-			if tail == nil {
-				head, tail = n, n
-			} else {
-				tail.qnext = n
-				tail = n
-			}
+			w.fired = append(w.fired, id)
 			w.count--
-			n = next
+			id = next
 		}
-		*slot = nil
+		*slot = 0
 	}
-	return head
+	return w.fired
 }
 
 // nextEventTick returns the next absolute tick at which advance has work:
@@ -213,7 +233,7 @@ func (w *wheel[V]) nextEventTick() int64 {
 	best := int64(0)
 	for i := int64(1); i < wheelSlots; i++ {
 		tick := w.now + i
-		if w.slots[0][tick&wheelMask] != nil {
+		if w.slots[0][tick&wheelMask] != 0 {
 			best = tick
 			break
 		}
@@ -226,7 +246,7 @@ func (w *wheel[V]) nextEventTick() int64 {
 		}
 		for i := int64(1); i <= wheelSlots; i++ {
 			idx := cur + i
-			if w.slots[l][idx&wheelMask] != nil {
+			if w.slots[l][idx&wheelMask] != 0 {
 				if t := idx << shift; best == 0 || t < best {
 					best = t
 				}

@@ -4,23 +4,37 @@ import (
 	"testing"
 )
 
-// newNode builds a standalone timer node the way Upsert does, without a
-// table around it, so the wheel can be driven deterministically.
-func newNode(key string) *timerNode[int] {
-	e := &entry[int]{key: key}
-	for i := range e.timers {
-		e.timers[i].owner = e
-		e.timers[i].kind = TimerKind(i)
-	}
-	return &e.timers[0]
+// testWheel is a wheel over entries of its own, without a table around
+// it, so it can be driven deterministically.
+type testWheel struct {
+	wheel[int]
+	ents slab[int]
 }
 
-// drain pops the fired chain into a slice of keys.
-func drain(head *timerNode[int]) []string {
+func newTestWheel() *testWheel {
+	w := &testWheel{}
+	w.wheel.ents = &w.ents
+	return w
+}
+
+// newNode adds an entry named key the way Upsert does and returns the id
+// of its kind-0 timer.
+func (w *testWheel) newNode(key string) uint32 {
+	id, e := w.ents.alloc()
+	e.key = key
+	return nodeID(id, 0)
+}
+
+func (w *testWheel) arm(id uint32, deadline int64) { w.schedule(id, w.node(id), deadline) }
+func (w *testWheel) disarm(id uint32)              { w.cancel(w.node(id)) }
+func (w *testWheel) key(id uint32) string          { return w.ents.at(id / NumTimerKinds).key }
+
+// drain lists the keys of the fired nodes still queued.
+func (w *testWheel) drain(fired []uint32) []string {
 	var out []string
-	for n := head; n != nil; n = n.qnext {
-		if n.state == timerQueued {
-			out = append(out, n.owner.key)
+	for _, id := range fired {
+		if w.node(id).state == timerQueued {
+			out = append(out, w.key(id))
 		}
 	}
 	return out
@@ -32,17 +46,17 @@ func TestWheelFiresAtExactTick(t *testing.T) {
 	deltas := []int64{1, 2, 100, 255, 256, 257, 300, 511, 512,
 		wheelSlots*wheelSlots - 1, wheelSlots * wheelSlots, wheelSlots*wheelSlots + 70000}
 	for _, delta := range deltas {
-		var w wheel[int]
-		n := newNode("k")
-		w.schedule(n, delta)
+		w := newTestWheel()
+		n := w.newNode("k")
+		w.arm(n, delta)
 		if w.count != 1 {
 			t.Fatalf("delta %d: count = %d", delta, w.count)
 		}
-		if fired := w.advance(delta - 1); fired != nil {
-			t.Fatalf("delta %d: fired %v early at tick %d", delta, drain(fired), w.now)
+		if fired := w.advance(delta - 1); len(fired) != 0 {
+			t.Fatalf("delta %d: fired %v early at tick %d", delta, w.drain(fired), w.now)
 		}
 		fired := w.advance(delta)
-		if got := drain(fired); len(got) != 1 || got[0] != "k" {
+		if got := w.drain(fired); len(got) != 1 || got[0] != "k" {
 			t.Fatalf("delta %d: fired = %v at deadline", delta, got)
 		}
 		if w.count != 0 {
@@ -54,14 +68,14 @@ func TestWheelFiresAtExactTick(t *testing.T) {
 // TestWheelFiresMidRotation covers deadlines inserted mid-rotation whose
 // level-0 slot index wraps past the rotation boundary.
 func TestWheelFiresMidRotation(t *testing.T) {
-	var w wheel[int]
+	w := newTestWheel()
 	w.advance(0x80) // park the wheel mid-rotation
-	n := newNode("wrap")
-	w.schedule(n, 0x130) // delta 0xB0 < 256, slot 0x30 is behind now&mask
-	if fired := w.advance(0x12F); fired != nil {
-		t.Fatalf("fired early: %v", drain(fired))
+	n := w.newNode("wrap")
+	w.arm(n, 0x130) // delta 0xB0 < 256, slot 0x30 is behind now&mask
+	if fired := w.advance(0x12F); len(fired) != 0 {
+		t.Fatalf("fired early: %v", w.drain(fired))
 	}
-	if got := drain(w.advance(0x130)); len(got) != 1 {
+	if got := w.drain(w.advance(0x130)); len(got) != 1 {
 		t.Fatalf("fired = %v", got)
 	}
 }
@@ -69,12 +83,12 @@ func TestWheelFiresMidRotation(t *testing.T) {
 // TestWheelPastDeadlineFiresNextTick: a deadline at or before now is
 // pulled to now+1 rather than lost.
 func TestWheelPastDeadlineFiresNextTick(t *testing.T) {
-	var w wheel[int]
+	w := newTestWheel()
 	w.advance(50)
 	for _, deadline := range []int64{0, 49, 50} {
-		n := newNode("past")
-		w.schedule(n, deadline)
-		if got := drain(w.advance(51)); len(got) != 1 {
+		n := w.newNode("past")
+		w.arm(n, deadline)
+		if got := w.drain(w.advance(51)); len(got) != 1 {
 			t.Fatalf("deadline %d: fired = %v", deadline, got)
 		}
 		w.now = 50 // rewind for the next case
@@ -84,29 +98,29 @@ func TestWheelPastDeadlineFiresNextTick(t *testing.T) {
 // TestWheelBeyondHorizonClamps: deadlines past the wheel span still fire,
 // at the clamped horizon.
 func TestWheelBeyondHorizonClamps(t *testing.T) {
-	var w wheel[int]
-	n := newNode("far")
-	w.schedule(n, wheelSpan*3)
-	if n.deadline != wheelSpan-1 {
-		t.Fatalf("clamped deadline = %d, want %d", n.deadline, wheelSpan-1)
+	w := newTestWheel()
+	n := w.newNode("far")
+	w.arm(n, wheelSpan*3)
+	if d := w.node(n).deadline; d != wheelSpan-1 {
+		t.Fatalf("clamped deadline = %d, want %d", d, wheelSpan-1)
 	}
 }
 
 // TestWheelCancelArmed: cancelling an armed timer unlinks it and it never
 // fires.
 func TestWheelCancelArmed(t *testing.T) {
-	var w wheel[int]
-	a, b := newNode("a"), newNode("b")
-	w.schedule(a, 10)
-	w.schedule(b, 10) // same bucket, exercises mid-list unlink
-	w.cancel(a)
+	w := newTestWheel()
+	a, b := w.newNode("a"), w.newNode("b")
+	w.arm(a, 10)
+	w.arm(b, 10) // same bucket, exercises mid-list unlink
+	w.disarm(a)
 	if w.count != 1 {
 		t.Fatalf("count = %d after cancel", w.count)
 	}
-	if got := drain(w.advance(10)); len(got) != 1 || got[0] != "b" {
+	if got := w.drain(w.advance(10)); len(got) != 1 || got[0] != "b" {
 		t.Fatalf("fired = %v, want [b]", got)
 	}
-	w.cancel(b) // cancelling an idle node is a no-op
+	w.disarm(b) // cancelling an idle node is a no-op
 	if w.count != 0 {
 		t.Fatalf("count = %d", w.count)
 	}
@@ -115,14 +129,14 @@ func TestWheelCancelArmed(t *testing.T) {
 // TestWheelCancelQueued: a node already collected for firing is suppressed
 // by cancel — the stop-vs-fire race resolved in favour of stop.
 func TestWheelCancelQueued(t *testing.T) {
-	var w wheel[int]
-	a, b := newNode("a"), newNode("b")
-	w.schedule(a, 5)
-	w.schedule(b, 5)
+	w := newTestWheel()
+	a, b := w.newNode("a"), w.newNode("b")
+	w.arm(a, 5)
+	w.arm(b, 5)
 	fired := w.advance(5)
 	// Both queued; cancel one before the drain loop reaches it.
-	w.cancel(a)
-	got := drain(fired)
+	w.disarm(a)
+	got := w.drain(fired)
 	if len(got) != 1 || got[0] != "b" {
 		t.Fatalf("fired = %v, want [b]", got)
 	}
@@ -131,15 +145,15 @@ func TestWheelCancelQueued(t *testing.T) {
 // TestWheelRescheduleQueued: rescheduling a queued node suppresses the
 // stale fire and arms the new deadline.
 func TestWheelRescheduleQueued(t *testing.T) {
-	var w wheel[int]
-	n := newNode("n")
-	w.schedule(n, 5)
+	w := newTestWheel()
+	n := w.newNode("n")
+	w.arm(n, 5)
 	fired := w.advance(5)
-	w.schedule(n, 20) // reschedule before the drain loop fires it
-	if got := drain(fired); len(got) != 0 {
+	w.arm(n, 20) // reschedule before the drain loop fires it
+	if got := w.drain(fired); len(got) != 0 {
 		t.Fatalf("stale fire not suppressed: %v", got)
 	}
-	if got := drain(w.advance(20)); len(got) != 1 {
+	if got := w.drain(w.advance(20)); len(got) != 1 {
 		t.Fatalf("rescheduled fire = %v", got)
 	}
 }
@@ -147,30 +161,30 @@ func TestWheelRescheduleQueued(t *testing.T) {
 // TestWheelRescheduleMovesDeadline: rearming an armed timer replaces the
 // old deadline entirely.
 func TestWheelRescheduleMovesDeadline(t *testing.T) {
-	var w wheel[int]
-	n := newNode("n")
-	w.schedule(n, 10)
-	w.schedule(n, 500)
+	w := newTestWheel()
+	n := w.newNode("n")
+	w.arm(n, 10)
+	w.arm(n, 500)
 	if w.count != 1 {
 		t.Fatalf("count = %d after reschedule", w.count)
 	}
-	if fired := w.advance(499); fired != nil {
-		t.Fatalf("old deadline fired: %v", drain(fired))
+	if fired := w.advance(499); len(fired) != 0 {
+		t.Fatalf("old deadline fired: %v", w.drain(fired))
 	}
-	if got := drain(w.advance(500)); len(got) != 1 {
+	if got := w.drain(w.advance(500)); len(got) != 1 {
 		t.Fatalf("fired = %v", got)
 	}
 }
 
 // TestWheelExpiryOrder: deadlines fire in tick order within one advance.
 func TestWheelExpiryOrder(t *testing.T) {
-	var w wheel[int]
+	w := newTestWheel()
 	keys := []string{"c", "a", "b"}
 	ticks := []int64{30, 10, 20}
 	for i, k := range keys {
-		w.schedule(newNode(k), ticks[i])
+		w.arm(w.newNode(k), ticks[i])
 	}
-	got := drain(w.advance(100))
+	got := w.drain(w.advance(100))
 	want := []string{"a", "b", "c"}
 	if len(got) != 3 {
 		t.Fatalf("fired = %v", got)
@@ -185,15 +199,15 @@ func TestWheelExpiryOrder(t *testing.T) {
 // TestWheelMassExpiryOneTick: 100k timers on the same tick all fire in a
 // single advance.
 func TestWheelMassExpiryOneTick(t *testing.T) {
-	var w wheel[int]
+	w := newTestWheel()
 	const n = 100_000
 	for i := 0; i < n; i++ {
-		w.schedule(newNode("k"), 7)
+		w.arm(w.newNode("k"), 7)
 	}
 	if w.count != n {
 		t.Fatalf("count = %d", w.count)
 	}
-	if got := drain(w.advance(7)); len(got) != n {
+	if got := w.drain(w.advance(7)); len(got) != n {
 		t.Fatalf("fired %d of %d", len(got), n)
 	}
 	if w.count != 0 {
@@ -205,20 +219,20 @@ func TestWheelMassExpiryOneTick(t *testing.T) {
 // far-future timer sleeps straight to the cascade that moves it, not to
 // every 256-tick rotation boundary in between.
 func TestWheelNextEventTickSkipsEmptyBoundaries(t *testing.T) {
-	var w wheel[int]
-	n := newNode("far")
-	w.schedule(n, 70000) // level 2: 65536 ≤ delta < 65536·256
+	w := newTestWheel()
+	n := w.newNode("far")
+	w.arm(n, 70000) // level 2: 65536 ≤ delta < 65536·256
 	if got := w.nextEventTick(); got != 65536 {
 		t.Fatalf("nextEventTick = %d, want 65536 (level-2 cascade)", got)
 	}
-	if fired := w.advance(65536); fired != nil { // cascades down to level 1
-		t.Fatalf("fired early: %v", drain(fired))
+	if fired := w.advance(65536); len(fired) != 0 { // cascades down to level 1
+		t.Fatalf("fired early: %v", w.drain(fired))
 	}
 	if got := w.nextEventTick(); got != 69888 {
 		t.Fatalf("nextEventTick = %d, want 69888 (level-1 cascade)", got)
 	}
-	if fired := w.advance(69888); fired != nil { // cascades down to level 0
-		t.Fatalf("fired early: %v", drain(fired))
+	if fired := w.advance(69888); len(fired) != 0 { // cascades down to level 0
+		t.Fatalf("fired early: %v", w.drain(fired))
 	}
 	if got := w.nextEventTick(); got != 70000 {
 		t.Fatalf("nextEventTick = %d, want the deadline 70000", got)
@@ -229,10 +243,10 @@ func TestWheelNextEventTickSkipsEmptyBoundaries(t *testing.T) {
 // timers, a level-0 deadline past the rotation boundary is reported
 // directly — the empty boundary itself is not a wakeup.
 func TestWheelNextEventTickLevelZeroAcrossBoundary(t *testing.T) {
-	var w wheel[int]
+	w := newTestWheel()
 	w.advance(0x80)
-	n := newNode("wrap")
-	w.schedule(n, 0x130) // delta 0xB0 < 256, slot beyond the 0x100 boundary
+	n := w.newNode("wrap")
+	w.arm(n, 0x130) // delta 0xB0 < 256, slot beyond the 0x100 boundary
 	if got := w.nextEventTick(); got != 0x130 {
 		t.Fatalf("nextEventTick = %d, want 0x130", got)
 	}
@@ -242,13 +256,13 @@ func TestWheelNextEventTickLevelZeroAcrossBoundary(t *testing.T) {
 // costs O(events); without the jump this advance replays ~2^32 ticks one
 // by one and the test times out.
 func TestWheelAdvanceSkipsEmptySpans(t *testing.T) {
-	var w wheel[int]
-	n := newNode("far")
-	w.schedule(n, wheelSpan*2) // clamped to wheelSpan-1, parked in level 3
-	if fired := w.advance(wheelSpan - 2); fired != nil {
-		t.Fatalf("fired early: %v", drain(fired))
+	w := newTestWheel()
+	n := w.newNode("far")
+	w.arm(n, wheelSpan*2) // clamped to wheelSpan-1, parked in level 3
+	if fired := w.advance(wheelSpan - 2); len(fired) != 0 {
+		t.Fatalf("fired early: %v", w.drain(fired))
 	}
-	if got := drain(w.advance(wheelSpan - 1)); len(got) != 1 {
+	if got := w.drain(w.advance(wheelSpan - 1)); len(got) != 1 {
 		t.Fatalf("fired = %v at the clamped horizon", got)
 	}
 	if w.count != 0 {
@@ -259,9 +273,9 @@ func TestWheelAdvanceSkipsEmptySpans(t *testing.T) {
 // TestWheelNextEventTickNearestWins: the earliest event across levels is
 // reported, whether it is a level-0 deadline or an upper-level cascade.
 func TestWheelNextEventTickNearestWins(t *testing.T) {
-	var w wheel[int]
-	w.schedule(newNode("far"), 70000)
-	w.schedule(newNode("near"), 200)
+	w := newTestWheel()
+	w.arm(w.newNode("far"), 70000)
+	w.arm(w.newNode("near"), 200)
 	if got := w.nextEventTick(); got != 200 {
 		t.Fatalf("nextEventTick = %d, want 200", got)
 	}
@@ -270,21 +284,21 @@ func TestWheelNextEventTickNearestWins(t *testing.T) {
 // TestWheelCascadePreservesManyTimers: timers spread over several levels
 // all fire exactly once at the right tick as cascades rehash them.
 func TestWheelCascadePreservesManyTimers(t *testing.T) {
-	var w wheel[int]
+	w := newTestWheel()
 	type arm struct {
-		node     *timerNode[int]
+		node     uint32
 		deadline int64
 	}
 	var arms []arm
 	for d := int64(1); d < 200_000; d = d*3 + 7 {
-		n := newNode("k")
-		w.schedule(n, d)
+		n := w.newNode("k")
+		w.arm(n, d)
 		arms = append(arms, arm{n, d})
 	}
-	firedAt := make(map[*timerNode[int]]int64)
+	firedAt := make(map[uint32]int64)
 	for now := int64(1); now <= 200_000; now += 97 {
-		for n := w.advance(now); n != nil; n = n.qnext {
-			if n.state != timerQueued {
+		for _, n := range w.advance(now) {
+			if w.node(n).state != timerQueued {
 				continue
 			}
 			if _, dup := firedAt[n]; dup {

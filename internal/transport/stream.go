@@ -68,6 +68,9 @@ type Stream struct {
 	inbox chan inFrame
 	done  chan struct{}
 
+	rmu  sync.Mutex     // serializes ReadBatch and guards lent
+	lent []*bufpool.Buf // the frames the last ReadBatch handed out
+
 	mu     sync.Mutex
 	peers  map[string]*streamPeer
 	closed bool
@@ -147,11 +150,19 @@ func (s *Stream) ReadFrom(b []byte) (int, net.Addr, error) {
 }
 
 // ReadBatch blocks for the first datagram, then drains whatever else is
-// already queued, up to len(ms).
+// already queued, up to len(ms). Data is the received frame's own buffer,
+// returned to the pool by the next ReadBatch.
 func (s *Stream) ReadBatch(ms []Message) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
 	}
+	s.rmu.Lock()
+	defer s.rmu.Unlock()
+	for i, b := range s.lent {
+		b.Free()
+		s.lent[i] = nil
+	}
+	s.lent = s.lent[:0]
 	var f inFrame
 	select {
 	case f = <-s.inbox:
@@ -160,9 +171,9 @@ func (s *Stream) ReadBatch(ms []Message) (int, error) {
 	}
 	n := 0
 	for {
-		ms[n].Data = append(ms[n].Buf[:0], f.buf.B...)
+		ms[n].Data = f.buf.B
 		ms[n].Addr = f.from
-		f.buf.Free()
+		s.lent = append(s.lent, f.buf)
 		n++
 		if n == len(ms) {
 			break

@@ -83,7 +83,7 @@ func TestStreamWriteBatchFlush(t *testing.T) {
 	const n = 10
 	ms := NewBatch(n)
 	for i := range ms {
-		ms[i].Data = append(ms[i].Buf[:0], []byte(fmt.Sprintf("b-%02d", i))...)
+		ms[i].Data = []byte(fmt.Sprintf("b-%02d", i))
 		ms[i].Addr = srvAddr
 	}
 	if sent, err := cli.WriteBatch(ms); err != nil || sent != n {

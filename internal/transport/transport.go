@@ -25,6 +25,7 @@ package transport
 
 import (
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -35,41 +36,33 @@ const (
 	// DefaultBatchSize is how many datagrams one ReadBatch/WriteBatch
 	// moves per syscall unless the caller sizes its rings otherwise. 32
 	// amortizes the ~1 µs kernel crossing to noise without holding more
-	// than half a megabyte of ring buffers per lane.
+	// than half a megabyte of receive ring per kernel socket.
 	DefaultBatchSize = 32
 	// MaxDatagram bounds one datagram's encoded size. The wire codec's
 	// worst case (header + MaxKeyLen + MaxValueLen + trailer) is ≈8.7 KB,
-	// so 16 KB rings never truncate a legal datagram.
+	// so 16 KB receive buffers never truncate a legal datagram.
 	MaxDatagram = 16 << 10
 )
 
-// Message is one datagram slot in a batch ring. Buf is caller-owned backing
-// storage a ReadBatch may fill; Data is the datagram read and stays valid
-// only until the next ReadBatch on the same conn. It aliases some slot's
-// Buf on the kernel-socket backends and conn-owned storage on a lossy
-// endpoint, which hands out the buffer its writer filled and takes it back
-// on the next call — so run one ReadBatch consumer per read lane (Fanout),
-// and copy what must outlive the stride. For writes the caller sets Data
-// and Addr, and gets Data back untouched when the write returns; Buf is
-// ignored.
+// Message is one datagram slot in a batch. ReadBatch sets Data to a
+// datagram held in storage the conn owns — a kernel socket's receive ring,
+// a stream's frame buffer, a lossy endpoint's buffer its writer filled —
+// and takes that storage back on the next ReadBatch on the same conn. So
+// run one ReadBatch consumer per read lane (Fanout), and copy what must
+// outlive the stride. For writes the caller sets Data and Addr, and gets
+// Data back untouched when the write returns.
 type Message struct {
-	Buf  []byte
 	Data []byte
 	Addr net.Addr
 }
 
-// NewBatch allocates a ring of n message slots (DefaultBatchSize when
-// n <= 0), each backed by MaxDatagram bytes of one contiguous block.
+// NewBatch returns n empty message slots (DefaultBatchSize when n <= 0):
+// a read loop's batch, which the conn fills with datagrams it holds.
 func NewBatch(n int) []Message {
 	if n <= 0 {
 		n = DefaultBatchSize
 	}
-	ms := make([]Message, n)
-	backing := make([]byte, n*MaxDatagram)
-	for i := range ms {
-		ms[i].Buf = backing[i*MaxDatagram : (i+1)*MaxDatagram : (i+1)*MaxDatagram]
-	}
-	return ms
+	return make([]Message, n)
 }
 
 // Conn is a net.PacketConn that can additionally move whole batches per
@@ -217,10 +210,14 @@ func isTemporary(err error) bool {
 
 // wrapConn adapts any net.PacketConn to Conn: one datagram per call, with
 // syscall accounting, in the exact WriteTo call order of the batch it is
-// handed.
+// handed. ReadBatch reads into the conn's own buffer, allocated on the
+// first call.
 type wrapConn struct {
 	net.PacketConn
 	st Stats
+
+	rmu  sync.Mutex // serializes ReadBatch and guards rbuf
+	rbuf []byte
 }
 
 // Wrap adapts pc to the batch interface (pass-through batching: each slot
@@ -249,11 +246,16 @@ func (c *wrapConn) ReadBatch(ms []Message) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
 	}
-	n, addr, err := c.ReadFrom(ms[0].Buf)
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if c.rbuf == nil {
+		c.rbuf = make([]byte, MaxDatagram)
+	}
+	n, addr, err := c.ReadFrom(c.rbuf)
 	if err != nil {
 		return 0, err
 	}
-	ms[0].Data = ms[0].Buf[:n]
+	ms[0].Data = c.rbuf[:n]
 	ms[0].Addr = addr
 	return 1, nil
 }

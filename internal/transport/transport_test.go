@@ -29,7 +29,7 @@ func TestUDPBatchRoundTrip(t *testing.T) {
 	const n = 16
 	out := NewBatch(n)
 	for i := range out {
-		out[i].Data = append(out[i].Buf[:0], []byte(fmt.Sprintf("datagram-%02d", i))...)
+		out[i].Data = []byte(fmt.Sprintf("datagram-%02d", i))
 		out[i].Addr = to
 	}
 	if sent, err := tx.WriteBatch(out); err != nil || sent != n {
@@ -74,8 +74,8 @@ func TestUDPBatchRoundTrip(t *testing.T) {
 }
 
 // TestUDPBatchTruncated feeds the ring a datagram larger than its slot
-// buffers: it must be counted, dropped, and not block delivery of the
-// intact datagram behind it.
+// buffers, MaxDatagram: it must be counted, dropped, and not block
+// delivery of the intact datagram behind it.
 func TestUDPBatchTruncated(t *testing.T) {
 	rx := listenBatch(t, Options{})
 	tx, err := net.Dial("udp", rx.LocalAddr().String())
@@ -84,7 +84,7 @@ func TestUDPBatchTruncated(t *testing.T) {
 	}
 	defer tx.Close()
 
-	big := make([]byte, 512)
+	big := make([]byte, MaxDatagram+1)
 	if _, err := tx.Write(big); err != nil {
 		t.Fatalf("write big: %v", err)
 	}
@@ -92,11 +92,7 @@ func TestUDPBatchTruncated(t *testing.T) {
 		t.Fatalf("write small: %v", err)
 	}
 
-	// Slots too small for the 512-byte datagram.
-	ms := make([]Message, 4)
-	for i := range ms {
-		ms[i].Buf = make([]byte, 64)
-	}
+	ms := NewBatch(4)
 	rx.SetReadDeadline(time.Now().Add(5 * time.Second))
 	cnt, err := rx.ReadBatch(ms)
 	if err != nil {
@@ -280,7 +276,7 @@ func TestWrapBatch(t *testing.T) {
 
 	out := NewBatch(3)
 	for i := range out {
-		out[i].Data = append(out[i].Buf[:0], byte('a'+i))
+		out[i].Data = []byte{byte('a' + i)}
 		out[i].Addr = rx.LocalAddr()
 	}
 	if sent, err := tx.WriteBatch(out); err != nil || sent != 3 {

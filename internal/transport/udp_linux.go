@@ -85,8 +85,10 @@ type mmsghdr struct {
 
 // batchConn is one kernel UDP socket driven through recvmmsg/sendmmsg on
 // its raw fd, parked on the runtime netpoller between batches. The rings
-// (headers, iovecs, sockaddr storage) are allocated once; a steady-state
-// batch only rewrites iovec base pointers.
+// (headers, iovecs, sockaddr storage) are allocated once, and the receive
+// ring's datagram buffers on the first ReadBatch, so a socket only ever
+// written through holds none; a steady-state batch only rewrites header
+// fields and, on writes, iovec base pointers.
 type batchConn struct {
 	uc *net.UDPConn
 	rc syscall.RawConn
@@ -113,9 +115,9 @@ func newBatchConn(uc *net.UDPConn, o Options, st *Stats) (*batchConn, error) {
 func (c *batchConn) Stats() *Stats { return c.st }
 
 // ReadBatch blocks until the socket is readable, then drains up to
-// len(ms) datagrams in one recvmmsg. Truncated datagrams (larger than the
-// slot's Buf) are counted and dropped; the call loops until at least one
-// intact datagram is delivered.
+// len(ms) datagrams in one recvmmsg into the conn's receive ring.
+// Truncated datagrams (larger than MaxDatagram) are counted and dropped;
+// the call loops until at least one intact datagram is delivered.
 func (c *batchConn) ReadBatch(ms []Message) (int, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -126,9 +128,12 @@ func (c *batchConn) ReadBatch(ms []Message) (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
+	if c.rr.bufs == nil {
+		c.rr.allocRead()
+	}
 	for {
 		for i := 0; i < n; i++ {
-			c.rr.prepareRead(i, ms[i].Buf)
+			c.rr.prepareRead(i)
 		}
 		cnt, err := c.rawRecv(c.rr.hs[:n])
 		if err != nil {
@@ -145,9 +150,9 @@ func (c *batchConn) ReadBatch(ms []Message) (int, error) {
 			if addr == nil {
 				continue
 			}
-			// Data may alias a skipped slot's Buf; it stays valid until
-			// the next ReadBatch rewrites the ring, per the contract.
-			ms[out].Data = ms[i].Buf[:h.n]
+			// Data stays valid until the next ReadBatch rewrites the
+			// ring, per the contract.
+			ms[out].Data = c.rr.buf(i)[:h.n]
 			ms[out].Addr = addr
 			out++
 		}
@@ -275,11 +280,13 @@ func (c *batchConn) SetWriteDeadline(t time.Time) error {
 
 // mmsgRing is one direction's preallocated syscall scaffolding: headers,
 // one iovec per slot, and sockaddr storage the kernel reads (sends) or
-// writes (receives).
+// writes (receives). A receive ring also owns one MaxDatagram buffer per
+// slot, in one block its iovecs point at for good.
 type mmsgRing struct {
 	hs    []mmsghdr
 	iovs  []syscall.Iovec
 	sas   [][syscall.SizeofSockaddrAny]byte
+	bufs  []byte
 	cache addrCache
 }
 
@@ -299,9 +306,21 @@ func newMmsgRing(n int) *mmsgRing {
 	return r
 }
 
-func (r *mmsgRing) prepareRead(i int, buf []byte) {
-	r.iovs[i].Base = &buf[0]
-	r.iovs[i].SetLen(len(buf))
+// allocRead gives a receive ring its datagram buffers.
+func (r *mmsgRing) allocRead() {
+	r.bufs = make([]byte, len(r.hs)*MaxDatagram)
+	for i := range r.iovs {
+		r.iovs[i].Base = &r.buf(i)[0]
+		r.iovs[i].SetLen(MaxDatagram)
+	}
+}
+
+// buf is slot i's receive buffer.
+func (r *mmsgRing) buf(i int) []byte {
+	return r.bufs[i*MaxDatagram : (i+1)*MaxDatagram : (i+1)*MaxDatagram]
+}
+
+func (r *mmsgRing) prepareRead(i int) {
 	r.hs[i].hdr.Namelen = syscall.SizeofSockaddrAny
 	r.hs[i].hdr.Flags = 0
 	r.hs[i].n = 0
