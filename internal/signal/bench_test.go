@@ -77,7 +77,7 @@ func refreshRound(s *Sender) int {
 		if e.removing {
 			return true
 		}
-		s.ss.send(wire.Message{Type: wire.TypeRefresh, Seq: e.seq, Key: userKey(ck), Value: e.value}, e.sess.peer)
+		s.ss.send(wire.Message{Type: wire.TypeRefresh, Seq: e.seq, Key: userKey(ck), Value: e.value}, s.sess.peer)
 		sent++
 		return true
 	})

@@ -83,8 +83,8 @@ func (s *Session) CensusSource(name string) telemetry.CensusSource {
 				return nil, ErrNoCensus
 			}
 			sums := make([]uint64, n)
-			ss.tbl.RangeDigest(func(_ string, e *senderEntry, bucket uint32, sum uint64) bool {
-				if e.sess == s {
+			ss.tbl.RangeDigest(func(ck string, _ *senderEntry, bucket uint32, sum uint64) bool {
+				if sessionID(ck) == s.id {
 					sums[bucket] ^= sum
 				}
 				return true
@@ -96,8 +96,8 @@ func (s *Session) CensusSource(name string) telemetry.CensusSource {
 				return nil, ErrNoCensus
 			}
 			var out []telemetry.KeyDigest
-			ss.tbl.RangeDigest(func(ck string, e *senderEntry, bucket uint32, sum uint64) bool {
-				if e.sess == s && int(bucket) == b {
+			ss.tbl.RangeDigest(func(ck string, _ *senderEntry, bucket uint32, sum uint64) bool {
+				if sessionID(ck) == s.id && int(bucket) == b {
 					out = append(out, telemetry.KeyDigest{Key: userKey(ck), Sum: sum})
 				}
 				return true

@@ -144,8 +144,8 @@ func expectDecoderAllocs(t *testing.T, rcv *Receiver, sc *dispatchScratch, name 
 // TestReadLoopAllocs bounds what a receiver's read loop allocates over a
 // lossy link, which lends the datagrams it delivers: its batch of empty
 // slots and one install's worth of dispatch, under 64 KB. A loop that
-// brought its own 32 × 16 KB receive ring allocated 512 KB per lane for
-// buffers this transport never touches.
+// brought its own receive ring, 32 × transport.MaxDatagram, would allocate
+// 280 KB per lane for buffers this transport never touches.
 func TestReadLoopAllocs(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1

@@ -134,8 +134,9 @@ func (r *Receiver) SeqSnapshot() map[string]uint64 {
 //     entries, globally and per session (and per-session tabled counts —
 //     the idle-eviction guard — match the table exactly), and under hard
 //     state each session's fold is its live keys' fold;
-//   - every entry's owning session is either registered in the peer
-//     table or marked evicted;
+//   - every entry's session id resolves to a filed Session, which is
+//     registered in the peer table or marked evicted, and every session
+//     in the peer table is filed under its id;
 //   - the armed-timer census matches the mechanisms: per-key refresh
 //     mode arms exactly one refresh timer per live key, summary mode
 //     arms none, and profiles without reliable delivery arm no
@@ -146,15 +147,16 @@ func (ss *Sessions) CheckInvariants() []string {
 		tabled, live int64
 		fold         uint64
 	}
-	counts := make(map[*Session]*tally)
+	counts := make(map[uint32]*tally) // by session id
 	var totalLive int64
 	tblLen := 0
 	ss.tbl.Range(func(ck string, e *senderEntry) bool {
 		tblLen++
-		c := counts[e.sess]
+		id := sessionID(ck)
+		c := counts[id]
 		if c == nil {
 			c = &tally{}
-			counts[e.sess] = c
+			counts[id] = c
 		}
 		c.tabled++
 		if !e.removing {
@@ -169,8 +171,13 @@ func (ss *Sessions) CheckInvariants() []string {
 	if got := ss.live.Load(); got != totalLive {
 		bad = append(bad, fmt.Sprintf("sender: live gauge %d, table holds %d non-removing entries", got, totalLive))
 	}
-	for _, s := range ss.Peers() {
-		c := counts[s]
+	peers := ss.Peers() // before byIDMu: it is a leaf under the peer table's locks
+	ss.byIDMu.RLock()
+	for _, s := range peers {
+		if ss.byID[s.id] != s {
+			bad = append(bad, fmt.Sprintf("sender: session %d (%s) is in the peer table but not filed under its id", s.id, s.peer))
+		}
+		c := counts[s.id]
 		if c == nil {
 			c = &tally{}
 		}
@@ -183,13 +190,17 @@ func (ss *Sessions) CheckInvariants() []string {
 		if got := s.fold.Load(); got != c.fold {
 			bad = append(bad, fmt.Sprintf("sender: session %d folds %x, its live keys fold %x", s.id, got, c.fold))
 		}
-		delete(counts, s)
+		delete(counts, s.id)
 	}
-	for s, c := range counts {
-		if !s.gone.Load() {
-			bad = append(bad, fmt.Sprintf("sender: session %d owns %d entries but is missing from the peer table", s.id, c.tabled))
+	for id, c := range counts {
+		switch s := ss.byID[id]; {
+		case s == nil:
+			bad = append(bad, fmt.Sprintf("sender: %d entries name session %d, which is not filed", c.tabled, id))
+		case !s.gone.Load():
+			bad = append(bad, fmt.Sprintf("sender: session %d owns %d entries but is missing from the peer table", id, c.tabled))
 		}
 	}
+	ss.byIDMu.RUnlock()
 
 	armed := ss.tbl.TimersArmed()
 	if ss.prof.Refresh && !ss.summaryMode() {

@@ -125,6 +125,16 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	c.snd.sess.tabled.Add(-1)
 
+	// Sender: the session its entry names by id is not filed.
+	ss := c.snd.ss
+	ss.byIDMu.Lock()
+	delete(ss.byID, c.snd.sess.id)
+	ss.byIDMu.Unlock()
+	if bad := c.snd.CheckInvariants(); len(bad) == 0 {
+		t.Fatal("sender entry naming an unfiled session not detected")
+	}
+	ss.file(c.snd.sess)
+
 	// All repaired: clean again.
 	if bad := append(c.snd.CheckInvariants(), c.rcv.CheckInvariants()...); len(bad) != 0 {
 		t.Fatalf("repaired state still reports: %v", bad)

@@ -338,8 +338,11 @@ func TestStrangerDigestWalksNothing(t *testing.T) {
 // a value (TestEntryOverhead there) and packs entries into chunks, so a
 // 48-byte receiverEntry — the sender named by a peer id sharing a word with
 // aux (the lease id, or a hard-state audit's per-key miss count), not by a
-// two-word net.Addr — is 128 bytes of a chunk and a 96-byte senderEntry
-// 176. A word more on either is 8 bytes per installed key.
+// two-word net.Addr — is 128 bytes of a chunk, and a 72-byte senderEntry —
+// its session named by the id heading its table key, not by a pointer, and
+// its trace context an origin stamp and a hop count, not a 24-byte
+// wire.TraceContext — is 152. A word more on either is 8 bytes per
+// installed key.
 func TestEntrySizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit targets")
@@ -347,7 +350,84 @@ func TestEntrySizes(t *testing.T) {
 	if got := unsafe.Sizeof(receiverEntry{}); got > 48 {
 		t.Errorf("receiverEntry is %d bytes, want at most 48", got)
 	}
-	if got := unsafe.Sizeof(senderEntry{}); got > 96 {
-		t.Errorf("senderEntry is %d bytes, want at most 96", got)
+	if got := unsafe.Sizeof(senderEntry{}); got > 72 {
+		t.Errorf("senderEntry is %d bytes, want at most 72", got)
 	}
+}
+
+// TestEvictedSessionResolvesAnew: an entry names its session by the id
+// heading its table key, so a peer the idle reaper evicted and that returns
+// must have its new entries resolve to the new session — the one its
+// retransmissions are counted on — while the evicted one is unfiled. A
+// handle to the evicted session used after the address was re-claimed is
+// filed again for as long as it holds entries. CheckInvariants stays clean
+// throughout.
+func TestEvictedSessionResolvesAnew(t *testing.T) {
+	clk := clock.NewVirtual()
+	ss := NewSessions(newDiscardConn(), Config{Protocol: SSRT, Clock: clk, Retransmit: 10 * time.Millisecond,
+		RetransmitMax: 10 * time.Millisecond, RefreshInterval: time.Hour, Timeout: 3 * time.Hour,
+		PeerIdleTimeout: 100 * time.Millisecond})
+	defer ss.Shutdown()
+	clean := func(when string) {
+		t.Helper()
+		if bad := ss.CheckInvariants(); len(bad) != 0 {
+			t.Fatalf("%s: %v", when, bad)
+		}
+	}
+	resolves := func(s *Session, key string) bool { return ss.resolve(sessionKey(s.id, key)) == s }
+	peer := testAddr("10.0.0.5:7000")
+
+	old := ss.Session(peer)
+	if err := old.Install("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if !resolves(old, "k") {
+		t.Fatal("a live session's entry does not resolve to it")
+	}
+	clean("installed")
+	if err := old.Remove("k"); err != nil { // SS+RT: deleted at once
+		t.Fatal(err)
+	}
+	clk.Run(300 * time.Millisecond)
+	if !old.gone.Load() || ss.Evictions() != 1 {
+		t.Fatalf("gone=%v after %d evictions", old.gone.Load(), ss.Evictions())
+	}
+	if ss.resolve(sessionKey(old.id, "")) != nil {
+		t.Fatal("the evicted session is still filed")
+	}
+	clean("evicted")
+
+	// The peer returns: a new session, whose entries and timers are its own.
+	back := ss.Session(peer)
+	if back == old {
+		t.Fatal("the evicted session is still in the peer table")
+	}
+	if err := back.Install("k", []byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Run(25 * time.Millisecond) // unacknowledged: the retransmit timer fires
+	if !resolves(back, "k") || back.retxs.Load() == 0 || old.retxs.Load() != 0 {
+		t.Fatalf("the returning peer's entry resolves to the new session: %v; retransmits new %d, old %d",
+			resolves(back, "k"), back.retxs.Load(), old.retxs.Load())
+	}
+	clean("returned")
+
+	// The evicted handle used again while the address belongs to back: it
+	// stays detached from the peer table, but its entry resolves to it.
+	if err := old.Install("k2", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Run(25 * time.Millisecond)
+	if !old.gone.Load() || !resolves(old, "k2") || old.retxs.Load() == 0 {
+		t.Fatalf("detached handle: gone=%v resolves=%v retransmits=%d", old.gone.Load(), resolves(old, "k2"), old.retxs.Load())
+	}
+	clean("detached handle in use")
+	if err := old.Remove("k2"); err != nil {
+		t.Fatal(err)
+	}
+	clk.Run(300 * time.Millisecond)
+	if ss.resolve(sessionKey(old.id, "")) != nil || !resolves(back, "k") {
+		t.Fatal("the drained detached handle is still filed, or the live session is not")
+	}
+	clean("detached handle drained")
 }

@@ -1,11 +1,12 @@
 package signal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,6 +68,14 @@ type Sessions struct {
 
 	nextID atomic.Uint32
 	peers  addrMap[Session]
+
+	// byID resolves the session id heading every table key to its Session.
+	// A session is filed when it is created and when an evicted handle is
+	// used again, and unfiled by the reaper once it is gone, holds no entry
+	// and has been quiet for PeerIdleTimeout. byIDMu is a leaf lock, taken
+	// under the table's shard locks and the peer table's.
+	byIDMu sync.RWMutex
+	byID   map[uint32]*Session
 
 	// retired remembers the last sequence number of each evicted session
 	// so a returning peer's new session resumes the address's sequence
@@ -161,17 +170,18 @@ type Session struct {
 	retxs atomic.Int64
 }
 
-// senderEntry tracks one (peer, key)'s signaling state at the sender.
+// senderEntry tracks one (peer, key)'s signaling state at the sender. Its
+// session is the one whose id heads its table key (Sessions.resolve).
 type senderEntry struct {
-	sess     *Session
 	value    []byte
 	seq      uint64 // latest trigger sequence (session-scoped)
 	ackedSeq uint64
 
-	// retries shares a word with removing: the entry is 96 bytes
-	// (TestEntrySizes), and a word more moves every key up a size class.
+	// retries, removing and hops share a word: the entry is 72 bytes
+	// (TestEntrySizes), and a word more is 8 bytes per installed key.
 	retries    int32
-	removing   bool // removal sent, awaiting removal-ack
+	removing   bool  // removal sent, awaiting removal-ack
+	hops       uint8 // the trace context's hop count (see originNs)
 	removalSeq uint64
 
 	// sentAt stamps the transmission whose round trip telemetry measures
@@ -180,12 +190,21 @@ type senderEntry struct {
 	// when the owning Sessions has metrics enabled; 0 means unstamped.
 	sentAt time.Duration
 
-	// traceCtx is the key's hop-propagated wire trace context: origin
-	// stamp and hop count, set at install time for tracer-sampled keys
-	// (or forwarded from upstream via InstallCtx). HopNs is re-stamped
-	// at every transmission; a zero context sends plain v1 frames.
-	traceCtx wire.TraceContext
+	// originNs and hops are the key's hop-propagated wire trace context
+	// (trace), set at install time for tracer-sampled keys or forwarded
+	// from upstream via InstallCtx. The context's HopNs is stamped per
+	// transmission (tracedMsg), so the entry does not keep it. A zero
+	// originNs sends plain v1 frames.
+	originNs int64
 }
+
+// trace is the entry's wire trace context, HopNs unstamped.
+func (e *senderEntry) trace() wire.TraceContext {
+	return wire.TraceContext{OriginNs: e.originNs, Hops: e.hops}
+}
+
+// setTrace stores tc's origin stamp and hop count.
+func (e *senderEntry) setTrace(tc wire.TraceContext) { e.originNs, e.hops = tc.OriginNs, tc.Hops }
 
 // sessionKey prefixes key with the owning session's 4-byte id, giving
 // every (peer, key) pair its own slot — and its own timers — in the
@@ -199,12 +218,32 @@ func sessionKey(id uint32, key string) string {
 // userKey strips the session-id prefix from a composite table key.
 func userKey(ck string) string { return ck[4:] }
 
+// sessionID reads the session id heading a composite table key.
+func sessionID(ck string) uint32 {
+	return uint32(ck[0])<<24 | uint32(ck[1])<<16 | uint32(ck[2])<<8 | uint32(ck[3])
+}
+
+// resolve returns the session whose id heads table key ck: the filed
+// session that owns the entry (nil only if the invariants are broken).
+func (ss *Sessions) resolve(ck string) *Session {
+	ss.byIDMu.RLock()
+	defer ss.byIDMu.RUnlock()
+	return ss.byID[sessionID(ck)]
+}
+
+// file makes s resolvable by its id.
+func (ss *Sessions) file(s *Session) {
+	ss.byIDMu.Lock()
+	ss.byID[s.id] = s
+	ss.byIDMu.Unlock()
+}
+
 // NewSessions creates the sender core over conn and starts its timers
 // (and, in summary mode, its sweeper). The caller owns the read loop:
 // drain with Recv and route each message to a Session. Call Shutdown,
 // then CloseEvents once the read loop has drained.
 func NewSessions(conn net.PacketConn, cfg Config) *Sessions {
-	ss := &Sessions{}
+	ss := &Sessions{byID: make(map[uint32]*Session)}
 	ss.init(conn, cfg)
 	cfg, clk := ss.cfg, ss.clk
 	stcfg := statetable.Config[senderEntry]{
@@ -259,6 +298,7 @@ func (ss *Sessions) Session(peer net.Addr) *Session {
 		// nanosecond base within one instant.
 		s.seq.Store(max(ss.incarnationSeq(), ss.unretire(addr)))
 		s.lastActive.Store(int64(ss.clk.Since(ss.born)))
+		ss.file(s)
 		ss.peersDirty.Store(true)
 		return s
 	})
@@ -404,8 +444,7 @@ func (ss *Sessions) traceStamp() int64 {
 // traceCtxFor derives the wire trace context a (re)install stores on its
 // entry: a forwarded context keeps its origin stamp and gains a hop, a
 // tracer-sampled key starts a fresh wave at hop zero, everything else
-// stays untraced. HopNs is left zero — it is re-stamped per
-// transmission.
+// stays untraced. HopNs is left zero — it is stamped per transmission.
 func (ss *Sessions) traceCtxFor(key string, fwd wire.TraceContext) wire.TraceContext {
 	if fwd.Sampled() {
 		hops := fwd.Hops
@@ -439,6 +478,9 @@ func (s *Session) put(key string, value []byte, kind EventKind, fwd wire.TraceCo
 		return ErrClosed
 	}
 	s.touch()
+	if s.gone.Load() {
+		ss.file(s) // so the entry made below resolves from its first timer on
+	}
 	v := make([]byte, len(value))
 	copy(v, value)
 	err := error(nil)
@@ -465,12 +507,11 @@ func (s *Session) put(key string, value []byte, kind EventKind, fwd wire.TraceCo
 				s.fold.Add(wire.KeyHash(key))
 			}
 		}
-		e.sess = s
 		e.value = v
 		e.removing = false
 		e.retries = 0
 		e.seq = s.seq.Add(1)
-		e.traceCtx = ss.traceCtxFor(key, fwd)
+		e.setTrace(ss.traceCtxFor(key, fwd))
 		if !created {
 			tc.MarkDigestDirty() // value/seq changed under the shard lock
 		}
@@ -478,11 +519,11 @@ func (s *Session) put(key string, value []byte, kind EventKind, fwd wire.TraceCo
 			e.sentAt = ss.clk.Since(ss.born) + 1
 		}
 		s.trigs.Add(1)
-		ss.send(ss.tracedMsg(wire.Message{Type: wire.TypeTrigger, Seq: e.seq, Key: key, Value: e.value}, e.traceCtx), s.peer)
+		ss.send(ss.tracedMsg(wire.Message{Type: wire.TypeTrigger, Seq: e.seq, Key: key, Value: e.value}, e.trace()), s.peer)
 		ss.trace.Record(telemetry.TraceTrigger, key, e.seq, s.peer)
 		ss.armTriggerRetx(tc)
 		ss.armRefresh(tc)
-		ss.emit(Event{Kind: kind, Key: key, Value: e.value, Seq: e.seq, Peer: s.peer, Trace: e.traceCtx})
+		ss.emit(Event{Kind: kind, Key: key, Value: e.value, Seq: e.seq, Peer: s.peer, Trace: e.trace()})
 	})
 	if err == nil && s.gone.Load() {
 		ss.reattach(s)
@@ -554,7 +595,7 @@ func (s *Session) Remove(key string) error {
 func (s *Session) Keys() []string {
 	out := make([]string, 0, s.live.Load())
 	s.ss.tbl.Range(func(ck string, e *senderEntry) bool {
-		if e.sess == s && !e.removing {
+		if sessionID(ck) == s.id && !e.removing {
 			out = append(out, userKey(ck))
 		}
 		return true
@@ -627,6 +668,10 @@ func (ss *Sessions) onExpire(ck string, kind statetable.TimerKind, e *senderEntr
 	if ss.closed.Load() {
 		return
 	}
+	s := ss.resolve(ck)
+	if s == nil {
+		return // unreachable: an entry's session stays filed (CheckInvariants)
+	}
 	key := userKey(ck)
 	switch kind {
 	case timerRefresh:
@@ -634,58 +679,58 @@ func (ss *Sessions) onExpire(ck string, kind statetable.TimerKind, e *senderEntr
 			return
 		}
 		msg := wire.Message{Type: wire.TypeRefresh, Seq: e.seq, Key: key, Value: e.value}
-		if e.traceCtx.Sampled() && e.traceCtx.Hops == 0 {
+		if e.originNs != 0 && e.hops == 0 {
 			// A locally-originated traced key starts a fresh propagation
 			// wave on every refresh: new origin stamp, hop zero, so the
 			// chain's steady-state refresh latency keeps being measured.
 			// Forwarded keys (hops > 0) refresh untraced — relays refresh
 			// independently, so re-propagating a stale origin stamp would
 			// record chain latencies that never happened.
-			e.traceCtx = wire.TraceContext{OriginNs: ss.traceStamp()}
-			msg = ss.tracedMsg(msg, e.traceCtx)
+			e.originNs = ss.traceStamp()
+			msg = ss.tracedMsg(msg, e.trace())
 		}
-		ss.send(msg, e.sess.peer)
-		ss.trace.Record(telemetry.TraceRefresh, key, e.seq, e.sess.peer)
+		ss.send(msg, s.peer)
+		ss.trace.Record(telemetry.TraceRefresh, key, e.seq, s.peer)
 		ss.armRefresh(tc)
 	case timerRetx:
 		if e.removing {
-			ss.removalRetx(key, e, tc)
+			ss.removalRetx(s, key, e, tc)
 		} else {
-			ss.triggerRetx(key, e, tc)
+			ss.triggerRetx(s, key, e, tc)
 		}
 	}
 }
 
-func (ss *Sessions) triggerRetx(key string, e *senderEntry, tc statetable.TimerControl[senderEntry]) {
+func (ss *Sessions) triggerRetx(s *Session, key string, e *senderEntry, tc statetable.TimerControl[senderEntry]) {
 	if e.ackedSeq >= e.seq {
 		return
 	}
 	if ss.cfg.MaxRetransmits > 0 && int(e.retries) >= ss.cfg.MaxRetransmits {
-		ss.emit(Event{Kind: EventGaveUp, Key: key, Seq: e.seq, Peer: e.sess.peer})
+		ss.emit(Event{Kind: EventGaveUp, Key: key, Seq: e.seq, Peer: s.peer})
 		return
 	}
 	e.retries++
-	e.sess.retxs.Add(1)
-	// Retransmits keep the stored origin stamp (HopNs re-stamped), so the
-	// measured end-to-end latency includes retransmission delay — exactly
-	// the loss sensitivity the paper's install-latency curves show.
-	ss.send(ss.tracedMsg(wire.Message{Type: wire.TypeTrigger, Seq: e.seq, Key: key, Value: e.value}, e.traceCtx), e.sess.peer)
-	ss.trace.Record(telemetry.TraceRetransmit, key, e.seq, e.sess.peer)
+	s.retxs.Add(1)
+	// Retransmits keep the stored origin stamp and hop count (HopNs
+	// stamped anew), so the measured end-to-end latency includes
+	// retransmission delay — exactly the loss sensitivity the paper's
+	// install-latency curves show.
+	ss.send(ss.tracedMsg(wire.Message{Type: wire.TypeTrigger, Seq: e.seq, Key: key, Value: e.value}, e.trace()), s.peer)
+	ss.trace.Record(telemetry.TraceRetransmit, key, e.seq, s.peer)
 	tc.Schedule(timerRetx, ss.retxDelay(int(e.retries)))
 }
 
-func (ss *Sessions) removalRetx(key string, e *senderEntry, tc statetable.TimerControl[senderEntry]) {
+func (ss *Sessions) removalRetx(s *Session, key string, e *senderEntry, tc statetable.TimerControl[senderEntry]) {
 	if ss.cfg.MaxRetransmits > 0 && int(e.retries) >= ss.cfg.MaxRetransmits {
 		seq := e.removalSeq
-		peer := e.sess.peer
-		ss.deleteEntry(e.sess, tc)
-		ss.emit(Event{Kind: EventGaveUp, Key: key, Seq: seq, Peer: peer})
+		ss.deleteEntry(s, tc)
+		ss.emit(Event{Kind: EventGaveUp, Key: key, Seq: seq, Peer: s.peer})
 		return
 	}
 	e.retries++
-	e.sess.retxs.Add(1)
-	ss.send(wire.Message{Type: wire.TypeRemoval, Seq: e.removalSeq, Key: key}, e.sess.peer)
-	ss.trace.Record(telemetry.TraceRetransmit, key, e.removalSeq, e.sess.peer)
+	s.retxs.Add(1)
+	ss.send(wire.Message{Type: wire.TypeRemoval, Seq: e.removalSeq, Key: key}, s.peer)
+	ss.trace.Record(telemetry.TraceRetransmit, key, e.removalSeq, s.peer)
 	tc.Schedule(timerRetx, ss.retxDelay(int(e.retries)))
 }
 
@@ -786,11 +831,17 @@ const sweepScratchCap = 4096
 // one scan of the shared table, and returns how many frames that made. A
 // table key is its session's id, big endian, then the user key, so one sort
 // groups the collected keys by session in id order — the order of sessions —
-// and leaves each group in the order of its user keys.
+// and leaves each group in the order of its user keys. The scan keeps only
+// stale sessions' keys, reading a key's session off its id: a binary search
+// of sessions, no lock and no pointer per entry.
 func (ss *Sessions) rebuildFrames(sessions []*Session) (encoded int) {
+	stale := func(id uint32) bool {
+		i, ok := slices.BinarySearchFunc(sessions, id, func(s *Session, id uint32) int { return cmp.Compare(s.id, id) })
+		return ok && sessions[i].frames.stale
+	}
 	cks := ss.sweepScratch[:0]
 	ss.tbl.Range(func(ck string, e *senderEntry) bool {
-		if !e.removing && e.sess.frames.stale {
+		if !e.removing && stale(sessionID(ck)) {
 			cks = append(cks, ck)
 		}
 		return true
@@ -802,8 +853,8 @@ func (ss *Sessions) rebuildFrames(sessions []*Session) (encoded int) {
 			continue
 		}
 		sess.frames.stale = false
-		n, prefix := 0, sess.key("")
-		for ; n < len(rest) && strings.HasPrefix(rest[n], prefix); n++ {
+		n := 0
+		for ; n < len(rest) && sessionID(rest[n]) == sess.id; n++ {
 			rest[n] = userKey(rest[n])
 		}
 		sess.frames.encode(rest[:n], ss.cfg.SummaryMaxKeys, sess.seq.Load())
@@ -1023,10 +1074,15 @@ func (ss *Sessions) reap() {
 // reapIdle drops every session that owns no table entries (no live keys,
 // no pending removals) and has been quiet for PeerIdleTimeout, bounding
 // the peer table under churn. The evicted address's sequence space is
-// retired in the shard so a returning peer resumes it.
+// retired in the shard so a returning peer resumes it. Then it unfiles
+// every gone session that is as idle: the ones just evicted, and detached
+// handles whose entries have drained.
 func (ss *Sessions) reapIdle() {
 	now := ss.clk.Since(ss.born)
 	idle := ss.cfg.PeerIdleTimeout
+	reapable := func(s *Session) bool {
+		return s.tabled.Load() == 0 && now-time.Duration(s.lastActive.Load()) >= idle
+	}
 	ss.retired.Range(func(addr, rp any) bool {
 		if now-rp.(retiredPeer).at >= retiredTTLFactor*idle {
 			ss.retired.Delete(addr)
@@ -1034,7 +1090,7 @@ func (ss *Sessions) reapIdle() {
 		return true
 	})
 	ss.peers.deleteIf(func(addr string, s *Session) bool {
-		if s.tabled.Load() != 0 || now-time.Duration(s.lastActive.Load()) < idle {
+		if !reapable(s) {
 			return false
 		}
 		ss.retired.Store(addr, retiredPeer{seq: s.seq.Load(), at: now})
@@ -1043,12 +1099,20 @@ func (ss *Sessions) reapIdle() {
 		ss.peersDirty.Store(true)
 		return true
 	})
+	ss.byIDMu.Lock()
+	for id, s := range ss.byID {
+		if s.gone.Load() && reapable(s) {
+			delete(ss.byID, id)
+		}
+	}
+	ss.byIDMu.Unlock()
 }
 
 // reattach re-registers an evicted session a caller kept a handle to and
-// used again. If the address has meanwhile been re-claimed by a newer
-// session, the old handle stays detached (its traffic still flows, but
-// inbound replies route to the table's session for the address).
+// used again; put has filed it by id already. If the address has meanwhile
+// been re-claimed by a newer session, the old handle stays detached (its
+// traffic still flows, but inbound replies route to the table's session
+// for the address), and filed by id until its entries drain.
 func (ss *Sessions) reattach(s *Session) {
 	addr := s.peer.String()
 	ss.peers.getOrCreate(addr, func() *Session {
@@ -1071,13 +1135,13 @@ func (s *Session) retrigger(key string) {
 		// A repair is a fresh wave even for keys first installed via a
 		// forwarded context: the upstream stamp described the original
 		// propagation, not this re-trigger.
-		e.traceCtx = ss.traceCtxFor(key, wire.TraceContext{})
+		e.setTrace(ss.traceCtxFor(key, wire.TraceContext{}))
 		tc.MarkDigestDirty() // seq changed under the shard lock
 		if ss.measure {
 			e.sentAt = ss.clk.Since(ss.born) + 1
 		}
 		s.trigs.Add(1)
-		ss.send(ss.tracedMsg(wire.Message{Type: wire.TypeTrigger, Seq: e.seq, Key: key, Value: e.value}, e.traceCtx), s.peer)
+		ss.send(ss.tracedMsg(wire.Message{Type: wire.TypeTrigger, Seq: e.seq, Key: key, Value: e.value}, e.trace()), s.peer)
 		ss.trace.Record(telemetry.TraceTrigger, key, e.seq, s.peer)
 		ss.armTriggerRetx(tc)
 		ss.armRefresh(tc)

@@ -2,12 +2,15 @@ package signal
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"softstate/internal/clock"
 	"softstate/internal/lossy"
 	"softstate/internal/telemetry"
+	"softstate/internal/wire"
 )
 
 // censusPair builds a wall-clock sender/receiver pair with census on and
@@ -263,4 +266,49 @@ func TestPeerHealthEstimators(t *testing.T) {
 // (avoiding instrument-name collisions across pairs in one test).
 func vEndpointsLoss(t *testing.T, proto Protocol, loss float64, _ *telemetry.Registry) *vctx {
 	return vEndpoints(t, proto, loss)
+}
+
+// traceConn is discardConn remembering the trace context of every trigger
+// written.
+type traceConn struct {
+	*discardConn
+	mu       sync.Mutex
+	triggers []wire.TraceContext
+}
+
+func (c *traceConn) WriteTo(p []byte, _ net.Addr) (int, error) {
+	var m wire.Message
+	if m.UnmarshalBinary(p) == nil && m.Type == wire.TypeTrigger {
+		c.mu.Lock()
+		c.triggers = append(c.triggers, m.Trace)
+		c.mu.Unlock()
+	}
+	return len(p), nil
+}
+
+// TestForwardedTraceSurvivesRetransmit: a key installed with an upstream
+// context keeps its origin stamp and its hop count, one more than
+// upstream's, on every retransmission of its trigger, while the hop stamp
+// is the time of each send.
+func TestForwardedTraceSurvivesRetransmit(t *testing.T) {
+	clk := clock.NewVirtual()
+	conn := &traceConn{discardConn: newDiscardConn()}
+	ss := NewSessions(conn, Config{Protocol: SSRT, Clock: clk, Retransmit: 10 * time.Millisecond,
+		RefreshInterval: time.Hour, Timeout: 3 * time.Hour})
+	defer ss.Shutdown()
+	s := ss.Session(testAddr("10.0.0.9:7000"))
+	if err := s.InstallCtx("k", []byte("v"), wire.TraceContext{OriginNs: 42, HopNs: 7, Hops: 1}); err != nil {
+		t.Fatal(err)
+	}
+	clk.Run(35 * time.Millisecond) // no ack: the trigger goes out again
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	if len(conn.triggers) < 3 || s.retxs.Load() != int64(len(conn.triggers)-1) {
+		t.Fatalf("%d triggers written, %d counted as retransmits", len(conn.triggers), s.retxs.Load())
+	}
+	for i, tc := range conn.triggers {
+		if tc.OriginNs != 42 || tc.Hops != 2 || (i > 0 && tc.HopNs <= conn.triggers[i-1].HopNs) {
+			t.Fatalf("trigger %d carries %+v; want origin 42, hops 2 and a later hop stamp than %+v", i, tc, conn.triggers[max(i-1, 0)])
+		}
+	}
 }

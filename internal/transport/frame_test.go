@@ -77,6 +77,16 @@ func TestFrameErrors(t *testing.T) {
 	if _, _, err := readFrame(br, make([]byte, maxFramePayload)); !errors.Is(err, errFrameLength) {
 		t.Fatalf("readFrame oversized = %v", err)
 	}
+
+	// One byte more than the longest datagram is no frame, whole or read.
+	over := appendFrame(nil, frameData, make([]byte, MaxDatagram+1))
+	if _, _, _, err := decodeFrame(over); !errors.Is(err, errFrameLength) {
+		t.Fatalf("MaxDatagram+1 payload = %v", err)
+	}
+	br = bufio.NewReader(bytes.NewReader(over))
+	if _, _, err := readFrame(br, make([]byte, maxFramePayload)); !errors.Is(err, errFrameLength) {
+		t.Fatalf("readFrame MaxDatagram+1 payload = %v", err)
+	}
 }
 
 // FuzzFrame cross-checks decodeFrame against readFrame on arbitrary
@@ -87,6 +97,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add(appendFrame(nil, frameData, bytes.Repeat([]byte("k"), 100)))
 	f.Add([]byte{frameData, 0, 0, 0, 0})
 	f.Add([]byte{0xFF, 1, 2, 3, 4, 5})
+	f.Add(appendFrame(nil, frameData, make([]byte, MaxDatagram+1)))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		typ, payload, rest, err := decodeFrame(b)
 		br := bufio.NewReader(bytes.NewReader(b))

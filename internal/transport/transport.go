@@ -30,18 +30,20 @@ import (
 	"time"
 
 	"softstate/internal/telemetry"
+	"softstate/internal/wire"
 )
 
 const (
 	// DefaultBatchSize is how many datagrams one ReadBatch/WriteBatch
 	// moves per syscall unless the caller sizes its rings otherwise. 32
-	// amortizes the ~1 µs kernel crossing to noise without holding more
-	// than half a megabyte of receive ring per kernel socket.
+	// amortizes the ~1 µs kernel crossing to noise; a kernel socket's
+	// receive ring then holds 32 × MaxDatagram bytes, 280 KB.
 	DefaultBatchSize = 32
-	// MaxDatagram bounds one datagram's encoded size. The wire codec's
-	// worst case (header + MaxKeyLen + MaxValueLen + trailer) is ≈8.7 KB,
-	// so 16 KB receive buffers never truncate a legal datagram.
-	MaxDatagram = 16 << 10
+	// MaxDatagram bounds one datagram: wire.MaxFrameLen, the longest frame
+	// the codec encodes. Every receive buffer is this long, so none
+	// truncates a legal datagram, and anything longer is no frame: a
+	// udp-batch ring counts it in Stats.Truncated, a stream refuses it.
+	MaxDatagram = wire.MaxFrameLen
 )
 
 // Message is one datagram slot in a batch. ReadBatch sets Data to a

@@ -1,11 +1,15 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
+
+	"softstate/internal/wire"
 )
 
 func listenBatch(t *testing.T, o Options) Conn {
@@ -291,4 +295,63 @@ func TestWrapBatch(t *testing.T) {
 	if err != nil || cnt != 1 {
 		t.Fatalf("wrap ReadBatch = %d, %v; want 1 datagram per call", cnt, err)
 	}
+}
+
+// TestLargestFrameEveryBackend: the longest frame the codec encodes, a
+// traced trigger with a MaxKeyLen key and a MaxValueLen value, is exactly
+// MaxDatagram bytes and crosses every backend byte for byte — udp-batch's
+// receive ring, a stream's frame, Wrap's read buffer — with nothing
+// counted as truncated.
+func TestLargestFrameEveryBackend(t *testing.T) {
+	frame, err := (&wire.Message{Type: wire.TypeTrigger, Seq: 1, Key: strings.Repeat("k", wire.MaxKeyLen),
+		Value: bytes.Repeat([]byte{0xA5}, wire.MaxValueLen), Trace: wire.TraceContext{OriginNs: 1}}).MarshalBinary()
+	if err != nil || len(frame) != MaxDatagram {
+		t.Fatalf("largest frame: %d bytes (%v), want MaxDatagram %d", len(frame), err, MaxDatagram)
+	}
+	crossed := func(name string, rx Conn, send func() error) {
+		t.Helper()
+		if err := send(); err != nil {
+			t.Fatalf("%s: send: %v", name, err)
+		}
+		ms := NewBatch(4)
+		rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := rx.ReadBatch(ms)
+		if err != nil || n != 1 || !bytes.Equal(ms[0].Data, frame) {
+			t.Fatalf("%s: ReadBatch = %d, %v; %d bytes, want the %d-byte frame", name, n, err, len(ms[0].Data), len(frame))
+		}
+		if got := rx.Stats().Truncated.Value(); got != 0 {
+			t.Fatalf("%s: Truncated = %d", name, got)
+		}
+	}
+
+	rx, tx := listenBatch(t, Options{}), listenBatch(t, Options{})
+	crossed("udp-batch", rx, func() error {
+		_, err := tx.WriteBatch([]Message{{Data: frame, Addr: rx.LocalAddr()}})
+		return err
+	})
+
+	srv := newListenerStream(t, "")
+	cli := NewStream("largest", nil, Options{})
+	defer cli.Close()
+	crossed("stream", srv, func() error {
+		srvAddr, err := net.ResolveTCPAddr("tcp", srv.LocalAddr().String())
+		if err != nil {
+			return err
+		}
+		_, err = cli.WriteTo(frame, srvAddr)
+		return err
+	})
+
+	pcs := make([]net.PacketConn, 2)
+	for i := range pcs {
+		if pcs[i], err = net.ListenPacket("udp", "127.0.0.1:0"); err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		defer pcs[i].Close()
+	}
+	wrx, wtx := Wrap(pcs[0]), Wrap(pcs[1])
+	crossed("wrap", wrx, func() error {
+		_, err := wtx.WriteTo(frame, wrx.LocalAddr())
+		return err
+	})
 }

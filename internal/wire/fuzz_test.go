@@ -129,11 +129,22 @@ func FuzzDecode(f *testing.F) {
 	v2summary := append([]byte{}, summary...)
 	v2summary[0] = VersionExt
 	f.Add(resealFrame(v2summary))
+	// The longest frame there is, and the same frame one value byte longer
+	// (its length fields say so, the checksum is resealed).
+	longest, _ := (&Message{Type: TypeTrigger, Seq: 21, Key: strings.Repeat("k", MaxKeyLen),
+		Value: make([]byte, MaxValueLen), Trace: TraceContext{OriginNs: 1}}).MarshalBinary()
+	f.Add(longest)
+	overlong := append(append([]byte{}, longest[:len(longest)-4]...), 0, 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(overlong[12+20+MaxKeyLen:], MaxValueLen+1)
+	f.Add(resealFrame(overlong))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
 		if err := m.UnmarshalBinary(data); err != nil {
 			return
+		}
+		if len(data) > MaxFrameLen {
+			t.Fatalf("a %d-byte input decoded; MaxFrameLen is %d", len(data), MaxFrameLen)
 		}
 		// Decoded fields must satisfy the documented invariants.
 		if !m.Type.Valid() {
@@ -196,6 +207,9 @@ func FuzzDecode(f *testing.F) {
 		out, err := m.MarshalBinary()
 		if err != nil {
 			t.Fatalf("accepted frame does not re-encode: %v", err)
+		}
+		if len(out) > MaxFrameLen {
+			t.Fatalf("re-encoded to %d bytes; MaxFrameLen is %d", len(out), MaxFrameLen)
 		}
 		if !bytes.Equal(out, data) {
 			t.Fatalf("re-encode mismatch:\n in  %x\n out %x", data, out)

@@ -119,6 +119,13 @@ const (
 	// also fit the MaxValueLen byte budget (each item costs 11 bytes plus
 	// its key, so 512 zero-length-key items still fit).
 	MaxAckItems = 512
+	// MaxFrameLen is the longest datagram the codec encodes or decodes: a
+	// traced key/value frame with a MaxKeyLen key and a MaxValueLen value
+	// (header, trace extension, key, value length, value, checksum), 8,744
+	// bytes. The list types keep their lists inside MaxValueLen and carry no
+	// extension, so they are shorter. A receive buffer this long never
+	// truncates a frame a peer could have encoded.
+	MaxFrameLen = headerLen + extRegionLen + MaxKeyLen + 4 + MaxValueLen + trailerLen
 )
 
 // Type enumerates signaling message types.

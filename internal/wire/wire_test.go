@@ -587,3 +587,89 @@ func TestSummaryFits(t *testing.T) {
 		t.Fatal("SummaryFits prefix is not maximal")
 	}
 }
+
+// fillKeys returns keys whose list items, overhead bytes each plus the key,
+// use up exactly budget bytes: MaxKeyLen keys while one more fits, then one
+// key of what is left.
+func fillKeys(budget, overhead int) []string {
+	var keys []string
+	for budget >= overhead {
+		n := min(MaxKeyLen, budget-overhead)
+		keys = append(keys, strings.Repeat(string(rune('a'+len(keys)%26)), n))
+		budget -= overhead + n
+	}
+	return keys
+}
+
+// TestMaxFrameLen: the largest legal message of every type encodes to at
+// most MaxFrameLen bytes, and a traced trigger with a MaxKeyLen key and a
+// MaxValueLen value, the longest frame there is, to exactly that many. The
+// list types are filled to the limit their Fits function sets.
+func TestMaxFrameLen(t *testing.T) {
+	if MaxFrameLen != 8744 {
+		t.Fatalf("MaxFrameLen = %d, want 12 + 20 + %d + 4 + %d + 4 = 8744", MaxFrameLen, MaxKeyLen, MaxValueLen)
+	}
+	trace := TraceContext{OriginNs: 1, HopNs: 2, Hops: 3}
+	key, value := strings.Repeat("k", MaxKeyLen), make([]byte, MaxValueLen)
+
+	summaryKeys := fillKeys(MaxValueLen-2, 2)
+	if n := SummaryFits(summaryKeys); n != len(summaryKeys) || summaryBlockLen(summaryKeys) != MaxValueLen {
+		t.Fatalf("summary list: SummaryFits takes %d of %d keys, block %d bytes", n, len(summaryKeys), summaryBlockLen(summaryKeys))
+	}
+	var acks []AckItem
+	for _, k := range fillKeys(MaxValueLen-2, 1+8+2) {
+		acks = append(acks, AckItem{Kind: TypeRemovalAck, Seq: ^uint64(0), Key: k})
+	}
+	if n := AckBatchFits(acks); n != len(acks) || ackBlockLen(acks) != MaxValueLen {
+		t.Fatalf("ack batch: AckBatchFits takes %d of %d items, block %d bytes", n, len(acks), ackBlockLen(acks))
+	}
+	var sums []DigestKeySum
+	for _, k := range fillKeys(MaxValueLen-(1+2+2+2+2), 8+2) {
+		sums = append(sums, DigestKeySum{Key: k, Sum: ^uint64(0)})
+	}
+	if n := DigestDetailFits(sums); n != len(sums) {
+		t.Fatalf("digest detail: DigestDetailFits takes %d of %d keys", n, len(sums))
+	}
+	detail, err := (&DigestReply{Kind: DigestDetail, Bucket: 1, Parts: 1, Keys: sums}).Encode()
+	if err != nil || len(detail) != MaxValueLen {
+		t.Fatalf("digest detail reply: %d bytes, %v", len(detail), err)
+	}
+
+	largest := []Message{
+		{Type: TypeSummaryRefresh, Seq: ^uint64(0), Keys: summaryKeys},
+		{Type: TypeSummaryNack, Seq: ^uint64(0), Keys: summaryKeys},
+		{Type: TypeAckBatch, Seq: ^uint64(0), Acks: acks},
+		{Type: TypeDigestReply, Seq: ^uint64(0), Value: detail, Trace: trace},
+		{Type: TypeDigest, Seq: ^uint64(0), Value: DigestRequest{Kind: DigestDetail}.Encode(), Trace: trace},
+		{Type: TypeProbe, Seq: ^uint64(0), Value: AppendPair(nil, ^uint64(0), ^uint64(0))},
+		{Type: TypeProbeAck, Seq: ^uint64(0), Value: AppendPair(nil, ^uint64(0), ^uint64(0))},
+		{Type: TypeProbe, Seq: ^uint64(0), Key: key, Trace: trace},
+		{Type: TypeProbeAck, Seq: ^uint64(0), Key: key, Trace: trace},
+	}
+	for typ := TypeTrigger; typ <= TypeNotify; typ++ {
+		largest = append(largest, Message{Type: typ, Seq: ^uint64(0), Key: key, Value: value, Trace: trace})
+	}
+	seen := map[Type]bool{}
+	for i := range largest {
+		m := &largest[i]
+		data, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%s: %v", m.Type, err)
+		}
+		if len(data) != m.EncodedLen() || len(data) > MaxFrameLen {
+			t.Errorf("%s: %d bytes (EncodedLen %d), over MaxFrameLen %d", m.Type, len(data), m.EncodedLen(), MaxFrameLen)
+		}
+		if m.Type == TypeTrigger && len(data) != MaxFrameLen {
+			t.Errorf("the largest trigger is %d bytes, want exactly MaxFrameLen %d", len(data), MaxFrameLen)
+		}
+		if err := new(Message).UnmarshalBinary(data); err != nil {
+			t.Errorf("%s: the largest frame does not decode: %v", m.Type, err)
+		}
+		seen[m.Type] = true
+	}
+	for typ := TypeTrigger; typ.Valid(); typ++ {
+		if !seen[typ] {
+			t.Errorf("no largest %s encoded", typ)
+		}
+	}
+}
