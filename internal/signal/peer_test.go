@@ -334,15 +334,16 @@ func TestStrangerDigestWalksNothing(t *testing.T) {
 	}
 }
 
-// TestEntrySizes pins both table values: the state table adds 80 bytes to
+// TestEntrySizes pins both table values: the state table adds 24 bytes to
 // a value (TestEntryOverhead there) and packs entries into chunks, so a
 // 48-byte receiverEntry — the sender named by a peer id sharing a word with
 // aux (the lease id, or a hard-state audit's per-key miss count), not by a
-// two-word net.Addr — is 128 bytes of a chunk, and a 72-byte senderEntry —
-// its session named by the id heading its table key, not by a pointer, and
-// its trace context an origin stamp and a hop count, not a 24-byte
-// wire.TraceContext — is 152. A word more on either is 8 bytes per
-// installed key.
+// two-word net.Addr — is 72 bytes of a chunk, 56 to a chunk, and a 72-byte
+// senderEntry — its session named by the id heading its table key, not by
+// a pointer, and its trace context an origin stamp and a hop count, not a
+// 24-byte wire.TraceContext — is 96, 42 to a chunk. A timer node (24
+// bytes) is paid beside the chunk only for a kind the table arms. A word
+// more on either value is 8 bytes per installed key.
 func TestEntrySizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit targets")

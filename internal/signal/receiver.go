@@ -57,7 +57,8 @@ type Receiver struct {
 // receiverEntry is one installed piece of state for one (peer, key) pair.
 // Neither the sender's address nor the user key is stored: peer names the
 // sender's record, and the user key is the table key past that record's
-// prefix. The entry is 48 bytes (TestEntrySizes).
+// prefix. The entry is 48 bytes, a 72-byte slot of a table chunk, plus
+// its state-timeout node where the profile arms one (TestEntrySizes).
 type receiverEntry struct {
 	value   []byte
 	lastSeq uint64

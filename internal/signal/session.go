@@ -177,8 +177,9 @@ type senderEntry struct {
 	seq      uint64 // latest trigger sequence (session-scoped)
 	ackedSeq uint64
 
-	// retries, removing and hops share a word: the entry is 72 bytes
-	// (TestEntrySizes), and a word more is 8 bytes per installed key.
+	// retries, removing and hops share a word: the entry is 72 bytes, a
+	// 96-byte slot of a table chunk (TestEntrySizes), and a word more is 8
+	// bytes per installed key.
 	retries    int32
 	removing   bool  // removal sent, awaiting removal-ack
 	hops       uint8 // the trace context's hop count (see originNs)

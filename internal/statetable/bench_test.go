@@ -134,10 +134,9 @@ func BenchmarkStateTableGet(b *testing.B) {
 func BenchmarkWheelScheduleCancel(b *testing.B) {
 	w := newTestWheel()
 	id := w.newNode("k")
-	n := w.node(id)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.schedule(id, n, int64(i%100_000)+w.now+1)
-		w.cancel(n)
+		w.schedule(id, int64(i%100_000)+w.now+1)
+		w.cancel(id)
 	}
 }

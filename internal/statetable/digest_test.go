@@ -56,7 +56,9 @@ func sumsEqual(a, b []uint64) bool {
 // TestDigestIncrementalMatchesScratch churns a digest-maintaining table
 // through inserts, payload updates, skip transitions, and deletes, and
 // checks after every step that the incrementally maintained sums equal a
-// from-scratch recompute.
+// from-scratch recompute. Deletes free slots the next inserts reuse, and a
+// reused id must start with a zero digest cell: a stale one would XOR a
+// dead entry's contribution back out of its bucket.
 func TestDigestIncrementalMatchesScratch(t *testing.T) {
 	tbl := New(Config[digVal]{
 		Shards:        4,
@@ -70,18 +72,35 @@ func TestDigestIncrementalMatchesScratch(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("flow/%05d", i)
 	}
+	type slotID struct {
+		sh *shard[digVal]
+		id uint32
+	}
+	used := map[slotID]bool{}
+	reused := 0
 	for step := 0; step < 2000; step++ {
 		key := keys[rng.Intn(len(keys))]
 		switch rng.Intn(5) {
 		case 0, 1: // install / re-install
 			val := []byte(fmt.Sprintf("v%d", rng.Intn(10)))
 			seq := uint64(rng.Intn(1000))
+			var fresh digCell // a created entry's cell, read before it is derived
 			tbl.Upsert(key, func(v *digVal, created bool, tc TimerControl[digVal]) {
+				if created {
+					fresh = *tc.sh.ents.dig(tc.id)
+					if used[slotID{tc.sh, tc.id}] {
+						reused++
+					}
+					used[slotID{tc.sh, tc.id}] = true
+				}
 				v.value, v.seq, v.skip = val, seq, false
 				if !created {
 					tc.MarkDigestDirty()
 				}
 			})
+			if fresh != (digCell{}) {
+				t.Fatalf("step %d: %q starts with digest cell %+v", step, key, fresh)
+			}
 		case 2: // payload update
 			tbl.Update(key, func(v *digVal, tc TimerControl[digVal]) {
 				v.seq++
@@ -92,8 +111,12 @@ func TestDigestIncrementalMatchesScratch(t *testing.T) {
 				v.skip = !v.skip
 				tc.MarkDigestDirty()
 			})
-		case 4: // delete
-			tbl.Delete(key)
+		case 4: // delete, from outside or inside a closure
+			if rng.Intn(2) == 0 {
+				tbl.Delete(key)
+			} else {
+				tbl.Update(key, func(_ *digVal, tc TimerControl[digVal]) { tc.Delete() })
+			}
 		}
 		if step%50 == 0 {
 			if got, want := tbl.DigestSums(), scratchSums(tbl); !sumsEqual(got, want) {
@@ -103,6 +126,9 @@ func TestDigestIncrementalMatchesScratch(t *testing.T) {
 	}
 	if got, want := tbl.DigestSums(), scratchSums(tbl); !sumsEqual(got, want) {
 		t.Fatalf("final: incremental %v != scratch %v", got, want)
+	}
+	if reused == 0 {
+		t.Fatal("no insert reused a freed id")
 	}
 }
 

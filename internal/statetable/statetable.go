@@ -8,14 +8,15 @@
 // by one clock.Timer — millions of keys cost millions of index slots, not
 // millions of timers, and a table at rest owns no goroutine at all.
 //
-// Each entry owns NumTimerKinds independently schedulable timers whose
-// nodes are embedded in the entry, so arming, rearming, and expiry never
-// allocate. Entries live in per-shard chunks that never move (slab.go), and
-// the index and the wheel name them by 32-bit id, not by pointer. Expiry
-// callbacks and the closures passed to Upsert and Update
-// run with the entry's shard locked; they mutate the entry and its timers
-// through the TimerControl handle and must not call other Table methods
-// (that would deadlock on the same shard).
+// Each entry owns NumTimerKinds independently schedulable timers. Their
+// nodes live in the shard's wheel, in chunks allocated by the first timer
+// of a kind armed in an entry chunk, so rearming and expiry never allocate
+// and a kind a table never arms costs it nothing. Entries live in per-shard
+// chunks that never move (slab.go), and the index and the wheel name them
+// by 32-bit id, not by pointer. Expiry callbacks and the closures passed to
+// Upsert and Update run with the entry's shard locked; they mutate the
+// entry and its timers through the TimerControl handle and must not call
+// other Table methods (that would deadlock on the same shard).
 package statetable
 
 import (
@@ -45,12 +46,6 @@ const DefaultTick = time.Millisecond
 // DefaultDigestBuckets is the digest bucket count used when
 // Config.DigestBuckets is 0 and a DigestFunc is set.
 const DefaultDigestBuckets = 16
-
-// digDropped is the digBucket of an entry removed from its shard whose
-// slot is not yet released: a deferred digest refresh cannot resurrect its
-// contribution, a second delete does nothing, and the closure that deleted
-// it can still read its value.
-const digDropped = ^uint32(0)
 
 // ExpireFunc is called when a timer fires. It runs on the shard's clock
 // timer callback with the shard locked; use tc to reschedule, cancel, or
@@ -93,19 +88,20 @@ type Config[V any] struct {
 	DigestBuckets int
 }
 
-// entry is one key's record: the caller's value plus the embedded timers,
-// its cached digest contribution (bucket index and XOR-folded sum), which
-// is what lets a mutation update the shard digest in O(1), and the index tag
-// it is filed under, so removing it never rehashes the key. It adds 80
-// bytes to the value (TestEntryOverhead). key never changes while the entry
-// is filed; everything is guarded by the shard's lock.
+// entry is one key's record: the caller's value and the index tag it is
+// filed under, so removing it never rehashes the key. It adds 24 bytes to
+// the value (TestEntryOverhead); its timer nodes live in the wheel and its
+// cached digest contribution in a side cell (slab.digs). key never changes
+// while the entry is filed; everything is guarded by the shard's lock.
 type entry[V any] struct {
-	key       string
-	value     V
-	dig       uint64
-	digBucket uint32
-	tag       uint32 // on the free list: the id of the next free slot
-	timers    [NumTimerKinds]timerNode
+	key   string
+	value V
+	tag   uint32 // on the free list: the id of the next free slot
+	// dropped marks an entry removed from its shard whose slot is not yet
+	// released: a deferred digest refresh cannot resurrect its
+	// contribution, a second delete does nothing, and the closure that
+	// deleted it can still read its value.
+	dropped bool
 }
 
 // shard is one lock domain: its entries, an index of their keys, and its
@@ -114,7 +110,7 @@ type shard[V any] struct {
 	mu       sync.Mutex
 	ents     slab[V]
 	idx      index
-	wheel    wheel[V]
+	wheel    wheel
 	nextWake int64       // absolute tick the timer is armed for
 	needPoke bool        // a deadline earlier than nextWake was scheduled
 	pokeTick int64       // earliest such deadline (the timer is re-armed to it)
@@ -172,10 +168,11 @@ func New[V any](cfg Config[V]) *Table[V] {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.idx = newIndex()
-		sh.wheel.ents = &sh.ents
+		sh.wheel.chunkLen = chunkLen[V]()
 		sh.nextWake = int64(1)<<62 - 1
 		if cfg.DigestFunc != nil {
 			sh.dig = make([]uint64, cfg.DigestBuckets)
+			sh.ents.digests = true
 		}
 		// The clock calls fireShard at each due tick; unlockAndPoke arms
 		// the timer the first time a deadline is scheduled.
@@ -407,7 +404,7 @@ func (t *Table[V]) Armed(kind TimerKind) int {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		for _, s := range sh.idx.slots {
-			if s.id != 0 && sh.ents.at(s.id).timers[kind].state != timerIdle {
+			if s.id != 0 && sh.wheel.state(nodeID(s.id, kind)) != timerIdle {
 				n++
 			}
 		}
@@ -429,8 +426,8 @@ func (t *Table[V]) TimersArmed() [NumTimerKinds]int {
 			if s.id == 0 {
 				continue
 			}
-			for k, tn := range sh.ents.at(s.id).timers {
-				if tn.state != timerIdle {
+			for k := range n {
+				if sh.wheel.state(nodeID(s.id, TimerKind(k))) != timerIdle {
 					n[k]++
 				}
 			}
@@ -485,11 +482,11 @@ func (t *Table[V]) RangeDigest(fn func(key string, v *V, bucket uint32, sum uint
 			if s.id == 0 {
 				continue
 			}
-			e := sh.ents.at(s.id)
-			if e.dig == 0 {
+			c := sh.ents.dig(s.id)
+			if c.sum() == 0 {
 				continue
 			}
-			if !fn(e.key, &e.value, e.digBucket, e.dig) {
+			if e := sh.ents.at(s.id); !fn(e.key, &e.value, c.bucket, c.sum()) {
 				sh.mu.Unlock()
 				return
 			}
@@ -556,19 +553,19 @@ func (t *Table[V]) Keys() []string {
 // digest, leaving the slot to release; callers hold sh.mu. Dropping an
 // entry a second time (a closure that calls Delete twice) does nothing.
 func (t *Table[V]) dropLocked(sh *shard[V], id uint32, e *entry[V]) {
-	if e.digBucket == digDropped {
+	if e.dropped {
 		return
 	}
 	sh.idx.del(e.tag, id)
-	for i := range e.timers {
-		sh.wheel.cancel(&e.timers[i])
+	for k := TimerKind(0); k < NumTimerKinds; k++ {
+		sh.wheel.cancel(nodeID(id, k))
 	}
 	if t.cfg.DigestFunc != nil {
-		sh.dig[e.digBucket] ^= e.dig
-		e.dig = 0
+		c := sh.ents.dig(id)
+		sh.dig[c.bucket] ^= c.sum()
 		sh.digDirty = false
 	}
-	e.digBucket = digDropped
+	e.dropped = true
 	t.size.Add(-1)
 }
 
@@ -578,9 +575,9 @@ func (t *Table[V]) dropLocked(sh *shard[V], id uint32, e *entry[V]) {
 // callback could read its value until it returned.
 func (t *Table[V]) settleLocked(sh *shard[V], id uint32, e *entry[V]) {
 	if sh.digDirty {
-		t.refreshDigestLocked(sh, e)
+		t.refreshDigestLocked(sh, id, e)
 	}
-	if e.digBucket == digDropped {
+	if e.dropped {
 		sh.release(id, e)
 	}
 }
@@ -588,27 +585,28 @@ func (t *Table[V]) settleLocked(sh *shard[V], id uint32, e *entry[V]) {
 // release returns a dropped entry's slot to the free list. A timer the
 // deleting callback re-armed after the delete is cancelled with it.
 func (sh *shard[V]) release(id uint32, e *entry[V]) {
-	for i := range e.timers {
-		sh.wheel.cancel(&e.timers[i])
-	}
+	sh.wheel.release(id)
 	sh.ents.release(id, e)
 }
 
-// refreshDigestLocked re-derives e's digest contribution and swaps it
-// into the shard's bucket array; callers hold sh.mu. XOR makes the swap
-// order-free: the stale contribution cancels itself out.
-func (t *Table[V]) refreshDigestLocked(sh *shard[V], e *entry[V]) {
+// refreshDigestLocked re-derives the digest contribution of e, whose id is
+// id, and swaps it into the shard's bucket array; callers hold sh.mu. XOR
+// makes the swap order-free: the stale contribution cancels itself out. A
+// dropped entry's contribution is already out and stays out; its cell is
+// cleared when its slot is released.
+func (t *Table[V]) refreshDigestLocked(sh *shard[V], id uint32, e *entry[V]) {
 	sh.digDirty = false
-	if e.digBucket == digDropped {
+	if e.dropped {
 		return
 	}
 	bucket, sum := t.cfg.DigestFunc(e.key, &e.value)
 	if bucket >= uint32(len(sh.dig)) {
 		bucket %= uint32(len(sh.dig))
 	}
-	sh.dig[e.digBucket] ^= e.dig
+	c := sh.ents.dig(id)
+	sh.dig[c.bucket] ^= c.sum()
 	sh.dig[bucket] ^= sum
-	e.dig, e.digBucket = sum, bucket
+	c.set(bucket, sum)
 }
 
 // unlockAndPoke releases the shard, first pulling its timer in to the new
@@ -647,7 +645,6 @@ func (tc TimerControl[V]) Schedule(kind TimerKind, delay time.Duration) {
 // ScheduleAt is Schedule for a tick from Table.DeadlineTick, which a caller
 // arming many timers with one delay at one instant converts once.
 func (tc TimerControl[V]) ScheduleAt(kind TimerKind, tick int64) {
-	n := &tc.e.timers[kind]
 	if tc.sh.wheel.count == 0 {
 		// An empty wheel's clock goes stale while the shard idles; re-sync
 		// it here so advance never replays the whole idle gap tick by tick
@@ -656,7 +653,7 @@ func (tc TimerControl[V]) ScheduleAt(kind TimerKind, tick int64) {
 			tc.sh.wheel.now = now
 		}
 	}
-	tc.sh.wheel.schedule(nodeID(tc.id, kind), n, tick)
+	n := tc.sh.wheel.schedule(nodeID(tc.id, kind), tick)
 	if n.deadline < tc.sh.nextWake {
 		if !tc.sh.needPoke || n.deadline < tc.sh.pokeTick {
 			tc.sh.pokeTick = n.deadline
@@ -673,7 +670,7 @@ func (tc TimerControl[V]) Ahead(tick int64) bool { return tick > tc.sh.wheel.now
 
 // Cancel disarms the kind timer and suppresses any pending fire.
 func (tc TimerControl[V]) Cancel(kind TimerKind) {
-	tc.sh.wheel.cancel(&tc.e.timers[kind])
+	tc.sh.wheel.cancel(nodeID(tc.id, kind))
 }
 
 // Delete removes the entry, cancelling all its timers.
@@ -698,14 +695,14 @@ func (tc TimerControl[V]) MarkDigestDirty() {
 // idle, reported separately).
 func (t *Table[V]) advanceLocked(sh *shard[V]) (wait time.Duration, idle bool) {
 	for _, nid := range sh.wheel.advance(t.tickNow()) {
-		id, kind := nid/NumTimerKinds, TimerKind(nid%NumTimerKinds)
-		e := sh.ents.at(id)
-		n := &e.timers[kind]
+		n := sh.wheel.node(nid)
 		if n.state != timerQueued {
 			continue // cancelled, rescheduled or released while queued
 		}
 		n.state = timerIdle
 		if t.cfg.OnExpire != nil {
+			id, kind := nid/NumTimerKinds, TimerKind(nid%NumTimerKinds)
+			e := sh.ents.at(id)
 			t.cfg.OnExpire(e.key, kind, &e.value, TimerControl[V]{t: t, sh: sh, e: e, id: id})
 			t.settleLocked(sh, id, e)
 		}

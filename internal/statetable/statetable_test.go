@@ -12,16 +12,18 @@ import (
 	"softstate/internal/clock"
 )
 
-// TestEntryOverhead pins what an entry adds to the caller's value at 80
-// bytes: key, digest cache, tag, two 24-byte timer nodes. internal/signal
-// keeps its values small against this (TestEntrySizes there).
+// TestEntryOverhead pins what an entry adds to the caller's value at 24
+// bytes: the key's string header, and the tag and dropped flag sharing a
+// word. Timer nodes and digest cells live beside the chunk, paid for only
+// when used (TestUnarmedKindsCostNothing). internal/signal keeps its values
+// small against this (TestEntrySizes there).
 func TestEntryOverhead(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("size pinned for 64-bit targets")
 	}
 	type v struct{ a, b uint64 }
-	if got := unsafe.Sizeof(entry[v]{}) - unsafe.Sizeof(v{}); got != 80 {
-		t.Fatalf("entry adds %d bytes to its value, want 80", got)
+	if got := unsafe.Sizeof(entry[v]{}) - unsafe.Sizeof(v{}); got != 24 {
+		t.Fatalf("entry adds %d bytes to its value, want 24", got)
 	}
 }
 
@@ -32,31 +34,54 @@ type heapVal struct {
 	pad [5]uint64
 }
 
+// heapKeys names n (peer, key)s the way a receiver's table keys them.
+func heapKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("127.0.0.1:%d\x00flow/%07d", 7000+i>>10, i&1023)
+	}
+	return keys
+}
+
+// heapPerEntry builds a table from cfg, installs every key with a value
+// pointing at ref and handed to arm, and returns the table and the heap it
+// takes per entry — chunks, timer nodes, digest cells, index, shards —
+// the keys' bytes excluded.
+func heapPerEntry(cfg Config[heapVal], keys []string, ref *[64]byte, arm func(TimerControl[heapVal])) (*Table[heapVal], float64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tbl := New(cfg)
+	for _, k := range keys {
+		tbl.Upsert(k, func(hv *heapVal, _ bool, tc TimerControl[heapVal]) {
+			hv.ref = ref
+			arm(tc)
+		})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return tbl, float64(after.HeapAlloc-before.HeapAlloc) / float64(len(keys))
+}
+
 // TestTableHeapPerEntry holds 65,536 entries with a 48-byte value and an
-// armed timer and bounds the heap they take: the value, the 80 bytes an
-// entry adds, at most four 8-byte index slots (the index doubles past half
-// full) and a few bytes of chunk list, partial chunks and wheel heads. A
-// 176-byte entry allocated on its own and 16-byte (tag, pointer) slots
-// come to over 210. Then it deletes every entry — inside Update and expiry
-// callbacks, which still read the value after the delete, and through
-// Delete — and requires every freed slot to hold nothing: no key, no
-// value, no armed timer.
+// armed timer and bounds the heap they take: the value, the 24 bytes an
+// entry adds, its 24-byte timer node, at most four 8-byte index slots (the
+// index doubles past half full) and a few bytes of chunk list, partial
+// chunks and wheel heads. Entries carrying both nodes and a digest cache
+// whether used or not took 159. Then it deletes every entry — inside
+// Update and expiry callbacks, which still read the value after the
+// delete, and through Delete — and requires every freed slot to hold
+// nothing: no key, no value, no armed timer.
 func TestTableHeapPerEntry(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit targets")
 	}
 	const n = 1 << 16
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("127.0.0.1:%d\x00flow/%07d", 7000+i>>10, i&1023)
-	}
+	keys := heapKeys(n)
 	shared := new([64]byte)
 	v := clock.NewVirtual()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	tbl := New(Config[heapVal]{
+	tbl, perEntry := heapPerEntry(Config[heapVal]{
 		Clock: v,
 		OnExpire: func(_ string, _ TimerKind, hv *heapVal, tc TimerControl[heapVal]) {
 			tc.Delete()
@@ -64,19 +89,10 @@ func TestTableHeapPerEntry(t *testing.T) {
 				t.Error("an expiry callback lost its value to its own delete")
 			}
 		},
-	})
+	}, keys, shared, func(tc TimerControl[heapVal]) { tc.Schedule(0, time.Hour) })
 	defer tbl.Close()
-	for _, k := range keys {
-		tbl.Upsert(k, func(hv *heapVal, _ bool, tc TimerControl[heapVal]) {
-			hv.ref = shared
-			tc.Schedule(0, time.Hour)
-		})
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perEntry := float64(after.HeapAlloc-before.HeapAlloc) / n
 	t.Logf("%.1f B per entry with a %d-byte value", perEntry, unsafe.Sizeof(heapVal{}))
-	if bound := float64(unsafe.Sizeof(heapVal{})) + 80 + 4*8 + 8; perEntry > bound {
+	if bound := float64(unsafe.Sizeof(heapVal{})) + 24 + 24 + 4*8 + 8; perEntry > bound {
 		t.Fatalf("%.1f B per entry, want at most %.0f", perEntry, bound)
 	}
 
@@ -111,7 +127,7 @@ func TestTableHeapPerEntry(t *testing.T) {
 			}
 			for _, e := range chunk {
 				if e != (entry[heapVal]{tag: e.tag}) {
-					t.Fatalf("shard %d: a freed slot still holds key %q, value %v, timers %v", i, e.key, e.value, e.timers)
+					t.Fatalf("shard %d: a freed slot still holds key %q, value %v", i, e.key, e.value)
 				}
 				used++
 			}
@@ -119,9 +135,91 @@ func TestTableHeapPerEntry(t *testing.T) {
 		if free != used {
 			t.Fatalf("shard %d: %d of %d slots on the free list", i, free, used)
 		}
+		for k, chunks := range sh.wheel.nodes {
+			for _, chunk := range chunks {
+				for _, tn := range chunk {
+					if tn != (timerNode{}) {
+						t.Fatalf("shard %d: a freed slot's kind %d node is %+v", i, k, tn)
+					}
+				}
+			}
+		}
 		if sh.wheel.count != 0 {
 			t.Fatalf("shard %d: %d timers armed on an empty table", i, sh.wheel.count)
 		}
+	}
+}
+
+// TestUnarmedKindsCostNothing: a table pays for the timer kinds it arms
+// and the digests it keeps, and for nothing it does not use. Each case
+// holds 65,536 entries with a 48-byte value and bounds their heap as
+// TestTableHeapPerEntry does; with both nodes and the digest cache in
+// every entry whether used or not, each took over 150 B. Cancel, Armed
+// and TimersArmed on kinds never armed find them idle and allocate
+// nothing.
+func TestUnarmedKindsCostNothing(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit targets")
+	}
+	const n = 1 << 16
+	keys := heapKeys(n)
+	val := float64(unsafe.Sizeof(heapVal{}))
+	for _, c := range []struct {
+		name    string
+		kinds   [NumTimerKinds]bool // armed on every entry
+		digests bool
+		bound   float64 // entry, nodes, digest cells, four index slots, slack
+	}{
+		{"kind 0 armed", [NumTimerKinds]bool{true, false}, false, val + 24 + 24 + 4*8 + 8},
+		{"nothing armed", [NumTimerKinds]bool{}, false, val + 24 + 4*8 + 8},
+		{"digests, nothing armed", [NumTimerKinds]bool{}, true, val + 24 + 12 + 4*8 + 8},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config[heapVal]{Clock: clock.NewVirtual()}
+			if c.digests {
+				cfg.DigestFunc = func(key string, _ *heapVal) (uint32, uint64) { return 0, DigestKV(key, nil, 0) }
+			}
+			tbl, perEntry := heapPerEntry(cfg, keys, new([64]byte), func(tc TimerControl[heapVal]) {
+				for k, armed := range c.kinds {
+					if armed {
+						tc.Schedule(TimerKind(k), time.Hour)
+					}
+				}
+			})
+			defer tbl.Close()
+			t.Logf("%.1f B per entry with a %d-byte value", perEntry, unsafe.Sizeof(heapVal{}))
+			if perEntry > c.bound {
+				t.Fatalf("%.1f B per entry, want at most %.0f", perEntry, c.bound)
+			}
+			for k, armed := range c.kinds {
+				if !armed {
+					tbl.Cancel(keys[k], TimerKind(k))
+				}
+			}
+			want := [NumTimerKinds]int{}
+			for k, armed := range c.kinds {
+				if armed {
+					want[k] = n
+				}
+				if got := tbl.Armed(TimerKind(k)); got != want[k] {
+					t.Errorf("Armed(%d) = %d, want %d", k, got, want[k])
+				}
+			}
+			if got := tbl.TimersArmed(); got != want {
+				t.Errorf("TimersArmed = %v, want %v", got, want)
+			}
+			for i := range tbl.shards {
+				sh := &tbl.shards[i]
+				for k, armed := range c.kinds {
+					if chunks := len(sh.wheel.nodes[k]); armed != (chunks != 0) {
+						t.Fatalf("shard %d: %d kind-%d node chunks, kind armed: %v", i, chunks, k, armed)
+					}
+				}
+				if cells := len(sh.ents.digs); c.digests != (cells != 0) || c.digests && cells != len(sh.ents.chunks) {
+					t.Fatalf("shard %d: %d digest cell chunks for %d entry chunks, digests kept: %v", i, cells, len(sh.ents.chunks), c.digests)
+				}
+			}
+		})
 	}
 }
 

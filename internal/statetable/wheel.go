@@ -17,8 +17,13 @@ package statetable
 // T renewed every R costs at most wheelLevels links per T-R ticks, however
 // many renewals fall in between.
 //
-// Nodes live in their entries and are linked by node id (nodeID), so a
-// bucket head is a uint32 and the wheel holds no pointers into the heap.
+// The wheel owns its nodes, in chunks parallel to the shard's entry chunks:
+// nodes[kind][c] holds kind's node for every entry of entry chunk c, and is
+// allocated by the first schedule of that kind for any entry in the chunk.
+// A kind the shard never arms in a chunk costs it nothing, and a node whose
+// chunk was never allocated is idle. Nodes are linked by node id (nodeID),
+// so a bucket head is a uint32 and the wheel holds no pointers into the
+// heap.
 //
 // All wheel methods require the owning shard's lock.
 
@@ -48,11 +53,10 @@ const (
 // nodeID names timer kind of the entry with id eid: the wheel's link value.
 func nodeID(eid uint32, kind TimerKind) uint32 { return eid*NumTimerKinds + uint32(kind) }
 
-// timerNode is one schedulable deadline, embedded in its entry so arming a
-// timer never allocates. Bucket membership is kernel-hlist style: pprev
-// names the previous node, or the bucket whose head this node is, making
-// unlink O(1) with no per-bucket sentinels. The node is 24 bytes
-// (TestTimerNodeSize), and every entry embeds two.
+// timerNode is one schedulable deadline. Bucket membership is kernel-hlist
+// style: pprev names the previous node, or the bucket whose head this node
+// is, making unlink O(1) with no per-bucket sentinels. The node is 24 bytes
+// (TestTimerNodeSize); an entry pays one for each kind armed in its chunk.
 type timerNode struct {
 	next     uint32 // next node in the bucket; 0 ends it
 	pprev    uint32 // previous node, or bucketRef|level<<wheelBits|slot
@@ -63,25 +67,56 @@ type timerNode struct {
 
 // wheel is the per-shard hierarchical timing wheel over the nodes of the
 // shard's entries.
-type wheel[V any] struct {
+type wheel struct {
 	now       int64 // last tick advanced to
 	count     int   // armed timers
 	slots     [wheelLevels][wheelSlots]uint32
-	fired     []uint32 // advance's result, reused
-	ents      *slab[V] // the shard's entries, which hold the nodes
-	rebuckets uint64   // renewed nodes advance reached early and put back
+	fired     []uint32                     // advance's result, reused
+	nodes     [NumTimerKinds][][]timerNode // nodes[kind][c]: entry chunk c's; nil until one is armed
+	chunkLen  uint32                       // entries in an entry chunk, so nodes in a node chunk
+	rebuckets uint64                       // renewed nodes advance reached early and put back
 }
 
-// node resolves a node id.
-func (w *wheel[V]) node(id uint32) *timerNode {
-	return &w.ents.at(id / NumTimerKinds).timers[id%NumTimerKinds]
+// node resolves the id of a node whose chunk exists: a linked or queued one.
+func (w *wheel) node(id uint32) *timerNode {
+	e := id/NumTimerKinds - 1
+	return &w.nodes[id%NumTimerKinds][e>>chunkBits][e&chunkMask]
 }
 
-// schedule (re)arms n, whose id is id, for the given absolute tick. Past
-// deadlines are pulled to the next tick so they fire on the next advance.
-// An armed node stays linked unless the deadline moves before its bucket's
-// tick.
-func (w *wheel[V]) schedule(id uint32, n *timerNode, deadline int64) {
+// lookup resolves a node id, or returns nil when the node's chunk was never
+// allocated: the node is idle.
+func (w *wheel) lookup(id uint32) *timerNode {
+	e := id/NumTimerKinds - 1
+	chunks := w.nodes[id%NumTimerKinds]
+	if c := e >> chunkBits; c < uint32(len(chunks)) && chunks[c] != nil {
+		return &chunks[c][e&chunkMask]
+	}
+	return nil
+}
+
+// alloc allocates the node chunk holding the given id, on the first
+// schedule of its kind for any entry of the entry chunk, and returns the
+// node.
+func (w *wheel) alloc(id uint32) *timerNode {
+	c := (id/NumTimerKinds - 1) >> chunkBits
+	chunks := w.nodes[id%NumTimerKinds]
+	for uint32(len(chunks)) <= c {
+		chunks = append(chunks, nil)
+	}
+	chunks[c] = make([]timerNode, w.chunkLen)
+	w.nodes[id%NumTimerKinds] = chunks
+	return w.node(id)
+}
+
+// schedule (re)arms the node with the given id for the given absolute tick
+// and returns it. Past deadlines are pulled to the next tick so they fire
+// on the next advance. An armed node stays linked unless the deadline moves
+// before its bucket's tick.
+func (w *wheel) schedule(id uint32, deadline int64) *timerNode {
+	n := w.lookup(id)
+	if n == nil {
+		n = w.alloc(id)
+	}
 	if deadline <= w.now {
 		deadline = w.now + 1
 	}
@@ -90,18 +125,46 @@ func (w *wheel[V]) schedule(id uint32, n *timerNode, deadline int64) {
 	}
 	if slack := deadline - (n.deadline - int64(n.slack)); n.state == timerArmed && slack >= 0 {
 		n.deadline, n.slack = deadline, uint32(slack)
-		return
+		return n
 	}
-	w.cancel(n)
+	w.disarm(n)
 	n.deadline = deadline
 	w.insert(id, n)
 	n.state = timerArmed
 	w.count++
+	return n
 }
 
-// cancel disarms n: an armed node is unlinked from its bucket, a queued
+// cancel disarms the node with the given id; one whose chunk was never
+// allocated is idle already.
+func (w *wheel) cancel(id uint32) {
+	if n := w.lookup(id); n != nil {
+		w.disarm(n)
+	}
+}
+
+// release disarms and zeroes the nodes of entry eid, whose slot is being
+// freed, so the next entry given its id starts with every timer idle.
+func (w *wheel) release(eid uint32) {
+	for k := TimerKind(0); k < NumTimerKinds; k++ {
+		if n := w.lookup(nodeID(eid, k)); n != nil {
+			w.disarm(n)
+			*n = timerNode{}
+		}
+	}
+}
+
+// state is the state of the node with the given id.
+func (w *wheel) state(id uint32) uint8 {
+	if n := w.lookup(id); n != nil {
+		return n.state
+	}
+	return timerIdle
+}
+
+// disarm idles n: an armed node is unlinked from its bucket, a queued
 // node's pending fire is suppressed.
-func (w *wheel[V]) cancel(n *timerNode) {
+func (w *wheel) disarm(n *timerNode) {
 	switch n.state {
 	case timerArmed:
 		w.unlink(n)
@@ -116,7 +179,7 @@ func (w *wheel[V]) cancel(n *timerNode) {
 // insert buckets n, whose id is id, by its deadline. delta ≥ 0 relative to
 // w.now; delta 0 (only reachable while cascading) lands in the level-0
 // bucket the current advance step is about to expire.
-func (w *wheel[V]) insert(id uint32, n *timerNode) {
+func (w *wheel) insert(id uint32, n *timerNode) {
 	n.slack = 0
 	delta := n.deadline - w.now
 	level := 0
@@ -133,7 +196,7 @@ func (w *wheel[V]) insert(id uint32, n *timerNode) {
 	n.pprev = bucketRef | uint32(level)<<wheelBits | slot
 }
 
-func (w *wheel[V]) unlink(n *timerNode) {
+func (w *wheel) unlink(n *timerNode) {
 	if n.pprev&bucketRef != 0 {
 		w.slots[n.pprev>>wheelBits&(wheelLevels-1)][n.pprev&wheelMask] = n.next
 	} else {
@@ -153,7 +216,7 @@ func (w *wheel[V]) unlink(n *timerNode) {
 // advance. Spans that provably hold no deadline and no occupied cascade are
 // crossed in one step, so catching up after a long sleep costs O(events),
 // not O(ticks elapsed).
-func (w *wheel[V]) advance(target int64) []uint32 {
+func (w *wheel) advance(target int64) []uint32 {
 	if cap(w.fired) > firedKeep {
 		w.fired = nil
 	}
@@ -229,7 +292,7 @@ func (w *wheel[V]) advance(target int64) []uint32 {
 // bucket index is within one rotation of the current position and the
 // first occupied bucket ahead is the one that cascades soonest, at tick
 // index<<(wheelBits·l).
-func (w *wheel[V]) nextEventTick() int64 {
+func (w *wheel) nextEventTick() int64 {
 	best := int64(0)
 	for i := int64(1); i < wheelSlots; i++ {
 		tick := w.now + i

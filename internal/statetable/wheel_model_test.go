@@ -1,16 +1,17 @@
 package statetable
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 	"unsafe"
 )
 
-// TestTimerNodeSize pins the node at 24 bytes: every entry embeds
-// NumTimerKinds of them, so a word more is 16 bytes per key. Links are
-// 32-bit node ids, and the node names neither its owner nor its kind: its
-// id does.
+// TestTimerNodeSize pins the node at 24 bytes: an entry pays one for each
+// kind armed in its chunk, so a word more is up to 16 bytes per key. Links
+// are 32-bit node ids, and the node names neither its owner nor its kind:
+// its id does.
 func TestTimerNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(timerNode{}); got != 24 {
 		t.Fatalf("timerNode is %d bytes, want 24", got)
@@ -23,19 +24,29 @@ func TestTimerNodeSize(t *testing.T) {
 // tick it was last scheduled for and never before it, that count matches
 // and that nextEventTick never oversleeps; the pointer wheel says the
 // buckets hold the same nodes in the same order and every advance fires
-// the same nodes in the same order. One interpreter serves the seeded
-// scripts and the fuzz target.
+// the same nodes in the same order. Model node i is kind i%2 of model
+// entry i/2, and the entries sit in modelChunks entry chunks, so node
+// chunks are allocated partway through a script, one per (kind, chunk)
+// the script arms, and a script can free an entry and reuse its id. One
+// interpreter serves the seeded scripts and the fuzz target.
 type wheelModel struct {
 	t      *testing.T
 	w      *testWheel
+	eids   []uint32 // model entry j's entry id in w
 	ids    []uint32 // model node i's node id in w
 	ref    refWheel
-	refs   []*refNode    // model node i in ref
-	due    map[int]int64 // armed (or queued, not yet fired) → deadline
+	refs   []*refNode                       // model node i in ref
+	due    map[int]int64                    // armed (or queued, not yet fired) → deadline
+	armed  [NumTimerKinds][modelChunks]bool // some node of the kind in the chunk was ever scheduled
+	reuses int                              // entries freed and their ids reused
 	script []byte
 }
 
-const modelNodes = 16
+const (
+	modelEntries = 8
+	modelNodes   = modelEntries * NumTimerKinds
+	modelChunks  = 4
+)
 
 // next pops one script byte; an exhausted script reads as zeros.
 func (m *wheelModel) next() byte {
@@ -48,8 +59,6 @@ func (m *wheelModel) next() byte {
 }
 
 func (m *wheelModel) node() int { return int(m.next()) % modelNodes }
-
-func (m *wheelModel) tn(i int) *timerNode { return m.w.node(m.ids[i]) }
 
 // delta decodes a signed distance from two bytes: a magnitude on one of
 // five scales — one per wheel level, and one past wheelSpan — nudged by
@@ -64,7 +73,8 @@ func (m *wheelModel) delta() int64 {
 // documented rules (past → next tick, beyond the horizon → the horizon),
 // in the map.
 func (m *wheelModel) schedule(i int, tick int64) {
-	m.w.arm(m.ids[i], tick)
+	m.w.schedule(m.ids[i], tick)
+	m.armed[i%NumTimerKinds][(m.eids[i/NumTimerKinds]-1)>>chunkBits] = true
 	m.ref.schedule(m.refs[i], tick)
 	if tick <= m.w.now {
 		tick = m.w.now + 1
@@ -76,9 +86,31 @@ func (m *wheelModel) schedule(i int, tick int64) {
 }
 
 func (m *wheelModel) cancel(i int) {
-	m.w.disarm(m.ids[i])
+	m.w.cancel(m.ids[i])
 	m.ref.cancel(m.refs[i])
 	delete(m.due, i)
+}
+
+// reuse frees model entry j the way a table releases a deleted entry and
+// allocates again, which must hand back the same id with every timer idle
+// and zeroed, whether or not its chunk's nodes exist and whether or not a
+// node of it is queued further down the list being drained.
+func (m *wheelModel) reuse(j int) {
+	eid := m.eids[j]
+	m.w.release(eid)
+	m.w.ents.release(eid, m.w.ents.at(eid))
+	if id, _ := m.w.ents.alloc(); id != eid {
+		m.t.Fatalf("entry %d freed id %d, the next alloc took %d", j, eid, id)
+	}
+	for k := 0; k < NumTimerKinds; k++ {
+		i := j*NumTimerKinds + k
+		if n := m.w.lookup(m.ids[i]); n != nil && *n != (timerNode{}) {
+			m.t.Fatalf("entry %d's reused id starts with kind %d node %+v", j, k, *n)
+		}
+		m.ref.cancel(m.refs[i])
+		delete(m.due, i)
+	}
+	m.reuses++
 }
 
 // earliest returns the map's earliest deadline (armed timers only).
@@ -113,7 +145,7 @@ func (m *wheelModel) advance(target int64) {
 		m.t.Fatalf("advance to %d fired nodes %v, the pointer wheel %v", target, idx, refFired)
 	}
 	for _, i := range idx {
-		cur := m.tn(i)
+		cur := m.w.node(m.ids[i])
 		if cur.state != m.refs[i].state {
 			m.t.Fatalf("node %d in the fired list in state %d, %d in the pointer wheel", i, cur.state, m.refs[i].state)
 		}
@@ -138,13 +170,15 @@ func (m *wheelModel) advance(target int64) {
 		}
 		last = d
 		delete(m.due, i)
-		switch m.next() % 4 {
+		switch m.next() % 5 {
 		case 1:
 			m.schedule(i, m.w.now+m.delta())
 		case 2:
 			m.cancel(m.node())
 		case 3:
 			m.schedule(m.node(), m.w.now+m.delta())
+		case 4:
+			m.reuse(m.node() / NumTimerKinds)
 		}
 	}
 	if m.w.now != target || m.ref.now != target {
@@ -158,18 +192,35 @@ func (m *wheelModel) advance(target int64) {
 }
 
 // check compares the wheel with the map node by node and with the pointer
-// wheel bucket by bucket, walks every bucket for link integrity, and
+// wheel bucket by bucket, requires a node chunk for exactly the (kind,
+// chunk)s the script has armed, walks every bucket for link integrity, and
 // bounds nextEventTick.
 func (m *wheelModel) check() {
 	w := &m.w.wheel
-	for i := range m.ids {
-		n := m.tn(i)
+	for i, id := range m.ids {
 		d, armed := m.due[i]
-		switch {
-		case armed && (n.state != timerArmed || n.deadline != d):
-			m.t.Fatalf("node %d: state %d deadline %d, map armed for %d", i, n.state, n.deadline, d)
-		case !armed && n.state != timerIdle:
-			m.t.Fatalf("node %d: state %d, map idle", i, n.state)
+		switch state := w.state(id); {
+		case armed && (state != timerArmed || w.node(id).deadline != d):
+			m.t.Fatalf("node %d: state %d, map armed for %d", i, state, d)
+		case !armed && state != timerIdle:
+			m.t.Fatalf("node %d: state %d, map idle", i, state)
+		}
+	}
+	for k := range w.nodes {
+		if len(w.nodes[k]) > modelChunks {
+			m.t.Fatalf("kind %d has %d node chunks for %d entry chunks", k, len(w.nodes[k]), modelChunks)
+		}
+		for c := 0; c < modelChunks; c++ {
+			n, want := 0, 0
+			if c < len(w.nodes[k]) {
+				n = len(w.nodes[k][c])
+			}
+			if m.armed[k][c] {
+				want = int(w.chunkLen)
+			}
+			if n != want {
+				m.t.Fatalf("kind %d chunk %d: %d nodes, want %d (armed: %v)", k, c, n, want, m.armed[k][c])
+			}
 		}
 	}
 	if w.count != len(m.due) || m.ref.count != w.count {
@@ -219,7 +270,7 @@ func (m *wheelModel) check() {
 			m.t.Fatalf("nextEventTick = %d, the pointer wheel's %d", next, ref)
 		}
 		for i := range m.due {
-			if n := m.tn(i); next > n.deadline-int64(n.slack) {
+			if n := w.node(m.ids[i]); next > n.deadline-int64(n.slack) {
 				m.t.Fatalf("nextEventTick = %d is past node %d's bucket tick %d", next, i, n.deadline-int64(n.slack))
 			}
 		}
@@ -228,15 +279,23 @@ func (m *wheelModel) check() {
 
 // runWheelScript interprets script to its end, then drains the wheel so
 // every timer still armed is seen to fire. It returns how many deferred
-// re-buckets the script provoked.
-func runWheelScript(t *testing.T, script []byte) uint64 {
+// re-buckets the script provoked and how many entry ids it reused.
+func runWheelScript(t *testing.T, script []byte) (rebuckets uint64, reuses int) {
 	m := &wheelModel{t: t, w: newTestWheel(), due: make(map[int]int64), script: script}
-	for i := 0; i < modelNodes; i++ {
-		m.ids = append(m.ids, m.w.newNode(string(rune('a'+i))))
-		m.refs = append(m.refs, &refNode{idx: i})
+	for c := uint32(0); c < modelChunks*m.w.chunkLen; c++ {
+		m.w.newNode(fmt.Sprint(c)) // fill the chunks the model entries sit in
 	}
+	for j := uint32(0); j < modelEntries; j++ {
+		eid := 1 + (j%modelChunks)<<chunkBits + j/modelChunks // entry chunk j%modelChunks
+		m.eids = append(m.eids, eid)
+		for k := TimerKind(0); k < NumTimerKinds; k++ {
+			m.ids = append(m.ids, nodeID(eid, k))
+			m.refs = append(m.refs, &refNode{idx: len(m.refs)})
+		}
+	}
+	m.check() // nothing armed: no node chunk
 	for len(m.script) > 0 {
-		switch op := m.next(); op % 8 {
+		switch op := m.next(); op % 9 {
 		case 0, 1: // schedule relative to now: earlier, later or the same
 			m.schedule(m.node(), m.w.now+m.delta())
 		case 2: // push an armed deadline later (the refresh path)
@@ -263,6 +322,8 @@ func runWheelScript(t *testing.T, script []byte) uint64 {
 				m.check()
 				m.advance(first)
 			}
+		case 8: // free an entry and reuse its id
+			m.reuse(m.node() / NumTimerKinds)
 		}
 		m.check()
 	}
@@ -272,29 +333,36 @@ func runWheelScript(t *testing.T, script []byte) uint64 {
 		m.advance(first)
 		m.check()
 	}
-	return m.w.rebuckets
+	return m.w.rebuckets, m.reuses
 }
 
 // TestWheelModel runs seeded random scripts through the reference check.
 func TestWheelModel(t *testing.T) {
 	var rebuckets uint64
+	var reuses int
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		script := make([]byte, 64+rng.Intn(2048))
 		rng.Read(script)
-		rebuckets += runWheelScript(t, script)
+		r, u := runWheelScript(t, script)
+		rebuckets += r
+		reuses += u
 	}
 	if rebuckets == 0 {
 		t.Fatal("no script extended a deadline past its bucket: the lazy path went untested")
 	}
-	t.Logf("%d deferred re-buckets across the scripts", rebuckets)
+	if reuses == 0 {
+		t.Fatal("no script reused an entry id")
+	}
+	t.Logf("%d deferred re-buckets, %d reused ids across the scripts", rebuckets, reuses)
 }
 
 // FuzzWheel is the same check with the fuzzer writing the script.
 func FuzzWheel(f *testing.F) {
-	f.Add([]byte{0, 1, 200, 1, 2, 1, 50, 2, 1, 50, 5, 255, 7, 7})       // arm, extend twice, step, hit
-	f.Add([]byte{0, 3, 9, 4, 6, 255, 3, 0, 3, 1, 0, 3, 3, 3, 40, 7, 6}) // past the horizon, jump, pull earlier
-	f.Add([]byte{1, 0, 5, 0, 1, 1, 5, 0, 5, 10, 1, 0, 9, 9, 2, 1, 7})   // same tick, callbacks re-arm and delete
+	f.Add([]byte{0, 1, 200, 1, 2, 1, 50, 2, 1, 50, 5, 255, 7, 7})             // arm, extend twice, step, hit
+	f.Add([]byte{0, 3, 9, 4, 6, 255, 3, 0, 3, 1, 0, 3, 3, 3, 40, 7, 6})       // past the horizon, jump, pull earlier
+	f.Add([]byte{1, 0, 5, 0, 1, 1, 5, 0, 5, 10, 1, 0, 9, 9, 2, 1, 7})         // same tick, callbacks re-arm and delete
+	f.Add([]byte{0, 1, 9, 0, 0, 0, 9, 0, 5, 9, 4, 0, 8, 2, 4, 3, 0, 1, 9, 0}) // both kinds due at once, a callback frees their entry; never-armed chunks freed and cancelled
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 1<<12 {
 			t.Skip()

@@ -7,14 +7,12 @@ import (
 // testWheel is a wheel over entries of its own, without a table around
 // it, so it can be driven deterministically.
 type testWheel struct {
-	wheel[int]
+	wheel
 	ents slab[int]
 }
 
 func newTestWheel() *testWheel {
-	w := &testWheel{}
-	w.wheel.ents = &w.ents
-	return w
+	return &testWheel{wheel: wheel{chunkLen: chunkLen[int]()}}
 }
 
 // newNode adds an entry named key the way Upsert does and returns the id
@@ -25,9 +23,7 @@ func (w *testWheel) newNode(key string) uint32 {
 	return nodeID(id, 0)
 }
 
-func (w *testWheel) arm(id uint32, deadline int64) { w.schedule(id, w.node(id), deadline) }
-func (w *testWheel) disarm(id uint32)              { w.cancel(w.node(id)) }
-func (w *testWheel) key(id uint32) string          { return w.ents.at(id / NumTimerKinds).key }
+func (w *testWheel) key(id uint32) string { return w.ents.at(id / NumTimerKinds).key }
 
 // drain lists the keys of the fired nodes still queued.
 func (w *testWheel) drain(fired []uint32) []string {
@@ -48,7 +44,7 @@ func TestWheelFiresAtExactTick(t *testing.T) {
 	for _, delta := range deltas {
 		w := newTestWheel()
 		n := w.newNode("k")
-		w.arm(n, delta)
+		w.schedule(n, delta)
 		if w.count != 1 {
 			t.Fatalf("delta %d: count = %d", delta, w.count)
 		}
@@ -71,7 +67,7 @@ func TestWheelFiresMidRotation(t *testing.T) {
 	w := newTestWheel()
 	w.advance(0x80) // park the wheel mid-rotation
 	n := w.newNode("wrap")
-	w.arm(n, 0x130) // delta 0xB0 < 256, slot 0x30 is behind now&mask
+	w.schedule(n, 0x130) // delta 0xB0 < 256, slot 0x30 is behind now&mask
 	if fired := w.advance(0x12F); len(fired) != 0 {
 		t.Fatalf("fired early: %v", w.drain(fired))
 	}
@@ -87,7 +83,7 @@ func TestWheelPastDeadlineFiresNextTick(t *testing.T) {
 	w.advance(50)
 	for _, deadline := range []int64{0, 49, 50} {
 		n := w.newNode("past")
-		w.arm(n, deadline)
+		w.schedule(n, deadline)
 		if got := w.drain(w.advance(51)); len(got) != 1 {
 			t.Fatalf("deadline %d: fired = %v", deadline, got)
 		}
@@ -100,7 +96,7 @@ func TestWheelPastDeadlineFiresNextTick(t *testing.T) {
 func TestWheelBeyondHorizonClamps(t *testing.T) {
 	w := newTestWheel()
 	n := w.newNode("far")
-	w.arm(n, wheelSpan*3)
+	w.schedule(n, wheelSpan*3)
 	if d := w.node(n).deadline; d != wheelSpan-1 {
 		t.Fatalf("clamped deadline = %d, want %d", d, wheelSpan-1)
 	}
@@ -111,16 +107,16 @@ func TestWheelBeyondHorizonClamps(t *testing.T) {
 func TestWheelCancelArmed(t *testing.T) {
 	w := newTestWheel()
 	a, b := w.newNode("a"), w.newNode("b")
-	w.arm(a, 10)
-	w.arm(b, 10) // same bucket, exercises mid-list unlink
-	w.disarm(a)
+	w.schedule(a, 10)
+	w.schedule(b, 10) // same bucket, exercises mid-list unlink
+	w.cancel(a)
 	if w.count != 1 {
 		t.Fatalf("count = %d after cancel", w.count)
 	}
 	if got := w.drain(w.advance(10)); len(got) != 1 || got[0] != "b" {
 		t.Fatalf("fired = %v, want [b]", got)
 	}
-	w.disarm(b) // cancelling an idle node is a no-op
+	w.cancel(b) // cancelling an idle node is a no-op
 	if w.count != 0 {
 		t.Fatalf("count = %d", w.count)
 	}
@@ -131,11 +127,11 @@ func TestWheelCancelArmed(t *testing.T) {
 func TestWheelCancelQueued(t *testing.T) {
 	w := newTestWheel()
 	a, b := w.newNode("a"), w.newNode("b")
-	w.arm(a, 5)
-	w.arm(b, 5)
+	w.schedule(a, 5)
+	w.schedule(b, 5)
 	fired := w.advance(5)
 	// Both queued; cancel one before the drain loop reaches it.
-	w.disarm(a)
+	w.cancel(a)
 	got := w.drain(fired)
 	if len(got) != 1 || got[0] != "b" {
 		t.Fatalf("fired = %v, want [b]", got)
@@ -147,9 +143,9 @@ func TestWheelCancelQueued(t *testing.T) {
 func TestWheelRescheduleQueued(t *testing.T) {
 	w := newTestWheel()
 	n := w.newNode("n")
-	w.arm(n, 5)
+	w.schedule(n, 5)
 	fired := w.advance(5)
-	w.arm(n, 20) // reschedule before the drain loop fires it
+	w.schedule(n, 20) // reschedule before the drain loop fires it
 	if got := w.drain(fired); len(got) != 0 {
 		t.Fatalf("stale fire not suppressed: %v", got)
 	}
@@ -163,8 +159,8 @@ func TestWheelRescheduleQueued(t *testing.T) {
 func TestWheelRescheduleMovesDeadline(t *testing.T) {
 	w := newTestWheel()
 	n := w.newNode("n")
-	w.arm(n, 10)
-	w.arm(n, 500)
+	w.schedule(n, 10)
+	w.schedule(n, 500)
 	if w.count != 1 {
 		t.Fatalf("count = %d after reschedule", w.count)
 	}
@@ -182,7 +178,7 @@ func TestWheelExpiryOrder(t *testing.T) {
 	keys := []string{"c", "a", "b"}
 	ticks := []int64{30, 10, 20}
 	for i, k := range keys {
-		w.arm(w.newNode(k), ticks[i])
+		w.schedule(w.newNode(k), ticks[i])
 	}
 	got := w.drain(w.advance(100))
 	want := []string{"a", "b", "c"}
@@ -202,7 +198,7 @@ func TestWheelMassExpiryOneTick(t *testing.T) {
 	w := newTestWheel()
 	const n = 100_000
 	for i := 0; i < n; i++ {
-		w.arm(w.newNode("k"), 7)
+		w.schedule(w.newNode("k"), 7)
 	}
 	if w.count != n {
 		t.Fatalf("count = %d", w.count)
@@ -221,7 +217,7 @@ func TestWheelMassExpiryOneTick(t *testing.T) {
 func TestWheelNextEventTickSkipsEmptyBoundaries(t *testing.T) {
 	w := newTestWheel()
 	n := w.newNode("far")
-	w.arm(n, 70000) // level 2: 65536 ≤ delta < 65536·256
+	w.schedule(n, 70000) // level 2: 65536 ≤ delta < 65536·256
 	if got := w.nextEventTick(); got != 65536 {
 		t.Fatalf("nextEventTick = %d, want 65536 (level-2 cascade)", got)
 	}
@@ -246,7 +242,7 @@ func TestWheelNextEventTickLevelZeroAcrossBoundary(t *testing.T) {
 	w := newTestWheel()
 	w.advance(0x80)
 	n := w.newNode("wrap")
-	w.arm(n, 0x130) // delta 0xB0 < 256, slot beyond the 0x100 boundary
+	w.schedule(n, 0x130) // delta 0xB0 < 256, slot beyond the 0x100 boundary
 	if got := w.nextEventTick(); got != 0x130 {
 		t.Fatalf("nextEventTick = %d, want 0x130", got)
 	}
@@ -258,7 +254,7 @@ func TestWheelNextEventTickLevelZeroAcrossBoundary(t *testing.T) {
 func TestWheelAdvanceSkipsEmptySpans(t *testing.T) {
 	w := newTestWheel()
 	n := w.newNode("far")
-	w.arm(n, wheelSpan*2) // clamped to wheelSpan-1, parked in level 3
+	w.schedule(n, wheelSpan*2) // clamped to wheelSpan-1, parked in level 3
 	if fired := w.advance(wheelSpan - 2); len(fired) != 0 {
 		t.Fatalf("fired early: %v", w.drain(fired))
 	}
@@ -274,8 +270,8 @@ func TestWheelAdvanceSkipsEmptySpans(t *testing.T) {
 // reported, whether it is a level-0 deadline or an upper-level cascade.
 func TestWheelNextEventTickNearestWins(t *testing.T) {
 	w := newTestWheel()
-	w.arm(w.newNode("far"), 70000)
-	w.arm(w.newNode("near"), 200)
+	w.schedule(w.newNode("far"), 70000)
+	w.schedule(w.newNode("near"), 200)
 	if got := w.nextEventTick(); got != 200 {
 		t.Fatalf("nextEventTick = %d, want 200", got)
 	}
@@ -292,7 +288,7 @@ func TestWheelCascadePreservesManyTimers(t *testing.T) {
 	var arms []arm
 	for d := int64(1); d < 200_000; d = d*3 + 7 {
 		n := w.newNode("k")
-		w.arm(n, d)
+		w.schedule(n, d)
 		arms = append(arms, arm{n, d})
 	}
 	firedAt := make(map[uint32]int64)
