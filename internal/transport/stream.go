@@ -98,7 +98,7 @@ func NewStream(name string, ln net.Listener, o Options) *Stream {
 		name:  name,
 		ln:    ln,
 		o:     o,
-		inbox: make(chan inFrame, 4*o.BatchSize),
+		inbox: make(chan inFrame, 4*DefaultBatchSize),
 		done:  make(chan struct{}),
 		peers: make(map[string]*streamPeer),
 	}

@@ -34,10 +34,11 @@ import (
 )
 
 const (
-	// DefaultBatchSize is how many datagrams one ReadBatch/WriteBatch
-	// moves per syscall unless the caller sizes its rings otherwise. 32
-	// amortizes the ~1 µs kernel crossing to noise; a kernel socket's
-	// receive ring then holds 32 × MaxDatagram bytes, 280 KB.
+	// DefaultBatchSize is the most datagrams one udp-batch
+	// ReadBatch/WriteBatch moves per syscall, and the batch NewBatch sizes
+	// by default. 32 amortizes the ~1 µs kernel crossing to noise; a
+	// receive ring then holds 32 × MaxDatagram bytes, 280 KB, lent to a
+	// kernel socket's read lane only while it has datagrams.
 	DefaultBatchSize = 32
 	// MaxDatagram bounds one datagram: wire.MaxFrameLen, the longest frame
 	// the codec encodes. Every receive buffer is this long, so none
@@ -47,12 +48,13 @@ const (
 )
 
 // Message is one datagram slot in a batch. ReadBatch sets Data to a
-// datagram held in storage the conn owns — a kernel socket's receive ring,
-// a stream's frame buffer, a lossy endpoint's buffer its writer filled —
-// and takes that storage back on the next ReadBatch on the same conn. So
-// run one ReadBatch consumer per read lane (Fanout), and copy what must
-// outlive the stride. For writes the caller sets Data and Addr, and gets
-// Data back untouched when the write returns.
+// datagram held in storage the conn lends — a receive ring a kernel
+// socket borrowed, a stream's frame buffer, a lossy endpoint's buffer its
+// writer filled — and Data stays valid until the next ReadBatch on the
+// same conn, no longer: after that call the storage may be lent to another
+// conn. So run one ReadBatch consumer per read lane (Fanout), and copy
+// what must outlive the stride. For writes the caller sets Data and Addr,
+// and gets Data back untouched when the write returns.
 type Message struct {
 	Data []byte
 	Addr net.Addr
@@ -344,9 +346,6 @@ type Options struct {
 	// (default 1). Each socket is an independent read lane; the kernel
 	// hashes inbound flows across them.
 	Sockets int
-	// BatchSize caps datagrams per sendmmsg/recvmmsg (default
-	// DefaultBatchSize).
-	BatchSize int
 	// RecvBuffer is the per-socket SO_RCVBUF request in bytes (default
 	// 4 MiB): a fan-in burst of a full summary sweep must not overflow
 	// the socket before the read loop drains it.
@@ -356,9 +355,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Sockets <= 0 {
 		o.Sockets = 1
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = DefaultBatchSize
 	}
 	if o.RecvBuffer <= 0 {
 		o.RecvBuffer = 4 << 20

@@ -175,7 +175,7 @@ func TestUDPBatchSingleSocketPortsDistinct(t *testing.T) {
 		owner := make(map[string]int)
 		conns := make([]Conn, 0, 65)
 		for i := 0; i < 65; i++ {
-			c, err := ListenUDPBatch("127.0.0.1:0", Options{BatchSize: 1})
+			c, err := ListenUDPBatch("127.0.0.1:0", Options{})
 			if err != nil {
 				t.Fatalf("round %d bind %d: %v", round, i, err)
 			}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 	"unsafe"
@@ -20,7 +21,7 @@ const soReusePort = 0xf
 // ListenUDPBatch binds o.Sockets UDP sockets on addr (sharing the port
 // through SO_REUSEPORT when there are several) and returns a Conn whose
 // ReadBatch/WriteBatch are real recvmmsg/sendmmsg calls — up to
-// o.BatchSize datagrams per kernel crossing. With several
+// DefaultBatchSize datagrams per kernel crossing. With several
 // sockets the kernel hashes inbound flows across them; Fanout exposes
 // each as an independent read lane.
 func ListenUDPBatch(addr string, o Options) (Conn, error) {
@@ -58,7 +59,7 @@ func ListenUDPBatch(addr string, o Options) (Conn, error) {
 		}
 		uc := pc.(*net.UDPConn)
 		uc.SetReadBuffer(o.RecvBuffer)
-		bc, err := newBatchConn(uc, o, st)
+		bc, err := newBatchConn(uc, st)
 		if err != nil {
 			uc.Close()
 			closeAll()
@@ -84,59 +85,62 @@ type mmsghdr struct {
 }
 
 // batchConn is one kernel UDP socket driven through recvmmsg/sendmmsg on
-// its raw fd, parked on the runtime netpoller between batches. The rings
-// (headers, iovecs, sockaddr storage) are allocated once, and the receive
-// ring's datagram buffers on the first ReadBatch, so a socket only ever
-// written through holds none; a steady-state batch only rewrites header
-// fields and, on writes, iovec base pointers.
+// its raw fd, parked on the runtime netpoller between batches. The write
+// ring (headers, iovecs, sockaddr storage) is the conn's own; a receive
+// ring is lent from readRings for as long as the lane keeps finding
+// datagrams, so a parked lane, or one only ever written through, holds
+// none. A steady-state batch only rewrites header fields and, on writes,
+// iovec base pointers.
 type batchConn struct {
-	uc *net.UDPConn
-	rc syscall.RawConn
-	st *Stats
+	uc     *net.UDPConn
+	rc     syscall.RawConn
+	st     *Stats
+	closed atomic.Bool
 
-	rmu sync.Mutex // serializes ReadBatch and guards rr
+	rmu   sync.Mutex // serializes ReadBatch and guards the fields below
+	rr    *mmsgRing  // the lent receive ring; nil while the lane is parked
+	rms   []Message  // the caller's slots, during a ReadBatch
+	rcnt  int        // what the last recvmmsg returned
+	rerr  syscall.Errno
+	rwoke bool                  // recv's next call follows a netpoller wake
+	recvf func(fd uintptr) bool // c.recv, bound once so a read allocates nothing
+	cache addrCache
+
 	wmu sync.Mutex // serializes WriteBatch and guards wr
-	rr  *mmsgRing
 	wr  *mmsgRing
 }
 
-func newBatchConn(uc *net.UDPConn, o Options, st *Stats) (*batchConn, error) {
+func newBatchConn(uc *net.UDPConn, st *Stats) (*batchConn, error) {
 	rc, err := uc.SyscallConn()
 	if err != nil {
 		return nil, err
 	}
-	return &batchConn{
-		uc: uc, rc: rc, st: st,
-		rr: newMmsgRing(o.BatchSize),
-		wr: newMmsgRing(o.BatchSize),
-	}, nil
+	c := &batchConn{uc: uc, rc: rc, st: st, wr: newMmsgRing()}
+	c.recvf = c.recv
+	readRings.opened()
+	return c, nil
 }
 
 func (c *batchConn) Stats() *Stats { return c.st }
 
 // ReadBatch blocks until the socket is readable, then drains up to
-// len(ms) datagrams in one recvmmsg into the conn's receive ring.
+// len(ms) datagrams in one recvmmsg into a lent receive ring.
 // Truncated datagrams (larger than MaxDatagram) are counted and dropped;
 // the call loops until at least one intact datagram is delivered.
 func (c *batchConn) ReadBatch(ms []Message) (int, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	n := len(ms)
-	if n > len(c.rr.hs) {
-		n = len(c.rr.hs)
+	if len(ms) > DefaultBatchSize {
+		ms = ms[:DefaultBatchSize]
 	}
-	if n == 0 {
+	if len(ms) == 0 {
 		return 0, nil
 	}
-	if c.rr.bufs == nil {
-		c.rr.allocRead()
-	}
+	c.rms = ms
 	for {
-		for i := 0; i < n; i++ {
-			c.rr.prepareRead(i)
-		}
-		cnt, err := c.rawRecv(c.rr.hs[:n])
+		cnt, err := c.rawRecv()
 		if err != nil {
+			c.releaseRing()
 			return 0, err
 		}
 		out := 0
@@ -146,12 +150,12 @@ func (c *batchConn) ReadBatch(ms []Message) (int, error) {
 				c.st.Truncated.Add(1)
 				continue
 			}
-			addr := c.rr.cache.lookup(c.rr.sas[i][:h.hdr.Namelen])
+			addr := c.cache.lookup(c.rr.sas[i][:h.hdr.Namelen])
 			if addr == nil {
 				continue
 			}
-			// Data stays valid until the next ReadBatch rewrites the
-			// ring, per the contract.
+			// Data stays valid until the next ReadBatch on this conn: the
+			// lane keeps the ring until a recvmmsg there finds nothing.
 			ms[out].Data = c.rr.buf(i)[:h.n]
 			ms[out].Addr = addr
 			out++
@@ -163,26 +167,62 @@ func (c *batchConn) ReadBatch(ms []Message) (int, error) {
 	}
 }
 
-func (c *batchConn) rawRecv(hs []mmsghdr) (int, error) {
+func (c *batchConn) rawRecv() (int, error) {
 	for {
-		var cnt int
-		var errno syscall.Errno
-		err := c.rc.Read(func(fd uintptr) bool {
-			cnt, errno = recvmmsg(fd, hs, syscall.MSG_DONTWAIT)
-			return errno != syscall.EAGAIN
-		})
-		if err != nil {
+		c.rwoke = false
+		if err := c.rc.Read(c.recvf); err != nil {
 			return 0, err
 		}
-		switch errno {
+		switch c.rerr {
 		case 0:
-			return cnt, nil
+			return c.rcnt, nil
 		case syscall.EINTR:
 			continue
 		default:
-			return 0, os.NewSyscallError("recvmmsg", errno)
+			return 0, os.NewSyscallError("recvmmsg", c.rerr)
 		}
 	}
+}
+
+// recv is the rc.Read callback: one recvmmsg into the lane's ring, which
+// it borrows first if the lane holds none. EAGAIN means the lane is about
+// to park on the netpoller, so the ring goes back before it does. A lane
+// that enters holding no ring (its first read, or the one after an error)
+// first asks the socket whether anything is queued, so an idle lane parks
+// without borrowing; once the netpoller wakes it, it borrows straight away.
+func (c *batchConn) recv(fd uintptr) bool {
+	woke := c.rwoke
+	c.rwoke = true
+	if c.rr == nil {
+		if !woke && !queued(fd) {
+			return false
+		}
+		c.rr = readRings.get()
+	}
+	n := len(c.rms)
+	for i := 0; i < n; i++ {
+		c.rr.prepareRead(i)
+	}
+	c.rcnt, c.rerr = recvmmsg(fd, c.rr.hs[:n], syscall.MSG_DONTWAIT)
+	if c.rerr == syscall.EAGAIN {
+		c.releaseRing()
+		return false
+	}
+	return true
+}
+
+// releaseRing gives the lane's ring back to readRings. The caller's slots
+// are cleared first: they are the only other path to the ring, and an
+// idle read loop's batch would otherwise keep a ring alive that the free
+// list has trimmed, or point at one another lane is filling.
+func (c *batchConn) releaseRing() {
+	if c.rr == nil {
+		return
+	}
+	clear(c.rms)
+	r := c.rr
+	c.rr = nil
+	readRings.put(r)
 }
 
 // WriteBatch transmits every message via sendmmsg, retrying partial
@@ -270,7 +310,17 @@ func (c *batchConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	return n, err
 }
 
-func (c *batchConn) Close() error                      { return c.uc.Close() }
+// Close closes the socket and lowers readRings' cap by one. A ring the
+// lane still holds stays with it, since a read loop may be working on its
+// datagrams; the lane's next ReadBatch fails and gives the ring back.
+func (c *batchConn) Close() error {
+	err := c.uc.Close()
+	if c.closed.CompareAndSwap(false, true) {
+		readRings.closed()
+	}
+	return err
+}
+
 func (c *batchConn) LocalAddr() net.Addr               { return c.uc.LocalAddr() }
 func (c *batchConn) SetDeadline(t time.Time) error     { return c.uc.SetDeadline(t) }
 func (c *batchConn) SetReadDeadline(t time.Time) error { return c.uc.SetReadDeadline(t) }
@@ -278,23 +328,23 @@ func (c *batchConn) SetWriteDeadline(t time.Time) error {
 	return c.uc.SetWriteDeadline(t)
 }
 
-// mmsgRing is one direction's preallocated syscall scaffolding: headers,
-// one iovec per slot, and sockaddr storage the kernel reads (sends) or
-// writes (receives). A receive ring also owns one MaxDatagram buffer per
-// slot, in one block its iovecs point at for good.
+// mmsgRing is one direction's preallocated syscall scaffolding for
+// DefaultBatchSize datagrams: headers, one iovec per slot, and sockaddr
+// storage the kernel reads (sends) or writes (receives). A receive ring
+// also owns one MaxDatagram buffer per slot, in one block its iovecs point
+// at for good: 32 × 8,744 B, 280 KB.
 type mmsgRing struct {
-	hs    []mmsghdr
-	iovs  []syscall.Iovec
-	sas   [][syscall.SizeofSockaddrAny]byte
-	bufs  []byte
-	cache addrCache
+	hs   []mmsghdr
+	iovs []syscall.Iovec
+	sas  [][syscall.SizeofSockaddrAny]byte
+	bufs []byte
 }
 
-func newMmsgRing(n int) *mmsgRing {
+func newMmsgRing() *mmsgRing {
 	r := &mmsgRing{
-		hs:   make([]mmsghdr, n),
-		iovs: make([]syscall.Iovec, n),
-		sas:  make([][syscall.SizeofSockaddrAny]byte, n),
+		hs:   make([]mmsghdr, DefaultBatchSize),
+		iovs: make([]syscall.Iovec, DefaultBatchSize),
+		sas:  make([][syscall.SizeofSockaddrAny]byte, DefaultBatchSize),
 	}
 	for i := range r.hs {
 		r.hs[i].hdr.Iov = &r.iovs[i]
@@ -306,13 +356,15 @@ func newMmsgRing(n int) *mmsgRing {
 	return r
 }
 
-// allocRead gives a receive ring its datagram buffers.
-func (r *mmsgRing) allocRead() {
-	r.bufs = make([]byte, len(r.hs)*MaxDatagram)
+// newReadRing is a ring with its datagram buffers.
+func newReadRing() *mmsgRing {
+	r := newMmsgRing()
+	r.bufs = make([]byte, DefaultBatchSize*MaxDatagram)
 	for i := range r.iovs {
 		r.iovs[i].Base = &r.buf(i)[0]
 		r.iovs[i].SetLen(MaxDatagram)
 	}
+	return r
 }
 
 // buf is slot i's receive buffer.
@@ -345,10 +397,80 @@ func (r *mmsgRing) prepareWrite(i int, m *Message) bool {
 	return true
 }
 
+// ringPool is a free list of receive rings, all of one shape. A lane
+// borrows one only while its strides find datagrams (batchConn.recv), so
+// the rings a process holds follow how many lanes are mid-stride at once,
+// not how many sockets it has open. The list is a LIFO stack, so the ring
+// lent next is the one touched last, and it is capped at the number of
+// open udp-batch sockets: it never holds more rings than those sockets
+// would own outright, and it drains as they close. (sync.Pool would keep
+// or drop rings by GC cycle instead of by socket lifetime.)
+type ringPool struct {
+	mu   sync.Mutex
+	free []*mmsgRing
+	open int // open udp-batch sockets: the cap on len(free)
+	made int // rings allocated so far
+
+	onPut func(*mmsgRing) // test hook: sees each ring given back, under mu
+}
+
+// readRings lends every udp-batch socket of the process its receive rings.
+var readRings ringPool
+
+func (p *ringPool) get() *mmsgRing {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return r
+	}
+	p.made++
+	p.mu.Unlock()
+	return newReadRing()
+}
+
+func (p *ringPool) put(r *mmsgRing) {
+	p.mu.Lock()
+	if p.onPut != nil {
+		p.onPut(r)
+	}
+	if len(p.free) < p.open {
+		p.free = append(p.free, r)
+	}
+	p.mu.Unlock()
+}
+
+func (p *ringPool) opened() {
+	p.mu.Lock()
+	p.open++
+	p.mu.Unlock()
+}
+
+// closed lowers the cap by one socket and drops the rings above it.
+func (p *ringPool) closed() {
+	p.mu.Lock()
+	p.open--
+	for len(p.free) > p.open {
+		p.free[len(p.free)-1] = nil
+		p.free = p.free[:len(p.free)-1]
+	}
+	p.mu.Unlock()
+}
+
 func recvmmsg(fd uintptr, hs []mmsghdr, flags int) (int, syscall.Errno) {
 	n, _, e := syscall.Syscall6(sysRECVMMSG, fd,
 		uintptr(unsafe.Pointer(&hs[0])), uintptr(len(hs)), uintptr(flags), 0, 0)
 	return int(n), e
+}
+
+// queued reports whether a datagram waits on fd, without taking it and
+// without a buffer: a zero-byte MSG_PEEK. Only EAGAIN says no.
+func queued(fd uintptr) bool {
+	_, _, e := syscall.Syscall6(syscall.SYS_RECVFROM, fd, 0, 0,
+		syscall.MSG_PEEK|syscall.MSG_DONTWAIT, 0, 0)
+	return e != syscall.EAGAIN
 }
 
 func sendmmsg(fd uintptr, hs []mmsghdr, flags int) (int, syscall.Errno) {
