@@ -8,6 +8,8 @@ import (
 
 	"softstate/internal/statetable"
 	"softstate/internal/telemetry"
+	"softstate/internal/transport"
+	"softstate/internal/wire"
 )
 
 // ErrClosed is returned by operations on a closed endpoint.
@@ -43,8 +45,11 @@ func NewSender(conn net.PacketConn, peer net.Addr, cfg Config) (*Sender, error) 
 	}
 	s := &Sender{ss: NewSessions(conn, cfg)}
 	s.sess = s.ss.Session(peer)
-	s.wg.Add(1)
-	go s.readLoop()
+	lanes := s.ss.Conns()
+	s.wg.Add(len(lanes))
+	for _, lane := range lanes {
+		go s.readLoop(lane)
+	}
 	return s, nil
 }
 
@@ -106,18 +111,24 @@ func (s *Sender) Close() error {
 	return err
 }
 
-// readLoop drains inbound replies. A single-peer sender keeps the
-// original endpoint behavior and routes every datagram to its one
-// session, whatever the source address claims.
-func (s *Sender) readLoop() {
+// readLoop drains one transport lane of inbound replies in ReadBatch
+// strides. A single-peer sender keeps the original endpoint behavior and
+// routes every datagram to its one session, whatever the source address
+// claims.
+func (s *Sender) readLoop(c transport.Conn) {
 	defer s.wg.Done()
-	buf := make([]byte, 64*1024)
+	ms := transport.NewBatch(transport.DefaultBatchSize)
 	for {
-		m, _, ok := s.ss.Recv(buf)
-		if !ok {
+		cnt, err := c.ReadBatch(ms)
+		if err != nil {
 			return
 		}
-		s.sess.Handle(m)
+		for i := 0; i < cnt; i++ {
+			var m wire.Message
+			if s.ss.decode(ms[i].Data, &m) {
+				s.sess.Handle(m)
+			}
+		}
 	}
 }
 

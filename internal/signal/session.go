@@ -240,9 +240,10 @@ func (ss *Sessions) file(s *Session) {
 }
 
 // NewSessions creates the sender core over conn and starts its timers
-// (and, in summary mode, its sweeper). The caller owns the read loop:
-// drain with Recv and route each message to a Session. Call Shutdown,
-// then CloseEvents once the read loop has drained.
+// (and, in summary mode, its sweeper). The caller owns the read loops:
+// one per lane of Conns, routing each datagram through HandleDatagram (or
+// to a Session of its choosing). Call Shutdown, then CloseEvents once the
+// read loops have drained.
 func NewSessions(conn net.PacketConn, cfg Config) *Sessions {
 	ss := &Sessions{byID: make(map[uint32]*Session)}
 	ss.init(conn, cfg)
@@ -331,27 +332,20 @@ func (ss *Sessions) Peers() []*Session { return ss.peers.all() }
 // sessions.
 func (ss *Sessions) Live() int { return int(ss.live.Load()) }
 
-// Recv reads and decodes the next datagram, counting undecodable ones.
-// ok is false once the transport is closed.
-func (ss *Sessions) Recv(buf []byte) (m wire.Message, from net.Addr, ok bool) {
-	for {
-		n, from, err := ss.tp.bc.ReadFrom(buf)
-		if err != nil {
-			return wire.Message{}, nil, false
-		}
-		if derr := m.UnmarshalBinary(buf[:n]); derr != nil {
-			ss.ctrs.decodeErrors.Add(1)
-			continue
-		}
-		return m, from, true
-	}
-}
-
 // Conns returns the transport's independent read lanes (one per
-// SO_REUSEPORT socket on sharded backends, else one); multi-peer read
-// loops run one ReadBatch loop per lane and route datagrams through
-// HandleDatagram.
+// SO_REUSEPORT socket on sharded backends, else one); read loops run one
+// ReadBatch loop per lane and route datagrams through HandleDatagram.
 func (ss *Sessions) Conns() []transport.Conn { return transport.Fanout(ss.tp.bc) }
+
+// decode decodes one raw datagram into m, counting it if it does not
+// decode.
+func (ss *Sessions) decode(data []byte, m *wire.Message) bool {
+	if err := m.UnmarshalBinary(data); err != nil {
+		ss.ctrs.decodeErrors.Add(1)
+		return false
+	}
+	return true
+}
 
 // HandleDatagram decodes one raw datagram and routes it to the session
 // for its source address. It reports false only when no session exists
@@ -359,8 +353,7 @@ func (ss *Sessions) Conns() []transport.Conn { return transport.Fanout(ss.tp.bc)
 // counted internally and report true.
 func (ss *Sessions) HandleDatagram(data []byte, from net.Addr) bool {
 	var m wire.Message
-	if err := m.UnmarshalBinary(data); err != nil {
-		ss.ctrs.decodeErrors.Add(1)
+	if !ss.decode(data, &m) {
 		return true
 	}
 	sess, ok := ss.Lookup(from)

@@ -189,6 +189,7 @@ func (s *Stream) ReadBatch(ms []Message) (int, error) {
 		}
 	}
 	s.st.ReadDatagrams.Add(int64(n))
+	s.st.ReadFrames.Add(int64(n))
 	s.st.ReadBatchSize.Observe(time.Duration(n))
 	return n, nil
 }
@@ -515,6 +516,7 @@ func (p *streamPeer) flushLocked() error {
 		return err
 	}
 	p.s.st.WriteDatagrams.Add(int64(p.pending))
+	p.s.st.WriteFrames.Add(int64(p.pending))
 	p.s.st.WriteBatchSize.Observe(time.Duration(p.pending))
 	p.pending = 0
 	return nil

@@ -89,8 +89,8 @@ func TestStreamWriteBatchFlush(t *testing.T) {
 	if sent, err := cli.WriteBatch(ms); err != nil || sent != n {
 		t.Fatalf("WriteBatch = %d, %v", sent, err)
 	}
-	if got := cli.Stats().WriteDatagrams.Value(); got != n {
-		t.Fatalf("WriteDatagrams = %d, want %d", got, n)
+	if got, frames := cli.Stats().WriteDatagrams.Value(), cli.Stats().WriteFrames.Value(); got != n || frames != n {
+		t.Fatalf("WriteDatagrams = %d, WriteFrames = %d, want %d each: a stream frame is one datagram", got, frames, n)
 	}
 	// One hello write + at most a couple of flushes, far fewer than n.
 	if calls := cli.Stats().WriteCalls.Value(); calls >= n {

@@ -11,12 +11,15 @@
 //
 //   - udp-batch (ListenUDPBatch on linux/amd64 and linux/arm64): real
 //     sendmmsg/recvmmsg over one or more SO_REUSEPORT sockets, the
-//     production path. The x/net ipv4.PacketConn batch API would provide
-//     the same calls, but this repo builds hermetically with a zero-dep
-//     go.mod, so the two syscalls are bound directly.
+//     production path. A run of frames to one peer shares a kernel
+//     datagram up to the route's MTU (coalesce.go); every backend's
+//     reader splits it again. The x/net ipv4.PacketConn batch API would
+//     provide the same calls, but this repo builds hermetically with a
+//     zero-dep go.mod, so the two syscalls are bound directly.
 //   - plain (Wrap): any other net.PacketConn — kernel UDP sockets on other
 //     platforms, a test's or a demo's own wrapper around a link. One
-//     datagram per call, in the WriteTo order of the batch it is handed.
+//     datagram per call, in the WriteTo order of the batch it is handed;
+//     a coalesced datagram read is split into its frames.
 //   - stream (NewStream): length-prefixed datagram framing over TCP for
 //     the reliable variants, with reconnect-and-resume semantics.
 //
@@ -34,21 +37,23 @@ import (
 )
 
 const (
-	// DefaultBatchSize is the most datagrams one udp-batch
-	// ReadBatch/WriteBatch moves per syscall, and the batch NewBatch sizes
-	// by default. 32 amortizes the ~1 µs kernel crossing to noise; a
-	// receive ring then holds 32 × MaxDatagram bytes, 280 KB, lent to a
-	// kernel socket's read lane only while it has datagrams.
+	// DefaultBatchSize is the most frames one udp-batch WriteBatch lays
+	// out per sendmmsg and the most datagrams ReadBatch takes per
+	// recvmmsg, and the batch NewBatch sizes by default. 32 amortizes the
+	// ~1 µs kernel crossing to noise; a receive ring then holds
+	// 32 × MaxDatagram bytes, 280 KB, lent to a kernel socket's read lane
+	// only while it has datagrams.
 	DefaultBatchSize = 32
 	// MaxDatagram bounds one datagram: wire.MaxFrameLen, the longest frame
-	// the codec encodes. Every receive buffer is this long, so none
-	// truncates a legal datagram, and anything longer is no frame: a
-	// udp-batch ring counts it in Stats.Truncated, a stream refuses it.
+	// the codec encodes, and the most a coalesced datagram holds. Every
+	// receive buffer is this long, so none truncates a legal datagram,
+	// and anything longer is no frame: a udp-batch ring counts it in
+	// Stats.Truncated, a stream refuses it.
 	MaxDatagram = wire.MaxFrameLen
 )
 
-// Message is one datagram slot in a batch. ReadBatch sets Data to a
-// datagram held in storage the conn lends — a receive ring a kernel
+// Message is one frame slot in a batch. ReadBatch sets Data to a frame
+// held in storage the conn lends — a receive ring a kernel
 // socket borrowed, a stream's frame buffer, a lossy endpoint's buffer its
 // writer filled — and Data stays valid until the next ReadBatch on the
 // same conn, no longer: after that call the storage may be lent to another
@@ -70,7 +75,7 @@ func NewBatch(n int) []Message {
 }
 
 // Conn is a net.PacketConn that can additionally move whole batches per
-// call. ReadBatch blocks until at least one datagram is available, fills
+// call. ReadBatch blocks until at least one frame is available, fills
 // up to len(ms) slots, and returns the count; WriteBatch transmits every
 // message (retrying partial kernel completions) and returns how many the
 // transport accepted — per-message temporary failures count as accepted,
@@ -108,39 +113,54 @@ func As(pc net.PacketConn) Conn {
 // Stats counts a conn's kernel-boundary activity. The fields are
 // value-embedded telemetry instruments, so reading them is free and a
 // metrics registry can expose them without a second set of increments.
-// Batch-size histograms observe datagram counts (1 unit = 1 datagram,
-// stored in the histogram's duration domain).
+// Datagrams are what crossed the kernel; frames are what callers handed in
+// and were handed out. They differ only where the udp-batch backend
+// coalesces a run of frames into one datagram (coalesce.go); everywhere
+// else a datagram is one frame. Batch-size histograms observe datagram
+// counts per call (1 unit = 1 datagram, stored in the histogram's duration
+// domain).
 type Stats struct {
 	ReadCalls      telemetry.Counter // read syscalls (or transport reads)
-	ReadDatagrams  telemetry.Counter // datagrams delivered to ReadBatch/ReadFrom
+	ReadDatagrams  telemetry.Counter // datagrams the reads took, dropped ones included
+	ReadFrames     telemetry.Counter // frames delivered to ReadBatch/ReadFrom
 	WriteCalls     telemetry.Counter // write syscalls (or transport writes)
 	WriteDatagrams telemetry.Counter // datagrams handed to the kernel
+	WriteFrames    telemetry.Counter // frames the written datagrams carried
 	Truncated      telemetry.Counter // oversized inbound datagrams dropped
+	// Malformed counts inbound datagrams dropped whole: a source address
+	// that does not decode, or a coalesced datagram whose lengths do not
+	// tile it.
+	Malformed      telemetry.Counter
 	ReadBatchSize  telemetry.Histogram
 	WriteBatchSize telemetry.Histogram
 }
 
-// ObserveRead records one read call that delivered dgrams datagrams.
+// ObserveRead records one read call that delivered dgrams datagrams of
+// one frame each.
 func (s *Stats) ObserveRead(dgrams int64) {
+	s.observeReadCall(dgrams)
+	s.ReadFrames.Add(dgrams)
+}
+
+// observeReadCall records one read call that took dgrams datagrams; the
+// frames they hold are counted as they are delivered.
+func (s *Stats) observeReadCall(dgrams int64) {
 	s.ReadCalls.Add(1)
 	s.ReadDatagrams.Add(dgrams)
 	s.ReadBatchSize.Observe(time.Duration(dgrams))
 }
 
-// ObserveWrite records one write call that took dgrams datagrams.
-func (s *Stats) ObserveWrite(dgrams int64) {
+// ObserveWrite records one write call that took dgrams datagrams of one
+// frame each.
+func (s *Stats) ObserveWrite(dgrams int64) { s.observeWrite(dgrams, dgrams) }
+
+// observeWrite records one write call that sent frames frames in dgrams
+// datagrams.
+func (s *Stats) observeWrite(frames, dgrams int64) {
 	s.WriteCalls.Add(1)
 	s.WriteDatagrams.Add(dgrams)
+	s.WriteFrames.Add(frames)
 	s.WriteBatchSize.Observe(time.Duration(dgrams))
-}
-
-// DatagramsPerWrite returns transmitted datagrams per write syscall so
-// far (0 before the first write).
-func (s *Stats) DatagramsPerWrite() float64 {
-	if c := s.WriteCalls.Value(); c > 0 {
-		return float64(s.WriteDatagrams.Value()) / float64(c)
-	}
-	return 0
 }
 
 // Register exposes the counters and batch-size histograms on reg under
@@ -156,9 +176,14 @@ func (s *Stats) Register(reg *telemetry.Registry, labels telemetry.Labels) {
 	}, &s.ReadCalls)
 	reg.RegisterCounter(telemetry.Opts{
 		Name:   "softstate_transport_read_datagrams_total",
-		Help:   "Datagrams delivered by the transport read path.",
+		Help:   "Datagrams the transport read path took, dropped ones included.",
 		Labels: labels,
 	}, &s.ReadDatagrams)
+	reg.RegisterCounter(telemetry.Opts{
+		Name:   "softstate_transport_read_frames_total",
+		Help:   "Frames the transport read path delivered (a coalesced datagram carries several).",
+		Labels: labels,
+	}, &s.ReadFrames)
 	reg.RegisterCounter(telemetry.Opts{
 		Name:   "softstate_transport_write_syscalls_total",
 		Help:   "Transport write syscalls (sendmmsg/sendto/stream flushes).",
@@ -166,14 +191,24 @@ func (s *Stats) Register(reg *telemetry.Registry, labels telemetry.Labels) {
 	}, &s.WriteCalls)
 	reg.RegisterCounter(telemetry.Opts{
 		Name:   "softstate_transport_write_datagrams_total",
-		Help:   "Datagrams handed to the transport write path.",
+		Help:   "Datagrams the transport write path handed to the kernel.",
 		Labels: labels,
 	}, &s.WriteDatagrams)
+	reg.RegisterCounter(telemetry.Opts{
+		Name:   "softstate_transport_write_frames_total",
+		Help:   "Frames the transport write path sent (a coalesced datagram carries several).",
+		Labels: labels,
+	}, &s.WriteFrames)
 	reg.RegisterCounter(telemetry.Opts{
 		Name:   "softstate_transport_truncated_total",
 		Help:   "Oversized inbound datagrams dropped by the batch rings.",
 		Labels: labels,
 	}, &s.Truncated)
+	reg.RegisterCounter(telemetry.Opts{
+		Name:   "softstate_transport_malformed_total",
+		Help:   "Inbound datagrams dropped whole: an undecodable source address, or a coalesced datagram whose lengths overrun it.",
+		Labels: labels,
+	}, &s.Malformed)
 	reg.RegisterHistogram(telemetry.Opts{
 		Name:   "softstate_transport_read_batch_datagrams",
 		Help:   "Datagrams per read syscall (batch-size distribution).",
@@ -214,14 +249,17 @@ func isTemporary(err error) bool {
 
 // wrapConn adapts any net.PacketConn to Conn: one datagram per call, with
 // syscall accounting, in the exact WriteTo call order of the batch it is
-// handed. ReadBatch reads into the conn's own buffer, allocated on the
-// first call.
+// handed. Reads take each datagram into the conn's own buffer, allocated
+// on the first read, and split a coalesced one (a udp-batch writer's)
+// back into its frames; frames beyond the caller's slots wait there for
+// the next read.
 type wrapConn struct {
 	net.PacketConn
 	st Stats
 
-	rmu  sync.Mutex // serializes ReadBatch and guards rbuf
+	rmu  sync.Mutex // serializes reads and guards rbuf and cur
 	rbuf []byte
+	cur  frameCursor // the frames of rbuf's datagram not yet delivered
 }
 
 // Wrap adapts pc to the batch interface (pass-through batching: each slot
@@ -230,12 +268,15 @@ func Wrap(pc net.PacketConn) Conn { return &wrapConn{PacketConn: pc} }
 
 func (c *wrapConn) Stats() *Stats { return &c.st }
 
+// ReadFrom copies the next frame into p.
 func (c *wrapConn) ReadFrom(p []byte) (int, net.Addr, error) {
-	n, addr, err := c.PacketConn.ReadFrom(p)
-	if err == nil {
-		c.st.ObserveRead(1)
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	var m [1]Message
+	if _, err := c.readLocked(m[:]); err != nil {
+		return 0, nil, err
 	}
-	return n, addr, err
+	return copy(p, m[0].Data), m[0].Addr, nil
 }
 
 func (c *wrapConn) WriteTo(p []byte, addr net.Addr) (int, error) {
@@ -246,22 +287,38 @@ func (c *wrapConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	return n, err
 }
 
+// ReadBatch delivers the frames of one datagram, as many as ms holds.
 func (c *wrapConn) ReadBatch(ms []Message) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
 	}
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
+	return c.readLocked(ms)
+}
+
+// readLocked fills ms from the pending frames, reading a datagram first
+// when none is pending; c.rmu is held.
+func (c *wrapConn) readLocked(ms []Message) (int, error) {
 	if c.rbuf == nil {
 		c.rbuf = make([]byte, MaxDatagram)
 	}
-	n, addr, err := c.ReadFrom(c.rbuf)
-	if err != nil {
-		return 0, err
+	for !c.cur.next(&ms[0]) {
+		n, addr, err := c.PacketConn.ReadFrom(c.rbuf)
+		if err != nil {
+			return 0, err
+		}
+		c.st.observeReadCall(1)
+		if !c.cur.load(c.rbuf[:n], addr) {
+			c.st.Malformed.Add(1)
+		}
 	}
-	ms[0].Data = c.rbuf[:n]
-	ms[0].Addr = addr
-	return 1, nil
+	out := 1
+	for out < len(ms) && c.cur.next(&ms[out]) {
+		out++
+	}
+	c.st.ReadFrames.Add(int64(out))
+	return out, nil
 }
 
 func (c *wrapConn) WriteBatch(ms []Message) (int, error) {

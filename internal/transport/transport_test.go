@@ -24,7 +24,9 @@ func listenBatch(t *testing.T, o Options) Conn {
 
 // TestUDPBatchRoundTrip pushes a full batch through WriteBatch and drains
 // it with ReadBatch, checking payloads, source addresses, and that the
-// syscall counters actually show batching (fewer calls than datagrams).
+// counters show the frames coalesced into fewer kernel datagrams, sent in
+// fewer calls than frames. (TestCoalescingBudget checks that one sendmmsg
+// carries several datagrams.)
 func TestUDPBatchRoundTrip(t *testing.T) {
 	rx := listenBatch(t, Options{})
 	tx := listenBatch(t, Options{})
@@ -62,18 +64,17 @@ func TestUDPBatchRoundTrip(t *testing.T) {
 		}
 	}
 
+	// The 16 frames share one destination, so they cross the kernel
+	// coalesced, in at most 3 datagrams (1 on a loopback budget).
 	ts, rs := tx.Stats(), rx.Stats()
-	if ts.WriteDatagrams.Value() != n {
-		t.Fatalf("WriteDatagrams = %d, want %d", ts.WriteDatagrams.Value(), n)
+	if ts.WriteFrames.Value() != n || rs.ReadFrames.Value() != n {
+		t.Fatalf("frames written %d, read %d; want %d each", ts.WriteFrames.Value(), rs.ReadFrames.Value(), n)
+	}
+	if w, r := ts.WriteDatagrams.Value(), rs.ReadDatagrams.Value(); w > 3 || r != w {
+		t.Fatalf("kernel datagrams written %d, read %d; want the same count, at most 3", w, r)
 	}
 	if ts.WriteCalls.Value() >= n {
-		t.Fatalf("WriteCalls = %d: sendmmsg did not batch %d datagrams", ts.WriteCalls.Value(), n)
-	}
-	if rs.ReadDatagrams.Value() != n {
-		t.Fatalf("ReadDatagrams = %d, want %d", rs.ReadDatagrams.Value(), n)
-	}
-	if got := ts.DatagramsPerWrite(); got < 2 {
-		t.Fatalf("DatagramsPerWrite = %v, want >= 2", got)
+		t.Fatalf("WriteCalls = %d: sendmmsg did not batch %d frames", ts.WriteCalls.Value(), n)
 	}
 }
 

@@ -86,28 +86,37 @@ type mmsghdr struct {
 
 // batchConn is one kernel UDP socket driven through recvmmsg/sendmmsg on
 // its raw fd, parked on the runtime netpoller between batches. The write
-// ring (headers, iovecs, sockaddr storage) is the conn's own; a receive
-// ring is lent from readRings for as long as the lane keeps finding
-// datagrams, so a parked lane, or one only ever written through, holds
-// none. A steady-state batch only rewrites header fields and, on writes,
-// iovec base pointers.
+// ring (headers, iovecs, sockaddr storage, length prefixes) is the conn's
+// own; a receive ring is lent from readRings for as long as the lane keeps
+// finding datagrams or holds frames not yet delivered, so a parked lane,
+// or one only ever written through, holds none. A steady-state batch only
+// rewrites header fields and, on writes, iovecs and length prefixes.
 type batchConn struct {
 	uc     *net.UDPConn
 	rc     syscall.RawConn
 	st     *Stats
 	closed atomic.Bool
 
-	rmu   sync.Mutex // serializes ReadBatch and guards the fields below
-	rr    *mmsgRing  // the lent receive ring; nil while the lane is parked
-	rms   []Message  // the caller's slots, during a ReadBatch
-	rcnt  int        // what the last recvmmsg returned
+	rmu   sync.Mutex  // serializes reads and guards the fields below
+	rr    *mmsgRing   // the lent receive ring; nil while the lane is parked
+	rms   []Message   // the caller's slots, during a ReadBatch
+	rcnt  int         // what the last recvmmsg returned
+	rnext int         // the ring's next datagram to deliver from; rcnt when drained
+	cur   frameCursor // the frames of datagram rnext-1 not yet delivered
 	rerr  syscall.Errno
 	rwoke bool                  // recv's next call follows a netpoller wake
 	recvf func(fd uintptr) bool // c.recv, bound once so a read allocates nothing
 	cache addrCache
+	rone  [1]Message // ReadFrom's slot
 
-	wmu sync.Mutex // serializes WriteBatch and guards wr
-	wr  *mmsgRing
+	wmu     sync.Mutex // serializes WriteBatch and guards the fields below
+	wr      *writeRing
+	whs     []mmsghdr // the headers of the sendmmsg in flight
+	wcnt    int       // what it returned
+	werr    syscall.Errno
+	sendf   func(fd uintptr) bool           // c.send, bound once so a write allocates nothing
+	budgets map[[16]byte]int                // payload budget per destination IP
+	mtu     func(*net.UDPAddr) (int, error) // the route MTU probe: routeMTU, or a test's
 }
 
 func newBatchConn(uc *net.UDPConn, st *Stats) (*batchConn, error) {
@@ -115,21 +124,28 @@ func newBatchConn(uc *net.UDPConn, st *Stats) (*batchConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &batchConn{uc: uc, rc: rc, st: st, wr: newMmsgRing()}
-	c.recvf = c.recv
+	c := &batchConn{uc: uc, rc: rc, st: st, wr: new(writeRing), mtu: routeMTU}
+	c.recvf, c.sendf = c.recv, c.send
 	readRings.opened()
 	return c, nil
 }
 
 func (c *batchConn) Stats() *Stats { return c.st }
 
-// ReadBatch blocks until the socket is readable, then drains up to
-// len(ms) datagrams in one recvmmsg into a lent receive ring.
-// Truncated datagrams (larger than MaxDatagram) are counted and dropped;
-// the call loops until at least one intact datagram is delivered.
+// ReadBatch delivers up to len(ms) frames: first those still pending from
+// the last recvmmsg, and only when none is pending, the datagrams of a new
+// recvmmsg (up to len(ms) of them) into a lent receive ring. A coalesced
+// datagram is split into its frames; those beyond ms wait behind a cursor
+// in the still-lent ring. Truncated datagrams (larger than MaxDatagram)
+// and malformed ones are counted and dropped; the call loops until at
+// least one frame is delivered.
 func (c *batchConn) ReadBatch(ms []Message) (int, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
+	return c.readLocked(ms)
+}
+
+func (c *batchConn) readLocked(ms []Message) (int, error) {
 	if len(ms) > DefaultBatchSize {
 		ms = ms[:DefaultBatchSize]
 	}
@@ -137,34 +153,51 @@ func (c *batchConn) ReadBatch(ms []Message) (int, error) {
 		return 0, nil
 	}
 	c.rms = ms
+	if c.closed.Load() {
+		// Frames still pending die with the socket.
+		c.rnext, c.cur = c.rcnt, frameCursor{}
+	}
 	for {
+		if out := c.deliver(ms); out > 0 {
+			c.st.ReadFrames.Add(int64(out))
+			return out, nil
+		}
 		cnt, err := c.rawRecv()
 		if err != nil {
 			c.releaseRing()
 			return 0, err
 		}
-		out := 0
-		for i := 0; i < cnt; i++ {
-			h := &c.rr.hs[i]
-			if h.hdr.Flags&syscall.MSG_TRUNC != 0 {
-				c.st.Truncated.Add(1)
-				continue
-			}
-			addr := c.cache.lookup(c.rr.sas[i][:h.hdr.Namelen])
-			if addr == nil {
-				continue
-			}
-			// Data stays valid until the next ReadBatch on this conn: the
-			// lane keeps the ring until a recvmmsg there finds nothing.
-			ms[out].Data = c.rr.buf(i)[:h.n]
-			ms[out].Addr = addr
+		c.st.observeReadCall(int64(cnt))
+		c.rnext = 0
+	}
+}
+
+// deliver fills ms from the frames the ring still holds. Data stays valid
+// until the next read on this conn: the lane keeps the ring until a
+// recvmmsg there finds nothing.
+func (c *batchConn) deliver(ms []Message) int {
+	out := 0
+	for out < len(ms) {
+		if c.cur.next(&ms[out]) {
 			out++
+			continue
 		}
-		if out > 0 {
-			c.st.ObserveRead(int64(out))
-			return out, nil
+		if c.rnext >= c.rcnt {
+			break
+		}
+		i := c.rnext
+		c.rnext++
+		h := &c.rr.hs[i]
+		if h.hdr.Flags&syscall.MSG_TRUNC != 0 {
+			c.st.Truncated.Add(1)
+			continue
+		}
+		addr := c.cache.lookup(c.rr.sas[i][:h.hdr.Namelen])
+		if addr == nil || !c.cur.load(c.rr.buf(i)[:h.n], addr) {
+			c.st.Malformed.Add(1)
 		}
 	}
+	return out
 }
 
 func (c *batchConn) rawRecv() (int, error) {
@@ -212,37 +245,36 @@ func (c *batchConn) recv(fd uintptr) bool {
 }
 
 // releaseRing gives the lane's ring back to readRings. The caller's slots
-// are cleared first: they are the only other path to the ring, and an
-// idle read loop's batch would otherwise keep a ring alive that the free
-// list has trimmed, or point at one another lane is filling.
+// and the frame cursor are cleared first: they are the only other paths to
+// the ring, and an idle read loop's batch would otherwise keep a ring
+// alive that the free list has trimmed, or point at one another lane is
+// filling. Only a drained lane gets here, so no frame is lost.
 func (c *batchConn) releaseRing() {
 	if c.rr == nil {
 		return
 	}
 	clear(c.rms)
+	c.cur, c.rcnt, c.rnext = frameCursor{}, 0, 0
 	r := c.rr
 	c.rr = nil
 	readRings.put(r)
 }
 
 // WriteBatch transmits every message via sendmmsg, retrying partial
-// kernel completions until the whole batch is out. Messages whose Addr is
-// not a *net.UDPAddr fall back to one WriteTo each.
+// kernel completions until the whole batch is out. Each run of
+// consecutive messages to one destination goes out in as few datagrams as
+// fit that destination's budget (coalesce.go), gathered straight from the
+// callers' frames; a lone frame, or one too long to share, goes out as
+// itself. Messages whose Addr is not a *net.UDPAddr fall back to one
+// WriteTo each.
 func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	written := 0
 	for written < len(ms) {
 		chunk := ms[written:]
-		limit := len(c.wr.hs)
-		if len(chunk) < limit {
-			limit = len(chunk)
-		}
-		prep := 0
-		for prep < limit && c.wr.prepareWrite(prep, &chunk[prep]) {
-			prep++
-		}
-		if prep == 0 {
+		dgrams := c.prepareWrite(chunk)
+		if dgrams == 0 {
 			// Exotic addr type or empty payload: single-datagram path.
 			if _, err := c.uc.WriteTo(chunk[0].Data, chunk[0].Addr); err != nil && !isTemporary(err) {
 				return written, err
@@ -251,55 +283,170 @@ func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 			written++
 			continue
 		}
-		sent, err := writeChunks(prep, func(off int) (int, error) {
-			cnt, serr := c.rawSend(c.wr.hs[off:prep])
+		sent, err := writeChunks(dgrams, func(off int) (int, error) {
+			cnt, serr := c.rawSend(c.wr.hs[off:dgrams])
 			if serr == nil && cnt > 0 {
-				c.st.ObserveWrite(int64(cnt))
+				c.st.observeWrite(int64(c.wr.frames(off, off+cnt)), int64(cnt))
 			}
 			return cnt, serr
 		})
-		written += sent
+		written += c.wr.frames(0, sent)
 		if err != nil {
 			return written, err
 		}
-		if sent < prep {
+		if sent < dgrams {
 			return written, nil // kernel made no progress; unreachable in practice
 		}
 	}
 	return written, nil
 }
 
+// prepareWrite lays out the leading messages of ms in the write ring, as
+// many as one sendmmsg takes (DefaultBatchSize frames), and returns how
+// many datagrams it laid out: 0 when ms[0] cannot take the raw path.
+func (c *batchConn) prepareWrite(ms []Message) int {
+	r := c.wr
+	ms = ms[:min(len(ms), DefaultBatchSize)]
+	d, iov := 0, 0
+	for f := 0; f < len(ms); d++ {
+		ua, ok := ms[f].Addr.(*net.UDPAddr)
+		if !ok || len(ms[f].Data) == 0 {
+			break
+		}
+		salen := encodeSockaddr(&r.sas[d], ua)
+		if salen == 0 {
+			break
+		}
+		// Only a run of two or more needs the budget, and so the probe.
+		k := 1
+		if f+1 < len(ms) && sameDest(ms[f+1].Addr, ua) {
+			k = planDatagram(ms[f:], c.budget(ua))
+		}
+		h, first := &r.hs[d], iov
+		h.hdr.Name = &r.sas[d][0]
+		h.hdr.Namelen = salen
+		h.hdr.Iov = &r.iovs[first]
+		h.hdr.Flags = 0
+		h.n = 0
+		if k == 1 {
+			setIovec(&r.iovs[iov], ms[f].Data)
+			iov++
+		} else {
+			for j := f; j < f+k; j++ {
+				setIovec(&r.iovs[iov], frameHeader(&r.prefixes[j], j == f, len(ms[j].Data)))
+				setIovec(&r.iovs[iov+1], ms[j].Data)
+				iov += 2
+			}
+		}
+		// Iovlen is uint64 on both tagged architectures; the frozen
+		// syscall package has no SetIovlen.
+		h.hdr.Iovlen = uint64(iov - first)
+		f += k
+		r.ends[d] = uint8(f)
+	}
+	return d
+}
+
+func setIovec(v *syscall.Iovec, b []byte) {
+	v.Base = &b[0]
+	v.SetLen(len(b))
+}
+
+// maxBudgets bounds a conn's budget cache. A conn that has sent runs to
+// more destination IPs than this starts the cache over, so a long-lived
+// server acking many transient clients holds at most maxBudgets entries
+// (a few KB) and probes again only the IPs it still writes runs to.
+const maxBudgets = 256
+
+// budget is the payload budget towards ua's IP, probed once per IP while
+// the cache holds it. The probe runs under wmu: a socket, a connect and a
+// getsockopt, a few microseconds, paid once per IP per cache generation.
+func (c *batchConn) budget(ua *net.UDPAddr) int {
+	var ip [16]byte
+	v4 := ua.IP.To4()
+	if v4 != nil {
+		ip[10], ip[11] = 0xff, 0xff
+		copy(ip[12:], v4)
+	} else {
+		copy(ip[:], ua.IP)
+	}
+	b, ok := c.budgets[ip]
+	if !ok {
+		mtu, err := c.mtu(ua)
+		b = payloadBudget(mtu, err, v4 == nil)
+		if c.budgets == nil {
+			c.budgets = make(map[[16]byte]int)
+		} else if len(c.budgets) >= maxBudgets {
+			clear(c.budgets)
+		}
+		c.budgets[ip] = b
+	}
+	return b
+}
+
+// routeMTU reads the kernel's route MTU towards ua's IP: IP_MTU (IPV6_MTU)
+// on a UDP socket connected to it. Connecting sends nothing.
+func routeMTU(ua *net.UDPAddr) (int, error) {
+	family, level, opt := syscall.AF_INET, syscall.IPPROTO_IP, syscall.IP_MTU
+	var sa syscall.Sockaddr
+	if v4 := ua.IP.To4(); v4 != nil {
+		sa = &syscall.SockaddrInet4{Port: ua.Port, Addr: [4]byte(v4)}
+	} else {
+		v6 := ua.IP.To16()
+		if v6 == nil {
+			return 0, syscall.EAFNOSUPPORT
+		}
+		family, level, opt = syscall.AF_INET6, syscall.IPPROTO_IPV6, syscall.IPV6_MTU
+		sa = &syscall.SockaddrInet6{Port: ua.Port, Addr: [16]byte(v6)}
+	}
+	fd, err := syscall.Socket(family, syscall.SOCK_DGRAM|syscall.SOCK_CLOEXEC, 0)
+	if err != nil {
+		return 0, err
+	}
+	defer syscall.Close(fd)
+	if err := syscall.Connect(fd, sa); err != nil {
+		return 0, err
+	}
+	return syscall.GetsockoptInt(fd, level, opt)
+}
+
 func (c *batchConn) rawSend(hs []mmsghdr) (int, error) {
+	c.whs = hs
 	for {
-		var cnt int
-		var errno syscall.Errno
-		err := c.rc.Write(func(fd uintptr) bool {
-			cnt, errno = sendmmsg(fd, hs, syscall.MSG_DONTWAIT)
-			return errno != syscall.EAGAIN
-		})
-		if err != nil {
+		if err := c.rc.Write(c.sendf); err != nil {
 			return 0, err
 		}
-		switch errno {
+		switch c.werr {
 		case 0:
-			return cnt, nil
+			return c.wcnt, nil
 		case syscall.EINTR:
 			continue
 		default:
-			return 0, os.NewSyscallError("sendmmsg", errno)
+			return 0, os.NewSyscallError("sendmmsg", c.werr)
 		}
 	}
 }
 
-// Single-datagram net.PacketConn surface, counted like one-message
-// batches so plain and batched paths share one accounting.
+// send is the rc.Write callback: one sendmmsg of c.whs.
+func (c *batchConn) send(fd uintptr) bool {
+	c.wcnt, c.werr = sendmmsg(fd, c.whs, syscall.MSG_DONTWAIT)
+	return c.werr != syscall.EAGAIN
+}
 
+// Single-frame net.PacketConn surface, counted like one-message batches
+// so plain and batched paths share one accounting.
+
+// ReadFrom copies the next frame into p: a one-slot ReadBatch, so it
+// splits coalesced datagrams and shares the ring and cursor with it.
 func (c *batchConn) ReadFrom(p []byte) (int, net.Addr, error) {
-	n, addr, err := c.uc.ReadFrom(p)
-	if err == nil {
-		c.st.ObserveRead(1)
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if _, err := c.readLocked(c.rone[:]); err != nil {
+		return 0, nil, err
 	}
-	return n, addr, err
+	m := c.rone[0]
+	c.rone[0] = Message{}
+	return copy(p, m.Data), m.Addr, nil
 }
 
 func (c *batchConn) WriteTo(p []byte, addr net.Addr) (int, error) {
@@ -328,11 +475,10 @@ func (c *batchConn) SetWriteDeadline(t time.Time) error {
 	return c.uc.SetWriteDeadline(t)
 }
 
-// mmsgRing is one direction's preallocated syscall scaffolding for
-// DefaultBatchSize datagrams: headers, one iovec per slot, and sockaddr
-// storage the kernel reads (sends) or writes (receives). A receive ring
-// also owns one MaxDatagram buffer per slot, in one block its iovecs point
-// at for good: 32 × 8,744 B, 280 KB.
+// mmsgRing is the preallocated recvmmsg scaffolding for DefaultBatchSize
+// datagrams: headers, one iovec per slot, sockaddr storage the kernel
+// writes, and one MaxDatagram buffer per slot, in one block its iovecs
+// point at for good: 32 × 8,744 B, 280 KB.
 type mmsgRing struct {
 	hs   []mmsghdr
 	iovs []syscall.Iovec
@@ -340,11 +486,12 @@ type mmsgRing struct {
 	bufs []byte
 }
 
-func newMmsgRing() *mmsgRing {
+func newReadRing() *mmsgRing {
 	r := &mmsgRing{
 		hs:   make([]mmsghdr, DefaultBatchSize),
 		iovs: make([]syscall.Iovec, DefaultBatchSize),
 		sas:  make([][syscall.SizeofSockaddrAny]byte, DefaultBatchSize),
+		bufs: make([]byte, DefaultBatchSize*MaxDatagram),
 	}
 	for i := range r.hs {
 		r.hs[i].hdr.Iov = &r.iovs[i]
@@ -352,15 +499,6 @@ func newMmsgRing() *mmsgRing {
 		// syscall package has no SetIovlen.
 		r.hs[i].hdr.Iovlen = 1
 		r.hs[i].hdr.Name = &r.sas[i][0]
-	}
-	return r
-}
-
-// newReadRing is a ring with its datagram buffers.
-func newReadRing() *mmsgRing {
-	r := newMmsgRing()
-	r.bufs = make([]byte, DefaultBatchSize*MaxDatagram)
-	for i := range r.iovs {
 		r.iovs[i].Base = &r.buf(i)[0]
 		r.iovs[i].SetLen(MaxDatagram)
 	}
@@ -378,23 +516,30 @@ func (r *mmsgRing) prepareRead(i int) {
 	r.hs[i].n = 0
 }
 
-// prepareWrite points slot i at m, reporting false for addresses the raw
-// path cannot encode (the caller falls back to WriteTo).
-func (r *mmsgRing) prepareWrite(i int, m *Message) bool {
-	ua, ok := m.Addr.(*net.UDPAddr)
-	if !ok || len(m.Data) == 0 {
-		return false
+// writeRing is a conn's sendmmsg scaffolding for one call of up to
+// DefaultBatchSize frames: a header and a sockaddr per datagram, and per
+// frame up to two iovecs, its length prefix and itself, with the prefix's
+// bytes. So a coalesced datagram is gathered from the callers' frames and
+// the prefixes; no payload byte is copied. ends[d] counts the frames laid
+// out through datagram d.
+type writeRing struct {
+	hs       [DefaultBatchSize]mmsghdr
+	sas      [DefaultBatchSize][syscall.SizeofSockaddrAny]byte
+	iovs     [2 * DefaultBatchSize]syscall.Iovec
+	prefixes [DefaultBatchSize][1 + lenPrefix]byte
+	ends     [DefaultBatchSize]uint8
+}
+
+// frames returns how many frames datagrams from through to-1 carry.
+func (r *writeRing) frames(from, to int) int {
+	if to == 0 {
+		return 0
 	}
-	salen := encodeSockaddr(&r.sas[i], ua)
-	if salen == 0 {
-		return false
+	n := int(r.ends[to-1])
+	if from > 0 {
+		n -= int(r.ends[from-1])
 	}
-	r.iovs[i].Base = &m.Data[0]
-	r.iovs[i].SetLen(len(m.Data))
-	r.hs[i].hdr.Namelen = salen
-	r.hs[i].hdr.Flags = 0
-	r.hs[i].n = 0
-	return true
+	return n
 }
 
 // ringPool is a free list of receive rings, all of one shape. A lane

@@ -4,12 +4,16 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"slices"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 	"unsafe"
+
+	"softstate/internal/wire"
 )
 
 // ringState reads the free list: its length, the open sockets that cap
@@ -20,14 +24,12 @@ func ringState() (free, open, made int) {
 	return len(readRings.free), readRings.open, readRings.made
 }
 
-// holds reports whether data was read into one of r's slots.
+// holds reports whether data lies in r's buffers: a datagram read into
+// one of its slots, or a frame of one.
 func holds(r *mmsgRing, data []byte) bool {
-	for i := 0; i < DefaultBatchSize; i++ {
-		if unsafe.SliceData(r.buf(i)) == unsafe.SliceData(data) {
-			return true
-		}
-	}
-	return false
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(r.bufs)))
+	return p >= base && p < base+uintptr(len(r.bufs))
 }
 
 // waitHome waits until the ring that data was read into is back on the
@@ -159,11 +161,15 @@ func TestRingsFollowDemand(t *testing.T) {
 	}
 }
 
-// TestLentRingIsStable: the datagram a lane was handed stays byte for
-// byte what it read while seven other lanes read 1,000 strides through
-// the free list, until that lane's own next ReadBatch; that call clears
-// the lane's slots before the ring goes back. A ring given back when
-// ReadBatch returns is lent to the next lane to wake and overwritten.
+// TestLentRingIsStable: the frame a lane was handed stays byte for byte
+// what it read while seven other lanes read 1,000 strides through the free
+// list, until that lane's own next ReadBatch. The frame is the first of
+// seven a udp-batch writer coalesced into one datagram, read through a
+// one-slot batch: the ring is not given back while the other six wait in
+// it, and the next six ReadBatch calls deliver them from it. Only the call
+// after those goes to the kernel, finds nothing, and clears the lane's
+// slots before the ring goes back. A ring given back when ReadBatch
+// returns is lent to the next lane to wake and overwritten.
 func TestLentRingIsStable(t *testing.T) {
 	const others = 7
 	var lanes [1 + others]Conn
@@ -191,9 +197,12 @@ func TestLentRingIsStable(t *testing.T) {
 		wg.Wait()
 	}()
 
-	// Lane 0 reads one datagram, holds it, and reads again only when told.
-	ms0 := NewBatch(0)
-	held, again := make(chan []byte, 1), make(chan struct{})
+	// Lane 0 reads one frame, holds it, and reads the other six and then
+	// once more only when told. delivered is lane 0's own count.
+	const coalesced = 7
+	ms0 := NewBatch(1)
+	held, again, rest := make(chan []byte, 1), make(chan struct{}), make(chan []byte, coalesced-1)
+	delivered := 0
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -201,17 +210,34 @@ func TestLentRingIsStable(t *testing.T) {
 			held <- nil
 			return
 		}
+		delivered++
 		held <- ms0[0].Data
 		select {
 		case <-again:
+			for range coalesced - 1 {
+				if n, err := lanes[0].ReadBatch(ms0); err != nil || n != 1 {
+					rest <- nil
+					return
+				}
+				delivered++
+				rest <- bytes.Clone(ms0[0].Data)
+			}
 			lanes[0].ReadBatch(ms0) // parks until the lane closes
 		case <-quit:
 		}
 	}()
-	want := payload(0, 0)
-	if _, err := tx.WriteTo(want, lanes[0].LocalAddr()); err != nil {
+	txb := listenBatch(t, Options{})
+	frames := make([]Message, coalesced)
+	for i := range frames {
+		frames[i] = Message{Data: payload(0, i), Addr: lanes[0].LocalAddr()}
+	}
+	if _, err := txb.WriteBatch(frames); err != nil {
 		t.Fatal(err)
 	}
+	if got := txb.Stats().WriteDatagrams.Value(); got != 1 {
+		t.Fatalf("%d frames to one peer left in %d datagrams, want 1", coalesced, got)
+	}
+	want := payload(0, 0)
 	var data []byte
 	select {
 	case data = <-held:
@@ -219,15 +245,21 @@ func TestLentRingIsStable(t *testing.T) {
 		t.Fatal("lane 0 read nothing")
 	}
 	if !bytes.Equal(data, want) {
-		t.Fatalf("lane 0 read %d bytes, want its 512-byte datagram", len(data))
+		t.Fatalf("lane 0 read %d bytes, want its first 512-byte frame", len(data))
 	}
 
-	// When lane 0's ring goes back, lane 0's slots must already be clear.
-	// The hook runs under the free list's lock, so dirty is read under it.
-	dirty := false
+	// When lane 0's ring goes back, lane 0 must have taken every frame and
+	// its slots must already be clear. The hook runs under the free list's
+	// lock, on lane 0's goroutine, so delivered is lane 0's own and early
+	// and dirty are read under the lock.
+	early, dirty := false, false
 	readRings.mu.Lock()
 	readRings.onPut = func(r *mmsgRing) {
-		if holds(r, data) && slices.ContainsFunc(ms0, func(m Message) bool { return m.Data != nil }) {
+		if !holds(r, data) {
+			return
+		}
+		early = early || delivered < coalesced
+		if slices.ContainsFunc(ms0, func(m Message) bool { return m.Data != nil }) {
 			dirty = true
 		}
 	}
@@ -285,11 +317,25 @@ func TestLentRingIsStable(t *testing.T) {
 		}
 	}
 
-	// Lane 0's next ReadBatch finds nothing, clears its slots, and parks.
+	// Lane 0's next six ReadBatch calls deliver the frames left in its
+	// ring; the one after finds nothing, clears its slots, and parks.
 	close(again)
+	for i := 1; i < coalesced; i++ {
+		select {
+		case d := <-rest:
+			if !bytes.Equal(d, payload(0, i)) {
+				t.Fatalf("lane 0's frame %d: %d bytes, not the frame written", i, len(d))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("lane 0 read %d of its %d frames", i, coalesced)
+		}
+	}
 	waitHome(t, data)
 	readRings.mu.Lock()
 	defer readRings.mu.Unlock()
+	if early {
+		t.Fatal("lane 0's ring went back while frames were still waiting in it")
+	}
 	if dirty {
 		t.Fatal("lane 0's ring went back while lane 0's slots still pointed into it")
 	}
@@ -298,4 +344,346 @@ func TestLentRingIsStable(t *testing.T) {
 			t.Fatalf("lane 0 parked with slot %d still set", i)
 		}
 	}
+}
+
+// frameOf is a size-byte frame: the wire version, then fill.
+func frameOf(size int, fill byte) []byte {
+	b := bytes.Repeat([]byte{fill}, size)
+	b[0] = wire.Version
+	return b
+}
+
+// readRaw reads n datagrams from a plain kernel socket, exactly as they
+// crossed.
+func readRaw(t *testing.T, pc *net.UDPConn, n int) [][]byte {
+	t.Helper()
+	pc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	out := make([][]byte, n)
+	buf := make([]byte, 1<<16)
+	for i := range out {
+		m, _, err := pc.ReadFrom(buf)
+		if err != nil {
+			t.Fatalf("datagram %d of %d: %v", i, n, err)
+		}
+		out[i] = bytes.Clone(buf[:m])
+	}
+	return out
+}
+
+// TestCoalescingBudget: with route MTUs injected, a run of frames to one
+// peer is packed into datagrams of at most min(MaxDatagram, MTU − 28)
+// bytes, or 1,232 when the probe fails; a frame that cannot share goes
+// out alone, byte for byte. The probe runs once per destination IP.
+func TestCoalescingBudget(t *testing.T) {
+	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	fail := errors.New("no route")
+	repeat := func(size, n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = size
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name  string
+		mtu   int
+		err   error
+		sizes []int
+		want  []int // frames per datagram
+	}{
+		{"mtu 1400: 1.2 KB frames travel alone", 1400, nil, repeat(1200, 4), []int{1, 1, 1, 1}},
+		{"mtu 65535: capped at MaxDatagram", 65535, nil, repeat(1200, 32), []int{7, 7, 7, 7, 4}},
+		{"failed probe: 1,232 B holds two 613 B frames", 0, fail, repeat(613, 4), []int{2, 2}},
+		{"failed probe: not two 614 B frames", 0, fail, repeat(614, 3), []int{1, 1, 1}},
+		{"a frame over the budget goes alone", 0, fail, []int{100, 2000, 100, 100}, []int{1, 1, 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tx := listenBatch(t, Options{}).(*batchConn)
+			probes := 0
+			tx.mtu = func(*net.UDPAddr) (int, error) { probes++; return c.mtu, c.err }
+			budget := payloadBudget(c.mtu, c.err, false)
+			ms := make([]Message, len(c.sizes))
+			for i, size := range c.sizes {
+				ms[i] = Message{Data: frameOf(size, byte(i)), Addr: rx.LocalAddr()}
+			}
+			for range 2 {
+				if n, err := tx.WriteBatch(ms); err != nil || n != len(ms) {
+					t.Fatalf("WriteBatch = %d, %v", n, err)
+				}
+				f := 0
+				for d, dg := range readRaw(t, rx, len(c.want)) {
+					k := c.want[d]
+					if k == 1 {
+						if !bytes.Equal(dg, ms[f].Data) {
+							t.Fatalf("datagram %d: %d bytes, want frame %d as itself", d, len(dg), f)
+						}
+						f++
+						continue
+					}
+					if len(dg) > budget {
+						t.Fatalf("datagram %d: %d bytes over the %d-byte budget", d, len(dg), budget)
+					}
+					var fc frameCursor
+					if !fc.load(dg, nil) || dg[0] != coalescedMark {
+						t.Fatalf("datagram %d: not a coalesced datagram", d)
+					}
+					for m := (Message{}); fc.next(&m); f++ {
+						if !bytes.Equal(m.Data, ms[f].Data) {
+							t.Fatalf("datagram %d: frame %d changed", d, f)
+						}
+						k--
+					}
+					if k != 0 {
+						t.Fatalf("datagram %d carries %d frames, want %d", d, c.want[d]-k, c.want[d])
+					}
+				}
+			}
+			if probes != 1 {
+				t.Fatalf("the route MTU was probed %d times for one IP, want once", probes)
+			}
+			st := tx.Stats()
+			if st.WriteFrames.Value() != int64(2*len(ms)) || st.WriteDatagrams.Value() != int64(2*len(c.want)) {
+				t.Fatalf("WriteFrames %d, WriteDatagrams %d; want %d, %d",
+					st.WriteFrames.Value(), st.WriteDatagrams.Value(), 2*len(ms), 2*len(c.want))
+			}
+			// Every case lays out several datagrams per batch, and all of
+			// them leave in one sendmmsg.
+			if st.WriteCalls.Value() != 2 {
+				t.Fatalf("WriteCalls = %d for %d datagrams, want 2: one sendmmsg per WriteBatch",
+					st.WriteCalls.Value(), st.WriteDatagrams.Value())
+			}
+		})
+	}
+}
+
+// TestBudgetCacheBounded: the budget cache probes each destination IP
+// once while it holds it, and never holds more than maxBudgets IPs.
+func TestBudgetCacheBounded(t *testing.T) {
+	tx := listenBatch(t, Options{}).(*batchConn)
+	probes := 0
+	tx.mtu = func(*net.UDPAddr) (int, error) { probes++; return 1500, nil }
+	ip := func(i int) *net.UDPAddr {
+		return &net.UDPAddr{IP: net.IPv4(10, 0, byte(i>>8), byte(i)), Port: 9}
+	}
+	for i := 0; i < maxBudgets; i++ {
+		if b := tx.budget(ip(i)); b != 1500-ipv4Overhead {
+			t.Fatalf("budget = %d, want %d", b, 1500-ipv4Overhead)
+		}
+		tx.budget(ip(i))
+	}
+	if probes != maxBudgets || len(tx.budgets) != maxBudgets {
+		t.Fatalf("%d IPs: %d probes, %d cached; want %d each", maxBudgets, probes, len(tx.budgets), maxBudgets)
+	}
+	for i := maxBudgets; i < 4*maxBudgets; i++ {
+		tx.budget(ip(i))
+		if len(tx.budgets) > maxBudgets {
+			t.Fatalf("%d IPs: %d cached, want at most %d", i+1, len(tx.budgets), maxBudgets)
+		}
+	}
+}
+
+// TestRouteMTU: the kernel answers the probe for loopback.
+func TestRouteMTU(t *testing.T) {
+	mtu, err := routeMTU(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9})
+	if err != nil || mtu < 1280 {
+		t.Fatalf("routeMTU(127.0.0.1) = %d, %v; want at least 1,280", mtu, err)
+	}
+}
+
+// TestCoalescedToWrapReader: a udp-batch writer's coalesced datagrams
+// reach a plain socket behind Wrap — the backend ListenUDPBatch is on
+// other platforms — frame for frame, through ReadBatch and through
+// ReadFrom.
+func TestCoalescedToWrapReader(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx := Wrap(pc)
+	defer rx.Close()
+	tx := listenBatch(t, Options{})
+	ms := make([]Message, 7)
+	for i := range ms {
+		ms[i] = Message{Data: frameOf(1200, byte(i)), Addr: rx.LocalAddr()}
+	}
+	rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+
+	if _, err := tx.WriteBatch(ms); err != nil {
+		t.Fatal(err)
+	}
+	in := NewBatch(0)
+	n, err := rx.ReadBatch(in)
+	if err != nil || n != len(ms) {
+		t.Fatalf("ReadBatch = %d, %v; want the datagram's %d frames", n, err, len(ms))
+	}
+	for i := range ms {
+		if !bytes.Equal(in[i].Data, ms[i].Data) || in[i].Addr.String() != tx.LocalAddr().String() {
+			t.Fatalf("ReadBatch frame %d: %d bytes from %v", i, len(in[i].Data), in[i].Addr)
+		}
+	}
+
+	if _, err := tx.WriteBatch(ms); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, MaxDatagram)
+	for i := range ms {
+		n, from, err := rx.ReadFrom(buf)
+		if err != nil || !bytes.Equal(buf[:n], ms[i].Data) || from.String() != tx.LocalAddr().String() {
+			t.Fatalf("ReadFrom frame %d: %d bytes from %v, %v", i, n, from, err)
+		}
+	}
+	st := rx.Stats()
+	if st.ReadDatagrams.Value() != 2 || st.ReadFrames.Value() != 14 || tx.Stats().WriteDatagrams.Value() != 2 {
+		t.Fatalf("datagrams written %d, read %d, frames read %d; want 2, 2, 14",
+			tx.Stats().WriteDatagrams.Value(), st.ReadDatagrams.Value(), st.ReadFrames.Value())
+	}
+}
+
+// TestCursorDrainsOneSlot: a one-slot ReadBatch drains a seven-frame
+// datagram in seven calls over one recvmmsg, and the whole write-then-
+// drain cycle allocates nothing.
+func TestCursorDrainsOneSlot(t *testing.T) {
+	rx, tx := listenBatch(t, Options{}), listenBatch(t, Options{})
+	ms := make([]Message, 7)
+	for i := range ms {
+		ms[i] = Message{Data: frameOf(512, byte(i)), Addr: rx.LocalAddr()}
+	}
+	in := NewBatch(1)
+	cycle := func() {
+		if _, err := tx.WriteBatch(ms); err != nil {
+			t.Fatal(err)
+		}
+		for i := range ms {
+			if n, err := rx.ReadBatch(in); err != nil || n != 1 || !bytes.Equal(in[0].Data, ms[i].Data) {
+				t.Fatalf("call %d: %d frames, %v", i, n, err)
+			}
+		}
+	}
+	cycle() // the route probe and the ring's first loan
+	st := rx.Stats()
+	calls, dgrams := st.ReadCalls.Value(), st.ReadDatagrams.Value()
+	cycle()
+	if got := st.ReadCalls.Value() - calls; got != 1 {
+		t.Fatalf("seven one-slot reads of one datagram made %d recvmmsg calls, want 1", got)
+	}
+	if got := st.ReadDatagrams.Value() - dgrams; got != 1 {
+		t.Fatalf("ReadDatagrams grew by %d, want 1", got)
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("a write of seven frames and their seven reads allocate %v times, want 0", allocs)
+	}
+}
+
+// TestMalformedCounted: a datagram the ring cannot deliver is counted,
+// never skipped in silence, and the intact datagram behind it still
+// arrives. Each case stands in slot 0 of a lent ring, an intact frame in
+// slot 1.
+func TestMalformedCounted(t *testing.T) {
+	good := coalesce([]Message{{Data: frameOf(8, 1)}, {Data: frameOf(8, 2)}}, MaxDatagram)[0]
+	for _, c := range []struct {
+		name      string
+		data      []byte
+		sa        []byte // the source sockaddr; nil for a loopback one
+		trunc     bool
+		malformed int64
+		truncated int64
+	}{
+		{"undecodable source family", frameOf(8, 0), []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, false, 1, 0},
+		{"source too short", frameOf(8, 0), []byte{syscall.AF_INET, 0}, false, 1, 0},
+		{"length past the end", []byte{coalescedMark, 0, 9, wire.Version}, nil, false, 1, 0},
+		{"empty frame", []byte{coalescedMark, 0, 0, 0, 1, wire.Version}, nil, false, 1, 0},
+		{"trailing byte", append(bytes.Clone(good), 0), nil, false, 1, 0},
+		{"mark alone", []byte{coalescedMark}, nil, false, 1, 0},
+		{"truncated", frameOf(8, 0), nil, true, 0, 1},
+		{"well formed", good, nil, false, 0, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bc := listenBatch(t, Options{}).(*batchConn)
+			bc.rmu.Lock()
+			defer bc.rmu.Unlock()
+			bc.rr = readRings.get()
+			defer bc.releaseRing()
+			var lo [syscall.SizeofSockaddrAny]byte
+			salen := encodeSockaddr(&lo, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9})
+			put := func(i int, data, sa []byte, trunc bool) {
+				h := &bc.rr.hs[i]
+				h.n = uint32(copy(bc.rr.buf(i), data))
+				if sa == nil {
+					sa = lo[:salen]
+				}
+				h.hdr.Namelen = uint32(copy(bc.rr.sas[i][:], sa))
+				h.hdr.Flags = 0
+				if trunc {
+					h.hdr.Flags = syscall.MSG_TRUNC
+				}
+			}
+			put(0, c.data, c.sa, c.trunc)
+			put(1, []byte("intact"), nil, false)
+			bc.rcnt, bc.rnext = 2, 0
+			ms := NewBatch(4)
+			n := bc.deliver(ms)
+			if n == 0 || string(ms[n-1].Data) != "intact" {
+				t.Fatalf("delivered %d frames, the last not the intact datagram", n)
+			}
+			if c.name == "well formed" && n != 3 {
+				t.Fatalf("a well-formed datagram delivered %d frames, want 2", n-1)
+			}
+			if got := bc.st.Malformed.Value(); got != c.malformed {
+				t.Fatalf("Malformed = %d, want %d", got, c.malformed)
+			}
+			if got := bc.st.Truncated.Value(); got != c.truncated {
+				t.Fatalf("Truncated = %d, want %d", got, c.truncated)
+			}
+		})
+	}
+}
+
+// TestConcurrentWriteBatch: two goroutines write coalescing batches on one
+// conn while its peer reads; every frame arrives whole (run under -race).
+func TestConcurrentWriteBatch(t *testing.T) {
+	rx, tx := listenBatch(t, Options{}), listenBatch(t, Options{})
+	const writers, batches = 2, 8
+	frame := func(w, b, i int) []byte {
+		f := frameOf(100, byte(w<<4|i%16))
+		f[1], f[2], f[3] = byte(w), byte(b), byte(i)
+		return f
+	}
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ms := make([]Message, DefaultBatchSize)
+			for b := range batches {
+				for i := range ms {
+					ms[i] = Message{Data: frame(w, b, i), Addr: rx.LocalAddr()}
+				}
+				if _, err := tx.WriteBatch(ms); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	seen := make(map[[3]byte]bool)
+	in := NewBatch(0)
+	rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for len(seen) < writers*batches*DefaultBatchSize {
+		n, err := rx.ReadBatch(in)
+		if err != nil {
+			t.Fatalf("read %d of %d frames: %v", len(seen), writers*batches*DefaultBatchSize, err)
+		}
+		for _, m := range in[:n] {
+			id := [3]byte{m.Data[1], m.Data[2], m.Data[3]}
+			if !bytes.Equal(m.Data, frame(int(id[0]), int(id[1]), int(id[2]))) || seen[id] {
+				t.Fatalf("frame %v arrived damaged or twice", id)
+			}
+			seen[id] = true
+		}
+	}
+	wg.Wait()
 }
