@@ -92,9 +92,10 @@ func main() {
 				"inconsistency and datagrams/key/s gauges), /metrics.json, /debug/vars, /debug/pprof/; "+
 				"SIGUSR1 dumps a snapshot to stderr")
 		census = flag.Bool("census", false,
-			"maintain incremental state digests and answer wire digest queries; sender-side endpoints "+
-				"(send, relay, fan-out) also audit their peers' held state and serve the live report at "+
-				"/debug/census on -metrics-addr (softstate_divergent_keys gauges the latest census)")
+			"run the convergence auditor: sender-side endpoints (send, relay, fan-out) audit their "+
+				"peers' held state over the wire digest protocol, which every receiver answers, and "+
+				"serve the live report at /debug/census on -metrics-addr (softstate_divergent_keys "+
+				"gauges the latest census)")
 		traceSample = flag.Int("trace-sample", 0,
 			"sample 1-in-N keys for hop-propagation tracing (1 = every key, 0 = off); traced datagrams "+
 				"carry origin+hop stamps feeding the hop/e2e latency histograms, and the retained event "+
@@ -128,8 +129,8 @@ func main() {
 		SummaryMaxKeys:  *summaryKeys,
 		CoalesceAcks:    *coalesce,
 		PeerIdleTimeout: *peerIdle,
-		Census:          *census,
 	}
+	auditing = *census
 	if *traceSample > 0 {
 		cfg.Trace = telemetry.NewTracer(telemetry.TracerConfig{
 			SampleEvery: uint32(*traceSample),
@@ -185,6 +186,9 @@ func main() {
 // tele is the process's live-introspection state; nil (all methods
 // no-ops) unless -metrics-addr was given.
 var tele *telem
+
+// auditing is -census: sender-side endpoints run the convergence auditor.
+var auditing bool
 
 // splitPeers parses the -peers list.
 func splitPeers(list string) []string {
@@ -249,7 +253,7 @@ func send(peerAddr string, cfg sig.Config, key string, value []byte, hold time.D
 	defer snd.Close()
 	installAudit(snd.CheckInvariants)
 	tele.setSent(func() int64 { return snd.SentDatagrams() + snd.ReceivedDatagrams() })
-	if cfg.Census {
+	if auditing {
 		aud := telemetry.NewAuditor()
 		aud.AddLink(telemetry.CensusLink{
 			Name:   raddr.String(),
@@ -321,7 +325,7 @@ func relay(addr, nextHop string, cfg sig.Config) error {
 		return rc.SentDatagrams() + rc.ReceivedDatagrams() +
 			dn.SentDatagrams() + dn.ReceivedDatagrams()
 	})
-	if cfg.Census {
+	if auditing {
 		aud := telemetry.NewAuditor()
 		aud.AddLink(telemetry.CensusLink{
 			Name:   next.String(),
@@ -391,7 +395,7 @@ func fanout(peerList []string, cfg sig.Config, key string, value []byte, count i
 			}
 		}
 	}
-	if cfg.Census {
+	if auditing {
 		// One audited link per peer: the installs above created the
 		// sessions, so each peer's intent slice is addressable now.
 		aud := telemetry.NewAuditor()

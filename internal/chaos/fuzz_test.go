@@ -53,6 +53,13 @@ func corpusSeeds() [][]byte {
 		seedTrace(5, install(0), install(1), install(2), install(3), tick(31), tick(31), Op{OpSplice, 8}, tick(31), tick(40)),
 		// A summary cut in the middle of its first key.
 		seedTrace(5, install(0), install(1), tick(31), Op{OpTruncate, 20}, tick(10)),
+		// A summary that names a key at another version than the one held:
+		// k0 and k5 installed, a frame duplicated, k1 updated, and the
+		// second session's k0 (its frame 65, "w0") spliced in over the
+		// first's before the clock moves. Summaries that named keys only
+		// renewed "w0" for ever; the fold of the sender's versions makes
+		// the receiver NACK the list, and the re-trigger repairs k0.
+		append([]byte{6}, "\x01\x00\x01\x05\x04\x00\x02\x018A00"...),
 	}
 	return seeds
 }
@@ -81,26 +88,27 @@ func FuzzSession(f *testing.F) {
 }
 
 // FuzzDifferential drives the same adversarial trace into all five
-// variant profiles and applies each profile's allowed-divergence rule:
-// refresh-bearing variants must reconverge the receiver to the sender's
-// exact intent, hard state may diverge only on keys a splice forged.
+// variant profiles in both refresh modes — all ten selectors — and applies
+// each profile's allowed-divergence rule: refresh-bearing variants must
+// reconverge the receiver to the sender's exact intent, hard state may
+// diverge only on keys a splice forged.
 func FuzzDifferential(f *testing.F) {
 	for _, s := range corpusSeeds() {
-		f.Add(s[1:]) // differential runs every variant; no selector byte
+		f.Add(s[1:]) // differential runs every selector; no selector byte
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := DecodeTrace(data)
-		for i := range Protocols {
+		for i := 0; i < 2*len(Protocols); i++ {
 			res, err := RunTrace(i, ops)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(res.Violations) != 0 {
-				t.Fatalf("%s: invariant violations: %v", res.Protocol, res.Violations)
+				t.Fatalf("selector %d (%s): invariant violations: %v", i, res.Protocol, res.Violations)
 			}
 			if bad := DivergenceViolations(res); len(bad) != 0 {
-				t.Fatalf("%s: divergence beyond the variant's allowance: %v\nintent=%q survivor=%q spliced=%v",
-					res.Protocol, bad, res.Intent, res.Survivor, res.Spliced)
+				t.Fatalf("selector %d (%s): divergence beyond the variant's allowance: %v\nintent=%q survivor=%q spliced=%v",
+					i, res.Protocol, bad, res.Intent, res.Survivor, res.Spliced)
 			}
 		}
 	})
@@ -126,21 +134,22 @@ func TestCorpusSeeds(t *testing.T) {
 }
 
 // TestDifferentialSeeds applies the differential divergence rule to every
-// corpus seed across all five variants.
+// corpus seed across all ten selectors: the five variants, per key and in
+// summary mode.
 func TestDifferentialSeeds(t *testing.T) {
 	for i, s := range corpusSeeds() {
 		ops := DecodeTrace(s[1:])
-		for pi := range Protocols {
+		for pi := 0; pi < 2*len(Protocols); pi++ {
 			res, err := RunTrace(pi, ops)
 			if err != nil {
 				t.Fatalf("seed %d: %v", i, err)
 			}
 			if len(res.Violations) != 0 {
-				t.Fatalf("seed %d (%s): %v", i, res.Protocol, res.Violations)
+				t.Fatalf("seed %d (selector %d, %s): %v", i, pi, res.Protocol, res.Violations)
 			}
 			if bad := DivergenceViolations(res); len(bad) != 0 {
-				t.Fatalf("seed %d (%s): %v\nintent=%q survivor=%q spliced=%v",
-					i, res.Protocol, bad, res.Intent, res.Survivor, res.Spliced)
+				t.Fatalf("seed %d (selector %d, %s): %v\nintent=%q survivor=%q spliced=%v",
+					i, pi, res.Protocol, bad, res.Intent, res.Survivor, res.Spliced)
 			}
 		}
 	}

@@ -12,9 +12,10 @@ import (
 
 // This file is the convergence-auditor experiment: the same churned,
 // lossy chain workload measured by two independent observers. The
-// auditor reads per-shard state-table digests across every chain link
-// (telemetry.RunCensus) and reports the fraction of (census, link, key)
-// samples found divergent; the paper-metric estimator watches only the
+// auditor reads the endpoints' folds, and where they disagree their
+// per-key digests, across every chain link (telemetry.RunCensus) and
+// reports the fraction of (census, link, key) samples found divergent;
+// the paper-metric estimator watches only the
 // origin's event stream and timers. Where both can see — ack-bearing
 // variants, whose loss→repair windows surface as trigger/ack gaps — the
 // two stories must agree qualitatively; on ack-less variants the

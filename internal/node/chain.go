@@ -118,9 +118,9 @@ func (c *Chain) Receivers() []*signal.Receiver {
 
 // CensusLinks pairs every adjacent (sender intent, receiver held) digest
 // source along the chain, upstream to downstream — the auditor wiring
-// for a live convergence census (requires signal.Config.Census on cfg).
-// Each chain hop has exactly one downstream peer, so the O(1) global
-// table sources are exact per-link digests here.
+// for a live convergence census. Each chain hop has exactly one
+// downstream peer, so the whole-table sources, whose folds are O(1)
+// reads, are exact per-link digests here.
 func (c *Chain) CensusLinks() []telemetry.CensusLink {
 	senders := []*Node{c.Origin}
 	for _, r := range c.Relays {

@@ -131,11 +131,11 @@ func (n *Node) Evictions() int { return n.ss.Evictions() }
 func (n *Node) SummarySweep() int { return n.ss.SummarySweep() }
 
 // CensusSource exposes the node's whole intent digest as a convergence
-// auditor source (requires signal.Config.Census). Sums are O(1) reads
-// of the incremental table digest; on a node with several peers the
-// per-key contributions of all sessions XOR together, so use this on
-// single-downstream nodes (chain hops) and Peer(addr).CensusSource for
-// per-link audits on fan-out nodes.
+// auditor source. Its fold is the sum of the sessions' folds, read
+// without walking the table; its sums and listings walk the table. On a
+// node with several peers the per-key contributions of all sessions add
+// up together, so use this on single-downstream nodes (chain hops) and
+// Peer(addr).CensusSource for per-link audits on fan-out nodes.
 func (n *Node) CensusSource(name string) telemetry.CensusSource {
 	return n.ss.CensusSource(name)
 }

@@ -77,9 +77,7 @@ func TestChainTracePropagation(t *testing.T) {
 // removal) on the first hop, and read converged again after timeouts
 // cascade the removal down the chain.
 func TestChainCensusLinks(t *testing.T) {
-	cfg := fastConfig(signal.SS)
-	cfg.Census = true
-	v, c := vchain(t, 5, cfg, delayLink)
+	v, c := vchain(t, 5, fastConfig(signal.SS), delayLink)
 	for i := 0; i < 30; i++ {
 		if err := c.Install(fmt.Sprintf("flow/%02d", i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)

@@ -1,7 +1,6 @@
 package signal
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -16,104 +15,109 @@ import (
 //
 // An audited link pairs an intent source (what a sender believes it has
 // installed at a peer) with a held source (what that peer's receiver
-// actually holds). Both fold the same (key, value, seq) tuples with
-// statetable.DigestKV, so equal sums mean the link converged. In-process
-// sources read the local table directly; CensusPeer speaks the wire
-// digest protocol (TypeDigest / TypeDigestReply) to audit a remote
-// receiver the auditor cannot touch.
+// actually holds). Both ends keep the fold of the link — the sum of
+// wire.StateHash over every (user key, seq, value) — on the sender's
+// Session and the receiver's peer record, so the census's first round
+// reads two words and equal folds mean the link converged. Only a link
+// whose folds differ is walked, for its per-bucket sums and then the
+// listings of the buckets that disagree. In-process sources read the local
+// endpoint directly; CensusPeer speaks the wire digest protocol
+// (TypeDigest / TypeDigestReply) to audit a remote receiver the auditor
+// cannot touch.
 
-// ErrNoCensus reports a census read against an endpoint configured
-// without Config.Census: no digests are maintained, so there is nothing
-// to compare.
-var ErrNoCensus = errors.New("signal: census disabled (Config.Census false)")
+// censusBuckets is how many buckets of user keys a census spreads a link's
+// keys over to narrow a disagreement down.
+const censusBuckets = 16
+
+// censusBucket is user key key's bucket, the same at both ends of a link.
+func censusBucket(key string) int { return int(statetable.Hash32(key) % censusBuckets) }
 
 // censusReplyBuffer bounds a pending exchange's reply channel; replies
 // beyond it (impossible in practice — detail parts are counted) drop
 // rather than stall the read loop.
 const censusReplyBuffer = 64
 
-// DigestSums returns the endpoint's per-bucket digest sums, nil when
-// census is off. O(shards × buckets), independent of key count.
-func (ss *Sessions) DigestSums() []uint64 { return ss.tbl.DigestSums() }
-
-// CensusSource exposes the whole sender table as an auditor intent
-// source: the summary round reads the incremental sums in O(shards ×
-// buckets), the detail round walks the table once. Keys are user keys
-// (session prefixes stripped), so use this on single-peer cores — a
-// Sender or a chain node — where the key space is one peer's; a
-// multi-peer node audits per link with Session.CensusSource instead.
-func (ss *Sessions) CensusSource(name string) telemetry.CensusSource {
+// walkedSource is an in-process census source: fold reads the link's fold,
+// and walk visits every key of the link with its wire.StateHash, once per
+// round that needs the keys.
+func walkedSource(name string, fold func() uint64, walk func(fn func(key string, sum uint64))) telemetry.CensusSource {
 	return telemetry.CensusSource{
 		Name: name,
-		Sums: func() ([]uint64, error) {
-			sums := ss.tbl.DigestSums()
-			if sums == nil {
-				return nil, ErrNoCensus
-			}
-			return sums, nil
-		},
+		Fold: func() (uint64, error) { return fold(), nil },
+		Sums: func() ([]uint64, error) { return censusSums(walk), nil },
 		Bucket: func(b int) ([]telemetry.KeyDigest, error) {
-			if ss.tbl.NumDigestBuckets() == 0 {
-				return nil, ErrNoCensus
-			}
-			var out []telemetry.KeyDigest
-			ss.tbl.RangeDigest(func(ck string, _ *senderEntry, bucket uint32, sum uint64) bool {
-				if int(bucket) == b {
-					out = append(out, telemetry.KeyDigest{Key: userKey(ck), Sum: sum})
-				}
-				return true
-			})
-			sortKeyDigests(out)
-			return out, nil
+			return censusBucketKeys(walk, b), nil
 		},
 	}
 }
 
-// CensusSource exposes one session's slice of the shared table as an
-// auditor intent source: exactly the keys this peer should hold. Both
-// rounds walk the table filtered to this session — O(total keys), fine
-// for audit cadence, not for hot paths.
-func (s *Session) CensusSource(name string) telemetry.CensusSource {
-	ss := s.ss
-	return telemetry.CensusSource{
-		Name: name,
-		Sums: func() ([]uint64, error) {
-			n := ss.tbl.NumDigestBuckets()
-			if n == 0 {
-				return nil, ErrNoCensus
-			}
-			sums := make([]uint64, n)
-			ss.tbl.RangeDigest(func(ck string, _ *senderEntry, bucket uint32, sum uint64) bool {
-				if sessionID(ck) == s.id {
-					sums[bucket] ^= sum
-				}
-				return true
-			})
-			return sums, nil
-		},
-		Bucket: func(b int) ([]telemetry.KeyDigest, error) {
-			if ss.tbl.NumDigestBuckets() == 0 {
-				return nil, ErrNoCensus
-			}
-			var out []telemetry.KeyDigest
-			ss.tbl.RangeDigest(func(ck string, _ *senderEntry, bucket uint32, sum uint64) bool {
-				if sessionID(ck) == s.id && int(bucket) == b {
-					out = append(out, telemetry.KeyDigest{Key: userKey(ck), Sum: sum})
-				}
-				return true
-			})
-			sortKeyDigests(out)
-			return out, nil
-		},
+// censusSums is the summary round over walk's keys: per bucket, the sum of
+// their hashes.
+func censusSums(walk func(fn func(key string, sum uint64))) []uint64 {
+	sums := make([]uint64, censusBuckets)
+	walk(func(key string, sum uint64) { sums[censusBucket(key)] += sum })
+	return sums
+}
+
+// censusBucketKeys is the detail round over walk's keys: bucket b's keys
+// with their hashes, in key order — deterministic output for the
+// auditor's diff and for virtual-clock byte-determinism.
+func censusBucketKeys(walk func(fn func(key string, sum uint64)), b int) []telemetry.KeyDigest {
+	var out []telemetry.KeyDigest
+	walk(func(key string, sum uint64) {
+		if censusBucket(key) == b {
+			out = append(out, telemetry.KeyDigest{Key: key, Sum: sum})
+		}
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+// digests calls fn with the user key and wire.StateHash of every live key
+// of s, or of every session for s nil, one shard lock at a time.
+func (ss *Sessions) digests(s *Session, fn func(key string, sum uint64)) {
+	ss.tbl.Range(func(ck string, e *senderEntry) bool {
+		if !e.removing && (s == nil || sessionID(ck) == s.id) {
+			key := userKey(ck)
+			fn(key, wire.StateHash(key, e.seq, e.value))
+		}
+		return true
+	})
+}
+
+// fold is the sum of every session's fold: the whole table's.
+func (ss *Sessions) fold() (sum uint64) {
+	ss.byIDMu.RLock()
+	defer ss.byIDMu.RUnlock()
+	for _, s := range ss.byID {
+		sum += s.fold.Load()
 	}
+	return sum
+}
+
+// CensusSource exposes the whole sender table as an auditor intent source:
+// its fold is the sum of the sessions' folds, its keys a table walk. Keys
+// are user keys (session prefixes stripped), so use this on single-peer
+// cores — a Sender or a chain node — where the key space is one peer's; a
+// multi-peer node audits per link with Session.CensusSource instead.
+func (ss *Sessions) CensusSource(name string) telemetry.CensusSource {
+	return walkedSource(name, ss.fold, func(fn func(string, uint64)) { ss.digests(nil, fn) })
+}
+
+// CensusSource exposes one session as an auditor intent source: exactly
+// the keys this peer should hold. Its fold is the session's; its keys are
+// a walk of the shared table filtered to this session — O(total keys),
+// fine for audit cadence, not for hot paths.
+func (s *Session) CensusSource(name string) telemetry.CensusSource {
+	return walkedSource(name, s.fold.Load, func(fn func(string, uint64)) { s.ss.digests(s, fn) })
 }
 
 // CensusPeer builds an auditor held source that audits a remote receiver
 // over the wire: each read sends a TypeDigest request to peer and waits
 // (wall-clock, up to timeout) for the TypeDigestReply stream the read
-// loop routes back via deliverCensusReply. A peer with census off never
-// answers, so the read times out and the auditor reports the link
-// failed rather than converged. The timeout is real time even under a
+// loop routes back via deliverCensusReply. A peer that does not answer
+// times the read out, and the auditor reports the link failed rather
+// than converged. The timeout is real time even under a
 // virtual clock — wire audits are for live deployments; virtual-time
 // experiments audit in process with the direct sources above.
 func (ss *Sessions) CensusPeer(name string, peer net.Addr, timeout time.Duration) telemetry.CensusSource {
@@ -122,6 +126,13 @@ func (ss *Sessions) CensusPeer(name string, peer net.Addr, timeout time.Duration
 	}
 	return telemetry.CensusSource{
 		Name: name,
+		Fold: func() (uint64, error) {
+			parts, err := ss.censusExchange(peer, wire.DigestRequest{Kind: wire.DigestFold}, timeout)
+			if err != nil {
+				return 0, err
+			}
+			return parts[0].Fold, nil
+		},
 		Sums: func() ([]uint64, error) {
 			parts, err := ss.censusExchange(peer, wire.DigestRequest{Kind: wire.DigestSummary}, timeout)
 			if err != nil {
@@ -143,7 +154,7 @@ func (ss *Sessions) CensusPeer(name string, peer net.Addr, timeout time.Duration
 					out = append(out, telemetry.KeyDigest{Key: k.Key, Sum: k.Sum})
 				}
 			}
-			sortKeyDigests(out)
+			sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 			return out, nil
 		},
 	}
@@ -221,65 +232,38 @@ func (ss *Sessions) deliverCensusReply(m wire.Message) {
 	}
 }
 
+// digests calls fn with the user key and wire.StateHash of every entry p
+// holds, or of every entry for p nil, one shard lock at a time.
+func (r *Receiver) digests(p *peer, fn func(key string, sum uint64)) {
+	r.tbl.Range(func(ck string, e *receiverEntry) bool {
+		if q := p; q == nil || e.peer == q.id {
+			if q == nil {
+				q = r.peers.resolve(e.peer)
+			}
+			key := q.userKey(ck)
+			fn(key, wire.StateHash(key, e.lastSeq, e.value))
+		}
+		return true
+	})
+}
+
+// fold is the sum of every peer record's fold: the whole table's.
+func (r *Receiver) fold() (sum uint64) {
+	r.peers.mu.RLock()
+	defer r.peers.mu.RUnlock()
+	for _, p := range r.peers.byID {
+		sum += p.fold
+	}
+	return sum
+}
+
 // CensusSource exposes the receiver's whole table as an auditor held
-// source: the summary round reads the incremental sums in O(shards ×
-// buckets), the detail round walks the table once. Keys are user keys;
-// with several upstream senders holding the same key their
-// contributions XOR together, so pair this with a matching aggregate
+// source: its fold is the sum of the peer records' folds, its keys a table
+// walk. Keys are user keys; with several upstream senders holding the same
+// key their contributions add up, so pair this with a matching aggregate
 // intent source (chains have exactly one upstream, where it is exact).
 func (r *Receiver) CensusSource(name string) telemetry.CensusSource {
-	return telemetry.CensusSource{
-		Name: name,
-		Sums: func() ([]uint64, error) {
-			sums := r.tbl.DigestSums()
-			if sums == nil {
-				return nil, ErrNoCensus
-			}
-			return sums, nil
-		},
-		Bucket: func(b int) ([]telemetry.KeyDigest, error) {
-			if r.tbl.NumDigestBuckets() == 0 {
-				return nil, ErrNoCensus
-			}
-			var out []telemetry.KeyDigest
-			r.tbl.RangeDigest(func(ck string, e *receiverEntry, bucket uint32, sum uint64) bool {
-				if int(bucket) == b {
-					out = append(out, telemetry.KeyDigest{Key: r.peers.resolve(e.peer).userKey(ck), Sum: sum})
-				}
-				return true
-			})
-			sortKeyDigests(out)
-			return out, nil
-		},
-	}
-}
-
-// censusDigest turns on stcfg's digest when cfg.Census is set: fold names
-// what an entry contributes — (user key, value, seq), or ok false to leave
-// it out. Both ends bucket on the user key, so that the census detail
-// round lines their listings up.
-func censusDigest[V any](cfg Config, stcfg *statetable.Config[V], fold func(ck string, e *V) (key string, value []byte, seq uint64, ok bool)) {
-	if !cfg.Census {
-		return
-	}
-	buckets := cfg.CensusBuckets
-	if buckets <= 0 {
-		buckets = statetable.DefaultDigestBuckets
-	}
-	stcfg.DigestBuckets = buckets
-	stcfg.DigestFunc = func(ck string, e *V) (uint32, uint64) {
-		k, v, seq, ok := fold(ck, e)
-		if !ok {
-			return 0, 0
-		}
-		return statetable.DigestBucketOf(k, buckets), statetable.DigestKV(k, v, seq)
-	}
-}
-
-// sortKeyDigests orders a detail listing by key — deterministic output
-// for the auditor's diff and for virtual-clock byte-determinism.
-func sortKeyDigests(out []telemetry.KeyDigest) {
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return walkedSource(name, r.fold, func(fn func(string, uint64)) { r.digests(nil, fn) })
 }
 
 // --- per-peer health ---

@@ -44,7 +44,8 @@ func TestDispatchAllocs(t *testing.T) {
 	}
 	trigger := frame(wire.Message{Type: wire.TypeTrigger, Seq: 1, Key: "flow/42", Value: []byte("25Mbps")})
 	probeAck := frame(wire.Message{Type: wire.TypeProbeAck, Seq: 1, Key: "flow/42"})
-	summary := frame(wire.Message{Type: wire.TypeSummaryRefresh, Seq: 1, Keys: []string{"flow/42"}})
+	summary := frame(wire.Message{Type: wire.TypeSummaryRefresh, Seq: 1, Keys: []string{"flow/42"},
+		Fold: wire.StateHash("flow/42", 1, []byte("25Mbps"))})
 	sc := rcv.newDispatchScratch()
 	rcv.dispatch(trigger, from, sc) // the install: later frames find the entry
 	if _, ok := rcv.GetFrom(from, "flow/42"); !ok {
@@ -72,7 +73,7 @@ func TestDispatchAllocs(t *testing.T) {
 	defer hs.Close()
 	hsc := hs.newDispatchScratch()
 	hs.dispatch(trigger, from, hsc)
-	for name, p := range map[string]pair{"agreeing": {1, wire.KeyHash("flow/42")}, "disagreeing": {2, 0}} {
+	for name, p := range map[string]pair{"agreeing": {1, wire.StateHash("flow/42", 1, []byte("25Mbps"))}, "disagreeing": {2, 0}} {
 		peerAck := frame(wire.Message{Type: wire.TypeProbeAck, Seq: 1, Value: wire.AppendPair(nil, p.count, p.fold)})
 		if got := testing.AllocsPerRun(200, func() { hs.dispatch(peerAck, from, hsc) }); got != 0 {
 			t.Errorf("peer probe-ack, %s pair: %.0f allocations per frame, want 0", name, got)

@@ -26,15 +26,16 @@ import (
 //     the record whose prefix heads its table key, the records' entry
 //     counts sum to the table size, and no record holds neither an entry
 //     nor a pending ack;
+//   - every record's pair — its entry count and fold — is the pair
+//     recomputed from scratch over the entries naming it;
 //   - the datagram leases account for their members (refresh profiles):
 //     every entry that names a lease names one its peer has, a lease's
 //     member count is the number of entries naming it, none is kept with
-//     no member, one that still holds its key list is filed under that
-//     list's hash and has exactly one member per key, and one that does not
-//     is neither expected next by the set nor expects a successor itself;
-//   - under hard state every record's pair — its entry count and key fold —
-//     is the pair recomputed from the entries naming it, and the probe
-//     round is armed while any entry exists;
+//     no member, an intact one is filed under its fold, has exactly one
+//     member per key and its members' versions fold to its fold, and a
+//     broken one is neither expected next by the set nor expects a
+//     successor itself;
+//   - under hard state the probe round is armed while any entry exists;
 //   - the armed-timer census matches the profile — refresh profiles arm
 //     exactly one state-timeout per entry, every other profile (hard state
 //     included) no per-entry timer at all.
@@ -43,24 +44,27 @@ func (r *Receiver) CheckInvariants() []string {
 	tblLen := r.tbl.Len()
 
 	type leaseName struct{ peer, lease uint32 }
-	naming := map[leaseName]int{} // entries naming each lease
-	tally := map[uint32]pair{}    // each record's pair, recomputed (hard state)
+	naming := map[leaseName]pair{} // the entries naming each lease: how many, and their fold
+	tally := map[uint32]pair{}     // each record's pair, recomputed
 	r.tbl.Range(func(ck string, e *receiverEntry) bool {
 		p := r.peers.resolve(e.peer)
 		if p == nil || !strings.HasPrefix(ck, p.prefix) {
 			bad = append(bad, fmt.Sprintf("receiver: entry %q names peer %d, which is not the record its key starts with", ck, e.peer))
-		} else if r.peers.folding {
-			t := tally[e.peer]
-			tally[e.peer] = pair{t.count + 1, t.fold + wire.KeyHash(p.userKey(ck))}
+			return true
 		}
+		hash := wire.StateHash(p.userKey(ck), e.lastSeq, e.value)
+		t := tally[e.peer]
+		tally[e.peer] = pair{t.count + 1, t.fold + hash}
 		if r.prof.Refresh && e.aux != 0 {
-			naming[leaseName{e.peer, e.aux}]++
+			name := leaseName{e.peer, e.aux}
+			n := naming[name]
+			naming[name] = pair{n.count + 1, n.fold + hash}
 		}
 		return true
 	})
 	held := 0
 	r.peers.mu.RLock()
-	if r.peers.folding && tblLen > 0 && !r.peers.probing {
+	if r.prof.HardState && tblLen > 0 && !r.peers.probing {
 		bad = append(bad, fmt.Sprintf("receiver: %d entries held and no probe round armed", tblLen))
 	}
 	for _, p := range r.peers.byAddr.all() {
@@ -68,7 +72,7 @@ func (r *Receiver) CheckInvariants() []string {
 		if p.entries <= 0 && len(p.acks) == 0 {
 			bad = append(bad, fmt.Sprintf("receiver: peer %d (%s) holds %d entries and no pending ack", p.id, p.addr, p.entries))
 		}
-		if ours := (pair{uint64(p.entries), p.fold}); r.peers.folding && ours != tally[p.id] {
+		if ours := (pair{uint64(p.entries), p.fold}); ours != tally[p.id] {
 			bad = append(bad, fmt.Sprintf("receiver: peer %d pairs (%d, %x), its entries (%d, %x)", p.id, ours.count, ours.fold, tally[p.id].count, tally[p.id].fold))
 		}
 		ls := &p.leases
@@ -78,27 +82,31 @@ func (r *Receiver) CheckInvariants() []string {
 				continue
 			}
 			name := leaseName{p.id, uint32(id)}
-			if got := naming[name]; got != int(l.members) || got == 0 {
-				bad = append(bad, fmt.Sprintf("receiver: peer %d lease %d counts %d members, %d entries name it", p.id, id, l.members, got))
+			got := naming[name]
+			if got.count != uint64(l.members) || got.count == 0 {
+				bad = append(bad, fmt.Sprintf("receiver: peer %d lease %d counts %d members, %d entries name it", p.id, id, l.members, got.count))
 			}
 			delete(naming, name)
-			if l.list != nil && (l.members != l.n || ls.byList[l.hash] != l) {
-				bad = append(bad, fmt.Sprintf("receiver: peer %d lease %d holds a list of %d keys with %d members, or is not filed under it", p.id, id, l.n, l.members))
+			if !l.broken && (l.members != l.n || ls.byFold[l.fold] != l) {
+				bad = append(bad, fmt.Sprintf("receiver: peer %d lease %d over %d keys has %d members, or is not filed under its fold", p.id, id, l.n, l.members))
 			}
-			if l.list == nil && (l.next != nil || ls.last == l) {
+			if !l.broken && got.fold != l.fold {
+				bad = append(bad, fmt.Sprintf("receiver: peer %d lease %d folds %x, its members %x", p.id, id, l.fold, got.fold))
+			}
+			if l.broken && (l.next != nil || ls.last == l) {
 				bad = append(bad, fmt.Sprintf("receiver: peer %d lease %d is broken and still in the sweep order", p.id, id))
 			}
 		}
-		for _, l := range ls.byList {
-			if l.list == nil || int(l.id) >= len(ls.byID) || ls.byID[l.id] != l {
-				bad = append(bad, fmt.Sprintf("receiver: peer %d files lease %d by a list it no longer holds", p.id, l.id))
+		for fold, l := range ls.byFold {
+			if l.broken || l.fold != fold || int(l.id) >= len(ls.byID) || ls.byID[l.id] != l {
+				bad = append(bad, fmt.Sprintf("receiver: peer %d files lease %d under fold %x, which it does not hold intact", p.id, l.id, fold))
 			}
 		}
 		ls.mu.Unlock()
 	}
 	r.peers.mu.RUnlock()
 	for name, n := range naming {
-		bad = append(bad, fmt.Sprintf("receiver: %d entries of peer %d name lease %d, which it does not have", n, name.peer, name.lease))
+		bad = append(bad, fmt.Sprintf("receiver: %d entries of peer %d name lease %d, which it does not have", n.count, name.peer, name.lease))
 	}
 	if held != tblLen {
 		bad = append(bad, fmt.Sprintf("receiver: peer records count %d entries, state table holds %d", held, tblLen))
@@ -132,8 +140,8 @@ func (r *Receiver) SeqSnapshot() map[string]uint64 {
 //
 //   - the live-key gauge equals the table's census of non-removing
 //     entries, globally and per session (and per-session tabled counts —
-//     the idle-eviction guard — match the table exactly), and under hard
-//     state each session's fold is its live keys' fold;
+//     the idle-eviction guard — match the table exactly), and each
+//     session's fold is its live keys' fold recomputed from scratch;
 //   - every entry's session id resolves to a filed Session, which is
 //     registered in the peer table or marked evicted, and every session
 //     in the peer table is filed under its id;
@@ -162,9 +170,7 @@ func (ss *Sessions) CheckInvariants() []string {
 		if !e.removing {
 			c.live++
 			totalLive++
-			if ss.prof.HardState {
-				c.fold += wire.KeyHash(userKey(ck))
-			}
+			c.fold += wire.StateHash(userKey(ck), e.seq, e.value)
 		}
 		return true
 	})

@@ -64,8 +64,15 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	p.entries--
 
+	// Receiver: skew the sender's fold against its entry's version.
+	p.fold++
+	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
+		t.Fatal("receiver peer fold skew not detected")
+	}
+	p.fold--
+
 	// Receiver: file the entry under a peer that is not its sender.
-	other, _ := c.rcv.peers.install(nil, testAddr("stranger"), "k")
+	other, _ := c.rcv.peers.install(nil, testAddr("stranger"), 0)
 	setPeer := func(id uint32) {
 		c.rcv.tbl.Update(RKey(c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.peer = id })
 	}
@@ -94,7 +101,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	// Receiver: a lease that counts a member more than the entries naming
 	// it, and one kept although nothing names it.
-	l := &lease{list: []byte{0, 1, 'k'}, n: 1, members: 2}
+	l := &lease{fold: p.fold, n: 1, members: 2}
 	p.leases.file(l)
 	setLease(l.id)
 	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
@@ -104,6 +111,13 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	if bad := c.rcv.CheckInvariants(); len(bad) != 0 {
 		t.Fatalf("a lease with its one member reports: %v", bad)
 	}
+	// Receiver: an intact lease whose member holds another version than
+	// the lease's fold names.
+	c.rcv.tbl.Update(RKey(c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.lastSeq-- })
+	if bad := c.rcv.CheckInvariants(); len(bad) < 2 {
+		t.Fatalf("a member at another version than its lease and record fold reports only %v", bad)
+	}
+	c.rcv.tbl.Update(RKey(c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.lastSeq++ })
 	setLease(0)
 	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
 		t.Fatal("receiver lease that no entry names not detected")
@@ -124,6 +138,13 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatal("sender per-session tabled skew not detected")
 	}
 	c.snd.sess.tabled.Add(-1)
+
+	// Sender: skew one session's fold against its live keys.
+	c.snd.sess.fold.Add(1)
+	if bad := c.snd.CheckInvariants(); len(bad) == 0 {
+		t.Fatal("sender per-session fold skew not detected")
+	}
+	c.snd.sess.fold.Add(^uint64(0))
 
 	// Sender: the session its entry names by id is not filed.
 	ss := c.snd.ss

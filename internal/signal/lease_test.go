@@ -20,10 +20,10 @@ import (
 
 // leaseCensus counts the receiver's lease state from both sides: the
 // members its lease headers claim, the entries that name a lease, the
-// headers kept, the key-list bytes they retain, and the slots of the
-// per-peer id tables.
+// headers kept, how many of them are intact, and the slots of the per-peer
+// id tables.
 type leaseCensus struct {
-	members, naming, headers, listBytes, idSlots int
+	members, naming, headers, intact, idSlots int
 }
 
 func (r *Receiver) leaseCensus() (c leaseCensus) {
@@ -41,7 +41,9 @@ func (r *Receiver) leaseCensus() (c leaseCensus) {
 			if l != nil {
 				c.headers++
 				c.members += int(l.members)
-				c.listBytes += len(l.list)
+				if !l.broken {
+					c.intact++
+				}
 			}
 		}
 		ls.mu.Unlock()
@@ -94,10 +96,14 @@ func (g *leaseRig) leasedKeys() int { return g.rcv.Stats().SummaryLeasedKeys }
 
 // The lease model: a byte script drives two peers that share their user
 // keys against one receiver, and a plain map of (peer, key) → (deadline,
-// lastSeq) in the test applies the per-key rule to the same frames. Leases
-// are an implementation of that rule, so after every operation the receiver
-// must hold exactly the model's keys, have NACKed exactly the keys the model
-// did not hold, and have expired exactly the model's entries at exactly the
+// lastSeq, value) in the test applies the per-key rule to the same frames:
+// a summary renews the keys it names unless the model holds every one of
+// them and their versions fold to another fold than the datagram carries,
+// when it renews none and is NACKed whole. Leases are an implementation of
+// that rule, so after every operation the receiver must hold exactly the
+// model's keys at the model's values, have NACKed exactly the keys the
+// model did, have extended a lease only over a datagram the model renewed
+// whole, and have expired exactly the model's entries at exactly the
 // model's deadlines.
 
 const modelKeys = 8
@@ -119,12 +125,13 @@ var modelLists = [][]int{
 // modelSweep is the sweep the order-bearing operations deliver: four
 // datagrams of two keys, so that "the datagram after this one" means
 // something. The successor pointers are an implementation of "look the list
-// up by its hash", as leases are of the per-key rule.
+// up by its fold", as leases are of the per-key rule.
 var modelSweep = [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
 
 type modelEntry struct {
 	deadline time.Duration
 	lastSeq  uint64
+	value    string
 }
 
 type modelKey struct {
@@ -136,13 +143,13 @@ type leaseModel struct {
 	g      *leaseRig
 	T      time.Duration
 	held   map[modelKey]*modelEntry
-	seq    [2]uint64  // each peer's newest sequence number
-	replay [2]summary // each peer's last summary, for replays
-	swept  [2]int     // the modelSweep datagram each peer sent last
+	seq    [2]uint64       // each peer's newest sequence number
+	replay [2]wire.Message // each peer's last summary, for replays
+	swept  [2]int          // the modelSweep datagram each peer sent last
 	op     int
 	what   string
 	// hashed makes the receiver forget its successor pointers before every
-	// frame, so that every lease is found by the hash of its list: the
+	// frame, so that every lease is found by its list's fold: the
 	// reference the pointers are compared with.
 	hashed bool
 }
@@ -158,6 +165,7 @@ const (
 	opAdvance
 	opSweep     // modelSweep from one peer: in order, permuted, one dropped or one repeated
 	opBreakNext // the datagram a peer's sweep would send next loses a key and gets it back
+	opNewValue  // a peer gives a key a new value, its trigger delivered or lost, and sweeps its half unchanged
 	numOps
 )
 
@@ -202,6 +210,13 @@ func sweepOp(peer, how, pick int) []byte {
 	return []byte{opSweep, byte(peer | how<<1 | pick<<3)}
 }
 func breakNextOp(peer int) []byte { return []byte{opBreakNext, byte(peer)} }
+func newValueOp(peer, key int, lost bool) []byte {
+	b := byte(peer | key<<1)
+	if lost {
+		b |= 1 << 4
+	}
+	return []byte{opNewValue, b}
+}
 
 func script(ops ...[]byte) []byte { return slices.Concat(ops...) }
 
@@ -234,7 +249,7 @@ func orderedSweep() []byte {
 }
 
 // runLeaseScript plays a script against a fresh receiver and model, twice:
-// as the read loop would, and with every lease found by its hash. Both must
+// as the read loop would, and with every lease found by its fold. Both must
 // agree with the model after every operation, and with each other on how
 // many keys were renewed through a lease, which is returned.
 func runLeaseScript(t *testing.T, sc []byte) int {
@@ -251,7 +266,7 @@ func runLeaseScript(t *testing.T, sc []byte) int {
 	}
 	got, want := play(false), play(true)
 	if got.SummaryLeasedKeys != want.SummaryLeasedKeys || got.SummaryLeaseLookups > want.SummaryLeaseLookups {
-		t.Fatalf("%d keys renewed through a lease with %d lists hashed; with every list hashed (%d), %d",
+		t.Fatalf("%d keys renewed through a lease with %d folds looked up; with every fold looked up (%d), %d",
 			got.SummaryLeasedKeys, got.SummaryLeaseLookups, want.SummaryLeaseLookups, want.SummaryLeasedKeys)
 	}
 	return got.SummaryLeasedKeys
@@ -270,29 +285,56 @@ func (m *leaseModel) frame(from net.Addr, msg wire.Message) {
 	m.g.frame(from, msg)
 }
 
-// summary delivers one summary refresh to the receiver and the model, and
-// holds the receiver's NACKs against the keys the model does not hold.
-func (m *leaseModel) summary(peer int, d summary) {
+// summary delivers one summary refresh to the receiver and the model,
+// holds the receiver's NACKs against the model's, and returns them. A lease
+// may renew the datagram only where the model renews all of it.
+func (m *leaseModel) summary(peer int, d wire.Message) (nacked []string) {
 	g := m.g
 	var unknown []string
-	for _, k := range d.keys {
+	var fold uint64
+	for _, k := range d.Keys {
 		if e := m.held[modelKey{peer, k}]; e == nil {
 			unknown = append(unknown, k)
-		} else if d.seq >= e.lastSeq {
-			e.deadline = g.now() + m.T
+		} else {
+			fold += wire.StateHash(k, e.lastSeq, []byte(e.value))
 		}
 	}
-	m.frame(d.from, wire.Message{Type: wire.TypeSummaryRefresh, Seq: d.seq, Keys: d.keys})
-	var nacked []string
+	whole := unknown == nil && fold == d.Fold
+	if unknown == nil && !whole {
+		unknown = d.Keys // every key held, some at another version: NACKed whole
+	} else {
+		for _, k := range d.Keys {
+			if e := m.held[modelKey{peer, k}]; e != nil && d.Seq >= e.lastSeq {
+				e.deadline = g.now() + m.T
+			}
+		}
+	}
+	leased := g.leasedKeys()
+	m.frame(modelPeers[peer], d)
+	if g.leasedKeys() != leased && !whole {
+		g.t.Fatalf("op %d (%s): a lease renewed a datagram the model does not renew whole", m.op, m.what)
+	}
 	for _, c := range g.conn.take() {
-		if c.m.Type != wire.TypeSummaryNack || c.to != d.from {
+		if c.m.Type != wire.TypeSummaryNack || c.to != modelPeers[peer] {
 			g.t.Fatalf("op %d (%s): answered with a %v to %v", m.op, m.what, c.m.Type, c.to)
 		}
 		nacked = append(nacked, c.m.Keys...)
 	}
 	if !slices.Equal(nacked, unknown) {
-		g.t.Fatalf("op %d (%s): NACKed %v, the model does not hold %v", m.op, m.what, nacked, unknown)
+		g.t.Fatalf("op %d (%s): NACKed %v, the model %v", m.op, m.what, nacked, unknown)
 	}
+	return nacked
+}
+
+// trigger delivers one trigger to the receiver and the model.
+func (m *leaseModel) trigger(peer int, key string, seq uint64, value string) {
+	mk := modelKey{peer, key}
+	if e := m.held[mk]; e == nil {
+		m.held[mk] = &modelEntry{deadline: m.g.now() + m.T, lastSeq: seq, value: value}
+	} else if seq >= e.lastSeq {
+		e.deadline, e.lastSeq, e.value = m.g.now()+m.T, seq, value
+	}
+	m.frame(modelPeers[peer], wire.Message{Type: wire.TypeTrigger, Seq: seq, Key: key, Value: []byte(value)})
 }
 
 func (m *leaseModel) step(op byte, arg int) {
@@ -305,32 +347,34 @@ func (m *leaseModel) step(op byte, arg int) {
 	g.conn.take()
 	switch op {
 	case opSummary:
-		var d summary
+		var d wire.Message
 		if list := arg >> 1 & 7 % (len(modelLists) + 1); list == len(modelLists) {
 			d = m.replay[peer]
-			if d.from == nil {
+			if d.Keys == nil {
 				m.what = "replay of nothing"
 				return
 			}
 		} else {
-			d = summary{from: from}
+			var keys []string
 			for _, k := range modelLists[list] {
-				d.keys = append(d.keys, modelKeyName(k))
+				keys = append(keys, modelKeyName(k))
 			}
+			var seq uint64
 			switch arg >> 4 % numSeqs {
 			case seqCurrent:
-				d.seq = m.seq[peer]
+				seq = m.seq[peer]
 			case seqNewer:
 				m.seq[peer]++
-				d.seq = m.seq[peer]
+				seq = m.seq[peer]
 			case seqBehind:
-				d.seq = m.seq[peer] - 1
+				seq = m.seq[peer] - 1
 			case seqAncient:
-				d.seq = 3
+				seq = 3
 			}
+			d = g.refresh(summary{from, seq, keys})
 		}
 		m.replay[peer] = d
-		m.what = fmt.Sprintf("summary from peer %d seq %d keys %v", peer, d.seq, d.keys)
+		m.what = fmt.Sprintf("summary from peer %d seq %d keys %v", peer, d.Seq, d.Keys)
 		m.summary(peer, d)
 	case opSweep:
 		order := []int{0, 1, 2, 3}
@@ -355,7 +399,7 @@ func (m *leaseModel) step(op byte, arg int) {
 			for _, k := range modelSweep[i] {
 				d.keys = append(d.keys, modelKeyName(k))
 			}
-			m.summary(peer, d)
+			m.summary(peer, g.refresh(d))
 			m.swept[peer] = i
 		}
 	case opBreakNext:
@@ -363,6 +407,48 @@ func (m *leaseModel) step(op byte, arg int) {
 		m.step(opRemoval, peer|next<<1)
 		m.step(opTrigger, peer|next<<1)
 		m.what = fmt.Sprintf("peer %d loses and reinstalls %s, which its sweep names next", peer, modelKeyName(next))
+	case opNewValue:
+		// The peer's sweep list holding key is one of the two halves the
+		// steady sweeps send.
+		m.seq[peer]++
+		seq, value, half := m.seq[peer], fmt.Sprintf("v%d", m.seq[peer]), modelLists[arg>>1%modelKeys/4]
+		if stale { // the trigger is lost: only the sender knows the new value
+			if g.sent[from.String()] == nil {
+				g.sent[from.String()] = map[string]version{}
+			}
+			g.sent[from.String()][key] = version{seq, value}
+		} else {
+			m.trigger(peer, key, seq, value)
+		}
+		m.what = fmt.Sprintf("peer %d gives %s value %q (trigger lost: %v), then sweeps %v unchanged", peer, key, value, stale, half)
+		var keys []string
+		for _, k := range half {
+			keys = append(keys, modelKeyName(k))
+		}
+		// The sender repairs what is NACKed with fresh triggers of what it
+		// holds, and sweeps again: a list with keys the receiver lacks
+		// renews the others at whatever version they are, so a lost value
+		// can take a second sweep to come to light.
+		for round := 0; ; round++ {
+			leased := g.leasedKeys()
+			nacked := m.summary(peer, g.refresh(summary{from, m.seq[peer], keys}))
+			if round == 0 && g.leasedKeys() != leased {
+				g.t.Fatalf("op %d (%s): a lease renewed the list over the key's old value", m.op, m.what)
+			}
+			if len(nacked) == 0 {
+				break
+			}
+			if round == 2 {
+				g.t.Fatalf("op %d (%s): still NACKed %v after two repairs", m.op, m.what, nacked)
+			}
+			for _, k := range nacked {
+				m.seq[peer]++
+				m.trigger(peer, k, m.seq[peer], g.sent[from.String()][k].value)
+			}
+		}
+		if got, _ := g.rcv.GetFrom(from, key); string(got) != value {
+			g.t.Fatalf("op %d (%s): %s holds %q", m.op, m.what, key, got)
+		}
 	case opTrigger:
 		seq := m.seq[peer] - 2
 		if !stale {
@@ -370,12 +456,7 @@ func (m *leaseModel) step(op byte, arg int) {
 			seq = m.seq[peer]
 		}
 		m.what = fmt.Sprintf("trigger from peer %d for %s seq %d", peer, key, seq)
-		if e := m.held[mk]; e == nil {
-			m.held[mk] = &modelEntry{deadline: g.now() + m.T, lastSeq: seq}
-		} else if seq >= e.lastSeq {
-			e.deadline, e.lastSeq = g.now()+m.T, seq
-		}
-		m.frame(from, wire.Message{Type: wire.TypeTrigger, Seq: seq, Key: key, Value: []byte("v")})
+		m.trigger(peer, key, seq, "v")
 	case opRemoval:
 		seq := m.seq[peer]
 		if stale {
@@ -439,6 +520,11 @@ func (m *leaseModel) check() {
 		if held := g.held(addr); !slices.Equal(held, keys) {
 			fail("peer %d holds %v, the model %v", p, held, keys)
 		}
+		for _, k := range keys {
+			if got, _ := g.rcv.GetFrom(addr, k); string(got) != m.held[modelKey{p, k}].value {
+				fail("peer %d's %s holds %q, the model %q", p, k, got, m.held[modelKey{p, k}].value)
+			}
+		}
 	}
 	if bad := g.rcv.CheckInvariants(); len(bad) != 0 {
 		fail("%v", bad)
@@ -448,11 +534,11 @@ func (m *leaseModel) check() {
 	}
 }
 
-// leaseSeeds are the scripts written by hand, each for one way a lease is
+// leaseScripts are the scripts written by hand, each for one way a lease is
 // built, used, overtaken or broken; leasedAtLeast is how many keys each must
 // renew through a lease for the script to have tested what it was written
 // for.
-var leaseSeeds = []struct {
+var leaseScripts = []struct {
 	name          string
 	script        []byte
 	leasedAtLeast int
@@ -487,12 +573,16 @@ var leaseSeeds = []struct {
 		sweepOp(0, sweepDropOne, 3), breakNextOp(0), sweepOp(0, sweepInOrder, 0), advOp(20), // the sweep's first, after its last
 		times(4, orderedSweep()), breakNextOp(1), sweepOp(1, sweepDropOne, 0), breakNextOp(1), advOp(20),
 		times(4, orderedSweep()), advOp(64), advOp(64)), 150},
+	{"same list, new value", script(installAll(), times(4, steadySweep()),
+		newValueOp(0, 2, false), times(3, steadySweep()), // the trigger arrives: the list's next datagram is walked and leased anew
+		newValueOp(1, 6, true), times(3, steadySweep()), // the trigger is lost: the list is NACKed whole and re-triggered
+		newValueOp(0, 5, true), newValueOp(0, 1, false), times(4, steadySweep()), advOp(64), advOp(64)), 12 * 16},
 }
 
 // TestLeaseModel plays the hand-written scripts, then a few hundred seeded
 // random ones, against the model.
 func TestLeaseModel(t *testing.T) {
-	for _, s := range leaseSeeds {
+	for _, s := range leaseScripts {
 		t.Run(s.name, func(t *testing.T) {
 			if got := runLeaseScript(t, s.script); got < s.leasedAtLeast {
 				t.Fatalf("%d keys were renewed through a lease, want at least %d", got, s.leasedAtLeast)
@@ -530,7 +620,7 @@ func TestLeaseModel(t *testing.T) {
 
 // FuzzLease is the same check with the fuzzer writing the script.
 func FuzzLease(f *testing.F) {
-	for _, s := range leaseSeeds {
+	for _, s := range leaseScripts {
 		f.Add(s.script)
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -556,7 +646,7 @@ func TestLeaseFormsOnFirstCleanSighting(t *testing.T) {
 		g.clk.Run(time.Millisecond)
 		g.conn.take()
 		before := g.rcv.Stats()
-		g.frame(p, wire.Message{Type: wire.TypeSummaryRefresh, Seq: 9, Keys: ks})
+		g.frame(p, g.refresh(summary{p, 9, ks}))
 		after := g.rcv.Stats()
 		for _, c := range g.conn.take() {
 			nacked = append(nacked, c.m.Keys...)
@@ -575,7 +665,7 @@ func TestLeaseFormsOnFirstCleanSighting(t *testing.T) {
 			t.Fatalf("repeat %d: %d lookups, %d leased, NACKed %v; want 0, 8 and none", i, lookups, leased, nacked)
 		}
 	}
-	intact := g.rcv.leaseCensus().listBytes
+	intact := g.rcv.leaseCensus().intact
 	for _, c := range []struct {
 		name   string
 		keys   []string
@@ -591,8 +681,8 @@ func TestLeaseFormsOnFirstCleanSighting(t *testing.T) {
 				t.Fatalf("%s, sighting %d: %d lookups, %d leased, NACKed %v; want %d, 0 and %v",
 					c.name, i+1, lookups, leased, nacked, len(c.keys), c.nacked)
 			}
-			if got := g.rcv.leaseCensus().listBytes; got != intact {
-				t.Fatalf("%s, sighting %d: leases hold %d key-list bytes, want the clean datagram's %d", c.name, i+1, got, intact)
+			if got := g.rcv.leaseCensus().intact; got != intact {
+				t.Fatalf("%s, sighting %d: %d leases intact, want the clean datagram's %d", c.name, i+1, got, intact)
 			}
 		}
 	}
@@ -614,7 +704,7 @@ func TestLeaseExpiresWithSweeps(t *testing.T) {
 	g.install(p, 5, keys...)
 	lo, hi := summary{p, 9, keys[:8]}, summary{p, 9, keys[8:]}
 	send := func(d summary) time.Duration {
-		g.frame(d.from, wire.Message{Type: wire.TypeSummaryRefresh, Seq: d.seq, Keys: d.keys})
+		g.frame(d.from, g.refresh(d))
 		return g.now()
 	}
 	var lastLo, lastHi time.Duration
@@ -738,19 +828,14 @@ func TestLeaseKeepsJitterHistogram(t *testing.T) {
 // boundaries move every sweep, because every datagram is then a clean first
 // sighting (so a lease is built for it) and is never seen again (so the
 // lease is never used, and the next sweep takes its members away). Through
-// 10,000 such sweeps the receiver keeps no more than
-// one key list per entry's worth of keys — an intact lease's list is its
-// members' keys with their length prefixes, and an entry is a member of one
-// lease — and no more lease headers than entries.
+// 10,000 such sweeps the receiver keeps no more intact leases than its
+// entries fill — an intact lease has one member per key of its list, and an
+// entry is a member of one lease — and no more lease headers than entries.
 func TestLeaseBounded(t *testing.T) {
 	g := newLeaseRig(t)
 	p := testAddr("10.0.0.1:7000")
 	keys := rigKeys(40)
 	g.install(p, 5, keys...)
-	keyBytes := 0
-	for _, k := range keys {
-		keyBytes += 2 + len(k)
-	}
 	const perDatagram = 8
 	built := 0
 	for sweep := 0; sweep < 10_000; sweep++ {
@@ -758,13 +843,13 @@ func TestLeaseBounded(t *testing.T) {
 		ring := append(slices.Clone(keys[sweep%len(keys):]), keys[:sweep%len(keys)]...)
 		g.clk.Run(time.Millisecond)
 		for i := 0; i < len(ring); i += perDatagram {
-			g.frame(p, wire.Message{Type: wire.TypeSummaryRefresh, Seq: 9, Keys: ring[i : i+perDatagram]})
+			g.frame(p, g.refresh(summary{p, 9, ring[i : i+perDatagram]}))
 		}
 		c := g.rcv.leaseCensus()
-		if c.listBytes > keyBytes || c.headers > len(keys) || c.idSlots > len(keys)+1 || c.members != c.naming {
-			t.Fatalf("sweep %d: %+v with %d entries holding %d key bytes", sweep, c, len(keys), keyBytes)
+		if c.intact*perDatagram > len(keys) || c.headers > len(keys) || c.idSlots > len(keys)+1 || c.members != c.naming {
+			t.Fatalf("sweep %d: %+v with %d entries", sweep, c, len(keys))
 		}
-		if c.listBytes > 0 {
+		if c.intact > 0 {
 			built++
 		}
 	}
@@ -788,11 +873,11 @@ func TestLeaseBounded(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			g.clk.Run(time.Millisecond)
 			for i := 0; i < len(ring); i += perDatagram {
-				g.frame(p, wire.Message{Type: wire.TypeSummaryRefresh, Seq: 9, Keys: ring[i : i+perDatagram]})
+				g.frame(p, g.refresh(summary{p, 9, ring[i : i+perDatagram]}))
 			}
 			c := g.rcv.leaseCensus()
-			if c.listBytes > keyBytes || c.headers > len(keys) || c.idSlots > len(keys)+1 || c.members != c.naming {
-				t.Fatalf("settling from key %d: %+v with %d entries holding %d key bytes", from, c, len(keys), keyBytes)
+			if c.intact*perDatagram > len(keys) || c.headers > len(keys) || c.idSlots > len(keys)+1 || c.members != c.naming {
+				t.Fatalf("settling from key %d: %+v with %d entries", from, c, len(keys))
 			}
 		}
 	}
@@ -807,8 +892,8 @@ func TestLeaseBounded(t *testing.T) {
 		}
 		ls := &g.rcv.peers.byAddr.get(string(p)).leases
 		ls.mu.Lock()
-		for _, l := range ls.byList {
-			if l.next == nil || l.next.list == nil {
+		for _, l := range ls.byFold {
+			if l.next == nil || l.next.broken {
 				t.Fatalf("round %d: an intact lease of a settled sweep expects %+v next", round, l.next)
 			}
 		}
@@ -821,10 +906,10 @@ func TestLeaseBounded(t *testing.T) {
 }
 
 // TestLeaseFollowsSweepOrder: a sweep that arrives as the last one did is
-// absorbed without hashing a key list — every datagram is the lease the one
+// absorbed without looking a fold up — every datagram is the lease the one
 // before it expects next. A sweep that arrives otherwise (reversed, rotated,
 // short of a datagram, with one twice) renews exactly the same keys through
-// the same leases, found by at most one hash lookup per datagram, and the
+// the same leases, found by at most one fold lookup per datagram, and the
 // order is learned again within two sweeps.
 func TestLeaseFollowsSweepOrder(t *testing.T) {
 	g := newLeaseRig(t)
@@ -835,7 +920,7 @@ func TestLeaseFollowsSweepOrder(t *testing.T) {
 		g.clk.Run(5 * time.Millisecond)
 		before := g.rcv.Stats()
 		for _, i := range order {
-			g.frame(p, wire.Message{Type: wire.TypeSummaryRefresh, Seq: 9, Keys: keys[4*i : 4*i+4]})
+			g.frame(p, g.refresh(summary{p, 9, keys[4*i : 4*i+4]}))
 		}
 		after := g.rcv.Stats()
 		return after.SummaryLeasedKeys - before.SummaryLeasedKeys, after.SummaryLeaseLookups - before.SummaryLeaseLookups
@@ -854,10 +939,10 @@ func TestLeaseFollowsSweepOrder(t *testing.T) {
 		{"one repeated", []int{0, 1, 1, 2, 3}},
 	} {
 		if leased, lookups := deliver(inOrder...); leased != 16 || lookups != 0 {
-			t.Fatalf("before %s: a settled sweep renewed %d keys through leases with %d lists hashed, want 16 and 0", c.name, leased, lookups)
+			t.Fatalf("before %s: a settled sweep renewed %d keys through leases with %d folds looked up, want 16 and 0", c.name, leased, lookups)
 		}
 		if leased, lookups := deliver(c.order...); leased != 4*len(c.order) || lookups > len(c.order) {
-			t.Fatalf("%s: %d keys renewed through leases with %d lists hashed, want %d and at most %d", c.name, leased, lookups, 4*len(c.order), len(c.order))
+			t.Fatalf("%s: %d keys renewed through leases with %d folds looked up, want %d and at most %d", c.name, leased, lookups, 4*len(c.order), len(c.order))
 		}
 		deliver(inOrder...)
 		deliver(inOrder...)
@@ -895,11 +980,24 @@ func TestLeaseRaceExtendChurnExpire(t *testing.T) {
 	}
 	const lists, perList = 8, 12
 	keys := make([][]string, lists)
+	// The sender's versions: a key's sequence number, which the churn takes
+	// before it sends the trigger, as a sender does.
+	var mu sync.Mutex
+	versions := map[string]uint64{}
+	fold := func(keys []string) (sum uint64) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, k := range keys {
+			sum += wire.StateHash(k, versions[k], []byte("v"))
+		}
+		return sum
+	}
 	setup := rcv.newDispatchScratch()
 	for l := range keys {
 		for k := 0; k < perList; k++ {
 			key := fmt.Sprintf("flow/%d/%02d", l, k)
 			keys[l] = append(keys[l], key)
+			versions[key] = 1
 			rcv.dispatch(encode(wire.Message{Type: wire.TypeTrigger, Seq: 1, Key: key, Value: []byte("v")}), p, setup)
 		}
 	}
@@ -916,7 +1014,8 @@ func TestLeaseRaceExtendChurnExpire(t *testing.T) {
 				if l >= lists/2 && halfway.Load() {
 					break
 				}
-				rcv.dispatch(encode(wire.Message{Type: wire.TypeSummaryRefresh, Seq: seq.Load(), Keys: keys[l]}), p, sc)
+				s := seq.Load()
+				rcv.dispatch(encode(wire.Message{Type: wire.TypeSummaryRefresh, Seq: s, Keys: keys[l], Fold: fold(keys[l])}), p, sc)
 			}
 		}
 	}()
@@ -927,6 +1026,9 @@ func TestLeaseRaceExtendChurnExpire(t *testing.T) {
 			for l := 0; l < lists/2; l++ {
 				for k := 0; k < perList; k += 3 {
 					s := seq.Add(1)
+					mu.Lock()
+					versions[keys[l][k]] = s
+					mu.Unlock()
 					rcv.dispatch(encode(wire.Message{Type: wire.TypeRemoval, Seq: s, Key: keys[l][k]}), p, sc)
 					rcv.dispatch(encode(wire.Message{Type: wire.TypeTrigger, Seq: s, Key: keys[l][k], Value: []byte("v")}), p, sc)
 				}
@@ -965,8 +1067,8 @@ func TestLeaseRaceExtendChurnExpire(t *testing.T) {
 // swept in 64 datagrams. leased/in-order: the sweep repeats, so every
 // datagram extends the lease the one before it expects next. leased/shuffled:
 // the sweep's datagrams repeat in an order that does not, so every lease is
-// found by the hash of its list. indexed: the same sweep stamped older than
-// its leases, which declines them, so every key is looked up.
+// found by its fold. indexed: the same sweep stamped older than its leases,
+// which declines them, so every key is looked up.
 func BenchmarkReceiverSummary(b *testing.B) {
 	const keys, perDatagram = 4096, 64
 	for _, tier := range []string{"leased/in-order", "leased/shuffled", "indexed"} {
@@ -986,6 +1088,9 @@ func BenchmarkReceiverSummary(b *testing.B) {
 			sweep := func(order []string, seq uint64) (out [][]byte) {
 				for i := 0; i < len(order); i += perDatagram {
 					m := wire.Message{Type: wire.TypeSummaryRefresh, Seq: seq, Keys: order[i : i+perDatagram]}
+					for _, k := range m.Keys {
+						m.Fold += wire.StateHash(k, 1, []byte("v"))
+					}
 					data, err := m.MarshalBinary()
 					if err != nil {
 						b.Fatal(err)
@@ -1033,7 +1138,7 @@ func BenchmarkReceiverSummary(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/renewed, "ns/key")
 			b.ReportMetric(float64(after.SummaryLeasedKeys-before.SummaryLeasedKeys)/renewed, "leased/key")
 			b.ReportMetric(float64(after.SummaryIndexLookups-before.SummaryIndexLookups)/renewed, "lookups/key")
-			b.ReportMetric(float64(after.SummaryLeaseLookups-before.SummaryLeaseLookups)/float64(b.N), "hashed/datagram")
+			b.ReportMetric(float64(after.SummaryLeaseLookups-before.SummaryLeaseLookups)/float64(b.N), "fold-lookups/datagram")
 		})
 	}
 }

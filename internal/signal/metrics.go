@@ -171,9 +171,14 @@ func (r *Receiver) registerMetrics() {
 	}, &r.ctrs.summaryLeased)
 	reg.RegisterCounter(telemetry.Opts{
 		Name:   "softstate_summary_lease_lookups_total",
-		Help:   "Summary datagrams whose lease was looked up by key-list hash because they did not arrive in sweep order.",
+		Help:   "Summary datagrams whose lease was looked up by key-list fold because they did not arrive in sweep order.",
 		Labels: labels,
 	}, &r.ctrs.summaryLeaseLookups)
+	reg.RegisterCounter(telemetry.Opts{
+		Name:   "softstate_summary_fold_mismatches_total",
+		Help:   "Summary datagrams whose keys were all held but whose fold disagreed: they renewed nothing and were NACKed whole.",
+		Labels: labels,
+	}, &r.ctrs.summaryFoldMismatches)
 	reg.GaugeFunc(telemetry.Opts{
 		Name:   "softstate_receiver_peers",
 		Help:   "Senders holding state (or owed a coalesced ack) at the receiver.",

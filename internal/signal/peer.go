@@ -116,7 +116,7 @@ type peer struct {
 
 	// Guarded by the owning table's mu.
 	entries int            // installed entries naming id
-	fold    uint64         // Σ wire.KeyHash of their user keys, mod 2⁶⁴ (hard state only)
+	fold    uint64         // Σ wire.StateHash of their (user key, seq, value), mod 2⁶⁴
 	acks    []wire.AckItem // coalesced acknowledgements awaiting the next flush
 	audit   audit          // hard-state pair disagreement (probe.go)
 
@@ -153,10 +153,10 @@ type peerTable struct {
 	nextID uint32
 	acking []*peer // records with pending acks
 
-	// Hard state only (probe.go): folding keeps each record's fold, and
-	// probing says the probe round is armed — from the first entry installed
-	// until a round finds no record holding one.
-	folding, probing bool
+	// probing says a probe round is armed: under hard state (probe.go),
+	// from the first entry installed until a round finds no record holding
+	// one. Other profiles run no rounds, so nothing clears it.
+	probing bool
 }
 
 // resolve returns the record an installed entry's id names.
@@ -192,28 +192,34 @@ func (t *peerTable) reap(p *peer) {
 	}
 }
 
-// install counts one more entry, for user key key, under from's record. arm
-// reports that the entry is the first any record holds since the probe
-// round last stopped: the caller arms the round.
-func (t *peerTable) install(p *peer, from net.Addr, key string) (_ *peer, arm bool) {
+// install counts one more entry under from's record, folding in hash, the
+// StateHash of its user key, seq and value. arm reports that the entry is
+// the first any record holds since the probe round last stopped: a
+// hard-state caller arms the round.
+func (t *peerTable) install(p *peer, from net.Addr, hash uint64) (_ *peer, arm bool) {
 	p = t.lock(p, from)
 	defer t.mu.Unlock()
 	p.entries++
-	if t.folding {
-		p.fold += wire.KeyHash(key)
-		arm, t.probing = !t.probing, true
-	}
+	p.fold += hash
+	arm, t.probing = !t.probing, true
 	return p, arm
 }
 
-// uninstall is install's inverse for p's entry for key being dropped.
-func (t *peerTable) uninstall(p *peer, key string) {
+// refold swaps one of p's entries' hash in its fold, after an accepted
+// change of the entry's seq or value.
+func (t *peerTable) refold(p *peer, old, hash uint64) {
+	t.mu.Lock()
+	p.fold += hash - old
+	t.mu.Unlock()
+}
+
+// uninstall is install's inverse for p's entry with the given hash being
+// dropped.
+func (t *peerTable) uninstall(p *peer, hash uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p.entries--
-	if t.folding {
-		p.fold -= wire.KeyHash(key)
-	}
+	p.fold -= hash
 	t.reap(p)
 }
 

@@ -3,7 +3,6 @@ package signal
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -173,12 +172,12 @@ func TestPeerNotCreatedByFramesThatInstallNothing(t *testing.T) {
 	const strangers = 10000
 	for _, proto := range allProtocols {
 		t.Run(proto.String(), func(t *testing.T) {
-			g := newPeerRig(t, proto, func(cfg *Config) { cfg.Census = true })
+			g := newPeerRig(t, proto)
 			digest := wire.DigestRequest{Kind: wire.DigestSummary}.Encode()
 			frames := []wire.Message{
 				{Type: wire.TypeSummaryRefresh, Seq: 9, Keys: []string{"k", "k2"}},
 				{Type: wire.TypeProbeAck, Seq: 9, Key: "k"},
-				{Type: wire.TypeProbeAck, Seq: 9, Value: wire.AppendPair(nil, 2, wire.KeyHash("k"))},
+				{Type: wire.TypeProbeAck, Seq: 9, Value: wire.AppendPair(nil, 2, wire.StateHash("k", 9, nil))},
 				{Type: wire.TypeDigest, Seq: 9, Value: digest},
 			}
 			if !g.rcv.prof.ReliableRemoval { // an acked removal is answered at once: no record either
@@ -274,12 +273,12 @@ func TestPeerReapVersusInstall(t *testing.T) {
 // TestStrangerDigestWalksNothing: a census digest request from an address
 // holding no state is answered from the missing record alone. The proof is
 // a held shard lock: a walk of the table would block on it, the direct
-// answer does not — and the answer is what the walk used to produce, zero
-// sums and one empty detail part.
+// answer does not — and the answer is what the walk would produce, fold 0,
+// zero sums and one empty detail part.
 func TestStrangerDigestWalksNothing(t *testing.T) {
 	const holder, stranger = testAddr("sender-a"), testAddr("stranger")
-	const buckets = 8
-	g := newPeerRig(t, SSRTR, func(cfg *Config) { cfg.Census, cfg.CensusBuckets = true, buckets })
+	const buckets = censusBuckets
+	g := newPeerRig(t, SSRTR)
 	for i := 0; i < 64; i++ {
 		g.frame(holder, wireTrigger(1, fmt.Sprintf("k%02d", i), []byte("v")))
 	}
@@ -293,8 +292,9 @@ func TestStrangerDigestWalksNothing(t *testing.T) {
 		go func() {
 			defer close(done)
 			for i := uint64(0); i < n; i++ {
-				request(stranger, wire.DigestRequest{Kind: wire.DigestSummary}, 2*i)
-				request(stranger, wire.DigestRequest{Kind: wire.DigestDetail, Bucket: uint16(i % buckets)}, 2*i+1)
+				request(stranger, wire.DigestRequest{Kind: wire.DigestFold}, 3*i)
+				request(stranger, wire.DigestRequest{Kind: wire.DigestSummary}, 3*i+1)
+				request(stranger, wire.DigestRequest{Kind: wire.DigestDetail, Bucket: uint16(i % buckets)}, 3*i+2)
 			}
 		}()
 		select {
@@ -305,14 +305,17 @@ func TestStrangerDigestWalksNothing(t *testing.T) {
 	})
 	<-done
 	replies := g.conn.take()
-	if len(replies) != 2*n {
-		t.Fatalf("%d replies to %d requests", len(replies), 2*n)
+	if len(replies) != 3*n {
+		t.Fatalf("%d replies to %d requests", len(replies), 3*n)
 	}
 	for i, c := range replies {
-		// What the prefix-filtered walk returned for an address with no keys.
-		want := &wire.DigestReply{Kind: wire.DigestSummary, Sums: make([]uint64, buckets)}
-		if i%2 == 1 {
-			want = &wire.DigestReply{Kind: wire.DigestDetail, Bucket: uint16(i / 2 % buckets), Parts: 1}
+		// What the prefix-filtered walk returns for an address with no keys.
+		want := &wire.DigestReply{Kind: wire.DigestFold}
+		switch i % 3 {
+		case 1:
+			want = &wire.DigestReply{Kind: wire.DigestSummary, Sums: make([]uint64, buckets)}
+		case 2:
+			want = &wire.DigestReply{Kind: wire.DigestDetail, Bucket: uint16(i / 3 % buckets), Parts: 1}
 		}
 		val, err := want.Encode()
 		if err != nil {
@@ -323,14 +326,23 @@ func TestStrangerDigestWalksNothing(t *testing.T) {
 		}
 	}
 
-	// The holder's own request still walks, and still finds its keys.
-	request(holder, wire.DigestRequest{Kind: wire.DigestSummary}, 1)
-	reply, err := wire.ParseDigestReply(g.conn.take()[0].m.Value)
-	if err != nil {
-		t.Fatal(err)
+	// The holder's own requests still find its keys: its fold is its
+	// record's, and its sums add up to it.
+	request(holder, wire.DigestRequest{Kind: wire.DigestFold}, 1)
+	request(holder, wire.DigestRequest{Kind: wire.DigestSummary}, 2)
+	var fold, sum uint64
+	for _, c := range g.conn.take() {
+		reply, err := wire.ParseDigestReply(c.m.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold += reply.Fold
+		for _, s := range reply.Sums {
+			sum += s
+		}
 	}
-	if reflect.DeepEqual(reply.Sums, make([]uint64, buckets)) {
-		t.Fatal("the holder's digest came back empty")
+	if p := g.rcv.peers.byAddr.get(string(holder)); fold == 0 || fold != p.fold || sum != fold {
+		t.Fatalf("the holder's fold %x, its sums add up to %x, its record folds %x", fold, sum, p.fold)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // an external, per-link failure signal fires. Here that signal is one probe
 // round per ProbeInterval, armed while any peer record holds entries. Every
 // record with entries gets one peer probe carrying the record's pair — how
-// many entries it holds and their fold (Σ wire.KeyHash of the user keys) —
-// and the sender answers with its own pair for this receiver, kept next to
+// many entries it holds and their fold (Σ wire.StateHash of their user
+// key, seq and value) — and the sender answers with its own pair for this receiver, kept next to
 // its live-key count. An answer, or any accepted trigger, clears the
 // record's miss count; a record that misses MaxProbeMisses rounds is
 // orphaned whole.
@@ -27,7 +27,8 @@ import (
 // incarnation's leftover — is still orphaned after MaxProbeMisses of them.
 // An audit round that finds every held key answered settles the
 // disagreement until either pair changes: a key missing here (a false
-// removal whose notify was lost) costs one audit, not one per round.
+// removal whose notify was lost), or one held at another version than the
+// sender's, costs one audit, not one per round.
 
 // pair is one end's account of a sender's key set at this receiver.
 type pair struct{ count, fold uint64 }

@@ -231,7 +231,7 @@ func TestPeerProbeRoundVersusDispatch(t *testing.T) {
 				case 0, 1:
 					frame(wireTrigger(uint64(i+1), key, []byte("v")))
 				case 2:
-					frame(wire.Message{Type: wire.TypeProbeAck, Seq: 1, Value: wire.AppendPair(nil, uint64(i%7), wire.KeyHash(key))})
+					frame(wire.Message{Type: wire.TypeProbeAck, Seq: 1, Value: wire.AppendPair(nil, uint64(i%7), wire.StateHash(key, uint64(i), []byte("v")))})
 				case 3:
 					frame(wire.Message{Type: wire.TypeProbeAck, Seq: 1, Key: key})
 				default:
@@ -250,7 +250,7 @@ func TestPeerProbeRoundVersusDispatch(t *testing.T) {
 	}
 }
 
-// TestProbeInvariantsDetectPairSkew: the hard-state clauses bite — a
+// TestProbeInvariantsDetectPairSkew: the pair clauses bite under hard state — a
 // record's fold off its entries, an unarmed round, and a sender session's
 // fold off its live keys are each reported.
 func TestProbeInvariantsDetectPairSkew(t *testing.T) {

@@ -3,10 +3,8 @@ package signal
 import (
 	"bytes"
 	"errors"
-	"hash/maphash"
 	"net"
 	"net/netip"
-	"sort"
 	"sync"
 	"time"
 
@@ -30,9 +28,6 @@ type Receiver struct {
 
 	tbl   *statetable.Table[receiverEntry]
 	peers peerTable // who holds state here: one record per source address
-	// leaseSeed keys the hash a peer's datagram leases are filed under
-	// (lease.go): per receiver, so no sender can aim two key lists at one hash.
-	leaseSeed maphash.Seed
 
 	// histHop and histE2E are fed by inbound wire trace contexts: per-hop
 	// propagation latency on any traced frame, end-to-end install latency
@@ -86,19 +81,12 @@ func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 	r := &Receiver{}
 	r.init(conn, cfg)
 	cfg, clk := r.cfg, r.clk
-	r.peers.byID, r.leaseSeed = make(map[uint32]*peer), maphash.MakeSeed()
-	stcfg := statetable.Config[receiverEntry]{
+	r.peers.byID = make(map[uint32]*peer)
+	r.tbl = statetable.New(statetable.Config[receiverEntry]{
 		Shards:   cfg.Shards,
 		Clock:    cfg.Clock,
 		OnExpire: r.onTimeout,
-	}
-	// The receiver's held digest: every installed key folds (user key,
-	// value, accepted seq) — the mirror of the sender's intent fold, so
-	// matching sums mean the link converged.
-	censusDigest(cfg, &stcfg, func(ck string, e *receiverEntry) (string, []byte, uint64, bool) {
-		return r.peers.resolve(e.peer).userKey(ck), e.value, e.lastSeq, true
 	})
-	r.tbl = statetable.New(stcfg)
 	r.registerMetrics()
 	if cfg.CoalesceAcks {
 		r.ackBW = newBatchWriter(&r.tp, &r.ctrs)
@@ -114,7 +102,6 @@ func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 		})
 	}
 	if r.prof.HardState {
-		r.peers.folding = true
 		r.probeBW = newBatchWriter(&r.tp, &r.ctrs)
 		r.probeTimer = clk.NewTimer(r.probeRound)
 	}
@@ -270,31 +257,43 @@ type dispatchScratch struct {
 	seq     uint64        // current datagram's sequence number
 	now     time.Duration // clock offset, read once per datagram (metrics)
 	unknown []string
-	visit   func(seq uint64, key []byte)
-	renew   func(e *receiverEntry, tc statetable.TimerControl[receiverEntry])
-	// found counts the current datagram's keys that resolved to an entry,
-	// fresh the ones of them the datagram was not too old to renew.
+	// The summary walks' visitors: check looks every key up and folds the
+	// entries found, renew renews them, list lists every key.
+	check, renew, list func(seq uint64, key []byte)
+	// found counts the current datagram's keys that resolved to an entry and
+	// fold is the fold of those entries, as check found them.
 	found int64
-	fresh int
+	fold  uint64
 	// The datagram's r.lifetime(), read once per datagram, not once per key.
 	tick int64
 	arm  bool
-	// buildLease's second walk: the lease being joined and the visitor that
-	// joins each entry.
+	// joining is the lease the renewing walk builds, nil for none.
 	joining *lease
-	attach  func(seq uint64, key []byte)
 }
 
 func (r *Receiver) newDispatchScratch() *dispatchScratch {
 	sc := &dispatchScratch{}
-	sc.renew = func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
+	hash := func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) {
+		sc.fold += wire.StateHash(sc.ck[len(sc.peer.prefix):], e.lastSeq, e.value)
+	}
+	sc.check = func(_ uint64, key []byte) {
+		// A stranger holds nothing, so its every key is unknown.
+		if sc.peer != nil {
+			sc.ck = append(sc.ck[:len(sc.peer.prefix)], key...)
+			if r.tbl.UpdateBytes(sc.ck, hash) {
+				sc.found++
+				return
+			}
+		}
+		sc.unknown = append(sc.unknown, string(key))
+	}
+	renew := func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
 		// Same staleness guard as per-key refreshes: a delayed or replayed
 		// summary must not renew state that a newer per-key message has
 		// since superseded.
 		if sc.seq < e.lastSeq {
 			return
 		}
-		sc.fresh++
 		if r.measure {
 			if at := r.lastRenewal(sc.peer, e); at > 0 {
 				r.histJitter.Observe(sc.now - at)
@@ -304,23 +303,15 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 		if sc.arm {
 			tc.ScheduleAt(timerTimeout, sc.tick)
 		}
-	}
-	sc.visit = func(_ uint64, key []byte) {
-		// A stranger holds nothing, so its every key is unknown.
-		if sc.peer != nil {
-			sc.ck = append(sc.ck[:len(sc.peer.prefix)], key...)
-			if r.tbl.UpdateBytes(sc.ck, sc.renew) {
-				sc.found++
-				return
-			}
+		if sc.joining != nil {
+			r.join(sc, e)
 		}
-		sc.unknown = append(sc.unknown, string(key))
 	}
-	join := func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { r.join(sc, e) }
-	sc.attach = func(_ uint64, key []byte) {
+	sc.renew = func(_ uint64, key []byte) {
 		sc.ck = append(sc.ck[:len(sc.peer.prefix)], key...)
-		r.tbl.UpdateBytes(sc.ck, join)
+		r.tbl.UpdateBytes(sc.ck, renew)
 	}
+	sc.list = func(_ uint64, key []byte) { sc.unknown = append(sc.unknown, string(key)) }
 	return sc
 }
 
@@ -369,19 +360,23 @@ func (sc *dispatchScratch) key(key string) []byte {
 }
 
 // handleSummaryFast absorbs a summary refresh without allocating, through
-// the cheaper of two tiers that applies. A datagram whose key list the
-// source holds an intact lease for extends the lease and is done
+// the cheaper of two tiers that applies. A datagram whose key count and
+// fold the source holds an intact lease for extends the lease and is done
 // (extendLease). Otherwise the list is walked in place (wire.VisitKeyList):
-// each (peer, key) composite lookup key is built in a reusable buffer and
-// the entry renewed through the state table's byte-key path. Only the NACK
-// fallback for unknown keys — rare by construction — copies anything. A walk
-// that found every key and renewed every one ends by building the lease the
-// list's next datagram extends.
+// each (peer, key) composite lookup key is built in a reusable buffer, and
+// a first walk looks every key up through the state table's byte-key path
+// and folds the entries it finds. A datagram naming a key not held here
+// renews the keys that are and NACKs the rest. One whose keys are all held
+// but whose fold differs from theirs names some key at another version
+// than the one held: it renews nothing and NACKs its whole list, so the
+// sender re-triggers every key of it. Otherwise a second walk renews every
+// entry and makes it a member of the lease the list's next datagram
+// extends. Only the NACKs — rare by construction — copy anything.
 func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScratch) {
 	if r.closed.Load() {
 		return
 	}
-	seq, n, list, err := wire.SummaryKeyList(data)
+	seq, fold, n, list, err := wire.SummaryKeyList(data)
 	if err != nil {
 		r.ctrs.decodeErrors.Add(1)
 		return
@@ -392,27 +387,38 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScr
 	}
 	sc.tick, sc.arm = r.lifetime()
 	leasing := p != nil && r.prof.Refresh
-	if leasing && r.extendLease(sc, p, seq, n, list) {
+	if leasing && r.extendLease(sc, p, seq, fold, n) {
 		r.ctrs.received[wire.TypeSummaryRefresh].Add(1)
 		r.ctrs.summaryRenewals.Add(int64(n))
 		r.ctrs.summaryLeased.Add(int64(n))
 		return
 	}
-	sc.seq, sc.unknown, sc.found, sc.fresh = seq, sc.unknown[:0], 0, 0
-	if err := wire.VisitKeyList(seq, n, list, sc.visit); err != nil {
+	sc.seq, sc.unknown, sc.found, sc.fold = seq, sc.unknown[:0], 0, 0
+	if err := wire.VisitKeyList(seq, n, list, sc.check); err != nil {
 		r.ctrs.decodeErrors.Add(1)
 		return
 	}
 	r.ctrs.received[wire.TypeSummaryRefresh].Add(1)
-	// Once per datagram, not per key: the keys it renewed, and the keys
-	// (unknown ones included) the walk looked up in the table's index — a
-	// stranger's are not looked up at all.
-	r.ctrs.summaryRenewals.Add(sc.found)
+	// Once per datagram, not per key: the keys (unknown ones included) the
+	// walk looked up in the table's index — a stranger's are not looked up
+	// at all — and the keys it renewed.
 	if p != nil {
 		r.ctrs.summaryIndexLookups.Add(int64(n))
 	}
-	if leasing && n > 0 && sc.fresh == n {
-		r.buildLease(sc, p, seq, n, list)
+	switch {
+	case len(sc.unknown) == 0 && sc.fold != fold:
+		r.ctrs.summaryFoldMismatches.Add(1)
+		_ = wire.VisitKeyList(seq, n, list, sc.list) // the list validated above
+	case sc.found > 0:
+		if leasing && len(sc.unknown) == 0 {
+			sc.joining = r.fileLease(sc, p, seq, fold, n)
+		}
+		r.ctrs.summaryRenewals.Add(sc.found)
+		_ = wire.VisitKeyList(seq, n, list, sc.renew)
+		if sc.joining != nil {
+			r.settleLease(p, sc.joining)
+			sc.joining = nil
+		}
 	}
 	unknown := sc.unknown
 	for len(unknown) > 0 {
@@ -442,9 +448,11 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 			// must not clobber a newer value (sequence numbers are monotone
 			// within one sender session, and entries are per-sender).
 			accepted := m.Seq >= e.lastSeq || created
+			var old uint64 // the hash of the version an accepted change replaces
+			versioned := false
 			if created {
 				var arm bool
-				if p, arm = r.peers.install(p, from, m.Key); arm {
+				if p, arm = r.peers.install(p, from, wire.StateHash(m.Key, m.Seq, m.Value)); arm && r.prof.HardState {
 					r.probeTimer.Reset(r.cfg.ProbeInterval)
 				}
 				e.peer = p.id
@@ -455,8 +463,8 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 				if changed {
 					r.emit(Event{Kind: EventUpdated, Key: m.Key, Value: m.Value, Seq: m.Seq, Peer: from, Trace: m.Trace})
 				}
-				if changed || e.lastSeq != m.Seq {
-					tc.MarkDigestDirty() // the census fold covers value and seq
+				if versioned = changed || e.lastSeq != m.Seq; versioned {
+					old = wire.StateHash(m.Key, e.lastSeq, e.value)
 				}
 			}
 			if accepted {
@@ -469,6 +477,16 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 						}
 					}
 					e.renewedAt = now
+				}
+				if versioned {
+					// A new version: the record's fold follows it, and the
+					// entry leaves its lease, whose fold names the old one
+					// (after the jitter above read the lease's stamp).
+					if p == nil {
+						p = r.peers.resolve(e.peer)
+					}
+					r.peers.refold(p, old, wire.StateHash(m.Key, m.Seq, m.Value))
+					r.unlease(p, e)
 				}
 				if m.Trace.Sampled() {
 					r.observeTrace(m, from)
@@ -555,33 +573,22 @@ func (r *Receiver) observeTrace(m wire.Message, from net.Addr) {
 
 // handleDigest answers a census digest request with this receiver's
 // digest of the requester's keys — scoped to the source address, since
-// digests fold per-(peer, key) entries and the auditing sender compares
-// against its own intent for that one link. A receiver running without
-// Config.Census stays silent: the requester's timeout then reports the
-// link as failed instead of falsely converged. p is the requester's record:
-// a stranger's (nil) answer — zero sums, one empty detail part — is known
-// without walking the table.
+// the auditing sender compares against its own intent for that one link.
+// The fold round reads the requester's record; the other two walk its
+// entries. p is the requester's record: a stranger's (nil) answer — fold
+// 0, zero sums, one empty detail part — is known without walking the
+// table.
 func (r *Receiver) handleDigest(m wire.Message, from net.Addr, p *peer) {
-	n := r.tbl.NumDigestBuckets()
-	if n == 0 {
-		return
-	}
 	req, err := wire.ParseDigestRequest(m.Value)
 	if err != nil {
 		r.ctrs.decodeErrors.Add(1)
 		return
 	}
 	// held visits the digest of every entry p holds.
-	held := func(fn func(ck string, bucket uint32, sum uint64)) {
-		if p == nil {
-			return
+	held := func(fn func(key string, sum uint64)) {
+		if p != nil {
+			r.digests(p, fn)
 		}
-		r.tbl.RangeDigest(func(ck string, e *receiverEntry, bucket uint32, sum uint64) bool {
-			if e.peer == p.id {
-				fn(ck, bucket, sum)
-			}
-			return true
-		})
 	}
 	reply := func(dr wire.DigestReply) {
 		if val, err := dr.Encode(); err == nil {
@@ -589,21 +596,24 @@ func (r *Receiver) handleDigest(m wire.Message, from net.Addr, p *peer) {
 		}
 	}
 	switch req.Kind {
+	case wire.DigestFold:
+		var fold uint64
+		if p != nil {
+			r.peers.mu.RLock()
+			fold = p.fold
+			r.peers.mu.RUnlock()
+		}
+		reply(wire.DigestReply{Kind: wire.DigestFold, Fold: fold})
 	case wire.DigestSummary:
-		sums := make([]uint64, n)
-		held(func(_ string, bucket uint32, sum uint64) { sums[bucket] ^= sum })
-		reply(wire.DigestReply{Kind: wire.DigestSummary, Sums: sums})
+		reply(wire.DigestReply{Kind: wire.DigestSummary, Sums: censusSums(held)})
 	case wire.DigestDetail:
-		if int(req.Bucket) >= n {
+		if int(req.Bucket) >= censusBuckets {
 			return
 		}
 		var keys []wire.DigestKeySum
-		held(func(ck string, bucket uint32, sum uint64) {
-			if bucket == uint32(req.Bucket) {
-				keys = append(keys, wire.DigestKeySum{Key: p.userKey(ck), Sum: sum})
-			}
-		})
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Key < keys[j].Key })
+		for _, kd := range censusBucketKeys(held, int(req.Bucket)) {
+			keys = append(keys, wire.DigestKeySum{Key: kd.Key, Sum: kd.Sum})
+		}
 		// Chunk the listing to the wire budget, part count declared up
 		// front so the requester knows when the answer is complete. An
 		// empty bucket still answers: one empty part, so a one-sided
@@ -671,12 +681,8 @@ func (r *Receiver) drop(e *receiverEntry, tc statetable.TimerControl[receiverEnt
 	p := r.peers.resolve(e.peer)
 	key, value, peer := p.userKey(tc.Key()), e.value, p.addr
 	tc.Delete()
-	if r.prof.Refresh && e.aux != 0 {
-		p.leases.mu.Lock()
-		p.leases.leave(e)
-		p.leases.mu.Unlock()
-	}
-	r.peers.uninstall(p, key)
+	r.unlease(p, e)
+	r.peers.uninstall(p, wire.StateHash(key, e.lastSeq, value))
 	if r.trace != nil {
 		tk := telemetry.TraceRemoval
 		switch kind {
@@ -689,6 +695,16 @@ func (r *Receiver) drop(e *receiverEntry, tc statetable.TimerControl[receiverEnt
 	}
 	r.emit(Event{Kind: kind, Key: key, Value: value, Peer: peer})
 	return key, peer
+}
+
+// unlease takes e, one of p's entries, out of its lease if it is in one; the
+// entry's shard lock is held.
+func (r *Receiver) unlease(p *peer, e *receiverEntry) {
+	if r.prof.Refresh && e.aux != 0 {
+		p.leases.mu.Lock()
+		p.leases.leave(e)
+		p.leases.mu.Unlock()
+	}
 }
 
 // ack queues on to's record (p, if the caller has it) or, without

@@ -87,8 +87,7 @@ func (s *Sender) Remove(key string) error { return s.sess.Remove(key) }
 // sources.
 func (s *Sender) Session() *Session { return s.sess }
 
-// CensusSource exposes the sender's intent digest as an auditor source
-// (requires Config.Census).
+// CensusSource exposes the sender's intent digest as an auditor source.
 func (s *Sender) CensusSource(name string) telemetry.CensusSource {
 	return s.ss.CensusSource(name)
 }

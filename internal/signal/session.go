@@ -47,7 +47,7 @@ type Sessions struct {
 	sweepBW    *batchWriter // sweep datagram coalescer (guarded by sweepMu)
 	// sweepScratch is where a rebuild sorts the table keys of the sessions it
 	// re-encodes: cleared after use, kept only up to sweepScratchCap.
-	sweepScratch []string
+	sweepScratch sweepKeys
 
 	reapTimer clock.Timer       // idle-peer reaper; nil without PeerIdleTimeout
 	evictions telemetry.Counter // idle sessions evicted from the peer table
@@ -135,9 +135,10 @@ type Session struct {
 	peer net.Addr
 	seq  atomic.Uint64
 	live atomic.Int64
-	// fold is Σ wire.KeyHash over the live keys, mod 2⁶⁴, kept beside live
-	// under hard state: with it, a peer probe is answered with the pair the
-	// receiver compares against its own, without a table lookup.
+	// fold is Σ wire.StateHash over the live keys' (key, seq, value), mod
+	// 2⁶⁴, kept beside live: with it, a peer probe is answered with the pair
+	// the receiver compares against its own, and a census reads the link's
+	// intent, without a table walk.
 	fold atomic.Uint64
 
 	// Idle-eviction bookkeeping: tabled counts this session's entries in
@@ -151,12 +152,13 @@ type Session struct {
 	gone       atomic.Bool
 
 	// Summary-sweep cache: this session's summary datagrams, encoded from
-	// its sorted live user keys, so steady-state sweeps neither scan the
-	// shared table, nor re-sort, nor re-encode. The dirty flag is set by any
-	// operation that changes key membership (install, remove) and claimed by
-	// the next sweep, which re-encodes the stale sessions' frames from a
-	// single table scan. Guarded by the owning Sessions' sweepMu (sweeps are
-	// serialized).
+	// its sorted live user keys and their versions, so steady-state sweeps
+	// neither scan the shared table, nor re-sort, nor re-encode. The dirty
+	// flag is set by any operation that changes key membership or a key's
+	// version (install, update, remove, re-trigger) — every operation that
+	// takes a sequence number — and claimed by the next sweep, which
+	// re-encodes the stale sessions' frames from a single table scan.
+	// Guarded by the owning Sessions' sweepMu (sweeps are serialized).
 	sweepDirty atomic.Bool
 	frames     sweepFrames
 
@@ -248,19 +250,11 @@ func NewSessions(conn net.PacketConn, cfg Config) *Sessions {
 	ss := &Sessions{byID: make(map[uint32]*Session)}
 	ss.init(conn, cfg)
 	cfg, clk := ss.cfg, ss.clk
-	stcfg := statetable.Config[senderEntry]{
+	ss.tbl = statetable.New(statetable.Config[senderEntry]{
 		Shards:   cfg.Shards,
 		Clock:    cfg.Clock,
 		OnExpire: ss.onExpire,
-	}
-	// The sender's intent digest: every live (non-removing) key folds
-	// (user key, value, latest trigger seq) — the exact tuple the downstream
-	// receiver folds once the key converges, so matching sums mean the link
-	// has converged.
-	censusDigest(cfg, &stcfg, func(ck string, e *senderEntry) (string, []byte, uint64, bool) {
-		return userKey(ck), e.value, e.seq, !e.removing
 	})
-	ss.tbl = statetable.New(stcfg)
 	ss.sweepBW = newBatchWriter(&ss.tp, &ss.ctrs)
 	ss.registerMetrics()
 	// The sweeper and the reaper are self-rearming clock callbacks: a
@@ -493,22 +487,20 @@ func (s *Session) put(key string, value []byte, kind EventKind, fwd wire.TraceCo
 		if created {
 			s.tabled.Add(1)
 		}
+		var old uint64 // the hash the fold holds for the key: none unless live
 		if created || e.removing {
 			s.live.Add(1)
 			ss.live.Add(1)
-			s.sweepDirty.Store(true)
-			if ss.prof.HardState {
-				s.fold.Add(wire.KeyHash(key))
-			}
+		} else {
+			old = wire.StateHash(key, e.seq, e.value)
 		}
 		e.value = v
 		e.removing = false
 		e.retries = 0
 		e.seq = s.seq.Add(1)
+		s.fold.Add(wire.StateHash(key, e.seq, e.value) - old)
+		s.sweepDirty.Store(true)
 		e.setTrace(ss.traceCtxFor(key, fwd))
-		if !created {
-			tc.MarkDigestDirty() // value/seq changed under the shard lock
-		}
 		if ss.measure {
 			e.sentAt = ss.clk.Since(ss.born) + 1
 		}
@@ -548,9 +540,7 @@ func (s *Session) Remove(key string) error {
 		s.live.Add(-1)
 		ss.live.Add(-1)
 		s.sweepDirty.Store(true)
-		if ss.prof.HardState {
-			s.fold.Add(-wire.KeyHash(key))
-		}
+		s.fold.Add(-wire.StateHash(key, e.seq, e.value))
 		tc.Cancel(timerRefresh)
 		tc.Cancel(timerRetx)
 		if !ss.prof.ExplicitRemoval {
@@ -563,7 +553,6 @@ func (s *Session) Remove(key string) error {
 		e.removalSeq = s.seq.Add(1)
 		e.retries = 0
 		e.value = nil
-		tc.MarkDigestDirty() // removing entries leave the census digest
 		if ss.measure {
 			e.sentAt = ss.clk.Since(ss.born) + 1
 		}
@@ -785,11 +774,12 @@ type sweepFrames struct {
 	stale bool
 }
 
-// encode rebuilds f from keys, a session's sorted live user keys, chunked
-// by SummaryFits and encoded by Message.Append with seq: every limit the
-// codec checks is checked here, once per membership change. The buffer is
-// reused when it is large enough and sized exactly when it is not.
-func (f *sweepFrames) encode(keys []string, maxKeys int, seq uint64) {
+// encode rebuilds f from keys, a session's sorted live user keys, and
+// hashes, the wire.StateHash of each, chunked by SummaryFits and encoded by
+// Message.Append with seq and each chunk's fold: every limit the codec
+// checks is checked here, once per change. The buffer is reused when it is
+// large enough and sized exactly when it is not.
+func (f *sweepFrames) encode(keys []string, hashes []uint64, maxKeys int, seq uint64) {
 	f.ends = f.ends[:0] // each frame's key count, until the frame is encoded
 	need := 0
 	for rest := keys; len(rest) > 0; {
@@ -809,70 +799,88 @@ func (f *sweepFrames) encode(keys []string, maxKeys int, seq uint64) {
 	f.buf = f.buf[:0]
 	for i, n := range f.ends {
 		m := wire.Message{Type: wire.TypeSummaryRefresh, Seq: seq, Keys: keys[:n]}
+		for _, h := range hashes[:n] {
+			m.Fold += h
+		}
 		buf, err := m.Append(f.buf)
 		if err != nil {
 			f.ends = f.ends[:i] // unreachable: SummaryFits admitted the chunk, Install its keys
 			break
 		}
-		f.buf, f.ends[i], keys = buf, len(buf), keys[n:]
+		f.buf, f.ends[i], keys, hashes = buf, len(buf), keys[n:], hashes[n:]
 	}
 }
 
-// sweepScratchCap bounds the key scratch kept between rebuilds (strings).
+// sweepScratchCap bounds the key scratch kept between rebuilds (keys).
 const sweepScratchCap = 4096
+
+// sweepKeys is a rebuild's scratch: table keys and their entries' hashes,
+// sorted together by key.
+type sweepKeys struct {
+	cks    []string
+	hashes []uint64
+}
+
+func (k sweepKeys) Len() int           { return len(k.cks) }
+func (k sweepKeys) Less(i, j int) bool { return k.cks[i] < k.cks[j] }
+func (k sweepKeys) Swap(i, j int) {
+	k.cks[i], k.cks[j] = k.cks[j], k.cks[i]
+	k.hashes[i], k.hashes[j] = k.hashes[j], k.hashes[i]
+}
 
 // rebuildFrames re-encodes the frames of every session marked stale from
 // one scan of the shared table, and returns how many frames that made. A
 // table key is its session's id, big endian, then the user key, so one sort
 // groups the collected keys by session in id order — the order of sessions —
 // and leaves each group in the order of its user keys. The scan keeps only
-// stale sessions' keys, reading a key's session off its id: a binary search
-// of sessions, no lock and no pointer per entry.
+// stale sessions' keys, each with its entry's hash, reading a key's session
+// off its id: a binary search of sessions, no lock and no pointer per
+// entry.
 func (ss *Sessions) rebuildFrames(sessions []*Session) (encoded int) {
 	stale := func(id uint32) bool {
 		i, ok := slices.BinarySearchFunc(sessions, id, func(s *Session, id uint32) int { return cmp.Compare(s.id, id) })
 		return ok && sessions[i].frames.stale
 	}
-	cks := ss.sweepScratch[:0]
+	sk := sweepKeys{ss.sweepScratch.cks[:0], ss.sweepScratch.hashes[:0]}
 	ss.tbl.Range(func(ck string, e *senderEntry) bool {
 		if !e.removing && stale(sessionID(ck)) {
-			cks = append(cks, ck)
+			sk.cks = append(sk.cks, ck)
+			sk.hashes = append(sk.hashes, wire.StateHash(userKey(ck), e.seq, e.value))
 		}
 		return true
 	})
-	sort.Strings(cks)
-	rest := cks
+	sort.Sort(sk)
+	cks, hashes := sk.cks, sk.hashes
 	for _, sess := range sessions {
 		if !sess.frames.stale {
 			continue
 		}
 		sess.frames.stale = false
 		n := 0
-		for ; n < len(rest) && sessionID(rest[n]) == sess.id; n++ {
-			rest[n] = userKey(rest[n])
+		for ; n < len(cks) && sessionID(cks[n]) == sess.id; n++ {
+			cks[n] = userKey(cks[n])
 		}
-		sess.frames.encode(rest[:n], ss.cfg.SummaryMaxKeys, sess.seq.Load())
+		sess.frames.encode(cks[:n], hashes[:n], ss.cfg.SummaryMaxKeys, sess.seq.Load())
 		encoded += len(sess.frames.ends)
-		rest = rest[n:]
+		cks, hashes = cks[n:], hashes[n:]
 	}
-	clear(cks) // the strings alias table keys: do not pin removed ones
-	if cap(cks) > sweepScratchCap {
-		cks = nil
+	clear(sk.cks) // the strings alias table keys: do not pin removed ones
+	if cap(sk.cks) > sweepScratchCap {
+		sk = sweepKeys{}
 	}
-	ss.sweepScratch = cks
+	ss.sweepScratch = sk
 	return encoded
 }
 
 // sweepLocked is one sweep round; callers hold sweepMu. Each session
 // carries its summary datagrams already encoded (sweepFrames), rebuilt —
-// with a single scan of the shared table — only for sessions whose key
-// membership changed since the last sweep. A steady-state sweep (millions
-// of keys, no churn) therefore walks no table shards, sorts nothing and
-// encodes nothing: it queues each frame as it stands, after giving it the
-// session's current sequence number (wire.RestampSummary) if a re-trigger
-// moved that since the frame was encoded. The sorted order doubles as the
-// determinism guarantee for virtual runs: datagram composition does not
-// depend on map iteration.
+// with a single scan of the shared table — only for sessions that took a
+// sequence number since the last sweep, so every frame carries the
+// session's current one and its list's fold at the current versions. A
+// steady-state sweep (millions of keys, no churn) therefore walks no table
+// shards, sorts nothing and encodes nothing: it queues each frame as it
+// stands. The sorted order doubles as the determinism guarantee for
+// virtual runs: datagram composition does not depend on map iteration.
 func (ss *Sessions) sweepLocked() int {
 	if ss.peersDirty.Swap(false) {
 		ss.sweepSessions = ss.Peers()
@@ -899,12 +907,8 @@ func (ss *Sessions) sweepLocked() int {
 		for _, end := range f.ends {
 			frame := f.buf[start:end]
 			start = end
-			stamped, n := wire.SummaryFrame(frame)
-			if seq := sess.seq.Load(); seq != stamped {
-				wire.RestampSummary(frame, seq)
-			}
 			ss.sweepBW.addEncoded(frame, wire.TypeSummaryRefresh, sess.peer)
-			ss.trace.Record(telemetry.TraceSummary, "", uint64(n), sess.peer)
+			ss.trace.Record(telemetry.TraceSummary, "", uint64(wire.SummaryFrame(frame)), sess.peer)
 			sent++
 		}
 	}
@@ -1124,13 +1128,15 @@ func (s *Session) retrigger(key string) {
 		if e.removing {
 			return
 		}
+		old := wire.StateHash(key, e.seq, e.value)
 		e.seq = s.seq.Add(1)
 		e.retries = 0
+		s.fold.Add(wire.StateHash(key, e.seq, e.value) - old)
+		s.sweepDirty.Store(true)
 		// A repair is a fresh wave even for keys first installed via a
 		// forwarded context: the upstream stamp described the original
 		// propagation, not this re-trigger.
 		e.setTrace(ss.traceCtxFor(key, wire.TraceContext{}))
-		tc.MarkDigestDirty() // seq changed under the shard lock
 		if ss.measure {
 			e.sentAt = ss.clk.Since(ss.born) + 1
 		}

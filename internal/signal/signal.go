@@ -166,19 +166,6 @@ type Config struct {
 	// Tracer.Sampled, so Config.Trace with TracerConfig.SampleEvery is
 	// the one knob for both the ring and the wire overhead.
 	Trace *telemetry.Tracer
-	// Census, when true, maintains incremental per-bucket state digests
-	// on the endpoint's table (senders fold each live key's
-	// (key, value, seq); receivers fold (key, value, lastSeq)) and, on
-	// receivers, answers wire digest requests — the convergence
-	// auditor's data plane. Digest upkeep is O(1) per mutation and
-	// allocation-free; reads are O(buckets). Off by default: the hot
-	// path then carries no digest work at all.
-	Census bool
-	// CensusBuckets is the digest bucket count
-	// (statetable.DefaultDigestBuckets when 0). Both ends of an audited
-	// link must agree on it, or the census reports a bucket-count
-	// mismatch.
-	CensusBuckets int
 }
 
 // DefaultConfig returns the paper's deployed-protocol defaults: R = 5 s,
@@ -318,17 +305,22 @@ type Stats struct {
 	// walked nothing at all: keys of datagrams that extended a datagram lease.
 	// Its ratio to SummaryRenewals is the receiver's lease share, close to 1
 	// while its senders' key sets hold still. SummaryLeaseLookups counts the
-	// summary datagrams whose lease had to be looked up by the hash of their
+	// summary datagrams whose lease had to be looked up by the fold of their
 	// key list because they did not come in the last sweep's order: 0 in
-	// steady state. All four stay 0 on a sender.
-	SummaryRenewals     int
-	SummaryIndexLookups int
-	SummaryLeasedKeys   int
-	SummaryLeaseLookups int
+	// steady state. SummaryFoldMismatches counts the summary datagrams whose
+	// keys were all found but whose fold disagreed with the fold of the
+	// entries found: some entry holds another version than the sender's, so
+	// they renewed nothing and were NACKed whole. All five stay 0 on a
+	// sender.
+	SummaryRenewals       int
+	SummaryIndexLookups   int
+	SummaryLeasedKeys     int
+	SummaryLeaseLookups   int
+	SummaryFoldMismatches int
 	// SummaryFramesSent counts the summary datagrams a sender's sweeps queued
 	// from its sessions' cached frames, SummaryFramesEncoded the frames it
-	// encoded because a session's key set had changed (a restamp is not an
-	// encode): flat in steady state. Both stay 0 on a receiver.
+	// encoded because a session's keys, or the version of one, had changed:
+	// flat in steady state. Both stay 0 on a receiver.
 	SummaryFramesSent    int
 	SummaryFramesEncoded int
 	// ProbeAudits counts, on a hard-state receiver, the (sender, probe
@@ -361,10 +353,11 @@ type counters struct {
 	coalescedAcks telemetry.Counter
 	// Receiver only, added to once per summary datagram (Stats has the
 	// definitions).
-	summaryRenewals     telemetry.Counter
-	summaryIndexLookups telemetry.Counter
-	summaryLeased       telemetry.Counter
-	summaryLeaseLookups telemetry.Counter
+	summaryRenewals       telemetry.Counter
+	summaryIndexLookups   telemetry.Counter
+	summaryLeased         telemetry.Counter
+	summaryLeaseLookups   telemetry.Counter
+	summaryFoldMismatches telemetry.Counter
 	// Sender only, added to once per sweep.
 	summaryFramesSent    telemetry.Counter
 	summaryFramesEncoded telemetry.Counter
@@ -398,6 +391,7 @@ func (c *counters) snapshot() Stats {
 	out.SummaryIndexLookups = int(c.summaryIndexLookups.Value())
 	out.SummaryLeasedKeys = int(c.summaryLeased.Value())
 	out.SummaryLeaseLookups = int(c.summaryLeaseLookups.Value())
+	out.SummaryFoldMismatches = int(c.summaryFoldMismatches.Value())
 	out.SummaryFramesSent = int(c.summaryFramesSent.Value())
 	out.SummaryFramesEncoded = int(c.summaryFramesEncoded.Value())
 	out.ProbeAudits = int(c.probeAudits.Value())

@@ -2,6 +2,8 @@ package signal
 
 import (
 	"fmt"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,7 +177,9 @@ func TestStaleSummaryDoesNotRenew(t *testing.T) {
 	if !v.RunUntil(func() bool { _, ok := rcv.Get("k"); return ok }, time.Millisecond, time.Second) {
 		t.Fatal("install never landed")
 	}
-	staleMsg := wire.Message{Type: wire.TypeSummaryRefresh, Seq: 4, Keys: []string{"k"}}
+	// The summary names the version held, so only its sequence number, not
+	// its fold, keeps it from renewing.
+	staleMsg := wire.Message{Type: wire.TypeSummaryRefresh, Seq: 4, Keys: []string{"k"}, Fold: wire.StateHash("k", 5, []byte("v"))}
 	stale, err := staleMsg.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -269,5 +273,88 @@ func TestSummaryWireLimitRespected(t *testing.T) {
 	}
 	if sent := snd.summarySweep(); sent < 2 {
 		t.Fatalf("oversized key set fit %d datagrams, expected chunking", sent)
+	}
+}
+
+// dropTriggerConn forwards what the sender writes, except that, while
+// armed, it drops the next trigger and disarms.
+type dropTriggerConn struct {
+	net.PacketConn
+	armed atomic.Bool
+}
+
+func (c *dropTriggerConn) WriteTo(p []byte, to net.Addr) (int, error) {
+	if wire.PeekType(p) == wire.TypeTrigger && c.armed.CompareAndSwap(true, false) {
+		return len(p), nil
+	}
+	return c.PacketConn.WriteTo(p, to)
+}
+
+// TestSummaryRepairsLostUpdate: refresh repairs what the receiver got
+// wrong in summary mode too. An Update's trigger is lost under a profile
+// that does not retransmit it, so the receiver still holds the old value
+// while every key of the list is there; the next summary carries the fold
+// of the new version, which the held one does not match, so it renews
+// nothing and is NACKed whole, and the re-triggers install the new value
+// within the state timeout. The other keys of the list stay held
+// throughout.
+func TestSummaryRepairsLostUpdate(t *testing.T) {
+	for _, proto := range []Protocol{SS, SSER} {
+		t.Run(proto.String(), func(t *testing.T) {
+			v := clock.NewVirtual()
+			a, b, err := lossy.Pipe(lossy.Config{Delay: time.Millisecond, Seed: 99, Clock: v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := fastConfig(proto)
+			cfg.Clock, cfg.SummaryRefresh = v, true
+			drop := &dropTriggerConn{PacketConn: a}
+			snd, err := NewSender(drop, b.LocalAddr(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snd.Close()
+			rcv, err := NewReceiver(b, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rcv.Close()
+			keys := rigKeys(8)
+			for _, k := range keys {
+				if err := snd.Install(k, []byte("old")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v.Run(3 * cfg.RefreshInterval) // installed, swept and leased
+			if rcv.Len() != len(keys) || rcv.Stats().SummaryLeasedKeys == 0 {
+				t.Fatalf("before the update: %d keys held, %d renewed through a lease", rcv.Len(), rcv.Stats().SummaryLeasedKeys)
+			}
+			drop.armed.Store(true)
+			if err := snd.Update(keys[3], []byte("new")); err != nil {
+				t.Fatal(err)
+			}
+			v.Run(2 * time.Millisecond)
+			if got, _ := rcv.GetFrom(a.LocalAddr(), keys[3]); string(got) != "old" || drop.armed.Load() {
+				t.Fatalf("the update's trigger was not lost: %q held", got)
+			}
+			repaired := v.RunUntil(func() bool {
+				got, _ := rcv.GetFrom(a.LocalAddr(), keys[3])
+				return string(got) == "new"
+			}, time.Millisecond, cfg.Timeout)
+			if !repaired {
+				got, _ := rcv.GetFrom(a.LocalAddr(), keys[3])
+				t.Fatalf("%v after the lost update: the receiver holds %q", cfg.Timeout, got)
+			}
+			if st := rcv.Stats(); st.SummaryFoldMismatches == 0 {
+				t.Fatalf("repaired without a fold mismatch: %+v", st)
+			}
+			v.Run(3 * cfg.Timeout)
+			if got, _ := rcv.GetFrom(a.LocalAddr(), keys[3]); rcv.Len() != len(keys) || string(got) != "new" {
+				t.Fatalf("after %v more: %d keys held, %s at %q", 3*cfg.Timeout, rcv.Len(), keys[3], got)
+			}
+			if bad := append(rcv.CheckInvariants(), snd.CheckInvariants()...); len(bad) != 0 {
+				t.Fatal(bad)
+			}
+		})
 	}
 }

@@ -61,13 +61,22 @@ type summaryRig struct {
 	conn *captureConn
 	rcv  *Receiver
 	sc   *dispatchScratch
+	// sent is the version of each key each peer last triggered, by address:
+	// what an honest sender's summaries fold.
+	sent map[string]map[string]version
+}
+
+// version is one key's sequence number and value.
+type version struct {
+	seq   uint64
+	value string
 }
 
 const rigBefore, rigAfter = 20 * time.Millisecond, 40 * time.Millisecond
 
 func newSummaryRig(t *testing.T, mutate ...func(*Config)) *summaryRig {
 	t.Helper()
-	g := &summaryRig{t: t, clk: clock.NewVirtual(), conn: newCaptureConn()}
+	g := &summaryRig{t: t, clk: clock.NewVirtual(), conn: newCaptureConn(), sent: map[string]map[string]version{}}
 	cfg := fastConfig(SS)
 	cfg.Clock = g.clk
 	cfg.Shards = 4
@@ -83,8 +92,20 @@ func newSummaryRig(t *testing.T, mutate ...func(*Config)) *summaryRig {
 	return g
 }
 
+// frame delivers m from from; a trigger newer than the key's last one is
+// the sender's version of the key from then on.
 func (g *summaryRig) frame(from net.Addr, m wire.Message) {
 	g.t.Helper()
+	if m.Type == wire.TypeTrigger {
+		sent := g.sent[from.String()]
+		if sent == nil {
+			sent = map[string]version{}
+			g.sent[from.String()] = sent
+		}
+		if v, ok := sent[m.Key]; !ok || m.Seq >= v.seq {
+			sent[m.Key] = version{m.Seq, string(m.Value)}
+		}
+	}
 	data, err := m.MarshalBinary()
 	if err != nil {
 		g.t.Fatal(err)
@@ -119,6 +140,18 @@ type summary struct {
 	keys []string
 }
 
+// refresh is d as an honest sender sends it: its list's fold is the fold of
+// the versions from last triggered (a key it never triggered adds nothing).
+func (g *summaryRig) refresh(d summary) wire.Message {
+	m := wire.Message{Type: wire.TypeSummaryRefresh, Seq: d.seq, Keys: d.keys}
+	for _, k := range d.keys {
+		if v, ok := g.sent[d.from.String()][k]; ok {
+			m.Fold += wire.StateHash(k, v.seq, []byte(v.value))
+		}
+	}
+	return m
+}
+
 // sweep is one step: it delivers the datagrams and returns the keys the
 // receiver NACKed, per destination, in order.
 func (g *summaryRig) sweep(datagrams ...summary) map[net.Addr][]string {
@@ -126,7 +159,7 @@ func (g *summaryRig) sweep(datagrams ...summary) map[net.Addr][]string {
 	g.clk.Run(rigBefore)
 	g.conn.take()
 	for _, d := range datagrams {
-		g.frame(d.from, wire.Message{Type: wire.TypeSummaryRefresh, Seq: d.seq, Keys: d.keys})
+		g.frame(d.from, g.refresh(d))
 	}
 	nacked := map[net.Addr][]string{}
 	for _, c := range g.conn.take() {

@@ -55,8 +55,8 @@ func (c *rawConn) take() []rawDatagram {
 
 // encoderFrames is the sweep the codec would write from scratch: each
 // session's live keys, sorted, chunked by SummaryFits under maxKeys and
-// encoded by Message.Append with the session's current sequence number, the
-// sessions in id order.
+// encoded by Message.Append with the session's current sequence number and
+// the fold of the keys' versions, the sessions in id order.
 func encoderFrames(t *testing.T, sessions []*Session, maxKeys int) (out []rawDatagram) {
 	t.Helper()
 	sessions = slices.Clone(sessions)
@@ -70,6 +70,10 @@ func encoderFrames(t *testing.T, sessions []*Session, maxKeys int) (out []rawDat
 		for len(keys) > 0 {
 			n := wire.SummaryFits(keys[:min(len(keys), maxKeys)])
 			m := wire.Message{Type: wire.TypeSummaryRefresh, Seq: sess.seq.Load(), Keys: keys[:n]}
+			for _, k := range m.Keys {
+				e, _ := sess.ss.tbl.Get(sess.key(k))
+				m.Fold += wire.StateHash(k, e.seq, e.value)
+			}
 			data, err := m.Append(nil)
 			if err != nil {
 				t.Fatal(err)
@@ -111,9 +115,11 @@ func expectSweep(t *testing.T, what string, ss *Sessions, conn *rawConn, session
 // sweeps — keys installed, removed or updated, keys re-triggered (the
 // sequence number moves, the membership does not), a session evicted idle
 // and returning — every datagram a sweep writes from its cached frames is
-// the datagram Message.Append makes of the same keys and the session's
-// current sequence number. Key lengths run from 1 to MaxKeyLen and the key
-// counts across the per-datagram key limit and the 8 KB block limit.
+// the datagram Message.Append makes of the same keys, the session's current
+// sequence number and the fold of the keys' versions, and frames are
+// encoded exactly when a session took a sequence number since the last
+// sweep. Key lengths run from 1 to MaxKeyLen and the key counts across the
+// per-datagram key limit and the 8 KB block limit.
 func TestSweepFramesMatchEncoder(t *testing.T) {
 	for _, proto := range []Protocol{SS, SSRTR} {
 		for _, maxKeys := range []int{1, 7, 64, 1024} {
@@ -176,7 +182,7 @@ func TestSweepFramesMatchEncoder(t *testing.T) {
 				for round := 0; round < 12; round++ {
 					what := fmt.Sprintf("round %d", round)
 					sent0, encoded0 := stats()
-					moved := false // whether a session's membership changes this round and leaves it keys to encode
+					moved := false // whether a session's keys or their versions change this round and leave it keys to encode
 					switch i := rng.Intn(len(sessions)); round % 4 {
 					case 0:
 						install(i, 1+rng.Intn(200))
@@ -190,18 +196,20 @@ func TestSweepFramesMatchEncoder(t *testing.T) {
 								if err := sessions[i].Update(k, []byte("w")); err != nil {
 									t.Fatal(err)
 								}
+								moved = true
 							}
 						}
 					case 3: // the receiver lost keys: re-triggers, by notify and by summary NACK
 						if len(held[i]) > 0 {
 							sessions[i].Handle(wire.Message{Type: wire.TypeNotify, Key: held[i][rng.Intn(len(held[i]))]})
 							sessions[i].Handle(wire.Message{Type: wire.TypeSummaryNack, Keys: held[i][:min(3, len(held[i]))]})
+							moved = true
 						}
 					}
 					n := expectSweep(t, what, ss, conn, sessions)
 					sent1, encoded1 := stats()
 					if sent1-sent0 != n || (encoded1 != encoded0) != moved {
-						t.Fatalf("%s: %d datagrams counted %d sent and %d encoded (membership moved: %v)", what, n, sent1-sent0, encoded1-encoded0, moved)
+						t.Fatalf("%s: %d datagrams counted %d sent and %d encoded (keys or versions moved: %v)", what, n, sent1-sent0, encoded1-encoded0, moved)
 					}
 					// The same sweep again: nothing is encoded, the bytes repeat.
 					if expectSweep(t, what+", repeated", ss, conn, sessions); ss.Stats().SummaryFramesEncoded != encoded1 {
@@ -262,7 +270,7 @@ func TestSweepCacheFootprint(t *testing.T) {
 		if frames != n {
 			t.Errorf("%s: %d frames cached for a sweep of %d datagrams", what, frames, n)
 		}
-		if sc := ss.sweepScratch[:cap(ss.sweepScratch)]; cap(sc) > sweepScratchCap || slices.ContainsFunc(sc, func(s string) bool { return s != "" }) {
+		if sc := ss.sweepScratch.cks[:cap(ss.sweepScratch.cks)]; cap(sc) > sweepScratchCap || slices.ContainsFunc(sc, func(s string) bool { return s != "" }) {
 			t.Errorf("%s: the rebuild scratch keeps %d strings, some of them keys", what, cap(sc))
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // census (telemetry.RunCensus over Chain.CensusLinks) comparing each
 // hop's intended state against what the next hop actually holds. The
 // run therefore measures divergence twice, independently: the auditor
-// reads it from the state-table digests, and the paper-metric estimator
+// reads it from the endpoints' folds and digests, and the paper-metric estimator
 // infers it from the origin's event stream — the artifact's agreement
 // check is that the two observers tell the same story per protocol.
 
@@ -147,7 +147,6 @@ func RunCensusAudit(cfg CensusConfig) (CensusResult, error) {
 	}
 	v := clock.NewVirtual()
 	scfg := live.signalConfig(v)
-	scfg.Census = true
 	if cfg.TraceSampleEvery > 0 {
 		scfg.Trace = telemetry.NewTracer(telemetry.TracerConfig{
 			SampleEvery: uint32(cfg.TraceSampleEvery),

@@ -43,10 +43,6 @@ const DefaultShards = 16
 // fire within about one tick of their deadline.
 const DefaultTick = time.Millisecond
 
-// DefaultDigestBuckets is the digest bucket count used when
-// Config.DigestBuckets is 0 and a DigestFunc is set.
-const DefaultDigestBuckets = 16
-
 // ExpireFunc is called when a timer fires. It runs on the shard's clock
 // timer callback with the shard locked; use tc to reschedule, cancel, or
 // delete, and do not call Table methods from inside it.
@@ -71,36 +67,20 @@ type Config[V any] struct {
 	// clock. Either way an idle shard has nothing armed and nothing
 	// running.
 	Clock clock.Clock
-	// DigestFunc, when non-nil, turns on incremental table digests — the
-	// convergence auditor's substrate. It maps an entry to its digest
-	// bucket and 64-bit contribution (sum 0 excludes the entry); the
-	// table XOR-folds contributions into per-shard, per-bucket arrays on
-	// every mutation, so reading the whole table's digest is O(shards ×
-	// buckets) regardless of entry count. The function runs under the
-	// shard lock and must be pure. Because the table cannot see inside V,
-	// closures that change an entry's digest-relevant payload must call
-	// TimerControl.MarkDigestDirty; inserts and deletes are tracked
-	// automatically.
-	DigestFunc func(key string, v *V) (bucket uint32, sum uint64)
-	// DigestBuckets is the digest bucket count (DefaultDigestBuckets
-	// when 0; capped at 1<<16). More buckets localize a divergence to
-	// fewer keys at census time.
-	DigestBuckets int
 }
 
 // entry is one key's record: the caller's value and the index tag it is
 // filed under, so removing it never rehashes the key. It adds 24 bytes to
-// the value (TestEntryOverhead); its timer nodes live in the wheel and its
-// cached digest contribution in a side cell (slab.digs). key never changes
-// while the entry is filed; everything is guarded by the shard's lock.
+// the value (TestEntryOverhead); its timer nodes live in the wheel. key
+// never changes while the entry is filed; everything is guarded by the
+// shard's lock.
 type entry[V any] struct {
 	key   string
 	value V
 	tag   uint32 // on the free list: the id of the next free slot
 	// dropped marks an entry removed from its shard whose slot is not yet
-	// released: a deferred digest refresh cannot resurrect its
-	// contribution, a second delete does nothing, and the closure that
-	// deleted it can still read its value.
+	// released: a second delete does nothing, and the closure that deleted
+	// it can still read its value.
 	dropped bool
 }
 
@@ -115,8 +95,6 @@ type shard[V any] struct {
 	needPoke bool        // a deadline earlier than nextWake was scheduled
 	pokeTick int64       // earliest such deadline (the timer is re-armed to it)
 	timer    clock.Timer // drives this shard's wheel advances (fireShard)
-	dig      []uint64    // per-bucket XOR of entry contributions (digests on)
-	digDirty bool        // the entry under mutation changed its payload
 }
 
 // Table is the sharded soft-state table. All methods are safe for
@@ -147,14 +125,6 @@ func New[V any](cfg Config[V]) *Table[V] {
 	if tick <= 0 {
 		tick = DefaultTick
 	}
-	if cfg.DigestFunc != nil {
-		if cfg.DigestBuckets <= 0 {
-			cfg.DigestBuckets = DefaultDigestBuckets
-		}
-		if cfg.DigestBuckets > 1<<16 {
-			cfg.DigestBuckets = 1 << 16
-		}
-	}
 	clk := clock.Or(cfg.Clock)
 	t := &Table[V]{
 		cfg:    cfg,
@@ -170,10 +140,6 @@ func New[V any](cfg Config[V]) *Table[V] {
 		sh.idx = newIndex()
 		sh.wheel.chunkLen = chunkLen[V]()
 		sh.nextWake = int64(1)<<62 - 1
-		if cfg.DigestFunc != nil {
-			sh.dig = make([]uint64, cfg.DigestBuckets)
-			sh.ents.digests = true
-		}
 		// The clock calls fireShard at each due tick; unlockAndPoke arms
 		// the timer the first time a deadline is scheduled.
 		sh.timer = clk.NewTimer(func() { t.fireShard(sh) })
@@ -290,7 +256,6 @@ func (t *Table[V]) Upsert(key string, fn func(v *V, created bool, tc TimerContro
 		e.key, e.tag = key, tag
 		sh.idx.put(tag, id)
 		t.size.Add(1)
-		sh.digDirty = t.cfg.DigestFunc != nil // derive its first contribution
 	}
 	if fn != nil {
 		fn(&e.value, created, TimerControl[V]{t: t, sh: sh, e: e, id: id})
@@ -437,108 +402,6 @@ func (t *Table[V]) TimersArmed() [NumTimerKinds]int {
 	return n
 }
 
-// NumDigestBuckets returns the digest bucket count, or 0 when the table
-// maintains no digests.
-func (t *Table[V]) NumDigestBuckets() int {
-	if t.cfg.DigestFunc == nil {
-		return 0
-	}
-	return t.cfg.DigestBuckets
-}
-
-// DigestSums returns the table's per-bucket digest sums — the XOR across
-// shards of every entry's contribution. O(shards × buckets), independent
-// of entry count; nil when the table maintains no digests. Two tables
-// using the same DigestFunc semantics hold the same state iff their sums
-// match bucket for bucket (modulo XOR collisions, which a 64-bit fold
-// makes negligible).
-func (t *Table[V]) DigestSums() []uint64 {
-	if t.cfg.DigestFunc == nil {
-		return nil
-	}
-	out := make([]uint64, t.cfg.DigestBuckets)
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for b, s := range sh.dig {
-			out[b] ^= s
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// RangeDigest calls fn for every entry with a nonzero cached digest
-// contribution, one shard lock at a time — the census detail round's
-// walk. Like Range, fn must not call Table methods.
-func (t *Table[V]) RangeDigest(fn func(key string, v *V, bucket uint32, sum uint64) bool) {
-	if t.cfg.DigestFunc == nil {
-		return
-	}
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.idx.slots {
-			if s.id == 0 {
-				continue
-			}
-			c := sh.ents.dig(s.id)
-			if c.sum() == 0 {
-				continue
-			}
-			if e := sh.ents.at(s.id); !fn(e.key, &e.value, c.bucket, c.sum()) {
-				sh.mu.Unlock()
-				return
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// DigestKV is the runtime's canonical digest fold: FNV-1a over the key
-// (length-prefixed), the value bytes, and the sequence number. Both ends
-// of a signaling link digest (user key, installed value, accepted seq)
-// with it, which is what makes their table digests comparable. The
-// result is never 0 (0 means "entry excluded" to the digest machinery).
-func DigestKV(key string, value []byte, seq uint64) uint64 {
-	const (
-		offset64 = 14695981039346269563
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	// Length prefix keeps (key, value) boundaries unambiguous.
-	for n := uint(0); n < 64; n += 8 {
-		h ^= uint64(len(key)) >> n & 0xFF
-		h *= prime64
-	}
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	for i := 0; i < len(value); i++ {
-		h ^= uint64(value[i])
-		h *= prime64
-	}
-	for n := uint(0); n < 64; n += 8 {
-		h ^= seq >> n & 0xFF
-		h *= prime64
-	}
-	if h == 0 {
-		return 1
-	}
-	return h
-}
-
-// DigestBucketOf maps a key to its digest bucket — shared by every
-// digest-maintaining table so the same user key lands in the same
-// bucket on both ends of a link regardless of table-internal prefixes.
-func DigestBucketOf(key string, buckets int) uint32 {
-	if buckets <= 0 {
-		return 0
-	}
-	return Hash32(key) % uint32(buckets)
-}
-
 // Keys returns all keys in no particular order.
 func (t *Table[V]) Keys() []string {
 	out := make([]string, 0, t.Len())
@@ -549,8 +412,8 @@ func (t *Table[V]) Keys() []string {
 	return out
 }
 
-// dropLocked removes e, whose id is id, from its shard's index, wheel and
-// digest, leaving the slot to release; callers hold sh.mu. Dropping an
+// dropLocked removes e, whose id is id, from its shard's index and wheel,
+// leaving the slot to release; callers hold sh.mu. Dropping an
 // entry a second time (a closure that calls Delete twice) does nothing.
 func (t *Table[V]) dropLocked(sh *shard[V], id uint32, e *entry[V]) {
 	if e.dropped {
@@ -560,23 +423,14 @@ func (t *Table[V]) dropLocked(sh *shard[V], id uint32, e *entry[V]) {
 	for k := TimerKind(0); k < NumTimerKinds; k++ {
 		sh.wheel.cancel(nodeID(id, k))
 	}
-	if t.cfg.DigestFunc != nil {
-		c := sh.ents.dig(id)
-		sh.dig[c.bucket] ^= c.sum()
-		sh.digDirty = false
-	}
 	e.dropped = true
 	t.size.Add(-1)
 }
 
 // settleLocked ends a closure's or an expiry callback's turn on e: it
-// re-derives e's digest contribution if the callback changed it, and
 // releases e's slot if the callback deleted it — only now, since the
 // callback could read its value until it returned.
 func (t *Table[V]) settleLocked(sh *shard[V], id uint32, e *entry[V]) {
-	if sh.digDirty {
-		t.refreshDigestLocked(sh, id, e)
-	}
 	if e.dropped {
 		sh.release(id, e)
 	}
@@ -587,26 +441,6 @@ func (t *Table[V]) settleLocked(sh *shard[V], id uint32, e *entry[V]) {
 func (sh *shard[V]) release(id uint32, e *entry[V]) {
 	sh.wheel.release(id)
 	sh.ents.release(id, e)
-}
-
-// refreshDigestLocked re-derives the digest contribution of e, whose id is
-// id, and swaps it into the shard's bucket array; callers hold sh.mu. XOR
-// makes the swap order-free: the stale contribution cancels itself out. A
-// dropped entry's contribution is already out and stays out; its cell is
-// cleared when its slot is released.
-func (t *Table[V]) refreshDigestLocked(sh *shard[V], id uint32, e *entry[V]) {
-	sh.digDirty = false
-	if e.dropped {
-		return
-	}
-	bucket, sum := t.cfg.DigestFunc(e.key, &e.value)
-	if bucket >= uint32(len(sh.dig)) {
-		bucket %= uint32(len(sh.dig))
-	}
-	c := sh.ents.dig(id)
-	sh.dig[c.bucket] ^= c.sum()
-	sh.dig[bucket] ^= sum
-	c.set(bucket, sum)
 }
 
 // unlockAndPoke releases the shard, first pulling its timer in to the new
@@ -676,17 +510,6 @@ func (tc TimerControl[V]) Cancel(kind TimerKind) {
 // Delete removes the entry, cancelling all its timers.
 func (tc TimerControl[V]) Delete() {
 	tc.t.dropLocked(tc.sh, tc.id, tc.e)
-}
-
-// MarkDigestDirty tells a digest-maintaining table that the closure (or
-// expiry callback) changed the entry's digest-relevant payload, so its
-// contribution is re-derived when the mutation completes. Mutations
-// that only touch timers or bookkeeping skip the call and cost nothing.
-// A no-op when the table has no DigestFunc.
-func (tc TimerControl[V]) MarkDigestDirty() {
-	if tc.t.cfg.DigestFunc != nil {
-		tc.sh.digDirty = true
-	}
 }
 
 // advanceLocked moves the shard's wheel to the current tick and runs the

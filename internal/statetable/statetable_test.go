@@ -14,8 +14,8 @@ import (
 
 // TestEntryOverhead pins what an entry adds to the caller's value at 24
 // bytes: the key's string header, and the tag and dropped flag sharing a
-// word. Timer nodes and digest cells live beside the chunk, paid for only
-// when used (TestUnarmedKindsCostNothing). internal/signal keeps its values
+// word. Timer nodes live beside the chunk, paid for only when used
+// (TestUnarmedKindsCostNothing). internal/signal keeps its values
 // small against this (TestEntrySizes there).
 func TestEntryOverhead(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
@@ -45,7 +45,7 @@ func heapKeys(n int) []string {
 
 // heapPerEntry builds a table from cfg, installs every key with a value
 // pointing at ref and handed to arm, and returns the table and the heap it
-// takes per entry — chunks, timer nodes, digest cells, index, shards —
+// takes per entry — chunks, timer nodes, index, shards —
 // the keys' bytes excluded.
 func heapPerEntry(cfg Config[heapVal], keys []string, ref *[64]byte, arm func(TimerControl[heapVal])) (*Table[heapVal], float64) {
 	var before, after runtime.MemStats
@@ -69,7 +69,7 @@ func heapPerEntry(cfg Config[heapVal], keys []string, ref *[64]byte, arm func(Ti
 // entry adds, its 24-byte timer node, at most four 8-byte index slots (the
 // index doubles past half full) and a few bytes of chunk list, partial
 // chunks and wheel heads. Entries carrying both nodes and a digest cache
-// whether used or not took 159. Then it deletes every entry — inside
+// whether used or not once took 159. Then it deletes every entry — inside
 // Update and expiry callbacks, which still read the value after the
 // delete, and through Delete — and requires every freed slot to hold
 // nothing: no key, no value, no armed timer.
@@ -150,11 +150,10 @@ func TestTableHeapPerEntry(t *testing.T) {
 	}
 }
 
-// TestUnarmedKindsCostNothing: a table pays for the timer kinds it arms
-// and the digests it keeps, and for nothing it does not use. Each case
-// holds 65,536 entries with a 48-byte value and bounds their heap as
-// TestTableHeapPerEntry does; with both nodes and the digest cache in
-// every entry whether used or not, each took over 150 B. Cancel, Armed
+// TestUnarmedKindsCostNothing: a table pays for the timer kinds it arms,
+// and for nothing it does not use. Each case holds 65,536 entries with a
+// 48-byte value and bounds their heap as TestTableHeapPerEntry does; with
+// both nodes in every entry whether used or not, each took over 150 B. Cancel, Armed
 // and TimersArmed on kinds never armed find them idle and allocate
 // nothing.
 func TestUnarmedKindsCostNothing(t *testing.T) {
@@ -165,20 +164,15 @@ func TestUnarmedKindsCostNothing(t *testing.T) {
 	keys := heapKeys(n)
 	val := float64(unsafe.Sizeof(heapVal{}))
 	for _, c := range []struct {
-		name    string
-		kinds   [NumTimerKinds]bool // armed on every entry
-		digests bool
-		bound   float64 // entry, nodes, digest cells, four index slots, slack
+		name  string
+		kinds [NumTimerKinds]bool // armed on every entry
+		bound float64             // entry, nodes, four index slots, slack
 	}{
-		{"kind 0 armed", [NumTimerKinds]bool{true, false}, false, val + 24 + 24 + 4*8 + 8},
-		{"nothing armed", [NumTimerKinds]bool{}, false, val + 24 + 4*8 + 8},
-		{"digests, nothing armed", [NumTimerKinds]bool{}, true, val + 24 + 12 + 4*8 + 8},
+		{"kind 0 armed", [NumTimerKinds]bool{true, false}, val + 24 + 24 + 4*8 + 8},
+		{"nothing armed", [NumTimerKinds]bool{}, val + 24 + 4*8 + 8},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config[heapVal]{Clock: clock.NewVirtual()}
-			if c.digests {
-				cfg.DigestFunc = func(key string, _ *heapVal) (uint32, uint64) { return 0, DigestKV(key, nil, 0) }
-			}
 			tbl, perEntry := heapPerEntry(cfg, keys, new([64]byte), func(tc TimerControl[heapVal]) {
 				for k, armed := range c.kinds {
 					if armed {
@@ -214,9 +208,6 @@ func TestUnarmedKindsCostNothing(t *testing.T) {
 					if chunks := len(sh.wheel.nodes[k]); armed != (chunks != 0) {
 						t.Fatalf("shard %d: %d kind-%d node chunks, kind armed: %v", i, chunks, k, armed)
 					}
-				}
-				if cells := len(sh.ents.digs); c.digests != (cells != 0) || c.digests && cells != len(sh.ents.chunks) {
-					t.Fatalf("shard %d: %d digest cell chunks for %d entry chunks, digests kept: %v", i, cells, len(sh.ents.chunks), c.digests)
 				}
 			}
 		})

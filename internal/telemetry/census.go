@@ -10,11 +10,12 @@ import (
 )
 
 // The convergence auditor. A census compares the state a sender intends
-// a peer to hold against the state the peer actually holds, using the
-// incremental per-bucket digests internal/statetable maintains: one
-// O(buckets) summary comparison finds the mismatched buckets, then a
-// per-bucket key listing resolves each mismatch down to the exact
-// divergent keys. Both sides of a link expose the same two-round surface
+// a peer to hold against the state the peer actually holds. Each side
+// first gives its fold of the link — one sum over every key's digest,
+// which both ends keep as they change state — and a link whose folds agree
+// has converged. Only a link whose folds differ goes on: a per-bucket sum
+// comparison finds the mismatched buckets, then a per-bucket key listing
+// resolves each mismatch down to the exact divergent keys. Both sides of a link expose the same two-round surface
 // (CensusSource), whether the table is in-process or behind the wire's
 // TypeDigest exchange, so the auditor is indifferent to topology: a
 // five-hop chain is just four links. Per-link agreement composes — if
@@ -26,14 +27,17 @@ type KeyDigest struct {
 	Sum uint64 `json:"sum"`
 }
 
-// CensusSource is one table's digest read surface. Sums returns the
-// per-bucket XOR sums (O(buckets): the table maintains them on every
-// mutation); Bucket lists the keys contributing to one bucket with their
-// individual digests. Remote tables answer both via the wire digest
-// exchange; either call may fail (peer down, census timeout).
+// CensusSource is one table's digest read surface. Fold returns the sum of
+// every key's digest (O(1): the endpoint keeps it as it changes state);
+// Sums the per-bucket sums of the same digests, and Bucket lists the keys
+// contributing to one bucket with their individual digests, each from a
+// walk of the link's keys. Remote tables answer all three via the wire
+// digest exchange; any call may fail (peer down, census timeout).
 type CensusSource struct {
 	// Name identifies the table in reports ("sender@addr", "receiver").
 	Name string
+	// Fold returns the current fold of the link.
+	Fold func() (uint64, error)
 	// Sums returns the current per-bucket digest sums.
 	Sums func() ([]uint64, error)
 	// Bucket returns the keys contributing to bucket b.
@@ -53,8 +57,8 @@ type CensusLink struct {
 // LinkReport is one link's census outcome.
 type LinkReport struct {
 	Name string `json:"name"`
-	// Buckets is the compared bucket count, MismatchedBuckets how many
-	// disagreed on the summary round.
+	// Buckets is the compared bucket count (0 when the folds already
+	// agreed), MismatchedBuckets how many disagreed on the summary round.
 	Buckets           int `json:"buckets"`
 	MismatchedBuckets int `json:"mismatched_buckets"`
 	// IntentKeys/HeldKeys count the keys listed while resolving
@@ -86,9 +90,23 @@ func (r *CensusReport) Converged() bool {
 	return r != nil && r.Failed == 0 && r.Divergent == 0
 }
 
-// censusLink runs the two-round exchange for one link.
+// censusLink runs the exchange for one link: the fold round, then, if the
+// folds disagree, the summary and detail rounds.
 func censusLink(l CensusLink) LinkReport {
 	rep := LinkReport{Name: l.Name, Divergent: []string{}}
+	iFold, err := l.Intent.Fold()
+	if err != nil {
+		rep.Err = fmt.Sprintf("%s: %v", l.Intent.Name, err)
+		return rep
+	}
+	hFold, err := l.Held.Fold()
+	if err != nil {
+		rep.Err = fmt.Sprintf("%s: %v", l.Held.Name, err)
+		return rep
+	}
+	if iFold == hFold {
+		return rep
+	}
 	is, err := l.Intent.Sums()
 	if err != nil {
 		rep.Err = fmt.Sprintf("%s: %v", l.Intent.Name, err)

@@ -9,7 +9,7 @@ import (
 )
 
 // mapSource builds a CensusSource over a key→sum map with a fixed
-// bucket function, mirroring how statetable-backed sources behave.
+// bucket function, mirroring how the endpoints' sources behave.
 func mapSource(name string, buckets int, keys map[string]uint64) CensusSource {
 	bucketOf := func(key string) int {
 		h := keyHash(key)
@@ -17,10 +17,16 @@ func mapSource(name string, buckets int, keys map[string]uint64) CensusSource {
 	}
 	return CensusSource{
 		Name: name,
+		Fold: func() (fold uint64, _ error) {
+			for _, s := range keys {
+				fold += s
+			}
+			return fold, nil
+		},
 		Sums: func() ([]uint64, error) {
 			out := make([]uint64, buckets)
 			for k, s := range keys {
-				out[bucketOf(k)] ^= s
+				out[bucketOf(k)] += s
 			}
 			return out, nil
 		},
@@ -58,36 +64,39 @@ func TestRunCensusResolvesDivergence(t *testing.T) {
 		t.Fatalf("bucket accounting: %+v", rep.Links[0])
 	}
 
-	// Identical tables converge with zero detail-round work.
+	// Identical tables converge on the fold round alone: no bucket is
+	// compared and no key listed.
 	rep = RunCensus([]CensusLink{{
 		Intent: mapSource("s", 8, intent),
 		Held:   mapSource("r", 8, intent),
 	}})
-	if !rep.Converged() || rep.Links[0].IntentKeys != 0 || rep.Links[0].HeldKeys != 0 {
+	if !rep.Converged() || rep.Links[0].Buckets != 0 || rep.Links[0].IntentKeys != 0 || rep.Links[0].HeldKeys != 0 {
 		t.Fatalf("identical tables: %+v", rep.Links[0])
 	}
 }
 
 func TestRunCensusXORCollision(t *testing.T) {
-	// Two keys in the same bucket whose sums XOR to the same total on
-	// both sides but differ individually: the summary round alone cannot
-	// see it, and that is the documented resolution (a census detects
-	// per-bucket digest differences, not XOR-colliding swaps). Assert
-	// the behavior so a future strengthening shows up as a test change.
+	// Two keys whose digests are swapped between the sides collide in
+	// every sum: the fold round cannot see it, and that is the documented
+	// resolution (a census detects fold differences, which a 64-bit
+	// digest per (key, seq, value) makes collide only by chance, not
+	// deliberately swapped digests). Assert the behavior so a future
+	// strengthening shows up as a test change.
 	intent := map[string]uint64{"x": 5, "y": 6}
 	held := map[string]uint64{"x": 6, "y": 5}
 	rep := RunCensus([]CensusLink{{
 		Intent: mapSource("s", 1, intent),
 		Held:   mapSource("r", 1, held),
 	}})
-	if rep.Links[0].MismatchedBuckets != 0 {
-		t.Fatalf("XOR-colliding bucket reported mismatched: %+v", rep.Links[0])
+	if !rep.Converged() || rep.Links[0].Buckets != 0 {
+		t.Fatalf("colliding folds went past the fold round: %+v", rep.Links[0])
 	}
 }
 
 func TestRunCensusErrors(t *testing.T) {
 	bad := CensusSource{
 		Name:   "down",
+		Fold:   func() (uint64, error) { return 0, errors.New("peer timeout") },
 		Sums:   func() ([]uint64, error) { return nil, errors.New("peer timeout") },
 		Bucket: func(int) ([]KeyDigest, error) { return nil, errors.New("peer timeout") },
 	}
@@ -97,7 +106,7 @@ func TestRunCensusErrors(t *testing.T) {
 		t.Fatalf("failed exchange: %+v", rep)
 	}
 	// Bucket-count mismatch is an error, not a diff.
-	other := mapSource("r", 8, map[string]uint64{"k": 1})
+	other := mapSource("r", 8, map[string]uint64{"k": 2})
 	rep = RunCensus([]CensusLink{{Intent: ok, Held: other}})
 	if rep.Failed != 1 {
 		t.Fatalf("bucket mismatch not failed: %+v", rep.Links[0])

@@ -7,26 +7,30 @@ import (
 
 // Digest exchange payloads — the convergence auditor's census protocol.
 //
-// A census has two rounds. The requester first asks for the responder's
-// per-bucket digest sums (DigestSummary): one 8-byte XOR/FNV fold per
-// bucket, O(1) for the responder to read because internal/statetable
-// maintains them incrementally on every mutation. Buckets whose sums
-// disagree with the requester's own are then resolved with a second
-// round (DigestDetail): the responder lists every key in the bucket with
-// its individual digest, and the requester diffs the two key sets down
-// to the exact divergent keys. Both payloads ride the generic key/value
-// frame encoding (empty key, payload in the value region) under
-// TypeDigest / TypeDigestReply; Message.Seq carries a requester-chosen
-// nonce that matches replies to requests.
+// A census first asks for the responder's fold of the requester's keys
+// (DigestFold): the sum of StateHash over every (key, seq, value) it holds
+// for the requester, 8 bytes the responder keeps up to date as it installs
+// and drops state, so reading it is O(1). Only a link whose folds disagree
+// goes on: the requester asks for the per-bucket sums (DigestSummary), one
+// 8-byte sum of the same hashes per bucket of user keys, and resolves the
+// buckets whose sums disagree with its own with a last round
+// (DigestDetail): the responder lists every key in the bucket with its
+// individual digest, and the requester diffs the two key sets down to the
+// exact divergent keys. The responder computes the last two in a walk over
+// the link's entries. All payloads ride the generic key/value frame
+// encoding (empty key, payload in the value region) under TypeDigest /
+// TypeDigestReply; Message.Seq carries a requester-chosen nonce that
+// matches replies to requests.
 //
 // DigestRequest value layout:
 //
-//	1     kind (0 summary, 1 detail)
+//	1     kind (0 summary, 1 detail, 2 fold)
 //	2     bucket index (detail only)
 //
 // DigestReply value layout:
 //
 //	1     kind
+//	fold:    { 8: fold }
 //	summary: { 2: bucket count N ≤ MaxDigestBuckets, N × 8: sums }
 //	detail:  { 2: bucket, 2: part, 2: parts, 2: key count n,
 //	           n × { 8: sum, 2: key length, key bytes } }
@@ -43,6 +47,8 @@ const (
 	DigestSummary DigestKind = 0
 	// DigestDetail is the per-key resolution round for one bucket.
 	DigestDetail DigestKind = 1
+	// DigestFold is the first round: the fold of the whole link.
+	DigestFold DigestKind = 2
 )
 
 // MaxDigestBuckets bounds a digest's bucket count on the wire. The sums
@@ -61,7 +67,7 @@ func (r DigestRequest) Encode() []byte {
 	if r.Kind == DigestDetail {
 		return []byte{byte(DigestDetail), byte(r.Bucket >> 8), byte(r.Bucket)}
 	}
-	return []byte{byte(DigestSummary)}
+	return []byte{byte(r.Kind)}
 }
 
 // ParseDigestRequest decodes a TypeDigest message value.
@@ -69,12 +75,12 @@ func ParseDigestRequest(value []byte) (DigestRequest, error) {
 	if len(value) < 1 {
 		return DigestRequest{}, fmt.Errorf("%w: empty request", ErrDigest)
 	}
-	switch DigestKind(value[0]) {
-	case DigestSummary:
+	switch k := DigestKind(value[0]); k {
+	case DigestSummary, DigestFold:
 		if len(value) != 1 {
 			return DigestRequest{}, fmt.Errorf("%w: %d trailing bytes", ErrDigest, len(value)-1)
 		}
-		return DigestRequest{Kind: DigestSummary}, nil
+		return DigestRequest{Kind: k}, nil
 	case DigestDetail:
 		if len(value) != 3 {
 			return DigestRequest{}, fmt.Errorf("%w: detail request %d bytes", ErrDigest, len(value))
@@ -92,10 +98,12 @@ type DigestKeySum struct {
 	Sum uint64
 }
 
-// DigestReply is a census reply payload: Sums for the summary round,
-// Bucket/Part/Parts/Keys for the detail round.
+// DigestReply is a census reply payload: Fold for the fold round, Sums for
+// the summary round, Bucket/Part/Parts/Keys for the detail round.
 type DigestReply struct {
 	Kind DigestKind
+	// Fold is the responder's fold of the link (DigestFold).
+	Fold uint64
 	// Sums are the per-bucket digest sums (DigestSummary).
 	Sums []uint64
 	// Bucket is the bucket being listed; Part/Parts chunk oversized
@@ -133,6 +141,8 @@ func DigestDetailFits(keys []DigestKeySum) int {
 // Encode renders the reply payload for a TypeDigestReply message value.
 func (r *DigestReply) Encode() ([]byte, error) {
 	switch r.Kind {
+	case DigestFold:
+		return binary.BigEndian.AppendUint64([]byte{byte(DigestFold)}, r.Fold), nil
 	case DigestSummary:
 		if len(r.Sums) > MaxDigestBuckets {
 			return nil, fmt.Errorf("%w: %d buckets", ErrTooLarge, len(r.Sums))
@@ -178,6 +188,11 @@ func ParseDigestReply(value []byte) (*DigestReply, error) {
 		return nil, fmt.Errorf("%w: empty reply", ErrDigest)
 	}
 	switch DigestKind(value[0]) {
+	case DigestFold:
+		if len(value) != 1+8 {
+			return nil, fmt.Errorf("%w: fold reply %d bytes", ErrDigest, len(value))
+		}
+		return &DigestReply{Kind: DigestFold, Fold: binary.BigEndian.Uint64(value[1:])}, nil
 	case DigestSummary:
 		rest := value[1:]
 		if len(rest) < 2 {

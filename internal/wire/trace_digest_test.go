@@ -114,6 +114,7 @@ func TestTraceDecodeStrict(t *testing.T) {
 
 func TestDigestRequestRoundTrip(t *testing.T) {
 	for _, req := range []DigestRequest{
+		{Kind: DigestFold},
 		{Kind: DigestSummary},
 		{Kind: DigestDetail, Bucket: 0},
 		{Kind: DigestDetail, Bucket: 511},
@@ -130,6 +131,7 @@ func TestDigestRequestRoundTrip(t *testing.T) {
 		nil,
 		{9},
 		{byte(DigestSummary), 0xFF},
+		{byte(DigestFold), 0},
 		{byte(DigestDetail)},
 		{byte(DigestDetail), 0, 1, 2},
 	} {
@@ -145,7 +147,8 @@ func TestDigestReplyRoundTrip(t *testing.T) {
 		Kind: DigestDetail, Bucket: 3, Part: 1, Parts: 2,
 		Keys: []DigestKeySum{{Key: "flow/1", Sum: 17}, {Key: "", Sum: 0}},
 	}
-	for _, in := range []*DigestReply{sums, detail, {Kind: DigestSummary}, {Kind: DigestDetail, Parts: 1}} {
+	fold := &DigestReply{Kind: DigestFold, Fold: ^uint64(0) - 1}
+	for _, in := range []*DigestReply{fold, sums, detail, {Kind: DigestFold}, {Kind: DigestSummary}, {Kind: DigestDetail, Parts: 1}} {
 		val, err := in.Encode()
 		if err != nil {
 			t.Fatalf("%+v: %v", in, err)
@@ -164,7 +167,7 @@ func TestDigestReplyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", in, err)
 		}
-		if out.Kind != in.Kind || out.Bucket != in.Bucket || out.Part != in.Part || out.Parts != in.Parts {
+		if out.Kind != in.Kind || out.Fold != in.Fold || out.Bucket != in.Bucket || out.Part != in.Part || out.Parts != in.Parts {
 			t.Fatalf("round trip: got %+v, want %+v", out, in)
 		}
 		if len(out.Sums) != len(in.Sums) || len(out.Keys) != len(in.Keys) {
@@ -191,6 +194,9 @@ func TestDigestReplyRoundTrip(t *testing.T) {
 	if _, err := (&DigestReply{Kind: DigestDetail, Parts: 1,
 		Keys: []DigestKeySum{{Key: strings.Repeat("k", MaxKeyLen+1)}}}).Encode(); err == nil {
 		t.Fatal("encoded oversize digest key")
+	}
+	if _, err := ParseDigestReply([]byte{byte(DigestFold), 0, 0, 0, 0, 0, 0, 0}); err == nil {
+		t.Fatal("parsed truncated fold")
 	}
 	if _, err := ParseDigestReply([]byte{byte(DigestSummary), 0, 2, 1}); err == nil {
 		t.Fatal("parsed truncated sums block")

@@ -87,34 +87,37 @@ func TestPeekType(t *testing.T) {
 	}
 }
 
-// TestRestampSummary: a frame given a new sequence number in place is the
-// frame Append makes of the same keys and that number, for an empty list, a
-// full one and the extremes of the sequence space, and SummaryFrame reads
-// back what was stamped.
-func TestRestampSummary(t *testing.T) {
+// TestSummaryFold: a summary refresh carries its fold through Append,
+// UnmarshalBinary and SummaryKeyList, for an empty list, a full one and
+// the extremes of the fold; SummaryFrame reads the key count back; and a
+// NACK, which has no fold, refuses one.
+func TestSummaryFold(t *testing.T) {
 	full := make([]string, MaxSummaryKeys)
 	for i := range full {
 		full[i] = string(rune('a' + i%26))
 	}
 	for _, keys := range [][]string{nil, {"a", "flow/0001", "", "zz"}, full} {
-		m := Message{Type: TypeSummaryRefresh, Seq: 42, Keys: keys}
-		frame, err := m.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, seq := range []uint64{43, 0, 1<<64 - 1, 42} {
-			RestampSummary(frame, seq)
-			m.Seq = seq
-			want, err := m.MarshalBinary()
+		for _, fold := range []uint64{0, 1, 1<<64 - 1, StateHash("a", 3, []byte("v"))} {
+			m := Message{Type: TypeSummaryRefresh, Seq: 42, Keys: keys, Fold: fold}
+			frame, err := m.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if string(frame) != string(want) {
-				t.Fatalf("%d keys restamped to %d: %x, Append makes %x", len(keys), seq, frame, want)
+			var got Message
+			if err := got.UnmarshalBinary(frame); err != nil || got.Fold != fold || len(got.Keys) != len(keys) {
+				t.Fatalf("%d keys, fold %x: decoded fold %x, %d keys, %v", len(keys), fold, got.Fold, len(got.Keys), err)
 			}
-			if gotSeq, gotKeys := SummaryFrame(frame); gotSeq != seq || gotKeys != len(keys) {
-				t.Fatalf("SummaryFrame reads seq %d and %d keys, want %d and %d", gotSeq, gotKeys, seq, len(keys))
+			seq, gotFold, n, _, err := SummaryKeyList(frame)
+			if err != nil || seq != 42 || gotFold != fold || n != len(keys) {
+				t.Fatalf("SummaryKeyList: seq %d, fold %x, %d keys, %v", seq, gotFold, n, err)
+			}
+			if n := SummaryFrame(frame); n != len(keys) {
+				t.Fatalf("SummaryFrame reads %d keys, want %d", n, len(keys))
 			}
 		}
+	}
+	nack := Message{Type: TypeSummaryNack, Keys: []string{"a"}, Fold: 1}
+	if _, err := nack.MarshalBinary(); !errors.Is(err, ErrSummary) {
+		t.Fatalf("a NACK with a fold encodes: %v", err)
 	}
 }

@@ -23,7 +23,15 @@
 // them K is always 0 and the value region holds the list:
 //
 //	2     key count N (≤ MaxSummaryKeys)
+//	8     the list's fold (TypeSummaryRefresh only, see StateHash)
 //	N ×   { 2: key length, key bytes }
+//
+// A summary refresh's fold is the sum, modulo 2⁶⁴, of StateHash over the
+// listed keys as the sender holds them — each with its sequence number and
+// value — so a receiver tells a list it holds at the sender's versions from
+// one it holds some stale value of without either end naming a version per
+// key. The fold has no compatibility path: the two ends of a summary-mode
+// link upgrade together.
 //
 // TypeAckBatch mirrors that reduction on the reply path: one datagram
 // carries many coalesced acknowledgements, each with its own kind (ack or
@@ -147,7 +155,8 @@ const (
 	// receiver (timeout or external signal).
 	TypeNotify
 	// TypeSummaryRefresh renews many keys in one datagram (RFC 2961-style
-	// refresh reduction). It carries a key list, no value.
+	// refresh reduction). It carries a key list and the list's fold, no
+	// value.
 	TypeSummaryRefresh
 	// TypeSummaryNack lists keys from a summary refresh that the receiver
 	// does not hold, telling the sender to fall back to full triggers.
@@ -159,7 +168,7 @@ const (
 	// "external removal signal" made concrete — in one of two shapes. A peer
 	// probe asks a sender whether it is alive: the key is empty and the value
 	// is the receiver's pair for that sender (PairLen bytes: how many of its
-	// keys the receiver holds, and their fold, see KeyHash); one goes to
+	// keys the receiver holds, and their fold, see StateHash); one goes to
 	// every sender holding state once per probe interval. A per-key probe
 	// asks whether the sender still owns one key: the key is set, Seq echoes
 	// the receiver's latest accepted sequence for it, and there is no value;
@@ -243,22 +252,39 @@ func (t Type) Probe() bool { return t == TypeProbe || t == TypeProbeAck }
 // key count, then the 8-byte fold of those keys, both big endian.
 const PairLen = 16
 
-// KeyHash is the fixed, seedless 64-bit hash a pair's fold sums, modulo
-// 2⁶⁴, over a key set: FNV-1a over the key bytes, then the murmur3
-// finalizer so that keys differing in one byte differ in every bit of the
-// sum. Both ends of a link compute it over the same user keys, so their
-// folds agree exactly when their key sets do (up to a 64-bit collision).
-func KeyHash(key string) uint64 {
-	h := uint64(14695981039346269563)
+// StateHash is the fixed, seedless 64-bit hash of one piece of state: its
+// user key, the sequence number it was triggered under and its value. A
+// fold is its sum modulo 2⁶⁴ over a set of keys, which is order-free and
+// takes one key in or out in O(1); both ends of a link keep the fold of
+// what they hold for the other, so equal folds mean the same keys at the
+// same versions (up to a 64-bit collision). It is FNV-1a over the key's
+// length, the key, the sequence number, the value's length and the value,
+// then the murmur3 finalizer, so tuples differing in one byte differ in
+// every bit of the sum.
+func StateHash[K ~string | ~[]byte](key K, seq uint64, value []byte) uint64 {
+	h := fnvWord(14695981039346269563, uint64(len(key)))
 	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
+		h = (h ^ uint64(key[i])) * fnvPrime
+	}
+	h = fnvWord(fnvWord(h, seq), uint64(len(value)))
+	for _, b := range value {
+		h = (h ^ uint64(b)) * fnvPrime
 	}
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
+	return h
+}
+
+const fnvPrime = 1099511628211
+
+// fnvWord runs FNV-1a over w's eight bytes, low byte first.
+func fnvWord(h, w uint64) uint64 {
+	for n := 0; n < 64; n += 8 {
+		h = (h ^ w>>n&0xff) * fnvPrime
+	}
 	return h
 }
 
@@ -339,6 +365,9 @@ type Message struct {
 	Value []byte
 	// Keys is the key list of a summary message; nil for all other types.
 	Keys []string
+	// Fold is a summary refresh's fold of its key list, as the sender holds
+	// the keys (StateHash); 0 for all other types.
+	Fold uint64
 	// Acks is the item list of an ack batch; nil for all other types.
 	Acks []AckItem
 	// Trace is the optional causal-tracing context. When Sampled, the
@@ -354,7 +383,7 @@ const trailerLen = 4            // CRC32
 // EncodedLen returns the encoded size of m.
 func (m *Message) EncodedLen() int {
 	if m.Type.Summary() {
-		return headerLen + 4 + summaryBlockLen(m.Keys) + trailerLen
+		return headerLen + 4 + summaryBlockLen(m.Type, m.Keys) + trailerLen
 	}
 	if m.Type.Batch() {
 		return headerLen + 4 + ackBlockLen(m.Acks) + trailerLen
@@ -366,9 +395,15 @@ func (m *Message) EncodedLen() int {
 	return n
 }
 
-// summaryBlockLen is the encoded size of a summary key list.
-func summaryBlockLen(keys []string) int {
+// summaryFoldLen is the size of a summary refresh's fold.
+const summaryFoldLen = 8
+
+// summaryBlockLen is the encoded size of a summary key list of type t.
+func summaryBlockLen(t Type, keys []string) int {
 	n := 2
+	if t == TypeSummaryRefresh {
+		n += summaryFoldLen
+	}
 	for _, k := range keys {
 		n += 2 + len(k)
 	}
@@ -384,11 +419,12 @@ func ackBlockLen(items []AckItem) int {
 	return n
 }
 
-// SummaryFits reports how many of keys fit one summary datagram: the
+// SummaryFits reports how many of keys fit one summary refresh: the
 // largest prefix within both MaxSummaryKeys and the MaxValueLen byte
-// budget. Senders use it to chunk large key sets.
+// budget. Senders use it to chunk large key sets; a NACK, which carries no
+// fold, always fits the keys of the refresh it answers.
 func SummaryFits(keys []string) int {
-	n, bytes := 0, 2
+	n, bytes := 0, 2+summaryFoldLen
 	for _, k := range keys {
 		if n >= MaxSummaryKeys || bytes+2+len(k) > MaxValueLen {
 			break
@@ -464,10 +500,13 @@ func (m *Message) appendSummary(dst []byte) ([]byte, error) {
 	if m.Key != "" || m.Value != nil || m.Acks != nil {
 		return nil, fmt.Errorf("%w: %s carries a key list, not key/value", ErrSummary, m.Type)
 	}
+	if m.Fold != 0 && m.Type != TypeSummaryRefresh {
+		return nil, fmt.Errorf("%w: %s carries no fold", ErrSummary, m.Type)
+	}
 	if len(m.Keys) > MaxSummaryKeys {
 		return nil, fmt.Errorf("%w: %d keys", ErrTooLarge, len(m.Keys))
 	}
-	block := summaryBlockLen(m.Keys)
+	block := summaryBlockLen(m.Type, m.Keys)
 	if block > MaxValueLen {
 		return nil, fmt.Errorf("%w: summary block %d bytes", ErrTooLarge, block)
 	}
@@ -482,6 +521,9 @@ func (m *Message) appendSummary(dst []byte) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint16(dst, 0) // no single key
 	dst = binary.BigEndian.AppendUint32(dst, uint32(block))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Keys)))
+	if m.Type == TypeSummaryRefresh {
+		dst = binary.BigEndian.AppendUint64(dst, m.Fold)
+	}
 	for _, k := range m.Keys {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(k)))
 		dst = append(dst, k...)
@@ -491,21 +533,11 @@ func (m *Message) appendSummary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// SummaryFrame reads the sequence number and key count out of a summary
-// datagram appendSummary encoded. It validates nothing: it is for a sender
-// re-reading frames it encoded itself, never for bytes off the network.
-func SummaryFrame(frame []byte) (seq uint64, keys int) {
-	return binary.BigEndian.Uint64(frame[2:]), int(binary.BigEndian.Uint16(frame[headerLen+4:]))
-}
-
-// RestampSummary gives frame, a summary datagram appendSummary encoded, the
-// sequence number seq in place: the eight sequence bytes and the checksum are
-// rewritten and nothing else, so frame is byte for byte what Append returns
-// for the same keys and seq.
-func RestampSummary(frame []byte, seq uint64) {
-	body := frame[:len(frame)-trailerLen]
-	binary.BigEndian.PutUint64(body[2:], seq)
-	binary.BigEndian.PutUint32(frame[len(body):], crc32.ChecksumIEEE(body))
+// SummaryFrame reads the key count out of a summary datagram appendSummary
+// encoded. It validates nothing: it is for a sender re-reading frames it
+// encoded itself, never for bytes off the network.
+func SummaryFrame(frame []byte) (keys int) {
+	return int(binary.BigEndian.Uint16(frame[headerLen+4:]))
 }
 
 // appendAckBatch encodes an ack batch: zero key length, and the item list
@@ -566,7 +598,7 @@ func PeekType(data []byte) Type {
 // datagram validated first, and must not retain the slice past its
 // return. It is SummaryKeyList followed by VisitKeyList.
 func VisitSummaryKeys(data []byte, visit func(seq uint64, key []byte)) (seq uint64, err error) {
-	seq, n, list, err := SummaryKeyList(data)
+	seq, _, n, list, err := SummaryKeyList(data)
 	if err != nil {
 		return 0, err
 	}
@@ -575,46 +607,46 @@ func VisitSummaryKeys(data []byte, visit func(seq uint64, key []byte)) (seq uint
 
 // SummaryKeyList validates a summary-refresh datagram's envelope —
 // checksum, version, type, the zero key length and the block length — and
-// returns its sequence number, its declared key count and its key list:
-// the length-prefixed keys between the count and the checksum, aliasing
-// data. The list's own structure is VisitKeyList's to check. A sender in
-// steady state repeats a list byte for byte, so a receiver that kept the
-// last one compares the two and walks nothing.
-func SummaryKeyList(data []byte) (seq uint64, n int, list []byte, err error) {
+// returns its sequence number, its fold, its declared key count and its key
+// list: the length-prefixed keys between the fold and the checksum,
+// aliasing data. The list's own structure is VisitKeyList's to check. A
+// sender in steady state repeats a list and its fold, so a receiver that
+// kept the fold of the last one compares the two and walks nothing.
+func SummaryKeyList(data []byte) (seq, fold uint64, n int, list []byte, err error) {
 	if len(data) < headerLen+4+trailerLen {
-		return 0, 0, nil, ErrShort
+		return 0, 0, 0, nil, ErrShort
 	}
 	body, trailer := data[:len(data)-trailerLen], data[len(data)-trailerLen:]
 	if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(trailer); got != want {
-		return 0, 0, nil, ErrChecksum
+		return 0, 0, 0, nil, ErrChecksum
 	}
 	if body[0] != Version {
-		return 0, 0, nil, fmt.Errorf("%w: %d", ErrVersion, body[0])
+		return 0, 0, 0, nil, fmt.Errorf("%w: %d", ErrVersion, body[0])
 	}
 	if Type(body[1]) != TypeSummaryRefresh {
-		return 0, 0, nil, fmt.Errorf("%w: %d", ErrType, body[1])
+		return 0, 0, 0, nil, fmt.Errorf("%w: %d", ErrType, body[1])
 	}
 	seq = binary.BigEndian.Uint64(body[2:10])
 	if binary.BigEndian.Uint16(body[10:12]) != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: nonzero key length", ErrSummary)
+		return 0, 0, 0, nil, fmt.Errorf("%w: nonzero key length", ErrSummary)
 	}
 	rest := body[12:]
 	if len(rest) < 4 {
-		return 0, 0, nil, ErrShort
+		return 0, 0, 0, nil, ErrShort
 	}
 	valLen := int(binary.BigEndian.Uint32(rest[:4]))
 	if valLen > MaxValueLen {
-		return 0, 0, nil, ErrTooLarge
+		return 0, 0, 0, nil, ErrTooLarge
 	}
 	block := rest[4:]
-	if len(block) != valLen || len(block) < 2 {
-		return 0, 0, nil, ErrShort
+	if len(block) != valLen || len(block) < 2+summaryFoldLen {
+		return 0, 0, 0, nil, ErrShort
 	}
 	n = int(binary.BigEndian.Uint16(block))
 	if n > MaxSummaryKeys {
-		return 0, 0, nil, fmt.Errorf("%w: %d summary keys", ErrTooLarge, n)
+		return 0, 0, 0, nil, fmt.Errorf("%w: %d summary keys", ErrTooLarge, n)
 	}
-	return seq, n, block[2:], nil
+	return seq, binary.BigEndian.Uint64(block[2:]), n, block[2+summaryFoldLen:], nil
 }
 
 // VisitKeyList walks a key list SummaryKeyList returned, calling visit once
@@ -720,7 +752,7 @@ func (m *Message) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: key %d bytes, value %d bytes", ErrProbe, keyLen, valLen)
 	}
 	if typ.Summary() {
-		keys, err := decodeSummaryBlock(rest)
+		keys, fold, err := decodeSummaryBlock(typ, rest)
 		if err != nil {
 			return err
 		}
@@ -729,6 +761,7 @@ func (m *Message) UnmarshalBinary(data []byte) error {
 		m.Key = ""
 		m.Value = nil
 		m.Keys = keys
+		m.Fold = fold
 		m.Acks = nil
 		m.Trace = TraceContext{}
 		return nil
@@ -743,6 +776,7 @@ func (m *Message) UnmarshalBinary(data []byte) error {
 		m.Key = ""
 		m.Value = nil
 		m.Keys = nil
+		m.Fold = 0
 		m.Acks = acks
 		m.Trace = TraceContext{}
 		return nil
@@ -757,42 +791,50 @@ func (m *Message) UnmarshalBinary(data []byte) error {
 	m.Key = key
 	m.Value = value
 	m.Keys = nil
+	m.Fold = 0
 	m.Acks = nil
 	m.Trace = trace
 	return nil
 }
 
-// decodeSummaryBlock parses the key list of a summary message. Keys are
-// copied, so the result does not alias block.
-func decodeSummaryBlock(block []byte) ([]string, error) {
+// decodeSummaryBlock parses the key list, and a refresh's fold, of a
+// summary message of type t. Keys are copied, so the result does not alias
+// block.
+func decodeSummaryBlock(t Type, block []byte) (keys []string, fold uint64, err error) {
 	if len(block) < 2 {
-		return nil, ErrShort
+		return nil, 0, ErrShort
 	}
 	n := int(binary.BigEndian.Uint16(block))
 	if n > MaxSummaryKeys {
-		return nil, fmt.Errorf("%w: %d summary keys", ErrTooLarge, n)
+		return nil, 0, fmt.Errorf("%w: %d summary keys", ErrTooLarge, n)
 	}
 	block = block[2:]
-	keys := make([]string, 0, n)
+	if t == TypeSummaryRefresh {
+		if len(block) < summaryFoldLen {
+			return nil, 0, ErrShort
+		}
+		fold, block = binary.BigEndian.Uint64(block), block[summaryFoldLen:]
+	}
+	keys = make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		if len(block) < 2 {
-			return nil, ErrShort
+			return nil, 0, ErrShort
 		}
 		kl := int(binary.BigEndian.Uint16(block))
 		if kl > MaxKeyLen {
-			return nil, fmt.Errorf("%w: summary key %d bytes", ErrTooLarge, kl)
+			return nil, 0, fmt.Errorf("%w: summary key %d bytes", ErrTooLarge, kl)
 		}
 		block = block[2:]
 		if len(block) < kl {
-			return nil, ErrShort
+			return nil, 0, ErrShort
 		}
 		keys = append(keys, string(block[:kl]))
 		block = block[kl:]
 	}
 	if len(block) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSummary, len(block))
+		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrSummary, len(block))
 	}
-	return keys, nil
+	return keys, fold, nil
 }
 
 // decodeAckBlock parses the item list of an ack batch. Keys are copied, so
@@ -835,6 +877,9 @@ func decodeAckBlock(block []byte) ([]AckItem, error) {
 
 // String renders the message for logging.
 func (m *Message) String() string {
+	if m.Type == TypeSummaryRefresh {
+		return fmt.Sprintf("%s seq=%d keys=%d fold=%016x", m.Type, m.Seq, len(m.Keys), m.Fold)
+	}
 	if m.Type.Summary() {
 		return fmt.Sprintf("%s seq=%d keys=%d", m.Type, m.Seq, len(m.Keys))
 	}

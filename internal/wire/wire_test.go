@@ -397,24 +397,49 @@ func TestProbeRejectsOtherShapes(t *testing.T) {
 	}
 }
 
-// TestKeyHashFold: the fold is an order-free multiset sum — the same keys in
-// any order fold alike, one key more or less changes it, and an insert
-// undone by subtracting its hash restores it.
+// TestKeyHashFold: a summary's fold is an order-free multiset sum of the
+// per-key StateHash — the same tuples in any order fold alike, and one more
+// moves the fold and comes back out.
 func TestKeyHashFold(t *testing.T) {
 	keys := []string{"", "a", "b", "flow/1", "flow/2"}
 	var fwd, rev uint64
 	for i := range keys {
-		fwd += KeyHash(keys[i])
-		rev += KeyHash(keys[len(keys)-1-i])
+		fwd += StateHash(keys[i], uint64(i), []byte(keys[i]))
+		j := len(keys) - 1 - i
+		rev += StateHash(keys[j], uint64(j), []byte(keys[j]))
 	}
 	if fwd != rev {
 		t.Fatal("fold depends on order")
 	}
-	if with := fwd + KeyHash("flow/3"); with == fwd || with-KeyHash("flow/3") != fwd {
-		t.Fatal("one key more does not move the fold, or does not come back out")
+	if h := StateHash("flow/3", 1, nil); fwd+h == fwd || fwd+h-h != fwd {
+		t.Fatal("one tuple more does not move the fold, or does not come back out")
 	}
-	if KeyHash("ab") == KeyHash("ba") || KeyHash("") == 0 {
-		t.Fatal("KeyHash collides on a transposition or maps the empty key to 0")
+}
+
+// TestStateHash: the hash tells tuples apart that a plain concatenation
+// would not: a key/value boundary moved, an empty value, either end of the
+// sequence space, a transposed key. The []byte and string forms of a key
+// agree.
+func TestStateHash(t *testing.T) {
+	distinct := []uint64{
+		StateHash("ab", 1, []byte("c")),
+		StateHash("a", 1, []byte("bc")),
+		StateHash("k", 1, nil),
+		StateHash("k", 1, []byte{0}),
+		StateHash("k", 0, nil),
+		StateHash("k", 1<<64-1, nil),
+		StateHash("ba", 1, []byte("c")),
+		StateHash("", 0, nil),
+	}
+	seen := map[uint64]int{}
+	for i, h := range distinct {
+		if j, dup := seen[h]; dup || h == 0 {
+			t.Fatalf("tuple %d hashes to %x, as tuple %d does (or to 0)", i, h, j)
+		}
+		seen[h] = i
+	}
+	if StateHash([]byte("flow/1"), 7, []byte("v")) != StateHash("flow/1", 7, []byte("v")) {
+		t.Fatal("a key hashes differently as bytes and as a string")
 	}
 }
 
@@ -612,9 +637,9 @@ func TestMaxFrameLen(t *testing.T) {
 	trace := TraceContext{OriginNs: 1, HopNs: 2, Hops: 3}
 	key, value := strings.Repeat("k", MaxKeyLen), make([]byte, MaxValueLen)
 
-	summaryKeys := fillKeys(MaxValueLen-2, 2)
-	if n := SummaryFits(summaryKeys); n != len(summaryKeys) || summaryBlockLen(summaryKeys) != MaxValueLen {
-		t.Fatalf("summary list: SummaryFits takes %d of %d keys, block %d bytes", n, len(summaryKeys), summaryBlockLen(summaryKeys))
+	summaryKeys := fillKeys(MaxValueLen-2-summaryFoldLen, 2)
+	if n := SummaryFits(summaryKeys); n != len(summaryKeys) || summaryBlockLen(TypeSummaryRefresh, summaryKeys) != MaxValueLen {
+		t.Fatalf("summary list: SummaryFits takes %d of %d keys, block %d bytes", n, len(summaryKeys), summaryBlockLen(TypeSummaryRefresh, summaryKeys))
 	}
 	var acks []AckItem
 	for _, k := range fillKeys(MaxValueLen-2, 1+8+2) {
@@ -636,7 +661,7 @@ func TestMaxFrameLen(t *testing.T) {
 	}
 
 	largest := []Message{
-		{Type: TypeSummaryRefresh, Seq: ^uint64(0), Keys: summaryKeys},
+		{Type: TypeSummaryRefresh, Seq: ^uint64(0), Keys: summaryKeys, Fold: ^uint64(0)},
 		{Type: TypeSummaryNack, Seq: ^uint64(0), Keys: summaryKeys},
 		{Type: TypeAckBatch, Seq: ^uint64(0), Acks: acks},
 		{Type: TypeDigestReply, Seq: ^uint64(0), Value: detail, Trace: trace},
