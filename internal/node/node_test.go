@@ -172,8 +172,8 @@ func TestNodeFanoutSummaryRefresh(t *testing.T) {
 // TestReadLoopAllocs bounds what a node's read loop allocates over a
 // lossy link, which lends the datagrams it delivers: its batch of empty
 // slots and the demultiplexing of an ack, under 64 KB. A loop that brought
-// its own receive ring, 32 × transport.MaxDatagram, would allocate 280 KB
-// per lane for buffers this transport never touches.
+// its own receive ring, four transport.MaxDatagram buffers, would allocate
+// 256 KB per lane for buffers this transport never touches.
 func TestReadLoopAllocs(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1

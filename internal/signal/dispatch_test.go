@@ -145,10 +145,10 @@ func expectDecoderAllocs(t *testing.T, rcv *Receiver, sc *dispatchScratch, name 
 // TestReadLoopAllocs bounds what a receiver's read loop allocates over a
 // lossy link, which lends the datagrams it delivers: its batch of empty
 // slots and one install's worth of dispatch, under 64 KB. A loop that
-// brought its own receive ring, 32 × transport.MaxDatagram, would allocate
-// 280 KB per lane for buffers this transport never touches. The sender's
-// read loop reads the same way, so it is held to the same bound (a 64 KB
-// buffer of its own would fail it).
+// brought its own receive ring, four transport.MaxDatagram buffers, would
+// allocate 256 KB per lane for buffers this transport never touches. The
+// sender's read loop reads the same way, so it is held to the same bound
+// (a 64 KB buffer of its own would fail it).
 func TestReadLoopAllocs(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1

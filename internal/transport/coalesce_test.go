@@ -89,6 +89,12 @@ func TestCoalesceRoundTrip(t *testing.T) {
 		&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 7000},
 		&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 7001},
 	}
+	// Frames are random windows of one noise block: drawing every byte
+	// would cost more than the plan and the split under test.
+	noise := make([]byte, 2*MaxDatagram)
+	for j := range noise {
+		noise[j] = byte(rng.Intn(256))
+	}
 	for trial := 0; trial < 2000; trial++ {
 		budget := 64 + rng.Intn(MaxDatagram-64+1)
 		n := 1 + rng.Intn(3*DefaultBatchSize)
@@ -98,10 +104,8 @@ func TestCoalesceRoundTrip(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				size = 1 + rng.Intn(MaxDatagram)
 			}
-			data := make([]byte, size)
-			for j := range data {
-				data[j] = byte(rng.Intn(256))
-			}
+			off := rng.Intn(MaxDatagram)
+			data := bytes.Clone(noise[off : off+size])
 			data[0] = wire.Version // a frame, never a coalesced datagram
 			// Long runs to one destination, with occasional switches.
 			dest := dests[0]
@@ -145,7 +149,8 @@ func TestCoalesceRoundTrip(t *testing.T) {
 }
 
 // TestPayloadBudget: the route MTU less the IP and UDP headers, capped at
-// MaxDatagram; 1,232 B when the probe fails.
+// MaxDatagram, IPv4's largest UDP payload; 1,232 B when the probe fails.
+// Loopback's MTU, 65,536, leaves 65,507 B on IPv4 and 65,488 on IPv6.
 func TestPayloadBudget(t *testing.T) {
 	fail := errors.New("no route")
 	for _, c := range []struct {
@@ -157,8 +162,11 @@ func TestPayloadBudget(t *testing.T) {
 		{1500, nil, false, 1472},
 		{1500, nil, true, 1452},
 		{1400, nil, false, 1372},
-		{65535, nil, false, MaxDatagram},
-		{65536, nil, true, MaxDatagram},
+		{65535, nil, false, 65507},
+		{65535, nil, true, 65487},
+		{65536, nil, false, MaxDatagram},
+		{65536, nil, true, 65488},
+		{1 << 20, nil, true, MaxDatagram},
 		{0, fail, false, 1232},
 		{9000, fail, true, 1232},
 		{20, nil, false, 1232},

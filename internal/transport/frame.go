@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+
+	"softstate/internal/wire"
 )
 
 // Stream frame format — the length-prefixed datagram framing the TCP
@@ -24,10 +26,10 @@ const (
 	frameData  byte = 2
 
 	frameHeaderLen = 5
-	// maxFramePayload bounds one frame's payload; identical to
-	// MaxDatagram so a framed stream carries exactly what a UDP socket
-	// would.
-	maxFramePayload = MaxDatagram
+	// maxFramePayload bounds one frame's payload: wire.MaxFrameLen, the
+	// longest frame the codec encodes. A stream carries one frame per
+	// stream frame and never coalesces, so it needs no more.
+	maxFramePayload = wire.MaxFrameLen
 )
 
 var (

@@ -78,14 +78,15 @@ func TestFrameErrors(t *testing.T) {
 		t.Fatalf("readFrame oversized = %v", err)
 	}
 
-	// One byte more than the longest datagram is no frame, whole or read.
-	over := appendFrame(nil, frameData, make([]byte, MaxDatagram+1))
+	// One byte more than the longest frame is no stream frame, whole or
+	// read.
+	over := appendFrame(nil, frameData, make([]byte, maxFramePayload+1))
 	if _, _, _, err := decodeFrame(over); !errors.Is(err, errFrameLength) {
-		t.Fatalf("MaxDatagram+1 payload = %v", err)
+		t.Fatalf("maxFramePayload+1 payload = %v", err)
 	}
 	br = bufio.NewReader(bytes.NewReader(over))
 	if _, _, err := readFrame(br, make([]byte, maxFramePayload)); !errors.Is(err, errFrameLength) {
-		t.Fatalf("readFrame MaxDatagram+1 payload = %v", err)
+		t.Fatalf("readFrame maxFramePayload+1 payload = %v", err)
 	}
 }
 
@@ -97,7 +98,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add(appendFrame(nil, frameData, bytes.Repeat([]byte("k"), 100)))
 	f.Add([]byte{frameData, 0, 0, 0, 0})
 	f.Add([]byte{0xFF, 1, 2, 3, 4, 5})
-	f.Add(appendFrame(nil, frameData, make([]byte, MaxDatagram+1)))
+	f.Add(appendFrame(nil, frameData, make([]byte, maxFramePayload+1)))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		typ, payload, rest, err := decodeFrame(b)
 		br := bufio.NewReader(bytes.NewReader(b))

@@ -33,23 +33,21 @@ import (
 	"time"
 
 	"softstate/internal/telemetry"
-	"softstate/internal/wire"
 )
 
 const (
 	// DefaultBatchSize is the most frames one udp-batch WriteBatch lays
-	// out per sendmmsg and the most datagrams ReadBatch takes per
-	// recvmmsg, and the batch NewBatch sizes by default. 32 amortizes the
-	// ~1 µs kernel crossing to noise; a receive ring then holds
-	// 32 × MaxDatagram bytes, 280 KB, lent to a kernel socket's read lane
-	// only while it has datagrams.
+	// out per sendmmsg and its ReadBatch delivers per call, and the batch
+	// NewBatch sizes by default. 32 amortizes the ~1 µs kernel crossing to
+	// noise; on loopback such a batch leaves as one coalesced datagram.
 	DefaultBatchSize = 32
-	// MaxDatagram bounds one datagram: wire.MaxFrameLen, the longest frame
-	// the codec encodes, and the most a coalesced datagram holds. Every
-	// receive buffer is this long, so none truncates a legal datagram,
-	// and anything longer is no frame: a udp-batch ring counts it in
-	// Stats.Truncated, a stream refuses it.
-	MaxDatagram = wire.MaxFrameLen
+	// MaxDatagram bounds one datagram: 65,507 B, IPv4's largest UDP
+	// payload, so a coalesced datagram can fill any route's MTU. Every
+	// udp-batch and Wrap receive buffer is this long, so none truncates
+	// what a udp-batch writer sends; anything longer (only IPv6 carries
+	// it) is counted in Stats.Truncated. A lone frame is at most
+	// wire.MaxFrameLen, the stream's bound.
+	MaxDatagram = 65535 - ipv4Overhead
 )
 
 // Message is one frame slot in a batch. ReadBatch sets Data to a frame

@@ -78,18 +78,32 @@ func TestUDPBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// listenBatch6 is listenBatch on ::1, skipping the test on a host with
+// no IPv6 loopback.
+func listenBatch6(t *testing.T) Conn {
+	t.Helper()
+	c, err := ListenUDPBatch("[::1]:0", Options{})
+	if err != nil {
+		t.Skipf("no IPv6 loopback: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 // TestUDPBatchTruncated feeds the ring a datagram larger than its slot
 // buffers, MaxDatagram: it must be counted, dropped, and not block
-// delivery of the intact datagram behind it.
+// delivery of the intact datagram behind it. MaxDatagram is IPv4's
+// largest UDP payload, so the datagram crosses ::1: 65,520 B is under
+// IPv6's limit of 65,527.
 func TestUDPBatchTruncated(t *testing.T) {
-	rx := listenBatch(t, Options{})
+	rx := listenBatch6(t)
 	tx, err := net.Dial("udp", rx.LocalAddr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer tx.Close()
 
-	big := make([]byte, MaxDatagram+1)
+	big := make([]byte, 65520)
 	if _, err := tx.Write(big); err != nil {
 		t.Fatalf("write big: %v", err)
 	}
@@ -300,14 +314,17 @@ func TestWrapBatch(t *testing.T) {
 
 // TestLargestFrameEveryBackend: the longest frame the codec encodes, a
 // traced trigger with a MaxKeyLen key and a MaxValueLen value, is exactly
-// MaxDatagram bytes and crosses every backend byte for byte — udp-batch's
-// receive ring, a stream's frame, Wrap's read buffer — with nothing
-// counted as truncated.
+// wire.MaxFrameLen bytes, the stream's frame bound, and crosses every
+// backend byte for byte — udp-batch's receive ring, a stream's frame,
+// Wrap's read buffer — with nothing counted as truncated.
+// (TestFullBudgetDatagram sends a coalesced datagram of MaxDatagram bytes
+// to the two datagram readers.)
 func TestLargestFrameEveryBackend(t *testing.T) {
 	frame, err := (&wire.Message{Type: wire.TypeTrigger, Seq: 1, Key: strings.Repeat("k", wire.MaxKeyLen),
 		Value: bytes.Repeat([]byte{0xA5}, wire.MaxValueLen), Trace: wire.TraceContext{OriginNs: 1}}).MarshalBinary()
-	if err != nil || len(frame) != MaxDatagram {
-		t.Fatalf("largest frame: %d bytes (%v), want MaxDatagram %d", len(frame), err, MaxDatagram)
+	if err != nil || len(frame) != wire.MaxFrameLen || maxFramePayload != wire.MaxFrameLen {
+		t.Fatalf("largest frame: %d bytes (%v), want wire.MaxFrameLen %d, the stream's bound %d",
+			len(frame), err, wire.MaxFrameLen, maxFramePayload)
 	}
 	crossed := func(name string, rx Conn, send func() error) {
 		t.Helper()

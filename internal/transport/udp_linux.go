@@ -21,9 +21,9 @@ const soReusePort = 0xf
 // ListenUDPBatch binds o.Sockets UDP sockets on addr (sharing the port
 // through SO_REUSEPORT when there are several) and returns a Conn whose
 // ReadBatch/WriteBatch are real recvmmsg/sendmmsg calls — up to
-// DefaultBatchSize datagrams per kernel crossing. With several
-// sockets the kernel hashes inbound flows across them; Fanout exposes
-// each as an independent read lane.
+// ringSlots datagrams per recvmmsg and DefaultBatchSize frames per
+// sendmmsg. With several sockets the kernel hashes inbound flows across
+// them; Fanout exposes each as an independent read lane.
 func ListenUDPBatch(addr string, o Options) (Conn, error) {
 	o = o.withDefaults()
 	st := &Stats{}
@@ -134,11 +134,11 @@ func (c *batchConn) Stats() *Stats { return c.st }
 
 // ReadBatch delivers up to len(ms) frames: first those still pending from
 // the last recvmmsg, and only when none is pending, the datagrams of a new
-// recvmmsg (up to len(ms) of them) into a lent receive ring. A coalesced
-// datagram is split into its frames; those beyond ms wait behind a cursor
-// in the still-lent ring. Truncated datagrams (larger than MaxDatagram)
-// and malformed ones are counted and dropped; the call loops until at
-// least one frame is delivered.
+// recvmmsg (up to min(len(ms), ringSlots) of them) into a lent receive
+// ring. A coalesced datagram is split into its frames; those beyond ms
+// wait behind a cursor in the still-lent ring. Truncated datagrams (larger
+// than MaxDatagram) and malformed ones are counted and dropped; the call
+// loops until at least one frame is delivered.
 func (c *batchConn) ReadBatch(ms []Message) (int, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -232,7 +232,7 @@ func (c *batchConn) recv(fd uintptr) bool {
 		}
 		c.rr = readRings.get()
 	}
-	n := len(c.rms)
+	n := min(len(c.rms), ringSlots)
 	for i := 0; i < n; i++ {
 		c.rr.prepareRead(i)
 	}
@@ -475,10 +475,16 @@ func (c *batchConn) SetWriteDeadline(t time.Time) error {
 	return c.uc.SetWriteDeadline(t)
 }
 
-// mmsgRing is the preallocated recvmmsg scaffolding for DefaultBatchSize
+// ringSlots is the most datagrams one recvmmsg takes. A receive ring holds
+// ringSlots MaxDatagram buffers, 4 × 65,507 B = 256 KB: the bytes, not the
+// count, bound what a mid-stride lane holds. On loopback a datagram is a
+// whole coalesced batch, so one recvmmsg still carries up to 128 frames.
+const ringSlots = 4
+
+// mmsgRing is the preallocated recvmmsg scaffolding for ringSlots
 // datagrams: headers, one iovec per slot, sockaddr storage the kernel
 // writes, and one MaxDatagram buffer per slot, in one block its iovecs
-// point at for good: 32 × 8,744 B, 280 KB.
+// point at for good.
 type mmsgRing struct {
 	hs   []mmsghdr
 	iovs []syscall.Iovec
@@ -488,10 +494,10 @@ type mmsgRing struct {
 
 func newReadRing() *mmsgRing {
 	r := &mmsgRing{
-		hs:   make([]mmsghdr, DefaultBatchSize),
-		iovs: make([]syscall.Iovec, DefaultBatchSize),
-		sas:  make([][syscall.SizeofSockaddrAny]byte, DefaultBatchSize),
-		bufs: make([]byte, DefaultBatchSize*MaxDatagram),
+		hs:   make([]mmsghdr, ringSlots),
+		iovs: make([]syscall.Iovec, ringSlots),
+		sas:  make([][syscall.SizeofSockaddrAny]byte, ringSlots),
+		bufs: make([]byte, ringSlots*MaxDatagram),
 	}
 	for i := range r.hs {
 		r.hs[i].hdr.Iov = &r.iovs[i]

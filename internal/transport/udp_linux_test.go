@@ -61,15 +61,21 @@ func recvWithin(t *testing.T, got <-chan []byte) []byte {
 	}
 }
 
-// TestRingsFollowDemand: a udp-batch lane borrows a receive ring, 32
-// slots of the longest frame the codec encodes, only while it has
-// datagrams. 64 lanes that each read one datagram and park allocate one
-// or two rings between them, not 64; a parked lane holds none; a warm
-// lane's read-then-park cycle allocates nothing; and once every lane has
-// closed, the free list holds no ring.
+// ringBytesMax fences a receive ring's buffers: a lane mid-stride holds
+// at most 280,000 B of them, however its slots are cut.
+const ringBytesMax = 280_000
+
+// TestRingsFollowDemand: a udp-batch lane borrows a receive ring,
+// ringSlots buffers of MaxDatagram bytes within ringBytesMax, only while
+// it has datagrams. 64 lanes that each read one datagram and park
+// allocate one or two rings between them, not 64; a parked lane holds
+// none; a warm lane's read-then-park cycle allocates nothing; and once
+// every lane has closed, the free list holds no ring.
 func TestRingsFollowDemand(t *testing.T) {
-	if got, want := len(newReadRing().bufs), DefaultBatchSize*8744; got != want {
-		t.Fatalf("a receive ring holds %d bytes of buffers, want %d × 8,744 = %d", got, DefaultBatchSize, want)
+	r := newReadRing()
+	if got := len(r.bufs); got != ringSlots*MaxDatagram || got > ringBytesMax || len(r.hs) != ringSlots {
+		t.Fatalf("a receive ring holds %d slots, %d bytes of buffers; want %d × %d = %d, at most %d",
+			len(r.hs), got, ringSlots, MaxDatagram, ringSlots*MaxDatagram, ringBytesMax)
 	}
 	free, open, made0 := ringState()
 	if free != 0 || open != 0 {
@@ -380,6 +386,7 @@ func TestCoalescingBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rx.Close()
+	rx.SetReadBuffer(4 << 20) // three full datagrams queue at once
 	fail := errors.New("no route")
 	repeat := func(size, n int) []int {
 		out := make([]int, n)
@@ -396,7 +403,10 @@ func TestCoalescingBudget(t *testing.T) {
 		want  []int // frames per datagram
 	}{
 		{"mtu 1400: 1.2 KB frames travel alone", 1400, nil, repeat(1200, 4), []int{1, 1, 1, 1}},
-		{"mtu 65535: capped at MaxDatagram", 65535, nil, repeat(1200, 32), []int{7, 7, 7, 7, 4}},
+		// 1 + 14 × (2 + 4,677) is 65,507 B exactly; one byte more per
+		// frame leaves room for 13.
+		{"mtu 65535: capped at MaxDatagram", 65535, nil, repeat(4677, 32), []int{14, 14, 4}},
+		{"mtu 65535: a byte more per frame, one frame fewer", 65535, nil, repeat(4678, 28), []int{13, 13, 2}},
 		{"failed probe: 1,232 B holds two 613 B frames", 0, fail, repeat(613, 4), []int{2, 2}},
 		{"failed probe: not two 614 B frames", 0, fail, repeat(614, 3), []int{1, 1, 1}},
 		{"a frame over the budget goes alone", 0, fail, []int{100, 2000, 100, 100}, []int{1, 1, 2}},
@@ -457,6 +467,136 @@ func TestCoalescingBudget(t *testing.T) {
 					st.WriteCalls.Value(), st.WriteDatagrams.Value())
 			}
 		})
+	}
+}
+
+// TestLoopbackBatchIsOneDatagram: on a real loopback route, 127.0.0.1 and
+// ::1, a 32-frame WriteBatch of summary-sized frames leaves as one kernel
+// datagram, and the reader sees every frame in order.
+func TestLoopbackBatchIsOneDatagram(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		listen func(*testing.T) Conn
+	}{
+		{"127.0.0.1", func(t *testing.T) Conn { return listenBatch(t, Options{}) }},
+		{"::1", listenBatch6},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rx := c.listen(t)
+			tx := c.listen(t)
+			ms := make([]Message, DefaultBatchSize)
+			for i := range ms {
+				ms[i] = Message{Data: frameOf(1200, byte(i)), Addr: rx.LocalAddr()}
+			}
+			if n, err := tx.WriteBatch(ms); err != nil || n != len(ms) {
+				t.Fatalf("WriteBatch = %d, %v", n, err)
+			}
+			if got := tx.Stats().WriteDatagrams.Value(); got != 1 {
+				t.Fatalf("%d frames to one loopback peer left in %d datagrams, want 1", len(ms), got)
+			}
+			in := NewBatch(0)
+			rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+			for f := 0; f < len(ms); {
+				n, err := rx.ReadBatch(in)
+				if err != nil {
+					t.Fatalf("read %d of %d frames: %v", f, len(ms), err)
+				}
+				for _, m := range in[:n] {
+					if !bytes.Equal(m.Data, ms[f].Data) {
+						t.Fatalf("frame %d: %d bytes, not the frame written", f, len(m.Data))
+					}
+					f++
+				}
+			}
+		})
+	}
+}
+
+// TestFullBudgetDatagram: a coalesced datagram of exactly MaxDatagram
+// bytes, the budget of a 65,535-byte route, crosses both datagram readers,
+// udp-batch and Wrap, every frame whole and nothing counted as truncated
+// or malformed.
+func TestFullBudgetDatagram(t *testing.T) {
+	const frames, size = 14, 4677
+	if 1+frames*(lenPrefix+size) != MaxDatagram {
+		t.Fatalf("%d frames of %d B do not fill MaxDatagram", frames, size)
+	}
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrx := Wrap(pc)
+	defer wrx.Close()
+	for _, rx := range []Conn{listenBatch(t, Options{}), wrx} {
+		tx := listenBatch(t, Options{}).(*batchConn)
+		tx.mtu = func(*net.UDPAddr) (int, error) { return 65535, nil }
+		ms := make([]Message, frames)
+		for i := range ms {
+			ms[i] = Message{Data: frameOf(size, byte(i)), Addr: rx.LocalAddr()}
+		}
+		if _, err := tx.WriteBatch(ms); err != nil {
+			t.Fatal(err)
+		}
+		if got := tx.Stats().WriteDatagrams.Value(); got != 1 {
+			t.Fatalf("%d frames filling the budget left in %d datagrams, want 1", frames, got)
+		}
+		in := NewBatch(0)
+		rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := rx.ReadBatch(in)
+		if err != nil || n != frames {
+			t.Fatalf("%T: ReadBatch = %d, %v; want the datagram's %d frames", rx, n, err, frames)
+		}
+		for i := range ms {
+			if !bytes.Equal(in[i].Data, ms[i].Data) {
+				t.Fatalf("%T: frame %d: %d bytes, not the frame written", rx, i, len(in[i].Data))
+			}
+		}
+		if st := rx.Stats(); st.Truncated.Value() != 0 || st.Malformed.Value() != 0 {
+			t.Fatalf("%T: Truncated %d, Malformed %d; want none", rx, st.Truncated.Value(), st.Malformed.Value())
+		}
+	}
+}
+
+// TestRingHoldsFourBatches: one recvmmsg fills the ring's four slots with
+// four queued 32-frame datagrams, and four 32-slot ReadBatch calls
+// deliver their 128 frames in order from it.
+func TestRingHoldsFourBatches(t *testing.T) {
+	rx, tx := listenBatch(t, Options{}), listenBatch(t, Options{})
+	const batches = ringSlots
+	frame := func(b, i int) []byte {
+		f := frameOf(100, byte(i))
+		f[1], f[2] = byte(b), byte(i)
+		return f
+	}
+	ms := make([]Message, DefaultBatchSize)
+	for b := range batches {
+		for i := range ms {
+			ms[i] = Message{Data: frame(b, i), Addr: rx.LocalAddr()}
+		}
+		if _, err := tx.WriteBatch(ms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tx.Stats().WriteDatagrams.Value(); got != batches {
+		t.Fatalf("%d batches left in %d datagrams, want %d", batches, got, batches)
+	}
+	in := NewBatch(DefaultBatchSize)
+	rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for b := range batches {
+		n, err := rx.ReadBatch(in)
+		if err != nil || n != DefaultBatchSize {
+			t.Fatalf("call %d: ReadBatch = %d, %v; want %d frames", b, n, err, DefaultBatchSize)
+		}
+		for i, m := range in[:n] {
+			if !bytes.Equal(m.Data, frame(b, i)) {
+				t.Fatalf("call %d, frame %d: not batch %d's frame %d", b, i, b, i)
+			}
+		}
+	}
+	st := rx.Stats()
+	if st.ReadCalls.Value() != 1 || st.ReadDatagrams.Value() != batches {
+		t.Fatalf("ReadCalls %d, ReadDatagrams %d; want one recvmmsg of %d datagrams",
+			st.ReadCalls.Value(), st.ReadDatagrams.Value(), batches)
 	}
 }
 
