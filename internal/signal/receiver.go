@@ -276,14 +276,13 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 	hash := func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) {
 		sc.fold += wire.StateHash(sc.ck[len(sc.peer.prefix):], e.lastSeq, e.value)
 	}
+	// The walks rebuild each key in sc.ck after the peer's prefix, so the
+	// visitors find the table key built. A stranger holds nothing, so its
+	// every key is unknown.
 	sc.check = func(_ uint64, key []byte) {
-		// A stranger holds nothing, so its every key is unknown.
-		if sc.peer != nil {
-			sc.ck = append(sc.ck[:len(sc.peer.prefix)], key...)
-			if r.tbl.UpdateBytes(sc.ck, hash) {
-				sc.found++
-				return
-			}
+		if sc.peer != nil && r.tbl.UpdateBytes(sc.ck, hash) {
+			sc.found++
+			return
 		}
 		sc.unknown = append(sc.unknown, string(key))
 	}
@@ -307,10 +306,7 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 			r.join(sc, e)
 		}
 	}
-	sc.renew = func(_ uint64, key []byte) {
-		sc.ck = append(sc.ck[:len(sc.peer.prefix)], key...)
-		r.tbl.UpdateBytes(sc.ck, renew)
-	}
+	sc.renew = func(uint64, []byte) { r.tbl.UpdateBytes(sc.ck, renew) }
 	sc.list = func(_ uint64, key []byte) { sc.unknown = append(sc.unknown, string(key)) }
 	return sc
 }
@@ -362,10 +358,11 @@ func (sc *dispatchScratch) key(key string) []byte {
 // handleSummaryFast absorbs a summary refresh without allocating, through
 // the cheaper of two tiers that applies. A datagram whose key count and
 // fold the source holds an intact lease for extends the lease and is done
-// (extendLease). Otherwise the list is walked in place (wire.VisitKeyList):
-// each (peer, key) composite lookup key is built in a reusable buffer, and
-// a first walk looks every key up through the state table's byte-key path
-// and folds the entries it finds. A datagram naming a key not held here
+// (extendLease). Otherwise the list is walked in place (wire.VisitKeyList),
+// which rebuilds each front-coded key after the peer's prefix in the read
+// loop's scratch, so each (peer, key) composite lookup key is built where
+// it is decoded. A first walk looks every key up through the state table's
+// byte-key path and folds the entries it finds. A datagram naming a key not held here
 // renews the keys that are and NACKs the rest. One whose keys are all held
 // but whose fold differs from theirs names some key at another version
 // than the one held: it renews nothing and NACKs its whole list, so the
@@ -394,7 +391,10 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScr
 		return
 	}
 	sc.seq, sc.unknown, sc.found, sc.fold = seq, sc.unknown[:0], 0, 0
-	if err := wire.VisitKeyList(seq, n, list, sc.check); err != nil {
+	if p != nil {
+		sc.ck = sc.ck[:len(p.prefix)]
+	}
+	if err := wire.VisitKeyList(seq, n, list, &sc.ck, sc.check); err != nil {
 		r.ctrs.decodeErrors.Add(1)
 		return
 	}
@@ -408,13 +408,13 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScr
 	switch {
 	case len(sc.unknown) == 0 && sc.fold != fold:
 		r.ctrs.summaryFoldMismatches.Add(1)
-		_ = wire.VisitKeyList(seq, n, list, sc.list) // the list validated above
+		_ = wire.VisitKeyList(seq, n, list, &sc.ck, sc.list) // the list validated above
 	case sc.found > 0:
 		if leasing && len(sc.unknown) == 0 {
 			sc.joining = r.fileLease(sc, p, seq, fold, n)
 		}
 		r.ctrs.summaryRenewals.Add(sc.found)
-		_ = wire.VisitKeyList(seq, n, list, sc.renew)
+		_ = wire.VisitKeyList(seq, n, list, &sc.ck, sc.renew)
 		if sc.joining != nil {
 			r.settleLease(p, sc.joining)
 			sc.joining = nil
@@ -422,7 +422,7 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScr
 	}
 	unknown := sc.unknown
 	for len(unknown) > 0 {
-		n := wire.SummaryFits(unknown)
+		n, _ := wire.SummaryFits(unknown)
 		if n == 0 {
 			return // unreachable: NACKed keys arrived in a datagram
 		}

@@ -785,11 +785,11 @@ func (f *sweepFrames) encode(keys []string, hashes []uint64, maxKeys int, seq ui
 	for rest := keys; len(rest) > 0; {
 		// SummaryFits walks what it is handed up to the wire limits (1,024
 		// keys or 8 KB), so it is handed no more than one datagram may take.
-		n := wire.SummaryFits(rest[:min(len(rest), maxKeys)])
+		n, frameLen := wire.SummaryFits(rest[:min(len(rest), maxKeys)])
 		if n == 0 {
 			break // unreachable: every installed key fits a datagram
 		}
-		need += (&wire.Message{Type: wire.TypeSummaryRefresh, Keys: rest[:n]}).EncodedLen()
+		need += frameLen
 		f.ends = append(f.ends, n)
 		rest = rest[n:]
 	}

@@ -1,7 +1,9 @@
 package signal
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -356,5 +358,58 @@ func TestSummaryRepairsLostUpdate(t *testing.T) {
 				t.Fatal(bad)
 			}
 		})
+	}
+}
+
+// TestSummaryOldLayoutRefused: summary-mode endpoints upgrade together. A
+// summary refresh in the key list layout before front coding ({2: key
+// length, key} per key) whose sorted keys share a prefix is refused whole
+// — counted as a decode error, nothing looked up, nothing renewed, nothing
+// NACKed — and the same list front-coded renews every key.
+func TestSummaryOldLayoutRefused(t *testing.T) {
+	v := clock.NewVirtual() // receiver-only: this test writes raw datagrams
+	a, b, err := lossy.Pipe(lossy.Config{Clock: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	cfg := fastConfig(SS)
+	cfg.Clock = v
+	rcv, err := NewReceiver(b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rcv.Close()
+	keys := []string{"flow/1", "flow/2", "flow/3"}
+	m := wire.Message{Type: wire.TypeSummaryRefresh, Seq: 3, Keys: keys}
+	for i, k := range keys {
+		a.WriteTo(mustEncode(t, uint64(i+1), k, []byte("v")), nil)
+		m.Fold += wire.StateHash(k, uint64(i+1), []byte("v"))
+	}
+	if !v.RunUntil(func() bool { return rcv.Len() == len(keys) }, time.Millisecond, time.Second) {
+		t.Fatal("installs never landed")
+	}
+	old := []byte{wire.Version, byte(wire.TypeSummaryRefresh), 0, 0, 0, 0, 0, 0, 0, 3, 0, 0}
+	block := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint16(nil, uint16(len(keys))), m.Fold)
+	for _, k := range keys {
+		block = append(binary.BigEndian.AppendUint16(block, uint16(len(k))), k...)
+	}
+	old = append(binary.BigEndian.AppendUint32(old, uint32(len(block))), block...)
+	old = binary.BigEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+	a.WriteTo(old, nil)
+	v.Run(10 * time.Millisecond)
+	st := rcv.Stats()
+	if st.DecodeErrors != 1 || st.Received["summary-refresh"] != 0 || st.SummaryIndexLookups != 0 || st.SummaryRenewals != 0 || st.Sent["summary-nack"] != 0 {
+		t.Fatalf("the old layout: %d decode errors, %d received, %d looked up, %d renewed, %d NACKs",
+			st.DecodeErrors, st.Received["summary-refresh"], st.SummaryIndexLookups, st.SummaryRenewals, st.Sent["summary-nack"])
+	}
+	data, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.WriteTo(data, nil)
+	v.Run(10 * time.Millisecond)
+	if st := rcv.Stats(); st.DecodeErrors != 1 || st.SummaryRenewals != len(keys) {
+		t.Fatalf("front-coded: %d decode errors, %d of %d keys renewed", st.DecodeErrors, st.SummaryRenewals, len(keys))
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -137,10 +138,35 @@ func FuzzDecode(f *testing.F) {
 	overlong := append(append([]byte{}, longest[:len(longest)-4]...), 0, 0, 0, 0, 0)
 	binary.BigEndian.PutUint32(overlong[12+20+MaxKeyLen:], MaxValueLen+1)
 	f.Add(resealFrame(overlong))
+	// Front-coded key lists: one breaking each rule that gives a list a
+	// single encoding, the largest shared length, and an old-layout list
+	// of keys sharing a prefix.
+	long := strings.Repeat("x", 300)
+	for _, list := range [][]byte{
+		item(1, uvarint(1), "a"), // the first key shares
+		append(item(0, uvarint(1), "a"), item(2, uvarint(1), "b")...),         // past the key before
+		append(item(0, uvarint(2), "ab"), item(1, uvarint(1), "b")...),        // short of the common prefix
+		item(0, []byte{0x81, 0x00}, "a"),                                      // a padded uvarint
+		item(0, bytes.Repeat([]byte{0xff}, 11), ""),                           // an overflowing uvarint
+		append(item(0, uvarint(300), long), item(255, uvarint(258), long)...), // over MaxKeyLen
+		append(item(0, uvarint(300), long), item(255, uvarint(46), long[255:]+"z")...),
+		oldLayoutList("flow/1", "flow/2"),
+	} {
+		f.Add(listFrame(TypeSummaryRefresh, 2, list))
+		f.Add(listFrame(TypeSummaryNack, 1, list))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
-		if err := m.UnmarshalBinary(data); err != nil {
+		err := m.UnmarshalBinary(data)
+		// The in-place walk takes exactly the summary refreshes the copying
+		// decoder takes, and sees the same keys.
+		var visited []string
+		_, verr := VisitSummaryKeys(data, func(_ uint64, k []byte) { visited = append(visited, string(k)) })
+		if (verr == nil) != (err == nil && m.Type == TypeSummaryRefresh) || verr == nil && !slices.Equal(visited, m.Keys) {
+			t.Fatalf("VisitSummaryKeys saw %q, %v; UnmarshalBinary %q, %v", visited, verr, m.Keys, err)
+		}
+		if err != nil {
 			return
 		}
 		if len(data) > MaxFrameLen {
@@ -234,36 +260,63 @@ func resealFrame(data []byte) []byte {
 	return reseal(data)
 }
 
-// FuzzDecodeKeys drives the summary list parser with structured inputs.
+// FuzzDecodeKeys drives the summary list codec with structured inputs: NUL
+// separated keys, sorted or as given, each list as both summary types. The
+// SummaryFits-bounded list encodes to the length SummaryFits says, decodes
+// to itself, and the in-place walk sees exactly the decoder's keys.
 func FuzzDecodeKeys(f *testing.F) {
-	f.Add(uint64(1), "a\x00bb\x00ccc")
-	f.Add(uint64(2), "")
-	f.Add(uint64(3), strings.Repeat("k\x00", 200))
-	f.Fuzz(func(t *testing.T, seq uint64, packed string) {
+	f.Add(uint64(1), "a\x00bb\x00ccc", false)
+	f.Add(uint64(2), "", false)
+	f.Add(uint64(3), strings.Repeat("k\x00", 200), false)
+	// Sorted keys sharing prefixes: short ones, ones that are prefixes of
+	// their neighbours, and ones sharing more than 255 bytes.
+	f.Add(uint64(4), "flow/0010\x00flow/0009\x00flow/0100\x00flow/01\x00flow/\x00", true)
+	f.Add(uint64(5), "b\x00ab\x00abc\x00\x00a\x00abc", true)
+	x := strings.Repeat("x", 300)
+	f.Add(uint64(6), x+"\x00"+x+"y\x00"+x[:256]+"\x00"+x+x, true)
+	f.Fuzz(func(t *testing.T, seq uint64, packed string, sorted bool) {
 		keys := strings.Split(packed, "\x00")
 		for i := range keys {
 			if len(keys[i]) > MaxKeyLen {
 				keys[i] = keys[i][:MaxKeyLen]
 			}
 		}
-		if n := SummaryFits(keys); n < len(keys) {
-			keys = keys[:n]
+		if sorted {
+			slices.Sort(keys)
 		}
-		in := Message{Type: TypeSummaryNack, Seq: seq, Keys: keys}
-		data, err := in.MarshalBinary()
-		if err != nil {
-			t.Fatalf("SummaryFits-bounded list does not encode: %v", err)
-		}
-		var out Message
-		if err := out.UnmarshalBinary(data); err != nil {
-			t.Fatalf("roundtrip decode failed: %v", err)
-		}
-		if len(out.Keys) != len(keys) {
-			t.Fatalf("keys = %d, want %d", len(out.Keys), len(keys))
-		}
-		for i := range keys {
-			if out.Keys[i] != keys[i] {
-				t.Fatalf("key %d = %q, want %q", i, out.Keys[i], keys[i])
+		n, frameLen := SummaryFits(keys)
+		keys = keys[:n]
+		for _, typ := range []Type{TypeSummaryRefresh, TypeSummaryNack} {
+			in := Message{Type: typ, Seq: seq, Keys: keys}
+			if typ == TypeSummaryRefresh {
+				in.Fold = seq * 0x9e3779b97f4a7c15
+			}
+			data, err := in.MarshalBinary()
+			if err != nil {
+				t.Fatalf("%s: SummaryFits-bounded list does not encode: %v", typ, err)
+			}
+			if typ == TypeSummaryRefresh && len(data) != frameLen {
+				t.Fatalf("encoded to %d bytes, SummaryFits says %d", len(data), frameLen)
+			}
+			var out Message
+			if err := out.UnmarshalBinary(data); err != nil {
+				t.Fatalf("%s: roundtrip decode failed: %v", typ, err)
+			}
+			if !slices.Equal(out.Keys, keys) || out.Fold != in.Fold {
+				t.Fatalf("%s: decoded %q fold %x, want %q fold %x", typ, out.Keys, out.Fold, keys, in.Fold)
+			}
+			if typ != TypeSummaryRefresh {
+				continue
+			}
+			var visited []string
+			got, err := VisitSummaryKeys(data, func(s uint64, k []byte) {
+				if s != seq {
+					t.Fatalf("visited under seq %d, want %d", s, seq)
+				}
+				visited = append(visited, string(k))
+			})
+			if err != nil || got != seq || !slices.Equal(visited, out.Keys) {
+				t.Fatalf("VisitSummaryKeys saw %q under seq %d, %v; UnmarshalBinary %q", visited, got, err, out.Keys)
 			}
 		}
 	})

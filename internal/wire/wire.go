@@ -24,7 +24,21 @@
 //
 //	2     key count N (≤ MaxSummaryKeys)
 //	8     the list's fold (TypeSummaryRefresh only, see StateHash)
-//	N ×   { 2: key length, key bytes }
+//	N ×   { 1: shared S, uvarint: suffix length L, L: suffix bytes }
+//
+// The list is front-coded: each key is the first S bytes of the key before
+// it followed by its own L-byte suffix, so a sorted list, whose neighbours
+// share long prefixes, names each key by little more than what sets it
+// apart. S is the longest prefix the two keys share, up to 255, and 0 for
+// the first key; L is a minimal uvarint, and S + L ≤ MaxKeyLen. Decoding
+// holds every item to those rules — S within the previous key, S maximal
+// (below 255 the suffix cannot begin with the previous key's next byte),
+// the varint minimal — so each list has exactly one encoding. A key under
+// 128 bytes that shares nothing with the one before is { 0, L, key },
+// byte-identical to the { 2: key length, key bytes } items of the layout
+// before front coding, so no list grows; a list whose neighbours share a
+// leading byte does not decode under the other layout, and the two ends of
+// a summary-mode link upgrade together.
 //
 // A summary refresh's fold is the sum, modulo 2⁶⁴, of StateHash over the
 // listed keys as the sender holds them — each with its sequence number and
@@ -69,6 +83,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
+	"slices"
 )
 
 // Version is the baseline wire format version.
@@ -404,10 +420,114 @@ func summaryBlockLen(t Type, keys []string) int {
 	if t == TypeSummaryRefresh {
 		n += summaryFoldLen
 	}
+	prev := ""
 	for _, k := range keys {
-		n += 2 + len(k)
+		n += keyItemLen(len(k) - sharedPrefix(prev, k))
+		prev = k
 	}
 	return n
+}
+
+// maxShared is the longest prefix one key list item takes from the key
+// before it: the shared length is one byte.
+const maxShared = 255
+
+// sharedPrefix is the shared length the item for key after prev carries:
+// the longest prefix the two have in common, up to maxShared. It compares
+// eight bytes at a time, since sorted neighbours share most of their bytes.
+func sharedPrefix(prev, key string) int {
+	n := min(len(prev), len(key), maxShared)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		if x := word(prev, i) ^ word(key, i); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < n && prev[i] == key[i] {
+		i++
+	}
+	return i
+}
+
+// word is the eight bytes of s from i on, little endian.
+func word(s string, i int) uint64 {
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// keyItemLen is the encoded size of a key list item with a suffix of n
+// bytes: the shared length, the suffix length's uvarint (two bytes from 128
+// on, since n ≤ MaxKeyLen) and the suffix.
+func keyItemLen(n int) int {
+	if n < 0x80 {
+		return 2 + n
+	}
+	return 3 + n
+}
+
+// appendKeyItem appends the key list item for key after prev.
+func appendKeyItem(dst []byte, prev, key string) []byte {
+	shared := sharedPrefix(prev, key)
+	suffix := key[shared:]
+	if n := len(suffix); n < 0x80 {
+		dst = append(dst, byte(shared), byte(n))
+	} else {
+		dst = append(dst, byte(shared), byte(n)|0x80, byte(n>>7))
+	}
+	return append(dst, suffix...)
+}
+
+// checkKeyList validates a key list of n items under the rules that give
+// a list one encoding (package comment), rebuilding each key in key's
+// array, which has room for a MaxKeyLen key. Every decoder calls it before
+// it reads a key out of the list with nextKey.
+func checkKeyList(list []byte, n int, key []byte) error {
+	for i := 0; i < n; i++ {
+		if len(list) < 2 {
+			return ErrShort
+		}
+		shared, sl, start := int(list[0]), uint64(list[1]), 2
+		if sl >= 0x80 {
+			v, w := binary.Uvarint(list[1:])
+			if w == 0 {
+				return ErrShort
+			}
+			if w < 0 || list[w] == 0 {
+				return fmt.Errorf("%w: suffix length is not a minimal uvarint", ErrSummary)
+			}
+			sl, start = v, 1+w
+		}
+		if shared > len(key) {
+			return fmt.Errorf("%w: a key shares %d bytes of a %d-byte key", ErrSummary, shared, len(key))
+		}
+		if sl > uint64(MaxKeyLen-shared) {
+			return fmt.Errorf("%w: summary key %d + %d bytes", ErrTooLarge, shared, sl)
+		}
+		end := start + int(sl)
+		if len(list) < end {
+			return ErrShort
+		}
+		if shared < maxShared && shared < len(key) && start < end && list[start] == key[shared] {
+			return fmt.Errorf("%w: a key shares more than the %d bytes its item names", ErrSummary, shared)
+		}
+		key, list = append(key[:shared], list[start:end]...), list[end:]
+	}
+	if len(list) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrSummary, len(list))
+	}
+	return nil
+}
+
+// nextKey rebuilds the key of the item at the head of a list checkKeyList
+// passed over the key before it, and returns it and the rest of the list.
+// A checked list's suffix lengths are one or two varint bytes.
+func nextKey(key, list []byte) ([]byte, []byte) {
+	start, end := 2, 2+int(list[1])
+	if list[1] >= 0x80 {
+		start, end = 3, 3+(int(list[1]&0x7f)|int(list[2])<<7)
+	}
+	return append(key[:list[0]], list[start:end]...), list[end:]
 }
 
 // ackBlockLen is the encoded size of an ack-batch item list.
@@ -419,20 +539,25 @@ func ackBlockLen(items []AckItem) int {
 	return n
 }
 
-// SummaryFits reports how many of keys fit one summary refresh: the
+// SummaryFits reports how many of keys fit one summary refresh, the
 // largest prefix within both MaxSummaryKeys and the MaxValueLen byte
-// budget. Senders use it to chunk large key sets; a NACK, which carries no
-// fold, always fits the keys of the refresh it answers.
-func SummaryFits(keys []string) int {
-	n, bytes := 0, 2+summaryFoldLen
+// budget, and the length of the refresh frame that carries them (a NACK of
+// the same keys, which has no fold, is summaryFoldLen bytes shorter).
+// Senders use it to chunk large key sets and size their buffers; each key
+// is compared with the one before it once. Since the list is front-coded,
+// what fits depends on the order: sorted keys fit the most.
+func SummaryFits(keys []string) (n, frameLen int) {
+	bytes, prev := 2+summaryFoldLen, ""
 	for _, k := range keys {
-		if n >= MaxSummaryKeys || bytes+2+len(k) > MaxValueLen {
+		item := keyItemLen(len(k) - sharedPrefix(prev, k))
+		if n >= MaxSummaryKeys || bytes+item > MaxValueLen {
 			break
 		}
-		bytes += 2 + len(k)
+		bytes += item
+		prev = k
 		n++
 	}
-	return n
+	return n, headerLen + 4 + bytes + trailerLen
 }
 
 // AckBatchFits reports how many of items fit one ack-batch datagram: the
@@ -506,28 +631,29 @@ func (m *Message) appendSummary(dst []byte) ([]byte, error) {
 	if len(m.Keys) > MaxSummaryKeys {
 		return nil, fmt.Errorf("%w: %d keys", ErrTooLarge, len(m.Keys))
 	}
-	block := summaryBlockLen(m.Type, m.Keys)
-	if block > MaxValueLen {
-		return nil, fmt.Errorf("%w: summary block %d bytes", ErrTooLarge, block)
-	}
-	for _, k := range m.Keys {
-		if len(k) > MaxKeyLen {
-			return nil, fmt.Errorf("%w: summary key %d bytes", ErrTooLarge, len(k))
-		}
-	}
+	// One pass: each item is written as its key is checked, and the block
+	// length is filled in once the list is.
 	start := len(dst)
 	dst = append(dst, Version, byte(m.Type))
 	dst = binary.BigEndian.AppendUint64(dst, m.Seq)
 	dst = binary.BigEndian.AppendUint16(dst, 0) // no single key
-	dst = binary.BigEndian.AppendUint32(dst, uint32(block))
+	blockAt := len(dst) + 4
+	dst = binary.BigEndian.AppendUint32(dst, 0)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Keys)))
 	if m.Type == TypeSummaryRefresh {
 		dst = binary.BigEndian.AppendUint64(dst, m.Fold)
 	}
+	prev := ""
 	for _, k := range m.Keys {
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(k)))
-		dst = append(dst, k...)
+		if len(k) > MaxKeyLen {
+			return nil, fmt.Errorf("%w: summary key %d bytes", ErrTooLarge, len(k))
+		}
+		if dst = appendKeyItem(dst, prev, k); len(dst)-blockAt > MaxValueLen {
+			return nil, fmt.Errorf("%w: summary block over %d bytes", ErrTooLarge, MaxValueLen)
+		}
+		prev = k
 	}
+	binary.BigEndian.PutUint32(dst[blockAt-4:], uint32(len(dst)-blockAt))
 	sum := crc32.ChecksumIEEE(dst[start:])
 	dst = binary.BigEndian.AppendUint32(dst, sum)
 	return dst, nil
@@ -596,13 +722,16 @@ func PeekType(data []byte) Type {
 // allocated, which is what keeps a receiver renewing millions of keys per
 // second off the garbage collector. visit is only called if the whole
 // datagram validated first, and must not retain the slice past its
-// return. It is SummaryKeyList followed by VisitKeyList.
+// return. It is SummaryKeyList followed by VisitKeyList, with a scratch
+// buffer of its own; a caller walking many lists keeps one and calls those
+// two itself.
 func VisitSummaryKeys(data []byte, visit func(seq uint64, key []byte)) (seq uint64, err error) {
 	seq, _, n, list, err := SummaryKeyList(data)
 	if err != nil {
 		return 0, err
 	}
-	return seq, VisitKeyList(seq, n, list, visit)
+	buf := make([]byte, 0, MaxKeyLen)
+	return seq, VisitKeyList(seq, n, list, &buf, visit)
 }
 
 // SummaryKeyList validates a summary-refresh datagram's envelope —
@@ -652,31 +781,28 @@ func SummaryKeyList(data []byte) (seq, fold uint64, n int, list []byte, err erro
 // VisitKeyList walks a key list SummaryKeyList returned, calling visit once
 // per key with seq. The whole list is validated before any of it is
 // visited, so a datagram truncated mid-list renews nothing (exactly like
-// the copying decoder).
-func VisitKeyList(seq uint64, n int, list []byte, visit func(seq uint64, key []byte)) error {
-	scan := list
+// the copying decoder). Each key is rebuilt in the caller's scratch *buf,
+// after the bytes *buf holds on entry, which stay as a prefix: while visit
+// runs, *buf is that prefix followed by the key, and key is its tail, so a
+// caller that names state by a prefix and a key finds the name built.
+// visit must not write the buffer: the next key is rebuilt over it. The
+// buffer grows at most once, to hold the prefix and a MaxKeyLen key, so a
+// walk with a scratch of that capacity allocates nothing; *buf has its
+// entry length again on return.
+func VisitKeyList(seq uint64, n int, list []byte, buf *[]byte, visit func(seq uint64, key []byte)) error {
+	p := len(*buf)
+	b := slices.Grow(*buf, MaxKeyLen)
+	*buf = b
+	if err := checkKeyList(list, n, b[p:p]); err != nil {
+		return err
+	}
+	key := b[p:p]
 	for i := 0; i < n; i++ {
-		if len(scan) < 2 {
-			return ErrShort
-		}
-		kl := int(binary.BigEndian.Uint16(scan))
-		if kl > MaxKeyLen {
-			return fmt.Errorf("%w: summary key %d bytes", ErrTooLarge, kl)
-		}
-		scan = scan[2:]
-		if len(scan) < kl {
-			return ErrShort
-		}
-		scan = scan[kl:]
+		key, list = nextKey(key, list)
+		*buf = (*buf)[:p+len(key)]
+		visit(seq, key)
 	}
-	if len(scan) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrSummary, len(scan))
-	}
-	for i := 0; i < n; i++ {
-		kl := int(binary.BigEndian.Uint16(list))
-		visit(seq, list[2:2+kl])
-		list = list[2+kl:]
-	}
+	*buf = b[:p]
 	return nil
 }
 
@@ -815,24 +941,15 @@ func decodeSummaryBlock(t Type, block []byte) (keys []string, fold uint64, err e
 		}
 		fold, block = binary.BigEndian.Uint64(block), block[summaryFoldLen:]
 	}
-	keys = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		if len(block) < 2 {
-			return nil, 0, ErrShort
-		}
-		kl := int(binary.BigEndian.Uint16(block))
-		if kl > MaxKeyLen {
-			return nil, 0, fmt.Errorf("%w: summary key %d bytes", ErrTooLarge, kl)
-		}
-		block = block[2:]
-		if len(block) < kl {
-			return nil, 0, ErrShort
-		}
-		keys = append(keys, string(block[:kl]))
-		block = block[kl:]
+	var scratch [MaxKeyLen]byte
+	if err := checkKeyList(block, n, scratch[:0]); err != nil {
+		return nil, 0, err
 	}
-	if len(block) != 0 {
-		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrSummary, len(block))
+	keys = make([]string, n)
+	key := scratch[:0]
+	for i := range keys {
+		key, block = nextKey(key, block)
+		keys[i] = string(key)
 	}
 	return keys, fold, nil
 }

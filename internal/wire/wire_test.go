@@ -272,10 +272,11 @@ func TestSummaryRejectsOversize(t *testing.T) {
 		t.Fatalf("oversize summary key err = %v", err)
 	}
 	// 40 keys of 400 bytes each exceed the MaxValueLen byte budget even
-	// though each key and the count are individually legal.
+	// though each key and the count are individually legal. Each begins
+	// with its own byte, so front coding shares nothing between them.
 	big := make([]string, 40)
 	for i := range big {
-		big[i] = strings.Repeat("x", 400)
+		big[i] = string(rune('A'+i)) + strings.Repeat("x", 399)
 	}
 	m = Message{Type: TypeSummaryRefresh, Keys: big}
 	if _, err := m.MarshalBinary(); !errors.Is(err, ErrTooLarge) {
@@ -576,14 +577,14 @@ func TestAckBatchFits(t *testing.T) {
 }
 
 func TestSummaryFits(t *testing.T) {
-	if n := SummaryFits(nil); n != 0 {
+	if n, _ := SummaryFits(nil); n != 0 {
 		t.Fatalf("SummaryFits(nil) = %d", n)
 	}
 	keys := make([]string, 100)
 	for i := range keys {
 		keys[i] = strings.Repeat("k", 8)
 	}
-	if n := SummaryFits(keys); n != 100 {
+	if n, _ := SummaryFits(keys); n != 100 {
 		t.Fatalf("SummaryFits(small) = %d, want 100", n)
 	}
 	// MaxSummaryKeys caps the count.
@@ -591,7 +592,7 @@ func TestSummaryFits(t *testing.T) {
 	for i := range many {
 		many[i] = "k"
 	}
-	if n := SummaryFits(many); n != MaxSummaryKeys {
+	if n, _ := SummaryFits(many); n != MaxSummaryKeys {
 		t.Fatalf("SummaryFits(many) = %d, want %d", n, MaxSummaryKeys)
 	}
 	// The byte budget caps before the count does for long keys.
@@ -599,13 +600,13 @@ func TestSummaryFits(t *testing.T) {
 	for i := range long {
 		long[i] = strings.Repeat("x", 400)
 	}
-	n := SummaryFits(long)
+	n, frameLen := SummaryFits(long)
 	if n >= 100 || n == 0 {
 		t.Fatalf("SummaryFits(long) = %d, want a partial prefix", n)
 	}
 	m := Message{Type: TypeSummaryRefresh, Keys: long[:n]}
-	if _, err := m.MarshalBinary(); err != nil {
-		t.Fatalf("SummaryFits prefix does not encode: %v", err)
+	if data, err := m.MarshalBinary(); err != nil || len(data) != frameLen {
+		t.Fatalf("SummaryFits prefix does not encode to its %d bytes: %d bytes, %v", frameLen, len(data), err)
 	}
 	m = Message{Type: TypeSummaryRefresh, Keys: long[:n+1]}
 	if _, err := m.MarshalBinary(); err == nil {
@@ -615,7 +616,8 @@ func TestSummaryFits(t *testing.T) {
 
 // fillKeys returns keys whose list items, overhead bytes each plus the key,
 // use up exactly budget bytes: MaxKeyLen keys while one more fits, then one
-// key of what is left.
+// key of what is left. Neighbours begin with different bytes, so a
+// front-coded list shares nothing between them.
 func fillKeys(budget, overhead int) []string {
 	var keys []string
 	for budget >= overhead {
@@ -637,8 +639,10 @@ func TestMaxFrameLen(t *testing.T) {
 	trace := TraceContext{OriginNs: 1, HopNs: 2, Hops: 3}
 	key, value := strings.Repeat("k", MaxKeyLen), make([]byte, MaxValueLen)
 
-	summaryKeys := fillKeys(MaxValueLen-2-summaryFoldLen, 2)
-	if n := SummaryFits(summaryKeys); n != len(summaryKeys) || summaryBlockLen(TypeSummaryRefresh, summaryKeys) != MaxValueLen {
+	// A summary item of a key of 128 bytes or more is the shared length, a
+	// two-byte uvarint suffix length and the key; every key here is that long.
+	summaryKeys := fillKeys(MaxValueLen-2-summaryFoldLen, 3)
+	if n, _ := SummaryFits(summaryKeys); n != len(summaryKeys) || summaryBlockLen(TypeSummaryRefresh, summaryKeys) != MaxValueLen {
 		t.Fatalf("summary list: SummaryFits takes %d of %d keys, block %d bytes", n, len(summaryKeys), summaryBlockLen(TypeSummaryRefresh, summaryKeys))
 	}
 	var acks []AckItem
