@@ -481,3 +481,37 @@ func BenchmarkLinkBurst(b *testing.B) {
 		})
 	}
 }
+
+// TestLongBatchAllocatesNothing: a WriteBatch of 256 datagrams, eight times
+// the stack stretch its fates are drawn in, allocates nothing once the
+// link's buffers are warm, nor do the reads that drain it.
+func TestLongBatchAllocatesNothing(t *testing.T) {
+	a, b, err := Pipe(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	defer b.Close()
+	tx, rx := transport.As(a), transport.As(b)
+	ms := make([]transport.Message, 256)
+	for i := range ms {
+		ms[i] = transport.Message{Data: []byte{byte(i)}, Addr: b.LocalAddr()}
+	}
+	in := transport.NewBatch(0)
+	cross := func() {
+		if n, err := tx.WriteBatch(ms); err != nil || n != len(ms) {
+			t.Fatalf("WriteBatch = %d, %v", n, err)
+		}
+		for got := 0; got < len(ms); {
+			n, err := rx.ReadBatch(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += n
+		}
+	}
+	cross()
+	if allocs := testing.AllocsPerRun(50, cross); allocs != 0 {
+		t.Fatalf("a %d-datagram batch across the pipe allocates %v times, want 0", len(ms), allocs)
+	}
+}

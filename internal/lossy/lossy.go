@@ -321,21 +321,44 @@ func (c *pipeConn) WriteTo(p []byte, to net.Addr) (int, error) {
 }
 
 // WriteBatch applies the fault policy, loss, and delay to every message in
-// slice order under one acquisition of the sender's lock — the rng stream
-// is consumed exactly as len(ms) WriteTo calls would consume it — and then
-// hands each run of same-destination datagrams to its endpoint under one
-// acquisition of that endpoint's lock. Dropped datagrams count as written,
-// like on a lossy network.
+// slice order — the rng stream is consumed exactly as len(ms) WriteTo calls
+// would consume it — and hands each run of same-destination datagrams to
+// its endpoint under one acquisition of that endpoint's lock. It works in
+// stretches of DefaultBatchSize messages, each drawn under one acquisition
+// of the sender's lock into a stack array, so a batch of any length
+// allocates nothing. Dropped datagrams count as written, like on a lossy
+// network.
 func (c *pipeConn) WriteBatch(ms []transport.Message) (int, error) {
-	var stack [transport.DefaultBatchSize]time.Duration
-	delays := stack[:0] // per message; negative for a datagram that is lost
-	if len(ms) > len(stack) {
-		delays = make([]time.Duration, 0, len(ms))
+	// Under a virtual clock the writer is the driver or a gated reader, so
+	// time cannot advance inside a write: one reading serves the batch.
+	var now time.Time
+	if c.gate != nil {
+		now = c.clk.Now()
 	}
+	var stack [transport.DefaultBatchSize]time.Duration
+	for lo := 0; lo < len(ms); lo += len(stack) {
+		part := ms[lo:min(len(ms), lo+len(stack))]
+		delays := stack[:len(part)]
+		if !c.drawFates(part, delays) {
+			if lo > 0 {
+				c.st.ObserveWrite(int64(lo))
+			}
+			return lo, net.ErrClosed
+		}
+		c.deliver(part, delays, now)
+	}
+	c.st.ObserveWrite(int64(len(ms)))
+	return len(ms), nil
+}
+
+// drawFates draws each message's delay into delays, negative for a
+// datagram that is lost, under one acquisition of the sender's lock. It
+// reports false, drawing nothing, once the conn is closed.
+func (c *pipeConn) drawFates(ms []transport.Message, delays []time.Duration) bool {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
-		return 0, net.ErrClosed
+		return false
 	}
 	lossP, blocked := c.cfg.Loss, false
 	for i := range ms {
@@ -350,17 +373,14 @@ func (c *pipeConn) WriteBatch(ms []transport.Message) (int, error) {
 		if drop || blocked {
 			delay = -1
 		}
-		delays = append(delays, delay)
+		delays[i] = delay
 	}
-	c.mu.Unlock()
-	c.st.ObserveWrite(int64(len(ms)))
+	return true
+}
 
-	// Under a virtual clock the writer is the driver or a gated reader, so
-	// time cannot advance inside a write: one reading serves the batch.
-	var now time.Time
-	if c.gate != nil {
-		now = c.clk.Now()
-	}
+// deliver hands each run of same-destination datagrams of ms that were not
+// lost to its endpoint.
+func (c *pipeConn) deliver(ms []transport.Message, delays []time.Duration, now time.Time) {
 	for lo := 0; lo < len(ms); {
 		if delays[lo] < 0 {
 			lo++
@@ -375,7 +395,6 @@ func (c *pipeConn) WriteBatch(ms []transport.Message) (int, error) {
 		}
 		lo = hi
 	}
-	return len(ms), nil
 }
 
 // sameAddr reports whether two destinations are the same lossy address, the

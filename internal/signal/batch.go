@@ -11,10 +11,12 @@ import (
 // batchWriter coalesces outbound datagrams into transport WriteBatch
 // calls: each add encodes onto a pooled buffer and queues; a full ring or
 // an explicit flush moves the whole batch in one syscall on batching
-// backends. It preserves add order, so deterministic virtual runs see the
-// same wire order the unbatched path produced. Not safe for concurrent
-// use — each call site owns one writer under its own serialization
-// (summary sweeps under sweepMu, ack flushes under ackMu).
+// backends. The summary sweep's writer holds transport.MaxWriteBatch
+// datagrams, what one sendmmsg lays out; the ack and probe writers hold
+// transport.DefaultBatchSize. It preserves add order, so deterministic
+// virtual runs see the same wire order the unbatched path produced. Not
+// safe for concurrent use — each call site owns one writer under its own
+// serialization (summary sweeps under sweepMu, ack flushes under ackMu).
 type batchWriter struct {
 	tp    *fencedConn
 	ctrs  *counters
@@ -24,8 +26,7 @@ type batchWriter struct {
 	n     int
 }
 
-func newBatchWriter(tp *fencedConn, ctrs *counters) *batchWriter {
-	size := transport.DefaultBatchSize
+func newBatchWriter(tp *fencedConn, ctrs *counters, size int) *batchWriter {
 	return &batchWriter{
 		tp:    tp,
 		ctrs:  ctrs,

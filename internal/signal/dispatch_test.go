@@ -1,13 +1,16 @@
 package signal
 
 import (
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"softstate/internal/clock"
+	"softstate/internal/transport"
 	"softstate/internal/wire"
 )
 
@@ -197,4 +200,109 @@ func allocatedUnder(fn string) int64 {
 		}
 	}
 	return total
+}
+
+// countingClock is the wall clock counting every reading taken of it.
+type countingClock struct {
+	clock.Clock
+	reads atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads.Add(1)
+	return c.Clock.Now()
+}
+
+func (c *countingClock) Since(t time.Time) time.Duration {
+	c.reads.Add(1)
+	return c.Clock.Since(t)
+}
+
+// strideConn hands a read loop the strides the test queues, one per
+// ReadBatch, and tells the test each time the loop asks for the next one:
+// by then the loop has dispatched the last.
+type strideConn struct {
+	*discardConn
+	strides chan []transport.Message
+	asked   chan struct{}
+	st      transport.Stats
+}
+
+func (c *strideConn) ReadBatch(ms []transport.Message) (int, error) {
+	select {
+	case c.asked <- struct{}{}:
+	case <-c.done:
+		return 0, net.ErrClosed
+	}
+	select {
+	case s := <-c.strides:
+		return copy(ms, s), nil
+	case <-c.done:
+		return 0, net.ErrClosed
+	}
+}
+
+func (c *strideConn) WriteBatch(ms []transport.Message) (int, error) { return len(ms), nil }
+func (c *strideConn) Stats() *transport.Stats                        { return &c.st }
+
+// TestSummaryStampsOncePerBatch: a read loop reads the clock for the
+// summary path once per ReadBatch stride, at its first summary frame, not
+// once per frame: a stride of 32 summary refreshes, walked or leased, costs
+// one reading. A direct dispatch, outside a read loop, still reads once per
+// frame.
+func TestSummaryStampsOncePerBatch(t *testing.T) {
+	clk := &countingClock{Clock: clock.System}
+	conn := &strideConn{
+		discardConn: newDiscardConn(),
+		strides:     make(chan []transport.Message),
+		asked:       make(chan struct{}),
+	}
+	rcv, err := NewReceiver(conn, Config{Protocol: SS, Clock: clk, Timeout: time.Hour, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rcv.Close()
+	from := &net.UDPAddr{IP: net.IPv4(198, 51, 100, 7), Port: 4242}
+	frame := func(m wire.Message) transport.Message {
+		data, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return transport.Message{Data: data, Addr: from}
+	}
+	const frames = transport.DefaultBatchSize
+	var triggers, summaries []transport.Message
+	for i := 0; i < frames; i++ {
+		key := fmt.Sprintf("flow/%02d", i)
+		triggers = append(triggers, frame(wire.Message{Type: wire.TypeTrigger, Seq: 1, Key: key, Value: []byte("v")}))
+		summaries = append(summaries, frame(wire.Message{Type: wire.TypeSummaryRefresh, Seq: 1, Keys: []string{key},
+			Fold: wire.StateHash(key, 1, []byte("v"))}))
+	}
+	<-conn.asked
+	stride := func(ms []transport.Message) int64 {
+		before := clk.reads.Load()
+		conn.strides <- ms
+		<-conn.asked
+		return clk.reads.Load() - before
+	}
+	stride(triggers)
+	if rcv.Len() != frames {
+		t.Fatalf("%d of %d triggers installed", rcv.Len(), frames)
+	}
+	for _, tier := range []string{"walked", "leased"} {
+		if got := stride(summaries); got != 1 {
+			t.Fatalf("a stride of %d %s summary refreshes read the clock %d times, want 1", frames, tier, got)
+		}
+	}
+	if got := rcv.Stats().SummaryRenewals; got != 2*frames {
+		t.Fatalf("%d summary renewals, want %d", got, 2*frames)
+	}
+	sc := rcv.newDispatchScratch()
+	before := clk.reads.Load()
+	for _, m := range summaries {
+		rcv.dispatch(m.Data, m.Addr, sc)
+	}
+	if got := clk.reads.Load() - before; got != frames {
+		t.Fatalf("%d summary refreshes dispatched outside a read loop read the clock %d times, want %d", frames, got, frames)
+	}
 }

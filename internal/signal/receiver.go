@@ -89,7 +89,7 @@ func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 	})
 	r.registerMetrics()
 	if cfg.CoalesceAcks {
-		r.ackBW = newBatchWriter(&r.tp, &r.ctrs)
+		r.ackBW = newBatchWriter(&r.tp, &r.ctrs, transport.DefaultBatchSize)
 		// Flushes are clock callbacks armed by the first ack of each batch
 		// window: an idle coalescing receiver has nothing armed. One takes
 		// whatever is pending, so a callback the wall clock dispatched
@@ -102,7 +102,7 @@ func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 		})
 	}
 	if r.prof.HardState {
-		r.probeBW = newBatchWriter(&r.tp, &r.ctrs)
+		r.probeBW = newBatchWriter(&r.tp, &r.ctrs, transport.DefaultBatchSize)
 		r.probeTimer = clk.NewTimer(r.probeRound)
 	}
 	// One read loop per transport lane: sharded kernel-socket backends
@@ -209,15 +209,18 @@ func (r *Receiver) Close() error {
 // readLoop drains one transport lane in ReadBatch strides — up to a full
 // ring of datagrams per syscall on batching backends — and dispatches
 // each through the zero-alloc summary fast path or the generic decoder.
+// The summary path reads the clock once per stride (stampSummary).
 func (r *Receiver) readLoop(c transport.Conn) {
 	defer r.wg.Done()
 	ms := transport.NewBatch(transport.DefaultBatchSize)
 	scratch := r.newDispatchScratch()
+	scratch.perBatch = true
 	for {
 		cnt, err := c.ReadBatch(ms)
 		if err != nil {
 			return
 		}
+		scratch.stamped = false
 		for i := 0; i < cnt; i++ {
 			r.dispatch(ms[i].Data, ms[i].Addr, scratch)
 		}
@@ -255,7 +258,7 @@ type dispatchScratch struct {
 	peer    *peer         // that source's record, whose prefix heads ck; nil for a stranger
 	ck      []byte        // the table key, rebuilt per key past the peer's prefix
 	seq     uint64        // current datagram's sequence number
-	now     time.Duration // clock offset, read once per datagram (metrics)
+	now     time.Duration // clock offset at the stamp (metrics)
 	unknown []string
 	// The summary walks' visitors: check looks every key up and folds the
 	// entries found, renew renews them, list lists every key.
@@ -264,9 +267,12 @@ type dispatchScratch struct {
 	// fold is the fold of those entries, as check found them.
 	found int64
 	fold  uint64
-	// The datagram's r.lifetime(), read once per datagram, not once per key.
+	// r.lifetime() at the stamp, not read once per key.
 	tick int64
 	arm  bool
+	// stamped says now, tick and arm hold this stride's reading; perBatch
+	// says the scratch is a read loop's, which clears stamped per stride.
+	stamped, perBatch bool
 	// joining is the lease the renewing walk builds, nil for none.
 	joining *lease
 }
@@ -379,10 +385,9 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScr
 		return
 	}
 	p := r.source(sc, from)
-	if r.measure {
-		sc.now = r.clk.Since(r.born) + 1
+	if !sc.stamped {
+		r.stampSummary(sc)
 	}
-	sc.tick, sc.arm = r.lifetime()
 	leasing := p != nil && r.prof.Refresh
 	if leasing && r.extendLease(sc, p, seq, fold, n) {
 		r.ctrs.received[wire.TypeSummaryRefresh].Add(1)
@@ -429,6 +434,20 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScr
 		r.send(wire.Message{Type: wire.TypeSummaryNack, Seq: seq, Keys: unknown[:n]}, from)
 		unknown = unknown[n:]
 	}
+}
+
+// stampSummary reads the clock for the summary path: the renewal instant (when
+// metrics are on) and the deadline tick renewals arm. A read loop's
+// scratch keeps the reading for the rest of its ReadBatch stride, so a
+// stride reads the clock once, at its first summary frame, and a stride
+// with none reads nothing; a stride is dispatched in microseconds, far
+// inside a state timeout. Under a virtual clock time cannot move inside a
+// stride, so the reading is the one each frame would have taken. Any other
+// caller's scratch reads once per datagram.
+func (r *Receiver) stampSummary(sc *dispatchScratch) {
+	sc.now = r.stamp()
+	sc.tick, sc.arm = r.lifetime()
+	sc.stamped = sc.perBatch
 }
 
 func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {

@@ -255,7 +255,7 @@ func NewSessions(conn net.PacketConn, cfg Config) *Sessions {
 		Clock:    cfg.Clock,
 		OnExpire: ss.onExpire,
 	})
-	ss.sweepBW = newBatchWriter(&ss.tp, &ss.ctrs)
+	ss.sweepBW = newBatchWriter(&ss.tp, &ss.ctrs, transport.MaxWriteBatch)
 	ss.registerMetrics()
 	// The sweeper and the reaper are self-rearming clock callbacks: a
 	// time.AfterFunc goroutine per run on the wall clock, an event on the
@@ -908,7 +908,9 @@ func (ss *Sessions) sweepLocked() int {
 			frame := f.buf[start:end]
 			start = end
 			ss.sweepBW.addEncoded(frame, wire.TypeSummaryRefresh, sess.peer)
-			ss.trace.Record(telemetry.TraceSummary, "", uint64(wire.SummaryFrame(frame)), sess.peer)
+			if ss.trace != nil {
+				ss.trace.Record(telemetry.TraceSummary, "", uint64(wire.SummaryFrame(frame)), sess.peer)
+			}
 			sent++
 		}
 	}

@@ -11,9 +11,11 @@
 //
 //   - udp-batch (ListenUDPBatch on linux/amd64 and linux/arm64): real
 //     sendmmsg/recvmmsg over one or more SO_REUSEPORT sockets, the
-//     production path. A run of frames to one peer shares a kernel
-//     datagram up to the route's MTU (coalesce.go); every backend's
-//     reader splits it again. The x/net ipv4.PacketConn batch API would
+//     production path. A read delivers up to DefaultBatchSize frames; a
+//     sendmmsg lays out up to MaxWriteBatch, the summary sweep's batch,
+//     while the small writers (acks, probes) hand over DefaultBatchSize.
+//     A run of frames to one peer shares a kernel datagram up to the
+//     route's MTU (coalesce.go); every backend's reader splits it again. The x/net ipv4.PacketConn batch API would
 //     provide the same calls, but this repo builds hermetically with a
 //     zero-dep go.mod, so the two syscalls are bound directly.
 //   - plain (Wrap): any other net.PacketConn — kernel UDP sockets on other
@@ -36,11 +38,20 @@ import (
 )
 
 const (
-	// DefaultBatchSize is the most frames one udp-batch WriteBatch lays
-	// out per sendmmsg and its ReadBatch delivers per call, and the batch
-	// NewBatch sizes by default. 32 amortizes the ~1 µs kernel crossing to
-	// noise; on loopback such a batch leaves as one coalesced datagram.
+	// DefaultBatchSize is the most frames a udp-batch ReadBatch delivers
+	// per call, the read slots NewBatch sizes by default, and the batch of
+	// the small writers (ack flushes, probe rounds). 32 amortizes the ~1 µs
+	// kernel crossing to noise, and a write ring holds that many
+	// datagrams, so a small writer's batch of lone frames to as many peers
+	// leaves in one sendmmsg.
 	DefaultBatchSize = 32
+	// MaxWriteBatch is the most frames one udp-batch sendmmsg lays out,
+	// and the summary sweep's batch: a sweep's run of 64 frames to one
+	// peer leaves as one coalesced datagram, four peers' runs in one call.
+	// A coalesced datagram gathers two iovecs a frame, and the kernel
+	// gathers at most 1,024, so the write ring's frames can all go to one
+	// peer (udp_linux.go holds 2 × MaxWriteBatch ≤ 1,024 at compile time).
+	MaxWriteBatch = 256
 	// MaxDatagram bounds one datagram: 65,507 B, IPv4's largest UDP
 	// payload, so a coalesced datagram can fill any route's MTU. Every
 	// udp-batch and Wrap receive buffer is this long, so none truncates

@@ -21,9 +21,10 @@ const soReusePort = 0xf
 // ListenUDPBatch binds o.Sockets UDP sockets on addr (sharing the port
 // through SO_REUSEPORT when there are several) and returns a Conn whose
 // ReadBatch/WriteBatch are real recvmmsg/sendmmsg calls — up to
-// ringSlots datagrams per recvmmsg and DefaultBatchSize frames per
-// sendmmsg. With several sockets the kernel hashes inbound flows across
-// them; Fanout exposes each as an independent read lane.
+// ringSlots datagrams per recvmmsg, delivered DefaultBatchSize frames per
+// ReadBatch, and up to MaxWriteBatch frames in up to DefaultBatchSize
+// datagrams per sendmmsg. With several sockets the kernel hashes inbound
+// flows across them; Fanout exposes each as an independent read lane.
 func ListenUDPBatch(addr string, o Options) (Conn, error) {
 	o = o.withDefaults()
 	st := &Stats{}
@@ -85,12 +86,13 @@ type mmsghdr struct {
 }
 
 // batchConn is one kernel UDP socket driven through recvmmsg/sendmmsg on
-// its raw fd, parked on the runtime netpoller between batches. The write
-// ring (headers, iovecs, sockaddr storage, length prefixes) is the conn's
-// own; a receive ring is lent from readRings for as long as the lane keeps
-// finding datagrams or holds frames not yet delivered, so a parked lane,
-// or one only ever written through, holds none. A steady-state batch only
-// rewrites header fields and, on writes, iovecs and length prefixes.
+// its raw fd, parked on the runtime netpoller between batches. It owns no
+// ring: a write ring (headers, iovecs, sockaddr storage, length prefixes)
+// is lent from writeRings for the length of one WriteBatch, and a receive
+// ring from readRings for as long as the lane keeps finding datagrams or
+// holds frames not yet delivered, so a parked lane, or one only ever
+// written through, holds none. A steady-state batch only rewrites header
+// fields and, on writes, iovecs and length prefixes.
 type batchConn struct {
 	uc     *net.UDPConn
 	rc     syscall.RawConn
@@ -110,9 +112,8 @@ type batchConn struct {
 	rone  [1]Message // ReadFrom's slot
 
 	wmu     sync.Mutex // serializes WriteBatch and guards the fields below
-	wr      *writeRing
-	whs     []mmsghdr // the headers of the sendmmsg in flight
-	wcnt    int       // what it returned
+	whs     []mmsghdr  // the headers of the sendmmsg in flight
+	wcnt    int        // what it returned
 	werr    syscall.Errno
 	sendf   func(fd uintptr) bool           // c.send, bound once so a write allocates nothing
 	budgets map[[16]byte]int                // payload budget per destination IP
@@ -124,9 +125,10 @@ func newBatchConn(uc *net.UDPConn, st *Stats) (*batchConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &batchConn{uc: uc, rc: rc, st: st, wr: new(writeRing), mtu: routeMTU}
+	c := &batchConn{uc: uc, rc: rc, st: st, mtu: routeMTU}
 	c.recvf, c.sendf = c.recv, c.send
 	readRings.opened()
+	writeRings.opened()
 	return c, nil
 }
 
@@ -266,14 +268,16 @@ func (c *batchConn) releaseRing() {
 // fit that destination's budget (coalesce.go), gathered straight from the
 // callers' frames; a lone frame, or one too long to share, goes out as
 // itself. Messages whose Addr is not a *net.UDPAddr fall back to one
-// WriteTo each.
+// WriteTo each. The write ring is borrowed from writeRings for the call.
 func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	r := writeRings.get()
+	defer c.returnWriteRing(r)
 	written := 0
 	for written < len(ms) {
 		chunk := ms[written:]
-		dgrams := c.prepareWrite(chunk)
+		dgrams := c.prepareWrite(r, chunk)
 		if dgrams == 0 {
 			// Exotic addr type or empty payload: single-datagram path.
 			if _, err := c.uc.WriteTo(chunk[0].Data, chunk[0].Addr); err != nil && !isTemporary(err) {
@@ -284,13 +288,13 @@ func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 			continue
 		}
 		sent, err := writeChunks(dgrams, func(off int) (int, error) {
-			cnt, serr := c.rawSend(c.wr.hs[off:dgrams])
+			cnt, serr := c.rawSend(r.hs[off:dgrams])
 			if serr == nil && cnt > 0 {
-				c.st.observeWrite(int64(c.wr.frames(off, off+cnt)), int64(cnt))
+				c.st.observeWrite(int64(r.frames(off, off+cnt)), int64(cnt))
 			}
 			return cnt, serr
 		})
-		written += c.wr.frames(0, sent)
+		written += r.frames(0, sent)
 		if err != nil {
 			return written, err
 		}
@@ -301,14 +305,14 @@ func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 	return written, nil
 }
 
-// prepareWrite lays out the leading messages of ms in the write ring, as
-// many as one sendmmsg takes (DefaultBatchSize frames), and returns how
-// many datagrams it laid out: 0 when ms[0] cannot take the raw path.
-func (c *batchConn) prepareWrite(ms []Message) int {
-	r := c.wr
-	ms = ms[:min(len(ms), DefaultBatchSize)]
+// prepareWrite lays out the leading messages of ms in write ring r, as
+// many as one sendmmsg takes (MaxWriteBatch frames in at most
+// len(r.hs) datagrams), and returns how many datagrams it laid out: 0
+// when ms[0] cannot take the raw path.
+func (c *batchConn) prepareWrite(r *writeRing, ms []Message) int {
+	ms = ms[:min(len(ms), MaxWriteBatch)]
 	d, iov := 0, 0
-	for f := 0; f < len(ms); d++ {
+	for f := 0; f < len(ms) && d < len(r.hs); d++ {
 		ua, ok := ms[f].Addr.(*net.UDPAddr)
 		if !ok || len(ms[f].Data) == 0 {
 			break
@@ -342,9 +346,21 @@ func (c *batchConn) prepareWrite(ms []Message) int {
 		// syscall package has no SetIovlen.
 		h.hdr.Iovlen = uint64(iov - first)
 		f += k
-		r.ends[d] = uint8(f)
+		r.ends[d] = uint16(f)
 	}
+	r.iovsUsed = max(r.iovsUsed, iov)
 	return d
+}
+
+// returnWriteRing gives r back to writeRings once WriteBatch is done with
+// it. What points at the callers' frames — the iovecs laid out and the
+// conn's view of the last sendmmsg's headers — is cleared first, so a ring
+// on the free list pins no caller's buffer.
+func (c *batchConn) returnWriteRing(r *writeRing) {
+	c.whs = nil
+	clear(r.iovs[:r.iovsUsed])
+	r.iovsUsed = 0
+	writeRings.put(r)
 }
 
 func setIovec(v *syscall.Iovec, b []byte) {
@@ -457,13 +473,15 @@ func (c *batchConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	return n, err
 }
 
-// Close closes the socket and lowers readRings' cap by one. A ring the
-// lane still holds stays with it, since a read loop may be working on its
-// datagrams; the lane's next ReadBatch fails and gives the ring back.
+// Close closes the socket and lowers both ring pools' caps by one. A
+// receive ring the lane still holds stays with it, since a read loop may
+// be working on its datagrams; the lane's next ReadBatch fails and gives
+// the ring back.
 func (c *batchConn) Close() error {
 	err := c.uc.Close()
 	if c.closed.CompareAndSwap(false, true) {
 		readRings.closed()
+		writeRings.closed()
 	}
 	return err
 }
@@ -522,18 +540,32 @@ func (r *mmsgRing) prepareRead(i int) {
 	r.hs[i].n = 0
 }
 
-// writeRing is a conn's sendmmsg scaffolding for one call of up to
-// DefaultBatchSize frames: a header and a sockaddr per datagram, and per
-// frame up to two iovecs, its length prefix and itself, with the prefix's
-// bytes. So a coalesced datagram is gathered from the callers' frames and
-// the prefixes; no payload byte is copied. ends[d] counts the frames laid
-// out through datagram d.
+// uioMaxIOV is the kernel's UIO_MAXIOV: sendmmsg refuses a datagram that
+// gathers more iovecs with EMSGSIZE.
+const uioMaxIOV = 1024
+
+// A coalesced datagram gathers two iovecs a frame, and a write ring's
+// frames may all go to one peer: this fails to compile if they could
+// need more than one datagram may gather.
+const _ = uint(uioMaxIOV - 2*MaxWriteBatch)
+
+// writeRing is the sendmmsg scaffolding for one call of up to
+// MaxWriteBatch frames in up to DefaultBatchSize datagrams, so a small
+// writer's batch of lone frames to as many peers still leaves in one call:
+// a header and a sockaddr per datagram, and per frame up to two iovecs,
+// its length prefix and itself, with the prefix's bytes. So a coalesced
+// datagram is gathered from the callers' frames and the prefixes; no
+// payload byte is copied. ends[d] counts the frames laid out through
+// datagram d; iovsUsed is the most iovecs a call of the current WriteBatch
+// laid out. A ring belongs to no conn: WriteBatch borrows one from
+// writeRings.
 type writeRing struct {
 	hs       [DefaultBatchSize]mmsghdr
 	sas      [DefaultBatchSize][syscall.SizeofSockaddrAny]byte
-	iovs     [2 * DefaultBatchSize]syscall.Iovec
-	prefixes [DefaultBatchSize][1 + lenPrefix]byte
-	ends     [DefaultBatchSize]uint8
+	iovs     [2 * MaxWriteBatch]syscall.Iovec
+	prefixes [MaxWriteBatch][1 + lenPrefix]byte
+	ends     [DefaultBatchSize]uint16
+	iovsUsed int
 }
 
 // frames returns how many frames datagrams from through to-1 carry.
@@ -548,27 +580,34 @@ func (r *writeRing) frames(from, to int) int {
 	return n
 }
 
-// ringPool is a free list of receive rings, all of one shape. A lane
-// borrows one only while its strides find datagrams (batchConn.recv), so
-// the rings a process holds follow how many lanes are mid-stride at once,
-// not how many sockets it has open. The list is a LIFO stack, so the ring
-// lent next is the one touched last, and it is capped at the number of
-// open udp-batch sockets: it never holds more rings than those sockets
-// would own outright, and it drains as they close. (sync.Pool would keep
-// or drop rings by GC cycle instead of by socket lifetime.)
-type ringPool struct {
-	mu   sync.Mutex
-	free []*mmsgRing
-	open int // open udp-batch sockets: the cap on len(free)
-	made int // rings allocated so far
+// ringPool is a free list of rings of one kind, all of one shape. A
+// receive lane borrows one only while its strides find datagrams
+// (batchConn.recv), a writer only for one WriteBatch, so the rings a
+// process holds follow how many lanes are mid-stride, or how many writes
+// are in flight, at once, not how many sockets it has open. The list is a
+// LIFO stack, so the ring lent next is the one touched last, and it is
+// capped at the number of open udp-batch sockets: it never holds more
+// rings than those sockets would own outright, and it drains as they
+// close. (sync.Pool would keep or drop rings by GC cycle instead of by
+// socket lifetime.)
+type ringPool[R any] struct {
+	mu    sync.Mutex
+	free  []*R
+	open  int // open udp-batch sockets: the cap on len(free)
+	made  int // rings allocated so far
+	fresh func() *R
 
-	onPut func(*mmsgRing) // test hook: sees each ring given back, under mu
+	onPut func(*R) // test hook: sees each ring given back, under mu
 }
 
-// readRings lends every udp-batch socket of the process its receive rings.
-var readRings ringPool
+// readRings and writeRings lend every udp-batch socket of the process its
+// receive and write rings.
+var (
+	readRings  = ringPool[mmsgRing]{fresh: newReadRing}
+	writeRings = ringPool[writeRing]{fresh: func() *writeRing { return new(writeRing) }}
+)
 
-func (p *ringPool) get() *mmsgRing {
+func (p *ringPool[R]) get() *R {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		r := p.free[n-1]
@@ -579,10 +618,10 @@ func (p *ringPool) get() *mmsgRing {
 	}
 	p.made++
 	p.mu.Unlock()
-	return newReadRing()
+	return p.fresh()
 }
 
-func (p *ringPool) put(r *mmsgRing) {
+func (p *ringPool[R]) put(r *R) {
 	p.mu.Lock()
 	if p.onPut != nil {
 		p.onPut(r)
@@ -593,14 +632,14 @@ func (p *ringPool) put(r *mmsgRing) {
 	p.mu.Unlock()
 }
 
-func (p *ringPool) opened() {
+func (p *ringPool[R]) opened() {
 	p.mu.Lock()
 	p.open++
 	p.mu.Unlock()
 }
 
 // closed lowers the cap by one socket and drops the rings above it.
-func (p *ringPool) closed() {
+func (p *ringPool[R]) closed() {
 	p.mu.Lock()
 	p.open--
 	for len(p.free) > p.open {

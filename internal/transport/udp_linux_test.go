@@ -827,3 +827,137 @@ func TestConcurrentWriteBatch(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// writeRingState reads the write rings' free list: its length, the open
+// sockets that cap it, and how many rings have been allocated so far.
+func writeRingState() (free, open, made int) {
+	writeRings.mu.Lock()
+	defer writeRings.mu.Unlock()
+	return len(writeRings.free), writeRings.open, writeRings.made
+}
+
+// TestWriteRingsFollowWriters: a udp-batch writer borrows a write ring for
+// one WriteBatch only. When WriteBatch returns, the conn keeps no view of
+// it and the free list has it back with no iovec left pointing at a
+// caller's frame; writers on four conns at once allocate at most four
+// rings between them; a warm WriteBatch allocates nothing; and once every
+// socket has closed, the free list holds no ring.
+func TestWriteRingsFollowWriters(t *testing.T) {
+	free, open, made0 := writeRingState()
+	if free != 0 || open != 0 {
+		t.Fatalf("before the test: %d write rings free, %d udp-batch sockets open; want none", free, open)
+	}
+	const writers, batches = 4, 50
+	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	txs := make([]*batchConn, writers)
+	for i := range txs {
+		c, err := ListenUDPBatch("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs[i] = c.(*batchConn)
+	}
+	closeAll := sync.OnceFunc(func() {
+		for _, c := range txs {
+			c.Close()
+		}
+	})
+	defer closeAll()
+	// Nobody reads rx: the kernel drops what overflows its buffer, and
+	// the writers never wait for it.
+	batch := func() []Message {
+		ms := make([]Message, 3*DefaultBatchSize)
+		for i := range ms {
+			ms[i] = Message{Data: frameOf(64, byte(i)), Addr: rx.LocalAddr()}
+		}
+		return ms
+	}
+	var wg sync.WaitGroup
+	for _, c := range txs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ms := batch()
+			for range batches {
+				if _, err := c.WriteBatch(ms); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	free, _, made := writeRingState()
+	if made-made0 > writers {
+		t.Fatalf("%d concurrent writers allocated %d write rings, want at most %d", writers, made-made0, writers)
+	}
+	if free != made-made0 {
+		t.Fatalf("%d of the %d write rings allocated are on the free list after every WriteBatch returned", free, made-made0)
+	}
+	writeRings.mu.Lock()
+	for _, r := range writeRings.free {
+		for i := range r.iovs {
+			if r.iovs[i].Base != nil {
+				writeRings.mu.Unlock()
+				t.Fatalf("a free write ring's iovec %d still points at a caller's bytes", i)
+			}
+		}
+	}
+	writeRings.mu.Unlock()
+	for i, c := range txs {
+		if c.whs != nil {
+			t.Fatalf("conn %d still holds the headers of its last sendmmsg", i)
+		}
+	}
+
+	ms := batch()
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := txs[0].WriteBatch(ms); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm WriteBatch allocates %v times, want 0", allocs)
+	}
+
+	closeAll()
+	if free, open, _ := writeRingState(); free != 0 || open != 0 {
+		t.Fatalf("after every socket closed: %d write rings free, %d sockets open; want none", free, open)
+	}
+}
+
+// TestFullWriteRingToOnePeer: a whole write ring of the shortest frames,
+// MaxWriteBatch of one byte each, to one peer is one coalesced datagram of
+// 2 × MaxWriteBatch iovecs, within the kernel's UIO_MAXIOV, sent in one
+// sendmmsg; every frame arrives, in order.
+func TestFullWriteRingToOnePeer(t *testing.T) {
+	rx, tx := listenBatch(t, Options{}), listenBatch(t, Options{})
+	ms := make([]Message, MaxWriteBatch)
+	for i := range ms {
+		ms[i] = Message{Data: []byte{byte(i)}, Addr: rx.LocalAddr()}
+	}
+	if n, err := tx.WriteBatch(ms); err != nil || n != len(ms) {
+		t.Fatalf("WriteBatch = %d, %v; want %d", n, err, len(ms))
+	}
+	if st := tx.Stats(); st.WriteCalls.Value() != 1 || st.WriteDatagrams.Value() != 1 {
+		t.Fatalf("%d one-byte frames to one peer: %d sendmmsg calls, %d datagrams; want 1 and 1",
+			len(ms), st.WriteCalls.Value(), st.WriteDatagrams.Value())
+	}
+	in := NewBatch(0)
+	rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for f := 0; f < len(ms); {
+		n, err := rx.ReadBatch(in)
+		if err != nil {
+			t.Fatalf("read %d of %d frames: %v", f, len(ms), err)
+		}
+		for _, m := range in[:n] {
+			if !bytes.Equal(m.Data, ms[f].Data) {
+				t.Fatalf("frame %d reads %x, want %x", f, m.Data, ms[f].Data)
+			}
+			f++
+		}
+	}
+}
