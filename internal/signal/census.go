@@ -77,7 +77,7 @@ func censusBucketKeys(walk func(fn func(key string, sum uint64)), b int) []telem
 // of s, or of every session for s nil, one shard lock at a time.
 func (ss *Sessions) digests(s *Session, fn func(key string, sum uint64)) {
 	ss.tbl.Range(func(ck string, e *senderEntry) bool {
-		if !e.removing && (s == nil || sessionID(ck) == s.id) {
+		if !e.removing && (s == nil || ownerID(ck) == s.id) {
 			key := userKey(ck)
 			fn(key, wire.StateHash(key, e.seq, e.value))
 		}
@@ -236,11 +236,8 @@ func (ss *Sessions) deliverCensusReply(m wire.Message) {
 // holds, or of every entry for p nil, one shard lock at a time.
 func (r *Receiver) digests(p *peer, fn func(key string, sum uint64)) {
 	r.tbl.Range(func(ck string, e *receiverEntry) bool {
-		if q := p; q == nil || e.peer == q.id {
-			if q == nil {
-				q = r.peers.resolve(e.peer)
-			}
-			key := q.userKey(ck)
+		if p == nil || ownerID(ck) == p.id {
+			key := userKey(ck)
 			fn(key, wire.StateHash(key, e.lastSeq, e.value))
 		}
 		return true

@@ -1,8 +1,19 @@
 package signal
 
-import "softstate/internal/wire"
+import (
+	"net"
+
+	"softstate/internal/wire"
+)
 
 // wireTrigger builds a raw trigger message for replay tests.
 func wireTrigger(seq uint64, key string, value []byte) wire.Message {
 	return wire.Message{Type: wire.TypeTrigger, Seq: seq, Key: key, Value: value}
+}
+
+// tkey is r's table key of key from the sender at from, "" if from holds
+// nothing there.
+func tkey(r *Receiver, from net.Addr, key string) string {
+	ck, _ := r.keyOf(from, key)
+	return ck
 }

@@ -2,7 +2,6 @@ package signal
 
 import (
 	"fmt"
-	"strings"
 
 	"softstate/internal/statetable"
 	"softstate/internal/wire"
@@ -22,10 +21,9 @@ import (
 
 // CheckInvariants audits the receiver's internal consistency:
 //
-//   - the peer records account for the table: every entry's id resolves to
-//     the record whose prefix heads its table key, the records' entry
-//     counts sum to the table size, and no record holds neither an entry
-//     nor a pending ack;
+//   - the peer records account for the table: the id heading every entry's
+//     table key names a record, the records' entry counts sum to the table
+//     size, and no record holds neither an entry, a pin nor a pending ack;
 //   - every record's pair — its entry count and fold — is the pair
 //     recomputed from scratch over the entries naming it;
 //   - the datagram leases account for their members (refresh profiles):
@@ -47,16 +45,12 @@ func (r *Receiver) CheckInvariants() []string {
 	naming := map[leaseName]pair{} // the entries naming each lease: how many, and their fold
 	tally := map[uint32]pair{}     // each record's pair, recomputed
 	r.tbl.Range(func(ck string, e *receiverEntry) bool {
-		p := r.peers.resolve(e.peer)
-		if p == nil || !strings.HasPrefix(ck, p.prefix) {
-			bad = append(bad, fmt.Sprintf("receiver: entry %q names peer %d, which is not the record its key starts with", ck, e.peer))
-			return true
-		}
-		hash := wire.StateHash(p.userKey(ck), e.lastSeq, e.value)
-		t := tally[e.peer]
-		tally[e.peer] = pair{t.count + 1, t.fold + hash}
+		id := ownerID(ck)
+		hash := wire.StateHash(userKey(ck), e.lastSeq, e.value)
+		t := tally[id]
+		tally[id] = pair{t.count + 1, t.fold + hash}
 		if r.prof.Refresh && e.aux != 0 {
-			name := leaseName{e.peer, e.aux}
+			name := leaseName{id, e.aux}
 			n := naming[name]
 			naming[name] = pair{n.count + 1, n.fold + hash}
 		}
@@ -69,12 +63,13 @@ func (r *Receiver) CheckInvariants() []string {
 	}
 	for _, p := range r.peers.byAddr.all() {
 		held += p.entries
-		if p.entries <= 0 && len(p.acks) == 0 {
+		if p.entries <= 0 && p.pins == 0 && len(p.acks) == 0 {
 			bad = append(bad, fmt.Sprintf("receiver: peer %d (%s) holds %d entries and no pending ack", p.id, p.addr, p.entries))
 		}
 		if ours := (pair{uint64(p.entries), p.fold}); ours != tally[p.id] {
 			bad = append(bad, fmt.Sprintf("receiver: peer %d pairs (%d, %x), its entries (%d, %x)", p.id, ours.count, ours.fold, tally[p.id].count, tally[p.id].fold))
 		}
+		delete(tally, p.id)
 		ls := &p.leases
 		ls.mu.Lock()
 		for id, l := range ls.byID {
@@ -105,6 +100,9 @@ func (r *Receiver) CheckInvariants() []string {
 		ls.mu.Unlock()
 	}
 	r.peers.mu.RUnlock()
+	for id, t := range tally {
+		bad = append(bad, fmt.Sprintf("receiver: %d entries name peer %d, which has no record", t.count, id))
+	}
 	for name, n := range naming {
 		bad = append(bad, fmt.Sprintf("receiver: %d entries of peer %d name lease %d, which it does not have", n.count, name.peer, name.lease))
 	}
@@ -124,13 +122,14 @@ func (r *Receiver) CheckInvariants() []string {
 }
 
 // SeqSnapshot returns the per-(source, key) sequence high-water marks,
-// keyed by the composite table key. The chaos engine diffs successive
-// snapshots to prove no accepted message ever moved a source's sequence
-// space backward.
+// keyed by RKey. The chaos engine diffs successive snapshots to prove no
+// accepted message ever moved a source's sequence space backward.
 func (r *Receiver) SeqSnapshot() map[string]uint64 {
 	out := make(map[string]uint64, r.tbl.Len())
 	r.tbl.Range(func(ck string, e *receiverEntry) bool {
-		out[ck] = e.lastSeq
+		if p := r.peers.resolve(ownerID(ck)); p != nil {
+			out[RKey(p.addr, userKey(ck))] = e.lastSeq
+		}
 		return true
 	})
 	return out
@@ -160,7 +159,7 @@ func (ss *Sessions) CheckInvariants() []string {
 	tblLen := 0
 	ss.tbl.Range(func(ck string, e *senderEntry) bool {
 		tblLen++
-		id := sessionID(ck)
+		id := ownerID(ck)
 		c := counts[id]
 		if c == nil {
 			c = &tally{}

@@ -71,20 +71,9 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	p.fold--
 
-	// Receiver: file the entry under a peer that is not its sender.
-	other, _ := c.rcv.peers.install(nil, testAddr("stranger"), 0)
-	setPeer := func(id uint32) {
-		c.rcv.tbl.Update(RKey(c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.peer = id })
-	}
-	setPeer(other.id)
-	p.entries--
-	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
-		t.Fatal("receiver entry naming another sender's record not detected")
-	}
-	setPeer(p.id)
-	p.entries++
-
 	// Receiver: a record left behind with nothing to hold.
+	other := c.rcv.peers.pin(nil, testAddr("stranger"))
+	c.rcv.peers.install(other, 0)
 	other.entries--
 	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
 		t.Fatal("receiver empty peer record not detected")
@@ -93,7 +82,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 
 	// Receiver: the entry names a datagram lease its peer does not have.
 	setLease := func(id uint32) {
-		c.rcv.tbl.Update(RKey(c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.aux = id })
+		c.rcv.tbl.Update(tkey(c.rcv, c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.aux = id })
 	}
 	setLease(7)
 	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
@@ -113,11 +102,11 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	// Receiver: an intact lease whose member holds another version than
 	// the lease's fold names.
-	c.rcv.tbl.Update(RKey(c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.lastSeq-- })
+	c.rcv.tbl.Update(tkey(c.rcv, c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.lastSeq-- })
 	if bad := c.rcv.CheckInvariants(); len(bad) < 2 {
 		t.Fatalf("a member at another version than its lease and record fold reports only %v", bad)
 	}
-	c.rcv.tbl.Update(RKey(c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.lastSeq++ })
+	c.rcv.tbl.Update(tkey(c.rcv, c.sndAddr, "k"), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) { e.lastSeq++ })
 	setLease(0)
 	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
 		t.Fatal("receiver lease that no entry names not detected")

@@ -12,8 +12,8 @@ import (
 func (r *Receiver) matches(key string) []string {
 	var out []string
 	for _, p := range r.peers.sorted() {
-		if _, ok := r.tbl.Get(p.key(key)); ok {
-			out = append(out, p.key(key))
+		if _, ok := r.tbl.Get(tableKey(p.id, key)); ok {
+			out = append(out, tableKey(p.id, key))
 		}
 	}
 	return out

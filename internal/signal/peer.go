@@ -1,6 +1,7 @@
 package signal
 
 import (
+	"encoding/binary"
 	"net"
 	"slices"
 	"strings"
@@ -99,23 +100,43 @@ func (am *addrMap[T]) all() []*T {
 	return out
 }
 
+// Both ends key their state table alike: a 4-byte big-endian record id —
+// the sender's Session, the receiver's peer record — followed by the user
+// key, so every (peer, key) pair has its own slot and timers, and an
+// entry's owner is read from its key.
+
+// idLen is the length of the record id heading a table key.
+const idLen = 4
+
+// tableKey is the table key of key under the record with the given id.
+func tableKey(id uint32, key string) string {
+	var p [idLen]byte
+	binary.BigEndian.PutUint32(p[:], id)
+	return string(p[:]) + key
+}
+
+// userKey strips the record id from a table key.
+func userKey(ck string) string { return ck[idLen:] }
+
+// ownerID reads the record id heading a table key.
+func ownerID(ck string) uint32 { return binary.BigEndian.Uint32([]byte(ck[:idLen])) }
+
 // peer is the receiver's record of one remote sender — the counterpart of
-// the sender's Session, and the only code that knows a table key is
-// addr + NUL + key. It exists while the address holds anything here:
+// the sender's Session. It exists while the address holds anything here:
 // created by the first frame that installs state or queues an ack, reaped
-// with the last entry and the last pending ack. Entries name it by id;
-// whoever needs the sender's address, or the user key inside a table key,
-// resolves the record.
+// with the last entry and the last pending ack. Its id heads the table
+// keys of its entries.
 type peer struct {
-	id     uint32
-	addr   net.Addr
-	prefix string // addr.String() + NUL, heading every table key of this peer
+	id   uint32
+	addr net.Addr
+	name string // addr.String(): its byAddr key, and the order records sort in
 	// gone marks a reaped record: whoever remembered it looks the address
 	// up again (as a Session's holder reattaches).
 	gone atomic.Bool
 
 	// Guarded by the owning table's mu.
-	entries int            // installed entries naming id
+	entries int            // installed entries under id
+	pins    int            // installs between the id's lookup and their entry's filing
 	fold    uint64         // Σ wire.StateHash of their (user key, seq, value), mod 2⁶⁴
 	acks    []wire.AckItem // coalesced acknowledgements awaiting the next flush
 	audit   audit          // hard-state pair disagreement (probe.go)
@@ -129,15 +150,11 @@ type peer struct {
 	leases leaseSet // datagram leases over this peer's entries (lease.go)
 }
 
-// RKey returns the composite (source, key) table key — the identifier
-// SeqSnapshot keys its map with. Address strings contain no NUL byte on any
-// supported transport, so the separator is unambiguous; a user key may
-// itself contain NUL bytes.
+// RKey names a (source, key) pair outside an endpoint — the key
+// SeqSnapshot's map and the paper-metric hook use. Address strings contain
+// no NUL byte on any supported transport, so the separator is unambiguous;
+// a user key may itself contain NUL bytes.
 func RKey(from net.Addr, key string) string { return from.String() + "\x00" + key }
-
-// key is RKey for p's address, userKey its inverse on one of p's table keys.
-func (p *peer) key(key string) string    { return p.prefix + key }
-func (p *peer) userKey(ck string) string { return ck[len(p.prefix):] }
 
 // peerTable is the receiver's registry of peer records: by address for the
 // dispatch path, by id for the entries.
@@ -175,7 +192,7 @@ func (t *peerTable) lock(p *peer, from net.Addr) *peer {
 		addr := from.String()
 		p = t.byAddr.getOrCreate(addr, func() *peer {
 			t.nextID++
-			np := &peer{id: t.nextID, addr: from, prefix: addr + "\x00"}
+			np := &peer{id: t.nextID, addr: from, name: addr}
 			t.byID[np.id] = np
 			return np
 		})
@@ -183,26 +200,46 @@ func (t *peerTable) lock(p *peer, from net.Addr) *peer {
 	return p
 }
 
-// reap unfiles p if its last entry and last pending ack are gone; mu is held.
+// reap unfiles p if its last entry, last pin and last pending ack are
+// gone; mu is held.
 func (t *peerTable) reap(p *peer) {
-	if p.entries == 0 && len(p.acks) == 0 {
+	if p.entries == 0 && p.pins == 0 && len(p.acks) == 0 {
 		p.gone.Store(true)
 		delete(t.byID, p.id)
-		t.byAddr.remove(p.prefix[:len(p.prefix)-1])
+		t.byAddr.remove(p.name)
 	}
 }
 
-// install counts one more entry under from's record, folding in hash, the
+// pin returns from's live record (p, if the caller remembers one), creating
+// it if the address has none, and keeps it from being reaped until install
+// or unpin: the caller is about to file an entry under its id.
+func (t *peerTable) pin(p *peer, from net.Addr) *peer {
+	p = t.lock(p, from)
+	p.pins++
+	t.mu.Unlock()
+	return p
+}
+
+// unpin releases a pin that filed no entry.
+func (t *peerTable) unpin(p *peer) {
+	t.mu.Lock()
+	p.pins--
+	t.reap(p)
+	t.mu.Unlock()
+}
+
+// install turns one of p's pins into an entry, folding in hash, the
 // StateHash of its user key, seq and value. arm reports that the entry is
 // the first any record holds since the probe round last stopped: a
 // hard-state caller arms the round.
-func (t *peerTable) install(p *peer, from net.Addr, hash uint64) (_ *peer, arm bool) {
-	p = t.lock(p, from)
+func (t *peerTable) install(p *peer, hash uint64) (arm bool) {
+	t.mu.Lock()
 	defer t.mu.Unlock()
+	p.pins--
 	p.entries++
 	p.fold += hash
 	arm, t.probing = !t.probing, true
-	return p, arm
+	return arm
 }
 
 // refold swaps one of p's entries' hash in its fold, after an accepted
@@ -232,7 +269,7 @@ func (t *peerTable) sorted() []*peer {
 	return all
 }
 
-func comparePeers(a, b *peer) int { return strings.Compare(a.prefix, b.prefix) }
+func comparePeers(a, b *peer) int { return strings.Compare(a.name, b.name) }
 
 // queueAck files one acknowledgement under from's record and reports
 // whether no record had any pending: the caller arms the flush on that

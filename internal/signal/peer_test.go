@@ -234,10 +234,11 @@ func TestPeerReapVersusInstall(t *testing.T) {
 			}
 			for i := 0; i < rounds; i++ {
 				frame(wireTrigger(uint64(i+1), key, []byte("v")))
-				rcv.tbl.Update(RKey(from, key), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) {
-					p := rcv.peers.resolve(e.peer)
+				rcv.tbl.Update(tkey(rcv, from, key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
+					id := ownerID(tc.Key())
+					p := rcv.peers.resolve(id)
 					if p == nil {
-						t.Errorf("entry %q names peer %d, which has no record", key, e.peer)
+						t.Errorf("entry %q names peer %d, which has no record", key, id)
 						return
 					}
 					rcv.peers.mu.RLock()
@@ -270,6 +271,68 @@ func TestPeerReapVersusInstall(t *testing.T) {
 	}
 }
 
+// TestReapWaitsForInstall: a record's last entry expires while a trigger
+// from the same source installs a new key. Each round the wheel expires the
+// round's one old key on the clock's goroutine while a second lane, through
+// concurrent handle calls, installs and removes keys from the same address,
+// so the record's entry count touches zero between a lookup that gives its
+// id and the upsert that files an entry under it. The record must outlive
+// that upsert: once the round quiesces, the lane's last key is held under
+// the address's live record and the invariants are clean.
+func TestReapWaitsForInstall(t *testing.T) {
+	clk := clock.NewVirtual()
+	cfg := fastConfig(SS)
+	cfg.Clock = clk
+	cfg.Shards = 4
+	rcv, err := NewReceiver(newDiscardConn(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rcv.Close()
+	const from = testAddr("sender-a")
+	const step = time.Millisecond
+	sc := rcv.newDispatchScratch()
+	for round := uint64(1); round <= 200; round++ {
+		rcv.handle(wireTrigger(round, "old", []byte("v")), from, sc)
+		clk.Run(cfg.Timeout - step)
+		started, stop, last := make(chan struct{}), make(chan struct{}), make(chan string)
+		go func() {
+			lane := rcv.newDispatchScratch()
+			for i := 0; ; i++ {
+				key := fmt.Sprintf("new%d", i)
+				rcv.handle(wireTrigger(round, key, []byte("v")), from, lane)
+				select {
+				case <-stop:
+					last <- key
+					return
+				default:
+				}
+				rcv.handle(wire.Message{Type: wire.TypeRemoval, Seq: round, Key: key}, from, lane)
+				if i == 0 {
+					close(started)
+				}
+			}
+		}()
+		<-started
+		clk.Run(3 * step) // the old key expires
+		close(stop)
+		key := <-last
+		if _, ok := rcv.GetFrom(from, "old"); ok {
+			t.Fatalf("round %d: the old key outlived its timeout", round)
+		}
+		if _, ok := rcv.GetFrom(from, key); !ok {
+			t.Fatalf("round %d: %q, installed last, is not held", round, key)
+		}
+		if bad := rcv.CheckInvariants(); len(bad) != 0 {
+			t.Fatalf("round %d: %v", round, bad)
+		}
+		rcv.handle(wire.Message{Type: wire.TypeRemoval, Seq: round, Key: key}, from, sc)
+	}
+	if rcv.Len() != 0 || rcv.NumPeers() != 0 {
+		t.Fatalf("after the last removal: %d entries, %d peer records", rcv.Len(), rcv.NumPeers())
+	}
+}
+
 // TestStrangerDigestWalksNothing: a census digest request from an address
 // holding no state is answered from the missing record alone. The proof is
 // a held shard lock: a walk of the table would block on it, the direct
@@ -288,7 +351,7 @@ func TestStrangerDigestWalksNothing(t *testing.T) {
 	}
 	const n = 100
 	done := make(chan struct{})
-	g.rcv.tbl.Update(RKey(holder, "k00"), func(*receiverEntry, statetable.TimerControl[receiverEntry]) {
+	g.rcv.tbl.Update(tkey(g.rcv, holder, "k00"), func(*receiverEntry, statetable.TimerControl[receiverEntry]) {
 		go func() {
 			defer close(done)
 			for i := uint64(0); i < n; i++ {
@@ -387,7 +450,7 @@ func TestEvictedSessionResolvesAnew(t *testing.T) {
 			t.Fatalf("%s: %v", when, bad)
 		}
 	}
-	resolves := func(s *Session, key string) bool { return ss.resolve(sessionKey(s.id, key)) == s }
+	resolves := func(s *Session, key string) bool { return ss.resolve(tableKey(s.id, key)) == s }
 	peer := testAddr("10.0.0.5:7000")
 
 	old := ss.Session(peer)
@@ -405,7 +468,7 @@ func TestEvictedSessionResolvesAnew(t *testing.T) {
 	if !old.gone.Load() || ss.Evictions() != 1 {
 		t.Fatalf("gone=%v after %d evictions", old.gone.Load(), ss.Evictions())
 	}
-	if ss.resolve(sessionKey(old.id, "")) != nil {
+	if ss.resolve(tableKey(old.id, "")) != nil {
 		t.Fatal("the evicted session is still filed")
 	}
 	clean("evicted")
@@ -439,7 +502,7 @@ func TestEvictedSessionResolvesAnew(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Run(300 * time.Millisecond)
-	if ss.resolve(sessionKey(old.id, "")) != nil || !resolves(back, "k") {
+	if ss.resolve(tableKey(old.id, "")) != nil || !resolves(back, "k") {
 		t.Fatal("the drained detached handle is still filed, or the live session is not")
 	}
 	clean("detached handle drained")

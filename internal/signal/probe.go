@@ -158,7 +158,7 @@ func (r *Receiver) probeRound() {
 		r.probeBW.add(wire.Message{Type: wire.TypeProbe, Value: wire.AppendPair(v[:0], pr.count, pr.fold)}, to[i])
 	}
 	if len(walk) > 0 {
-		r.walkRound(walk)
+		r.walkRound(walk, holding)
 	}
 	r.probeBW.flush()
 }
@@ -176,18 +176,19 @@ func (t *peerTable) holdingLocked() []*peer {
 	return out
 }
 
-// walkRound visits the entries of the records walk names, in table-key
-// order: one scan of the table finds them and counts each audited record's
-// unanswered keys, an audited record whose previous round left none is
-// settled instead, and each remaining entry is orphaned or probed.
-func (r *Receiver) walkRound(walk map[uint32]walkKind) {
-	var cks []string
+// walkRound visits the entries of the records walk names, in the address
+// order of holding and then key order: one scan of the table finds them and
+// counts each audited record's unanswered keys, an audited record whose
+// previous round left none is settled instead, and each remaining entry is
+// orphaned or probed.
+func (r *Receiver) walkRound(walk map[uint32]walkKind, holding []*peer) {
+	cks := map[uint32][]string{}
 	unanswered := map[uint32]int{}
 	r.tbl.Range(func(ck string, e *receiverEntry) bool {
-		if k := walk[e.peer]; k != 0 {
-			cks = append(cks, ck)
+		if id := ownerID(ck); walk[id] != 0 {
+			cks[id] = append(cks[id], ck)
 			if e.aux != 0 {
-				unanswered[e.peer]++
+				unanswered[id]++
 			}
 		}
 		return true
@@ -215,10 +216,10 @@ func (r *Receiver) walkRound(walk map[uint32]walkKind) {
 	}
 	r.peers.mu.Unlock()
 
-	sort.Strings(cks)
 	limit := uint32(r.cfg.MaxProbeMisses)
+	var p *peer // the record whose entries are visited
 	visit := func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
-		switch k := walk[e.peer]; {
+		switch k := walk[p.id]; {
 		case k == 0, k == walkAudit && e.aux == 0:
 			return // not walked this round, or answered
 		case k == walkOrphan, k == walkAudit && e.aux >= limit:
@@ -230,10 +231,12 @@ func (r *Receiver) walkRound(walk map[uint32]walkKind) {
 		default:
 			e.aux++
 		}
-		p := r.peers.resolve(e.peer)
-		r.probeBW.add(wire.Message{Type: wire.TypeProbe, Seq: e.lastSeq, Key: p.userKey(tc.Key())}, p.addr)
+		r.probeBW.add(wire.Message{Type: wire.TypeProbe, Seq: e.lastSeq, Key: userKey(tc.Key())}, p.addr)
 	}
-	for _, ck := range cks {
-		r.tbl.Update(ck, visit)
+	for _, p = range holding {
+		sort.Strings(cks[p.id])
+		for _, ck := range cks[p.id] {
+			r.tbl.Update(ck, visit)
+		}
 	}
 }

@@ -172,7 +172,7 @@ func TestAuditSettlesMissingKey(t *testing.T) {
 	c := vEndpoints(t, HS, 0)
 	keys := c.installAll(8)
 	// InjectFalseRemoval with its notify dropped.
-	if !c.rcv.tbl.Update(RKey(c.sndAddr, keys[3]), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
+	if !c.rcv.tbl.Update(tkey(c.rcv, c.sndAddr, keys[3]), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
 		c.rcv.drop(e, tc, EventFalseRemoval)
 	}) {
 		t.Fatal("no entry to remove")

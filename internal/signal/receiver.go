@@ -2,6 +2,7 @@ package signal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"net/netip"
@@ -50,14 +51,13 @@ type Receiver struct {
 }
 
 // receiverEntry is one installed piece of state for one (peer, key) pair.
-// Neither the sender's address nor the user key is stored: peer names the
-// sender's record, and the user key is the table key past that record's
-// prefix. The entry is 48 bytes, a 72-byte slot of a table chunk, plus
-// its state-timeout node where the profile arms one (TestEntrySizes).
+// Neither the sender nor the user key is stored: the table key is the
+// sender's peer-record id followed by the user key. The entry is 48 bytes,
+// a 72-byte slot of a table chunk, plus its state-timeout node where the
+// profile arms one (TestEntrySizes).
 type receiverEntry struct {
 	value   []byte
 	lastSeq uint64
-	peer    uint32 // id of the installing sender's peer record
 	// aux is the word the two lifetime mechanisms share, since a profile has
 	// one or the other. Refresh profiles name the entry's datagram lease in
 	// it (lease.go), 0 for none. Hard state counts in it the per-key probes
@@ -123,7 +123,7 @@ func NewReceiver(conn net.PacketConn, cfg Config) (*Receiver, error) {
 // keeps virtual-time runs deterministic.
 func (r *Receiver) Get(key string) ([]byte, bool) {
 	for _, p := range r.peers.sorted() {
-		if e, ok := r.tbl.Get(p.key(key)); ok {
+		if e, ok := r.tbl.Get(tableKey(p.id, key)); ok {
 			return append([]byte{}, e.value...), true
 		}
 	}
@@ -133,11 +133,22 @@ func (r *Receiver) Get(key string) ([]byte, bool) {
 // GetFrom returns the value installed for key by the sender at from — an
 // O(1) lookup on the (peer, key) table.
 func (r *Receiver) GetFrom(from net.Addr, key string) ([]byte, bool) {
-	e, ok := r.tbl.Get(RKey(from, key))
-	if !ok {
-		return nil, false
+	if ck, ok := r.keyOf(from, key); ok {
+		if e, ok := r.tbl.Get(ck); ok {
+			return append([]byte{}, e.value...), true
+		}
 	}
-	return append([]byte{}, e.value...), true
+	return nil, false
+}
+
+// keyOf returns the table key of key from the sender at from, if from has
+// a record here.
+func (r *Receiver) keyOf(from net.Addr, key string) (string, bool) {
+	p := r.peers.byAddr.get(from.String())
+	if p == nil {
+		return "", false
+	}
+	return tableKey(p.id, key), true
 }
 
 // Len returns the number of installed (peer, key) entries.
@@ -151,8 +162,8 @@ func (r *Receiver) NumPeers() int { return r.peers.byAddr.len() }
 // appears once per sender.
 func (r *Receiver) Keys() []string {
 	out := make([]string, 0, r.tbl.Len())
-	r.tbl.Range(func(ck string, e *receiverEntry) bool {
-		out = append(out, r.peers.resolve(e.peer).userKey(ck))
+	r.tbl.Range(func(ck string, _ *receiverEntry) bool {
+		out = append(out, userKey(ck))
 		return true
 	})
 	return out
@@ -168,7 +179,7 @@ func (r *Receiver) InjectFalseRemoval(key string) bool {
 	}
 	dropped := false
 	for _, p := range r.peers.sorted() {
-		r.tbl.Update(p.key(key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
+		r.tbl.Update(tableKey(p.id, key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
 			dropped = true
 			_, peer := r.drop(e, tc, EventFalseRemoval)
 			r.send(wire.Message{Type: wire.TypeNotify, Key: key}, peer)
@@ -255,8 +266,8 @@ func (r *Receiver) dispatch(data []byte, from net.Addr, scratch *dispatchScratch
 // allocates nothing.
 type dispatchScratch struct {
 	from    net.Addr      // the address the last frame came from, as the transport gave it
-	peer    *peer         // that source's record, whose prefix heads ck; nil for a stranger
-	ck      []byte        // the table key, rebuilt per key past the peer's prefix
+	peer    *peer         // that source's record, whose id heads ck; nil for a stranger
+	ck      []byte        // the table key, rebuilt per key past the record's id
 	seq     uint64        // current datagram's sequence number
 	now     time.Duration // clock offset at the stamp (metrics)
 	unknown []string
@@ -280,9 +291,9 @@ type dispatchScratch struct {
 func (r *Receiver) newDispatchScratch() *dispatchScratch {
 	sc := &dispatchScratch{}
 	hash := func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) {
-		sc.fold += wire.StateHash(sc.ck[len(sc.peer.prefix):], e.lastSeq, e.value)
+		sc.fold += wire.StateHash(sc.ck[idLen:], e.lastSeq, e.value)
 	}
-	// The walks rebuild each key in sc.ck after the peer's prefix, so the
+	// The walks rebuild each key in sc.ck after the record's id, so the
 	// visitors find the table key built. A stranger holds nothing, so its
 	// every key is unknown.
 	sc.check = func(_ uint64, key []byte) {
@@ -328,11 +339,18 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 func (r *Receiver) source(sc *dispatchScratch, from net.Addr) *peer {
 	if p := sc.peer; p == nil || p.gone.Load() || (from != sc.from && !sameAddr(from, p.addr)) {
 		if sc.peer = r.peers.byAddr.get(from.String()); sc.peer != nil {
-			sc.ck = append(sc.ck[:0], sc.peer.prefix...)
+			sc.use(sc.peer)
 		}
 	}
 	sc.from = from
 	return sc.peer
+}
+
+// use makes p the current source's record, whose id heads every key built.
+func (sc *dispatchScratch) use(p *peer) *dispatchScratch {
+	sc.peer = p
+	sc.ck = binary.BigEndian.AppendUint32(sc.ck[:0], p.id)
+	return sc
 }
 
 // sameAddr reports whether a, which is not the interface value b's record
@@ -357,7 +375,7 @@ func udpAddrPort(a *net.UDPAddr) netip.AddrPort {
 // key builds the current source's table key for key in the scratch buffer,
 // valid until the next source or key. A stranger has none.
 func (sc *dispatchScratch) key(key string) []byte {
-	sc.ck = append(sc.ck[:len(sc.peer.prefix)], key...)
+	sc.ck = append(sc.ck[:idLen], key...)
 	return sc.ck
 }
 
@@ -365,7 +383,7 @@ func (sc *dispatchScratch) key(key string) []byte {
 // the cheaper of two tiers that applies. A datagram whose key count and
 // fold the source holds an intact lease for extends the lease and is done
 // (extendLease). Otherwise the list is walked in place (wire.VisitKeyList),
-// which rebuilds each front-coded key after the peer's prefix in the read
+// which rebuilds each front-coded key after the record's id in the read
 // loop's scratch, so each (peer, key) composite lookup key is built where
 // it is decoded. A first walk looks every key up through the state table's
 // byte-key path and folds the entries it finds. A datagram naming a key not held here
@@ -397,7 +415,7 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScr
 	}
 	sc.seq, sc.unknown, sc.found, sc.fold = seq, sc.unknown[:0], 0, 0
 	if p != nil {
-		sc.ck = sc.ck[:len(p.prefix)]
+		sc.ck = sc.ck[:idLen]
 	}
 	if err := wire.VisitKeyList(seq, n, list, &sc.ck, sc.check); err != nil {
 		r.ctrs.decodeErrors.Add(1)
@@ -461,7 +479,7 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 		if r.measure {
 			now = r.clk.Since(r.born) + 1
 		}
-		p := r.source(sc, from)
+		p, pinned := r.source(sc, from), false
 		install := func(e *receiverEntry, created bool, tc statetable.TimerControl[receiverEntry]) {
 			// Accept only non-stale payloads: a retransmitted old trigger
 			// must not clobber a newer value (sequence numbers are monotone
@@ -470,11 +488,10 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 			var old uint64 // the hash of the version an accepted change replaces
 			versioned := false
 			if created {
-				var arm bool
-				if p, arm = r.peers.install(p, from, wire.StateHash(m.Key, m.Seq, m.Value)); arm && r.prof.HardState {
+				pinned = false
+				if r.peers.install(p, wire.StateHash(m.Key, m.Seq, m.Value)) && r.prof.HardState {
 					r.probeTimer.Reset(r.cfg.ProbeInterval)
 				}
-				e.peer = p.id
 				r.trace.Record(telemetry.TraceInstall, m.Key, m.Seq, from)
 				r.emit(Event{Kind: EventInstalled, Key: m.Key, Value: m.Value, Seq: m.Seq, Peer: from, Trace: m.Trace})
 			} else if accepted {
@@ -501,9 +518,6 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 					// A new version: the record's fold follows it, and the
 					// entry leaves its lease, whose fold names the old one
 					// (after the jitter above read the lease's stamp).
-					if p == nil {
-						p = r.peers.resolve(e.peer)
-					}
 					r.peers.refold(p, old, wire.StateHash(m.Key, m.Seq, m.Value))
 					r.unlease(p, e)
 				}
@@ -513,9 +527,7 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 				if r.prof.HardState {
 					// The sender is alive and owns the key.
 					e.aux = 0
-					if p != nil {
-						p.answered(now)
-					}
+					p.answered(now)
 				}
 				// Stale traffic must not renew a soft-state lifetime: if a
 				// forged or mis-delivered frame ever installed a higher
@@ -532,13 +544,17 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 		}
 		// An entry that exists — every refresh, every retransmitted
 		// trigger — is found straight from the scratch buffer; only a first
-		// install pays for the table key string, and only a stranger's for
-		// formatting its address.
+		// install pays for the table key string. It is filed under its
+		// sender's record, pinned from the lookup that gives the id to the
+		// upsert, so a record whose last entry goes meanwhile is not reaped
+		// under it; install takes the pin over, or it is released here.
 		renew := func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) { install(e, false, tc) }
-		if p == nil {
-			r.tbl.Upsert(RKey(from, m.Key), install)
-		} else if ck := sc.key(m.Key); !r.tbl.UpdateBytes(ck, renew) {
-			r.tbl.Upsert(string(ck), install)
+		if p == nil || !r.tbl.UpdateBytes(sc.key(m.Key), renew) {
+			p, pinned = r.peers.pin(p, from), true
+			r.tbl.Upsert(string(sc.use(p).key(m.Key)), install)
+			if pinned {
+				r.peers.unpin(p)
+			}
 		}
 	case wire.TypeRemoval:
 		if r.source(sc, from) != nil {
@@ -673,14 +689,14 @@ func (r *Receiver) armTimeout(tc statetable.TimerControl[receiverEntry]) {
 
 // onTimeout fires when a key's state timeout expires; it runs on a shard's
 // timer callback with the shard locked.
-func (r *Receiver) onTimeout(_ string, _ statetable.TimerKind, e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
+func (r *Receiver) onTimeout(ck string, _ statetable.TimerKind, e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
 	if r.closed.Load() {
 		return
 	}
 	// The entry's own timer is where the per-key path last put it; summaries
 	// that extended its lease since have moved its deadline without it.
 	if r.prof.Refresh && e.aux != 0 {
-		if tick, _ := r.leased(r.peers.resolve(e.peer), e); tc.Ahead(tick) {
+		if tick, _ := r.leased(r.peers.resolve(ownerID(ck)), e); tc.Ahead(tick) {
 			tc.ScheduleAt(timerTimeout, tick)
 			return
 		}
@@ -697,8 +713,9 @@ func (r *Receiver) onTimeout(_ string, _ statetable.TimerKind, e *receiverEntry,
 // peer's record) and emits the given event, returning the entry's user key
 // and its sender's address; callers hold the entry's shard lock via tc.
 func (r *Receiver) drop(e *receiverEntry, tc statetable.TimerControl[receiverEntry], kind EventKind) (string, net.Addr) {
-	p := r.peers.resolve(e.peer)
-	key, value, peer := p.userKey(tc.Key()), e.value, p.addr
+	ck := tc.Key()
+	p := r.peers.resolve(ownerID(ck))
+	key, value, peer := userKey(ck), e.value, p.addr
 	tc.Delete()
 	r.unlease(p, e)
 	r.peers.uninstall(p, wire.StateHash(key, e.lastSeq, value))

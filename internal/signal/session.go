@@ -2,7 +2,6 @@ package signal
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"slices"
@@ -77,28 +76,15 @@ type Sessions struct {
 	byIDMu sync.RWMutex
 	byID   map[uint32]*Session
 
-	// retired remembers the last sequence number of each evicted session
-	// so a returning peer's new session resumes the address's sequence
-	// space instead of restarting it (receivers discard lower-seq
-	// payloads as stale retransmissions). Entries are pruned by the
-	// reaper after retiredTTLFactor further idle periods — by then any
-	// receiver-side state for the silent peer has long expired or been
-	// orphan-probed away (PeerIdleTimeout is documented to exceed the
-	// timeout), so a later return may safely restart at zero and the map
-	// never grows past the recently-evicted set. An address's bookmark is
-	// only written while its peer-table shard is write-locked.
-	retired sync.Map // address string → retiredPeer
+	// floor is the highest sequence number an evicted session reached. A
+	// new session starts at or above it, so a peer that returns after
+	// eviction resumes its sequence space instead of restarting it
+	// (receivers discard lower-seq payloads as stale retransmissions). An
+	// eviction raises it while holding the address's peer-table shard
+	// lock, which the address's next session is created under; reaps are
+	// serialized by sweepMu, so raising needs no compare-and-swap.
+	floor atomic.Uint64
 }
-
-// retiredPeer is one evicted address's sequence-space bookmark.
-type retiredPeer struct {
-	seq uint64
-	at  time.Duration // clock offset of the eviction
-}
-
-// retiredTTLFactor is how many idle periods a retired bookmark outlives
-// its eviction before the reaper prunes it.
-const retiredTTLFactor = 4
 
 // seqEpoch anchors the time-derived sequence base shared by every
 // Sessions instance on a clock. clock.Virtual's origin is this same
@@ -111,7 +97,7 @@ var seqEpoch = time.Date(2003, 8, 25, 0, 0, 0, 0, time.UTC) // SIGCOMM '03
 // session: the clock's nanoseconds since seqEpoch. Receivers keep only a
 // per-(source, key) high-water mark and discard lower sequence numbers as
 // stale, so a sender that crashes and restarts — a fresh Sessions on the
-// same address, with no retired bookmark to resume — must come back
+// same address, with no evicted session's floor to resume — must come back
 // numerically above its previous incarnation or every trigger it sends is
 // dropped as a replay and every summary renewal is ignored. Deriving the
 // base from the clock gives exactly that: a later incarnation starts
@@ -209,29 +195,12 @@ func (e *senderEntry) trace() wire.TraceContext {
 // setTrace stores tc's origin stamp and hop count.
 func (e *senderEntry) setTrace(tc wire.TraceContext) { e.originNs, e.hops = tc.OriginNs, tc.Hops }
 
-// sessionKey prefixes key with the owning session's 4-byte id, giving
-// every (peer, key) pair its own slot — and its own timers — in the
-// shared table.
-func sessionKey(id uint32, key string) string {
-	var p [4]byte
-	binary.BigEndian.PutUint32(p[:], id)
-	return string(p[:]) + key
-}
-
-// userKey strips the session-id prefix from a composite table key.
-func userKey(ck string) string { return ck[4:] }
-
-// sessionID reads the session id heading a composite table key.
-func sessionID(ck string) uint32 {
-	return uint32(ck[0])<<24 | uint32(ck[1])<<16 | uint32(ck[2])<<8 | uint32(ck[3])
-}
-
 // resolve returns the session whose id heads table key ck: the filed
 // session that owns the entry (nil only if the invariants are broken).
 func (ss *Sessions) resolve(ck string) *Session {
 	ss.byIDMu.RLock()
 	defer ss.byIDMu.RUnlock()
-	return ss.byID[sessionID(ck)]
+	return ss.byID[ownerID(ck)]
 }
 
 // file makes s resolvable by its id.
@@ -284,28 +253,19 @@ func (ss *Sessions) summaryMode() bool {
 // are identified by their address string, so the same address always maps
 // to the same session.
 func (ss *Sessions) Session(peer net.Addr) *Session {
-	addr := peer.String()
-	return ss.peers.getOrCreate(addr, func() *Session {
+	return ss.peers.getOrCreate(peer.String(), func() *Session {
 		s := &Session{ss: ss, id: ss.nextID.Add(1), peer: peer}
 		// A previously evicted peer returning resumes its sequence space so
 		// receivers do not mistake the new session's traffic for stale
-		// retransmissions of the old one. The bookmark still matters in
+		// retransmissions of the old one. The floor still matters in
 		// virtual time, where a burst of operations can outrun the
 		// nanosecond base within one instant.
-		s.seq.Store(max(ss.incarnationSeq(), ss.unretire(addr)))
+		s.seq.Store(max(ss.incarnationSeq(), ss.floor.Load()))
 		s.lastActive.Store(int64(ss.clk.Since(ss.born)))
 		ss.file(s)
 		ss.peersDirty.Store(true)
 		return s
 	})
-}
-
-// unretire forgets addr's retired sequence bookmark and returns it (0 if
-// there was none).
-func (ss *Sessions) unretire(addr string) uint64 {
-	rp, _ := ss.retired.LoadAndDelete(addr)
-	seq, _ := rp.(retiredPeer)
-	return seq.seq
 }
 
 // Lookup returns the existing session for a source address, if any —
@@ -393,7 +353,7 @@ func (s *Session) Peer() net.Addr { return s.peer }
 func (s *Session) Live() int { return int(s.live.Load()) }
 
 // key builds the session-scoped table key for a user key.
-func (s *Session) key(key string) string { return sessionKey(s.id, key) }
+func (s *Session) key(key string) string { return tableKey(s.id, key) }
 
 // Install installs (or reinstalls) state for key at this peer.
 func (s *Session) Install(key string, value []byte) error {
@@ -578,7 +538,7 @@ func (s *Session) Remove(key string) error {
 func (s *Session) Keys() []string {
 	out := make([]string, 0, s.live.Load())
 	s.ss.tbl.Range(func(ck string, e *senderEntry) bool {
-		if sessionID(ck) == s.id && !e.removing {
+		if ownerID(ck) == s.id && !e.removing {
 			out = append(out, userKey(ck))
 		}
 		return true
@@ -843,7 +803,7 @@ func (ss *Sessions) rebuildFrames(sessions []*Session) (encoded int) {
 	}
 	sk := sweepKeys{ss.sweepScratch.cks[:0], ss.sweepScratch.hashes[:0]}
 	ss.tbl.Range(func(ck string, e *senderEntry) bool {
-		if !e.removing && stale(sessionID(ck)) {
+		if !e.removing && stale(ownerID(ck)) {
 			sk.cks = append(sk.cks, ck)
 			sk.hashes = append(sk.hashes, wire.StateHash(userKey(ck), e.seq, e.value))
 		}
@@ -857,7 +817,7 @@ func (ss *Sessions) rebuildFrames(sessions []*Session) (encoded int) {
 		}
 		sess.frames.stale = false
 		n := 0
-		for ; n < len(cks) && sessionID(cks[n]) == sess.id; n++ {
+		for ; n < len(cks) && ownerID(cks[n]) == sess.id; n++ {
 			cks[n] = userKey(cks[n])
 		}
 		sess.frames.encode(cks[:n], hashes[:n], ss.cfg.SummaryMaxKeys, sess.seq.Load())
@@ -1073,8 +1033,8 @@ func (ss *Sessions) reap() {
 
 // reapIdle drops every session that owns no table entries (no live keys,
 // no pending removals) and has been quiet for PeerIdleTimeout, bounding
-// the peer table under churn. The evicted address's sequence space is
-// retired in the shard so a returning peer resumes it. Then it unfiles
+// the peer table under churn. Each eviction raises the sequence floor in
+// the address's shard so a returning peer resumes its space. Then it unfiles
 // every gone session that is as idle: the ones just evicted, and detached
 // handles whose entries have drained.
 func (ss *Sessions) reapIdle() {
@@ -1083,17 +1043,13 @@ func (ss *Sessions) reapIdle() {
 	reapable := func(s *Session) bool {
 		return s.tabled.Load() == 0 && now-time.Duration(s.lastActive.Load()) >= idle
 	}
-	ss.retired.Range(func(addr, rp any) bool {
-		if now-rp.(retiredPeer).at >= retiredTTLFactor*idle {
-			ss.retired.Delete(addr)
-		}
-		return true
-	})
-	ss.peers.deleteIf(func(addr string, s *Session) bool {
+	ss.peers.deleteIf(func(_ string, s *Session) bool {
 		if !reapable(s) {
 			return false
 		}
-		ss.retired.Store(addr, retiredPeer{seq: s.seq.Load(), at: now})
+		if seq := s.seq.Load(); seq > ss.floor.Load() {
+			ss.floor.Store(seq)
+		}
 		s.gone.Store(true)
 		ss.evictions.Add(1)
 		ss.peersDirty.Store(true)
@@ -1114,9 +1070,7 @@ func (ss *Sessions) reapIdle() {
 // traffic still flows, but inbound replies route to the table's session
 // for the address), and filed by id until its entries drain.
 func (ss *Sessions) reattach(s *Session) {
-	addr := s.peer.String()
-	ss.peers.getOrCreate(addr, func() *Session {
-		ss.unretire(addr)
+	ss.peers.getOrCreate(s.peer.String(), func() *Session {
 		s.gone.Store(false)
 		ss.peersDirty.Store(true)
 		return s

@@ -122,7 +122,10 @@ func (g *summaryRig) install(from net.Addr, seq uint64, keys ...string) {
 // held lists the keys from holds, sorted.
 func (g *summaryRig) held(from net.Addr) []string {
 	var out []string
-	prefix := RKey(from, "")
+	prefix, ok := g.rcv.keyOf(from, "")
+	if !ok {
+		return nil
+	}
 	g.rcv.tbl.Range(func(ck string, _ *receiverEntry) bool {
 		if key, ok := strings.CutPrefix(ck, prefix); ok {
 			out = append(out, key)
