@@ -60,6 +60,17 @@ func corpusSeeds() [][]byte {
 		// renewed "w0" for ever; the fold of the sender's versions makes
 		// the receiver NACK the list, and the re-trigger repairs k0.
 		append([]byte{6}, "\x01\x00\x01\x05\x04\x00\x02\x018A00"...),
+		// A ghost created while its record's audit is open: k6's trigger
+		// (frame 2) replayed after its acked removal opens the audit, and
+		// k1's (frame 1), replayed after k1's removal, comes back into it. A
+		// retransmission is not an answer, so the second ghost is probed
+		// until it is orphaned too.
+		seedTrace(4, install(0), install(1), install(6), tick(5), Op{OpRemove, 6}, tick(10), Op{OpReplay, 2},
+			tick(31), tick(31), tick(31), tick(31), tick(31), Op{OpRemove, 1}, tick(5), Op{OpReplay, 1}),
+		// A ghost replayed twice: the second replay of k6's trigger, long
+		// after the first, must not count as the sender's answer.
+		seedTrace(4, install(0), install(6), tick(5), Op{OpRemove, 6}, tick(10), Op{OpReplay, 1},
+			tick(31), tick(31), tick(31), tick(31), tick(31), Op{OpReplay, 1}),
 	}
 	return seeds
 }

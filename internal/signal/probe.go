@@ -25,7 +25,9 @@ import (
 // each key's unanswered probes in receiverEntry.aux, so a key the sender no
 // longer owns — an install replayed after an acked removal, or a previous
 // incarnation's leftover — is still orphaned after MaxProbeMisses of them.
-// An audit round that finds every held key answered settles the
+// Only a per-key probe-ack answers a key: an accepted trigger under an
+// audit, which a replay can be, restarts the key's count but leaves it
+// unanswered. An audit round that finds every held key answered settles the
 // disagreement until either pair changes: a key missing here (a false
 // removal whose notify was lost), or one held at another version than the
 // sender's, costs one audit, not one per round.
@@ -92,6 +94,13 @@ func (r *Receiver) handleProbeAck(m wire.Message, from net.Addr, sc *dispatchScr
 	r.tbl.UpdateBytes(sc.key(m.Key), func(e *receiverEntry, _ statetable.TimerControl[receiverEntry]) {
 		e.aux = 0
 	})
+}
+
+// auditing reports whether p's pair is under audit.
+func (t *peerTable) auditing(p *peer) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return p.audit.open
 }
 
 // peerAnswered takes the sender's pair from a peer probe-ack: agreement
@@ -222,12 +231,12 @@ func (r *Receiver) walkRound(walk map[uint32]walkKind, holding []*peer) {
 		switch k := walk[p.id]; {
 		case k == 0, k == walkAudit && e.aux == 0:
 			return // not walked this round, or answered
-		case k == walkOrphan, k == walkAudit && e.aux >= limit:
+		case k == walkOrphan, k == walkAudit && e.aux > limit:
 			key, to := r.drop(e, tc, EventOrphaned)
 			r.probeBW.add(wire.Message{Type: wire.TypeNotify, Key: key}, to)
 			return
 		case k == walkAuditFirst:
-			e.aux = 1
+			e.aux = 2 // unanswered, and this round's probe sent
 		default:
 			e.aux++
 		}

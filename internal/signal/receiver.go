@@ -60,10 +60,10 @@ type receiverEntry struct {
 	lastSeq uint64
 	// aux is the word the two lifetime mechanisms share, since a profile has
 	// one or the other. Refresh profiles name the entry's datagram lease in
-	// it (lease.go), 0 for none. Hard state counts in it the per-key probes
-	// the sender left unanswered while an audit of its pair runs (probe.go);
-	// MaxProbeMisses of them orphan the entry, and outside an audit it is
-	// unused.
+	// it (lease.go), 0 for none. While an audit of its pair runs, hard state
+	// keeps in it 0 for a key a per-key probe-ack answered, else 1 + the
+	// probes sent since the key was last heard of (probe.go); MaxProbeMisses
+	// such probes orphan the entry. Outside an audit it is unused.
 	aux uint32
 	// renewedAt stamps the last accepted renewal (trigger, refresh, or
 	// summary), feeding the refresh-jitter histogram; biased by +1 ns so
@@ -525,8 +525,14 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 					r.observeTrace(m, from)
 				}
 				if r.prof.HardState {
-					// The sender is alive and owns the key.
+					// The sender is alive. A retransmission resets the key's
+					// miss count but is not an answer: a replay after an acked
+					// removal looks the same, so under an audit the key stays
+					// probed until a probe-ack answers for it.
 					e.aux = 0
+					if r.peers.auditing(p) {
+						e.aux = 1
+					}
 					p.answered(now)
 				}
 				// Stale traffic must not renew a soft-state lifetime: if a
