@@ -25,10 +25,10 @@
 //	    over a single socket (per-destination sessions, one summary
 //	    stream per peer with -summary-refresh).
 //
-// The protocol is selected with -protocol (any spelling variant.Parse
-// accepts, e.g. -protocol ss+rtr) or the legacy -proto; both resolve to
-// a variant.Profile, the one knob that switches every mechanism (refresh,
-// explicit removal, reliable trigger/removal, hard-state orphan probes).
+// The protocol is selected with -proto (any spelling variant.Parse
+// accepts, e.g. -proto ss+rtr), the one knob that switches every
+// mechanism (refresh, explicit removal, reliable trigger/removal,
+// hard-state orphan probes).
 //
 // Scaling knobs: -shards sets the state-table shard count (one lock and
 // one timing-wheel timer per shard), -summary-refresh batches up to
@@ -59,9 +59,7 @@ import (
 func main() {
 	var (
 		mode     = flag.String("mode", "demo", "serve, send, relay, or demo")
-		proto    = flag.String("proto", "SS+ER", "protocol: SS, SS+ER, SS+RT, SS+RTR, HS")
-		protocol = flag.String("protocol", "",
-			"protocol variant (ss, ss+er, ss+rt, ss+rtr, hs; any spelling variant.Parse accepts); overrides -proto")
+		proto    = flag.String("proto", "SS+ER", "protocol: SS, SS+ER, SS+RT, SS+RTR, HS (any spelling variant.Parse accepts)")
 		addr     = flag.String("addr", "127.0.0.1:7413", "listen address (serve, relay)")
 		peer     = flag.String("peer", "127.0.0.1:7413", "receiver address (send); next hop (relay)")
 		peers    = flag.String("peers", "", "comma-separated receiver addresses for multi-peer fan-out (send)")
@@ -106,11 +104,7 @@ func main() {
 	)
 	flag.Parse()
 
-	name := *proto
-	if *protocol != "" {
-		name = *protocol
-	}
-	prof, err := variant.Parse(name)
+	prof, err := variant.Parse(*proto)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "signald:", err)
 		os.Exit(2)
@@ -120,7 +114,6 @@ func main() {
 	bindAddr = *bind
 	cfg := sig.Config{
 		Protocol:        prof.Proto,
-		Variant:         &prof,
 		RefreshInterval: *refresh,
 		Timeout:         3 * *refresh,
 		Retransmit:      200 * time.Millisecond,
@@ -206,7 +199,7 @@ func serve(addr string, cfg sig.Config) error {
 	if err != nil {
 		return err
 	}
-	cfg.OnEvent = tele.paper(*cfg.Variant, "receiver", false)
+	cfg.OnEvent = tele.paper(cfg.Protocol, "receiver", false)
 	registerConn(conn, cfg.Metrics, "serve")
 	rcv, err := sig.NewReceiver(conn, cfg)
 	if err != nil {
@@ -244,7 +237,7 @@ func send(peerAddr string, cfg sig.Config, key string, value []byte, hold time.D
 	if err != nil {
 		return err
 	}
-	cfg.OnEvent = tele.paper(*cfg.Variant, "sender", cfg.Variant.ReliableTrigger)
+	cfg.OnEvent = tele.paper(cfg.Protocol, "sender", true)
 	registerConn(conn, cfg.Metrics, "send")
 	snd, err := sig.NewSender(conn, raddr, cfg)
 	if err != nil {
@@ -308,7 +301,7 @@ func relay(addr, nextHop string, cfg sig.Config) error {
 		up.Close()
 		return err
 	}
-	cfg.OnEvent = tele.paper(*cfg.Variant, "relay", false)
+	cfg.OnEvent = tele.paper(cfg.Protocol, "relay", false)
 	registerConn(up, cfg.Metrics, "upstream")
 	registerConn(down, cfg.Metrics, "downstream")
 	rly, err := node.NewRelay(up, down, next, cfg)
@@ -370,7 +363,7 @@ func fanout(peerList []string, cfg sig.Config, key string, value []byte, count i
 	if err != nil {
 		return err
 	}
-	cfg.OnEvent = tele.paper(*cfg.Variant, "node", cfg.Variant.ReliableTrigger)
+	cfg.OnEvent = tele.paper(cfg.Protocol, "node", true)
 	registerConn(conn, cfg.Metrics, "fanout")
 	n, err := node.New(conn, cfg)
 	if err != nil {
@@ -446,7 +439,7 @@ func demo(cfg sig.Config, loss float64) error {
 		return err
 	}
 	scfg := cfg
-	scfg.OnEvent = tele.paper(*cfg.Variant, "sender", cfg.Variant.ReliableTrigger)
+	scfg.OnEvent = tele.paper(cfg.Protocol, "sender", true)
 	snd, err := sig.NewSender(a, b.LocalAddr(), scfg)
 	if err != nil {
 		return err

@@ -7,8 +7,8 @@ import (
 	"softstate/internal/variant"
 )
 
-// TestProtoFlagSpellings: both -proto and -protocol resolve through
-// variant.Parse, so the paper spellings keep working.
+// TestProtoFlagSpellings: -proto resolves through variant.Parse, so the
+// paper spellings keep working.
 func TestProtoFlagSpellings(t *testing.T) {
 	cases := map[string]singlehop.Protocol{
 		"SS":     singlehop.SS,

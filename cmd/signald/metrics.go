@@ -83,15 +83,16 @@ func (t *telem) registry() *telemetry.Registry {
 }
 
 // paper creates and registers the paper-metric collector and returns the
-// event hook feeding it (nil when telemetry is off). ackExpected should
-// be true for sender-side endpoints of reliable-trigger variants, where
-// a key is provably inconsistent from each trigger until its ack.
-func (t *telem) paper(prof variant.Profile, role string, ackExpected bool) func(sig.Event) {
+// event hook feeding it (nil when telemetry is off). sender says the
+// endpoint originates state: under a reliable-trigger variant a key there
+// is provably inconsistent from each trigger until its ack.
+func (t *telem) paper(proto sig.Protocol, role string, sender bool) func(sig.Event) {
 	if t == nil {
 		return nil
 	}
+	prof := variant.For(proto)
 	t.pm = telemetry.NewPaperMetrics(telemetry.PaperConfig{
-		AckExpected: ackExpected,
+		AckExpected: sender && prof.ReliableTrigger,
 		Sent: func() int64 {
 			if f := t.sent.Load(); f != nil {
 				return (*f)()
@@ -100,7 +101,7 @@ func (t *telem) paper(prof variant.Profile, role string, ackExpected bool) func(
 		},
 	})
 	t.pm.Register(t.reg, telemetry.Labels{"protocol": prof.Name, "role": role})
-	return paperHook(t.pm)
+	return sig.PaperHook(t.pm)
 }
 
 // setSent installs the endpoint's cumulative datagram supplier once the
@@ -150,26 +151,4 @@ func (t *telem) close() {
 	t.srv.Close()
 	fmt.Fprintln(os.Stderr, "signald: final metrics snapshot")
 	t.dump(os.Stderr)
-}
-
-// paperHook adapts the signal event stream to the paper-metric
-// collector's key-lifecycle view. Keys are qualified by peer address so a
-// fan-out node's identical keys at different receivers do not alias.
-func paperHook(pm *telemetry.PaperMetrics) func(sig.Event) {
-	return func(ev sig.Event) {
-		key := ev.Key
-		if ev.Peer != nil {
-			key = ev.Peer.String() + "\x00" + key
-		}
-		switch ev.Kind {
-		case sig.EventInstalled, sig.EventUpdated, sig.EventRepaired:
-			pm.OnInstall(key)
-		case sig.EventAcked:
-			pm.OnAck(key)
-		case sig.EventRemoved, sig.EventGaveUp:
-			pm.OnRemove(key)
-		case sig.EventExpired, sig.EventOrphaned, sig.EventFalseRemoval:
-			pm.OnLost(key)
-		}
-	}
 }

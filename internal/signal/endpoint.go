@@ -36,7 +36,7 @@ type endpoint struct {
 
 func (ep *endpoint) init(conn net.PacketConn, cfg Config) {
 	cfg = cfg.withDefaults()
-	ep.cfg, ep.prof = cfg, *cfg.Variant
+	ep.cfg, ep.prof = cfg, variant.For(cfg.Protocol)
 	ep.tp.bc = transport.As(conn)
 	ep.clk = clock.Or(cfg.Clock)
 	ep.born = ep.clk.Now()

@@ -14,6 +14,8 @@ func wireTrigger(seq uint64, key string, value []byte) wire.Message {
 // tkey is r's table key of key from the sender at from, "" if from holds
 // nothing there.
 func tkey(r *Receiver, from net.Addr, key string) string {
-	ck, _ := r.keyOf(from, key)
-	return ck
+	if p := r.peers.byAddr.get(from.String()); p != nil {
+		return tableKey(p.id, key)
+	}
+	return ""
 }

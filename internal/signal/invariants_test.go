@@ -73,8 +73,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 
 	// Receiver: a record left behind with nothing to hold.
 	other := c.rcv.peers.pin(nil, testAddr("stranger"))
-	c.rcv.peers.install(other, 0)
-	other.entries--
+	other.pins--
 	if bad := c.rcv.CheckInvariants(); len(bad) == 0 {
 		t.Fatal("receiver empty peer record not detected")
 	}

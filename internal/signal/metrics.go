@@ -186,3 +186,25 @@ func (r *Receiver) registerMetrics() {
 	}, func() float64 { return float64(r.NumPeers()) })
 	registerTableGauges(reg, labels, r.tbl)
 }
+
+// PaperHook adapts an endpoint's event stream to the paper-metric
+// collector's key-lifecycle view. Keys are named by RKey, so one key held
+// at several peers does not alias.
+func PaperHook(pm *telemetry.PaperMetrics) func(Event) {
+	return func(ev Event) {
+		key := ev.Key
+		if ev.Peer != nil {
+			key = RKey(ev.Peer, key)
+		}
+		switch ev.Kind {
+		case EventInstalled, EventUpdated, EventRepaired:
+			pm.OnInstall(key)
+		case EventAcked:
+			pm.OnAck(key)
+		case EventRemoved, EventGaveUp:
+			pm.OnRemove(key)
+		case EventExpired, EventOrphaned, EventFalseRemoval:
+			pm.OnLost(key)
+		}
+	}
+}

@@ -100,15 +100,13 @@ func (am *addrMap[T]) all() []*T {
 	return out
 }
 
-// Both ends key their state table alike: a 4-byte big-endian record id —
-// the sender's Session, the receiver's peer record — followed by the user
-// key, so every (peer, key) pair has its own slot and timers, and an
+// idLen is the length of the record id heading a table key. Both ends key
+// their state table alike: tableKey puts the 4-byte big-endian id of the
+// owning record — the sender's Session, the receiver's peer — before the
+// user key, so every (peer, key) pair has its own slot and timers, and an
 // entry's owner is read from its key.
-
-// idLen is the length of the record id heading a table key.
 const idLen = 4
 
-// tableKey is the table key of key under the record with the given id.
 func tableKey(id uint32, key string) string {
 	var p [idLen]byte
 	binary.BigEndian.PutUint32(p[:], id)
@@ -176,16 +174,16 @@ type peerTable struct {
 	probing bool
 }
 
-// resolve returns the record an installed entry's id names.
-func (t *peerTable) resolve(id uint32) *peer {
+// resolve returns the record whose id heads table key ck.
+func (t *peerTable) resolve(ck string) *peer {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.byID[id]
+	return t.byID[ownerID(ck)]
 }
 
 // lock takes mu and returns from's live record, creating it if the address
 // has none; p is the record the caller remembers for from, if any. The
-// caller gives the record an entry or an ack before unlocking.
+// caller gives the record a pin or an ack before unlocking.
 func (t *peerTable) lock(p *peer, from net.Addr) *peer {
 	t.mu.Lock()
 	if p == nil || p.gone.Load() {
@@ -211,8 +209,8 @@ func (t *peerTable) reap(p *peer) {
 }
 
 // pin returns from's live record (p, if the caller remembers one), creating
-// it if the address has none, and keeps it from being reaped until install
-// or unpin: the caller is about to file an entry under its id.
+// it if the address has none, and keeps it from being reaped until unpin:
+// the caller is about to file an entry under its id.
 func (t *peerTable) pin(p *peer, from net.Addr) *peer {
 	p = t.lock(p, from)
 	p.pins++
@@ -220,7 +218,7 @@ func (t *peerTable) pin(p *peer, from net.Addr) *peer {
 	return p
 }
 
-// unpin releases a pin that filed no entry.
+// unpin releases a pin, reaping the record if it holds nothing.
 func (t *peerTable) unpin(p *peer) {
 	t.mu.Lock()
 	p.pins--
@@ -228,14 +226,13 @@ func (t *peerTable) unpin(p *peer) {
 	t.mu.Unlock()
 }
 
-// install turns one of p's pins into an entry, folding in hash, the
-// StateHash of its user key, seq and value. arm reports that the entry is
-// the first any record holds since the probe round last stopped: a
-// hard-state caller arms the round.
+// install counts one more entry under p, which the caller pinned, folding
+// in hash, the StateHash of its user key, seq and value. arm reports that
+// the entry is the first any record holds since the probe round last
+// stopped: a hard-state caller arms the round.
 func (t *peerTable) install(p *peer, hash uint64) (arm bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p.pins--
 	p.entries++
 	p.fold += hash
 	arm, t.probing = !t.probing, true

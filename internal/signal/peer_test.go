@@ -235,10 +235,9 @@ func TestPeerReapVersusInstall(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				frame(wireTrigger(uint64(i+1), key, []byte("v")))
 				rcv.tbl.Update(tkey(rcv, from, key), func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
-					id := ownerID(tc.Key())
-					p := rcv.peers.resolve(id)
+					p := rcv.peers.resolve(tc.Key())
 					if p == nil {
-						t.Errorf("entry %q names peer %d, which has no record", key, id)
+						t.Errorf("entry %q names peer %d, which has no record", key, ownerID(tc.Key()))
 						return
 					}
 					rcv.peers.mu.RLock()

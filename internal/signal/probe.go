@@ -96,13 +96,6 @@ func (r *Receiver) handleProbeAck(m wire.Message, from net.Addr, sc *dispatchScr
 	})
 }
 
-// auditing reports whether p's pair is under audit.
-func (t *peerTable) auditing(p *peer) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return p.audit.open
-}
-
 // peerAnswered takes the sender's pair from a peer probe-ack: agreement
 // ends any audit, and a disagreement opens one unless an audit already
 // settled exactly this one.

@@ -133,22 +133,12 @@ func (r *Receiver) Get(key string) ([]byte, bool) {
 // GetFrom returns the value installed for key by the sender at from — an
 // O(1) lookup on the (peer, key) table.
 func (r *Receiver) GetFrom(from net.Addr, key string) ([]byte, bool) {
-	if ck, ok := r.keyOf(from, key); ok {
-		if e, ok := r.tbl.Get(ck); ok {
+	if p := r.peers.byAddr.get(from.String()); p != nil {
+		if e, ok := r.tbl.Get(tableKey(p.id, key)); ok {
 			return append([]byte{}, e.value...), true
 		}
 	}
 	return nil, false
-}
-
-// keyOf returns the table key of key from the sender at from, if from has
-// a record here.
-func (r *Receiver) keyOf(from net.Addr, key string) (string, bool) {
-	p := r.peers.byAddr.get(from.String())
-	if p == nil {
-		return "", false
-	}
-	return tableKey(p.id, key), true
 }
 
 // Len returns the number of installed (peer, key) entries.
@@ -267,7 +257,7 @@ func (r *Receiver) dispatch(data []byte, from net.Addr, scratch *dispatchScratch
 type dispatchScratch struct {
 	from    net.Addr      // the address the last frame came from, as the transport gave it
 	peer    *peer         // that source's record, whose id heads ck; nil for a stranger
-	ck      []byte        // the table key, rebuilt per key past the record's id
+	ck      []byte        // the table key: that record's id, then the user key
 	seq     uint64        // current datagram's sequence number
 	now     time.Duration // clock offset at the stamp (metrics)
 	unknown []string
@@ -338,19 +328,10 @@ func (r *Receiver) newDispatchScratch() *dispatchScratch {
 // a netip.AddrPort and remembered in the first one's place.
 func (r *Receiver) source(sc *dispatchScratch, from net.Addr) *peer {
 	if p := sc.peer; p == nil || p.gone.Load() || (from != sc.from && !sameAddr(from, p.addr)) {
-		if sc.peer = r.peers.byAddr.get(from.String()); sc.peer != nil {
-			sc.use(sc.peer)
-		}
+		sc.peer = r.peers.byAddr.get(from.String())
 	}
 	sc.from = from
 	return sc.peer
-}
-
-// use makes p the current source's record, whose id heads every key built.
-func (sc *dispatchScratch) use(p *peer) *dispatchScratch {
-	sc.peer = p
-	sc.ck = binary.BigEndian.AppendUint32(sc.ck[:0], p.id)
-	return sc
 }
 
 // sameAddr reports whether a, which is not the interface value b's record
@@ -373,9 +354,9 @@ func udpAddrPort(a *net.UDPAddr) netip.AddrPort {
 }
 
 // key builds the current source's table key for key in the scratch buffer,
-// valid until the next source or key. A stranger has none.
+// valid until the next key. A stranger has none.
 func (sc *dispatchScratch) key(key string) []byte {
-	sc.ck = append(sc.ck[:idLen], key...)
+	sc.ck = append(binary.BigEndian.AppendUint32(sc.ck[:0], sc.peer.id), key...)
 	return sc.ck
 }
 
@@ -415,7 +396,7 @@ func (r *Receiver) handleSummaryFast(data []byte, from net.Addr, sc *dispatchScr
 	}
 	sc.seq, sc.unknown, sc.found, sc.fold = seq, sc.unknown[:0], 0, 0
 	if p != nil {
-		sc.ck = sc.ck[:idLen]
+		sc.key("")
 	}
 	if err := wire.VisitKeyList(seq, n, list, &sc.ck, sc.check); err != nil {
 		r.ctrs.decodeErrors.Add(1)
@@ -479,7 +460,7 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 		if r.measure {
 			now = r.clk.Since(r.born) + 1
 		}
-		p, pinned := r.source(sc, from), false
+		p := r.source(sc, from)
 		install := func(e *receiverEntry, created bool, tc statetable.TimerControl[receiverEntry]) {
 			// Accept only non-stale payloads: a retransmitted old trigger
 			// must not clobber a newer value (sequence numbers are monotone
@@ -488,7 +469,6 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 			var old uint64 // the hash of the version an accepted change replaces
 			versioned := false
 			if created {
-				pinned = false
 				if r.peers.install(p, wire.StateHash(m.Key, m.Seq, m.Value)) && r.prof.HardState {
 					r.probeTimer.Reset(r.cfg.ProbeInterval)
 				}
@@ -530,9 +510,11 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 					// removal looks the same, so under an audit the key stays
 					// probed until a probe-ack answers for it.
 					e.aux = 0
-					if r.peers.auditing(p) {
+					r.peers.mu.RLock()
+					if p.audit.open {
 						e.aux = 1
 					}
+					r.peers.mu.RUnlock()
 					p.answered(now)
 				}
 				// Stale traffic must not renew a soft-state lifetime: if a
@@ -553,14 +535,13 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 		// install pays for the table key string. It is filed under its
 		// sender's record, pinned from the lookup that gives the id to the
 		// upsert, so a record whose last entry goes meanwhile is not reaped
-		// under it; install takes the pin over, or it is released here.
+		// under it.
 		renew := func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) { install(e, false, tc) }
 		if p == nil || !r.tbl.UpdateBytes(sc.key(m.Key), renew) {
-			p, pinned = r.peers.pin(p, from), true
-			r.tbl.Upsert(string(sc.use(p).key(m.Key)), install)
-			if pinned {
-				r.peers.unpin(p)
-			}
+			p = r.peers.pin(p, from)
+			sc.peer = p
+			r.tbl.Upsert(string(sc.key(m.Key)), install)
+			r.peers.unpin(p)
 		}
 	case wire.TypeRemoval:
 		if r.source(sc, from) != nil {
@@ -702,7 +683,7 @@ func (r *Receiver) onTimeout(ck string, _ statetable.TimerKind, e *receiverEntry
 	// The entry's own timer is where the per-key path last put it; summaries
 	// that extended its lease since have moved its deadline without it.
 	if r.prof.Refresh && e.aux != 0 {
-		if tick, _ := r.leased(r.peers.resolve(ownerID(ck)), e); tc.Ahead(tick) {
+		if tick, _ := r.leased(r.peers.resolve(ck), e); tc.Ahead(tick) {
 			tc.ScheduleAt(timerTimeout, tick)
 			return
 		}
@@ -719,9 +700,8 @@ func (r *Receiver) onTimeout(ck string, _ statetable.TimerKind, e *receiverEntry
 // peer's record) and emits the given event, returning the entry's user key
 // and its sender's address; callers hold the entry's shard lock via tc.
 func (r *Receiver) drop(e *receiverEntry, tc statetable.TimerControl[receiverEntry], kind EventKind) (string, net.Addr) {
-	ck := tc.Key()
-	p := r.peers.resolve(ownerID(ck))
-	key, value, peer := userKey(ck), e.value, p.addr
+	p := r.peers.resolve(tc.Key())
+	key, value, peer := userKey(tc.Key()), e.value, p.addr
 	tc.Delete()
 	r.unlease(p, e)
 	r.peers.uninstall(p, wire.StateHash(key, e.lastSeq, value))

@@ -99,7 +99,7 @@ func TestSenderRestartNewIncarnation(t *testing.T) {
 			if val, ok := rcv.GetFrom(a2.LocalAddr(), "k"); !ok || string(val) != "v2" {
 				t.Fatalf("state did not survive after restart: ok=%v val=%q", ok, val)
 			}
-			if dcfg.Variant.HardState {
+			if dcfg.Protocol == HS {
 				if acks := snd2.Stats().Sent["probe-ack"]; acks == 0 {
 					t.Fatal("restarted hard-state sender answered no liveness probes")
 				}

@@ -14,7 +14,6 @@ import (
 	"softstate/internal/statetable"
 	"softstate/internal/telemetry"
 	"softstate/internal/transport"
-	"softstate/internal/variant"
 	"softstate/internal/wire"
 )
 
@@ -240,9 +239,6 @@ func NewSessions(conn net.PacketConn, cfg Config) *Sessions {
 	}
 	return ss
 }
-
-// Profile returns the mechanism bundle the sessions speak.
-func (ss *Sessions) Profile() variant.Profile { return ss.prof }
 
 // summaryMode reports whether refreshes are batched into summaries.
 func (ss *Sessions) summaryMode() bool {

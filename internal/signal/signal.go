@@ -45,13 +45,9 @@ const (
 
 // Config carries the timer settings shared by both endpoint roles.
 type Config struct {
-	// Protocol selects the mechanism bundle.
+	// Protocol selects the mechanism bundle, variant.For(Protocol): the one
+	// knob that switches the live stack between the paper's five protocols.
 	Protocol Protocol
-	// Variant, when non-nil, overrides the mechanism bundle derived from
-	// Protocol with an explicit variant.Profile — the one knob that
-	// switches the live stack between the paper's five protocols (or a
-	// custom mechanism mix). Nil derives variant.For(Protocol).
-	Variant *variant.Profile
 	// RefreshInterval is the soft-state refresh timer R.
 	RefreshInterval time.Duration
 	// Timeout is the receiver's state-timeout timer T. The paper's
@@ -89,10 +85,9 @@ type Config struct {
 	// activity for this long, bounding the per-destination peer table
 	// under churn. Keep it well above Timeout so a silently departed
 	// peer's receiver-side state expires before its session is recycled.
-	// An evicted peer's sequence space is retired and resumed if the peer
-	// returns within a few further idle periods (after which the bookmark
-	// is pruned — safe, since the receiver-side state is long gone by
-	// then). 0 keeps sessions forever.
+	// A new session starts at or above the highest sequence number an
+	// evicted one reached, so a returning peer resumes its sequence space.
+	// 0 keeps sessions forever.
 	PeerIdleTimeout time.Duration
 	// MaxRefreshRate, when positive, bounds the sender's aggregate
 	// refresh traffic to this many refreshes per second by stretching the
@@ -182,10 +177,6 @@ func DefaultConfig(proto Protocol) Config {
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig(c.Protocol)
-	if c.Variant == nil {
-		p := variant.For(c.Protocol)
-		c.Variant = &p
-	}
 	if c.RefreshInterval <= 0 {
 		c.RefreshInterval = d.RefreshInterval
 	}
@@ -452,7 +443,7 @@ func withLabel(labels telemetry.Labels, name, value string) telemetry.Labels {
 // metricsLabelsFor returns cfg's constant labels with the endpoint role
 // filled in (existing labels win over the defaults).
 func metricsLabelsFor(cfg Config, role string) telemetry.Labels {
-	out := telemetry.Labels{"role": role, "protocol": cfg.Variant.Name}
+	out := telemetry.Labels{"role": role, "protocol": variant.For(cfg.Protocol).Name}
 	for k, v := range cfg.MetricsLabels {
 		out[k] = v
 	}

@@ -122,8 +122,8 @@ func (g *summaryRig) install(from net.Addr, seq uint64, keys ...string) {
 // held lists the keys from holds, sorted.
 func (g *summaryRig) held(from net.Addr) []string {
 	var out []string
-	prefix, ok := g.rcv.keyOf(from, "")
-	if !ok {
+	prefix := tkey(g.rcv, from, "")
+	if prefix == "" {
 		return nil
 	}
 	g.rcv.tbl.Range(func(ck string, _ *receiverEntry) bool {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"softstate/internal/statetable"
-	"softstate/internal/variant"
 )
 
 // testAddr is a fake datagram source for direct handle-level injection.
@@ -251,27 +250,5 @@ func TestRetiredSeqResumeAndPrune(t *testing.T) {
 	}
 	if seq2 := s2.seq.Load(); seq2 < seq1 {
 		t.Fatalf("resumed seq = %d regressed below evicted %d", seq2, seq1)
-	}
-}
-
-// TestVariantProfileOverride: a custom profile in Config.Variant, not the
-// Protocol field, decides the mechanisms — the one-knob contract.
-func TestVariantProfileOverride(t *testing.T) {
-	// Protocol says SS, the profile says explicit removal: the removal
-	// message must be sent.
-	prof := variant.Profile{Name: "SS+ER(custom)", Refresh: true, ExplicitRemoval: true}
-	c := vEndpoints(t, SS, 0, func(cfg *Config) { cfg.Variant = &prof })
-	c.snd.Install("k", []byte("v"))
-	c.within(time.Second, "install", func() bool { _, ok := c.rcv.Get("k"); return ok })
-	before := c.clk.Elapsed()
-	if err := c.snd.Remove("k"); err != nil {
-		t.Fatal(err)
-	}
-	c.within(time.Second, "explicit removal", func() bool { _, ok := c.rcv.Get("k"); return !ok })
-	if elapsed := c.clk.Elapsed() - before; elapsed > fastConfig(SS).Timeout/2 {
-		t.Fatalf("removal took %v — profile override ignored, timeout removal used", elapsed)
-	}
-	if c.snd.Stats().Sent["removal"] == 0 {
-		t.Fatal("custom profile sent no removal message")
 	}
 }

@@ -170,7 +170,7 @@ func RunCensusAudit(cfg CensusConfig) (CensusResult, error) {
 		},
 	})
 	var originPeer string
-	hook := paperHook(pm)
+	hook := signal.PaperHook(pm)
 	scfg.OnEvent = func(ev signal.Event) {
 		if ev.Peer != nil && ev.Peer.String() == originPeer {
 			hook(ev)

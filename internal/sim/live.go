@@ -454,7 +454,7 @@ func buildLiveStack(cfg LiveConfig, scfg signal.Config, link lossy.Config) (*liv
 			},
 		})
 		pm.Register(cfg.Metrics, scfg.MetricsLabels)
-		scfg.OnEvent = paperHook(pm)
+		scfg.OnEvent = signal.PaperHook(pm)
 	}
 	snd, err := signal.NewSender(a, b.LocalAddr(), scfg)
 	if err != nil {
@@ -482,29 +482,6 @@ func buildLiveStack(cfg LiveConfig, scfg signal.Config, link lossy.Config) (*liv
 			rcv.Close()
 		},
 	}, nil
-}
-
-// paperHook adapts the signal event stream to the paper-metric
-// collector's key-lifecycle view (the same mapping signald uses). Keys
-// are qualified by peer address so identical keys at different receivers
-// do not alias.
-func paperHook(pm *telemetry.PaperMetrics) func(signal.Event) {
-	return func(ev signal.Event) {
-		key := ev.Key
-		if ev.Peer != nil {
-			key = ev.Peer.String() + "\x00" + key
-		}
-		switch ev.Kind {
-		case signal.EventInstalled, signal.EventUpdated, signal.EventRepaired:
-			pm.OnInstall(key)
-		case signal.EventAcked:
-			pm.OnAck(key)
-		case signal.EventRemoved, signal.EventGaveUp:
-			pm.OnRemove(key)
-		case signal.EventExpired, signal.EventOrphaned, signal.EventFalseRemoval:
-			pm.OnLost(key)
-		}
-	}
 }
 
 // ConsistencyVsLoss sweeps the loss rate, one RunLive per point — the

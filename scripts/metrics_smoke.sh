@@ -28,7 +28,7 @@ trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
 
 go build -o "$bin" ./cmd/signald
 
-"$bin" -mode serve -addr 127.0.0.1:0 -protocol ss+rtr \
+"$bin" -mode serve -addr 127.0.0.1:0 -proto ss+rtr \
 	-census -metrics-addr 127.0.0.1:0 >"$serve_log" 2>&1 &
 
 # signald prints "receiver on <addr>" and "metrics on http://<addr>/metrics"
@@ -65,7 +65,7 @@ fi
 # sender runs its own metrics listener with the convergence auditor and
 # every-key tracing on, so this side's census and trace surfaces are
 # scrapable too.
-"$bin" -mode send -peer "$serve_addr" -protocol ss+rtr \
+"$bin" -mode send -peer "$serve_addr" -proto ss+rtr \
 	-key smoke/key -value ok -hold 6s -refresh 300ms \
 	-census -trace-sample 1 -metrics-addr 127.0.0.1:0 \
 	>"$send_log" 2>&1 &

@@ -33,7 +33,7 @@ run_backend() {
 		exit 1
 	}
 
-	"$bin" -mode serve -addr 127.0.0.1:0 -protocol ss+rtr \
+	"$bin" -mode serve -addr 127.0.0.1:0 -proto ss+rtr \
 		-transport "$transport" "$@" \
 		-metrics-addr 127.0.0.1:0 >"$serve_log" 2>&1 &
 	local serve_pid=$!
@@ -64,7 +64,7 @@ run_backend() {
 		fail "metrics endpoint never answered at $metrics_addr"
 	fi
 
-	"$bin" -mode send -peer "$serve_addr" -protocol ss+rtr \
+	"$bin" -mode send -peer "$serve_addr" -proto ss+rtr \
 		-transport "$transport" \
 		-key "smoke/$transport" -value ok -hold 4s -refresh 300ms \
 		>"$send_log" 2>&1 &
