@@ -230,7 +230,7 @@ func (r *Receiver) leased(p *peer, e *receiverEntry) (tick int64, renewedAt time
 // lease (metrics only); 0 means never stamped.
 func (r *Receiver) lastRenewal(p *peer, e *receiverEntry) time.Duration {
 	at := e.renewedAt
-	if r.prof.Refresh && e.aux != 0 && p != nil {
+	if r.prof.Refresh && e.aux != 0 {
 		if _, leasedAt := r.leased(p, e); leasedAt > at {
 			at = leasedAt
 		}

@@ -54,12 +54,12 @@ func (am *addrMap[T]) getOrCreate(addr string, mk func() *T) *T {
 }
 
 // deleteIf removes every record evict, run under the shard's write lock, accepts.
-func (am *addrMap[T]) deleteIf(evict func(addr string, v *T) bool) {
+func (am *addrMap[T]) deleteIf(evict func(v *T) bool) {
 	for i := range am.shards {
 		sh := &am.shards[i]
 		sh.mu.Lock()
 		for addr, v := range sh.m {
-			if evict(addr, v) {
+			if evict(v) {
 				delete(sh.m, addr)
 			}
 		}
@@ -107,6 +107,7 @@ func (am *addrMap[T]) all() []*T {
 // entry's owner is read from its key.
 const idLen = 4
 
+// tableKey is the table key of key under the record with the given id.
 func tableKey(id uint32, key string) string {
 	var p [idLen]byte
 	binary.BigEndian.PutUint32(p[:], id)

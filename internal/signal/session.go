@@ -1039,7 +1039,7 @@ func (ss *Sessions) reapIdle() {
 	reapable := func(s *Session) bool {
 		return s.tabled.Load() == 0 && now-time.Duration(s.lastActive.Load()) >= idle
 	}
-	ss.peers.deleteIf(func(_ string, s *Session) bool {
+	ss.peers.deleteIf(func(s *Session) bool {
 		if !reapable(s) {
 			return false
 		}
