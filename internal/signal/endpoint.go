@@ -61,8 +61,9 @@ func (ep *endpoint) emit(ev Event) { ep.events.emit(ev) }
 
 // send encodes m onto a pooled buffer and transmits it to to, counting it
 // if the transport took it. The buffer is recycled as soon as the write
-// returns — safe because every transport (in-memory pipes, UDP sockets)
-// copies the datagram before WriteTo returns.
+// returns — safe because every transport copies the frame before WriteTo
+// returns: in-memory pipes and plain sockets send it, and a udp-batch
+// socket queues a copy for its writer.
 func (ep *endpoint) send(m wire.Message, to net.Addr) {
 	if to == nil {
 		return

@@ -14,10 +14,14 @@
 //     production path. A read delivers up to DefaultBatchSize frames; a
 //     sendmmsg lays out up to MaxWriteBatch, the summary sweep's batch,
 //     while the small writers (acks, probes) hand over DefaultBatchSize.
-//     A run of frames to one peer shares a kernel datagram up to the
-//     route's MTU (coalesce.go); every backend's reader splits it again. The x/net ipv4.PacketConn batch API would
-//     provide the same calls, but this repo builds hermetically with a
-//     zero-dep go.mod, so the two syscalls are bound directly.
+//     WriteTo (a trigger) copies its frame into the socket's queue and
+//     returns; the socket's writer sends the queue through the same
+//     sendmmsg path, and WriteBatch sends it before its own batch. A run
+//     of frames to one peer, queued or batched, shares a kernel datagram
+//     up to the route's MTU (coalesce.go); every backend's reader splits
+//     it again. The x/net ipv4.PacketConn batch API would provide the
+//     same calls, but this repo builds hermetically with a zero-dep
+//     go.mod, so the two syscalls are bound directly.
 //   - plain (Wrap): any other net.PacketConn — kernel UDP sockets on other
 //     platforms, a test's or a demo's own wrapper around a link. One
 //     datagram per call, in the WriteTo order of the batch it is handed;
@@ -89,6 +93,9 @@ func NewBatch(n int) []Message {
 // message (retrying partial kernel completions) and returns how many the
 // transport accepted — per-message temporary failures count as accepted,
 // like a lossy link, while a hard transport error stops the batch.
+// WriteTo may return before its frame reaches the kernel (udp-batch
+// queues it for the socket's writer); a frame that then cannot be sent is
+// counted in Stats.WriteFailed.
 type Conn interface {
 	net.PacketConn
 	ReadBatch(ms []Message) (int, error)
@@ -139,7 +146,16 @@ type Stats struct {
 	// Malformed counts inbound datagrams dropped whole: a source address
 	// that does not decode, or a coalesced datagram whose lengths do not
 	// tile it.
-	Malformed      telemetry.Counter
+	Malformed telemetry.Counter
+	// Overflowed counts inbound datagrams the kernel dropped because the
+	// socket's receive queue was full, as the next datagram to arrive
+	// reports them (udp-batch, through SO_RXQ_OVFL).
+	Overflowed telemetry.Counter
+	// WriteFailed counts frames a write accepted that never reached the
+	// kernel: a udp-batch WriteTo returns once its frame is queued, and the
+	// writer that sends it later can meet a hard sendmmsg error or a closed
+	// socket.
+	WriteFailed    telemetry.Counter
 	ReadBatchSize  telemetry.Histogram
 	WriteBatchSize telemetry.Histogram
 }
@@ -218,6 +234,16 @@ func (s *Stats) Register(reg *telemetry.Registry, labels telemetry.Labels) {
 		Help:   "Inbound datagrams dropped whole: an undecodable source address, or a coalesced datagram whose lengths overrun it.",
 		Labels: labels,
 	}, &s.Malformed)
+	reg.RegisterCounter(telemetry.Opts{
+		Name:   "softstate_transport_overflowed_total",
+		Help:   "Inbound datagrams the kernel dropped on a full socket receive queue (SO_RXQ_OVFL).",
+		Labels: labels,
+	}, &s.Overflowed)
+	reg.RegisterCounter(telemetry.Opts{
+		Name:   "softstate_transport_write_failed_total",
+		Help:   "Frames a write accepted that never reached the kernel: a hard send error or a closed socket under a queued send.",
+		Labels: labels,
+	}, &s.WriteFailed)
 	reg.RegisterHistogram(telemetry.Opts{
 		Name:   "softstate_transport_read_batch_datagrams",
 		Help:   "Datagrams per read syscall (batch-size distribution).",

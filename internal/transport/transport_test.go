@@ -224,6 +224,9 @@ func TestUDPBatchPlainPathCounts(t *testing.T) {
 	if err != nil || string(buf[:n]) != "one" {
 		t.Fatalf("ReadFrom = %q, %v", buf[:n], err)
 	}
+	// The writer counts a send once sendmmsg returns, which can be after
+	// the reader has the datagram; Close waits for the writer.
+	tx.Close()
 	if tx.Stats().WriteCalls.Value() != 1 || tx.Stats().WriteDatagrams.Value() != 1 {
 		t.Fatalf("plain WriteTo counted %d calls / %d datagrams, want 1/1",
 			tx.Stats().WriteCalls.Value(), tx.Stats().WriteDatagrams.Value())

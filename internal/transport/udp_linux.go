@@ -5,6 +5,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"net"
 	"os"
 	"sync"
@@ -88,11 +89,17 @@ type mmsghdr struct {
 // batchConn is one kernel UDP socket driven through recvmmsg/sendmmsg on
 // its raw fd, parked on the runtime netpoller between batches. It owns no
 // ring: a write ring (headers, iovecs, sockaddr storage, length prefixes)
-// is lent from writeRings for the length of one WriteBatch, and a receive
-// ring from readRings for as long as the lane keeps finding datagrams or
-// holds frames not yet delivered, so a parked lane, or one only ever
-// written through, holds none. A steady-state batch only rewrites header
-// fields and, on writes, iovecs and length prefixes.
+// is lent from writeRings for the length of one send, and a receive ring
+// from readRings for as long as the lane keeps finding datagrams or holds
+// frames not yet delivered, so a parked lane, or one only ever written
+// through, holds none. A steady-state batch only rewrites header fields
+// and, on writes, iovecs and length prefixes.
+//
+// A socket has one write path. WriteTo copies its frame into a queue and
+// returns; the socket's writer goroutine sends the queue through the
+// sendmmsg path WriteBatch takes, and WriteBatch sends the queue before
+// its own batch. So frames leave in call order, and a run of triggers to
+// one peer shares datagrams the way a sweep's run does.
 type batchConn struct {
 	uc     *net.UDPConn
 	rc     syscall.RawConn
@@ -110,8 +117,17 @@ type batchConn struct {
 	recvf func(fd uintptr) bool // c.recv, bound once so a read allocates nothing
 	cache addrCache
 	rone  [1]Message // ReadFrom's slot
+	drops uint32     // the socket's drop count at its last SO_RXQ_OVFL report
 
-	wmu     sync.Mutex // serializes WriteBatch and guards the fields below
+	qmu     sync.Mutex    // guards q and qclosed
+	q       writeQueue    // frames WriteTo queued that no send has taken yet
+	qclosed bool          // Close has begun: WriteTo refuses
+	kick    chan struct{} // one slot, filled when q turns non-empty
+	wstop   chan struct{} // closed by Close to stop the writer
+	wdone   chan struct{} // closed when the writer has returned
+
+	wmu     sync.Mutex // serializes sends and guards the fields below
+	out     writeQueue // the queue being sent, swapped with q
 	whs     []mmsghdr  // the headers of the sendmmsg in flight
 	wcnt    int        // what it returned
 	werr    syscall.Errno
@@ -125,10 +141,23 @@ func newBatchConn(uc *net.UDPConn, st *Stats) (*batchConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &batchConn{uc: uc, rc: rc, st: st, mtu: routeMTU}
+	// SO_RXQ_OVFL: every datagram carries the socket's drop count, so an
+	// overflowing receive queue shows in Stats.Overflowed.
+	var serr error
+	if err := rc.Control(func(fd uintptr) {
+		serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RXQ_OVFL, 1)
+	}); err != nil {
+		return nil, err
+	}
+	if serr != nil {
+		return nil, os.NewSyscallError("setsockopt", serr)
+	}
+	c := &batchConn{uc: uc, rc: rc, st: st, mtu: routeMTU,
+		kick: make(chan struct{}, 1), wstop: make(chan struct{}), wdone: make(chan struct{})}
 	c.recvf, c.sendf = c.recv, c.send
 	readRings.opened()
 	writeRings.opened()
+	go c.writeLoop()
 	return c, nil
 }
 
@@ -190,6 +219,7 @@ func (c *batchConn) deliver(ms []Message) int {
 		i := c.rnext
 		c.rnext++
 		h := &c.rr.hs[i]
+		c.noteDrops(i)
 		if h.hdr.Flags&syscall.MSG_TRUNC != 0 {
 			c.st.Truncated.Add(1)
 			continue
@@ -200,6 +230,24 @@ func (c *batchConn) deliver(ms []Message) int {
 		}
 	}
 	return out
+}
+
+// noteDrops reads the SO_RXQ_OVFL count slot i's datagram carries, the
+// socket's running total of datagrams its full receive queue refused when
+// this one was queued, and adds what is new since the last report to
+// Stats.Overflowed. The kernel adds no count while the total is 0.
+func (c *batchConn) noteDrops(i int) {
+	h := &c.rr.hs[i]
+	if h.hdr.Controllen < ctrlLen {
+		return
+	}
+	cm := (*syscall.Cmsghdr)(unsafe.Pointer(&c.rr.ctrl[i][0]))
+	if cm.Level != syscall.SOL_SOCKET || cm.Type != syscall.SO_RXQ_OVFL {
+		return
+	}
+	drops := binary.NativeEndian.Uint32(c.rr.ctrl[i][syscall.CmsgLen(0):])
+	c.st.Overflowed.Add(int64(drops - c.drops))
+	c.drops = drops
 }
 
 func (c *batchConn) rawRecv() (int, error) {
@@ -262,26 +310,35 @@ func (c *batchConn) releaseRing() {
 	readRings.put(r)
 }
 
-// WriteBatch transmits every message via sendmmsg, retrying partial
-// kernel completions until the whole batch is out. Each run of
-// consecutive messages to one destination goes out in as few datagrams as
-// fit that destination's budget (coalesce.go), gathered straight from the
-// callers' frames; a lone frame, or one too long to share, goes out as
-// itself. Messages whose Addr is not a *net.UDPAddr fall back to one
-// WriteTo each. The write ring is borrowed from writeRings for the call.
+// WriteBatch sends what WriteTo has queued, then transmits every message
+// via sendmmsg, retrying partial kernel completions until the whole batch
+// is out. Each run of consecutive messages to one destination goes out in
+// as few datagrams as fit that destination's budget (coalesce.go),
+// gathered straight from the callers' frames; a lone frame, or one too
+// long to share, goes out as itself. Messages whose Addr is not a
+// *net.UDPAddr fall back to one plain write each. The write ring is
+// borrowed from writeRings for the call.
 func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	r := writeRings.get()
 	defer c.returnWriteRing(r)
-	written := 0
+	c.sendQueued(r)
+	n, _, err := c.writeLocked(r, ms)
+	return n, err
+}
+
+// writeLocked transmits ms in order through write ring r; wmu is held. It
+// stops at the first hard error and returns the frames sent before it and
+// the frames of the datagram the kernel refused, which it refuses whole.
+func (c *batchConn) writeLocked(r *writeRing, ms []Message) (written, refused int, err error) {
 	for written < len(ms) {
 		chunk := ms[written:]
 		dgrams := c.prepareWrite(r, chunk)
 		if dgrams == 0 {
 			// Exotic addr type or empty payload: single-datagram path.
 			if _, err := c.uc.WriteTo(chunk[0].Data, chunk[0].Addr); err != nil && !isTemporary(err) {
-				return written, err
+				return written, 1, err
 			}
 			c.st.ObserveWrite(1)
 			written++
@@ -296,13 +353,106 @@ func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 		})
 		written += r.frames(0, sent)
 		if err != nil {
-			return written, err
+			return written, r.frames(sent, sent+1), err
 		}
 		if sent < dgrams {
-			return written, nil // kernel made no progress; unreachable in practice
+			return written, 0, nil // kernel made no progress; unreachable in practice
 		}
 	}
-	return written, nil
+	return written, 0, nil
+}
+
+// sendQueued takes the queue WriteTo has filled and sends it through
+// write ring r; wmu is held. Its frames belong to callers that have
+// returned, so none is given back: a datagram the kernel refuses (a hard
+// sendmmsg error, or the socket closed under the send) is counted in
+// Stats.WriteFailed and skipped, and the frames behind it still go.
+func (c *batchConn) sendQueued(r *writeRing) {
+	c.qmu.Lock()
+	c.q, c.out = c.out, c.q
+	c.qmu.Unlock()
+	for ms := c.out.ms; len(ms) > 0; {
+		sent, refused, err := c.writeLocked(r, ms)
+		if err == nil {
+			refused = len(ms) - sent // none, unless the kernel made no progress
+		}
+		c.st.WriteFailed.Add(int64(refused))
+		ms = ms[sent+refused:]
+	}
+	c.out.reset()
+}
+
+// flush sends the queue: the writer's job, and a producer's that finds the
+// queue full. It borrows a write ring only when there is something to send.
+func (c *batchConn) flush() {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.qmu.Lock()
+	empty := len(c.q.ms) == 0
+	c.qmu.Unlock()
+	if empty {
+		return
+	}
+	r := writeRings.get()
+	defer c.returnWriteRing(r)
+	c.sendQueued(r)
+}
+
+// writeLoop is the socket's writer: it sends the queue each time WriteTo
+// turns it non-empty. Frames queued while it sends pile up behind, and
+// leave together in its next send. Close stops it.
+func (c *batchConn) writeLoop() {
+	defer close(c.wdone)
+	for {
+		select {
+		case <-c.kick:
+			c.flush()
+		case <-c.wstop:
+			return
+		}
+	}
+}
+
+// A queue holds at most MaxWriteBatch frames, one write ring's worth, in
+// at most queueBytesMax bytes, one datagram's payload.
+const queueBytesMax = MaxDatagram
+
+// writeQueue is the frames WriteTo has copied, in call order: their bytes
+// back to back in data, and ms[i].Data frame i's stretch of it. Its
+// storage grows to the most it has held, never past the bounds above, so
+// a socket that sends lone triggers keeps a few hundred bytes.
+type writeQueue struct {
+	data []byte
+	ms   []Message
+}
+
+// fits reports whether a frame of n bytes can join the queue.
+func (q *writeQueue) fits(n int) bool {
+	return len(q.ms) < MaxWriteBatch && len(q.data)+n <= queueBytesMax
+}
+
+// push appends a copy of p, to addr; the caller has checked fits.
+func (q *writeQueue) push(p []byte, addr net.Addr) {
+	if need := len(q.data) + len(p); need > cap(q.data) {
+		grown := make([]byte, len(q.data), min(max(2*cap(q.data), need), queueBytesMax))
+		copy(grown, q.data)
+		off := 0
+		for i := range q.ms {
+			n := len(q.ms[i].Data)
+			q.ms[i].Data = grown[off : off+n : off+n]
+			off += n
+		}
+		q.data = grown
+	}
+	off := len(q.data)
+	q.data = append(q.data, p...)
+	q.ms = append(q.ms, Message{Data: q.data[off:len(q.data):len(q.data)], Addr: addr})
+}
+
+// reset empties q, keeping its storage and pinning no address.
+func (q *writeQueue) reset() {
+	clear(q.ms)
+	q.data, q.ms = q.data[:0], q.ms[:0]
 }
 
 // prepareWrite lays out the leading messages of ms in write ring r, as
@@ -352,10 +502,10 @@ func (c *batchConn) prepareWrite(r *writeRing, ms []Message) int {
 	return d
 }
 
-// returnWriteRing gives r back to writeRings once WriteBatch is done with
-// it. What points at the callers' frames — the iovecs laid out and the
-// conn's view of the last sendmmsg's headers — is cleared first, so a ring
-// on the free list pins no caller's buffer.
+// returnWriteRing gives r back to writeRings once a send is done with it.
+// What points at the frames — the iovecs laid out and the conn's view of
+// the last sendmmsg's headers — is cleared first, so a ring on the free
+// list pins no buffer.
 func (c *batchConn) returnWriteRing(r *writeRing) {
 	c.whs = nil
 	clear(r.iovs[:r.iovsUsed])
@@ -465,24 +615,60 @@ func (c *batchConn) ReadFrom(p []byte) (int, net.Addr, error) {
 	return copy(p, m.Data), m.Addr, nil
 }
 
+// WriteTo queues a copy of p for the socket's writer and returns: p is the
+// caller's again at once, and the frame leaves in the writer's next
+// sendmmsg, with whatever else was queued meanwhile. A producer that finds
+// the queue full sends it itself before queuing, so a burst runs at the
+// kernel's pace and the queue stays within its bounds. Only a *net.UDPAddr
+// is accepted, as by a plain UDP socket; a frame the writer cannot send is
+// counted in Stats.WriteFailed.
 func (c *batchConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	n, err := c.uc.WriteTo(p, addr)
-	if err == nil || isTemporary(err) {
-		c.st.ObserveWrite(1)
+	if ua, ok := addr.(*net.UDPAddr); !ok || ua == nil {
+		return 0, &net.OpError{Op: "write", Net: "udp", Addr: addr, Err: syscall.EINVAL}
 	}
-	return n, err
+	if len(p) > queueBytesMax {
+		return 0, &net.OpError{Op: "write", Net: "udp", Addr: addr, Err: syscall.EMSGSIZE}
+	}
+	c.qmu.Lock()
+	for !c.qclosed && !c.q.fits(len(p)) {
+		c.qmu.Unlock()
+		c.flush()
+		c.qmu.Lock()
+	}
+	if c.qclosed {
+		c.qmu.Unlock()
+		return 0, &net.OpError{Op: "write", Net: "udp", Addr: addr, Err: net.ErrClosed}
+	}
+	wake := len(c.q.ms) == 0
+	c.q.push(p, addr)
+	c.qmu.Unlock()
+	if wake {
+		select {
+		case c.kick <- struct{}{}:
+		default: // already signalled
+		}
+	}
+	return len(p), nil
 }
 
-// Close closes the socket and lowers both ring pools' caps by one. A
-// receive ring the lane still holds stays with it, since a read loop may
+// Close refuses later writes, stops the writer, sends what is still
+// queued, then closes the socket and lowers both ring pools' caps by one.
+// A receive ring the lane still holds stays with it, since a read loop may
 // be working on its datagrams; the lane's next ReadBatch fails and gives
 // the ring back.
 func (c *batchConn) Close() error {
-	err := c.uc.Close()
-	if c.closed.CompareAndSwap(false, true) {
-		readRings.closed()
-		writeRings.closed()
+	if !c.closed.CompareAndSwap(false, true) {
+		return c.uc.Close()
 	}
+	c.qmu.Lock()
+	c.qclosed = true
+	c.qmu.Unlock()
+	close(c.wstop)
+	<-c.wdone
+	c.flush()
+	err := c.uc.Close()
+	readRings.closed()
+	writeRings.closed()
 	return err
 }
 
@@ -500,21 +686,26 @@ func (c *batchConn) SetWriteDeadline(t time.Time) error {
 const ringSlots = 4
 
 // mmsgRing is the preallocated recvmmsg scaffolding for ringSlots
-// datagrams: headers, one iovec per slot, sockaddr storage the kernel
-// writes, and one MaxDatagram buffer per slot, in one block its iovecs
-// point at for good.
+// datagrams: headers, one iovec per slot, sockaddr storage and a control
+// buffer (room for the SO_RXQ_OVFL count) the kernel writes, and one
+// MaxDatagram buffer per slot, in one block its iovecs point at for good.
 type mmsgRing struct {
 	hs   []mmsghdr
 	iovs []syscall.Iovec
 	sas  [][syscall.SizeofSockaddrAny]byte
+	ctrl [][ctrlLen]byte
 	bufs []byte
 }
+
+// ctrlLen is syscall.CmsgSpace(4): one control message of a uint32.
+const ctrlLen = syscall.SizeofCmsghdr + 8
 
 func newReadRing() *mmsgRing {
 	r := &mmsgRing{
 		hs:   make([]mmsghdr, ringSlots),
 		iovs: make([]syscall.Iovec, ringSlots),
 		sas:  make([][syscall.SizeofSockaddrAny]byte, ringSlots),
+		ctrl: make([][ctrlLen]byte, ringSlots),
 		bufs: make([]byte, ringSlots*MaxDatagram),
 	}
 	for i := range r.hs {
@@ -523,6 +714,7 @@ func newReadRing() *mmsgRing {
 		// syscall package has no SetIovlen.
 		r.hs[i].hdr.Iovlen = 1
 		r.hs[i].hdr.Name = &r.sas[i][0]
+		r.hs[i].hdr.Control = &r.ctrl[i][0]
 		r.iovs[i].Base = &r.buf(i)[0]
 		r.iovs[i].SetLen(MaxDatagram)
 	}
@@ -536,6 +728,7 @@ func (r *mmsgRing) buf(i int) []byte {
 
 func (r *mmsgRing) prepareRead(i int) {
 	r.hs[i].hdr.Namelen = syscall.SizeofSockaddrAny
+	r.hs[i].hdr.SetControllen(ctrlLen)
 	r.hs[i].hdr.Flags = 0
 	r.hs[i].n = 0
 }
@@ -554,11 +747,10 @@ const _ = uint(uioMaxIOV - 2*MaxWriteBatch)
 // writer's batch of lone frames to as many peers still leaves in one call:
 // a header and a sockaddr per datagram, and per frame up to two iovecs,
 // its length prefix and itself, with the prefix's bytes. So a coalesced
-// datagram is gathered from the callers' frames and the prefixes; no
-// payload byte is copied. ends[d] counts the frames laid out through
-// datagram d; iovsUsed is the most iovecs a call of the current WriteBatch
-// laid out. A ring belongs to no conn: WriteBatch borrows one from
-// writeRings.
+// datagram is gathered from the frames and the prefixes; no payload byte
+// is copied. ends[d] counts the frames laid out through datagram d;
+// iovsUsed is the most iovecs a call of the current send laid out. A ring
+// belongs to no conn: each send borrows one from writeRings.
 type writeRing struct {
 	hs       [DefaultBatchSize]mmsghdr
 	sas      [DefaultBatchSize][syscall.SizeofSockaddrAny]byte
@@ -582,9 +774,9 @@ func (r *writeRing) frames(from, to int) int {
 
 // ringPool is a free list of rings of one kind, all of one shape. A
 // receive lane borrows one only while its strides find datagrams
-// (batchConn.recv), a writer only for one WriteBatch, so the rings a
-// process holds follow how many lanes are mid-stride, or how many writes
-// are in flight, at once, not how many sockets it has open. The list is a
+// (batchConn.recv), a sender only for one send, so the rings a process
+// holds follow how many lanes are mid-stride, or how many sends are in
+// flight, at once, not how many sockets it has open. The list is a
 // LIFO stack, so the ring lent next is the one touched last, and it is
 // capped at the number of open udp-batch sockets: it never holds more
 // rings than those sockets would own outright, and it drains as they

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"syscall"
@@ -959,5 +960,327 @@ func TestFullWriteRingToOnePeer(t *testing.T) {
 			}
 			f++
 		}
+	}
+}
+
+// numbered is a frame of size bytes whose bytes 1–2 carry n.
+func numbered(n, size int) []byte {
+	f := frameOf(size, byte(n))
+	f[1], f[2] = byte(n>>8), byte(n)
+	return f
+}
+
+// readNumbers reads frames from rx until it holds want of them, and
+// returns their numbers in arrival order.
+func readNumbers(t *testing.T, rx Conn, want int) []int {
+	t.Helper()
+	var got []int
+	in := NewBatch(0)
+	rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for len(got) < want {
+		n, err := rx.ReadBatch(in)
+		if err != nil {
+			t.Fatalf("read %d of %d frames: %v", len(got), want, err)
+		}
+		for _, m := range in[:n] {
+			got = append(got, int(m.Data[1])<<8|int(m.Data[2]))
+		}
+	}
+	return got
+}
+
+// TestQueuedWritesKeepCallOrder: one goroutine's WriteTo calls and the
+// WriteBatch after them reach each reader in call order, both for a run to
+// one peer and for frames that alternate between two peers. WriteBatch
+// sends the queue before its own batch even when it wins the socket from
+// the writer, which is what the test's held-back writer provokes.
+func TestQueuedWritesKeepCallOrder(t *testing.T) {
+	rxs := []Conn{listenBatch(t, Options{}), listenBatch(t, Options{})}
+	tx := listenBatch(t, Options{}).(*batchConn)
+	var want [2][]int
+	n := 0
+	send := func(peer int) Message {
+		m := Message{Data: numbered(n, 40), Addr: rxs[peer].LocalAddr()}
+		want[peer] = append(want[peer], n)
+		n++
+		return m
+	}
+	// Eight rounds of 30 never fill the queue, even if the writer never
+	// wins the socket back from the test.
+	for round := range 8 {
+		tx.wmu.Lock() // the writer waits: the queue fills behind it
+		for i := range 30 {
+			peer := 0
+			if round%2 == 1 {
+				peer = i % 2 // interleaved peers
+			}
+			m := send(peer)
+			if _, err := tx.WriteTo(m.Data, m.Addr); err != nil {
+				tx.wmu.Unlock()
+				t.Fatal(err)
+			}
+		}
+		tx.wmu.Unlock()
+		batch := []Message{send(0), send(1), send(0), send(0)}
+		if k, err := tx.WriteBatch(batch); err != nil || k != len(batch) {
+			t.Fatalf("WriteBatch = %d, %v", k, err)
+		}
+	}
+	for peer, rx := range rxs {
+		if got := readNumbers(t, rx, len(want[peer])); !slices.Equal(got, want[peer]) {
+			t.Fatalf("peer %d received %v,\nwant %v", peer, got, want[peer])
+		}
+	}
+}
+
+// TestQueuedRunIsOneDatagram: frames WriteTo queues while the writer is
+// held back leave together, a run to one loopback peer as one datagram in
+// one sendmmsg, every frame whole and in order.
+func TestQueuedRunIsOneDatagram(t *testing.T) {
+	rx := listenBatch(t, Options{})
+	tx := listenBatch(t, Options{}).(*batchConn)
+	const frames = 100
+	tx.wmu.Lock()
+	for i := range frames {
+		if _, err := tx.WriteTo(numbered(i, 40), rx.LocalAddr()); err != nil {
+			tx.wmu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	tx.wmu.Unlock()
+	got := readNumbers(t, rx, frames)
+	for i, n := range got {
+		if n != i {
+			t.Fatalf("frame %d arrived as number %d", i, n)
+		}
+	}
+	tx.Close() // waits for the writer, so its counts are final
+	if st := tx.Stats(); st.WriteCalls.Value() != 1 || st.WriteDatagrams.Value() != 1 || st.WriteFrames.Value() != frames {
+		t.Fatalf("%d queued frames to one peer: %d sendmmsg calls, %d datagrams, %d frames; want 1, 1, %d",
+			frames, st.WriteCalls.Value(), st.WriteDatagrams.Value(), st.WriteFrames.Value(), frames)
+	}
+}
+
+// TestFullQueueSentByProducer: a WriteTo that finds the queue full sends it
+// before queuing its own frame, and producers racing the writer with the
+// largest frames never make a queue hold more than MaxWriteBatch frames or
+// allocate more than queueBytesMax bytes.
+func TestFullQueueSentByProducer(t *testing.T) {
+	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close() // nobody reads it: the kernel drops what overflows
+	tx := listenBatch(t, Options{}).(*batchConn)
+	to := rx.LocalAddr()
+
+	// A full queue the writer was never told of: only a producer can send it.
+	tx.qmu.Lock()
+	for i := range MaxWriteBatch {
+		tx.q.push(numbered(i, 16), to)
+	}
+	tx.qmu.Unlock()
+	if _, err := tx.WriteTo(numbered(MaxWriteBatch, 16), to); err != nil {
+		t.Fatal(err)
+	}
+	if got := tx.st.WriteFrames.Value(); got < MaxWriteBatch {
+		t.Fatalf("WriteTo returned with %d frames sent, want the full queue's %d first", got, MaxWriteBatch)
+	}
+
+	const producers, each = 4, 200
+	check := func() {
+		tx.qmu.Lock()
+		defer tx.qmu.Unlock()
+		if len(tx.q.ms) > MaxWriteBatch || cap(tx.q.data) > queueBytesMax {
+			t.Errorf("queue holds %d frames in %d bytes of storage, over %d and %d",
+				len(tx.q.ms), cap(tx.q.data), MaxWriteBatch, queueBytesMax)
+		}
+	}
+	var wg sync.WaitGroup
+	for p := range producers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				if _, err := tx.WriteTo(frameOf(wire.MaxFrameLen, byte(p+i)), to); err != nil {
+					t.Error(err)
+					return
+				}
+				check()
+			}
+		}()
+	}
+	wg.Wait()
+	tx.Close()
+	check()
+	tx.wmu.Lock()
+	if cap(tx.out.data) > queueBytesMax {
+		t.Errorf("the sent queue kept %d bytes of storage, over %d", cap(tx.out.data), queueBytesMax)
+	}
+	tx.wmu.Unlock()
+	if got, want := tx.st.WriteFrames.Value(), int64(MaxWriteBatch+1+producers*each); got != want || tx.st.WriteFailed.Value() != 0 {
+		t.Fatalf("%d frames sent, %d failed; want %d and none", got, tx.st.WriteFailed.Value(), want)
+	}
+}
+
+// TestCloseSendsQueue: Close sends what is queued, even frames the writer
+// was never told of, refuses later writes with net.ErrClosed, and leaves
+// no goroutine of the socket's behind.
+func TestCloseSendsQueue(t *testing.T) {
+	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	base := runtime.NumGoroutine()
+	c, err := ListenUDPBatch("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := c.(*batchConn)
+	const frames = 10
+	tx.qmu.Lock()
+	for i := range frames {
+		tx.q.push(numbered(i, 40), rx.LocalAddr())
+	}
+	tx.qmu.Unlock()
+	if err := tx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.WriteTo(numbered(frames, 40), rx.LocalAddr()); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("WriteTo after Close = %v, want net.ErrClosed", err)
+	}
+	var fc frameCursor
+	for i, m := 0, (Message{}); i < frames; i++ {
+		if !fc.next(&m) {
+			fc.load(readRaw(t, rx, 1)[0], nil)
+			fc.next(&m)
+		}
+		if n := int(m.Data[1])<<8 | int(m.Data[2]); n != i {
+			t.Fatalf("frame %d arrived as number %d", i, n)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the socket opened", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestWarmWriteToAllocatesNothing: once both queues have held a full
+// queue's worth, a WriteTo allocates nothing, nor does a send of the queue.
+func TestWarmWriteToAllocatesNothing(t *testing.T) {
+	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	tx := listenBatch(t, Options{}).(*batchConn)
+	to := rx.LocalAddr()
+	frame := frameOf(40, 1)
+	for range 2 { // fill q, then the buffer it was swapped with
+		tx.wmu.Lock()
+		for range MaxWriteBatch {
+			tx.WriteTo(frame, to)
+		}
+		tx.wmu.Unlock()
+		tx.flush()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := tx.WriteTo(frame, to); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm WriteTo allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := tx.WriteTo(frame, to); err != nil {
+			t.Fatal(err)
+		}
+		tx.flush()
+	}); allocs != 0 {
+		t.Fatalf("a warm WriteTo and its send allocate %v times, want 0", allocs)
+	}
+}
+
+// TestWriteFailuresCounted: a frame the writer cannot send is counted in
+// WriteFailed, never dropped in silence. A datagram the kernel refuses
+// (port 0 is EINVAL) costs its own frames only, the frames queued behind
+// it still arrive; a socket closed under a queued send fails every frame.
+func TestWriteFailuresCounted(t *testing.T) {
+	rx := listenBatch(t, Options{})
+	tx := listenBatch(t, Options{}).(*batchConn)
+	bad := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0}
+	tx.wmu.Lock()
+	for i := range 6 {
+		to := rx.LocalAddr()
+		if i == 2 || i == 3 {
+			to = bad
+		}
+		tx.WriteTo(numbered(i, 40), to)
+	}
+	tx.wmu.Unlock()
+	if got := readNumbers(t, rx, 4); !slices.Equal(got, []int{0, 1, 4, 5}) {
+		t.Fatalf("received %v, want [0 1 4 5]", got)
+	}
+	tx.flush() // the writer has sent; this waits for it to have counted
+	if got := tx.st.WriteFailed.Value(); got != 2 {
+		t.Fatalf("WriteFailed = %d after a refused two-frame datagram, want 2", got)
+	}
+
+	tx.wmu.Lock()
+	for i := range 5 {
+		tx.WriteTo(numbered(i, 40), rx.LocalAddr())
+	}
+	tx.uc.Close() // the socket dies under the queued send
+	tx.wmu.Unlock()
+	tx.flush()
+	if got := tx.st.WriteFailed.Value(); got != 2+5 {
+		t.Fatalf("WriteFailed = %d after 5 frames met a closed socket, want 7", got)
+	}
+}
+
+// TestOverflowCounted: datagrams the kernel drops on a full receive queue
+// are counted. A writer overruns the reader's SO_RCVBUF while the reader
+// waits; the reader drains what was queued, and the next datagram's
+// SO_RXQ_OVFL report makes Overflowed exactly what was sent and never
+// read.
+func TestOverflowCounted(t *testing.T) {
+	rx := listenBatch(t, Options{RecvBuffer: 4 << 10})
+	tx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	const sent = 500
+	for i := range sent {
+		if _, err := tx.WriteTo(numbered(i, 1000), rx.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := rx.Stats()
+	in := NewBatch(0)
+	for {
+		rx.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+		if _, err := rx.ReadBatch(in); err != nil {
+			break // drained
+		}
+	}
+	read := st.ReadDatagrams.Value()
+	if read == 0 || read == sent {
+		t.Fatalf("the reader took %d of %d datagrams; the test needs an overrun queue", read, sent)
+	}
+	if got := st.Overflowed.Value(); got != 0 {
+		t.Fatalf("Overflowed = %d before any datagram queued after the drops", got)
+	}
+	if _, err := tx.WriteTo(numbered(sent, 1000), rx.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := rx.ReadBatch(in); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Overflowed.Value(); got != sent-read {
+		t.Fatalf("Overflowed = %d, want the %d datagrams sent and never read", got, sent-read)
 	}
 }
