@@ -1203,13 +1203,17 @@ func TestWarmWriteToAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestWriteFailuresCounted: a frame the writer cannot send is counted in
-// WriteFailed, never dropped in silence. A datagram the kernel refuses
-// (port 0 is EINVAL) costs its own frames only, the frames queued behind
-// it still arrive; a socket closed under a queued send fails every frame.
+// TestWriteFailuresCounted: a frame longer than a datagram is refused at
+// once, and a frame the writer cannot send is counted in WriteFailed,
+// never dropped in silence. A datagram the kernel refuses (port 0 is
+// EINVAL) costs its own frames only, the frames queued behind it still
+// arrive; a socket closed under a queued send fails every frame.
 func TestWriteFailuresCounted(t *testing.T) {
 	rx := listenBatch(t, Options{})
 	tx := listenBatch(t, Options{}).(*batchConn)
+	if _, err := tx.WriteTo(make([]byte, MaxDatagram+1), rx.LocalAddr()); !errors.Is(err, syscall.EMSGSIZE) {
+		t.Fatalf("WriteTo of %d bytes = %v, want EMSGSIZE", MaxDatagram+1, err)
+	}
 	bad := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0}
 	tx.wmu.Lock()
 	for i := range 6 {
