@@ -1,6 +1,9 @@
 package softstate_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -29,7 +32,15 @@ var (
 	changesEntry = regexp.MustCompile(`^PR (\d+)\b`)
 	// One word of a workflow command line: quoted, or bare.
 	shellWord = regexp.MustCompile(`'[^']*'|"[^"]*"|[^\s'"]+`)
+	// A backticked span that is all one Go name, called or not: Name,
+	// Type.Name, pkg.Name or pkg.Type.Name. A name with an underscore is a
+	// C constant (SO_RXQ_OVFL) or a benchmark metric (signal.install_ns).
+	docIdent = regexp.MustCompile(`^[A-Za-z][A-Za-z0-9]*(?:\.[A-Za-z][A-Za-z0-9]*){0,2}(?:\(\))?$`)
 )
+
+// docIdentAllowed are the capitalized names the docs use that are no Go
+// declaration: the paper's inconsistency metric.
+var docIdentAllowed = []string{"I"}
 
 const changesCapFrom, changesCap = 11, 2560
 
@@ -38,9 +49,10 @@ const changesCapFrom, changesCap = 11, 2560
 // pkg.Symbol suffix is read as its package directory, a * as a glob),
 // every Benchmark… identifier and every backticked Test… or Fuzz… one must
 // be a prefix of some such function in a _test.go file, the way -bench and
-// -run would match it, and every backticked softstate_… series name must be
-// (or, ending in _ or *, begin) a string literal under internal/ or cmd/.
-// It also holds new CHANGES.md entries to their size.
+// -run would match it, every backticked softstate_… series name must be
+// (or, ending in _ or *, begin) a string literal under internal/ or cmd/,
+// and every backticked Go name must be declared in a non-test Go file (see
+// goDecls.names). It also holds new CHANGES.md entries to their size.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	var funcs, series []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -77,6 +89,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	hasFunc := func(name string) bool {
 		return slices.ContainsFunc(funcs, func(f string) bool { return strings.HasPrefix(f, name) })
 	}
+	decls := parseDecls(t)
 
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		text, err := os.ReadFile(doc)
@@ -103,6 +116,10 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				if !slices.ContainsFunc(series, match) {
 					t.Errorf("%s: %s names the series %s, which no string literal under internal/ or cmd/ matches", doc, span, name)
 				}
+			}
+			if docIdent.MatchString(inner) && !docTest.MatchString(inner) && !docBenchmark.MatchString(inner) &&
+				!slices.Contains(docIdentAllowed, inner) && !docPathExists(inner) && !decls.names(strings.TrimSuffix(inner, "()")) {
+				t.Errorf("%s: %s names a Go identifier no non-test Go file declares", doc, span)
 			}
 		}
 		for _, name := range docBenchmark.FindAllString(string(text), -1) {
@@ -221,4 +238,134 @@ func testFuncsIn(t *testing.T, dir, kind string) []string {
 		}
 	}
 	return names
+}
+
+// goDecls is what the repo's non-test Go files declare.
+type goDecls struct {
+	all     map[string]bool            // every name: type, func, method, const, var, field
+	pkgs    map[string]map[string]bool // package name → the names declared in it
+	members map[string]map[string]bool // type name → its fields and methods
+}
+
+// names reports whether the Go name a doc span holds is declared. The
+// forms checked are a capitalized or camelCase Name, declared anywhere;
+// pkg.Name, where pkg is a repo package, declared in it (a method or field
+// too: statetable.UpdateBytes); and pkg.Type.Name and Type.Name, where
+// Type is capitalized, a field or method of a repo type of that name. A
+// span in any other form (a lower-case word, a
+// standard-library name such as net.UDPConn, a variable's field) is not a
+// name this check can judge, and passes.
+func (d goDecls) names(span string) bool {
+	parts := strings.Split(span, ".")
+	if pkg, ok := d.pkgs[parts[0]]; ok && len(parts) > 1 {
+		if !pkg[parts[1]] {
+			return false
+		}
+		parts = parts[1:]
+	} else if c := parts[0][0]; c < 'A' || c > 'Z' {
+		return len(parts) > 1 || strings.ToLower(span) == span || d.all[span]
+	}
+	switch len(parts) {
+	case 1:
+		return d.all[parts[0]]
+	case 2:
+		return d.members[parts[0]][parts[1]]
+	}
+	return false
+}
+
+// parseDecls collects goDecls from every non-test Go file in the repo.
+func parseDecls(t *testing.T) goDecls {
+	d := goDecls{all: map[string]bool{}, pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() && path != "." && strings.HasPrefix(e.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		top := d.pkgs[f.Name.Name]
+		if top == nil {
+			top = map[string]bool{}
+			d.pkgs[f.Name.Name] = top
+		}
+		declare := func(name string) {
+			d.all[name] = true
+			top[name] = true
+		}
+		member := func(typ, name string) {
+			if d.members[typ] == nil {
+				d.members[typ] = map[string]bool{}
+			}
+			d.members[typ][name] = true
+			declare(name)
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					declare(decl.Name.Name)
+				} else if typ := recvType(decl.Recv.List[0].Type); typ != "" {
+					member(typ, decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							declare(n.Name)
+						}
+					case *ast.TypeSpec:
+						declare(spec.Name.Name)
+						var fields *ast.FieldList
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							fields = typ.Fields
+						case *ast.InterfaceType:
+							fields = typ.Methods
+						}
+						if fields == nil {
+							continue
+						}
+						for _, field := range fields.List {
+							for _, n := range field.Names {
+								member(spec.Name.Name, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(d.pkgs, "main") // a command is no qualifier
+	return d
+}
+
+// recvType is the type name of a method receiver: T, *T, T[K] or *T[K].
+func recvType(x ast.Expr) string {
+	if star, ok := x.(*ast.StarExpr); ok {
+		x = star.X
+	}
+	switch ix := x.(type) {
+	case *ast.IndexExpr:
+		x = ix.X
+	case *ast.IndexListExpr:
+		x = ix.X
+	}
+	if id, ok := x.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }

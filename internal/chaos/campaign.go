@@ -42,7 +42,7 @@ type CampaignOpts struct {
 // Campaign episode layout. Episodes start after the workload converges
 // and are spaced widely enough that time-to-reconverge is attributable to
 // one episode; partition windows stay inside the hard-state orphan
-// horizon (MaxProbeMisses × ProbeInterval = 3 × 300 ms at the campaign
+// horizon (3 missed probe rounds × Timeout = 3 × 300 ms at the campaign
 // defaults) so a cut never masquerades as sender death.
 const (
 	episodeStart   = 800 * time.Millisecond

@@ -75,7 +75,7 @@ func extLossArtifact(o Options) (*report.Artifact, error) {
 		abs[report.FrameLive+"/"+prof.Name] = 0.005
 	}
 	// HS's I under loss is one sample path of rare events (see live5): a
-	// sender's probe round trip lost MaxProbeMisses rounds running orphans
+	// sender's probe round trip lost 3 probe rounds running orphans
 	// all its live state at once. Over seeds 30–59 it spans 0.003–0.012 at
 	// 15% loss, 0.008–0.057 at 30% and 0.047–0.175 at 50% with the code
 	// unchanged, so its bound is that spread.

@@ -180,7 +180,7 @@ func live5Artifact(o Options) (*report.Artifact, error) {
 			// The analytic frame is pure float math (default tolerance);
 			// the live frame gets headroom for cross-platform math-library
 			// drift shifting a handful of samples. HS's I is one sample path
-			// of rare events (a sender's probe round trip lost MaxProbeMisses
+			// of rare events (a sender's probe round trip lost 3 probe
 			// rounds running orphans all its live state, and the notify that
 			// would repair a key can be lost too): over seeds 30–59 it spans
 			// 0.0035–0.026 with the code unchanged, so its bound is that

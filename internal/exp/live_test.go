@@ -87,7 +87,7 @@ func TestLiveVsAnalyticOrdering(t *testing.T) {
 
 	// HS's message rate: the model's Λ counts no liveness traffic (its
 	// failure signal is external), and the live stack's one probe round per
-	// sender adds 2/ProbeInterval datagrams per sender, not per key, plus
+	// sender adds 2/Timeout datagrams per sender, not per key, plus
 	// the audits a disagreeing key set opens — so the live rate stays
 	// within 2× Λ.
 	for _, pt := range pts {

@@ -258,7 +258,7 @@ func TestStrayProbeAcks(t *testing.T) {
 
 	// Hard-state state must still be guarded: the genuine sender keeps
 	// answering real probes, so the entry survives the orphan horizon.
-	v.Run(time.Duration(cfg.withDefaults().MaxProbeMisses+1) * cfg.withDefaults().ProbeInterval)
+	v.Run(time.Duration(probeMisses+1) * cfg.withDefaults().Timeout)
 	if _, ok := rcv.GetFrom(a.LocalAddr(), "k"); !ok {
 		t.Fatal("live hard state lost despite an answering sender")
 	}
@@ -271,7 +271,7 @@ func TestStrayProbeAcks(t *testing.T) {
 		t.Fatal("removal never converged")
 	}
 	spray()
-	v.Run(4 * cfg.withDefaults().ProbeInterval)
+	v.Run(4 * cfg.withDefaults().Timeout)
 	if rcv.Len() != 0 || rcv.NumPeers() != 0 {
 		t.Fatalf("probe-acks for an evicted key resurrected state: %d keys held, %d peer records", rcv.Len(), rcv.NumPeers())
 	}

@@ -201,7 +201,7 @@ func PaperHook(pm *telemetry.PaperMetrics) func(Event) {
 			pm.OnInstall(key)
 		case EventAcked:
 			pm.OnAck(key)
-		case EventRemoved, EventGaveUp:
+		case EventRemoved:
 			pm.OnRemove(key)
 		case EventExpired, EventOrphaned, EventFalseRemoval:
 			pm.OnLost(key)

@@ -84,7 +84,7 @@ func TestPeerLifecycle(t *testing.T) {
 		leave func(g *peerRig)
 	}{
 		{"silence", func(g *peerRig) {
-			g.clk.Run(time.Duration(g.rcv.cfg.MaxProbeMisses+2) * g.rcv.cfg.ProbeInterval)
+			g.clk.Run(time.Duration(probeMisses+2) * g.rcv.cfg.Timeout)
 			kind := EventExpired
 			if g.rcv.prof.HardState {
 				kind = EventOrphaned
@@ -440,7 +440,7 @@ func TestEntrySizes(t *testing.T) {
 func TestEvictedSessionResolvesAnew(t *testing.T) {
 	clk := clock.NewVirtual()
 	ss := NewSessions(newDiscardConn(), Config{Protocol: SSRT, Clock: clk, Retransmit: 10 * time.Millisecond,
-		RetransmitMax: 10 * time.Millisecond, RefreshInterval: time.Hour, Timeout: 3 * time.Hour,
+		RefreshInterval: time.Hour, Timeout: 3 * time.Hour,
 		PeerIdleTimeout: 100 * time.Millisecond})
 	defer ss.Shutdown()
 	clean := func(when string) {

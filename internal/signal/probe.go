@@ -12,25 +12,31 @@ import (
 
 // Hard-state liveness: the paper's HS receiver removes orphaned state when
 // an external, per-link failure signal fires. Here that signal is one probe
-// round per ProbeInterval, armed while any peer record holds entries. Every
+// round per Timeout, armed while any peer record holds entries. Every
 // record with entries gets one peer probe carrying the record's pair — how
 // many entries it holds and their fold (Σ wire.StateHash of their user
 // key, seq and value) — and the sender answers with its own pair for this receiver, kept next to
 // its live-key count. An answer, or any accepted trigger, clears the
-// record's miss count; a record that misses MaxProbeMisses rounds is
+// record's miss count; a record that misses probeMisses rounds is
 // orphaned whole.
 //
 // Agreeing pairs cost nothing per key. A disagreement opens an audit: the
 // following rounds probe that sender's entries one key at a time, counting
 // each key's unanswered probes in receiverEntry.aux, so a key the sender no
 // longer owns — an install replayed after an acked removal, or a previous
-// incarnation's leftover — is still orphaned after MaxProbeMisses of them.
+// incarnation's leftover — is still orphaned after probeMisses of them.
 // Only a per-key probe-ack answers a key: an accepted trigger under an
 // audit, which a replay can be, restarts the key's count but leaves it
 // unanswered. An audit round that finds every held key answered settles the
 // disagreement until either pair changes: a key missing here (a false
 // removal whose notify was lost), or one held at another version than the
 // sender's, costs one audit, not one per round.
+
+// probeMisses is how many consecutive unanswered rounds declare a sender
+// dead and orphan all its state, and how many unanswered per-key probes
+// orphan a key the sender no longer owns. A dead sender's state is
+// therefore gone ≈ (probeMisses+1)·Timeout after its last answer.
+const probeMisses = 3
 
 // pair is one end's account of a sender's key set at this receiver.
 type pair struct{ count, fold uint64 }
@@ -49,7 +55,7 @@ type audit struct {
 type walkKind uint8
 
 const (
-	walkOrphan     walkKind = iota + 1 // the record missed MaxProbeMisses rounds: drop every entry
+	walkOrphan     walkKind = iota + 1 // the record missed probeMisses rounds: drop every entry
 	walkAuditFirst                     // an audit begins: every entry starts with one unanswered probe
 	walkAudit                          // an audit goes on: entries still unanswered are probed again
 )
@@ -127,14 +133,14 @@ func (r *Receiver) probeRound() {
 	if r.closed.Load() {
 		return
 	}
-	now, limit := r.stamp(), int32(r.cfg.MaxProbeMisses)
+	now := r.stamp()
 	walk := map[uint32]walkKind{}
 	var to []net.Addr
 	var pairs []pair
 	r.peers.mu.Lock()
 	holding := r.peers.holdingLocked()
 	for _, p := range holding {
-		if p.misses.Load() >= limit {
+		if p.misses.Load() >= probeMisses {
 			walk[p.id] = walkOrphan
 			if at := p.answeredAt.Load(); now > 0 && at > 0 {
 				r.histOrphan.Observe(now - time.Duration(at))
@@ -154,7 +160,7 @@ func (r *Receiver) probeRound() {
 	if len(holding) == 0 {
 		return
 	}
-	r.probeTimer.Reset(r.cfg.ProbeInterval)
+	r.probeTimer.Reset(r.cfg.Timeout)
 	for i, pr := range pairs {
 		var v [wire.PairLen]byte
 		r.probeBW.add(wire.Message{Type: wire.TypeProbe, Value: wire.AppendPair(v[:0], pr.count, pr.fold)}, to[i])
@@ -218,13 +224,12 @@ func (r *Receiver) walkRound(walk map[uint32]walkKind, holding []*peer) {
 	}
 	r.peers.mu.Unlock()
 
-	limit := uint32(r.cfg.MaxProbeMisses)
 	var p *peer // the record whose entries are visited
 	visit := func(e *receiverEntry, tc statetable.TimerControl[receiverEntry]) {
 		switch k := walk[p.id]; {
 		case k == 0, k == walkAudit && e.aux == 0:
 			return // not walked this round, or answered
-		case k == walkOrphan, k == walkAudit && e.aux > limit:
+		case k == walkOrphan, k == walkAudit && e.aux > probeMisses:
 			key, to := r.drop(e, tc, EventOrphaned)
 			r.probeBW.add(wire.Message{Type: wire.TypeNotify, Key: key}, to)
 			return

@@ -50,17 +50,17 @@ func (c *vctx) installAll(n int) []string {
 }
 
 // TestPeerProbeOnePerPeer: a hard-state receiver holding 1,024 keys of one
-// sender sends that sender exactly one probe per ProbeInterval and gets
+// sender sends that sender exactly one probe per Timeout and gets
 // exactly one probe-ack back — not one per key — and arms no per-entry
 // timer while doing so.
 func TestPeerProbeOnePerPeer(t *testing.T) {
 	c := vEndpoints(t, HS, 0)
 	c.installAll(1024)
 	cfg := c.rcv.cfg
-	c.run(cfg.ProbeInterval / 2) // off the rounds' beat: the window below holds whole rounds
+	c.run(cfg.Timeout / 2) // off the rounds' beat: the window below holds whole rounds
 	probes0, acks0 := c.rcv.Stats().Sent["probe"], c.snd.Stats().Sent["probe-ack"]
 	const k = 7
-	c.run(k * cfg.ProbeInterval)
+	c.run(k * cfg.Timeout)
 	if got := c.rcv.Stats().Sent["probe"] - probes0; got != k {
 		t.Errorf("%d probes in %d intervals for 1,024 keys of one sender, want %d", got, k, k)
 	}
@@ -79,7 +79,7 @@ func TestPeerProbeOnePerPeer(t *testing.T) {
 }
 
 // TestPeerProbeOrphansDeadPeerWhole: when the sender dies, every one of
-// its keys is orphaned within (MaxProbeMisses+2)·ProbeInterval, each with
+// its keys is orphaned within (probeMisses+2)·Timeout, each with
 // exactly one EventOrphaned, and the orphan-detection histogram records
 // the one record's last-answer → orphan latency.
 func TestPeerProbeOrphansDeadPeerWhole(t *testing.T) {
@@ -88,10 +88,10 @@ func TestPeerProbeOrphansDeadPeerWhole(t *testing.T) {
 	c := vEndpoints(t, HS, 0, log.hook, func(cfg *Config) { cfg.Metrics = reg })
 	keys := c.installAll(64)
 	cfg := c.rcv.cfg
-	c.run(2 * cfg.ProbeInterval) // answered rounds: the sender is alive
+	c.run(2 * cfg.Timeout) // answered rounds: the sender is alive
 
 	c.snd.Close()
-	budget := time.Duration(cfg.MaxProbeMisses+2) * cfg.ProbeInterval
+	budget := time.Duration(probeMisses+2) * cfg.Timeout
 	c.within(budget, "every key of the dead sender orphaned", func() bool { return c.rcv.Len() == 0 })
 	for _, k := range keys {
 		if n := log.count(k); n != 1 {
@@ -102,10 +102,10 @@ func TestPeerProbeOrphansDeadPeerWhole(t *testing.T) {
 		t.Errorf("%d peer records left after the whole record was orphaned", c.rcv.NumPeers())
 	}
 	snap := c.rcv.histOrphan.Snapshot()
-	if lat := time.Duration(snap.SumNs); snap.Count != 1 || lat <= time.Duration(cfg.MaxProbeMisses)*cfg.ProbeInterval ||
-		lat > time.Duration(cfg.MaxProbeMisses+1)*cfg.ProbeInterval {
-		t.Errorf("orphan detection: %d observations, %v, want one in (%d, %d]×ProbeInterval",
-			snap.Count, lat, cfg.MaxProbeMisses, cfg.MaxProbeMisses+1)
+	if lat := time.Duration(snap.SumNs); snap.Count != 1 || lat <= time.Duration(probeMisses)*cfg.Timeout ||
+		lat > time.Duration(probeMisses+1)*cfg.Timeout {
+		t.Errorf("orphan detection: %d observations, %v, want one in (%d, %d]×Timeout",
+			snap.Count, lat, probeMisses, probeMisses+1)
 	}
 	if bad := c.rcv.CheckInvariants(); len(bad) != 0 {
 		t.Fatal(bad)
@@ -116,7 +116,7 @@ func TestPeerProbeOrphansDeadPeerWhole(t *testing.T) {
 // key's removal was acked re-creates the key at the receiver, a key the
 // sender no longer owns. The sender keeps answering every peer probe, so
 // only the audit its disagreeing pair opens can find the ghost: it is
-// orphaned within (MaxProbeMisses+3)·ProbeInterval, and the key the sender
+// orphaned within (probeMisses+3)·Timeout, and the key the sender
 // still owns is never touched.
 func TestReplayGhostOrphanedWhileSenderLives(t *testing.T) {
 	var log orphanLog
@@ -142,7 +142,7 @@ func TestReplayGhostOrphanedWhileSenderLives(t *testing.T) {
 	c.within(10*time.Millisecond, "the replay lands", func() bool { _, ok := c.rcv.GetFrom(c.sndAddr, ghost); return ok })
 	acks0 := c.snd.Stats().Sent["probe-ack"]
 	cfg := c.rcv.cfg
-	c.within(time.Duration(cfg.MaxProbeMisses+3)*cfg.ProbeInterval, "ghost orphaned", func() bool {
+	c.within(time.Duration(probeMisses+3)*cfg.Timeout, "ghost orphaned", func() bool {
 		_, ok := c.rcv.GetFrom(c.sndAddr, ghost)
 		return !ok
 	})
@@ -178,15 +178,15 @@ func TestAuditSettlesMissingKey(t *testing.T) {
 		t.Fatal("no entry to remove")
 	}
 	cfg := c.rcv.cfg
-	c.run(4 * cfg.ProbeInterval) // disagree, audit, settle
+	c.run(4 * cfg.Timeout) // disagree, audit, settle
 	st := c.rcv.Stats()
 	if st.ProbeAudits != 1 {
 		t.Fatalf("%d audit rounds for one missing key, want 1", st.ProbeAudits)
 	}
-	c.run(cfg.ProbeInterval / 2)
+	c.run(cfg.Timeout / 2)
 	probes0 := c.rcv.Stats().Sent["probe"]
 	const k = 10
-	c.run(k * cfg.ProbeInterval)
+	c.run(k * cfg.Timeout)
 	if st := c.rcv.Stats(); st.ProbeAudits != 1 || st.Sent["probe"]-probes0 != k {
 		t.Fatalf("after settling: %d audits, %d probes in %d rounds; want 1 and %d", st.ProbeAudits, st.Sent["probe"]-probes0, k, k)
 	}
@@ -205,7 +205,7 @@ func TestAuditSettlesMissingKey(t *testing.T) {
 // settle while the records they judge change under them. Once it is closed
 // the receiver's pairs, records and table must still agree.
 func TestPeerProbeRoundVersusDispatch(t *testing.T) {
-	rcv, err := NewReceiver(newDiscardConn(), Config{Protocol: HS, Timeout: time.Millisecond, MaxProbeMisses: 2, Shards: 4})
+	rcv, err := NewReceiver(newDiscardConn(), Config{Protocol: HS, Timeout: time.Millisecond, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

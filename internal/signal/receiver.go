@@ -62,7 +62,7 @@ type receiverEntry struct {
 	// one or the other. Refresh profiles name the entry's datagram lease in
 	// it (lease.go), 0 for none. While an audit of its pair runs, hard state
 	// keeps in it 0 for a key a per-key probe-ack answered, else 1 + the
-	// probes sent since the key was last heard of (probe.go); MaxProbeMisses
+	// probes sent since the key was last heard of (probe.go); probeMisses
 	// such probes orphan the entry. Outside an audit it is unused.
 	aux uint32
 	// renewedAt stamps the last accepted renewal (trigger, refresh, or
@@ -470,7 +470,7 @@ func (r *Receiver) handle(m wire.Message, from net.Addr, sc *dispatchScratch) {
 			versioned := false
 			if created {
 				if r.peers.install(p, wire.StateHash(m.Key, m.Seq, m.Value)) && r.prof.HardState {
-					r.probeTimer.Reset(r.cfg.ProbeInterval)
+					r.probeTimer.Reset(r.cfg.Timeout)
 				}
 				r.trace.Record(telemetry.TraceInstall, m.Key, m.Seq, from)
 				r.emit(Event{Kind: EventInstalled, Key: m.Key, Value: m.Value, Seq: m.Seq, Peer: from, Trace: m.Trace})

@@ -24,7 +24,7 @@ import (
 // A key the first life installed and the second never reinstalls must go:
 // soft state times it out, and hard state — whose restarted sender answers
 // every peer probe, but with a key set one short — orphans it through the
-// audit that disagreement opens, within (MaxProbeMisses+3)·ProbeInterval.
+// audit that disagreement opens, within (probeMisses+3)·Timeout.
 func TestSenderRestartNewIncarnation(t *testing.T) {
 	for _, proto := range []Protocol{SS, SSER, SSRT, SSRTR, HS} {
 		proto := proto
@@ -87,7 +87,7 @@ func TestSenderRestartNewIncarnation(t *testing.T) {
 			if !v.RunUntil(func() bool {
 				_, ok := rcv.GetFrom(a2.LocalAddr(), "old")
 				return !ok
-			}, time.Millisecond, time.Duration(dcfg.MaxProbeMisses+3)*dcfg.ProbeInterval) {
+			}, time.Millisecond, time.Duration(probeMisses+3)*dcfg.Timeout) {
 				t.Fatal("the first incarnation's leftover key outlived the restart")
 			}
 

@@ -131,10 +131,8 @@ func (s *Sender) readLoop(c transport.Conn) {
 	}
 }
 
-// summarySweep and summaryInterval are exercised directly by tests and
-// benchmarks.
-func (s *Sender) summarySweep() int              { return s.ss.SummarySweep() }
-func (s *Sender) summaryInterval() time.Duration { return s.ss.summaryInterval() }
+// summarySweep is exercised directly by tests and benchmarks.
+func (s *Sender) summarySweep() int { return s.ss.SummarySweep() }
 
 func isNetTemporary(err error) bool {
 	var ne net.Error

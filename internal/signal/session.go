@@ -231,7 +231,7 @@ func NewSessions(conn net.PacketConn, cfg Config) *Sessions {
 	// it is armed, so its callback never reads a nil field.
 	if ss.summaryMode() {
 		ss.sweepTimer = clk.NewTimer(ss.sweep)
-		ss.sweepTimer.Reset(ss.summaryInterval())
+		ss.sweepTimer.Reset(ss.cfg.RefreshInterval)
 	}
 	if cfg.PeerIdleTimeout > 0 {
 		ss.reapTimer = clk.NewTimer(ss.reap)
@@ -550,7 +550,7 @@ func (ss *Sessions) armRefresh(tc statetable.TimerControl[senderEntry]) {
 	if !ss.prof.Refresh || ss.summaryMode() {
 		return
 	}
-	tc.Schedule(timerRefresh, ss.refreshInterval())
+	tc.Schedule(timerRefresh, ss.cfg.RefreshInterval)
 }
 
 func (ss *Sessions) armTriggerRetx(tc statetable.TimerControl[senderEntry]) {
@@ -561,20 +561,17 @@ func (ss *Sessions) armTriggerRetx(tc statetable.TimerControl[senderEntry]) {
 	tc.Schedule(timerRetx, ss.cfg.Retransmit)
 }
 
+// retxDoublings is how many unacked attempts double the retransmission
+// wait: it stops growing at Γ·2⁴ = 16Γ.
+const retxDoublings = 4
+
 // retxDelay is the retransmission engine's backoff schedule: the wait
-// after n unacked attempts is Γ·bⁿ, capped at RetransmitMax, so a dead or
+// after n unacked attempts is Γ·2ⁿ, capped at 16Γ, so a dead or
 // partitioned peer costs geometrically less traffic while an ACK (which
 // resets the attempt counter) restores the fast timer instantly. The
 // delays ride the entry's wheel timer — no per-message allocation.
 func (ss *Sessions) retxDelay(attempts int) time.Duration {
-	d := ss.cfg.Retransmit
-	for i := 0; i < attempts && d < ss.cfg.RetransmitMax; i++ {
-		d = time.Duration(float64(d) * ss.cfg.RetransmitBackoff)
-	}
-	if d > ss.cfg.RetransmitMax {
-		d = ss.cfg.RetransmitMax
-	}
-	return d
+	return ss.cfg.Retransmit << min(attempts, retxDoublings)
 }
 
 // deleteEntry removes a session's entry from the shared table, keeping
@@ -583,22 +580,6 @@ func (ss *Sessions) retxDelay(attempts int) time.Duration {
 func (ss *Sessions) deleteEntry(s *Session, tc statetable.TimerControl[senderEntry]) {
 	tc.Delete()
 	s.tabled.Add(-1)
-}
-
-// refreshInterval returns the per-key refresh interval, stretched when an
-// aggregate rate bound is configured (scalable timers): with n live keys
-// across all peers the aggregate rate is n/interval, so the interval
-// grows to n/MaxRefreshRate once n exceeds MaxRefreshRate·R. The live
-// count is a single atomic read, not a table scan.
-func (ss *Sessions) refreshInterval() time.Duration {
-	interval := ss.cfg.RefreshInterval
-	if ss.cfg.MaxRefreshRate <= 0 {
-		return interval
-	}
-	if min := time.Duration(float64(ss.live.Load()) / ss.cfg.MaxRefreshRate * float64(time.Second)); min > interval {
-		interval = min
-	}
-	return interval
 }
 
 // onExpire dispatches wheel deadlines; it runs on a shard's timer callback
@@ -644,10 +625,6 @@ func (ss *Sessions) triggerRetx(s *Session, key string, e *senderEntry, tc state
 	if e.ackedSeq >= e.seq {
 		return
 	}
-	if ss.cfg.MaxRetransmits > 0 && int(e.retries) >= ss.cfg.MaxRetransmits {
-		ss.emit(Event{Kind: EventGaveUp, Key: key, Seq: e.seq, Peer: s.peer})
-		return
-	}
 	e.retries++
 	s.retxs.Add(1)
 	// Retransmits keep the stored origin stamp and hop count (HopNs
@@ -660,12 +637,6 @@ func (ss *Sessions) triggerRetx(s *Session, key string, e *senderEntry, tc state
 }
 
 func (ss *Sessions) removalRetx(s *Session, key string, e *senderEntry, tc statetable.TimerControl[senderEntry]) {
-	if ss.cfg.MaxRetransmits > 0 && int(e.retries) >= ss.cfg.MaxRetransmits {
-		seq := e.removalSeq
-		ss.deleteEntry(s, tc)
-		ss.emit(Event{Kind: EventGaveUp, Key: key, Seq: seq, Peer: s.peer})
-		return
-	}
 	e.retries++
 	s.retxs.Add(1)
 	ss.send(wire.Message{Type: wire.TypeRemoval, Seq: e.removalSeq, Key: key}, s.peer)
@@ -677,8 +648,8 @@ func (ss *Sessions) removalRetx(s *Session, key string, e *senderEntry, tc state
 
 // sweep is the summary sweeper: one clock callback per sweep, renewing
 // every live key of every session with batched summary datagrams instead
-// of one refresh per key, then rearmed against the current (possibly
-// stretched) interval. A sweep covers whatever is live when it runs, so a
+// of one refresh per key, then rearmed for one refresh interval later. A
+// sweep covers whatever is live when it runs, so a
 // callback the wall clock dispatched late or twice is harmless.
 func (ss *Sessions) sweep() {
 	ss.sweepMu.Lock()
@@ -687,23 +658,7 @@ func (ss *Sessions) sweep() {
 		return
 	}
 	ss.sweepLocked()
-	ss.sweepTimer.Reset(ss.summaryInterval())
-}
-
-// summaryInterval is the sweep period: the refresh interval R, stretched
-// so the aggregate summary-datagram rate (at least ⌈n/SummaryMaxKeys⌉ per
-// sweep for n live keys) stays under MaxRefreshRate when one is
-// configured.
-func (ss *Sessions) summaryInterval() time.Duration {
-	interval := ss.cfg.RefreshInterval
-	if ss.cfg.MaxRefreshRate <= 0 {
-		return interval
-	}
-	datagrams := (float64(ss.live.Load()) + float64(ss.cfg.SummaryMaxKeys) - 1) / float64(ss.cfg.SummaryMaxKeys)
-	if min := time.Duration(datagrams / ss.cfg.MaxRefreshRate * float64(time.Second)); min > interval {
-		interval = min
-	}
-	return interval
+	ss.sweepTimer.Reset(ss.cfg.RefreshInterval)
 }
 
 // SummarySweep sends one round of summary refreshes covering every live

@@ -51,35 +51,14 @@ type Config struct {
 	// RefreshInterval is the soft-state refresh timer R.
 	RefreshInterval time.Duration
 	// Timeout is the receiver's state-timeout timer T. The paper's
-	// guidance (Fig 8a) is T ≈ 3R.
+	// guidance (Fig 8a) is T ≈ 3R. It is also the hard-state receiver's
+	// probe-round period (probe.go), so hard-state cleanup reacts on the
+	// scale soft state would.
 	Timeout time.Duration
 	// Retransmit is the retransmission timer Γ for reliable messages: the
-	// delay before the first retransmission.
+	// delay before the first retransmission. Each unacked attempt doubles
+	// the wait, up to 16Γ, and a message is retried until it is acked.
 	Retransmit time.Duration
-	// RetransmitBackoff multiplies the retransmission delay after every
-	// unacked attempt (exponential backoff; default 2, values below 1 are
-	// clamped to 1 for the paper's constant-Γ behavior).
-	RetransmitBackoff float64
-	// RetransmitMax caps the backed-off retransmission delay (default
-	// 16×Retransmit).
-	RetransmitMax time.Duration
-	// MaxRetransmits bounds retransmission attempts per message; 0 means
-	// retry forever (the paper's model). Bounding is an extension for
-	// deployments that must detect dead peers.
-	MaxRetransmits int
-	// ProbeInterval is the hard-state receiver's probe-round period: how
-	// often it asks each sender holding state there for proof of life, one
-	// probe per sender whatever its key count (default Timeout, so
-	// hard-state cleanup reacts on the same scale soft state would). While
-	// a sender's key set disagrees with the receiver's, the rounds also
-	// probe that sender's keys one by one.
-	ProbeInterval time.Duration
-	// MaxProbeMisses is how many consecutive unanswered rounds declare a
-	// sender dead and orphan all its state, and how many unanswered per-key
-	// probes orphan a key the sender no longer owns (default 3). A dead
-	// sender's state is therefore gone ≈ (MaxProbeMisses+1)×ProbeInterval
-	// after its last answer.
-	MaxProbeMisses int
 	// PeerIdleTimeout, when positive, evicts sender sessions that have
 	// held no table entries (no live or removing keys) and seen no
 	// activity for this long, bounding the per-destination peer table
@@ -89,13 +68,6 @@ type Config struct {
 	// evicted one reached, so a returning peer resumes its sequence space.
 	// 0 keeps sessions forever.
 	PeerIdleTimeout time.Duration
-	// MaxRefreshRate, when positive, bounds the sender's aggregate
-	// refresh traffic to this many refreshes per second by stretching the
-	// per-key refresh interval once the key count exceeds
-	// MaxRefreshRate·RefreshInterval — Sharma et al.'s "scalable timers
-	// for soft state protocols" (paper ref [16]). Receivers should size
-	// their Timeout for the stretched interval or run the same rule.
-	MaxRefreshRate float64
 	// Shards is the state-table shard count (rounded up to a power of
 	// two; the statetable default when 0). Each shard has its own lock
 	// and timing-wheel timer, so this bounds both lock contention and
@@ -186,24 +158,6 @@ func (c Config) withDefaults() Config {
 	if c.Retransmit <= 0 {
 		c.Retransmit = d.Retransmit
 	}
-	if c.RetransmitBackoff == 0 {
-		c.RetransmitBackoff = 2
-	}
-	if c.RetransmitBackoff < 1 {
-		c.RetransmitBackoff = 1
-	}
-	if c.RetransmitMax <= 0 {
-		c.RetransmitMax = 16 * c.Retransmit
-	}
-	if c.RetransmitMax < c.Retransmit {
-		c.RetransmitMax = c.Retransmit
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = c.Timeout
-	}
-	if c.MaxProbeMisses <= 0 {
-		c.MaxProbeMisses = 3
-	}
 	if c.SummaryMaxKeys <= 0 {
 		c.SummaryMaxKeys = 64
 	}
@@ -237,15 +191,13 @@ const (
 	EventRepaired
 	// EventAcked: sender received the ACK for its latest trigger.
 	EventAcked
-	// EventGaveUp: retransmission limit reached.
-	EventGaveUp
 	// EventOrphaned: hard-state receiver removed state whose sender
 	// stopped answering liveness probes (presumed dead).
 	EventOrphaned
 )
 
 var eventKindNames = [...]string{"installed", "updated", "removed", "expired",
-	"false-removal", "repaired", "acked", "gave-up", "orphaned"}
+	"false-removal", "repaired", "acked", "orphaned"}
 
 // String implements fmt.Stringer.
 func (k EventKind) String() string {

@@ -224,30 +224,6 @@ func TestTimeoutNotificationRepair(t *testing.T) {
 	c.within(time.Second, "repair after notify", func() bool { _, ok := c.rcv.Get("k"); return ok })
 }
 
-func TestGiveUpAfterMaxRetransmits(t *testing.T) {
-	c := vEndpoints(t, SSRT, 1, func(cfg *Config) { cfg.MaxRetransmits = 3 })
-	c.snd.Install("k", []byte("v"))
-	c.within(3*time.Second, "give-up", func() bool {
-		return c.snd.Stats().Sent["trigger"] == 4 // initial + 3 retries
-	})
-	c.run(10 * fastConfig(SSRT).Retransmit) // no further retransmissions
-	if got := c.snd.Stats().Sent["trigger"]; got != 4 {
-		t.Fatalf("triggers sent = %d, want 4", got)
-	}
-	gaveUp := false
-	for done := false; !done; {
-		select {
-		case ev := <-c.snd.Events():
-			gaveUp = gaveUp || ev.Kind == EventGaveUp
-		default:
-			done = true
-		}
-	}
-	if !gaveUp {
-		t.Fatal("no give-up event emitted")
-	}
-}
-
 func TestEventsStream(t *testing.T) {
 	c := vEndpoints(t, SSER, 0)
 	c.snd.Install("k", []byte("v"))
@@ -460,7 +436,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{
 		EventInstalled, EventUpdated, EventRemoved, EventExpired,
-		EventFalseRemoval, EventRepaired, EventAcked, EventGaveUp,
+		EventFalseRemoval, EventRepaired, EventAcked, EventOrphaned,
 	}
 	for _, k := range kinds {
 		if k.String() == "unknown" {

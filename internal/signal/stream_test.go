@@ -112,7 +112,7 @@ func TestStreamHSOrphanRemoval(t *testing.T) {
 
 	snd.Close()
 	cfg := fastConfig(HS).withDefaults()
-	budget := time.Duration(cfg.MaxProbeMisses+2) * cfg.ProbeInterval * 4
+	budget := time.Duration(probeMisses+2) * cfg.Timeout * 4
 	deadline := time.Now().Add(budget)
 	for time.Now().Before(deadline) {
 		if _, ok := rcv.Get("k"); !ok {

@@ -214,39 +214,6 @@ func TestSummaryRefreshCrossesProtocols(t *testing.T) {
 	}
 }
 
-// TestSummaryIntervalStretch: MaxRefreshRate stretches the sweep period
-// based on datagram count, not key count.
-func TestSummaryIntervalStretch(t *testing.T) {
-	a, b, err := lossy.Pipe(lossy.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	cfg := Config{
-		Protocol:        SS,
-		RefreshInterval: 10 * time.Millisecond,
-		Timeout:         time.Minute,
-		SummaryRefresh:  true,
-		SummaryMaxKeys:  64,
-		MaxRefreshRate:  4, // 4 datagrams/s aggregate
-	}
-	snd, err := NewSender(a, b.LocalAddr(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snd.Close()
-	// 128 keys → 2 datagrams per sweep → stretched period = 2/4 = 500ms,
-	// far above the configured 10ms.
-	for i := 0; i < 128; i++ {
-		if err := snd.Install(fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := snd.summaryInterval(); got < 400*time.Millisecond {
-		t.Fatalf("summary interval = %v, want ≥ 400ms under rate cap", got)
-	}
-}
-
 // TestSummaryWireLimitRespected: sweeps never construct a datagram the
 // codec rejects, even with maximum-length keys.
 func TestSummaryWireLimitRespected(t *testing.T) {

@@ -15,12 +15,11 @@ func (a testAddr) Network() string { return "test" }
 func (a testAddr) String() string  { return string(a) }
 
 // TestRetxDelayBackoffSchedule: the retransmission engine's delays grow
-// geometrically from Γ and clamp at RetransmitMax.
+// geometrically from Γ and clamp at 16Γ.
 func TestRetxDelayBackoffSchedule(t *testing.T) {
 	v, snd := vSenderOnly(t, Config{
 		Protocol:   SSRT,
 		Retransmit: 10 * time.Millisecond,
-		// defaults: backoff 2, cap 16Γ = 160 ms
 	})
 	_ = v
 	ss := snd.ss
@@ -29,21 +28,6 @@ func TestRetxDelayBackoffSchedule(t *testing.T) {
 		w *= time.Millisecond
 		if got := ss.retxDelay(n); got != w {
 			t.Fatalf("retxDelay(%d) = %v, want %v", n, got, w)
-		}
-	}
-}
-
-// TestRetxDelayConstantWhenBackoffDisabled: RetransmitBackoff below 1
-// clamps to the paper's constant-Γ behavior.
-func TestRetxDelayConstantWhenBackoffDisabled(t *testing.T) {
-	_, snd := vSenderOnly(t, Config{
-		Protocol:          SSRT,
-		Retransmit:        10 * time.Millisecond,
-		RetransmitBackoff: 0.5,
-	})
-	for n := 0; n < 5; n++ {
-		if got := snd.ss.retxDelay(n); got != 10*time.Millisecond {
-			t.Fatalf("retxDelay(%d) = %v with backoff disabled", n, got)
 		}
 	}
 }
@@ -141,7 +125,7 @@ func TestRetransmittedTriggerDedup(t *testing.T) {
 
 // TestHardStateOrphanRemoval: when an HS sender dies without removing its
 // state, the receiver's liveness probes go unanswered and the state is
-// removed explicitly after MaxProbeMisses probe intervals — hard state's
+// removed explicitly after probeMisses probe intervals — hard state's
 // cleanup depends on failure detection, exactly the paper's point.
 func TestHardStateOrphanRemoval(t *testing.T) {
 	c := vEndpoints(t, HS, 0)
@@ -162,7 +146,7 @@ func TestHardStateOrphanRemoval(t *testing.T) {
 	// Kill the sender without removal: probes now go unanswered.
 	c.snd.Close()
 	cfg := fastConfig(HS).withDefaults()
-	budget := time.Duration(cfg.MaxProbeMisses+2) * cfg.ProbeInterval * 2
+	budget := time.Duration(probeMisses+2) * cfg.Timeout * 2
 	c.within(budget, "orphan removal", func() bool { _, ok := c.rcv.Get("k"); return !ok })
 
 	orphaned := false
@@ -204,10 +188,10 @@ func TestOrphanNotifyRepairsLiveSender(t *testing.T) {
 	if p == nil {
 		t.Fatal("receiver holds no record of the sender")
 	}
-	p.misses.Store(int32(cfg.MaxProbeMisses))
+	p.misses.Store(int32(probeMisses))
 	// The orphan fires on the next probe round; the notify must bring the
 	// state back within one round trip plus a probe interval.
-	c.within(3*cfg.ProbeInterval, "false orphan repaired", func() bool {
+	c.within(3*cfg.Timeout, "false orphan repaired", func() bool {
 		_, ok := c.rcv.Get("k")
 		return ok && c.snd.Stats().Received["notify"] > 0
 	})

@@ -64,3 +64,33 @@ func (c *vctx) within(budget time.Duration, what string, cond func() bool) {
 
 // run advances virtual time by d.
 func (c *vctx) run(d time.Duration) { c.clk.Run(d) }
+
+// vSenderOnly builds a virtual-time sender whose peer end is drained by a
+// bare read loop (no Receiver), for tests that only inspect sender-side
+// traffic counters.
+func vSenderOnly(t *testing.T, cfg Config) (*clock.Virtual, *Sender) {
+	t.Helper()
+	v := clock.NewVirtual()
+	cfg.Clock = v
+	a, b, err := lossy.Pipe(lossy.Config{Clock: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snd, err := NewSender(a, b.LocalAddr(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { // drain so the gate never stalls on unread datagrams
+		buf := make([]byte, 64*1024)
+		for {
+			if _, _, err := b.ReadFrom(buf); err != nil {
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		snd.Close()
+		b.Close()
+	})
+	return v, snd
+}

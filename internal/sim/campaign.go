@@ -70,11 +70,9 @@ type CampaignConfig struct {
 	Timeout         time.Duration
 	Retransmit      time.Duration
 	// Duration is the virtual campaign length (default 5 s past the last
-	// scheduled fault).
+	// scheduled fault). Invariants and agreement are audited twice per
+	// RefreshInterval.
 	Duration time.Duration
-	// AuditEvery is the invariant/agreement audit period (default
-	// RefreshInterval/2).
-	AuditEvery time.Duration
 	// Seed drives link impairments; equal seeds + equal schedules produce
 	// byte-identical CampaignResults.
 	Seed uint64
@@ -103,9 +101,6 @@ func (cfg *CampaignConfig) applyDefaults() error {
 	}
 	if cfg.Retransmit <= 0 {
 		cfg.Retransmit = 25 * time.Millisecond
-	}
-	if cfg.AuditEvery <= 0 {
-		cfg.AuditEvery = cfg.RefreshInterval / 2
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 0xca3a1
@@ -284,7 +279,8 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 	// what is due, repeat. Everything is a pure function of the config.
 	res.TimeToReconverge = -1
 	fi := 0
-	nextAudit := cfg.AuditEvery
+	auditEvery := cfg.RefreshInterval / 2
+	nextAudit := auditEvery
 	now := time.Duration(0)
 	for now < cfg.Duration {
 		next := nextAudit
@@ -304,7 +300,7 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 		}
 		for nextAudit <= now {
 			audit()
-			nextAudit += cfg.AuditEvery
+			nextAudit += auditEvery
 		}
 	}
 	res.FinalHolds = agreeing()

@@ -29,10 +29,9 @@ type CensusConfig struct {
 	Hops int
 	// Keys is the number of concurrently signaled keys.
 	Keys int
-	// Loss, Delay, Jitter impair every link.
-	Loss   float64
-	Delay  time.Duration
-	Jitter time.Duration
+	// Loss and Delay impair every link, without jitter.
+	Loss  float64
+	Delay time.Duration
 	// RefreshInterval, Timeout, Retransmit are the protocol timers
 	// (defaults as LiveConfig: R = 100 ms, T = 3R, Γ = 25 ms).
 	RefreshInterval time.Duration
@@ -41,18 +40,13 @@ type CensusConfig struct {
 	// MeanLifetime and MeanGap churn keys exactly as LiveConfig does.
 	MeanLifetime time.Duration
 	MeanGap      time.Duration
-	// CensusInterval is the audit period (default RefreshInterval).
-	CensusInterval time.Duration
-	// Sample is the end-to-end intent sampling period (default R/2).
-	Sample time.Duration
-	// Duration is the churned, measured window (default 30 s).
+	// Duration is the churned, measured window (default 30 s). A census
+	// audits every link once per RefreshInterval, and the end-to-end
+	// intent is sampled twice per RefreshInterval, as LiveConfig samples
+	// it. After the window comes a churn-free quiesce window of
+	// (Hops+2) × Timeout, since silent soft-state removals cascade one
+	// state-timeout per hop.
 	Duration time.Duration
-	// Quiesce is the settle window after churn and measurement stop,
-	// before the final census. Silent soft-state removals cascade one
-	// state-timeout per hop, so the default is (Hops+2) × Timeout.
-	Quiesce time.Duration
-	// Shards is the per-endpoint state-table shard count (default 4).
-	Shards int
 	// Seed makes the run reproducible; equal seeds produce byte-identical
 	// CensusResults.
 	Seed uint64
@@ -130,20 +124,13 @@ type CensusResult struct {
 func RunCensusAudit(cfg CensusConfig) (CensusResult, error) {
 	live := LiveConfig{
 		Protocol: cfg.Protocol, Hops: cfg.Hops, Keys: cfg.Keys,
-		Loss: cfg.Loss, Delay: cfg.Delay, Jitter: cfg.Jitter,
+		Loss: cfg.Loss, Delay: cfg.Delay,
 		RefreshInterval: cfg.RefreshInterval, Timeout: cfg.Timeout, Retransmit: cfg.Retransmit,
 		MeanLifetime: cfg.MeanLifetime, MeanGap: cfg.MeanGap,
-		Duration: cfg.Duration, Sample: cfg.Sample, Shards: cfg.Shards,
-		Seed: cfg.Seed, Metrics: cfg.Metrics,
+		Duration: cfg.Duration, Seed: cfg.Seed, Metrics: cfg.Metrics,
 	}
 	if err := live.applyDefaults(); err != nil {
 		return CensusResult{}, err
-	}
-	if cfg.CensusInterval <= 0 {
-		cfg.CensusInterval = live.RefreshInterval
-	}
-	if cfg.Quiesce <= 0 {
-		cfg.Quiesce = time.Duration(live.Hops+2) * live.Timeout
 	}
 	v := clock.NewVirtual()
 	scfg := live.signalConfig(v)
@@ -195,7 +182,7 @@ func RunCensusAudit(cfg CensusConfig) (CensusResult, error) {
 	// quiesce window runs churn-free.
 	w := startWorkload(live, v, stack)
 
-	// The periodic census: every CensusInterval, audit all links and
+	// The periodic census: every refresh interval, audit all links and
 	// accumulate the divergence counts. Census callbacks run with the
 	// virtual clock held, so the digests they read are a consistent
 	// snapshot of a single instant. During the quiesce window the rounds
@@ -217,16 +204,16 @@ func RunCensusAudit(cfg CensusConfig) (CensusResult, error) {
 				res.MaxDivergent = rep.Divergent
 			}
 		}
-		v.AfterFunc(cfg.CensusInterval, census)
+		v.AfterFunc(live.RefreshInterval, census)
 	}
-	v.AfterFunc(cfg.CensusInterval, census)
+	v.AfterFunc(live.RefreshInterval, census)
 
 	v.Run(live.Duration)
 	// Close the measured window before the quiesce run: the estimator and
 	// the sampled I both describe the churned interval only.
 	res.EstimatedInconsistency = pm.Inconsistency()
 	w.stopped = true
-	v.Run(cfg.Quiesce)
+	v.Run(time.Duration(live.Hops+2) * live.Timeout)
 
 	if res.Censuses > 0 {
 		denom := float64(res.Censuses) * float64(live.Hops) * float64(live.Keys)

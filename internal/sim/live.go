@@ -60,8 +60,6 @@ type LiveConfig struct {
 	// paths on every endpoint.
 	SummaryRefresh bool
 	CoalesceAcks   bool
-	// Shards is the per-endpoint state-table shard count (default 4).
-	Shards int
 	// MeanLifetime, when positive, removes each key after an exponential
 	// installed lifetime; MeanGap, when positive, reinstalls it (with a
 	// fresh version) an exponential gap later. Zero lifetimes make keys
@@ -74,8 +72,6 @@ type LiveConfig struct {
 	MeanFalseSignal time.Duration
 	// Duration is the virtual experiment length (default 30 s).
 	Duration time.Duration
-	// Sample is the consistency sampling period (default RefreshInterval/2).
-	Sample time.Duration
 	// Seed makes the run reproducible; runs with equal seeds produce
 	// byte-identical LiveResults.
 	Seed uint64
@@ -106,12 +102,6 @@ func (cfg *LiveConfig) applyDefaults() error {
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 30 * time.Second
-	}
-	if cfg.Sample <= 0 {
-		cfg.Sample = cfg.RefreshInterval / 2
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x5057a7e
@@ -188,7 +178,7 @@ func (cfg LiveConfig) signalConfig(v *clock.Virtual) signal.Config {
 		Retransmit:      cfg.Retransmit,
 		SummaryRefresh:  cfg.SummaryRefresh,
 		CoalesceAcks:    cfg.CoalesceAcks,
-		Shards:          cfg.Shards,
+		Shards:          4, // per endpoint
 		Clock:           v,
 		Metrics:         cfg.Metrics,
 	}
@@ -200,6 +190,10 @@ func (cfg LiveConfig) signalConfig(v *clock.Virtual) signal.Config {
 	}
 	return scfg
 }
+
+// samplePeriod is how often a live run samples consistency: twice per
+// refresh interval.
+func (cfg LiveConfig) samplePeriod() time.Duration { return cfg.RefreshInterval / 2 }
 
 // linkConfig is the impairment every link of a live run shares. Each
 // endpoint of the run's switch (or of the one-hop pipe) splits its own
@@ -278,7 +272,7 @@ func startWorkload(cfg LiveConfig, v *clock.Virtual, stack *liveStack) *workload
 	if cfg.MeanFalseSignal > 0 {
 		v.AfterFunc(w.expDelay(cfg.MeanFalseSignal), w.falseSignal)
 	}
-	v.AfterFunc(cfg.Sample, w.sample)
+	v.AfterFunc(cfg.samplePeriod(), w.sample)
 	return w
 }
 
@@ -340,7 +334,7 @@ func (w *workload) sample() {
 			}
 		}
 	}
-	w.v.AfterFunc(w.cfg.Sample, w.sample)
+	w.v.AfterFunc(w.cfg.samplePeriod(), w.sample)
 }
 
 // inconsistency is the sampled fraction of (key, sampling point, time) in

@@ -31,9 +31,8 @@ import (
 type PaperMetrics struct {
 	clk  clock.Clock
 	born time.Time
-	ack  bool          // triggers stay inconsistent until acked
-	rw   time.Duration // repair window: max loss→repair gap that counts
-	sent func() int64  // cumulative datagram supplier for Rate
+	ack  bool         // triggers stay inconsistent until acked
+	sent func() int64 // cumulative datagram supplier for Rate
 
 	mu      sync.Mutex
 	live    map[string]struct{}
@@ -43,6 +42,11 @@ type PaperMetrics struct {
 	keyTime float64       // ∫ live keys dt, in key-seconds
 	badTime float64       // ∫ inconsistent keys dt, in key-seconds
 }
+
+// repairWindow caps how long after a state loss a re-install still counts
+// the gap as inconsistency. Losses never repaired within it are presumed
+// intended removals and contribute nothing.
+const repairWindow = 30 * time.Second
 
 // window is one open inconsistency interval.
 type window struct {
@@ -61,10 +65,6 @@ type PaperConfig struct {
 	// ack-less variants and on receiver-side collectors (where an install
 	// event means the state is already consistent).
 	AckExpected bool
-	// RepairWindow caps how long after a state loss a re-install still
-	// counts the gap as inconsistency (default 30 s). Losses never
-	// repaired are presumed intended removals and contribute nothing.
-	RepairWindow time.Duration
 	// Sent supplies the endpoint's cumulative signaling datagram count
 	// (sent + received is the usual choice) for the Rate gauge.
 	Sent func() int64
@@ -73,14 +73,10 @@ type PaperConfig struct {
 // NewPaperMetrics creates a collector.
 func NewPaperMetrics(cfg PaperConfig) *PaperMetrics {
 	clk := clock.Or(cfg.Clock)
-	if cfg.RepairWindow <= 0 {
-		cfg.RepairWindow = 30 * time.Second
-	}
 	return &PaperMetrics{
 		clk:     clk,
 		born:    clk.Now(),
 		ack:     cfg.AckExpected,
-		rw:      cfg.RepairWindow,
 		sent:    cfg.Sent,
 		live:    make(map[string]struct{}),
 		pending: make(map[string]window),
@@ -108,7 +104,7 @@ func (p *PaperMetrics) OnInstall(key string) {
 	p.advance(now)
 	if w, ok := p.pending[key]; ok {
 		if w.repair {
-			if gap := now - w.openedAt; gap <= p.rw {
+			if gap := now - w.openedAt; gap <= repairWindow {
 				p.badTime += gap.Seconds()
 			}
 			delete(p.pending, key)
@@ -163,7 +159,7 @@ func (p *PaperMetrics) OnRemove(key string) {
 // OnLost records a state loss the protocol noticed — expiry, orphan
 // detection, a false removal signal. The key stays in the key-time base
 // (its owner still intends it) and a repair window opens: if a re-install
-// follows within RepairWindow, the whole gap counts as inconsistency.
+// follows within repairWindow, the whole gap counts as inconsistency.
 func (p *PaperMetrics) OnLost(key string) {
 	if p == nil {
 		return
@@ -186,7 +182,7 @@ func (p *PaperMetrics) read() (inconsistency, keyTime float64, live int) {
 	defer p.mu.Unlock()
 	p.advance(now)
 	for k, w := range p.pending {
-		if w.repair && now-w.openedAt > p.rw {
+		if w.repair && now-w.openedAt > repairWindow {
 			// Presumed intended removal: the gap never counts as
 			// inconsistency, and the key-time accrued since the loss is
 			// backed out of the base (the key was not really live).

@@ -262,12 +262,12 @@ func TestTraceSamplingKeepsWholeLifecyclesAndSummaries(t *testing.T) {
 }
 
 func TestTraceRecordsPeerAndSink(t *testing.T) {
-	var sunk []TraceEvent
-	tr := NewTracer(TracerConfig{Capacity: 4, Sink: func(ev TraceEvent) { sunk = append(sunk, ev) }})
+	tr := NewTracer(TracerConfig{Capacity: 4})
 	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9999}
 	tr.Record(TraceRemoval, "k", 3, addr)
+	sunk := tr.Events()
 	if len(sunk) != 1 || sunk[0].Peer != "127.0.0.1:9999" {
-		t.Fatalf("sink got %+v", sunk)
+		t.Fatalf("ring holds %+v", sunk)
 	}
 	if s := sunk[0].String(); !strings.Contains(s, "removal") || !strings.Contains(s, `key="k"`) {
 		t.Fatalf("event string = %q", s)
@@ -303,7 +303,7 @@ func TestPaperMetricsAckWindows(t *testing.T) {
 
 func TestPaperMetricsRepairWindows(t *testing.T) {
 	v := clock.NewVirtual()
-	pm := NewPaperMetrics(PaperConfig{Clock: v, RepairWindow: 30 * time.Second})
+	pm := NewPaperMetrics(PaperConfig{Clock: v})
 	pm.OnInstall("k")
 	v.Run(10 * time.Second)
 	pm.OnLost("k") // expiry observed at t=10

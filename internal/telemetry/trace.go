@@ -101,10 +101,6 @@ type TracerConfig struct {
 	// lifecycle stays complete — the property per-step invariant checking
 	// needs.
 	SampleEvery uint32
-	// Sink, when set, receives every recorded event synchronously (after
-	// sampling, before the ring). It must not block and must not call
-	// back into the endpoint that emitted it.
-	Sink func(TraceEvent)
 	// Clock stamps events (clock.System when nil); pass the run's
 	// *clock.Virtual for deterministic traces.
 	Clock clock.Clock
@@ -118,7 +114,6 @@ type Tracer struct {
 	clk    clock.Clock
 	born   time.Time
 	sample uint32
-	sink   func(TraceEvent)
 
 	mu      sync.Mutex
 	ring    []TraceEvent
@@ -137,7 +132,6 @@ func NewTracer(cfg TracerConfig) *Tracer {
 		clk:    clk,
 		born:   clk.Now(),
 		sample: cfg.SampleEvery,
-		sink:   cfg.Sink,
 		ring:   make([]TraceEvent, cfg.Capacity),
 	}
 }
@@ -178,9 +172,6 @@ func (t *Tracer) Record(kind TraceKind, key string, seq uint64, peer net.Addr) {
 	ev := TraceEvent{At: t.clk.Since(t.born), Kind: kind, Key: key, Seq: seq}
 	if peer != nil {
 		ev.Peer = peer.String()
-	}
-	if t.sink != nil {
-		t.sink(ev)
 	}
 	t.mu.Lock()
 	if t.wrapped {

@@ -155,7 +155,12 @@ type Stats struct {
 	// kernel: a udp-batch WriteTo returns once its frame is queued, and the
 	// writer that sends it later can meet a hard sendmmsg error or a closed
 	// socket.
-	WriteFailed    telemetry.Counter
+	WriteFailed telemetry.Counter
+	// ReadBuffer is the receive buffer the kernel granted a udp-batch
+	// socket, in bytes, as getsockopt(SO_RCVBUF) reports it: on linux
+	// twice the request capped at net.core.rmem_max, the doubling being
+	// room for the kernel's bookkeeping.
+	ReadBuffer     telemetry.Gauge
 	ReadBatchSize  telemetry.Histogram
 	WriteBatchSize telemetry.Histogram
 }
@@ -244,6 +249,11 @@ func (s *Stats) Register(reg *telemetry.Registry, labels telemetry.Labels) {
 		Help:   "Frames a write accepted that never reached the kernel: a hard send error or a closed socket under a queued send.",
 		Labels: labels,
 	}, &s.WriteFailed)
+	reg.GaugeFunc(telemetry.Opts{
+		Name:   "softstate_transport_read_buffer_bytes",
+		Help:   "Receive buffer the kernel granted a udp-batch socket (getsockopt SO_RCVBUF).",
+		Labels: labels,
+	}, func() float64 { return float64(s.ReadBuffer.Value()) })
 	reg.RegisterHistogram(telemetry.Opts{
 		Name:   "softstate_transport_read_batch_datagrams",
 		Help:   "Datagrams per read syscall (batch-size distribution).",
@@ -438,18 +448,17 @@ type Options struct {
 	// (default 1). Each socket is an independent read lane; the kernel
 	// hashes inbound flows across them.
 	Sockets int
-	// RecvBuffer is the per-socket SO_RCVBUF request in bytes (default
-	// 4 MiB): a fan-in burst of a full summary sweep must not overflow
-	// the socket before the read loop drains it.
-	RecvBuffer int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Sockets <= 0 {
 		o.Sockets = 1
 	}
-	if o.RecvBuffer <= 0 {
-		o.RecvBuffer = 4 << 20
-	}
 	return o
 }
+
+// readBuffer is the SO_RCVBUF a ListenUDPBatch socket asks for: a fan-in
+// burst of a full summary sweep must not overflow the socket before the
+// read loop drains it. The kernel caps the request at net.core.rmem_max;
+// Stats.ReadBuffer reports what it granted.
+const readBuffer = 4 << 20

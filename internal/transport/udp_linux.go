@@ -60,7 +60,6 @@ func ListenUDPBatch(addr string, o Options) (Conn, error) {
 			return nil, err
 		}
 		uc := pc.(*net.UDPConn)
-		uc.SetReadBuffer(o.RecvBuffer)
 		bc, err := newBatchConn(uc, st)
 		if err != nil {
 			uc.Close()
@@ -141,17 +140,29 @@ func newBatchConn(uc *net.UDPConn, st *Stats) (*batchConn, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := uc.SetReadBuffer(readBuffer); err != nil {
+		return nil, err
+	}
 	// SO_RXQ_OVFL: every datagram carries the socket's drop count, so an
-	// overflowing receive queue shows in Stats.Overflowed.
+	// overflowing receive queue shows in Stats.Overflowed. SO_RCVBUF reads
+	// back the receive buffer the kernel granted.
+	var granted int
 	var serr error
 	if err := rc.Control(func(fd uintptr) {
-		serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RXQ_OVFL, 1)
+		if serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RXQ_OVFL, 1); serr != nil {
+			serr = os.NewSyscallError("setsockopt", serr)
+			return
+		}
+		if granted, serr = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF); serr != nil {
+			serr = os.NewSyscallError("getsockopt", serr)
+		}
 	}); err != nil {
 		return nil, err
 	}
 	if serr != nil {
-		return nil, os.NewSyscallError("setsockopt", serr)
+		return nil, serr
 	}
+	st.ReadBuffer.Set(int64(granted))
 	c := &batchConn{uc: uc, rc: rc, st: st, mtu: routeMTU,
 		kick: make(chan struct{}, 1), wstop: make(chan struct{}), wdone: make(chan struct{})}
 	c.recvf, c.sendf = c.recv, c.send
@@ -315,9 +326,11 @@ func (c *batchConn) releaseRing() {
 // is out. Each run of consecutive messages to one destination goes out in
 // as few datagrams as fit that destination's budget (coalesce.go),
 // gathered straight from the callers' frames; a lone frame, or one too
-// long to share, goes out as itself. Messages whose Addr is not a
-// *net.UDPAddr fall back to one plain write each. The write ring is
-// borrowed from writeRings for the call.
+// long to share, goes out as itself, and an empty one as an empty
+// datagram. A message whose Addr is no UDP destination (see udpDest) is
+// refused with EINVAL, as WriteTo refuses it, and the count returned is
+// the messages sent before it. The write ring is borrowed from writeRings
+// for the call.
 func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -330,19 +343,14 @@ func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 
 // writeLocked transmits ms in order through write ring r; wmu is held. It
 // stops at the first hard error and returns the frames sent before it and
-// the frames of the datagram the kernel refused, which it refuses whole.
+// the frames of the datagram the kernel refused, which it refuses whole,
+// or the one message that names no UDP destination.
 func (c *batchConn) writeLocked(r *writeRing, ms []Message) (written, refused int, err error) {
 	for written < len(ms) {
 		chunk := ms[written:]
 		dgrams := c.prepareWrite(r, chunk)
 		if dgrams == 0 {
-			// Exotic addr type or empty payload: single-datagram path.
-			if _, err := c.uc.WriteTo(chunk[0].Data, chunk[0].Addr); err != nil && !isTemporary(err) {
-				return written, 1, err
-			}
-			c.st.ObserveWrite(1)
-			written++
-			continue
+			return written, 1, &net.OpError{Op: "write", Net: "udp", Addr: chunk[0].Addr, Err: syscall.EINVAL}
 		}
 		sent, err := writeChunks(dgrams, func(off int) (int, error) {
 			cnt, serr := c.rawSend(r.hs[off:dgrams])
@@ -457,23 +465,21 @@ func (q *writeQueue) reset() {
 
 // prepareWrite lays out the leading messages of ms in write ring r, as
 // many as one sendmmsg takes (MaxWriteBatch frames in at most
-// len(r.hs) datagrams), and returns how many datagrams it laid out: 0
-// when ms[0] cannot take the raw path.
+// len(r.hs) datagrams), up to the first that names no UDP destination,
+// and returns how many datagrams it laid out: 0 when ms[0] names none.
 func (c *batchConn) prepareWrite(r *writeRing, ms []Message) int {
 	ms = ms[:min(len(ms), MaxWriteBatch)]
 	d, iov := 0, 0
 	for f := 0; f < len(ms) && d < len(r.hs); d++ {
-		ua, ok := ms[f].Addr.(*net.UDPAddr)
-		if !ok || len(ms[f].Data) == 0 {
+		ua, ok := udpDest(ms[f].Addr)
+		if !ok {
 			break
 		}
 		salen := encodeSockaddr(&r.sas[d], ua)
-		if salen == 0 {
-			break
-		}
-		// Only a run of two or more needs the budget, and so the probe.
+		// Only a run of two or more needs the budget, and so the probe;
+		// an empty frame is a datagram of its own.
 		k := 1
-		if f+1 < len(ms) && sameDest(ms[f+1].Addr, ua) {
+		if len(ms[f].Data) > 0 && f+1 < len(ms) && sameDest(ms[f+1].Addr, ua) {
 			k = planDatagram(ms[f:], c.budget(ua))
 		}
 		h, first := &r.hs[d], iov
@@ -483,8 +489,10 @@ func (c *batchConn) prepareWrite(r *writeRing, ms []Message) int {
 		h.hdr.Flags = 0
 		h.n = 0
 		if k == 1 {
-			setIovec(&r.iovs[iov], ms[f].Data)
-			iov++
+			if len(ms[f].Data) > 0 {
+				setIovec(&r.iovs[iov], ms[f].Data)
+				iov++
+			}
 		} else {
 			for j := f; j < f+k; j++ {
 				setIovec(&r.iovs[iov], frameHeader(&r.prefixes[j], j == f, len(ms[j].Data)))
@@ -620,10 +628,10 @@ func (c *batchConn) ReadFrom(p []byte) (int, net.Addr, error) {
 // sendmmsg, with whatever else was queued meanwhile. A producer that finds
 // the queue full sends it itself before queuing, so a burst runs at the
 // kernel's pace and the queue stays within its bounds. Only a *net.UDPAddr
-// is accepted, as by a plain UDP socket; a frame the writer cannot send is
-// counted in Stats.WriteFailed.
+// is accepted (see udpDest), as by a plain UDP socket; a frame the writer
+// cannot send is counted in Stats.WriteFailed.
 func (c *batchConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	if ua, ok := addr.(*net.UDPAddr); !ok || ua == nil {
+	if _, ok := udpDest(addr); !ok {
 		return 0, &net.OpError{Op: "write", Net: "udp", Addr: addr, Err: syscall.EINVAL}
 	}
 	if len(p) > queueBytesMax {
@@ -908,10 +916,25 @@ func decodeSockaddr(b []byte) *net.UDPAddr {
 	return nil
 }
 
-// encodeSockaddr writes a's raw sockaddr into sa, returning its length
-// (0 when a cannot be encoded). Ports are network byte order.
+// udpDest returns addr as a destination encodeSockaddr can lay out: a
+// non-nil *net.UDPAddr whose IP is IPv4, IPv6, or empty.
+func udpDest(addr net.Addr) (*net.UDPAddr, bool) {
+	ua, ok := addr.(*net.UDPAddr)
+	if !ok || ua == nil {
+		return nil, false
+	}
+	switch len(ua.IP) {
+	case 0, net.IPv4len, net.IPv6len:
+		return ua, true
+	}
+	return nil, false
+}
+
+// encodeSockaddr writes a's raw sockaddr into sa, returning its length; a
+// is a udpDest. An empty IP is 0.0.0.0, as net.UDPConn.WriteTo reads it.
+// Ports are network byte order.
 func encodeSockaddr(sa *[syscall.SizeofSockaddrAny]byte, a *net.UDPAddr) uint32 {
-	if ip4 := a.IP.To4(); ip4 != nil {
+	if ip4 := a.IP.To4(); ip4 != nil || len(a.IP) == 0 {
 		for i := 0; i < syscall.SizeofSockaddrInet4; i++ {
 			sa[i] = 0
 		}
@@ -922,9 +945,6 @@ func encodeSockaddr(sa *[syscall.SizeofSockaddrAny]byte, a *net.UDPAddr) uint32 
 		return syscall.SizeofSockaddrInet4
 	}
 	ip6 := a.IP.To16()
-	if ip6 == nil {
-		return 0
-	}
 	for i := 0; i < syscall.SizeofSockaddrInet6; i++ {
 		sa[i] = 0
 	}

@@ -5,15 +5,18 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 	"unsafe"
 
+	"softstate/internal/telemetry"
 	"softstate/internal/wire"
 )
 
@@ -1245,12 +1248,18 @@ func TestWriteFailuresCounted(t *testing.T) {
 }
 
 // TestOverflowCounted: datagrams the kernel drops on a full receive queue
-// are counted. A writer overruns the reader's SO_RCVBUF while the reader
-// waits; the reader drains what was queued, and the next datagram's
-// SO_RXQ_OVFL report makes Overflowed exactly what was sent and never
-// read.
+// are counted. A writer overruns the reader's SO_RCVBUF, shrunk to 4 KB,
+// while the reader waits; the reader drains what was queued, and the next
+// datagram's SO_RXQ_OVFL report makes Overflowed exactly what was sent
+// and never read.
 func TestOverflowCounted(t *testing.T) {
-	rx := listenBatch(t, Options{RecvBuffer: 4 << 10})
+	rx := listenBatch(t, Options{})
+	var serr error
+	if err := rx.(*batchConn).rc.Control(func(fd uintptr) {
+		serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 4<<10)
+	}); err != nil || serr != nil {
+		t.Fatal(err, serr)
+	}
 	tx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -1286,5 +1295,113 @@ func TestOverflowCounted(t *testing.T) {
 	}
 	if got := st.Overflowed.Value(); got != sent-read {
 		t.Fatalf("Overflowed = %d, want the %d datagrams sent and never read", got, sent-read)
+	}
+}
+
+// TestWriteBatchRefusesForeignAddr: WriteBatch refuses a message whose
+// Addr is no *net.UDPAddr with the EINVAL error WriteTo gives it, returns
+// the count of the messages sent before it, and sends none after it.
+func TestWriteBatchRefusesForeignAddr(t *testing.T) {
+	rx := listenBatch(t, Options{})
+	tx := listenBatch(t, Options{})
+	to, foreign := rx.LocalAddr(), &net.IPAddr{IP: net.IPv4(127, 0, 0, 1)}
+	if _, err := tx.WriteTo(numbered(9, 40), foreign); !errors.Is(err, syscall.EINVAL) {
+		t.Fatalf("WriteTo to a %T: %v, want EINVAL", foreign, err)
+	}
+	n, err := tx.WriteBatch([]Message{{numbered(0, 40), to}, {numbered(1, 40), to}, {numbered(2, 40), foreign}, {numbered(3, 40), to}})
+	var oe *net.OpError
+	if n != 2 || !errors.As(err, &oe) || !errors.Is(err, syscall.EINVAL) || oe.Addr != foreign {
+		t.Fatalf("WriteBatch = %d, %v; want 2 and an EINVAL *net.OpError naming the %T", n, err, foreign)
+	}
+	if got := readNumbers(t, rx, 2); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("received %v, want [0 1]", got)
+	}
+	rx.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if k, err := rx.ReadBatch(NewBatch(0)); err == nil {
+		t.Fatalf("%d frames arrived from behind the refused message", k)
+	}
+}
+
+// TestWriteBatchEmptyIP: a destination with no IP is 0.0.0.0, as a plain
+// UDP socket reads it (signald -peer :port), so a batch and a queued frame
+// to it reach the local listener on that port through sendmmsg: the
+// batch's run in one datagram, the queued frame in one more.
+func TestWriteBatchEmptyIP(t *testing.T) {
+	rx := listenBatch(t, Options{})
+	tx := listenBatch(t, Options{})
+	to := &net.UDPAddr{Port: rx.LocalAddr().(*net.UDPAddr).Port}
+	if n, err := tx.WriteBatch([]Message{{numbered(0, 40), to}, {numbered(1, 40), to}}); n != 2 || err != nil {
+		t.Fatalf("WriteBatch = %d, %v", n, err)
+	}
+	if _, err := tx.WriteTo(numbered(2, 40), to); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	if got := readNumbers(t, rx, 3); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("received %v, want [0 1 2]", got)
+	}
+	tx.Close() // waits for the writer, which counts after its sendmmsg
+	st := tx.Stats()
+	if calls, dgrams := st.WriteCalls.Value(), st.WriteDatagrams.Value(); calls != 2 || dgrams != 2 {
+		t.Fatalf("%d write calls, %d datagrams; want 2 sendmmsg calls of one datagram each", calls, dgrams)
+	}
+}
+
+// TestWriteBatchEmptyFrame: an empty frame leaves through sendmmsg as an
+// empty datagram of its own, splitting the run of frames around it: one
+// call, three datagrams, and the reader gets the three frames in order.
+func TestWriteBatchEmptyFrame(t *testing.T) {
+	rx := listenBatch(t, Options{})
+	tx := listenBatch(t, Options{})
+	to := rx.LocalAddr()
+	if n, err := tx.WriteBatch([]Message{{numbered(1, 40), to}, {[]byte{}, to}, {numbered(2, 30), to}}); n != 3 || err != nil {
+		t.Fatalf("WriteBatch = %d, %v", n, err)
+	}
+	st := tx.Stats()
+	if calls, dgrams := st.WriteCalls.Value(), st.WriteDatagrams.Value(); calls != 1 || dgrams != 3 {
+		t.Fatalf("%d write calls, %d datagrams; want one sendmmsg of 3", calls, dgrams)
+	}
+	var lens []int
+	in := NewBatch(0)
+	rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for len(lens) < 3 {
+		n, err := rx.ReadBatch(in)
+		if err != nil {
+			t.Fatalf("read %d of 3 frames: %v", len(lens), err)
+		}
+		for _, m := range in[:n] {
+			lens = append(lens, len(m.Data))
+		}
+	}
+	if !slices.Equal(lens, []int{40, 0, 30}) {
+		t.Fatalf("received frames of %v bytes, want [40 0 30]", lens)
+	}
+}
+
+// TestReadBufferGauge: ListenUDPBatch reads back the receive buffer the
+// kernel granted, which the kernel may cap below the request, and
+// /metrics shows it.
+func TestReadBufferGauge(t *testing.T) {
+	c := listenBatch(t, Options{Sockets: 2})
+	for _, lane := range Fanout(c) {
+		var granted int
+		var serr error
+		if err := lane.(*batchConn).rc.Control(func(fd uintptr) {
+			granted, serr = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+		}); err != nil || serr != nil {
+			t.Fatal(err, serr)
+		}
+		if got := c.Stats().ReadBuffer.Value(); got != int64(granted) || granted == 0 {
+			t.Fatalf("ReadBuffer = %d, getsockopt(SO_RCVBUF) = %d", got, granted)
+		}
+	}
+	reg := telemetry.NewRegistry()
+	c.Stats().Register(reg, nil)
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("softstate_transport_read_buffer_bytes %d\n", c.Stats().ReadBuffer.Value())
+	if !strings.Contains(sb.String(), want) {
+		t.Fatalf("/metrics lacks %q:\n%s", want, sb.String())
 	}
 }

@@ -14,8 +14,9 @@ func ListenUDPBatch(addr string, o Options) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uc, ok := pc.(*net.UDPConn); ok {
-		uc.SetReadBuffer(o.RecvBuffer)
+	if err := pc.(*net.UDPConn).SetReadBuffer(readBuffer); err != nil {
+		pc.Close()
+		return nil, err
 	}
 	return Wrap(pc), nil
 }
