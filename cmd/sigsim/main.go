@@ -32,8 +32,10 @@ import (
 	"time"
 
 	"softstate/internal/chaos"
-	"softstate/internal/core"
+	"softstate/internal/multihop"
+	"softstate/internal/rand"
 	"softstate/internal/sim"
+	"softstate/internal/singlehop"
 	"softstate/internal/variant"
 )
 
@@ -51,7 +53,7 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "random seed")
 		timers    = flag.String("timers", "deterministic", "timer distribution: deterministic, exponential, jitter")
 		anaOnly   = flag.Bool("analytic-only", false, "skip simulation")
-		multihop  = flag.Bool("multihop", false, "run the multi-hop study instead of single-hop")
+		multi     = flag.Bool("multihop", false, "run the multi-hop study instead of single-hop")
 		live      = flag.Bool("live", false, "run the real wire stack in virtual time instead of the abstract simulator")
 		chaosRun  = flag.Bool("chaos", false, "expand -seed into a failure campaign and replay it on the live stack")
 		episodes  = flag.Int("episodes", 4, "failure episodes to generate (chaos)")
@@ -74,14 +76,14 @@ func main() {
 	}
 
 	if *live {
-		if err := runLive(*protoName, *liveKeys, *loss, *delay, *hops, *liveDur, *seed, *multihop); err != nil {
+		if err := runLive(*protoName, *liveKeys, *loss, *delay, *hops, *liveDur, *seed, *multi); err != nil {
 			fmt.Fprintln(os.Stderr, "sigsim:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	protos, err := parseProtocols(*protoName, *multihop)
+	protos, err := parseProtocols(*protoName, *multi)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sigsim:", err)
 		os.Exit(2)
@@ -92,8 +94,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *multihop {
-		mp := core.DefaultMultihopParams().WithHops(*hops).WithRefresh(*refresh)
+	if *multi {
+		mp := multihop.DefaultParams().WithHops(*hops).WithRefresh(*refresh)
 		if *timeout > 0 {
 			mp.Timeout = *timeout
 		}
@@ -109,7 +111,7 @@ func main() {
 		return
 	}
 
-	p := core.DefaultParams().WithSessionLength(*lifetime).WithRefresh(*refresh).WithDelay(*delay)
+	p := singlehop.DefaultParams().WithSessionLength(*lifetime).WithRefresh(*refresh).WithDelay(*delay)
 	p.UpdateRate = 1 / *update
 	p.Loss = *loss
 	if *timeout > 0 {
@@ -166,7 +168,7 @@ func runChaos(protoName string, seed uint64, episodes int, loss float64, coldRes
 // external false-removal signal, single hop unless -multihop gives a
 // chain length. Timers are scaled (not the wall-clock paper values) so a
 // minute of virtual time spans many session lifetimes.
-func runLive(protoName string, keys int, loss, delay float64, hops int, dur time.Duration, seed uint64, multihop bool) error {
+func runLive(protoName string, keys int, loss, delay float64, hops int, dur time.Duration, seed uint64, multi bool) error {
 	base := sim.LiveConfig{
 		Hops:            1,
 		Keys:            keys,
@@ -179,7 +181,7 @@ func runLive(protoName string, keys int, loss, delay float64, hops int, dur time
 		Duration:        dur,
 		Seed:            seed,
 	}
-	if multihop {
+	if multi {
 		base.Hops = hops
 	}
 	var profiles []variant.Profile
@@ -208,47 +210,47 @@ func runLive(protoName string, keys int, loss, delay float64, hops int, dur time
 	return nil
 }
 
-func parseProtocols(name string, multihop bool) ([]core.Protocol, error) {
-	all := core.Protocols()
-	if multihop {
-		all = core.MultihopProtocols()
+func parseProtocols(name string, multi bool) ([]singlehop.Protocol, error) {
+	all := singlehop.Protocols()
+	if multi {
+		all = multihop.Protocols()
 	}
 	if strings.EqualFold(name, "all") {
 		return all, nil
 	}
 	for _, p := range all {
 		if strings.EqualFold(p.String(), name) {
-			return []core.Protocol{p}, nil
+			return []singlehop.Protocol{p}, nil
 		}
 	}
-	return nil, fmt.Errorf("unknown protocol %q (multihop=%v)", name, multihop)
+	return nil, fmt.Errorf("unknown protocol %q (multihop=%v)", name, multi)
 }
 
-func parseTimers(name string) (core.TimerKind, error) {
+func parseTimers(name string) (rand.TimerKind, error) {
 	switch strings.ToLower(name) {
 	case "deterministic", "det":
-		return core.Deterministic, nil
+		return rand.Deterministic, nil
 	case "exponential", "exp":
-		return core.Exponential, nil
+		return rand.Exponential, nil
 	case "jitter", "uniform":
-		return core.UniformJitter, nil
+		return rand.UniformJitter, nil
 	default:
 		return 0, fmt.Errorf("unknown timer distribution %q", name)
 	}
 }
 
-func runSinglehop(protos []core.Protocol, p core.Params, anaOnly bool, sessions int, seed uint64, kind core.TimerKind, alpha float64) {
+func runSinglehop(protos []singlehop.Protocol, p singlehop.Params, anaOnly bool, sessions int, seed uint64, kind rand.TimerKind, alpha float64) {
 	fmt.Printf("single-hop: 1/μr=%.4gs 1/λu=%.4gs pl=%.3g D=%.3gs R=%.3gs T=%.3gs Γ=%.3gs\n\n",
 		1/p.RemovalRate, 1/p.UpdateRate, p.Loss, p.Delay, p.Refresh, p.Timeout, p.Retransmit)
 	fmt.Printf("%-8s %12s %12s %12s %12s\n", "proto", "analytic I", "analytic Λ", "cost C", "lifetime")
 	for _, proto := range protos {
-		m, err := core.Analyze(proto, p)
+		m, err := singlehop.Analyze(proto, p)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sigsim:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("%-8v %12.5f %12.4f %12.4f %12.1f\n",
-			proto, m.Inconsistency, m.NormalizedRate, core.IntegratedCost(alpha, m), m.Lifetime)
+			proto, m.Inconsistency, m.NormalizedRate, singlehop.IntegratedCost(alpha, m), m.Lifetime)
 	}
 	if anaOnly {
 		return
@@ -256,7 +258,7 @@ func runSinglehop(protos []core.Protocol, p core.Params, anaOnly bool, sessions 
 	fmt.Printf("\nsimulation (%d sessions, %v timers):\n", sessions, kind)
 	fmt.Printf("%-8s %22s %22s\n", "proto", "sim I (±95%)", "sim Λ (±95%)")
 	for _, proto := range protos {
-		res, err := core.Simulate(core.SimConfig{
+		res, err := sim.RunSingleHop(sim.Config{
 			Protocol: proto, Params: p, Sessions: sessions, Seed: seed, Timers: kind,
 		})
 		if err != nil {
@@ -267,12 +269,12 @@ func runSinglehop(protos []core.Protocol, p core.Params, anaOnly bool, sessions 
 	}
 }
 
-func runMultihop(protos []core.Protocol, mp core.MultihopParams, anaOnly bool, horizon float64, runs int, seed uint64, kind core.TimerKind) {
+func runMultihop(protos []singlehop.Protocol, mp multihop.Params, anaOnly bool, horizon float64, runs int, seed uint64, kind rand.TimerKind) {
 	fmt.Printf("multi-hop: N=%d 1/λu=%.4gs pl=%.3g D=%.3gs R=%.3gs T=%.3gs Γ=%.3gs\n\n",
 		mp.Hops, 1/mp.UpdateRate, mp.Loss, mp.Delay, mp.Refresh, mp.Timeout, mp.Retransmit)
 	fmt.Printf("%-8s %12s %14s\n", "proto", "analytic I", "analytic rate")
 	for _, proto := range protos {
-		m, err := core.AnalyzeMultihop(proto, mp)
+		m, err := multihop.Analyze(proto, mp)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sigsim:", err)
 			os.Exit(1)
@@ -285,7 +287,7 @@ func runMultihop(protos []core.Protocol, mp core.MultihopParams, anaOnly bool, h
 	fmt.Printf("\nsimulation (%d runs × %.0fs, %v timers):\n", runs, horizon, kind)
 	fmt.Printf("%-8s %22s %22s\n", "proto", "sim I (±95%)", "sim rate (±95%)")
 	for _, proto := range protos {
-		res, err := core.SimulateMultihop(core.MultihopSimConfig{
+		res, err := sim.RunMultiHop(sim.MultiConfig{
 			Protocol: proto, Params: mp, Horizon: horizon, Runs: runs, Seed: seed, Timers: kind,
 		})
 		if err != nil {

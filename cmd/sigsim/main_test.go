@@ -3,12 +3,13 @@ package main
 import (
 	"testing"
 
-	"softstate/internal/core"
+	"softstate/internal/rand"
+	"softstate/internal/singlehop"
 )
 
 func TestParseProtocols(t *testing.T) {
 	ps, err := parseProtocols("ss+er", false)
-	if err != nil || len(ps) != 1 || ps[0] != core.SSER {
+	if err != nil || len(ps) != 1 || ps[0] != singlehop.SSER {
 		t.Fatalf("ps=%v err=%v", ps, err)
 	}
 	ps, err = parseProtocols("all", false)
@@ -28,13 +29,13 @@ func TestParseProtocols(t *testing.T) {
 }
 
 func TestParseTimers(t *testing.T) {
-	cases := map[string]core.TimerKind{
-		"deterministic": core.Deterministic,
-		"det":           core.Deterministic,
-		"exponential":   core.Exponential,
-		"EXP":           core.Exponential,
-		"jitter":        core.UniformJitter,
-		"uniform":       core.UniformJitter,
+	cases := map[string]rand.TimerKind{
+		"deterministic": rand.Deterministic,
+		"det":           rand.Deterministic,
+		"exponential":   rand.Exponential,
+		"EXP":           rand.Exponential,
+		"jitter":        rand.UniformJitter,
+		"uniform":       rand.UniformJitter,
 	}
 	for in, want := range cases {
 		got, err := parseTimers(in)

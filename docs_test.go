@@ -44,6 +44,10 @@ var docIdentAllowed = []string{"I"}
 
 const changesCapFrom, changesCap = 11, 2560
 
+// designCeiling is the most bytes DESIGN.md may hold. A change that grows
+// it past this raises the ceiling and says why in its CHANGES entry.
+const designCeiling = 101_879
+
 // TestDocsNameOnlyWhatExists keeps README.md and DESIGN.md from describing
 // a tree that is gone: every backticked repo path must exist (a
 // pkg.Symbol suffix is read as its package directory, a * as a glob),
@@ -52,7 +56,8 @@ const changesCapFrom, changesCap = 11, 2560
 // -run would match it, every backticked softstate_… series name must be
 // (or, ending in _ or *, begin) a string literal under internal/ or cmd/,
 // and every backticked Go name must be declared in a non-test Go file (see
-// goDecls.names). It also holds new CHANGES.md entries to their size.
+// goDecls.names). It also holds DESIGN.md to its byte ceiling and new
+// CHANGES.md entries to their size.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	var funcs, series []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -95,6 +100,9 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if doc == "DESIGN.md" && len(text) > designCeiling {
+			t.Errorf("DESIGN.md is %d bytes, over its %d-byte ceiling", len(text), designCeiling)
 		}
 		for _, span := range docSpan.FindAllString(string(text), -1) {
 			inner := strings.Trim(span, "`")

@@ -3,14 +3,17 @@ package exp
 import (
 	"fmt"
 
-	"softstate/internal/core"
+	"softstate/internal/multihop"
+	"softstate/internal/rand"
 	"softstate/internal/report"
+	"softstate/internal/sim"
+	"softstate/internal/singlehop"
 )
 
 // ablation parameters: a shorter session keeps the simulations fast while
 // leaving every mechanism exercised many times per run.
-func ablationParams() core.Params {
-	return core.DefaultParams().WithSessionLength(300)
+func ablationParams() singlehop.Params {
+	return singlehop.DefaultParams().WithSessionLength(300)
 }
 
 func ablationSessions(o Options) int {
@@ -34,16 +37,16 @@ func init() {
 			t := report.New("Timer-distribution ablation (SS and SS+ER, 1/μr = 300 s)",
 				"timers", "protocol", "sim_I", "analytic_I", "sim_msgs_per_session")
 			kinds := []struct {
-				kind core.TimerKind
+				kind rand.TimerKind
 				name string
 			}{
-				{core.Deterministic, "deterministic"},
-				{core.UniformJitter, "uniform±50%"},
-				{core.Exponential, "exponential"},
+				{rand.Deterministic, "deterministic"},
+				{rand.UniformJitter, "uniform±50%"},
+				{rand.Exponential, "exponential"},
 			}
 			for _, k := range kinds {
-				for _, proto := range []core.Protocol{core.SS, core.SSER} {
-					res, err := core.Simulate(core.SimConfig{
+				for _, proto := range []singlehop.Protocol{singlehop.SS, singlehop.SSER} {
+					res, err := sim.RunSingleHop(sim.Config{
 						Protocol: proto, Params: ablationParams(),
 						Sessions: ablationSessions(o), Seed: o.Seed + 11,
 						Timers: k.kind,
@@ -51,7 +54,7 @@ func init() {
 					if err != nil {
 						return nil, err
 					}
-					ana, err := core.Analyze(proto, ablationParams())
+					ana, err := singlehop.Analyze(proto, ablationParams())
 					if err != nil {
 						return nil, err
 					}
@@ -80,12 +83,12 @@ func init() {
 			p = p.WithDelay(0.5)   // long, highly variable delays
 			t := report.New("FIFO ablation (SS, SS+ER; 1/λu = 5 s, D = 0.5 s)",
 				"protocol", "fifo_I", "reordering_I", "penalty_pct")
-			for _, proto := range []core.Protocol{core.SS, core.SSER} {
-				run := func(reorder bool) (core.SimResult, error) {
-					return core.Simulate(core.SimConfig{
+			for _, proto := range []singlehop.Protocol{singlehop.SS, singlehop.SSER} {
+				run := func(reorder bool) (sim.Result, error) {
+					return sim.RunSingleHop(sim.Config{
 						Protocol: proto, Params: p,
 						Sessions: ablationSessions(o), Seed: o.Seed + 23,
-						Timers: core.Deterministic, AllowReorder: reorder,
+						Timers: rand.Deterministic, AllowReorder: reorder,
 					})
 				}
 				fifo, err := run(false)
@@ -120,10 +123,10 @@ func init() {
 			t := report.New("Notification ablation (SS+RT, T = 6 s, R = 5 s)",
 				"variant", "sim_I", "sim_msgs_per_session")
 			for _, disabled := range []bool{false, true} {
-				res, err := core.Simulate(core.SimConfig{
-					Protocol: core.SSRT, Params: p,
+				res, err := sim.RunSingleHop(sim.Config{
+					Protocol: singlehop.SSRT, Params: p,
 					Sessions: ablationSessions(o), Seed: o.Seed + 31,
-					Timers: core.Deterministic, DisableNotification: disabled,
+					Timers: rand.Deterministic, DisableNotification: disabled,
 				})
 				if err != nil {
 					return nil, err
@@ -148,7 +151,7 @@ func init() {
 			"extension cross-checks the multi-hop chain against the path simulator " +
 			"(deterministic timers, 5 hops).",
 		Run: func(o Options) (*report.Table, error) {
-			p := core.DefaultMultihopParams().WithHops(5)
+			p := multihop.DefaultParams().WithHops(5)
 			horizon := 60000.0
 			runs := 4
 			if o.Quick {
@@ -156,15 +159,15 @@ func init() {
 			}
 			t := report.New("Multi-hop validation (N=5)",
 				"protocol", "analytic_I", "sim_I", "sim_ci95", "analytic_rate", "sim_rate")
-			for _, proto := range core.MultihopProtocols() {
-				ana, err := core.AnalyzeMultihop(proto, p)
+			for _, proto := range multihop.Protocols() {
+				ana, err := multihop.Analyze(proto, p)
 				if err != nil {
 					return nil, err
 				}
-				res, err := core.SimulateMultihop(core.MultihopSimConfig{
+				res, err := sim.RunMultiHop(sim.MultiConfig{
 					Protocol: proto, Params: p,
 					Horizon: horizon, Runs: runs, Seed: o.Seed + 41,
-					Timers: core.Deterministic,
+					Timers: rand.Deterministic,
 				})
 				if err != nil {
 					return nil, err
@@ -190,7 +193,7 @@ func init() {
 			t := report.New("Winner vs cost weight (Kazaa defaults)",
 				"alpha", "best_protocol", "best_cost")
 			for _, alpha := range logspace(0.01, 1000, points(o, 7, 11)) {
-				best, cost, err := core.BestProtocol(alpha, core.DefaultParams())
+				best, cost, err := singlehop.BestProtocol(alpha, singlehop.DefaultParams())
 				if err != nil {
 					return nil, err
 				}

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"softstate/internal/core"
+	"softstate/internal/rand"
 	"softstate/internal/report"
+	"softstate/internal/sim"
 	"softstate/internal/singlehop"
 )
 
@@ -18,7 +19,7 @@ func init() {
 			"qualitative factor; uniformization quantifies it: reliable triggers compress " +
 			"the tail from refresh-scale (seconds) to retransmission-scale (100s of ms).",
 		Run: func(o Options) (*report.Table, error) {
-			p := core.DefaultParams()
+			p := singlehop.DefaultParams()
 			p.Loss = 0.2
 			times := []float64{0.01, 0.03, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20}
 			if o.Quick {
@@ -26,8 +27,8 @@ func init() {
 			}
 			t := report.New("Update-propagation CDF (pl = 0.2)",
 				append([]string{"time_s"}, protocolColumns()...)...)
-			curves := make(map[core.Protocol][]float64, 5)
-			for _, proto := range core.Protocols() {
+			curves := make(map[singlehop.Protocol][]float64, 5)
+			for _, proto := range singlehop.Protocols() {
 				m, err := singlehop.Build(proto, p)
 				if err != nil {
 					return nil, err
@@ -40,7 +41,7 @@ func init() {
 			}
 			for i, tt := range times {
 				row := []float64{tt}
-				for _, proto := range core.Protocols() {
+				for _, proto := range singlehop.Protocols() {
 					row = append(row, curves[proto][i])
 				}
 				t.AddNumericRow(row...)
@@ -67,23 +68,23 @@ func init() {
 			}
 			variants := []struct {
 				name string
-				cfg  func(core.SimConfig) core.SimConfig
+				cfg  func(sim.Config) sim.Config
 			}{
-				{"SS", func(c core.SimConfig) core.SimConfig { return c }},
-				{"SS+staged", func(c core.SimConfig) core.SimConfig { c.StagedRefresh = true; return c }},
-				{"SS+NACK", func(c core.SimConfig) core.SimConfig { c.NackOracle = true; return c }},
-				{"SS+RT", func(c core.SimConfig) core.SimConfig { c.Protocol = core.SSRT; return c }},
+				{"SS", func(c sim.Config) sim.Config { return c }},
+				{"SS+staged", func(c sim.Config) sim.Config { c.StagedRefresh = true; return c }},
+				{"SS+NACK", func(c sim.Config) sim.Config { c.NackOracle = true; return c }},
+				{"SS+RT", func(c sim.Config) sim.Config { c.Protocol = singlehop.SSRT; return c }},
 			}
 			for _, loss := range losses {
 				p := ablationParams()
 				p.Loss = loss
 				for _, v := range variants {
-					cfg := v.cfg(core.SimConfig{
-						Protocol: core.SS, Params: p,
+					cfg := v.cfg(sim.Config{
+						Protocol: singlehop.SS, Params: p,
 						Sessions: ablationSessions(o), Seed: o.Seed + 53,
-						Timers: core.Deterministic,
+						Timers: rand.Deterministic,
 					})
-					res, err := core.Simulate(cfg)
+					res, err := sim.RunSingleHop(cfg)
 					if err != nil {
 						return nil, err
 					}
@@ -105,35 +106,35 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			knobs := []struct {
 				name string
-				set  func(core.Params, float64) core.Params
-				get  func(core.Params) float64
+				set  func(singlehop.Params, float64) singlehop.Params
+				get  func(singlehop.Params) float64
 			}{
-				{"loss", func(p core.Params, v float64) core.Params { p.Loss = v; return p },
-					func(p core.Params) float64 { return p.Loss }},
-				{"delay", func(p core.Params, v float64) core.Params { p.Delay = v; return p },
-					func(p core.Params) float64 { return p.Delay }},
-				{"refresh", func(p core.Params, v float64) core.Params { p.Refresh = v; return p },
-					func(p core.Params) float64 { return p.Refresh }},
-				{"timeout", func(p core.Params, v float64) core.Params { p.Timeout = v; return p },
-					func(p core.Params) float64 { return p.Timeout }},
-				{"retransmit", func(p core.Params, v float64) core.Params { p.Retransmit = v; return p },
-					func(p core.Params) float64 { return p.Retransmit }},
-				{"update_rate", func(p core.Params, v float64) core.Params { p.UpdateRate = v; return p },
-					func(p core.Params) float64 { return p.UpdateRate }},
+				{"loss", func(p singlehop.Params, v float64) singlehop.Params { p.Loss = v; return p },
+					func(p singlehop.Params) float64 { return p.Loss }},
+				{"delay", func(p singlehop.Params, v float64) singlehop.Params { p.Delay = v; return p },
+					func(p singlehop.Params) float64 { return p.Delay }},
+				{"refresh", func(p singlehop.Params, v float64) singlehop.Params { p.Refresh = v; return p },
+					func(p singlehop.Params) float64 { return p.Refresh }},
+				{"timeout", func(p singlehop.Params, v float64) singlehop.Params { p.Timeout = v; return p },
+					func(p singlehop.Params) float64 { return p.Timeout }},
+				{"retransmit", func(p singlehop.Params, v float64) singlehop.Params { p.Retransmit = v; return p },
+					func(p singlehop.Params) float64 { return p.Retransmit }},
+				{"update_rate", func(p singlehop.Params, v float64) singlehop.Params { p.UpdateRate = v; return p },
+					func(p singlehop.Params) float64 { return p.UpdateRate }},
 			}
 			t := report.New("Elasticity of I at Kazaa defaults",
 				append([]string{"parameter"}, protocolColumns()...)...)
-			base := core.DefaultParams()
+			base := singlehop.DefaultParams()
 			const h = 0.02 // ±2% central difference in log space
 			for _, k := range knobs {
 				cells := []string{k.name}
-				for _, proto := range core.Protocols() {
+				for _, proto := range singlehop.Protocols() {
 					v0 := k.get(base)
-					up, err := core.Analyze(proto, k.set(base, v0*(1+h)))
+					up, err := singlehop.Analyze(proto, k.set(base, v0*(1+h)))
 					if err != nil {
 						return nil, err
 					}
-					down, err := core.Analyze(proto, k.set(base, v0*(1-h)))
+					down, err := singlehop.Analyze(proto, k.set(base, v0*(1-h)))
 					if err != nil {
 						return nil, err
 					}

@@ -3,14 +3,15 @@ package exp
 import (
 	"fmt"
 
-	"softstate/internal/core"
+	"softstate/internal/multihop"
 	"softstate/internal/report"
+	"softstate/internal/singlehop"
 )
 
 // multihopColumns are the protocols of the §III-B study.
 func multihopColumns() []string {
 	cols := make([]string, 0, 3)
-	for _, p := range core.MultihopProtocols() {
+	for _, p := range multihop.Protocols() {
 		cols = append(cols, p.String())
 	}
 	return cols
@@ -18,14 +19,14 @@ func multihopColumns() []string {
 
 // multihopSweep evaluates metric for SS, SS+RT, HS across a sweep.
 func multihopSweep(title, xName string, xs []float64,
-	param func(core.MultihopParams, float64) core.MultihopParams,
-	metric func(core.MultihopMetrics) float64) (*report.Table, error) {
+	param func(multihop.Params, float64) multihop.Params,
+	metric func(multihop.Metrics) float64) (*report.Table, error) {
 	t := report.New(title, append([]string{xName}, multihopColumns()...)...)
 	for _, x := range xs {
-		p := param(core.DefaultMultihopParams(), x)
+		p := param(multihop.DefaultParams(), x)
 		row := []float64{x}
-		for _, proto := range core.MultihopProtocols() {
-			m, err := core.AnalyzeMultihop(proto, p)
+		for _, proto := range multihop.Protocols() {
+			m, err := multihop.Analyze(proto, p)
 			if err != nil {
 				return nil, fmt.Errorf("exp: %s at %s=%v: %w", title, xName, x, err)
 			}
@@ -43,10 +44,10 @@ func init() {
 		Description: "Fraction of time the i-th hop is inconsistent, i = 1..20: grows " +
 			"≈linearly with distance from the sender; SS worst, SS+RT ≈ HS.",
 		Run: func(o Options) (*report.Table, error) {
-			p := core.DefaultMultihopParams()
-			perHop := make(map[core.Protocol][]float64, 3)
-			for _, proto := range core.MultihopProtocols() {
-				m, err := core.AnalyzeMultihop(proto, p)
+			p := multihop.DefaultParams()
+			perHop := make(map[singlehop.Protocol][]float64, 3)
+			for _, proto := range multihop.Protocols() {
+				m, err := multihop.Analyze(proto, p)
 				if err != nil {
 					return nil, err
 				}
@@ -56,7 +57,7 @@ func init() {
 				append([]string{"hop"}, multihopColumns()...)...)
 			for k := 0; k < p.Hops; k++ {
 				row := []float64{float64(k + 1)}
-				for _, proto := range core.MultihopProtocols() {
+				for _, proto := range multihop.Protocols() {
 					row = append(row, perHop[proto][k])
 				}
 				t.AddNumericRow(row...)
@@ -80,10 +81,10 @@ func init() {
 				xs = append(xs, float64(n))
 			}
 			return multihopSweep("Fig 18(a): I vs N", "hops", xs,
-				func(p core.MultihopParams, x float64) core.MultihopParams {
+				func(p multihop.Params, x float64) multihop.Params {
 					return p.WithHops(int(x))
 				},
-				func(m core.MultihopMetrics) float64 { return m.Inconsistency })
+				func(m multihop.Metrics) float64 { return m.Inconsistency })
 		},
 	})
 
@@ -102,10 +103,10 @@ func init() {
 				xs = append(xs, float64(n))
 			}
 			return multihopSweep("Fig 18(b): message rate vs N", "hops", xs,
-				func(p core.MultihopParams, x float64) core.MultihopParams {
+				func(p multihop.Params, x float64) multihop.Params {
 					return p.WithHops(int(x))
 				},
-				func(m core.MultihopMetrics) float64 { return m.MsgRate })
+				func(m multihop.Metrics) float64 { return m.MsgRate })
 		},
 	})
 
@@ -117,10 +118,10 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(0.1, 1000, points(o, 9, 17))
 			return multihopSweep("Fig 19(a): I vs R", "refresh_s", xs,
-				func(p core.MultihopParams, x float64) core.MultihopParams {
+				func(p multihop.Params, x float64) multihop.Params {
 					return p.WithRefresh(x)
 				},
-				func(m core.MultihopMetrics) float64 { return m.Inconsistency })
+				func(m multihop.Metrics) float64 { return m.Inconsistency })
 		},
 	})
 
@@ -132,10 +133,10 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(0.1, 1000, points(o, 9, 17))
 			return multihopSweep("Fig 19(b): message rate vs R", "refresh_s", xs,
-				func(p core.MultihopParams, x float64) core.MultihopParams {
+				func(p multihop.Params, x float64) multihop.Params {
 					return p.WithRefresh(x)
 				},
-				func(m core.MultihopMetrics) float64 { return m.MsgRate })
+				func(m multihop.Metrics) float64 { return m.MsgRate })
 		},
 	})
 }

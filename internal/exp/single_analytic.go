@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"softstate/internal/core"
 	"softstate/internal/report"
 	"softstate/internal/singlehop"
 )
@@ -11,21 +10,21 @@ import (
 // protocolColumns returns the five protocol names in paper order.
 func protocolColumns() []string {
 	cols := make([]string, 0, 5)
-	for _, p := range core.Protocols() {
+	for _, p := range singlehop.Protocols() {
 		cols = append(cols, p.String())
 	}
 	return cols
 }
 
 // sweepTable evaluates metric for every protocol across a parameter sweep.
-func sweepTable(title, xName string, xs []float64, param func(core.Params, float64) core.Params,
-	metric func(core.Metrics) float64) (*report.Table, error) {
+func sweepTable(title, xName string, xs []float64, param func(singlehop.Params, float64) singlehop.Params,
+	metric func(singlehop.Metrics) float64) (*report.Table, error) {
 	t := report.New(title, append([]string{xName}, protocolColumns()...)...)
 	for _, x := range xs {
-		p := param(core.DefaultParams(), x)
+		p := param(singlehop.DefaultParams(), x)
 		row := []float64{x}
-		for _, proto := range core.Protocols() {
-			m, err := core.Analyze(proto, p)
+		for _, proto := range singlehop.Protocols() {
+			m, err := singlehop.Analyze(proto, p)
 			if err != nil {
 				return nil, fmt.Errorf("exp: %s at %s=%v: %w", title, xName, x, err)
 			}
@@ -36,9 +35,9 @@ func sweepTable(title, xName string, xs []float64, param func(core.Params, float
 	return t, nil
 }
 
-func inconsistency(m core.Metrics) float64 { return m.Inconsistency }
+func inconsistency(m singlehop.Metrics) float64 { return m.Inconsistency }
 
-func normalizedRate(m core.Metrics) float64 { return m.NormalizedRate }
+func normalizedRate(m singlehop.Metrics) float64 { return m.NormalizedRate }
 
 func init() {
 	register(Experiment{
@@ -47,7 +46,7 @@ func init() {
 		Description: "The Figure 3 transition rates of each protocol, regenerated from the " +
 			"built chains at the paper's default parameters (symbolic form and numeric rate).",
 		Run: func(o Options) (*report.Table, error) {
-			rows, err := singlehop.TableI(core.DefaultParams())
+			rows, err := singlehop.TableI(singlehop.DefaultParams())
 			if err != nil {
 				return nil, err
 			}
@@ -55,7 +54,7 @@ func init() {
 				append([]string{"transition"}, protocolColumns()...)...)
 			for _, r := range rows {
 				cells := []string{r.Transition}
-				for _, proto := range core.Protocols() {
+				for _, proto := range singlehop.Protocols() {
 					sym := r.Symbolic[proto]
 					if sym == "-" {
 						cells = append(cells, "-")
@@ -78,7 +77,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(10, 1e4, points(o, 7, 13))
 			return sweepTable("Fig 4(a): I vs 1/μr", "lifetime_s", xs,
-				func(p core.Params, x float64) core.Params { return p.WithSessionLength(x) },
+				func(p singlehop.Params, x float64) singlehop.Params { return p.WithSessionLength(x) },
 				inconsistency)
 		},
 	})
@@ -91,7 +90,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(10, 1e4, points(o, 7, 13))
 			return sweepTable("Fig 4(b): Λ vs 1/μr", "lifetime_s", xs,
-				func(p core.Params, x float64) core.Params { return p.WithSessionLength(x) },
+				func(p singlehop.Params, x float64) singlehop.Params { return p.WithSessionLength(x) },
 				normalizedRate)
 		},
 	})
@@ -104,7 +103,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := linspace(0, 0.30, points(o, 7, 16))
 			return sweepTable("Fig 5(a): I vs pl", "loss", xs,
-				func(p core.Params, x float64) core.Params { p.Loss = x; return p },
+				func(p singlehop.Params, x float64) singlehop.Params { p.Loss = x; return p },
 				inconsistency)
 		},
 	})
@@ -117,7 +116,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := linspace(0.02, 1.0, points(o, 7, 13))
 			return sweepTable("Fig 5(b): I vs D", "delay_s", xs,
-				func(p core.Params, x float64) core.Params { return p.WithDelay(x) },
+				func(p singlehop.Params, x float64) singlehop.Params { return p.WithDelay(x) },
 				inconsistency)
 		},
 	})
@@ -130,7 +129,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(0.1, 100, points(o, 7, 13))
 			return sweepTable("Fig 6(a): I vs R", "refresh_s", xs,
-				func(p core.Params, x float64) core.Params { return p.WithRefresh(x) },
+				func(p singlehop.Params, x float64) singlehop.Params { return p.WithRefresh(x) },
 				inconsistency)
 		},
 	})
@@ -142,7 +141,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(0.1, 100, points(o, 7, 13))
 			return sweepTable("Fig 6(b): Λ vs R", "refresh_s", xs,
-				func(p core.Params, x float64) core.Params { return p.WithRefresh(x) },
+				func(p singlehop.Params, x float64) singlehop.Params { return p.WithRefresh(x) },
 				normalizedRate)
 		},
 	})
@@ -155,8 +154,8 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(0.1, 100, points(o, 7, 13))
 			return sweepTable("Fig 7: C = 10I + Λ vs R", "refresh_s", xs,
-				func(p core.Params, x float64) core.Params { return p.WithRefresh(x) },
-				func(m core.Metrics) float64 { return core.IntegratedCost(10, m) })
+				func(p singlehop.Params, x float64) singlehop.Params { return p.WithRefresh(x) },
+				func(m singlehop.Metrics) float64 { return singlehop.IntegratedCost(10, m) })
 		},
 	})
 
@@ -168,7 +167,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(0.1, 1000, points(o, 9, 17))
 			return sweepTable("Fig 8(a): I vs T", "timeout_s", xs,
-				func(p core.Params, x float64) core.Params { p.Timeout = x; return p },
+				func(p singlehop.Params, x float64) singlehop.Params { p.Timeout = x; return p },
 				inconsistency)
 		},
 	})
@@ -181,7 +180,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(0.1, 10, points(o, 7, 13))
 			return sweepTable("Fig 8(b): I vs Γ", "retransmit_s", xs,
-				func(p core.Params, x float64) core.Params { p.Retransmit = x; return p },
+				func(p singlehop.Params, x float64) singlehop.Params { p.Retransmit = x; return p },
 				inconsistency)
 		},
 	})

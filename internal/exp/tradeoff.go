@@ -3,8 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"softstate/internal/core"
 	"softstate/internal/report"
+	"softstate/internal/singlehop"
 )
 
 // tradeoffTable produces the paper's parametric tradeoff plots (Figs 9 and
@@ -12,12 +12,12 @@ import (
 // Output is in long form — one row per (sweep value, protocol) — which is
 // what a plotting tool wants for parametric curves.
 func tradeoffTable(title, xName string, xs []float64,
-	param func(core.Params, float64) core.Params) (*report.Table, error) {
+	param func(singlehop.Params, float64) singlehop.Params) (*report.Table, error) {
 	t := report.New(title, xName, "protocol", "inconsistency", "message_overhead")
 	for _, x := range xs {
-		p := param(core.DefaultParams(), x)
-		for _, proto := range core.Protocols() {
-			m, err := core.Analyze(proto, p)
+		p := param(singlehop.DefaultParams(), x)
+		for _, proto := range singlehop.Protocols() {
+			m, err := singlehop.Analyze(proto, p)
 			if err != nil {
 				return nil, fmt.Errorf("exp: %s at %s=%v: %w", title, xName, x, err)
 			}
@@ -41,7 +41,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(0.1, 100, points(o, 9, 17))
 			return tradeoffTable("Fig 9: tradeoff via R", "refresh_s", xs,
-				func(p core.Params, x float64) core.Params { return p.WithRefresh(x) })
+				func(p singlehop.Params, x float64) singlehop.Params { return p.WithRefresh(x) })
 		},
 	})
 
@@ -55,7 +55,7 @@ func init() {
 			// Sweep the mean update interval 1/λu.
 			xs := logspace(1, 1e4, points(o, 9, 17))
 			return tradeoffTable("Fig 10(a): tradeoff via λu", "update_interval_s", xs,
-				func(p core.Params, x float64) core.Params { p.UpdateRate = 1 / x; return p })
+				func(p singlehop.Params, x float64) singlehop.Params { p.UpdateRate = 1 / x; return p })
 		},
 	})
 
@@ -67,7 +67,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(0.001, 1, points(o, 9, 17))
 			return tradeoffTable("Fig 10(b): tradeoff via D", "delay_s", xs,
-				func(p core.Params, x float64) core.Params { return p.WithDelay(x) })
+				func(p singlehop.Params, x float64) singlehop.Params { return p.WithDelay(x) })
 		},
 	})
 }

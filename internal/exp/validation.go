@@ -3,8 +3,10 @@ package exp
 import (
 	"fmt"
 
-	"softstate/internal/core"
+	"softstate/internal/rand"
 	"softstate/internal/report"
+	"softstate/internal/sim"
+	"softstate/internal/singlehop"
 )
 
 // simBudget returns the per-point simulated-seconds budget used to pick a
@@ -34,21 +36,21 @@ func sessionsFor(o Options, lifetime float64) int {
 // the paper's Figs 11 and 12 (analytic curves vs dotted simulation curves
 // with confidence intervals). useInconsistency selects I; otherwise Λ.
 func validationTable(title, xName string, xs []float64, o Options,
-	param func(core.Params, float64) core.Params, useInconsistency bool) (*report.Table, error) {
+	param func(singlehop.Params, float64) singlehop.Params, useInconsistency bool) (*report.Table, error) {
 	t := report.New(title, xName, "protocol", "analytic", "sim", "sim_ci95")
 	for _, x := range xs {
-		p := param(core.DefaultParams(), x)
-		for _, proto := range core.Protocols() {
-			ana, err := core.Analyze(proto, p)
+		p := param(singlehop.DefaultParams(), x)
+		for _, proto := range singlehop.Protocols() {
+			ana, err := singlehop.Analyze(proto, p)
 			if err != nil {
 				return nil, fmt.Errorf("exp: %s analytic at %v: %w", title, x, err)
 			}
-			res, err := core.Simulate(core.SimConfig{
+			res, err := sim.RunSingleHop(sim.Config{
 				Protocol: proto,
 				Params:   p,
 				Sessions: sessionsFor(o, 1/p.RemovalRate),
 				Seed:     o.Seed ^ uint64(proto+1)*0x9e37,
-				Timers:   core.Deterministic,
+				Timers:   rand.Deterministic,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("exp: %s simulation at %v: %w", title, x, err)
@@ -81,7 +83,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(10, 1e5, points(o, 4, 6))
 			return validationTable("Fig 11(a)", "lifetime_s", xs, o,
-				func(p core.Params, x float64) core.Params { return p.WithSessionLength(x) }, true)
+				func(p singlehop.Params, x float64) singlehop.Params { return p.WithSessionLength(x) }, true)
 		},
 	})
 
@@ -94,7 +96,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(10, 1e5, points(o, 4, 6))
 			return validationTable("Fig 11(b)", "lifetime_s", xs, o,
-				func(p core.Params, x float64) core.Params { return p.WithSessionLength(x) }, false)
+				func(p singlehop.Params, x float64) singlehop.Params { return p.WithSessionLength(x) }, false)
 		},
 	})
 
@@ -107,7 +109,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(0.5, 100, points(o, 4, 7))
 			return validationTable("Fig 12(a)", "refresh_s", xs, o,
-				func(p core.Params, x float64) core.Params { return p.WithRefresh(x) }, true)
+				func(p singlehop.Params, x float64) singlehop.Params { return p.WithRefresh(x) }, true)
 		},
 	})
 
@@ -119,7 +121,7 @@ func init() {
 		Run: func(o Options) (*report.Table, error) {
 			xs := logspace(0.5, 100, points(o, 4, 7))
 			return validationTable("Fig 12(b)", "refresh_s", xs, o,
-				func(p core.Params, x float64) core.Params { return p.WithRefresh(x) }, false)
+				func(p singlehop.Params, x float64) singlehop.Params { return p.WithRefresh(x) }, false)
 		},
 	})
 }

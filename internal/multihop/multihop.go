@@ -112,6 +112,12 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// Protocols returns the protocols the multi-hop study covers, in the
+// paper's order.
+func Protocols() []singlehop.Protocol {
+	return []singlehop.Protocol{singlehop.SS, singlehop.SSRT, singlehop.HS}
+}
+
 // Supported reports whether the paper's multi-hop analysis covers proto.
 func Supported(proto singlehop.Protocol) bool {
 	switch proto {

@@ -24,6 +24,13 @@ func TestDefaultParamsMatchPaper(t *testing.T) {
 	}
 }
 
+func TestProtocols(t *testing.T) {
+	mp := Protocols()
+	if len(mp) != 3 || mp[0] != singlehop.SS || mp[1] != singlehop.SSRT || mp[2] != singlehop.HS {
+		t.Fatalf("Protocols = %v", mp)
+	}
+}
+
 func TestSupported(t *testing.T) {
 	want := map[singlehop.Protocol]bool{
 		singlehop.SS: true, singlehop.SSRT: true, singlehop.HS: true,

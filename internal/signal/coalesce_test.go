@@ -2,10 +2,13 @@ package signal
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
+	"softstate/internal/clock"
 	"softstate/internal/lossy"
+	"softstate/internal/wire"
 )
 
 // coalesceEndpoints builds a connected pair with reply coalescing enabled
@@ -18,7 +21,6 @@ func coalesceEndpoints(t *testing.T, proto Protocol) (*Sender, *Receiver) {
 	}
 	cfg := fastConfig(proto)
 	cfg.CoalesceAcks = true
-	cfg.AckFlushInterval = time.Millisecond
 	snd, err := NewSender(a, b.LocalAddr(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -125,38 +127,82 @@ func TestCoalescedRemovalAcks(t *testing.T) {
 // TestCoalescedAcksFlushOnClose: acks queued between flush ticks must go
 // out during Close, while the transport is still open — a sender whose
 // removal was acknowledged into a pending batch must not be left
-// retransmitting against a dead receiver.
+// retransmitting against a dead receiver. On the virtual clock the receiver
+// closes before its first window ends, so only the close-time drain can
+// flush.
 func TestCoalescedAcksFlushOnClose(t *testing.T) {
-	a, b, err := lossy.Pipe(lossy.Config{Delay: time.Millisecond, Seed: 3})
-	if err != nil {
+	c := vEndpoints(t, SSRTR, 0, func(cfg *Config) { cfg.CoalesceAcks = true })
+	step := time.Millisecond / 10
+	if err := c.snd.Install("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	cfg := fastConfig(SSRTR)
-	cfg.CoalesceAcks = true
-	cfg.AckFlushInterval = time.Hour // only the close-time drain can flush
-	snd, err := NewSender(a, b.LocalAddr(), cfg)
-	if err != nil {
+	if !c.clk.RunUntil(func() bool { return c.rcv.Len() == 1 }, step, ackFlushInterval) {
+		t.Fatal("install did not arrive")
+	}
+	if err := c.snd.Remove("k"); err != nil {
 		t.Fatal(err)
 	}
-	defer snd.Close()
-	rcv, err := NewReceiver(b, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if !c.clk.RunUntil(func() bool { return c.rcv.Len() == 0 }, step, ackFlushInterval) {
+		t.Fatal("removal did not arrive")
 	}
-	if err := snd.Install("k", []byte("v")); err != nil {
-		t.Fatal(err)
+	if n := c.rcv.Stats().Sent["ack-batch"]; n != 0 {
+		t.Fatalf("%d ack batches left before Close: the window closed first", n)
 	}
-	eventually(t, "install", func() bool { return rcv.Len() == 1 })
-	if err := snd.Remove("k"); err != nil {
-		t.Fatal(err)
-	}
-	eventually(t, "removal processed", func() bool { return rcv.Len() == 0 })
-	rcv.Close() // must drain the pending trigger-ack + removal-ack batch
-	eventually(t, "removal acked from the close-time drain", func() bool {
-		return snd.ss.tbl.Len() == 0
+	c.rcv.Close() // must drain the pending trigger-ack + removal-ack batch
+	c.within(time.Second, "removal acked from the close-time drain", func() bool {
+		return c.snd.ss.tbl.Len() == 0
 	})
-	if snd.Stats().Received["ack-batch"] == 0 {
+	if c.snd.Stats().Received["ack-batch"] == 0 {
 		t.Fatal("sender saw no ack batch from the closing receiver")
+	}
+}
+
+// TestAckBatchPeerOrderSorted: one flush window holding acks for many
+// peers emits its ack-batch datagrams in address order, not in the order
+// the peers' triggers arrived.
+func TestAckBatchPeerOrderSorted(t *testing.T) {
+	v := clock.NewVirtual()
+	nw, err := lossy.NewNetwork(lossy.Config{Delay: time.Millisecond, Seed: 5, Clock: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc := newGateConn(nw.Endpoint("rcv"))
+	cfg := fastConfig(SSRT)
+	cfg.CoalesceAcks = true
+	cfg.Clock = v
+	rcv, err := NewReceiver(gc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rcv.Close()
+	const peers = 24
+	var want []string
+	for i := 0; i < peers; i++ {
+		name := fmt.Sprintf("peer-%02d", (i*7)%peers) // arrival order is not address order
+		want = append(want, name)
+		conn := nw.Endpoint(name)
+		defer conn.Close()
+		go func() { // drain the acks, so the gate never stalls on them
+			buf := make([]byte, 64<<10)
+			for {
+				if _, _, err := conn.ReadFrom(buf); err != nil {
+					return
+				}
+			}
+		}()
+		sendTriggers(t, conn, gc.LocalAddr(), name, 2)
+	}
+	sort.Strings(want)
+	// Every trigger lands at one instant, so one window takes them all.
+	v.Run(10 * ackFlushInterval)
+	got := gc.written(wire.TypeAckBatch)
+	if len(got) != peers {
+		t.Fatalf("%d ack batches for %d peers, want one each", len(got), peers)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ack-batch peer order = %v, want address order %v", got, want)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package signal
 import (
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -219,7 +218,6 @@ func TestReceiverCloseWithFlushInFlight(t *testing.T) {
 	gc := newGateConn(nw.Endpoint("rcv"))
 	cfg := fastConfig(SSRT)
 	cfg.CoalesceAcks = true
-	cfg.AckFlushInterval = time.Millisecond
 	rcv, err := NewReceiver(gc, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -256,42 +254,5 @@ func TestReceiverCloseWithFlushInFlight(t *testing.T) {
 	}
 	if after, _ := gc.ackItems(); after != total {
 		t.Fatalf("acks written after Close returned: %d -> %d", total, after)
-	}
-}
-
-// TestAckBatchPeerOrderSortedOnWallClock: one flush window holding acks
-// for many peers emits its ack-batch datagrams in address order on the
-// wall clock too — the ordering is a property of flushAcks, not of which
-// clock drives it.
-func TestAckBatchPeerOrderSortedOnWallClock(t *testing.T) {
-	nw := wallNetwork(t)
-	gc := newGateConn(nw.Endpoint("rcv"))
-	cfg := fastConfig(SSRT)
-	cfg.CoalesceAcks = true
-	cfg.AckFlushInterval = 50 * time.Millisecond // one window takes every peer's trigger
-	rcv, err := NewReceiver(gc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rcv.Close()
-	const peers = 24
-	var want []string
-	for i := 0; i < peers; i++ {
-		name := fmt.Sprintf("peer-%02d", (i*7)%peers) // arrival order is not address order
-		want = append(want, name)
-		conn := nw.Endpoint(name)
-		defer conn.Close()
-		sendTriggers(t, conn, gc.LocalAddr(), name, 2)
-	}
-	sort.Strings(want)
-	eventually(t, "one ack batch per peer", func() bool { return len(gc.written(wire.TypeAckBatch)) >= peers })
-	got := gc.written(wire.TypeAckBatch)
-	if len(got) != peers {
-		t.Fatalf("%d ack batches for %d peers: the window split, widen AckFlushInterval", len(got), peers)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ack-batch peer order = %v, want address order %v", got, want)
-		}
 	}
 }

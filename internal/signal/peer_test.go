@@ -128,7 +128,7 @@ func TestPeerLifecycle(t *testing.T) {
 		// leaving does not take it while its trigger's ack is still queued.
 		t.Run(fmt.Sprintf("%s/pending acks", proto), func(t *testing.T) {
 			g := newPeerRig(t, proto, coalescing)
-			flush := func() { g.clk.Run(2 * g.rcv.cfg.AckFlushInterval) }
+			flush := func() { g.clk.Run(2 * ackFlushInterval) }
 			owed := func(yes bool) int {
 				if yes {
 					return 1

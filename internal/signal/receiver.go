@@ -729,6 +729,11 @@ func (r *Receiver) unlease(p *peer, e *receiverEntry) {
 	}
 }
 
+// ackFlushInterval is a coalescing receiver's batch window, two
+// state-table ticks: well under any Retransmit, so held-back acks trigger
+// no spurious retransmission.
+const ackFlushInterval = 2 * statetable.DefaultTick
+
 // ack queues on to's record (p, if the caller has it) or, without
 // coalescing, immediately sends one acknowledgement to to. The first ack
 // of a batch window arms the flush.
@@ -736,7 +741,7 @@ func (r *Receiver) ack(kind wire.Type, seq uint64, key string, p *peer, to net.A
 	if r.ackBW == nil {
 		r.send(wire.Message{Type: kind, Seq: seq, Key: key}, to)
 	} else if r.peers.queueAck(p, to, wire.AckItem{Kind: kind, Seq: seq, Key: key}) {
-		r.flushTimer.Reset(r.cfg.AckFlushInterval)
+		r.flushTimer.Reset(ackFlushInterval)
 	}
 }
 

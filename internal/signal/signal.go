@@ -87,10 +87,6 @@ type Config struct {
 	// refresh. Senders always accept ack batches regardless of this
 	// setting.
 	CoalesceAcks bool
-	// AckFlushInterval is the coalescing flush period (default 2 ms, two
-	// state-table ticks). Keep it well under Retransmit, or held-back acks
-	// will trigger spurious retransmissions.
-	AckFlushInterval time.Duration
 	// Clock is the time source for every endpoint deadline — state-table
 	// wheels, summary sweeps, idle reaps, ack flushes (clock.System when
 	// nil). All periodic work is clock timer callbacks under any clock:
@@ -163,9 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SummaryMaxKeys > wire.MaxSummaryKeys {
 		c.SummaryMaxKeys = wire.MaxSummaryKeys
-	}
-	if c.AckFlushInterval <= 0 {
-		c.AckFlushInterval = 2 * time.Millisecond
 	}
 	return c
 }

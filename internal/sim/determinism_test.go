@@ -5,6 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"softstate/internal/clock"
+	"softstate/internal/lossy"
+	livenode "softstate/internal/node"
 	"softstate/internal/signal"
 )
 
@@ -22,7 +25,6 @@ func detLiveConfig() LiveConfig {
 		Keys:            24,
 		Loss:            0.15,
 		Delay:           2 * time.Millisecond,
-		Jitter:          time.Millisecond,
 		RefreshInterval: 50 * time.Millisecond,
 		MeanLifetime:    400 * time.Millisecond,
 		MeanGap:         150 * time.Millisecond,
@@ -46,6 +48,40 @@ func TestConsistencyVsLossDeterministicAcrossRuns(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different results:\n%+v\nvs\n%+v", a, b)
+	}
+}
+
+// TestReorderingChainDeterministicAcrossRuns: the same workload over a
+// chain whose links reorder — a jittered delay the test sets on the
+// chain's own switch — still replays identically from one seed.
+func TestReorderingChainDeterministicAcrossRuns(t *testing.T) {
+	cfg := detLiveConfig()
+	if err := cfg.applyDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		samples, inconsistent, keyEvents int
+		stats                            []signal.Stats
+	}
+	run := func() outcome {
+		v := clock.NewVirtual()
+		link := lossy.Config{Loss: cfg.Loss, Delay: cfg.Delay, Jitter: time.Millisecond, Seed: cfg.Seed, Clock: v}
+		c, err := livenode.NewChain(cfg.Hops+1, cfg.signalConfig(v), link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stack := chainStack(c)
+		defer stack.close()
+		w := startWorkload(cfg, v, stack)
+		v.Run(cfg.Duration)
+		return outcome{w.samples, w.inconsistent, w.keyEvents, stack.stats()}
+	}
+	first, again := run(), run()
+	if first.samples == 0 || first.keyEvents == 0 {
+		t.Fatalf("the workload did not run: %+v", first)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Fatalf("same seed, different results:\n%+v\nvs\n%+v", first, again)
 	}
 }
 

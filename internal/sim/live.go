@@ -46,10 +46,9 @@ type LiveConfig struct {
 	TreeFanout int
 	// Keys is the number of concurrently signaled keys.
 	Keys int
-	// Loss, Delay, Jitter impair every link.
-	Loss   float64
-	Delay  time.Duration
-	Jitter time.Duration
+	// Loss and Delay impair every link, FIFO as the paper's channel is.
+	Loss  float64
+	Delay time.Duration
 	// RefreshInterval, Timeout, Retransmit are the protocol timers
 	// (defaults R = 100 ms, T = 3R, Γ = 25 ms — the paper's deployed
 	// ratios, scaled so a 30 s virtual run spans hundreds of refreshes).
@@ -197,14 +196,13 @@ func (cfg LiveConfig) samplePeriod() time.Duration { return cfg.RefreshInterval 
 
 // linkConfig is the impairment every link of a live run shares. Each
 // endpoint of the run's switch (or of the one-hop pipe) splits its own
-// loss/jitter stream off this seed.
+// loss stream off this seed.
 func (cfg LiveConfig) linkConfig(v *clock.Virtual) lossy.Config {
 	return lossy.Config{
-		Loss:   cfg.Loss,
-		Delay:  cfg.Delay,
-		Jitter: cfg.Jitter,
-		Seed:   cfg.Seed ^ 0x11ce, // distinct stream from the workload rng
-		Clock:  v,
+		Loss:  cfg.Loss,
+		Delay: cfg.Delay,
+		Seed:  cfg.Seed ^ 0x11ce, // distinct stream from the workload rng
+		Clock: v,
 	}
 }
 

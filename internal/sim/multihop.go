@@ -27,8 +27,6 @@ type MultiConfig struct {
 	Seed uint64
 	// Timers selects the protocol-timer distribution.
 	Timers rand.TimerKind
-	// DelayKind selects the per-hop channel delay distribution.
-	DelayKind rand.TimerKind
 }
 
 // MultiResult aggregates a multi-hop simulation.
@@ -121,7 +119,7 @@ func runPathReplication(cfg MultiConfig, rng *rand.Source) pathOutcome {
 		k:   k,
 		net: netsim.NewPath(k, rng.Split(), n, netsim.Config{
 			Loss:  cfg.Params.Loss,
-			Delay: rand.Timer{Kind: cfg.DelayKind, Mean: cfg.Params.Delay},
+			Delay: rand.Timer{Kind: rand.Exponential, Mean: cfg.Params.Delay},
 		}),
 		rng:   rng.Split(),
 		nodes: make([]*node, n+1),

@@ -26,9 +26,6 @@ type Config struct {
 	// state-timeout, retransmission): exponential matches the analytic
 	// model, deterministic reproduces deployed behavior (Figs. 11–12).
 	Timers rand.TimerKind
-	// DelayKind selects the channel delay distribution; the analytic
-	// model uses Exponential. (Deterministic delays are an ablation.)
-	DelayKind rand.TimerKind
 	// AllowReorder disables the channel's FIFO clamp (ablation).
 	AllowReorder bool
 	// DisableNotification suppresses the timeout-removal notification of
@@ -149,7 +146,7 @@ func runSession(cfg Config, rng *rand.Source) sessionOutcome {
 	k := des.New()
 	pair := netsim.NewPair(k, rng.Split(), netsim.Config{
 		Loss:         cfg.Params.Loss,
-		Delay:        rand.Timer{Kind: cfg.DelayKind, Mean: cfg.Params.Delay},
+		Delay:        rand.Timer{Kind: rand.Exponential, Mean: cfg.Params.Delay},
 		AllowReorder: cfg.AllowReorder,
 	})
 	s := &session{

@@ -129,3 +129,41 @@ func Analyze(proto Protocol, p Params) (Metrics, error) {
 func IntegratedCost(alpha float64, met Metrics) float64 {
 	return alpha*met.Inconsistency + met.NormalizedRate
 }
+
+// Comparison pairs a protocol with its analytic metrics.
+type Comparison struct {
+	Protocol Protocol
+	Metrics  Metrics
+}
+
+// Compare solves every protocol at the same parameter point, in the
+// paper's order — the five-way comparison behind Figures 4–10.
+func Compare(p Params) ([]Comparison, error) {
+	out := make([]Comparison, 0, 5)
+	for _, proto := range Protocols() {
+		m, err := Analyze(proto, p)
+		if err != nil {
+			return nil, fmt.Errorf("singlehop: comparing %v: %w", proto, err)
+		}
+		out = append(out, Comparison{Protocol: proto, Metrics: m})
+	}
+	return out, nil
+}
+
+// BestProtocol returns the protocol minimizing the integrated cost
+// C = α·I + Λ at p — the decision question the paper's cost model is
+// built to answer — and that cost.
+func BestProtocol(alpha float64, p Params) (Protocol, float64, error) {
+	cmp, err := Compare(p)
+	if err != nil {
+		return 0, 0, err
+	}
+	best := cmp[0].Protocol
+	bestCost := IntegratedCost(alpha, cmp[0].Metrics)
+	for _, c := range cmp[1:] {
+		if cost := IntegratedCost(alpha, c.Metrics); cost < bestCost {
+			best, bestCost = c.Protocol, cost
+		}
+	}
+	return best, bestCost, nil
+}

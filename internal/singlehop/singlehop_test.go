@@ -515,3 +515,60 @@ func BenchmarkAnalyzeSingleProtocol(b *testing.B) {
 		}
 	}
 }
+
+func TestCompareCoversAllProtocols(t *testing.T) {
+	cmp, err := Compare(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cmp) != 5 {
+		t.Fatalf("Compare returned %d entries", len(cmp))
+	}
+	seen := map[Protocol]bool{}
+	for _, c := range cmp {
+		seen[c.Protocol] = true
+		if c.Metrics.Lifetime <= 0 {
+			t.Fatalf("%v has nonpositive lifetime", c.Protocol)
+		}
+	}
+	for _, p := range Protocols() {
+		if !seen[p] {
+			t.Fatalf("missing protocol %v", p)
+		}
+	}
+}
+
+func TestCompareOrderMatchesPaper(t *testing.T) {
+	cmp, err := Compare(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Protocol{SS, SSER, SSRT, SSRTR, HS}
+	for i, c := range cmp {
+		if c.Protocol != want[i] {
+			t.Fatalf("position %d = %v, want %v", i, c.Protocol, want[i])
+		}
+	}
+}
+
+func TestBestProtocolExtremes(t *testing.T) {
+	// α→0: only overhead matters → HS wins at the Kazaa defaults.
+	best, cost, err := BestProtocol(0, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best != HS {
+		t.Fatalf("α=0 winner = %v, want HS", best)
+	}
+	if cost <= 0 {
+		t.Fatalf("cost = %v", cost)
+	}
+	// Huge α: consistency dominates → a reliable-removal protocol wins.
+	best, _, err = BestProtocol(1e6, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best != SSRTR && best != HS {
+		t.Fatalf("huge-α winner = %v", best)
+	}
+}

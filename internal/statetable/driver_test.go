@@ -210,7 +210,6 @@ func TestCloseWithCallbackInFlight(t *testing.T) {
 			var fired atomic.Int32
 			tbl := New(Config[int]{
 				Shards:   1,
-				Tick:     100 * time.Microsecond,
 				OnExpire: func(string, TimerKind, *int, TimerControl[int]) { fired.Add(1) },
 			})
 			closed := make(chan struct{})
@@ -218,10 +217,10 @@ func TestCloseWithCallbackInFlight(t *testing.T) {
 			// dispatches fireShard into a wait for it, and start Close
 			// while it waits.
 			tbl.Upsert("k", func(_ *int, _ bool, tc TimerControl[int]) {
-				tc.Schedule(0, 200*time.Microsecond)
+				tc.Schedule(0, 2*DefaultTick)
 			})
 			tbl.Update("k", func(*int, TimerControl[int]) {
-				time.Sleep(2 * time.Millisecond)
+				time.Sleep(5 * DefaultTick)
 				go func() {
 					tbl.Close()
 					close(closed)
@@ -232,7 +231,7 @@ func TestCloseWithCallbackInFlight(t *testing.T) {
 			})
 			<-closed
 			settled := fired.Load()
-			time.Sleep(2 * time.Millisecond)
+			time.Sleep(5 * DefaultTick)
 			// An expiry that beat the Update to the lock is legitimate; one
 			// after Close returned, or a second one, is not.
 			if got := fired.Load(); got != settled || got > 1 {

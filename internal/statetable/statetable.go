@@ -39,8 +39,8 @@ const NumTimerKinds = 2
 // DefaultShards is the shard count used when Config.Shards is 0.
 const DefaultShards = 16
 
-// DefaultTick is the wheel granularity used when Config.Tick is 0: timers
-// fire within about one tick of their deadline.
+// DefaultTick is the wheel granularity: timers fire within about one tick
+// of their deadline.
 const DefaultTick = time.Millisecond
 
 // ExpireFunc is called when a timer fires. It runs on the shard's clock
@@ -55,8 +55,6 @@ type Config[V any] struct {
 	// clock timer, so it bounds lock contention and how many expiry
 	// callbacks can run at once.
 	Shards int
-	// Tick is the timing-wheel granularity (DefaultTick when 0).
-	Tick time.Duration
 	// OnExpire handles timer expiry. A Table without it still works as a
 	// plain sharded map, but scheduled timers fire into nothing.
 	OnExpire ExpireFunc[V]
@@ -103,7 +101,6 @@ type Table[V any] struct {
 	cfg    Config[V]
 	seed   maphash.Seed // per table, so slot placement cannot be precomputed
 	clk    clock.Clock
-	tick   time.Duration
 	start  time.Time
 	shards []shard[V]
 	mask   uint32
@@ -121,16 +118,11 @@ func New[V any](cfg Config[V]) *Table[V] {
 	for shards < n {
 		shards <<= 1
 	}
-	tick := cfg.Tick
-	if tick <= 0 {
-		tick = DefaultTick
-	}
 	clk := clock.Or(cfg.Clock)
 	t := &Table[V]{
 		cfg:    cfg,
 		seed:   maphash.MakeSeed(),
 		clk:    clk,
-		tick:   tick,
 		start:  clk.Now(),
 		shards: make([]shard[V], shards),
 		mask:   uint32(shards - 1),
@@ -231,7 +223,7 @@ func (t *Table[V]) tagOf(key string) uint32 {
 
 // tickNow converts clock progress to wheel ticks.
 func (t *Table[V]) tickNow() int64 {
-	return int64(t.clk.Since(t.start) / t.tick)
+	return int64(t.clk.Since(t.start) / DefaultTick)
 }
 
 // DeadlineTick converts a relative delay to an absolute tick, rounding up
@@ -240,7 +232,7 @@ func (t *Table[V]) DeadlineTick(delay time.Duration) int64 {
 	if delay < 0 {
 		delay = 0
 	}
-	return int64((t.clk.Since(t.start) + delay + t.tick - 1) / t.tick)
+	return int64((t.clk.Since(t.start) + delay + DefaultTick - 1) / DefaultTick)
 }
 
 // Upsert locks the key's shard and calls fn with the entry's value,
@@ -451,7 +443,7 @@ func (t *Table[V]) unlockAndPoke(sh *shard[V]) {
 		sh.needPoke = false
 		if !t.closed.Load() {
 			sh.nextWake = sh.pokeTick
-			sh.timer.Reset(t.start.Add(time.Duration(sh.pokeTick) * t.tick).Sub(t.clk.Now()))
+			sh.timer.Reset(t.start.Add(time.Duration(sh.pokeTick) * DefaultTick).Sub(t.clk.Now()))
 		}
 	}
 	sh.mu.Unlock()
@@ -536,7 +528,7 @@ func (t *Table[V]) advanceLocked(sh *shard[V]) (wait time.Duration, idle bool) {
 	} else {
 		next := sh.wheel.nextEventTick()
 		sh.nextWake = next
-		wait = t.start.Add(time.Duration(next) * t.tick).Sub(t.clk.Now())
+		wait = t.start.Add(time.Duration(next) * DefaultTick).Sub(t.clk.Now())
 	}
 	sh.needPoke = false
 	return wait, idle

@@ -231,13 +231,15 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // sat empty must snap the wheel clock to the present instead of leaving
 // advance to replay the whole idle gap tick by tick under the shard lock.
 func TestScheduleAfterIdleResyncsWheel(t *testing.T) {
-	tbl := New(Config[int]{Shards: 1, Tick: time.Microsecond})
+	v := clock.NewVirtual()
+	tbl := New(Config[int]{Shards: 1, Clock: v})
 	defer tbl.Close()
-	time.Sleep(20 * time.Millisecond) // ~20k ticks of idle gap
+	const idle = 20_000 // ticks of idle gap
+	v.Run(idle * DefaultTick)
 	tbl.Upsert("k", func(_ *int, _ bool, tc TimerControl[int]) {
-		tc.Schedule(0, time.Millisecond)
-		if now := tc.sh.wheel.now; now < 15_000 {
-			t.Errorf("wheel clock %d ticks, want resynced past the idle gap", now)
+		tc.Schedule(0, DefaultTick)
+		if now := tc.sh.wheel.now; now != idle {
+			t.Errorf("wheel clock %d ticks, want %d: resynced past the idle gap", now, idle)
 		}
 	})
 }
@@ -408,17 +410,16 @@ func TestReschedulePushesDeadlineOut(t *testing.T) {
 func TestStopVsFireRace(t *testing.T) {
 	var fired atomic.Int32
 	tbl := New(Config[int]{
-		Tick:     100 * time.Microsecond,
 		OnExpire: func(string, TimerKind, *int, TimerControl[int]) { fired.Add(1) },
 	})
 	defer tbl.Close()
 	tbl.Upsert("k", nil)
 	for i := 0; i < 300; i++ {
-		tbl.Schedule("k", 0, 200*time.Microsecond)
-		time.Sleep(time.Duration(i%3) * 100 * time.Microsecond)
+		tbl.Schedule("k", 0, 2*DefaultTick)
+		time.Sleep(time.Duration(i%3) * DefaultTick)
 		tbl.Cancel("k", 0)
 		settled := fired.Load()
-		time.Sleep(time.Millisecond)
+		time.Sleep(3 * DefaultTick)
 		if got := fired.Load(); got != settled {
 			t.Fatalf("iteration %d: timer fired after Cancel returned (%d -> %d)", i, settled, got)
 		}
@@ -499,7 +500,6 @@ func TestMassExpiry100kOneTick(t *testing.T) {
 	var fired atomic.Int32
 	tbl := New(Config[int]{
 		Shards:   8,
-		Tick:     10 * time.Millisecond,
 		OnExpire: func(_ string, _ TimerKind, _ *int, tc TimerControl[int]) { fired.Add(1) },
 	})
 	defer tbl.Close()
@@ -560,7 +560,6 @@ func TestCloseStopsFiring(t *testing.T) {
 func TestConcurrentChurn(t *testing.T) {
 	tbl := New(Config[int]{
 		Shards: 8,
-		Tick:   time.Millisecond,
 		OnExpire: func(_ string, kind TimerKind, v *int, tc TimerControl[int]) {
 			*v++
 			if *v%3 == 0 {

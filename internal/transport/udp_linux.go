@@ -479,7 +479,7 @@ func (c *batchConn) prepareWrite(r *writeRing, ms []Message) int {
 		// Only a run of two or more needs the budget, and so the probe;
 		// an empty frame is a datagram of its own.
 		k := 1
-		if len(ms[f].Data) > 0 && f+1 < len(ms) && sameDest(ms[f+1].Addr, ua) {
+		if len(ms[f].Data) > 0 && f+1 < len(ms) && sameDest(ms[f+1].Addr, ms[f].Addr) {
 			k = planDatagram(ms[f:], c.budget(ua))
 		}
 		h, first := &r.hs[d], iov
@@ -916,25 +916,27 @@ func decodeSockaddr(b []byte) *net.UDPAddr {
 	return nil
 }
 
-// udpDest returns addr as a destination encodeSockaddr can lay out: a
-// non-nil *net.UDPAddr whose IP is IPv4, IPv6, or empty.
+// udpDest returns addr as a destination encodeSockaddr, budget and
+// routeMTU all read as one family: a non-nil *net.UDPAddr whose IP is IPv4
+// or IPv6. An empty IP is 0.0.0.0, as net.UDPConn.WriteTo reads it.
 func udpDest(addr net.Addr) (*net.UDPAddr, bool) {
 	ua, ok := addr.(*net.UDPAddr)
 	if !ok || ua == nil {
 		return nil, false
 	}
 	switch len(ua.IP) {
-	case 0, net.IPv4len, net.IPv6len:
+	case 0:
+		return &net.UDPAddr{IP: net.IPv4zero, Port: ua.Port}, true
+	case net.IPv4len, net.IPv6len:
 		return ua, true
 	}
 	return nil, false
 }
 
 // encodeSockaddr writes a's raw sockaddr into sa, returning its length; a
-// is a udpDest. An empty IP is 0.0.0.0, as net.UDPConn.WriteTo reads it.
-// Ports are network byte order.
+// is a udpDest. Ports are network byte order.
 func encodeSockaddr(sa *[syscall.SizeofSockaddrAny]byte, a *net.UDPAddr) uint32 {
-	if ip4 := a.IP.To4(); ip4 != nil || len(a.IP) == 0 {
+	if ip4 := a.IP.To4(); ip4 != nil {
 		for i := 0; i < syscall.SizeofSockaddrInet4; i++ {
 			sa[i] = 0
 		}

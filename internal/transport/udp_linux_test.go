@@ -1346,6 +1346,32 @@ func TestWriteBatchEmptyIP(t *testing.T) {
 	}
 }
 
+// TestWriteBatchEmptyIPBudget: a run to a destination with no IP is
+// packed at the route's budget, as a run to 127.0.0.1 is, and not at the
+// 1,232-B fallback of a probe that read 0.0.0.0 as neither family: 40
+// frames of 100 B leave as one datagram to either.
+func TestWriteBatchEmptyIPBudget(t *testing.T) {
+	rx := listenBatch(t, Options{})
+	port := rx.LocalAddr().(*net.UDPAddr).Port
+	for _, to := range []*net.UDPAddr{{IP: net.IPv4(127, 0, 0, 1), Port: port}, {Port: port}} {
+		tx := listenBatch(t, Options{})
+		ms := make([]Message, 40)
+		want := make([]int, len(ms))
+		for i := range ms {
+			ms[i], want[i] = Message{Data: numbered(i, 100), Addr: to}, i
+		}
+		if n, err := tx.WriteBatch(ms); n != len(ms) || err != nil {
+			t.Fatalf("WriteBatch to %v = %d, %v", to, n, err)
+		}
+		if got := readNumbers(t, rx, len(ms)); !slices.Equal(got, want) {
+			t.Fatalf("to %v: received %v, want %v", to, got, want)
+		}
+		if d := tx.Stats().WriteDatagrams.Value(); d != 1 {
+			t.Fatalf("40 frames of 100 B to %v left in %d datagrams, want 1", to, d)
+		}
+	}
+}
+
 // TestWriteBatchEmptyFrame: an empty frame leaves through sendmmsg as an
 // empty datagram of its own, splitting the run of frames around it: one
 // call, three datagrams, and the reader gets the three frames in order.

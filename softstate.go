@@ -38,96 +38,101 @@
 // architecture, and how performance is measured (benchmark/).
 package softstate
 
-import "softstate/internal/core"
+import (
+	"softstate/internal/multihop"
+	"softstate/internal/rand"
+	"softstate/internal/sim"
+	"softstate/internal/singlehop"
+)
 
 // Protocol identifies one of the five generic signaling protocols.
-type Protocol = core.Protocol
+type Protocol = singlehop.Protocol
 
 // The five protocols, ordered from pure soft state to pure hard state.
 const (
-	SS    = core.SS
-	SSER  = core.SSER
-	SSRT  = core.SSRT
-	SSRTR = core.SSRTR
-	HS    = core.HS
+	SS    = singlehop.SS
+	SSER  = singlehop.SSER
+	SSRT  = singlehop.SSRT
+	SSRTR = singlehop.SSRTR
+	HS    = singlehop.HS
 )
 
 // Params are the single-hop system parameters (paper §III-A): update and
 // removal rates, channel delay and loss, and the refresh/timeout/
 // retransmission timers.
-type Params = core.Params
+type Params = singlehop.Params
 
 // MultihopParams are the path parameters (paper §III-B).
-type MultihopParams = core.MultihopParams
+type MultihopParams = multihop.Params
 
 // Metrics are the single-hop analytic outputs: inconsistency ratio,
 // lifetime, message rates.
-type Metrics = core.Metrics
+type Metrics = singlehop.Metrics
 
 // MultihopMetrics are the multi-hop analytic outputs, including per-hop
 // inconsistency.
-type MultihopMetrics = core.MultihopMetrics
+type MultihopMetrics = multihop.Metrics
 
 // SimConfig configures the event-level single-hop simulator.
-type SimConfig = core.SimConfig
+type SimConfig = sim.Config
 
 // SimResult is the single-hop simulation output with confidence intervals.
-type SimResult = core.SimResult
+type SimResult = sim.Result
 
 // MultihopSimConfig configures the event-level path simulator.
-type MultihopSimConfig = core.MultihopSimConfig
+type MultihopSimConfig = sim.MultiConfig
 
 // MultihopSimResult is the path simulation output.
-type MultihopSimResult = core.MultihopSimResult
+type MultihopSimResult = sim.MultiResult
 
 // TimerKind selects a timer distribution for simulations.
-type TimerKind = core.TimerKind
+type TimerKind = rand.TimerKind
 
 // Timer distribution families.
 const (
-	Exponential   = core.Exponential
-	Deterministic = core.Deterministic
-	UniformJitter = core.UniformJitter
+	Exponential   = rand.Exponential
+	Deterministic = rand.Deterministic
+	UniformJitter = rand.UniformJitter
 )
 
 // Comparison pairs a protocol with its analytic metrics.
-type Comparison = core.Comparison
+type Comparison = singlehop.Comparison
 
 // Protocols returns all five protocols in the paper's order.
-func Protocols() []Protocol { return core.Protocols() }
+func Protocols() []Protocol { return singlehop.Protocols() }
 
 // MultihopProtocols returns the protocols covered by the multi-hop study.
-func MultihopProtocols() []Protocol { return core.MultihopProtocols() }
+func MultihopProtocols() []Protocol { return multihop.Protocols() }
 
 // DefaultParams returns the paper's Kazaa-scenario single-hop defaults.
-func DefaultParams() Params { return core.DefaultParams() }
+func DefaultParams() Params { return singlehop.DefaultParams() }
 
 // DefaultMultihopParams returns the paper's path-reservation defaults.
-func DefaultMultihopParams() MultihopParams { return core.DefaultMultihopParams() }
+func DefaultMultihopParams() MultihopParams { return multihop.DefaultParams() }
 
 // Analyze solves the single-hop CTMC for proto at p.
-func Analyze(proto Protocol, p Params) (Metrics, error) { return core.Analyze(proto, p) }
+func Analyze(proto Protocol, p Params) (Metrics, error) { return singlehop.Analyze(proto, p) }
 
 // AnalyzeMultihop solves the multi-hop CTMC for proto at p.
 func AnalyzeMultihop(proto Protocol, p MultihopParams) (MultihopMetrics, error) {
-	return core.AnalyzeMultihop(proto, p)
+	return multihop.Analyze(proto, p)
 }
 
 // Simulate runs the event-level single-hop simulator.
-func Simulate(cfg SimConfig) (SimResult, error) { return core.Simulate(cfg) }
+func Simulate(cfg SimConfig) (SimResult, error) { return sim.RunSingleHop(cfg) }
 
 // SimulateMultihop runs the event-level path simulator.
 func SimulateMultihop(cfg MultihopSimConfig) (MultihopSimResult, error) {
-	return core.SimulateMultihop(cfg)
+	return sim.RunMultiHop(cfg)
 }
 
 // IntegratedCost is C = α·I + Λ (paper eq. 8).
-func IntegratedCost(alpha float64, m Metrics) float64 { return core.IntegratedCost(alpha, m) }
+func IntegratedCost(alpha float64, m Metrics) float64 { return singlehop.IntegratedCost(alpha, m) }
 
 // Compare solves every protocol at one parameter point.
-func Compare(p Params) ([]Comparison, error) { return core.Compare(p) }
+func Compare(p Params) ([]Comparison, error) { return singlehop.Compare(p) }
 
 // BestProtocol returns the protocol minimizing C = α·I + Λ at p.
 func BestProtocol(alpha float64, p Params) (Protocol, float64, error) {
-	return core.BestProtocol(alpha, p)
+	return singlehop.BestProtocol(alpha, p)
 }

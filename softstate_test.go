@@ -85,3 +85,52 @@ func TestMultihopHeadline(t *testing.T) {
 		t.Fatalf("reliability overhead too high: SS=%v SS+RT=%v", ss.MsgRate, ssrt.MsgRate)
 	}
 }
+
+// TestFacadeDelegation smoke-checks that every facade function reaches
+// its implementation: the analytic models and both simulators.
+func TestFacadeDelegation(t *testing.T) {
+	m, err := softstate.Analyze(softstate.SS, softstate.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Inconsistency <= 0 {
+		t.Fatal("Analyze returned empty metrics")
+	}
+	mm, err := softstate.AnalyzeMultihop(softstate.SS, softstate.DefaultMultihopParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mm.PerHop) != 20 {
+		t.Fatal("AnalyzeMultihop returned wrong hop count")
+	}
+	if got := softstate.IntegratedCost(10, m); got <= m.NormalizedRate {
+		t.Fatalf("IntegratedCost = %v", got)
+	}
+	res, err := softstate.Simulate(softstate.SimConfig{
+		Protocol: softstate.SSER,
+		Params:   softstate.DefaultParams().WithSessionLength(100),
+		Sessions: 50,
+		Seed:     1,
+		Timers:   softstate.Deterministic,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sessions != 50 {
+		t.Fatal("Simulate did not run")
+	}
+	mres, err := softstate.SimulateMultihop(softstate.MultihopSimConfig{
+		Protocol: softstate.SS,
+		Params:   softstate.DefaultMultihopParams().WithHops(3),
+		Horizon:  500,
+		Runs:     1,
+		Seed:     1,
+		Timers:   softstate.Deterministic,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mres.PerHop) != 3 {
+		t.Fatal("SimulateMultihop did not run")
+	}
+}
