@@ -126,7 +126,9 @@ func (r *Receiver) peerAnswered(p *peer, theirs pair) {
 // record holds entries. Each record's miss count is judged and bumped and
 // its peer probe queued under the peer table's mu; the records orphaned
 // whole or audited have their entries visited after it; everything the
-// round sends leaves through one batch writer.
+// round sends leaves through one batch writer. A round whose records all
+// agree allocates nothing: its lists are the receiver's scratch, and the
+// walk map is made only for a record orphaned or audited.
 func (r *Receiver) probeRound() {
 	r.probeMu.Lock()
 	defer r.probeMu.Unlock()
@@ -134,14 +136,21 @@ func (r *Receiver) probeRound() {
 		return
 	}
 	now := r.stamp()
-	walk := map[uint32]walkKind{}
-	var to []net.Addr
-	var pairs []pair
+	var walk map[uint32]walkKind
+	setWalk := func(id uint32, k walkKind) {
+		if walk == nil {
+			walk = map[uint32]walkKind{}
+		}
+		walk[id] = k
+	}
+	sc := &r.probeScratch
+	sc.to, sc.pairs = sc.to[:0], sc.pairs[:0]
 	r.peers.mu.Lock()
-	holding := r.peers.holdingLocked()
+	sc.holding = r.peers.holdingLocked(sc.holding[:0])
+	holding := sc.holding
 	for _, p := range holding {
 		if p.misses.Load() >= probeMisses {
-			walk[p.id] = walkOrphan
+			setWalk(p.id, walkOrphan)
 			if at := p.answeredAt.Load(); now > 0 && at > 0 {
 				r.histOrphan.Observe(now - time.Duration(at))
 			}
@@ -150,9 +159,9 @@ func (r *Receiver) probeRound() {
 			continue
 		}
 		p.misses.Add(1)
-		to, pairs = append(to, p.addr), append(pairs, pair{uint64(p.entries), p.fold})
+		sc.to, sc.pairs = append(sc.to, p.addr), append(sc.pairs, pair{uint64(p.entries), p.fold})
 		if p.audit.open {
-			walk[p.id] = walkAudit
+			setWalk(p.id, walkAudit)
 		}
 	}
 	r.peers.probing = len(holding) > 0
@@ -161,20 +170,30 @@ func (r *Receiver) probeRound() {
 		return
 	}
 	r.probeTimer.Reset(r.cfg.Timeout)
-	for i, pr := range pairs {
+	for i, pr := range sc.pairs {
 		var v [wire.PairLen]byte
-		r.probeBW.add(wire.Message{Type: wire.TypeProbe, Value: wire.AppendPair(v[:0], pr.count, pr.fold)}, to[i])
+		r.probeBW.add(wire.Message{Type: wire.TypeProbe, Value: wire.AppendPair(v[:0], pr.count, pr.fold)}, sc.to[i])
 	}
-	if len(walk) > 0 {
+	if walk != nil {
 		r.walkRound(walk, holding)
 	}
 	r.probeBW.flush()
+	clear(sc.holding) // pin no reaped record until the next round
+	clear(sc.to)
 }
 
-// holdingLocked returns the records holding entries in address order, so a
-// round's datagrams go out in the same order on every run; mu is held.
-func (t *peerTable) holdingLocked() []*peer {
-	var out []*peer
+// probeScratch is the lists a probe round builds, kept by the receiver
+// between rounds and guarded by probeMu.
+type probeScratch struct {
+	holding []*peer
+	to      []net.Addr
+	pairs   []pair
+}
+
+// holdingLocked appends the records holding entries to out in address
+// order, so a round's datagrams go out in the same order on every run; mu
+// is held.
+func (t *peerTable) holdingLocked(out []*peer) []*peer {
 	for _, p := range t.byID {
 		if p.entries > 0 {
 			out = append(out, p)

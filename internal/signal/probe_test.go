@@ -2,6 +2,7 @@ package signal
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -247,6 +248,52 @@ func TestPeerProbeRoundVersusDispatch(t *testing.T) {
 	rcv.Close()
 	if bad := rcv.CheckInvariants(); len(bad) != 0 {
 		t.Fatal(bad)
+	}
+}
+
+// TestSteadyProbeRoundAllocatesNothing: a probe round over records whose
+// pairs agree, a hard-state receiver's steady state, allocates nothing: its
+// lists are the receiver's scratch and no walk is made. Each round follows
+// the agreeing peer probe-acks that keep four senders' records alive. The
+// round timer runs on the wall clock an hour out, so no round runs beside
+// the ones the test calls. Under the race detector the count is not
+// checked (raceEnabled).
+func TestSteadyProbeRoundAllocatesNothing(t *testing.T) {
+	rcv, err := NewReceiver(newDiscardConn(), Config{Protocol: HS, Timeout: time.Hour, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rcv.Close()
+	sc := rcv.newDispatchScratch()
+	marshal := func(m wire.Message) []byte {
+		data, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	const senders = 4
+	var froms [senders]net.Addr
+	var acks [senders][]byte
+	for i := range froms {
+		froms[i] = testAddr(fmt.Sprintf("sender-%d", i))
+		key := fmt.Sprintf("flow/%d", i)
+		rcv.dispatch(marshal(wireTrigger(1, key, []byte("v"))), froms[i], sc)
+		acks[i] = marshal(wire.Message{Type: wire.TypeProbeAck, Seq: 1, Value: wire.AppendPair(nil, 1, wire.StateHash(key, 1, []byte("v")))})
+	}
+	rcv.probeRound() // the first round sizes the scratch
+	probes0 := rcv.Stats().Sent["probe"]
+	if got := testing.AllocsPerRun(100, func() {
+		for i, ack := range acks {
+			rcv.dispatch(ack, froms[i], sc)
+		}
+		rcv.probeRound()
+	}); got != 0 && !raceEnabled {
+		t.Errorf("%.0f allocations per steady probe round, want 0", got)
+	}
+	if st := rcv.Stats(); st.Sent["probe"]-probes0 != 101*senders || st.ProbeAudits != 0 || rcv.Len() != senders {
+		t.Errorf("%d probes in 101 rounds to %d senders, %d audits, %d keys held",
+			st.Sent["probe"]-probes0, senders, st.ProbeAudits, rcv.Len())
 	}
 }
 

@@ -45,9 +45,10 @@ type Receiver struct {
 
 	// Hard state only (probe.go): the probe round, its serialization
 	// against Close, and the writer its datagrams leave through.
-	probeTimer clock.Timer
-	probeMu    sync.Mutex
-	probeBW    *batchWriter
+	probeTimer   clock.Timer
+	probeMu      sync.Mutex
+	probeBW      *batchWriter
+	probeScratch probeScratch // guarded by probeMu
 }
 
 // receiverEntry is one installed piece of state for one (peer, key) pair.

@@ -12,6 +12,7 @@ type refWheel struct {
 	count     int
 	slots     [wheelLevels][wheelSlots]*refNode
 	rebuckets uint64
+	used      [wheelLevels]bool // some node was ever bucketed at the level
 }
 
 type refNode struct {
@@ -57,6 +58,7 @@ func (w *refWheel) insert(n *refNode) {
 	for level < wheelLevels-1 && delta >= int64(1)<<(wheelBits*(level+1)) {
 		level++
 	}
+	w.used[level] = true
 	head := &w.slots[level][(n.deadline>>(wheelBits*level))&wheelMask]
 	n.next = *head
 	if n.next != nil {

@@ -11,16 +11,24 @@ import "unsafe"
 // its key nor its value, and goes on a free list the next insert takes
 // from first. An entry's timer nodes live in the wheel (wheel.go).
 //
-// A chunk holds as many entries as fit in chunkBytes less the 8-byte type
-// header Go puts before a pointerful object larger than 512 bytes: a chunk
-// of exactly 4 KB would take the next size class up, 12 % more. Big enough
-// that the chunk list costs a fraction of a byte per entry, small enough
-// that a shard's partly filled last chunk wastes under 4 KB.
+// A shard's first chunks are small and its later ones full, so a shard
+// holding a few dozen entries pays for about that many. Chunk k takes at
+// most 512·2^⌊k/2⌋ bytes, up to 4 KB from chunk 6 on, less the 8-byte type
+// header Go puts before a pointerful object larger than 512 bytes: each
+// budget is a size class, and a chunk one entry larger would take the next
+// class up. A chunk is never grown or copied; an id keeps a stride of
+// chunkMask+1 per chunk whatever the chunk holds. A shard's last chunk is
+// never larger than the chunks before it together, nor than 4 KB, so it
+// wastes under half of what the shard allocates, and the chunk list costs
+// a fraction of a byte per entry.
 
 const (
-	chunkBytes = 4096 - 8
-	chunkBits  = 6 // at most 64 entries a chunk
-	chunkMask  = 1<<chunkBits - 1
+	chunkBits = 6 // at most 64 entries a chunk
+	chunkMask = 1<<chunkBits - 1
+	// firstChunkBytes is the size class of a shard's first two chunks;
+	// every two chunks double it, chunkDoublings times.
+	firstChunkBytes = 512
+	chunkDoublings  = 3
 	// maxEntries caps a shard's ids so that a timer node's id (nodeID)
 	// never reaches bucketRef's flag bit; a shard this full would hold
 	// over 80 GB.
@@ -33,9 +41,14 @@ type slab[V any] struct {
 	free   uint32 // the most recently freed id (0: none); its tag names the next
 }
 
-// chunkLen is how many entries of V a chunk holds.
-func chunkLen[V any]() uint32 {
-	return uint32(max(1, min(chunkMask+1, chunkBytes/unsafe.Sizeof(entry[V]{}))))
+// entrySize is the size of an entry of V, which sizes its chunks.
+func entrySize[V any]() uint32 { return uint32(unsafe.Sizeof(entry[V]{})) }
+
+// chunkCap is how many entries of size bytes chunk k holds: the wheel sizes
+// node chunk k by it too.
+func chunkCap(size, k uint32) uint32 {
+	budget := uint32(firstChunkBytes)<<min(k/2, chunkDoublings) - 8
+	return max(1, min(chunkMask+1, budget/size))
 }
 
 // at returns the entry with the given id (nonzero).
@@ -57,7 +70,7 @@ func (s *slab[V]) alloc() (uint32, *entry[V]) {
 		if uint64(len(s.chunks))<<chunkBits >= maxEntries {
 			panic("statetable: shard full")
 		}
-		s.chunks = append(s.chunks, make([]entry[V], chunkLen[V]()))
+		s.chunks = append(s.chunks, make([]entry[V], chunkCap(entrySize[V](), uint32(last+1))))
 		last++
 		s.fill = 0
 	}

@@ -10,10 +10,13 @@
 //
 // Each entry owns NumTimerKinds independently schedulable timers. Their
 // nodes live in the shard's wheel, in chunks allocated by the first timer
-// of a kind armed in an entry chunk, so rearming and expiry never allocate
-// and a kind a table never arms costs it nothing. Entries live in per-shard
-// chunks that never move (slab.go), and the index and the wheel name them
-// by 32-bit id, not by pointer. Expiry callbacks and the closures passed to
+// of a kind armed in an entry chunk, and a wheel level's bucket heads are
+// allocated by the first deadline bucketed there, so a shard pays for the
+// timers it arms: rearming and expiry allocate nothing once a level is in
+// use, and a kind or a level a table never uses costs it nothing. Entries
+// live in per-shard chunks that never move, the first ones small
+// (slab.go), and the index and the wheel name them by 32-bit id, not by
+// pointer. Expiry callbacks and the closures passed to
 // Upsert and Update run with the entry's shard locked; they mutate the
 // entry and its timers through the TimerControl handle and must not call
 // other Table methods (that would deadlock on the same shard).
@@ -130,7 +133,7 @@ func New[V any](cfg Config[V]) *Table[V] {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.idx = newIndex()
-		sh.wheel.chunkLen = chunkLen[V]()
+		sh.wheel.entrySize = entrySize[V]()
 		sh.nextWake = int64(1)<<62 - 1
 		// The clock calls fireShard at each due tick; unlockAndPoke arms
 		// the timer the first time a deadline is scheduled.

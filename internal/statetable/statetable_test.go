@@ -43,25 +43,83 @@ func heapKeys(n int) []string {
 	return keys
 }
 
+// heapGrowth returns the live heap build leaves behind.
+func heapGrowth(build func()) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return float64(after.HeapAlloc) - float64(before.HeapAlloc)
+}
+
 // heapPerEntry builds a table from cfg, installs every key with a value
 // pointing at ref and handed to arm, and returns the table and the heap it
 // takes per entry — chunks, timer nodes, index, shards —
 // the keys' bytes excluded.
 func heapPerEntry(cfg Config[heapVal], keys []string, ref *[64]byte, arm func(TimerControl[heapVal])) (*Table[heapVal], float64) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	tbl := New(cfg)
-	for _, k := range keys {
-		tbl.Upsert(k, func(hv *heapVal, _ bool, tc TimerControl[heapVal]) {
-			hv.ref = ref
-			arm(tc)
-		})
+	var tbl *Table[heapVal]
+	grown := heapGrowth(func() {
+		tbl = New(cfg)
+		for _, k := range keys {
+			tbl.Upsert(k, func(hv *heapVal, _ bool, tc TimerControl[heapVal]) {
+				hv.ref = ref
+				arm(tc)
+			})
+		}
+	})
+	return tbl, grown / float64(len(keys))
+}
+
+// TestIdleTableHoldsLittle: a shard pays for what it holds, so a 16-shard
+// table holding nothing takes at most 8 KB — per shard its lock, an empty
+// index and a clock timer, and neither wheel heads nor entry chunks. With
+// every shard's 4 KB of heads allocated up front it took about 75 KB.
+func TestIdleTableHoldsLittle(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit targets")
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	return tbl, float64(after.HeapAlloc-before.HeapAlloc) / float64(len(keys))
+	v := clock.NewVirtual()
+	var tbl *Table[heapVal]
+	grown := heapGrowth(func() { tbl = New(Config[heapVal]{Shards: 16, Clock: v}) })
+	defer tbl.Close()
+	t.Logf("an idle %d-shard table takes %.0f B", tbl.NumShards(), grown)
+	if grown > 8<<10 {
+		t.Fatalf("an idle %d-shard table takes %.0f B, want at most 8 KB", tbl.NumShards(), grown)
+	}
+}
+
+// TestSmallShardsPayForWhatTheyHold: 16 shards of about 64 entries each
+// with no timer armed — a hard-state receiver's table — cost each entry its
+// value, the 24 bytes the table adds, at most four index slots and 16 B of
+// chunk slack, chunk lists and shards. No shard holds wheel heads, and each
+// entry chunk is as long as chunkCap says. With 4 KB chunks and every
+// shard's wheel heads allocated up front each entry took about 225 B.
+func TestSmallShardsPayForWhatTheyHold(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit targets")
+	}
+	keys := heapKeys(16 * 64)
+	cfg := Config[heapVal]{Shards: 16, Clock: clock.NewVirtual()}
+	tbl, perEntry := heapPerEntry(cfg, keys, new([64]byte), func(TimerControl[heapVal]) {})
+	defer tbl.Close()
+	t.Logf("%.1f B per entry with a %d-byte value", perEntry, unsafe.Sizeof(heapVal{}))
+	if bound := float64(unsafe.Sizeof(heapVal{})) + 24 + 4*8 + 16; perEntry > bound {
+		t.Fatalf("%.1f B per entry, want at most %.0f", perEntry, bound)
+	}
+	for i := range tbl.shards {
+		sh := &tbl.shards[i]
+		if sh.wheel.slots != [wheelLevels]*[wheelSlots]uint32{} {
+			t.Fatalf("shard %d holds wheel heads with nothing armed", i)
+		}
+		for c, chunk := range sh.ents.chunks {
+			if want := chunkCap(entrySize[heapVal](), uint32(c)); uint32(len(chunk)) != want {
+				t.Fatalf("shard %d: chunk %d holds %d entries, want %d", i, c, len(chunk), want)
+			}
+		}
+	}
 }
 
 // TestTableHeapPerEntry holds 65,536 entries with a 48-byte value and an

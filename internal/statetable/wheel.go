@@ -18,12 +18,15 @@ package statetable
 // many renewals fall in between.
 //
 // The wheel owns its nodes, in chunks parallel to the shard's entry chunks:
-// nodes[kind][c] holds kind's node for every entry of entry chunk c, and is
-// allocated by the first schedule of that kind for any entry in the chunk.
-// A kind the shard never arms in a chunk costs it nothing, and a node whose
-// chunk was never allocated is idle. Nodes are linked by node id (nodeID),
-// so a bucket head is a uint32 and the wheel holds no pointers into the
-// heap.
+// nodes[kind][c] holds kind's node for every entry of entry chunk c (as many
+// as the entry chunk holds, chunkCap), and is allocated by the first
+// schedule of that kind for any entry in the chunk. A kind the shard never
+// arms in a chunk costs it nothing, and a node whose chunk was never
+// allocated is idle. Nodes are linked by node id (nodeID), so a bucket head
+// is a uint32 and the wheel holds no pointers into the heap. A level's 1 KB
+// of heads is allocated by the first node bucketed there and then kept: a
+// shard that arms nothing holds no heads, one whose deadlines stay under
+// wheelSlots ticks away holds one level's.
 //
 // All wheel methods require the owning shard's lock.
 
@@ -68,12 +71,13 @@ type timerNode struct {
 // wheel is the per-shard hierarchical timing wheel over the nodes of the
 // shard's entries.
 type wheel struct {
-	now       int64 // last tick advanced to
-	count     int   // armed timers
-	slots     [wheelLevels][wheelSlots]uint32
+	now   int64 // last tick advanced to
+	count int   // armed timers
+	// slots[l] is level l's bucket heads, nil until a node is bucketed there.
+	slots     [wheelLevels]*[wheelSlots]uint32
 	fired     []uint32                     // advance's result, reused
 	nodes     [NumTimerKinds][][]timerNode // nodes[kind][c]: entry chunk c's; nil until one is armed
-	chunkLen  uint32                       // entries in an entry chunk, so nodes in a node chunk
+	entrySize uint32                       // bytes in one of the shard's entries (chunkCap)
 	rebuckets uint64                       // renewed nodes advance reached early and put back
 }
 
@@ -103,7 +107,7 @@ func (w *wheel) alloc(id uint32) *timerNode {
 	for uint32(len(chunks)) <= c {
 		chunks = append(chunks, nil)
 	}
-	chunks[c] = make([]timerNode, w.chunkLen)
+	chunks[c] = make([]timerNode, chunkCap(w.entrySize, c))
 	w.nodes[id%NumTimerKinds] = chunks
 	return w.node(id)
 }
@@ -187,6 +191,9 @@ func (w *wheel) insert(id uint32, n *timerNode) {
 		level++
 	}
 	slot := uint32(n.deadline>>(wheelBits*level)) & wheelMask
+	if w.slots[level] == nil {
+		w.slots[level] = new([wheelSlots]uint32)
+	}
 	head := &w.slots[level][slot]
 	n.next = *head
 	if n.next != 0 {
@@ -242,7 +249,7 @@ func (w *wheel) advance(target int64) []uint32 {
 		// Cascade every level whose period boundary this tick crosses,
 		// highest first so re-buckets settle in one pass.
 		for l := wheelLevels - 1; l >= 1; l-- {
-			if w.now&(int64(1)<<(wheelBits*l)-1) != 0 {
+			if w.now&(int64(1)<<(wheelBits*l)-1) != 0 || w.slots[l] == nil {
 				continue
 			}
 			slot := &w.slots[l][(w.now>>(wheelBits*l))&wheelMask]
@@ -256,6 +263,9 @@ func (w *wheel) advance(target int64) []uint32 {
 			}
 		}
 		// Expire the level-0 bucket for this tick.
+		if w.slots[0] == nil {
+			continue
+		}
 		slot := &w.slots[0][w.now&wheelMask]
 		for id := *slot; id != 0; {
 			n := w.node(id)
@@ -294,7 +304,7 @@ func (w *wheel) advance(target int64) []uint32 {
 // index<<(wheelBits·l).
 func (w *wheel) nextEventTick() int64 {
 	best := int64(0)
-	for i := int64(1); i < wheelSlots; i++ {
+	for i := int64(1); w.slots[0] != nil && i < wheelSlots; i++ {
 		tick := w.now + i
 		if w.slots[0][tick&wheelMask] != 0 {
 			best = tick
@@ -307,9 +317,13 @@ func (w *wheel) nextEventTick() int64 {
 		if best != 0 && best <= (cur+1)<<shift {
 			break // best precedes any cascade at this level or above
 		}
+		heads := w.slots[l]
+		if heads == nil {
+			continue // nothing was ever bucketed here
+		}
 		for i := int64(1); i <= wheelSlots; i++ {
 			idx := cur + i
-			if w.slots[l][idx&wheelMask] != 0 {
+			if heads[idx&wheelMask] != 0 {
 				if t := idx << shift; best == 0 || t < best {
 					best = t
 				}

@@ -23,12 +23,14 @@ func TestTimerNodeSize(t *testing.T) {
 // every step the map says every armed timer fires exactly once, at the
 // tick it was last scheduled for and never before it, that count matches
 // and that nextEventTick never oversleeps; the pointer wheel says the
-// buckets hold the same nodes in the same order and every advance fires
-// the same nodes in the same order. Model node i is kind i%2 of model
-// entry i/2, and the entries sit in modelChunks entry chunks, so node
-// chunks are allocated partway through a script, one per (kind, chunk)
-// the script arms, and a script can free an entry and reuse its id. One
-// interpreter serves the seeded scripts and the fuzz target.
+// buckets hold the same nodes in the same order, every advance fires the
+// same nodes in the same order, and a level holds heads exactly when some
+// node was ever bucketed there. Model node i is kind i%2 of model entry
+// i/2, and the entries sit in modelChunks entry chunks, so node chunks are
+// allocated partway through a script, one per (kind, chunk) the script
+// arms and as long as its entry chunk, and a script can free an entry and
+// reuse its id. One interpreter serves the seeded scripts and the fuzz
+// target.
 type wheelModel struct {
 	t      *testing.T
 	w      *testWheel
@@ -192,9 +194,10 @@ func (m *wheelModel) advance(target int64) {
 }
 
 // check compares the wheel with the map node by node and with the pointer
-// wheel bucket by bucket, requires a node chunk for exactly the (kind,
-// chunk)s the script has armed, walks every bucket for link integrity, and
-// bounds nextEventTick.
+// wheel bucket by bucket, requires a node chunk, as long as its entry
+// chunk, for exactly the (kind, chunk)s the script has armed and a level's
+// heads for exactly the levels the pointer wheel ever bucketed a node at,
+// walks every bucket for link integrity, and bounds nextEventTick.
 func (m *wheelModel) check() {
 	w := &m.w.wheel
 	for i, id := range m.ids {
@@ -216,7 +219,7 @@ func (m *wheelModel) check() {
 				n = len(w.nodes[k][c])
 			}
 			if m.armed[k][c] {
-				want = int(w.chunkLen)
+				want = len(m.w.ents.chunks[c])
 			}
 			if n != want {
 				m.t.Fatalf("kind %d chunk %d: %d nodes, want %d (armed: %v)", k, c, n, want, m.armed[k][c])
@@ -230,11 +233,17 @@ func (m *wheelModel) check() {
 		m.t.Fatalf("%d re-buckets, the pointer wheel %d", w.rebuckets, m.ref.rebuckets)
 	}
 	linked := 0
-	for l := range w.slots {
-		for s := range w.slots[l] {
+	for l, heads := range w.slots {
+		if (heads != nil) != m.ref.used[l] {
+			m.t.Fatalf("level %d has heads: %v, a node was ever bucketed there: %v", l, heads != nil, m.ref.used[l])
+		}
+		if heads == nil {
+			continue
+		}
+		for s := range heads {
 			prev := bucketRef | uint32(l)<<wheelBits | uint32(s)
 			rn := m.ref.slots[l][s]
-			for id := w.slots[l][s]; id != 0; id = w.node(id).next {
+			for id := heads[s]; id != 0; id = w.node(id).next {
 				n := w.node(id)
 				i := slices.Index(m.ids, id)
 				if n.pprev != prev || n.state != timerArmed {
@@ -282,8 +291,8 @@ func (m *wheelModel) check() {
 // re-buckets the script provoked and how many entry ids it reused.
 func runWheelScript(t *testing.T, script []byte) (rebuckets uint64, reuses int) {
 	m := &wheelModel{t: t, w: newTestWheel(), due: make(map[int]int64), script: script}
-	for c := uint32(0); c < modelChunks*m.w.chunkLen; c++ {
-		m.w.newNode(fmt.Sprint(c)) // fill the chunks the model entries sit in
+	for i := 0; len(m.w.ents.chunks) < modelChunks || m.w.ents.fill < uint32(len(m.w.ents.chunks[modelChunks-1])); i++ {
+		m.w.newNode(fmt.Sprint(i)) // fill the chunks the model entries sit in
 	}
 	for j := uint32(0); j < modelEntries; j++ {
 		eid := 1 + (j%modelChunks)<<chunkBits + j/modelChunks // entry chunk j%modelChunks

@@ -12,7 +12,7 @@ type testWheel struct {
 }
 
 func newTestWheel() *testWheel {
-	return &testWheel{wheel: wheel{chunkLen: chunkLen[int]()}}
+	return &testWheel{wheel: wheel{entrySize: entrySize[int]()}}
 }
 
 // newNode adds an entry named key the way Upsert does and returns the id
