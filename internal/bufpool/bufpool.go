@@ -1,6 +1,6 @@
 // Package bufpool is a tiny size-capped buffer pool shared by the
 // datagram hot paths: wire-message encode buffers in internal/signal and
-// in-flight datagram copies in internal/lossy. Steady-state refresh
+// frame buffers in internal/transport's stream conns. Steady-state refresh
 // traffic recycles the same few buffers instead of allocating one per
 // datagram, which is most of what kept the virtual-time experiment
 // harness GC-bound.

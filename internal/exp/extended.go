@@ -207,8 +207,10 @@ func extTopologyArtifact(o Options) (*report.Artifact, error) {
 		mod   func(*sim.LiveConfig)
 	}{
 		{"chain-3", func(c *sim.LiveConfig) { c.Hops = 3 }},
-		{"ring-4", func(c *sim.LiveConfig) { c.Topology = "ring"; c.Hops = 4 }},
-		{"tree-2x2", func(c *sim.LiveConfig) { c.Topology = "tree"; c.Hops = 2; c.TreeFanout = 2 }},
+		// A 4-node ring is the chain of 5 nodes whose tail sits at the
+		// origin: the signal crosses all 4 links before it is sampled.
+		{"ring-4", func(c *sim.LiveConfig) { c.Hops = 4 }},
+		{"tree-2x2", func(c *sim.LiveConfig) { c.Hops = 2; c.TreeFanout = 2 }},
 	}
 	live := report.New("Live topology comparison (SS+RTR, 10% loss per link)",
 		"topology", "hops", "leaves", "I", "rate")

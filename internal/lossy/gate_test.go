@@ -146,3 +146,50 @@ func TestBatchLargerThanQueueStagesWithoutDropping(t *testing.T) {
 	b.Close()
 	a.Close()
 }
+
+// TestBurstArraysGivenBackAfterDrain: a burst far longer than the queue
+// bound crosses at one instant in one packet array, which the conn gives
+// back once the burst is read: neither the empty ring nor the recycled
+// batches keep more than pipeQueueDepth packet slots, after the burst or
+// after the small burst that follows it and would take a kept array over.
+func TestBurstArraysGivenBackAfterDrain(t *testing.T) {
+	v := clock.NewVirtual()
+	a, b := virtualPipe(t, v)
+	defer a.Close()
+	defer b.Close()
+	done := drainN(b)
+	tx := transport.As(a)
+	ms := make([]transport.Message, transport.MaxWriteBatch)
+	for i := range ms {
+		ms[i] = transport.Message{Data: []byte("datagram"), Addr: b.LocalAddr()}
+	}
+	slots := func() int {
+		c := b.(*pipeConn)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		n := cap(c.ring.buf)
+		for bt := c.batchFree; bt != nil; bt = bt.next {
+			n += cap(bt.pkts)
+		}
+		for _, bt := range c.batches {
+			n += cap(bt.pkts)
+		}
+		return n
+	}
+	for _, burst := range []int{65536, 10} {
+		for sent := 0; sent < burst; sent += len(ms) {
+			if _, err := tx.WriteBatch(ms[:min(len(ms), burst-sent)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v.Run(time.Millisecond) // returns once the reader found the ring empty
+		if n := slots(); n > pipeQueueDepth {
+			t.Fatalf("after a %d-datagram burst drained the conn keeps %d packet slots, want ≤ %d",
+				burst, n, pipeQueueDepth)
+		}
+	}
+	b.Close()
+	if got := <-done; got != 65536+10 {
+		t.Fatalf("reader saw %d datagrams, want %d", got, 65536+10)
+	}
+}

@@ -1,9 +1,8 @@
 // Package lossy provides transports for exercising the signaling runtime
 // under adverse conditions: an in-memory net.PacketConn pair (Pipe) or
 // many-endpoint switch (Network) with configurable loss, delay, and jitter
-// (deterministic enough for tests), and a wrapper that injects the same
-// impairments into any real net.PacketConn (e.g. a UDP socket) for demos.
-// The in-memory endpoints are batching transport.Conns themselves.
+// (deterministic enough for tests). The endpoints are batching
+// transport.Conns themselves.
 //
 // All impairment timing goes through a clock.Clock. Under clock.System the
 // transports behave as before — delayed datagrams ride time.AfterFunc.
@@ -25,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"softstate/internal/bufpool"
 	"softstate/internal/clock"
 	"softstate/internal/rand"
 	"softstate/internal/transport"
@@ -259,6 +257,17 @@ func (r *pktRing) pop() packet {
 	}
 	r.n--
 	return p
+}
+
+// keptPackets is the one rule for recycling a packet array, an empty
+// ring's or a batch's going back to the free list: an array longer than
+// pipeQueueDepth, grown by an install-size burst, is given back rather
+// than kept for the next burst.
+func keptPackets(buf []packet) []packet {
+	if cap(buf) > pipeQueueDepth {
+		return nil
+	}
+	return buf
 }
 
 // allocLocked returns a length-n buffer, recycled when one fits; callers
@@ -521,7 +530,7 @@ func (c *pipeConn) fireBatch(b *delivBatch) {
 		c.wakeLocked()
 	}
 	clear(b.pkts)
-	b.pkts = b.pkts[:0]
+	b.pkts = keptPackets(b.pkts[:0])
 	b.next = c.batchFree
 	c.batchFree = b
 	c.mu.Unlock()
@@ -559,9 +568,7 @@ func (c *pipeConn) awaitLocked() error {
 			c.held = false
 			c.gate.Exit()
 		}
-		if n := cap(c.ring.buf); n > pipeQueueDepth && n > 4*len(c.ring.buf) {
-			c.ring = pktRing{} // grown by an install-size burst, a quarter used by the last: give it back
-		}
+		c.ring = pktRing{buf: keptPackets(c.ring.buf)}
 	}
 	for {
 		left := time.Duration(1)
@@ -697,65 +704,3 @@ type timeoutError struct{}
 func (timeoutError) Error() string   { return "lossy: i/o timeout" }
 func (timeoutError) Timeout() bool   { return true }
 func (timeoutError) Temporary() bool { return true }
-
-// Conn wraps an existing PacketConn, injecting loss and delay on writes.
-// Reads pass through unchanged. Useful to impair one direction of a real
-// UDP exchange in demos.
-type Conn struct {
-	net.PacketConn
-
-	mu  sync.Mutex
-	cfg Config
-	clk clock.Clock
-	rng *rand.Source
-	wg  sync.WaitGroup
-}
-
-// Wrap wraps conn with impairments. Virtual clocks are rejected: Conn
-// impairs *real* transports (UDP demos), does no quiesce-gate accounting,
-// and its Close would deadlock a simulation driver waiting on deliveries
-// only that driver can fire — simulated runs use Pipe or Network instead.
-func Wrap(conn net.PacketConn, cfg Config) (*Conn, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if clock.Or(cfg.Clock).Gate() != nil {
-		return nil, errors.New("lossy: Wrap does not support virtual clocks; use Pipe or Network")
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0xfeedface
-	}
-	return &Conn{PacketConn: conn, cfg: cfg, clk: clock.Or(cfg.Clock), rng: rand.NewSource(seed)}, nil
-}
-
-// WriteTo drops or delays the datagram before handing it to the wrapped
-// conn. Delayed writes are best-effort: an error after the delay is
-// unreportable, exactly as a network drop would be.
-func (c *Conn) WriteTo(p []byte, to net.Addr) (int, error) {
-	c.mu.Lock()
-	drop := c.rng.Bernoulli(c.cfg.Loss)
-	delay := c.cfg.sampleDelay(c.rng)
-	c.mu.Unlock()
-	if drop {
-		return len(p), nil
-	}
-	if delay <= 0 {
-		return c.PacketConn.WriteTo(p, to)
-	}
-	buf := bufpool.Get()
-	buf.B = append(buf.B[:0], p...)
-	c.wg.Add(1)
-	c.clk.AfterFunc(delay, func() {
-		defer c.wg.Done()
-		_, _ = c.PacketConn.WriteTo(buf.B, to)
-		buf.Free()
-	})
-	return len(p), nil
-}
-
-// Close waits for delayed writes, then closes the wrapped conn.
-func (c *Conn) Close() error {
-	c.wg.Wait()
-	return c.PacketConn.Close()
-}

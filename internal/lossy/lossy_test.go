@@ -186,66 +186,11 @@ func TestConfigValidation(t *testing.T) {
 		if _, _, err := Pipe(cfg); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
-		if _, err := Wrap(nopConn{}, cfg); err == nil {
-			t.Fatalf("Wrap case %d accepted", i)
+		if _, err := NewNetwork(cfg); err == nil {
+			t.Fatalf("NewNetwork case %d accepted", i)
 		}
 	}
 }
-
-func TestWrapLoss(t *testing.T) {
-	a, b, err := Pipe(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	w, err := Wrap(a, Config{Loss: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for i := 0; i < 10; i++ {
-		if _, err := w.WriteTo([]byte("x"), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-	if _, _, err := b.ReadFrom(make([]byte, 4)); err == nil {
-		t.Fatal("wrapped conn leaked a dropped datagram")
-	}
-}
-
-func TestWrapDelay(t *testing.T) {
-	a, b, err := Pipe(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	w, err := Wrap(a, Config{Delay: 50 * time.Millisecond, Jitter: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	start := time.Now()
-	w.WriteTo([]byte("x"), nil)
-	b.SetReadDeadline(time.Now().Add(time.Second))
-	if _, _, err := b.ReadFrom(make([]byte, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < 30*time.Millisecond {
-		t.Fatal("wrap delay not applied")
-	}
-}
-
-// nopConn satisfies net.PacketConn for validation tests.
-type nopConn struct{}
-
-func (nopConn) ReadFrom([]byte) (int, net.Addr, error)    { return 0, nil, nil }
-func (nopConn) WriteTo(b []byte, _ net.Addr) (int, error) { return len(b), nil }
-func (nopConn) Close() error                              { return nil }
-func (nopConn) LocalAddr() net.Addr                       { return addr("nop") }
-func (nopConn) SetDeadline(time.Time) error               { return nil }
-func (nopConn) SetReadDeadline(time.Time) error           { return nil }
-func (nopConn) SetWriteDeadline(time.Time) error          { return nil }
 
 // TestPipeHandsOutOneAddress: a datagram crossing a pipe allocates nothing
 // once the link's buffers are warm. The sender's address is boxed into a

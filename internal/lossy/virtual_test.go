@@ -236,20 +236,3 @@ func TestNetworkDeterministicLoss(t *testing.T) {
 		t.Fatal("no datagrams observed")
 	}
 }
-
-// TestWrapRejectsVirtualClock: the real-transport wrapper cannot honor
-// the virtual determinism contract, so it must refuse a virtual clock.
-func TestWrapRejectsVirtualClock(t *testing.T) {
-	a, b, err := Pipe(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	defer b.Close()
-	if _, err := Wrap(a, Config{Clock: clock.NewVirtual()}); err == nil {
-		t.Fatal("Wrap accepted a virtual clock")
-	}
-	if _, err := Wrap(a, Config{}); err != nil {
-		t.Fatalf("Wrap rejected the wall clock: %v", err)
-	}
-}

@@ -85,56 +85,6 @@ func TestTreeConvergesUnderLoss(t *testing.T) {
 	within(t, v, 10*time.Second, "tree converges through 20% loss", func() bool { return tr.Holds("k") == total })
 }
 
-// vring builds an n-node ring in virtual time and registers cleanup.
-func vring(t *testing.T, nodes int, cfg signal.Config, link lossy.Config) (*clock.Virtual, *Ring) {
-	t.Helper()
-	v := clock.NewVirtual()
-	cfg.Clock = v
-	link.Clock = v
-	r, err := NewRing(nodes, cfg, link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
-	return v, r
-}
-
-// TestRingFullCircle: an install travels the whole cycle and arrives at
-// the receiver co-located with the origin.
-func TestRingFullCircle(t *testing.T) {
-	v, r := vring(t, 4, fastConfig(signal.SSER), cleanLink)
-	if len(r.Receivers()) != 4 { // 3 interior relays + home
-		t.Fatalf("4-node ring should hold state at 4 points, got %d", len(r.Receivers()))
-	}
-	if err := r.Install("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	within(t, v, time.Second, "install circles back home", func() bool {
-		got, ok := r.Home().Get("k")
-		return ok && bytes.Equal(got, []byte("v"))
-	})
-	if r.Holds("k") != 4 {
-		t.Fatalf("every ring node should hold the key, got %d", r.Holds("k"))
-	}
-	if err := r.Remove("k"); err != nil {
-		t.Fatal(err)
-	}
-	within(t, v, time.Second, "removal circles the ring", func() bool { return r.Holds("k") == 0 })
-}
-
-// TestRingConvergesUnderLoss: the full-circumference path still
-// converges over lossy links with reliable triggers.
-func TestRingConvergesUnderLoss(t *testing.T) {
-	link := lossy.Config{Loss: 0.15, Delay: time.Millisecond, Seed: 23}
-	v, r := vring(t, 5, fastConfig(signal.SSRTR), link)
-	if err := r.Install("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	within(t, v, 10*time.Second, "ring converges through 15% loss", func() bool {
-		return r.Holds("k") == len(r.Receivers())
-	})
-}
-
 // TestFanRelayValidation: constructor guards.
 func TestFanRelayValidation(t *testing.T) {
 	if _, err := NewFanRelay(nil, nil, nil, signal.Config{}); err == nil {
@@ -166,8 +116,5 @@ func TestTreeValidation(t *testing.T) {
 	}
 	if _, err := NewTree(1<<11, 2, signal.Config{}, lossy.Config{}); err == nil {
 		t.Fatal("oversized tree must be rejected")
-	}
-	if _, err := NewRing(1, signal.Config{}, lossy.Config{}); err == nil {
-		t.Fatal("1-node ring must be rejected")
 	}
 }

@@ -142,38 +142,16 @@ func RunCensusAudit(cfg CensusConfig) (CensusResult, error) {
 	}
 
 	// The origin link's independent observer: the paper-metric estimator
-	// fed from the origin sender's events only. The chain's first-hop
-	// address and its counters exist only after construction, so both are
-	// late-bound; the hook must be in place before the endpoints start.
-	var stack *liveStack
-	pm := telemetry.NewPaperMetrics(telemetry.PaperConfig{
-		Clock:       v,
-		AckExpected: variant.For(cfg.Protocol).ReliableTrigger,
-		Sent: func() int64 {
-			if stack != nil {
-				return int64(stack.totalSent())
-			}
-			return 0
-		},
-	})
-	var originPeer string
-	hook := signal.PaperHook(pm)
-	scfg.OnEvent = func(ev signal.Event) {
-		if ev.Peer != nil && ev.Peer.String() == originPeer {
-			hook(ev)
-		}
-	}
-
+	// fed from the origin sender's events only.
+	watch := watchOrigin(&scfg, cfg.Protocol)
 	c, err := livenode.NewChain(live.Hops+1, scfg, live.linkConfig(v))
 	if err != nil {
 		return CensusResult{}, err
 	}
 	defer c.Close()
-	// The first hop's upstream address is what Chain.Install targets, and
-	// the origin's sender events carry it as Event.Peer.
-	originPeer = c.FirstHop().String()
 	links := c.CensusLinks()
-	stack = chainStack(c)
+	stack := chainStack(c)
+	watch.stack = stack
 
 	res := CensusResult{
 		Protocol: cfg.Protocol, Hops: live.Hops, Keys: live.Keys, Loss: cfg.Loss,
@@ -211,7 +189,7 @@ func RunCensusAudit(cfg CensusConfig) (CensusResult, error) {
 	v.Run(live.Duration)
 	// Close the measured window before the quiesce run: the estimator and
 	// the sampled I both describe the churned interval only.
-	res.EstimatedInconsistency = pm.Inconsistency()
+	res.EstimatedInconsistency = watch.pm.Inconsistency()
 	w.stopped = true
 	v.Run(time.Duration(live.Hops+2) * live.Timeout)
 

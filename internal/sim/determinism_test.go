@@ -38,14 +38,8 @@ func detLiveConfig() LiveConfig {
 
 func TestConsistencyVsLossDeterministicAcrossRuns(t *testing.T) {
 	losses := []float64{0, 0.1, 0.3}
-	a, err := ConsistencyVsLoss(detLiveConfig(), losses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ConsistencyVsLoss(detLiveConfig(), losses)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := lossCurve(t, detLiveConfig(), losses)
+	b := lossCurve(t, detLiveConfig(), losses)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different results:\n%+v\nvs\n%+v", a, b)
 	}

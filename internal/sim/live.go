@@ -16,8 +16,8 @@ import (
 
 // This file is the virtual-time harness for the *real* runtime: where the
 // rest of internal/sim re-implements the protocols as abstract state
-// machines, RunLive instantiates actual signal.Sender / signal.Receiver /
-// node.Chain endpoints — goroutine read loops, sharded state tables,
+// machines, RunLive instantiates actual node.Chain (or node.Tree)
+// endpoints — goroutine read loops, sharded state tables,
 // summary refresh, ack coalescing, the full wire codec — over seeded lossy
 // links, and drives everything from one clock.Virtual. The paper's experiments
 // (signaling-state consistency vs. loss, delay, refresh interval) thus run
@@ -29,20 +29,13 @@ import (
 type LiveConfig struct {
 	// Protocol selects the mechanism bundle.
 	Protocol signal.Protocol
-	// Hops is the number of state-holding links: 1 runs Sender→Receiver
-	// over one lossy pipe; ≥2 runs a node.Chain of Hops+1 nodes (origin,
-	// Hops-1 relays, tail receiver), every link independently impaired.
-	// Under Topology "ring" it is the node count of the cycle; under
-	// "tree" it is the tree depth (every leaf sits Hops hops from the
-	// root).
+	// Hops is the number of state-holding links: a node.Chain of Hops+1
+	// nodes (origin, Hops-1 relays, tail receiver), every link
+	// independently impaired; 1 is the paper's single-hop model. On a
+	// tree it is the tree depth (every leaf sits Hops hops from the root).
 	Hops int
-	// Topology selects the multi-hop wiring: "chain" (default — the
-	// paper's line of relays), "ring" (a unidirectional Hops-node cycle,
-	// consistency sampled where the signal arrives back at the origin),
-	// or "tree" (a TreeFanout-ary distribution tree of depth Hops,
-	// consistency sampled at every leaf).
-	Topology string
-	// TreeFanout is the per-node fan-out of a "tree" run (default 2).
+	// TreeFanout, when positive, wires a TreeFanout-ary distribution tree
+	// of depth Hops instead of a chain, consistency sampled at every leaf.
 	TreeFanout int
 	// Keys is the number of concurrently signaled keys.
 	Keys int
@@ -75,9 +68,9 @@ type LiveConfig struct {
 	// byte-identical LiveResults.
 	Seed uint64
 	// Metrics, when non-nil, instruments every endpoint with the runtime
-	// counters and latency histograms, and on 1-hop runs additionally
+	// counters and latency histograms, and on 1-hop chain runs also
 	// attaches the live paper-metric collector (the I and Λ gauges) to
-	// the sender — the snapshot sigfig embeds in artifacts. Metrics are
+	// the origin — the snapshot sigfig embeds in artifacts. Metrics are
 	// pure observers: a run's LiveResult is identical with or without
 	// them.
 	Metrics *telemetry.Registry
@@ -105,21 +98,15 @@ func (cfg *LiveConfig) applyDefaults() error {
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x5057a7e
 	}
-	switch cfg.Topology {
-	case "", "chain":
-		cfg.Topology = "chain"
-	case "ring":
-		if cfg.Hops < 2 {
-			return fmt.Errorf("sim: ring topology needs Hops ≥ 2 nodes, got %d", cfg.Hops)
-		}
-	case "tree":
-		if cfg.TreeFanout <= 0 {
-			cfg.TreeFanout = 2
-		}
-	default:
-		return fmt.Errorf("sim: unknown topology %q (want chain, ring, or tree)", cfg.Topology)
-	}
 	return nil
+}
+
+// topology names the wiring: "tree" when TreeFanout is set, else "chain".
+func (cfg LiveConfig) topology() string {
+	if cfg.TreeFanout > 0 {
+		return "tree"
+	}
+	return "chain"
 }
 
 // LiveResult aggregates one virtual-time run. Every field is a pure
@@ -130,8 +117,9 @@ type LiveResult struct {
 	Hops     int
 	Keys     int
 	Loss     float64
-	// Topology echoes the wiring; Leaves is the number of consistency
-	// sampling points (1 for chain and ring, TreeFanout^Hops for tree).
+	// Topology names the wiring, "chain" or "tree"; Leaves is the number
+	// of consistency sampling points (1 for a chain, TreeFanout^Hops for a
+	// tree).
 	Topology string
 	Leaves   int
 
@@ -184,7 +172,7 @@ func (cfg LiveConfig) signalConfig(v *clock.Virtual) signal.Config {
 	if cfg.Metrics != nil {
 		scfg.MetricsLabels = telemetry.Labels{
 			"protocol": variant.For(cfg.Protocol).Name,
-			"topology": cfg.Topology,
+			"topology": cfg.topology(),
 		}
 	}
 	return scfg
@@ -195,8 +183,7 @@ func (cfg LiveConfig) signalConfig(v *clock.Virtual) signal.Config {
 func (cfg LiveConfig) samplePeriod() time.Duration { return cfg.RefreshInterval / 2 }
 
 // linkConfig is the impairment every link of a live run shares. Each
-// endpoint of the run's switch (or of the one-hop pipe) splits its own
-// loss stream off this seed.
+// endpoint of the run's switch splits its own loss stream off this seed.
 func (cfg LiveConfig) linkConfig(v *clock.Virtual) lossy.Config {
 	return lossy.Config{
 		Loss:  cfg.Loss,
@@ -211,13 +198,16 @@ type liveStack struct {
 	install func(key string, value []byte) error
 	remove  func(key string) error
 	// tails are the consistency sampling points — every endpoint whose
-	// view should match the origin's intent (one for chain/ring, every
-	// leaf for tree).
+	// view should match the origin's intent (the tail of a chain, every
+	// leaf of a tree).
 	tails  []func(key string) ([]byte, bool)
 	inject func(key string) bool
 	// stats snapshots every endpoint's counters, origin first.
 	stats func() []signal.Stats
 	close func()
+	// firstHop is a chain's first-hop address, the Event.Peer the
+	// origin's sender events carry ("" on a tree).
+	firstHop string
 }
 
 // totalSent counts every datagram every endpoint has sent so far.
@@ -350,18 +340,30 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 		return LiveResult{}, err
 	}
 	v := clock.NewVirtual()
-	stack, err := buildLiveStack(cfg, cfg.signalConfig(v), cfg.linkConfig(v))
+	scfg := cfg.signalConfig(v)
+	// On the instrumented single-hop run the origin's paper-metric
+	// collector is registered too: its I and Λ gauges are the snapshot
+	// sigfig embeds next to the run's sampled inconsistency.
+	var watch *originWatch
+	if cfg.Metrics != nil && cfg.Hops == 1 && cfg.TreeFanout <= 0 {
+		watch = watchOrigin(&scfg, cfg.Protocol)
+		watch.pm.Register(cfg.Metrics, scfg.MetricsLabels)
+	}
+	stack, err := buildLiveStack(cfg, scfg, cfg.linkConfig(v))
 	if err != nil {
 		return LiveResult{}, err
 	}
 	defer stack.close()
+	if watch != nil {
+		watch.stack = stack
+	}
 
 	w := startWorkload(cfg, v, stack)
 	v.Run(cfg.Duration)
 
 	res := LiveResult{
 		Protocol: cfg.Protocol, Hops: cfg.Hops, Keys: cfg.Keys, Loss: cfg.Loss,
-		Topology: cfg.Topology, Leaves: len(stack.tails),
+		Topology: cfg.topology(), Leaves: len(stack.tails),
 		Inconsistency: w.inconsistency(), Samples: w.samples, InconsistentSamples: w.inconsistent,
 		KeyEvents: w.keyEvents, VirtualSeconds: cfg.Duration.Seconds(),
 		Sent: make(map[string]int),
@@ -376,121 +378,78 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 	return res, nil
 }
 
-// chainStack is the workload's view of a chain (a ring is the chain whose
-// tail sits at the origin).
+// originWatch is the paper-metric collector of a chain's origin link. It
+// hears only the origin's sender events, those whose peer is the first
+// hop, and counts every datagram of the stack. The hook must be in the
+// endpoints' config before they start, while the stack (and so the first
+// hop) exists only once they are built, so the caller sets stack then.
+type originWatch struct {
+	pm    *telemetry.PaperMetrics
+	stack *liveStack
+}
+
+// watchOrigin makes the collector for a proto run and sets scfg's OnEvent
+// to feed it.
+func watchOrigin(scfg *signal.Config, proto signal.Protocol) *originWatch {
+	w := &originWatch{}
+	w.pm = telemetry.NewPaperMetrics(telemetry.PaperConfig{
+		Clock:       scfg.Clock,
+		AckExpected: variant.For(proto).ReliableTrigger,
+		Sent: func() int64 {
+			if w.stack == nil {
+				return 0
+			}
+			return int64(w.stack.totalSent())
+		},
+	})
+	hook := signal.PaperHook(w.pm)
+	scfg.OnEvent = func(ev signal.Event) {
+		if w.stack != nil && ev.Peer != nil && ev.Peer.String() == w.stack.firstHop {
+			hook(ev)
+		}
+	}
+	return w
+}
+
+// chainStack is the workload's view of a chain.
 func chainStack(c *livenode.Chain) *liveStack {
 	return &liveStack{
-		install: c.Install,
-		remove:  c.Remove,
-		tails:   []func(string) ([]byte, bool){c.Tail.Get},
-		inject:  c.Tail.InjectFalseRemoval,
-		stats:   c.Stats,
-		close:   func() { c.Close() },
+		install:  c.Install,
+		remove:   c.Remove,
+		tails:    []func(string) ([]byte, bool){c.Tail.Get},
+		inject:   c.Tail.InjectFalseRemoval,
+		stats:    c.Stats,
+		close:    func() { c.Close() },
+		firstHop: c.FirstHop().String(),
 	}
 }
 
-// buildLiveStack wires the endpoints for the configured topology and hop
-// count.
+// buildLiveStack wires the endpoints: a TreeFanout-ary tree of depth Hops
+// when TreeFanout is set, else a chain of Hops+1 nodes.
 func buildLiveStack(cfg LiveConfig, scfg signal.Config, link lossy.Config) (*liveStack, error) {
-	switch cfg.Topology {
-	case "ring":
-		r, err := livenode.NewRing(cfg.Hops, scfg, link)
-		if err != nil {
-			return nil, err
-		}
-		return chainStack(r.Chain), nil
-	case "tree":
-		t, err := livenode.NewTree(cfg.TreeFanout, cfg.Hops, scfg, link)
-		if err != nil {
-			return nil, err
-		}
-		tails := make([]func(string) ([]byte, bool), len(t.Leaves))
-		for i, l := range t.Leaves {
-			tails[i] = l.Get
-		}
-		return &liveStack{
-			install: t.Install,
-			remove:  t.Remove,
-			tails:   tails,
-			inject:  t.Leaves[0].InjectFalseRemoval,
-			stats:   t.Stats,
-			close:   func() { t.Close() },
-		}, nil
-	}
-	if cfg.Hops > 1 {
+	if cfg.TreeFanout <= 0 {
 		c, err := livenode.NewChain(cfg.Hops+1, scfg, link)
 		if err != nil {
 			return nil, err
 		}
 		return chainStack(c), nil
 	}
-	a, b, err := lossy.Pipe(link)
+	t, err := livenode.NewTree(cfg.TreeFanout, cfg.Hops, scfg, link)
 	if err != nil {
 		return nil, err
 	}
-	// On the instrumented single-hop run, attach the live paper-metric
-	// collector to the sender: its I and Λ gauges are the snapshot
-	// sigfig embeds next to the run's sampled inconsistency. The
-	// datagram supplier is late-bound (the collector registers before
-	// the endpoints exist), exactly signald's wiring.
-	var sentSupplier func() int64
-	if cfg.Metrics != nil {
-		pm := telemetry.NewPaperMetrics(telemetry.PaperConfig{
-			Clock:       scfg.Clock,
-			AckExpected: variant.For(cfg.Protocol).ReliableTrigger,
-			Sent: func() int64 {
-				if sentSupplier != nil {
-					return sentSupplier()
-				}
-				return 0
-			},
-		})
-		pm.Register(cfg.Metrics, scfg.MetricsLabels)
-		scfg.OnEvent = signal.PaperHook(pm)
+	tails := make([]func(string) ([]byte, bool), len(t.Leaves))
+	for i, l := range t.Leaves {
+		tails[i] = l.Get
 	}
-	snd, err := signal.NewSender(a, b.LocalAddr(), scfg)
-	if err != nil {
-		return nil, err
-	}
-	rcfg := scfg
-	rcfg.OnEvent = nil // the collector observes the sender side only
-	rcv, err := signal.NewReceiver(b, rcfg)
-	if err != nil {
-		snd.Close()
-		return nil, err
-	}
-	sentSupplier = func() int64 {
-		return int64(snd.Stats().TotalSent() + rcv.Stats().TotalSent())
-	}
-	from := a.LocalAddr()
 	return &liveStack{
-		install: snd.Install,
-		remove:  snd.Remove,
-		tails:   []func(string) ([]byte, bool){func(key string) ([]byte, bool) { return rcv.GetFrom(from, key) }},
-		inject:  rcv.InjectFalseRemoval,
-		stats:   func() []signal.Stats { return []signal.Stats{snd.Stats(), rcv.Stats()} },
-		close: func() {
-			snd.Close()
-			rcv.Close()
-		},
+		install: t.Install,
+		remove:  t.Remove,
+		tails:   tails,
+		inject:  t.Leaves[0].InjectFalseRemoval,
+		stats:   t.Stats,
+		close:   func() { t.Close() },
 	}, nil
-}
-
-// ConsistencyVsLoss sweeps the loss rate, one RunLive per point — the
-// live-stack version of the paper's consistency-versus-loss figures. All
-// other parameters come from base.
-func ConsistencyVsLoss(base LiveConfig, losses []float64) ([]LiveResult, error) {
-	out := make([]LiveResult, 0, len(losses))
-	for _, p := range losses {
-		cfg := base
-		cfg.Loss = p
-		r, err := RunLive(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // RunLiveVariants runs the same live experiment once per paper protocol —
@@ -509,29 +468,6 @@ func RunLiveVariants(base LiveConfig) ([]LiveResult, error) {
 			return nil, fmt.Errorf("sim: %s live run: %w", prof, err)
 		}
 		out = append(out, r)
-	}
-	return out, nil
-}
-
-// VariantCurve is one protocol's consistency-versus-loss curve.
-type VariantCurve struct {
-	Protocol signal.Protocol
-	Results  []LiveResult
-}
-
-// ConsistencyVsLossVariants sweeps the loss axis for all five paper
-// protocols on the live stack — the paper's headline five-way comparison
-// as a deterministic virtual-time experiment on real datagrams.
-func ConsistencyVsLossVariants(base LiveConfig, losses []float64) ([]VariantCurve, error) {
-	out := make([]VariantCurve, 0, 5)
-	for _, prof := range variant.All() {
-		cfg := base
-		cfg.Protocol = prof.Proto
-		curve, err := ConsistencyVsLoss(cfg, losses)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s loss sweep: %w", prof, err)
-		}
-		out = append(out, VariantCurve{Protocol: prof.Proto, Results: curve})
 	}
 	return out, nil
 }

@@ -106,29 +106,18 @@ func TestLiveFiveVariantLossCurve(t *testing.T) {
 	base := variantBase()
 	base.Duration = 20 * time.Second
 	losses := []float64{0, 0.3}
-	curves, err := ConsistencyVsLossVariants(base, losses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := ConsistencyVsLossVariants(base, losses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(curves, again) {
-		t.Fatal("same-seed five-variant loss sweep diverged")
-	}
-	if len(curves) != 5 {
-		t.Fatalf("got %d curves, want 5", len(curves))
-	}
-	for i, c := range curves {
-		if c.Protocol != singlehop.Protocols()[i] {
-			t.Fatalf("curve %d is %v, want paper order", i, c.Protocol)
+	for _, proto := range singlehop.Protocols() {
+		cfg := base
+		cfg.Protocol = proto
+		curve := lossCurve(t, cfg, losses)
+		if again := lossCurve(t, cfg, losses); !reflect.DeepEqual(curve, again) {
+			t.Fatalf("same-seed %v loss sweep diverged", proto)
 		}
-		lossless, lossy := c.Results[0], c.Results[len(c.Results)-1]
-		t.Logf("%-7v I(0)=%.4f I(0.3)=%.4f", c.Protocol, lossless.Inconsistency, lossy.Inconsistency)
+		lossless, lossy := curve[0], curve[len(curve)-1]
+		t.Logf("%-7v I(0)=%.4f I(0.3)=%.4f", proto, lossless.Inconsistency, lossy.Inconsistency)
 		if lossless.Inconsistency > lossy.Inconsistency {
 			t.Errorf("%v got more consistent under 30%% loss: %.4f → %.4f",
-				c.Protocol, lossless.Inconsistency, lossy.Inconsistency)
+				proto, lossless.Inconsistency, lossy.Inconsistency)
 		}
 	}
 }
