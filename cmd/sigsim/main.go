@@ -11,10 +11,10 @@
 //	sigsim -chaos -proto all -seed 42 -episodes 4
 //
 // The -live mode leaves the abstract state machines behind entirely: it
-// runs the requested protocols on the real wire stack (signal.Sender /
-// signal.Receiver over a lossy pipe, retransmission backoff, hard-state
-// orphan probes) under a virtual clock — the paper's five-way comparison
-// on production code, deterministic per seed.
+// runs the requested protocols on the real wire stack (a two-node
+// node.Chain over a lossy.Network, with retransmission backoff and
+// hard-state orphan probes) under a virtual clock — the paper's five-way
+// comparison on production code, deterministic per seed.
 //
 // The -chaos mode expands -seed into a failure campaign (crash/restart
 // episodes, partition-and-heal windows, loss bursts) and replays it

@@ -1,9 +1,13 @@
 package softstate_test
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -46,7 +50,7 @@ const changesCapFrom, changesCap = 11, 2560
 
 // designCeiling is the most bytes DESIGN.md may hold. A change that grows
 // it past this raises the ceiling and says why in its CHANGES entry.
-const designCeiling = 101_879
+const designCeiling = 101_807
 
 // TestDocsNameOnlyWhatExists keeps README.md and DESIGN.md from describing
 // a tree that is gone: every backticked repo path must exist (a
@@ -282,10 +286,17 @@ func (d goDecls) names(span string) bool {
 	return false
 }
 
-// parseDecls collects goDecls from every non-test Go file in the repo.
-func parseDecls(t *testing.T) goDecls {
-	d := goDecls{all: map[string]bool{}, pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}}
+// repoFile is one non-test Go file of the repo, parsed.
+type repoFile struct {
+	path string
+	ast  *ast.File
+}
+
+// parseRepo parses every non-test Go file in the repo, benchmark/ and
+// examples/ included, whatever its build constraints.
+func parseRepo(t *testing.T) (*token.FileSet, []repoFile) {
 	fset := token.NewFileSet()
+	var files []repoFile
 	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -300,6 +311,21 @@ func parseDecls(t *testing.T) goDecls {
 		if err != nil {
 			return err
 		}
+		files = append(files, repoFile{path, f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+// parseDecls collects goDecls from every non-test Go file in the repo.
+func parseDecls(t *testing.T) goDecls {
+	d := goDecls{all: map[string]bool{}, pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}}
+	_, files := parseRepo(t)
+	for _, rf := range files {
+		f := rf.ast
 		top := d.pkgs[f.Name.Name]
 		if top == nil {
 			top = map[string]bool{}
@@ -352,10 +378,6 @@ func parseDecls(t *testing.T) goDecls {
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	delete(d.pkgs, "main") // a command is no qualifier
 	return d
@@ -376,4 +398,183 @@ func recvType(x ast.Expr) string {
 		return id.Name
 	}
 	return ""
+}
+
+// exportAllowed are the packages (by import path) whose exported names
+// need no caller in the repo, each with its reason.
+var exportAllowed = map[string]string{
+	"softstate":           "the module's importable API: its callers are outside the repo",
+	"softstate/benchmark": "a separate module whose files the scan reads only as callers",
+}
+
+// TestEveryExportHasACaller fails on an exported name that no non-test Go
+// file uses: a top-level function, type, variable or constant, a method,
+// an interface method, or a struct field. It type-checks every package
+// parseRepo reads that builds here (benchmark/ and examples/ too, so they
+// count as callers) and counts a name as used when go/types resolves some
+// identifier outside a _test.go file to it. A type naming itself in its
+// own method receivers is no use of it. A method needs no caller when its
+// type satisfies an interface that declares it (error, fmt.Stringer,
+// net.PacketConn, clock.Timer…): it is called through that interface. A
+// field with a struct tag is read by reflection, an embedded field is
+// its type, and those pass too.
+func TestEveryExportHasACaller(t *testing.T) {
+	fset, files := parseRepo(t)
+	byPath := map[string][]*ast.File{}
+	self := map[*ast.Ident]bool{} // receiver type names
+	for _, rf := range files {
+		dir, base := filepath.Split(rf.path)
+		if ok, err := build.Default.MatchFile(filepath.Clean("./"+dir), base); err != nil || !ok {
+			continue
+		}
+		path := strings.TrimSuffix("softstate/"+filepath.ToSlash(dir), "/")
+		byPath[path] = append(byPath[path], rf.ast)
+		for _, decl := range rf.ast.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
+				ast.Inspect(fn.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						self[id] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	imp := &repoImporter{std: importer.Default(), fset: fset, files: byPath, pkgs: map[string]*types.Package{},
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}}
+	for path := range byPath {
+		if _, err := imp.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	used := map[types.Object]bool{}
+	for id, obj := range imp.info.Uses {
+		if !self[id] {
+			used[origin(obj)] = true
+		}
+	}
+	// Every interface that can call a method: those the repo's packages and
+	// everything they import declare, error, and the unnamed ones in use.
+	ifaces := map[string][]*types.Interface{} // method name → interfaces declaring it
+	addIface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok {
+			for i := range it.NumMethods() {
+				name := it.Method(i).Name()
+				ifaces[name] = append(ifaces[name], it)
+			}
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	seen := map[*types.Package]bool{}
+	var visit func(*types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, q := range p.Imports() {
+			visit(q)
+		}
+	}
+	for _, p := range imp.pkgs {
+		visit(p)
+	}
+	for _, tv := range imp.info.Types {
+		if _, named := tv.Type.(*types.Named); !named {
+			addIface(tv.Type)
+		}
+	}
+	viaInterface := func(named *types.Named, method string) bool {
+		if named.TypeParams().Len() > 0 {
+			return false
+		}
+		return slices.ContainsFunc(ifaces[method], func(it *types.Interface) bool {
+			return types.Implements(named, it) || types.Implements(types.NewPointer(named), it)
+		})
+	}
+
+	var unused []string
+	flag := func(obj types.Object, name string) {
+		if obj.Exported() && !used[obj] {
+			unused = append(unused, fmt.Sprintf("%s: %s", fset.Position(obj.Pos()), name))
+		}
+	}
+	for path, p := range imp.pkgs {
+		if _, ok := exportAllowed[path]; ok {
+			continue
+		}
+		qual := strings.TrimPrefix(path, "softstate/")
+		for _, name := range p.Scope().Names() {
+			obj := p.Scope().Lookup(name)
+			flag(obj, qual+"."+name)
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := range named.NumMethods() {
+				if m := named.Method(i); !viaInterface(named, m.Name()) {
+					flag(m, qual+"."+name+"."+m.Name())
+				}
+			}
+			switch u := named.Underlying().(type) {
+			case *types.Struct:
+				for i := range u.NumFields() {
+					if f := u.Field(i); !f.Embedded() && u.Tag(i) == "" {
+						flag(f, qual+"."+name+"."+f.Name())
+					}
+				}
+			case *types.Interface:
+				for i := range u.NumExplicitMethods() {
+					m := u.ExplicitMethod(i)
+					flag(m, qual+"."+name+"."+m.Name())
+				}
+			}
+		}
+	}
+	slices.Sort(unused)
+	for _, u := range unused {
+		t.Errorf("%s has no caller outside _test.go files: delete it, unexport it, or move it into the test that uses it", u)
+	}
+}
+
+// repoImporter type-checks the repo's packages from source, each once, and
+// leaves the standard library to std; every use lands in one types.Info.
+type repoImporter struct {
+	std   types.Importer
+	fset  *token.FileSet
+	files map[string][]*ast.File // import path → its files that build here
+	pkgs  map[string]*types.Package
+	info  *types.Info
+}
+
+func (r *repoImporter) Import(path string) (*types.Package, error) {
+	if p, ok := r.pkgs[path]; ok {
+		return p, nil
+	}
+	files, ok := r.files[path]
+	if !ok {
+		return r.std.Import(path)
+	}
+	conf := types.Config{Importer: r}
+	p, err := conf.Check(path, r.fset, files, r.info)
+	r.pkgs[path] = p
+	return p, err
+}
+
+// origin is the declared object behind an instantiated generic one.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }

@@ -102,13 +102,13 @@ const (
 
 // Protocols lists the five variants in canonical order; a fuzz input's
 // first byte mod 10 selects one, and with it how refreshes and acks travel
-// (RunTrace).
+// (runTrace).
 var Protocols = []signal.Protocol{signal.SS, signal.SSER, signal.SSRT, signal.SSRTR, signal.HS}
 
-// DecodeTrace maps fuzz bytes onto the op grammar: two bytes per op,
+// decodeTrace maps fuzz bytes onto the op grammar: two bytes per op,
 // opcode mod numOps, capped at maxOps. Every byte string is a valid
 // trace, so the fuzzer wastes no executions on parse rejects.
-func DecodeTrace(data []byte) []Op {
+func decodeTrace(data []byte) []Op {
 	ops := make([]Op, 0, len(data)/2)
 	for i := 0; i+1 < len(data) && len(ops) < maxOps; i += 2 {
 		ops = append(ops, Op{Kind: OpKind(data[i] % byte(numOps)), Arg: data[i+1]})
@@ -237,11 +237,11 @@ type engine struct {
 	res       *Result
 }
 
-// RunTrace executes one decoded trace against variant profileIdx and returns
+// runTrace executes one decoded trace against variant profileIdx and returns
 // the full record: 0–4 index Protocols with per-key refreshes and acks, 5–9
 // are the same five with summary refreshes and coalesced acks. Same inputs,
 // same Result.
-func RunTrace(profileIdx int, ops []Op) (*Result, error) {
+func runTrace(profileIdx int, ops []Op) (*Result, error) {
 	proto := Protocols[profileIdx%len(Protocols)]
 	summary := profileIdx/len(Protocols)%2 == 1
 	v := clock.NewVirtual()
@@ -510,14 +510,14 @@ func (e *engine) finish() {
 	e.res.DecodeErrors = e.rcv.Stats().DecodeErrors
 }
 
-// DivergenceViolations applies a variant's allowed-divergence rule to a
+// divergenceViolations applies a variant's allowed-divergence rule to a
 // finished run: every refresh-bearing profile must reconverge the
 // receiver to the sender's exact intent (refreshes recreate, timeouts
 // collect, nothing forged survives a full quiescent horizon), while hard
 // state — which never expires and never re-announces — is allowed to
 // disagree exactly on the keys a splice injection forged, and nowhere
 // else. The empty slice is the pass verdict.
-func DivergenceViolations(r *Result) []string {
+func divergenceViolations(r *Result) []string {
 	prof, err := variant.Parse(r.Protocol)
 	if err != nil {
 		return []string{fmt.Sprintf("chaos: unknown protocol %q", r.Protocol)}

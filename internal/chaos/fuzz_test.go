@@ -88,7 +88,7 @@ func FuzzSession(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		res, err := RunTrace(int(data[0])%(2*len(Protocols)), DecodeTrace(data[1:]))
+		res, err := runTrace(int(data[0])%(2*len(Protocols)), decodeTrace(data[1:]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,16 +108,16 @@ func FuzzDifferential(f *testing.F) {
 		f.Add(s[1:]) // differential runs every selector; no selector byte
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops := DecodeTrace(data)
+		ops := decodeTrace(data)
 		for i := 0; i < 2*len(Protocols); i++ {
-			res, err := RunTrace(i, ops)
+			res, err := runTrace(i, ops)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(res.Violations) != 0 {
 				t.Fatalf("selector %d (%s): invariant violations: %v", i, res.Protocol, res.Violations)
 			}
-			if bad := DivergenceViolations(res); len(bad) != 0 {
+			if bad := divergenceViolations(res); len(bad) != 0 {
 				t.Fatalf("selector %d (%s): divergence beyond the variant's allowance: %v\nintent=%q survivor=%q spliced=%v",
 					i, res.Protocol, bad, res.Intent, res.Survivor, res.Spliced)
 			}
@@ -133,7 +133,7 @@ func FuzzDifferential(f *testing.F) {
 func TestCorpusSeeds(t *testing.T) {
 	for i, s := range corpusSeeds() {
 		for m, mode := range []string{"per-key", "summary"} {
-			res, err := RunTrace(int(s[0])%len(Protocols)+m*len(Protocols), DecodeTrace(s[1:]))
+			res, err := runTrace(int(s[0])%len(Protocols)+m*len(Protocols), decodeTrace(s[1:]))
 			if err != nil {
 				t.Fatalf("seed %d, %s: %v", i, mode, err)
 			}
@@ -149,16 +149,16 @@ func TestCorpusSeeds(t *testing.T) {
 // summary mode.
 func TestDifferentialSeeds(t *testing.T) {
 	for i, s := range corpusSeeds() {
-		ops := DecodeTrace(s[1:])
+		ops := decodeTrace(s[1:])
 		for pi := 0; pi < 2*len(Protocols); pi++ {
-			res, err := RunTrace(pi, ops)
+			res, err := runTrace(pi, ops)
 			if err != nil {
 				t.Fatalf("seed %d: %v", i, err)
 			}
 			if len(res.Violations) != 0 {
 				t.Fatalf("seed %d (selector %d, %s): %v", i, pi, res.Protocol, res.Violations)
 			}
-			if bad := DivergenceViolations(res); len(bad) != 0 {
+			if bad := divergenceViolations(res); len(bad) != 0 {
 				t.Fatalf("seed %d (selector %d, %s): %v\nintent=%q survivor=%q spliced=%v",
 					i, pi, res.Protocol, bad, res.Intent, res.Survivor, res.Spliced)
 			}
@@ -170,7 +170,7 @@ func TestDifferentialSeeds(t *testing.T) {
 // truncation plus garbage trace must leave decode-error evidence.
 func TestEngineExercisesCodec(t *testing.T) {
 	ops := []Op{{OpInstall, 0}, {OpAdvance, 5}, {OpTruncate, 200}, {OpGarbage, 42}, {OpAdvance, 5}}
-	res, err := RunTrace(0, ops)
+	res, err := runTrace(0, ops)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,11 +259,6 @@ func (v *Virtual) Exit() {
 	}
 }
 
-// Busy returns the number of outstanding gate units — datagrams handed to
-// reader goroutines that have not finished reacting. It is 0 whenever the
-// system is quiescent; tests use it to prove Enter/Exit stay balanced.
-func (v *Virtual) Busy() int { return int(v.busy.Load()) }
-
 // Parks returns how many times the driver took the quiesce slow path —
 // actually parking to wait for induced work instead of finding the gate
 // already drained. A high park rate relative to events fired means the

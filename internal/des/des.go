@@ -20,15 +20,9 @@ type Event struct {
 	index     int // position in heap, -1 when popped
 }
 
-// Time returns the virtual time at which the event fires (or fired).
-func (e *Event) Time() float64 { return e.time }
-
 // Cancel prevents the event from firing. Cancelling an already fired or
 // already cancelled event is a no-op, so callers need not track state.
 func (e *Event) Cancel() { e.cancelled = true }
-
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e.cancelled }
 
 // Kernel is the simulation executive. The zero value is ready to use.
 // A Kernel must be driven from a single goroutine.
@@ -49,10 +43,6 @@ func (k *Kernel) Now() float64 { return k.now }
 // Fired returns the number of events executed so far (cancelled events are
 // not counted). Exposed for engine benchmarks and diagnostics.
 func (k *Kernel) Fired() uint64 { return k.fired }
-
-// Pending returns the number of events in the queue, including events that
-// were cancelled but not yet discarded.
-func (k *Kernel) Pending() int { return len(k.heap) }
 
 // Schedule runs fn after delay units of virtual time. Negative delays
 // panic: the simulation cannot travel backwards.
@@ -157,12 +147,6 @@ func (k *Kernel) Step() bool {
 		k.fired++
 		e.fn()
 		return true
-	}
-}
-
-// Run executes events until the queue drains.
-func (k *Kernel) Run() {
-	for k.Step() {
 	}
 }
 

@@ -13,7 +13,7 @@ func TestScheduleOrdering(t *testing.T) {
 	k.Schedule(3, func() { got = append(got, 3) })
 	k.Schedule(1, func() { got = append(got, 1) })
 	k.Schedule(2, func() { got = append(got, 2) })
-	k.Run()
+	run(k)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -32,7 +32,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 		i := i
 		k.Schedule(5, func() { got = append(got, i) })
 	}
-	k.Run()
+	run(k)
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("simultaneous events fired out of order: %v", got)
@@ -53,7 +53,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 func TestAtBeforeNowPanics(t *testing.T) {
 	k := New()
 	k.Schedule(5, func() {})
-	k.Run()
+	run(k)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("At before now did not panic")
@@ -77,7 +77,7 @@ func TestCancel(t *testing.T) {
 	fired := false
 	e := k.Schedule(1, func() { fired = true })
 	e.Cancel()
-	k.Run()
+	run(k)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -93,7 +93,7 @@ func TestCancelDuringRun(t *testing.T) {
 	var later *Event
 	k.Schedule(1, func() { later.Cancel() })
 	later = k.Schedule(2, func() { fired = true })
-	k.Run()
+	run(k)
 	if fired {
 		t.Fatal("event cancelled by an earlier event still fired")
 	}
@@ -105,7 +105,7 @@ func TestScheduleFromCallback(t *testing.T) {
 	k.Schedule(1, func() {
 		k.Schedule(1.5, func() { times = append(times, k.Now()) })
 	})
-	k.Run()
+	run(k)
 	if len(times) != 1 || times[0] != 2.5 {
 		t.Fatalf("times = %v, want [2.5]", times)
 	}
@@ -125,10 +125,10 @@ func TestRunUntil(t *testing.T) {
 	if k.Now() != 2.5 {
 		t.Fatalf("Now = %v, want 2.5", k.Now())
 	}
-	if k.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", k.Pending())
+	if len(k.heap) != 2 {
+		t.Fatalf("Pending = %d, want 2", len(k.heap))
 	}
-	k.Run()
+	run(k)
 	if len(fired) != 4 {
 		t.Fatalf("after Run fired = %v", fired)
 	}
@@ -157,8 +157,8 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 func TestEventTime(t *testing.T) {
 	k := New()
 	e := k.Schedule(4.5, func() {})
-	if e.Time() != 4.5 {
-		t.Fatalf("Time = %v, want 4.5", e.Time())
+	if e.time != 4.5 {
+		t.Fatalf("time = %v, want 4.5", e.time)
 	}
 }
 
@@ -181,7 +181,7 @@ func TestMonotoneClockProperty(t *testing.T) {
 				e.Cancel()
 			}
 		}
-		k.Run()
+		run(k)
 		return sort.Float64sAreSorted(observed)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
@@ -195,7 +195,7 @@ func TestTimerResetReplacesPending(t *testing.T) {
 	tm := k.NewTimer(func() { count++ })
 	tm.Reset(10)
 	tm.Reset(1) // earlier deadline replaces the pending one
-	k.Run()
+	run(k)
 	if count != 1 {
 		t.Fatalf("timer fired %d times, want 1", count)
 	}
@@ -216,7 +216,7 @@ func TestTimerStop(t *testing.T) {
 	if tm.Active() {
 		t.Fatal("timer should be inactive after Stop")
 	}
-	k.Run()
+	run(k)
 	if count != 0 {
 		t.Fatal("stopped timer fired")
 	}
@@ -234,7 +234,7 @@ func TestTimerRearmFromCallback(t *testing.T) {
 		}
 	})
 	tm.Reset(2)
-	k.Run()
+	run(k)
 	if count != 3 {
 		t.Fatalf("periodic timer fired %d times, want 3", count)
 	}
@@ -249,12 +249,12 @@ func TestTimerRearmFromCallback(t *testing.T) {
 func TestTimerDeadline(t *testing.T) {
 	k := New()
 	tm := k.NewTimer(func() {})
-	if tm.Deadline() != 0 {
-		t.Fatal("idle timer deadline should be 0")
+	if tm.Active() {
+		t.Fatal("a new timer is armed")
 	}
 	tm.Reset(3)
-	if tm.Deadline() != 3 {
-		t.Fatalf("Deadline = %v, want 3", tm.Deadline())
+	if !tm.Active() || tm.ev.time != 3 {
+		t.Fatalf("armed %v at %v, want true at 3", tm.Active(), tm.ev.time)
 	}
 }
 
@@ -276,5 +276,11 @@ func BenchmarkKernelThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.Schedule(rng.Float64(), func() {})
 		k.Step()
+	}
+}
+
+// run executes events until the queue drains.
+func run(k *Kernel) {
+	for k.Step() {
 	}
 }

@@ -39,11 +39,3 @@ func (t *Timer) Stop() {
 
 // Active reports whether an expiry is pending.
 func (t *Timer) Active() bool { return t.ev.index >= 0 && !t.ev.cancelled }
-
-// Deadline returns the pending expiry time; valid only when Active.
-func (t *Timer) Deadline() float64 {
-	if !t.Active() {
-		return 0
-	}
-	return t.ev.time
-}

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,7 +21,7 @@ func runExp(t *testing.T, id string) *report.Table {
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	if tab.Len() == 0 {
+	if len(tab.Rows()) == 0 {
 		t.Fatalf("%s: empty table", id)
 	}
 	return tab
@@ -83,11 +85,11 @@ func TestExperimentMetadata(t *testing.T) {
 
 func colFloat(t *testing.T, tab *report.Table, row int, col string) float64 {
 	t.Helper()
-	j := tab.ColumnIndex(col)
+	j := slices.Index(tab.Columns, col)
 	if j < 0 {
 		t.Fatalf("no column %q in %v", col, tab.Columns)
 	}
-	v, err := tab.Float(row, j)
+	v, err := strconv.ParseFloat(tab.Rows()[row][j], 64)
 	if err != nil {
 		t.Fatalf("cell (%d,%s): %v", row, col, err)
 	}
@@ -96,18 +98,18 @@ func colFloat(t *testing.T, tab *report.Table, row int, col string) float64 {
 
 func TestTable1(t *testing.T) {
 	tab := runExp(t, "table1")
-	if tab.Len() != 7 {
-		t.Fatalf("Table I rows = %d, want 7", tab.Len())
+	if len(tab.Rows()) != 7 {
+		t.Fatalf("Table I rows = %d, want 7", len(tab.Rows()))
 	}
-	if tab.ColumnIndex("SS") < 0 || tab.ColumnIndex("HS") < 0 {
+	if slices.Index(tab.Columns, "SS") < 0 || slices.Index(tab.Columns, "HS") < 0 {
 		t.Fatalf("columns = %v", tab.Columns)
 	}
 	// Absent transitions render as "-".
 	found := false
-	for i := 0; i < tab.Len(); i++ {
-		if strings.HasPrefix(tab.Cell(i, 0), "(-,1)1→(-,1)2") {
+	for i := 0; i < len(tab.Rows()); i++ {
+		if strings.HasPrefix(tab.Rows()[i][0], "(-,1)1→(-,1)2") {
 			found = true
-			if tab.Cell(i, tab.ColumnIndex("SS")) != "-" {
+			if tab.Rows()[i][slices.Index(tab.Columns, "SS")] != "-" {
 				t.Fatal("SS should have no removal-lost transition")
 			}
 		}
@@ -123,7 +125,7 @@ func TestFig4Shapes(t *testing.T) {
 	// Monotone decreasing I and Λ for SS across the sweep.
 	for _, tab := range []*report.Table{a, b} {
 		prev := colFloat(t, tab, 0, "SS")
-		for i := 1; i < tab.Len(); i++ {
+		for i := 1; i < len(tab.Rows()); i++ {
 			v := colFloat(t, tab, i, "SS")
 			if v >= prev {
 				t.Fatalf("SS column not decreasing at row %d", i)
@@ -132,7 +134,7 @@ func TestFig4Shapes(t *testing.T) {
 		}
 	}
 	// Long sessions: SS+RTR ≈ HS on consistency.
-	last := a.Len() - 1
+	last := len(a.Rows()) - 1
 	ssrtr := colFloat(t, a, last, "SS+RTR")
 	hs := colFloat(t, a, last, "HS")
 	if ssrtr > 2*hs || hs > 2*ssrtr {
@@ -144,7 +146,7 @@ func TestFig5Shapes(t *testing.T) {
 	a := runExp(t, "fig5a")
 	for _, col := range []string{"SS", "SS+ER", "SS+RT", "SS+RTR", "HS"} {
 		prev := -1.0
-		for i := 0; i < a.Len(); i++ {
+		for i := 0; i < len(a.Rows()); i++ {
 			v := colFloat(t, a, i, col)
 			if v < prev {
 				t.Fatalf("%s not increasing with loss at row %d", col, i)
@@ -156,7 +158,7 @@ func TestFig5Shapes(t *testing.T) {
 	// Approximately linear growth in delay for SS: the ratio of increments
 	// should stay moderate.
 	first := colFloat(t, b, 0, "SS")
-	lastV := colFloat(t, b, b.Len()-1, "SS")
+	lastV := colFloat(t, b, len(b.Rows())-1, "SS")
 	if lastV <= first {
 		t.Fatal("SS inconsistency should grow with delay")
 	}
@@ -165,7 +167,7 @@ func TestFig5Shapes(t *testing.T) {
 func TestFig6And7Shapes(t *testing.T) {
 	a := runExp(t, "fig6a")
 	hs0 := colFloat(t, a, 0, "HS")
-	for i := 1; i < a.Len(); i++ {
+	for i := 1; i < len(a.Rows()); i++ {
 		if v := colFloat(t, a, i, "HS"); v != hs0 {
 			t.Fatalf("HS inconsistency varies with R: %v vs %v", v, hs0)
 		}
@@ -173,7 +175,7 @@ func TestFig6And7Shapes(t *testing.T) {
 	b := runExp(t, "fig6b")
 	// Message rate decreasing in R for SS.
 	prev := colFloat(t, b, 0, "SS")
-	for i := 1; i < b.Len(); i++ {
+	for i := 1; i < len(b.Rows()); i++ {
 		v := colFloat(t, b, i, "SS")
 		if v >= prev {
 			t.Fatalf("SS rate not decreasing in R at row %d", i)
@@ -183,12 +185,12 @@ func TestFig6And7Shapes(t *testing.T) {
 	c := runExp(t, "fig7")
 	// SS has an interior optimum: the minimum is not at either edge.
 	min, argmin := 1e18, -1
-	for i := 0; i < c.Len(); i++ {
+	for i := 0; i < len(c.Rows()); i++ {
 		if v := colFloat(t, c, i, "SS"); v < min {
 			min, argmin = v, i
 		}
 	}
-	if argmin == 0 || argmin == c.Len()-1 {
+	if argmin == 0 || argmin == len(c.Rows())-1 {
 		t.Fatalf("SS integrated-cost optimum at edge row %d", argmin)
 	}
 }
@@ -198,7 +200,7 @@ func TestFig8Shapes(t *testing.T) {
 	// T < R (first rows) must be far worse than the best for SS.
 	worst := colFloat(t, a, 0, "SS")
 	best := worst
-	for i := 0; i < a.Len(); i++ {
+	for i := 0; i < len(a.Rows()); i++ {
 		if v := colFloat(t, a, i, "SS"); v < best {
 			best = v
 		}
@@ -210,7 +212,7 @@ func TestFig8Shapes(t *testing.T) {
 	// HS is the most Γ-sensitive: spread across the sweep is largest.
 	spread := func(col string) float64 {
 		lo, hi := 1e18, -1e18
-		for i := 0; i < b.Len(); i++ {
+		for i := 0; i < len(b.Rows()); i++ {
 			v := colFloat(t, b, i, col)
 			if v < lo {
 				lo = v
@@ -229,13 +231,13 @@ func TestFig8Shapes(t *testing.T) {
 func TestTradeoffTables(t *testing.T) {
 	for _, id := range []string{"fig9", "fig10a", "fig10b"} {
 		tab := runExp(t, id)
-		if tab.ColumnIndex("protocol") < 0 || tab.ColumnIndex("inconsistency") < 0 ||
-			tab.ColumnIndex("message_overhead") < 0 {
+		if slices.Index(tab.Columns, "protocol") < 0 || slices.Index(tab.Columns, "inconsistency") < 0 ||
+			slices.Index(tab.Columns, "message_overhead") < 0 {
 			t.Fatalf("%s columns = %v", id, tab.Columns)
 		}
 		// Five protocols per sweep point.
-		if tab.Len()%5 != 0 {
-			t.Fatalf("%s rows = %d, want multiple of 5", id, tab.Len())
+		if len(tab.Rows())%5 != 0 {
+			t.Fatalf("%s rows = %d, want multiple of 5", id, len(tab.Rows()))
 		}
 	}
 }
@@ -243,17 +245,17 @@ func TestTradeoffTables(t *testing.T) {
 func TestValidationTables(t *testing.T) {
 	for _, id := range []string{"fig11a", "fig12a"} {
 		tab := runExp(t, id)
-		ai, si := tab.ColumnIndex("analytic"), tab.ColumnIndex("sim")
+		ai, si := slices.Index(tab.Columns, "analytic"), slices.Index(tab.Columns, "sim")
 		if ai < 0 || si < 0 {
 			t.Fatalf("%s columns = %v", id, tab.Columns)
 		}
 		// Simulated I within a loose factor of analytic everywhere.
-		for i := 0; i < tab.Len(); i++ {
-			ana, err := tab.Float(i, ai)
+		for i := 0; i < len(tab.Rows()); i++ {
+			ana, err := strconv.ParseFloat(tab.Rows()[i][ai], 64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := tab.Float(i, si)
+			sim, err := strconv.ParseFloat(tab.Rows()[i][si], 64)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,12 +271,12 @@ func TestValidationTables(t *testing.T) {
 
 func TestFig17Table(t *testing.T) {
 	tab := runExp(t, "fig17")
-	if tab.Len() != 20 {
-		t.Fatalf("rows = %d, want 20", tab.Len())
+	if len(tab.Rows()) != 20 {
+		t.Fatalf("rows = %d, want 20", len(tab.Rows()))
 	}
 	// Monotone per-hop growth for SS.
 	prev := -1.0
-	for i := 0; i < tab.Len(); i++ {
+	for i := 0; i < len(tab.Rows()); i++ {
 		v := colFloat(t, tab, i, "SS")
 		if v < prev {
 			t.Fatalf("SS per-hop inconsistency fell at hop %d", i+1)
@@ -286,7 +288,7 @@ func TestFig17Table(t *testing.T) {
 func TestFig18And19Tables(t *testing.T) {
 	a := runExp(t, "fig18a")
 	prev := -1.0
-	for i := 0; i < a.Len(); i++ {
+	for i := 0; i < len(a.Rows()); i++ {
 		v := colFloat(t, a, i, "SS")
 		if v <= prev {
 			t.Fatalf("fig18a SS not increasing at row %d", i)
@@ -294,18 +296,18 @@ func TestFig18And19Tables(t *testing.T) {
 		prev = v
 	}
 	b := runExp(t, "fig18b")
-	lastRow := b.Len() - 1
+	lastRow := len(b.Rows()) - 1
 	if hs := colFloat(t, b, lastRow, "HS"); hs >= colFloat(t, b, lastRow, "SS") {
 		t.Fatal("fig18b: HS rate should be below SS at N=20")
 	}
 	c := runExp(t, "fig19a")
-	if c.ColumnIndex("SS+RT") < 0 {
+	if slices.Index(c.Columns, "SS+RT") < 0 {
 		t.Fatalf("fig19a columns = %v", c.Columns)
 	}
 	d := runExp(t, "fig19b")
 	// Rate decreasing in R for SS.
 	prev = colFloat(t, d, 0, "SS")
-	for i := 1; i < d.Len(); i++ {
+	for i := 1; i < len(d.Rows()); i++ {
 		v := colFloat(t, d, i, "SS")
 		if v >= prev {
 			t.Fatalf("fig19b SS rate not decreasing at row %d", i)
@@ -318,15 +320,15 @@ func TestAblationTimerDist(t *testing.T) {
 	tab := runExp(t, "ablation-timerdist")
 	// Find SS rows for deterministic and exponential timers.
 	var det, expo float64
-	for i := 0; i < tab.Len(); i++ {
-		if tab.Cell(i, 1) != "SS" {
+	for i := 0; i < len(tab.Rows()); i++ {
+		if tab.Rows()[i][1] != "SS" {
 			continue
 		}
-		v, err := tab.Float(i, 2)
+		v, err := strconv.ParseFloat(tab.Rows()[i][2], 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch tab.Cell(i, 0) {
+		switch tab.Rows()[i][0] {
 		case "deterministic":
 			det = v
 		case "exponential":
@@ -340,14 +342,14 @@ func TestAblationTimerDist(t *testing.T) {
 
 func TestAblationNotification(t *testing.T) {
 	tab := runExp(t, "ablation-notification")
-	if tab.Len() != 2 {
-		t.Fatalf("rows = %d, want 2", tab.Len())
+	if len(tab.Rows()) != 2 {
+		t.Fatalf("rows = %d, want 2", len(tab.Rows()))
 	}
-	with, err := tab.Float(0, 1)
+	with, err := strconv.ParseFloat(tab.Rows()[0][1], 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := tab.Float(1, 1)
+	without, err := strconv.ParseFloat(tab.Rows()[1][1], 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,11 +362,11 @@ func TestAblationCostWeight(t *testing.T) {
 	tab := runExp(t, "ablation-cost-weight")
 	// At tiny α the cheapest protocol (HS) should win; at huge α a
 	// consistency-focused protocol (SS+RTR or HS) should win.
-	first := tab.Cell(0, 1)
+	first := tab.Rows()[0][1]
 	if first != "HS" {
 		t.Fatalf("at α→0 the winner is %s, want HS (lowest overhead)", first)
 	}
-	last := tab.Cell(tab.Len()-1, 1)
+	last := tab.Rows()[len(tab.Rows())-1][1]
 	if last != "SS+RTR" && last != "HS" {
 		t.Fatalf("at huge α the winner is %s, want a reliable-removal protocol", last)
 	}
@@ -376,19 +378,4 @@ func TestOtherAblationsRun(t *testing.T) {
 	}
 	runExp(t, "ablation-fifo")
 	runExp(t, "ablation-multihop-sim")
-}
-
-func TestTSVRendering(t *testing.T) {
-	tab := runExp(t, "fig4a")
-	var sb strings.Builder
-	if err := tab.WriteTSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != tab.Len()+1 {
-		t.Fatalf("TSV lines = %d, want %d", len(lines), tab.Len()+1)
-	}
-	if !strings.Contains(lines[0], "lifetime_s\tSS") {
-		t.Fatalf("TSV header = %q", lines[0])
-	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestExtConvergence(t *testing.T) {
 	// CDFs are monotone in time for each protocol column.
 	for _, col := range []string{"SS", "SS+RT", "HS"} {
 		prev := -1.0
-		for i := 0; i < tab.Len(); i++ {
+		for i := 0; i < len(tab.Rows()); i++ {
 			v := colFloat(t, tab, i, col)
 			if v < prev-1e-9 || v < 0 || v > 1 {
 				t.Fatalf("%s CDF broken at row %d: %v", col, i, v)
@@ -33,12 +34,12 @@ func TestExtRepair(t *testing.T) {
 	// Index rows by (loss, variant) → I.
 	type key struct{ loss, variant string }
 	inc := map[key]float64{}
-	for i := 0; i < tab.Len(); i++ {
-		v, err := strconv.ParseFloat(tab.Cell(i, 2), 64)
+	for i := 0; i < len(tab.Rows()); i++ {
+		v, err := strconv.ParseFloat(tab.Rows()[i][2], 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc[key{tab.Cell(i, 0), tab.Cell(i, 1)}] = v
+		inc[key{tab.Rows()[i][0], tab.Rows()[i][1]}] = v
 	}
 	const highLoss = "0.2"
 	ss := inc[key{highLoss, "SS"}]
@@ -77,13 +78,13 @@ func TestExtSensitivityDeterministic(t *testing.T) {
 
 func TestExtSensitivity(t *testing.T) {
 	tab := runExp(t, "ext-sensitivity")
-	if tab.Len() != 6 {
-		t.Fatalf("rows = %d, want 6 parameters", tab.Len())
+	if len(tab.Rows()) != 6 {
+		t.Fatalf("rows = %d, want 6 parameters", len(tab.Rows()))
 	}
 	get := func(param, proto string) float64 {
-		for i := 0; i < tab.Len(); i++ {
-			if tab.Cell(i, 0) == param {
-				v, err := strconv.ParseFloat(tab.Cell(i, tab.ColumnIndex(proto)), 64)
+		for i := 0; i < len(tab.Rows()); i++ {
+			if tab.Rows()[i][0] == param {
+				v, err := strconv.ParseFloat(tab.Rows()[i][slices.Index(tab.Columns, proto)], 64)
 				if err != nil {
 					t.Fatal(err)
 				}

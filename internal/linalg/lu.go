@@ -17,7 +17,6 @@ var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	signD float64 // +1 or -1; sign of the permutation, for Det
 }
 
 // pivotTolerance is the relative threshold below which a pivot is treated
@@ -37,11 +36,10 @@ func Factor(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1.0
 	scale := a.MaxAbs()
 	if scale == 0 {
 		if n == 0 {
-			return &LU{lu: lu, pivot: piv, signD: sign}, nil
+			return &LU{lu: lu, pivot: piv}, nil
 		}
 		return nil, ErrSingular
 	}
@@ -61,7 +59,6 @@ func Factor(a *Matrix) (*LU, error) {
 		if p != k {
 			swapRows(lu, p, k)
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
 		}
 		pivotVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -75,7 +72,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: piv, signD: sign}, nil
+	return &LU{lu: lu, pivot: piv}, nil
 }
 
 func swapRows(m *Matrix, a, b int) {
@@ -118,16 +115,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := f.signD
-	n := f.lu.Rows()
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // SolveSystem factors a and solves a·x = b in one call, with one step of
 // iterative refinement to sharpen the residual. a and b are not modified.
 func SolveSystem(a *Matrix, b []float64) ([]float64, error) {
@@ -156,16 +143,4 @@ func SolveSystem(a *Matrix, b []float64) ([]float64, error) {
 		}
 	}
 	return x, nil
-}
-
-// Residual returns the max-norm of a·x − b, a convenience for tests.
-func Residual(a *Matrix, x, b []float64) float64 {
-	ax := a.MulVec(x)
-	var max float64
-	for i := range b {
-		if d := math.Abs(ax[i] - b[i]); d > max {
-			max = d
-		}
-	}
-	return max
 }

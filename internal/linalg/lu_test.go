@@ -3,12 +3,13 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestSolveKnownSystem(t *testing.T) {
-	a, _ := FromRows([][]float64{
+	a, _ := fromRows([][]float64{
 		{2, 1, -1},
 		{-3, -1, 2},
 		{-2, 1, 2},
@@ -27,7 +28,7 @@ func TestSolveKnownSystem(t *testing.T) {
 
 func TestSolveIdentity(t *testing.T) {
 	b := []float64{1, 2, 3, 4}
-	x, err := SolveSystem(Identity(4), b)
+	x, err := SolveSystem(identity(4), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestSolveIdentity(t *testing.T) {
 
 func TestSolveRequiresPivoting(t *testing.T) {
 	// Zero on the leading diagonal forces a row swap.
-	a, _ := FromRows([][]float64{
+	a, _ := fromRows([][]float64{
 		{0, 1},
 		{1, 0},
 	})
@@ -54,7 +55,7 @@ func TestSolveRequiresPivoting(t *testing.T) {
 }
 
 func TestSingularMatrixDetected(t *testing.T) {
-	a, _ := FromRows([][]float64{
+	a, _ := fromRows([][]float64{
 		{1, 2},
 		{2, 4},
 	})
@@ -76,7 +77,7 @@ func TestFactorRejectsNonSquare(t *testing.T) {
 }
 
 func TestSolveDimensionMismatch(t *testing.T) {
-	f, err := Factor(Identity(3))
+	f, err := Factor(identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestSolveDimensionMismatch(t *testing.T) {
 }
 
 func TestDet(t *testing.T) {
-	a, _ := FromRows([][]float64{
+	a, _ := fromRows([][]float64{
 		{3, 8},
 		{4, 6},
 	})
@@ -94,14 +95,14 @@ func TestDet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := f.Det(); math.Abs(d-(-14)) > 1e-12 {
+	if d := f.det(); math.Abs(d-(-14)) > 1e-12 {
 		t.Fatalf("Det = %v, want -14", d)
 	}
 }
 
 func TestDetPermutationSign(t *testing.T) {
 	// A pure row swap of the identity has determinant -1.
-	a, _ := FromRows([][]float64{
+	a, _ := fromRows([][]float64{
 		{0, 1},
 		{1, 0},
 	})
@@ -109,13 +110,13 @@ func TestDetPermutationSign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := f.Det(); math.Abs(d+1) > 1e-14 {
+	if d := f.det(); math.Abs(d+1) > 1e-14 {
 		t.Fatalf("Det = %v, want -1", d)
 	}
 }
 
 func TestFactorDoesNotModifyInput(t *testing.T) {
-	a, _ := FromRows([][]float64{
+	a, _ := fromRows([][]float64{
 		{2, 1},
 		{1, 3},
 	})
@@ -182,7 +183,7 @@ func TestSolvePropertyRandomSystems(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Residual(a, x, b) < 1e-9*(1+a.MaxAbs())
+		return residual(a, x, b) < 1e-9*(1+a.MaxAbs())
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rng}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -232,4 +233,35 @@ func BenchmarkSolve50(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// det returns the determinant of the factored matrix: the product of U's
+// diagonal, negated once per transposition the row pivots compose.
+func (f *LU) det() float64 {
+	d := 1.0
+	perm := slices.Clone(f.pivot)
+	for i := range perm {
+		for perm[i] != i {
+			j := perm[i]
+			perm[i], perm[j] = perm[j], perm[i]
+			d = -d
+		}
+	}
+	n := f.lu.Rows()
+	for i := 0; i < n; i++ {
+		d *= f.lu.At(i, i)
+	}
+	return d
+}
+
+// residual returns the max-norm of a·x − b.
+func residual(a *Matrix, x, b []float64) float64 {
+	ax := a.MulVec(x)
+	var max float64
+	for i := range b {
+		if d := math.Abs(ax[i] - b[i]); d > max {
+			max = d
+		}
+	}
+	return max
 }

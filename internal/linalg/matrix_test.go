@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -51,7 +52,7 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 }
 
 func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
+	m, err := fromRows([][]float64{{1, 2}, {3, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +62,13 @@ func TestFromRows(t *testing.T) {
 }
 
 func TestFromRowsRagged(t *testing.T) {
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
+	if _, err := fromRows([][]float64{{1, 2}, {3}}); err == nil {
 		t.Fatal("expected error for ragged rows")
 	}
 }
 
 func TestFromRowsEmpty(t *testing.T) {
-	m, err := FromRows(nil)
+	m, err := fromRows(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestFromRowsEmpty(t *testing.T) {
 }
 
 func TestIdentity(t *testing.T) {
-	m := Identity(3)
+	m := identity(3)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			want := 0.0
@@ -92,7 +93,7 @@ func TestIdentity(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	m := Identity(2)
+	m := identity(2)
 	c := m.Clone()
 	c.Set(0, 0, 42)
 	if m.At(0, 0) != 1 {
@@ -101,7 +102,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m, _ := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := m.Transpose()
 	if tr.Rows() != 3 || tr.Cols() != 2 {
 		t.Fatalf("transpose dims %dx%d, want 3x2", tr.Rows(), tr.Cols())
@@ -112,7 +113,7 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
+	m, _ := fromRows([][]float64{{1, 2}, {3, 4}})
 	y := m.MulVec([]float64{1, 1})
 	if y[0] != 3 || y[1] != 7 {
 		t.Fatalf("MulVec = %v, want [3 7]", y)
@@ -120,7 +121,7 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestMulVecDimensionPanic(t *testing.T) {
-	m := Identity(2)
+	m := identity(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for dimension mismatch")
@@ -130,8 +131,8 @@ func TestMulVecDimensionPanic(t *testing.T) {
 }
 
 func TestRowCopy(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	r := m.Row(1)
+	m, _ := fromRows([][]float64{{1, 2}, {3, 4}})
+	r := m.row(1)
 	r[0] = 99
 	if m.At(1, 0) != 3 {
 		t.Fatal("Row returned a view, want a copy")
@@ -139,7 +140,7 @@ func TestRowCopy(t *testing.T) {
 }
 
 func TestMaxAbs(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, -7}, {3, 4}})
+	m, _ := fromRows([][]float64{{1, -7}, {3, 4}})
 	if got := m.MaxAbs(); got != 7 {
 		t.Fatalf("MaxAbs = %v, want 7", got)
 	}
@@ -149,7 +150,7 @@ func TestMaxAbs(t *testing.T) {
 }
 
 func TestStringRendering(t *testing.T) {
-	m := Identity(2)
+	m := identity(2)
 	if s := m.String(); s == "" {
 		t.Fatal("String returned empty output")
 	}
@@ -157,7 +158,7 @@ func TestStringRendering(t *testing.T) {
 
 func TestMatrixRoundTrip(t *testing.T) {
 	// Light structural check: transpose twice is the identity operation.
-	m, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 10}})
+	m, _ := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 10}})
 	tt := m.Transpose().Transpose()
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
@@ -166,4 +167,40 @@ func TestMatrixRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fromRows builds a matrix from a slice of equally sized rows.
+// It returns an error if the rows are ragged.
+func fromRows(rows [][]float64) (*Matrix, error) {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0), nil
+	}
+	cols := len(rows[0])
+	m := NewMatrix(len(rows), cols)
+	for i, r := range rows {
+		if len(r) != cols {
+			return nil, fmt.Errorf("linalg: ragged rows: row %d has %d columns, want %d", i, len(r), cols)
+		}
+		copy(m.data[i*cols:(i+1)*cols], r)
+	}
+	return m, nil
+}
+
+// identity returns the n×n identity matrix.
+func identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// row returns a copy of row i.
+func (m *Matrix) row(i int) []float64 {
+	if i < 0 || i >= m.rows {
+		panic(fmt.Sprintf("linalg: row %d out of range for %dx%d matrix", i, m.rows, m.cols))
+	}
+	out := make([]float64, m.cols)
+	copy(out, m.data[i*m.cols:(i+1)*m.cols])
+	return out
 }

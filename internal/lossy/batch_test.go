@@ -75,7 +75,7 @@ func TestBurstSplitsDeliverAlike(t *testing.T) {
 	// WriteBatch or (n == 1 only) a WriteTo.
 	type split func(left int) (n int, single bool)
 	run := func(cfg Config, cut split, faults bool) (map[string][]arrival, map[string]float64) {
-		v := clock.NewVirtual()
+		v := newCountedClock()
 		cfg.Clock = v
 		nw, err := NewNetwork(cfg)
 		if err != nil {
@@ -87,7 +87,7 @@ func TestBurstSplitsDeliverAlike(t *testing.T) {
 		}
 		readers := map[string]*arrivals{}
 		for _, d := range dests {
-			readers[d] = recordArrivals(conns[d], v)
+			readers[d] = recordArrivals(conns[d], v.Virtual)
 		}
 		if faults {
 			nw.SetLinkLoss("src", "d1", 0.6)
@@ -247,7 +247,7 @@ func TestPipeOrder(t *testing.T) {
 // batch still scheduled for the old conn fires into it and drops, and the
 // fresh conn starts empty.
 func TestRestartMidBurstReleasesHold(t *testing.T) {
-	v := clock.NewVirtual()
+	v := newCountedClock()
 	nw, err := NewNetwork(Config{Delay: 5 * time.Millisecond, Clock: v})
 	if err != nil {
 		t.Fatal(err)

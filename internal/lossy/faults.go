@@ -1,10 +1,10 @@
 // Network fault primitives: the failure vocabulary the campaign layer
 // (internal/sim, internal/chaos) schedules against a running switch.
-// Partitions, downed endpoints, and directed per-link loss overrides are
-// rule edits — immutable snapshots swapped atomically, consulted by every
-// WriteTo — and Restart models a process crash/restart: the endpoint's
-// conn dies (reads unblock with net.ErrClosed, in-flight deliveries
-// drop) and a fresh conn takes over the same address.
+// Partitions and directed per-link loss overrides are rule edits —
+// immutable snapshots swapped atomically, consulted by every WriteTo — and
+// Restart models a process crash/restart: the endpoint's conn dies (reads
+// unblock with net.ErrClosed, in-flight deliveries drop) and a fresh conn
+// takes over the same address.
 package lossy
 
 import "net"
@@ -15,7 +15,6 @@ type linkKey struct{ from, to string }
 // netRules is one immutable snapshot of the network's fault state.
 type netRules struct {
 	group map[string]int      // partition side per endpoint (absent = side 0)
-	down  map[string]bool     // endpoint blackholed in both directions
 	loss  map[linkKey]float64 // directed loss override, from → to
 }
 
@@ -26,9 +25,6 @@ func (nw *Network) policyFor(from, to string) (allow bool, loss float64) {
 	r := nw.rules.Load()
 	if r == nil {
 		return true, -1
-	}
-	if r.down[from] || r.down[to] {
-		return false, 0
 	}
 	if r.group[from] != r.group[to] {
 		return false, 0
@@ -45,15 +41,11 @@ func (nw *Network) editRules(edit func(*netRules)) {
 	defer nw.mu.Unlock()
 	r := &netRules{
 		group: map[string]int{},
-		down:  map[string]bool{},
 		loss:  map[linkKey]float64{},
 	}
 	if old := nw.rules.Load(); old != nil {
 		for k, v := range old.group {
 			r.group[k] = v
-		}
-		for k, v := range old.down {
-			r.down[k] = v
 		}
 		for k, v := range old.loss {
 			r.loss[k] = v
@@ -78,21 +70,9 @@ func (nw *Network) Partition(sides ...[]string) {
 	})
 }
 
-// Heal removes any partition; downed endpoints and loss overrides are
-// untouched.
+// Heal removes any partition; loss overrides are untouched.
 func (nw *Network) Heal() {
 	nw.editRules(func(r *netRules) { r.group = map[string]int{} })
-}
-
-// Down blackholes the named endpoint in both directions — the network
-// view of a crashed or unplugged node whose process may still be running.
-func (nw *Network) Down(name string) {
-	nw.editRules(func(r *netRules) { r.down[name] = true })
-}
-
-// Up reverses Down.
-func (nw *Network) Up(name string) {
-	nw.editRules(func(r *netRules) { delete(r.down, name) })
 }
 
 // SetLinkLoss overrides the loss probability of the directed from → to

@@ -64,15 +64,6 @@ func TestPartitionUnnamedEndpointsShareSideZero(t *testing.T) {
 	expectDelivery(t, a, c, "cross", false)
 }
 
-func TestDownBlackholesBothDirections(t *testing.T) {
-	nw, a, b := faultNet(t)
-	nw.Down("b")
-	expectDelivery(t, a, b, "to-down", false)
-	expectDelivery(t, b, a, "from-down", false)
-	nw.Up("b")
-	expectDelivery(t, a, b, "back-up", true)
-}
-
 func TestSetLinkLossAsymmetric(t *testing.T) {
 	nw, a, b := faultNet(t)
 	nw.SetLinkLoss("a", "b", 1)

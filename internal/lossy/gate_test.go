@@ -2,6 +2,7 @@ package lossy
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,8 +15,22 @@ import (
 // draining, for a conn closed mid-batch, and for a burst larger than the
 // wall-mode queue bound (which the ring carries whole).
 
+// countedClock is a virtual clock whose gate also counts the units of
+// induced work outstanding, so a test can see Enter and Exit pair up.
+type countedClock struct {
+	*clock.Virtual
+	busy atomic.Int64
+}
+
+func newCountedClock() *countedClock { return &countedClock{Virtual: clock.NewVirtual()} }
+
+func (c *countedClock) Gate() clock.Gate { return c }
+func (c *countedClock) Enter()           { c.busy.Add(1); c.Virtual.Enter() }
+func (c *countedClock) Exit()            { c.busy.Add(-1); c.Virtual.Exit() }
+func (c *countedClock) Busy() int        { return int(c.busy.Load()) }
+
 // virtualPipe builds a zero-loss virtual-time pipe.
-func virtualPipe(t *testing.T, v *clock.Virtual) (a, b net.PacketConn) {
+func virtualPipe(t *testing.T, v clock.Clock) (a, b net.PacketConn) {
 	t.Helper()
 	a, b, err := Pipe(Config{Clock: v})
 	if err != nil {
@@ -43,7 +58,7 @@ func drainN(conn net.PacketConn) <-chan int {
 }
 
 func TestGateBalancedAcrossBatchHandoff(t *testing.T) {
-	v := clock.NewVirtual()
+	v := newCountedClock()
 	a, b := virtualPipe(t, v)
 	got := drainN(b)
 	const n = 200
@@ -67,7 +82,7 @@ func TestGateBalancedAcrossBatchHandoff(t *testing.T) {
 }
 
 func TestGateBalancedOnCloseDuringBatch(t *testing.T) {
-	v := clock.NewVirtual()
+	v := newCountedClock()
 	a, b := virtualPipe(t, v)
 	// The reader consumes one datagram of a five-datagram batch, then
 	// closes the conn with the rest still queued: Close must release the
@@ -109,7 +124,7 @@ func TestGateBalancedOnCloseDuringBatch(t *testing.T) {
 // the hold goes when the reader comes back and finds it empty. (The name
 // predates the ring: a surplus used to be staged beside a bounded queue.)
 func TestBatchLargerThanQueueStagesWithoutDropping(t *testing.T) {
-	v := clock.NewVirtual()
+	v := newCountedClock()
 	a, b := virtualPipe(t, v)
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -145,6 +160,42 @@ func TestBatchLargerThanQueueStagesWithoutDropping(t *testing.T) {
 	}
 	b.Close()
 	a.Close()
+}
+
+// TestBurstCopiesGivenBackAfterDrain: the datagram copies an install-size
+// burst draws go back once the burst is read and a smaller one follows:
+// the conn's free stack keeps what the later traffic drew, not the
+// burst's thousand-odd buffers, and its backing array shrinks with it.
+func TestBurstCopiesGivenBackAfterDrain(t *testing.T) {
+	v := clock.NewVirtual()
+	a, b := virtualPipe(t, v)
+	defer a.Close()
+	defer b.Close()
+	done := drainN(b)
+	free := func() (n, capacity int) {
+		c := b.(*pipeConn)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.bufFree), cap(c.bufFree)
+	}
+	for _, burst := range []int{pipeQueueDepth, 10} {
+		for i := 0; i < burst; i++ {
+			if _, err := a.WriteTo([]byte("datagram"), b.LocalAddr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v.Run(time.Millisecond) // returns once the reader found the ring empty
+	}
+	// One read call's worth of buffers, as transport batches it.
+	const bound = transport.DefaultBatchSize
+	if n, capacity := free(); n > bound || capacity > 4*bound {
+		t.Fatalf("after a %d-datagram burst and a 10-datagram one the conn keeps %d free buffers in an array of %d, want ≤ %d in ≤ %d",
+			pipeQueueDepth, n, capacity, bound, 4*bound)
+	}
+	b.Close()
+	if got := <-done; got != pipeQueueDepth+10 {
+		t.Fatalf("reader saw %d datagrams, want %d", got, pipeQueueDepth+10)
+	}
 }
 
 // TestBurstArraysGivenBackAfterDrain: a burst far longer than the queue

@@ -114,10 +114,10 @@ type Network struct {
 	rng *rand.Source
 	eps sync.Map // name → *pipeConn; lock-free on the per-write route lookup
 
-	// rules holds the current fault state (partitions, downed endpoints,
-	// per-link loss overrides) as an immutable snapshot: writes swap in a
-	// fresh copy under mu, the per-datagram policy check is one atomic
-	// load. nil means no faults — the common case costs a nil check.
+	// rules holds the current fault state (partitions, per-link loss
+	// overrides) as an immutable snapshot: writes swap in a fresh copy
+	// under mu, the per-datagram policy check is one atomic load. nil
+	// means no faults — the common case costs a nil check.
 	rules atomic.Pointer[netRules]
 }
 
@@ -176,9 +176,9 @@ type pipeConn struct {
 	gate  clock.Gate // non-nil in virtual mode
 	route func(to net.Addr) *pipeConn
 	// policy, when non-nil, consults the owning Network's fault rules per
-	// write: allow=false blackholes the datagram (partition, downed
-	// endpoint), loss ≥ 0 overrides the configured loss probability for
-	// this directed link. Pipe conns have no policy.
+	// write: allow=false blackholes the datagram (a partition), loss ≥ 0
+	// overrides the configured loss probability for this directed link.
+	// Pipe conns have no policy.
 	policy func(from, to string) (allow bool, loss float64)
 	st     transport.Stats
 
@@ -210,8 +210,10 @@ type pipeConn struct {
 	// bufFree recycles datagram buffers through the conn they are delivered
 	// to: writers take a buffer under the destination's lock and fill it —
 	// the datagram's one copy — and the reader returns it once done with
-	// it. Steady-state traffic allocates no per-datagram buffers.
+	// it. Steady-state traffic allocates no per-datagram buffers. drawn
+	// counts the buffers taken since the ring was last empty (keptBufs).
 	bufFree [][]byte
+	drawn   int
 
 	// The read deadline is the conn's, as on any net.Conn: every blocked read
 	// is held to the current one. dlTimer, made by the first read that has to
@@ -229,7 +231,11 @@ const pipeQueueDepth = 1024
 
 // maxFreeBufs bounds the recycled-buffer stack: the ring can hold
 // pipeQueueDepth datagrams, plus slack for ones in the reader's hands.
-const maxFreeBufs = pipeQueueDepth + transport.DefaultBatchSize
+// minFreeBufs is what the stack may always keep: one read call's worth.
+const (
+	maxFreeBufs = pipeQueueDepth + transport.DefaultBatchSize
+	minFreeBufs = transport.DefaultBatchSize
+)
 
 // pktRing is a growable FIFO of datagrams: n of them from buf[head] on,
 // wrapping at len(buf). Slots outside that stretch are zero.
@@ -270,9 +276,27 @@ func keptPackets(buf []packet) []packet {
 	return buf
 }
 
+// keptBufs is keptPackets' rule for the recycled buffers, applied when the
+// ring is found empty: the stack keeps as many as the traffic since the
+// last empty ring drew (and minFreeBufs), so an install burst's copies are
+// given back once the traffic after it is smaller, while traffic of a
+// steady size still finds every buffer it needs.
+func keptBufs(free [][]byte, drawn int) [][]byte {
+	keep := max(drawn, minFreeBufs)
+	if len(free) <= keep {
+		return free
+	}
+	clear(free[keep:])
+	if cap(free) > 4*keep {
+		return append(make([][]byte, 0, keep), free[:keep]...)
+	}
+	return free[:keep]
+}
+
 // allocLocked returns a length-n buffer, recycled when one fits; callers
 // hold c.mu.
 func (c *pipeConn) allocLocked(n int) []byte {
+	c.drawn++
 	if l := len(c.bufFree); l > 0 {
 		b := c.bufFree[l-1]
 		c.bufFree[l-1] = nil
@@ -564,11 +588,12 @@ func (c *pipeConn) wakeLocked() {
 // error with c.mu released.
 func (c *pipeConn) awaitLocked() error {
 	if c.ring.n == 0 {
+		c.ring = pktRing{buf: keptPackets(c.ring.buf)}
+		c.bufFree, c.drawn = keptBufs(c.bufFree, c.drawn), 0
 		if c.held {
 			c.held = false
 			c.gate.Exit()
 		}
-		c.ring = pktRing{buf: keptPackets(c.ring.buf)}
 	}
 	for {
 		left := time.Duration(1)

@@ -19,7 +19,6 @@ package markov
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"softstate/internal/linalg"
 )
@@ -27,12 +26,6 @@ import (
 // StateID identifies a state within a Chain. IDs are dense and start at 0
 // in order of first registration.
 type StateID int
-
-// Transition is one directed rate edge of the chain.
-type Transition struct {
-	From, To StateID
-	Rate     float64
-}
 
 // Chain is a finite CTMC under construction. Create one with NewChain,
 // register states with State, and add rate edges with AddTransition.
@@ -69,17 +62,6 @@ func (c *Chain) State(name string) StateID {
 	c.index[name] = id
 	c.rates = append(c.rates, nil)
 	return id
-}
-
-// Lookup returns the ID for a previously registered state name.
-func (c *Chain) Lookup(name string) (StateID, bool) {
-	id, ok := c.index[name]
-	return id, ok
-}
-
-// Name returns the registered name for id.
-func (c *Chain) Name(id StateID) string {
-	return c.names[id]
 }
 
 // Len returns the number of states.
@@ -142,23 +124,6 @@ func (c *Chain) ExitRate(from StateID) float64 {
 		sum += e.rate
 	}
 	return sum
-}
-
-// Transitions returns all edges, ordered by (From, To), for reporting.
-func (c *Chain) Transitions() []Transition {
-	var out []Transition
-	for from, row := range c.rates {
-		for _, e := range row {
-			out = append(out, Transition{From: StateID(from), To: e.to, Rate: e.rate})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
 }
 
 // Generator returns the infinitesimal generator Q: off-diagonal entries are

@@ -18,13 +18,13 @@ func TestStateRegistration(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
-	if c.Name(a) != "a" || c.Name(b) != "b" {
+	if c.names[a] != "a" || c.names[b] != "b" {
 		t.Fatal("Name mismatch")
 	}
-	if id, ok := c.Lookup("b"); !ok || id != b {
+	if id, ok := c.index["b"]; !ok || id != b {
 		t.Fatal("Lookup failed for existing state")
 	}
-	if _, ok := c.Lookup("zzz"); ok {
+	if _, ok := c.index["zzz"]; ok {
 		t.Fatal("Lookup found a nonexistent state")
 	}
 }
@@ -49,7 +49,7 @@ func TestAddTransitionZeroIgnored(t *testing.T) {
 	if got := c.Rate(a, b); got != 0 {
 		t.Fatalf("Rate = %v, want 0", got)
 	}
-	if len(c.Transitions()) != 0 {
+	if len(c.rates[a]) != 0 {
 		t.Fatal("zero-rate edge was recorded")
 	}
 }
@@ -98,24 +98,6 @@ func TestGeneratorRowsSumToZero(t *testing.T) {
 	}
 	if q.At(0, 0) != -5 {
 		t.Fatalf("diagonal = %v, want -5", q.At(0, 0))
-	}
-}
-
-func TestTransitionsSorted(t *testing.T) {
-	c := NewChain()
-	a, b, d := c.State("a"), c.State("b"), c.State("d")
-	c.AddTransition(b, a, 1)
-	c.AddTransition(a, d, 1)
-	c.AddTransition(a, b, 1)
-	tr := c.Transitions()
-	if len(tr) != 3 {
-		t.Fatalf("got %d transitions, want 3", len(tr))
-	}
-	for i := 1; i < len(tr); i++ {
-		if tr[i-1].From > tr[i].From ||
-			(tr[i-1].From == tr[i].From && tr[i-1].To >= tr[i].To) {
-			t.Fatal("transitions not sorted")
-		}
 	}
 }
 

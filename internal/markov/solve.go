@@ -192,71 +192,3 @@ func (c *Chain) Absorption(start StateID, absorbing ...StateID) (*AbsorptionResu
 	}
 	return &AbsorptionResult{Occupancy: occ, MeanTime: total}, nil
 }
-
-// HitProbability returns, for a transient chain, the probability that the
-// chain starting at `start` is eventually absorbed in `target`, where
-// `absorbing` lists all absorbing states (target must be among them).
-// This is used by ablation studies; the paper's models have a single
-// absorbing state so the probability is 1 there.
-func (c *Chain) HitProbability(start, target StateID, absorbing ...StateID) (float64, error) {
-	n := c.Len()
-	c.checkID(start)
-	c.checkID(target)
-	isAbs := make([]bool, n)
-	found := false
-	for _, a := range absorbing {
-		c.checkID(a)
-		isAbs[a] = true
-		if a == target {
-			found = true
-		}
-	}
-	if !found {
-		return 0, fmt.Errorf("markov: target %s is not absorbing", c.names[target])
-	}
-	if start == target {
-		return 1, nil
-	}
-	if isAbs[start] {
-		return 0, nil
-	}
-	tIndex := make([]int, n)
-	var transient []StateID
-	for s := 0; s < n; s++ {
-		if isAbs[s] {
-			tIndex[s] = -1
-			continue
-		}
-		tIndex[s] = len(transient)
-		transient = append(transient, StateID(s))
-	}
-	m := len(transient)
-	// Solve Q_TT·h = −R_target where R_target[s] = rate(s→target).
-	a := linalg.NewMatrix(m, m)
-	b := make([]float64, m)
-	for _, s := range transient {
-		row := c.rates[s]
-		var exit float64
-		for _, e := range row {
-			exit += e.rate
-			if e.to == target {
-				b[tIndex[s]] -= e.rate
-			} else if !isAbs[e.to] {
-				a.Add(tIndex[s], tIndex[e.to], e.rate)
-			}
-		}
-		a.Add(tIndex[s], tIndex[s], -exit)
-	}
-	h, err := linalg.SolveSystem(a, b)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrNotSolvable, err)
-	}
-	p := h[tIndex[start]]
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	return p, nil
-}

@@ -179,7 +179,7 @@ func TestAbsorptionChainOfStates(t *testing.T) {
 	}
 	for _, s := range []StateID{a, b} {
 		if math.Abs(res.Occupancy[s]-1) > 1e-12 {
-			t.Fatalf("Occupancy[%s] = %v, want 1", c.Name(s), res.Occupancy[s])
+			t.Fatalf("Occupancy[%s] = %v, want 1", c.names[s], res.Occupancy[s])
 		}
 	}
 }
@@ -273,30 +273,6 @@ func TestAbsorptionPropertyExponentialRace(t *testing.T) {
 	}
 }
 
-func TestHitProbabilitySplit(t *testing.T) {
-	// start → a at 1, start → b at 3: P(hit b) = 0.75.
-	c := NewChain()
-	start, a, b := c.State("start"), c.State("a"), c.State("b")
-	c.AddTransition(start, a, 1)
-	c.AddTransition(start, b, 3)
-	p, err := c.HitProbability(start, b, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-0.75) > 1e-12 {
-		t.Fatalf("p = %v, want 0.75", p)
-	}
-}
-
-func TestHitProbabilityTargetNotAbsorbing(t *testing.T) {
-	c := NewChain()
-	start, a := c.State("start"), c.State("a")
-	c.AddTransition(start, a, 1)
-	if _, err := c.HitProbability(start, start, a); err == nil {
-		t.Fatal("expected error when target is not absorbing")
-	}
-}
-
 func TestRedirectStationaryMatchesAbsorptionRatio(t *testing.T) {
 	// Regeneration argument used throughout the paper: for a transient
 	// chain with absorbing state z, merging z into the start state yields a
@@ -323,7 +299,7 @@ func TestRedirectStationaryMatchesAbsorptionRatio(t *testing.T) {
 	for _, s := range []StateID{s0, s1, s2} {
 		want := abs.Occupancy[s] / abs.MeanTime
 		if math.Abs(pi[s]-want) > 1e-9 {
-			t.Fatalf("pi[%s] = %v, want occupancy ratio %v", c.Name(s), pi[s], want)
+			t.Fatalf("pi[%s] = %v, want occupancy ratio %v", c.names[s], pi[s], want)
 		}
 	}
 	if pi[z] > 1e-12 {

@@ -252,6 +252,3 @@ func (p Params) timeoutRate(j int) float64 {
 	}
 	return r
 }
-
-// Chain exposes the underlying CTMC for tests and reporting.
-func (m *Model) Chain() *markov.Chain { return m.chain }

@@ -22,7 +22,7 @@ func TestLosslessDelivery(t *testing.T) {
 	l := detLink(k, 0, 2, 1)
 	delivered := 0
 	l.Send(func() { delivered++ })
-	k.Run()
+	run(k)
 	if delivered != 1 {
 		t.Fatalf("delivered = %d, want 1", delivered)
 	}
@@ -44,7 +44,7 @@ func TestTotalLoss(t *testing.T) {
 			t.Fatal("Send with loss=1 reported delivery")
 		}
 	}
-	k.Run()
+	run(k)
 	if delivered != 0 {
 		t.Fatalf("delivered = %d, want 0", delivered)
 	}
@@ -61,7 +61,7 @@ func TestLossFrequency(t *testing.T) {
 	for i := 0; i < n; i++ {
 		l.Send(func() {})
 	}
-	k.Run()
+	run(k)
 	got := float64(l.Counters().Lost) / n
 	if math.Abs(got-0.3) > 0.01 {
 		t.Fatalf("loss frequency = %v, want ≈0.3", got)
@@ -82,7 +82,7 @@ func TestFIFOUnderRandomDelays(t *testing.T) {
 			l.Send(func() { order = append(order, i) })
 		})
 	}
-	k.Run()
+	run(k)
 	if !sort.IntsAreSorted(order) {
 		t.Fatal("FIFO link delivered out of order")
 	}
@@ -104,7 +104,7 @@ func TestReorderingAllowedWhenConfigured(t *testing.T) {
 			l.Send(func() { order = append(order, i) })
 		})
 	}
-	k.Run()
+	run(k)
 	if sort.IntsAreSorted(order) {
 		t.Fatal("expected at least one reordering with exponential delays")
 	}
@@ -142,7 +142,7 @@ func TestPairDirectionsIndependent(t *testing.T) {
 		p.Forward.Send(func() {})
 		p.Reverse.Send(func() {})
 	}
-	k.Run()
+	run(k)
 	tot := p.Totals()
 	if tot.Transmissions != 2000 {
 		t.Fatalf("Transmissions = %d, want 2000", tot.Transmissions)
@@ -178,7 +178,7 @@ func TestPathConstruction(t *testing.T) {
 		p.Hops[hop].Forward.Send(func() { forward(hop + 1) })
 	}
 	forward(0)
-	k.Run()
+	run(k)
 	if !arrived {
 		t.Fatal("message did not traverse the path")
 	}
@@ -211,10 +211,16 @@ func TestFIFOPropertyRandomTraffic(t *testing.T) {
 			k.Schedule(src.Exp(0.1), tick)
 		}
 		tick()
-		k.Run()
+		run(k)
 		return sort.IntsAreSorted(order)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// run executes events until the kernel's queue drains.
+func run(k *des.Kernel) {
+	for k.Step() {
 	}
 }

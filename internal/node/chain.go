@@ -92,11 +92,6 @@ func (c *Chain) Install(key string, value []byte) error {
 	return c.Origin.Install(c.first, key, value)
 }
 
-// Update changes key's value end to end.
-func (c *Chain) Update(key string, value []byte) error {
-	return c.Origin.Update(c.first, key, value)
-}
-
 // Remove withdraws key; with explicit-removal protocols the removal
 // signal cascades hop by hop, otherwise each hop times out in turn.
 func (c *Chain) Remove(key string) error {

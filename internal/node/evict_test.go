@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"softstate/internal/signal"
+	"softstate/internal/telemetry"
 )
 
 // drainEvents empties the node's observability channel.
@@ -30,7 +31,17 @@ func drainEvents(n *Node) []signal.Event {
 func TestNodeEvictsIdlePeers(t *testing.T) {
 	cfg := fastConfig(signal.SSER)
 	cfg.PeerIdleTimeout = 500 * time.Millisecond
+	reg := telemetry.NewRegistry()
+	cfg.Metrics = reg
 	v, n, rcvs, addrs := fanout(t, cfg, 3)
+	evictions := func() (total float64) {
+		for _, s := range reg.Gather() {
+			if s.Name == "softstate_peer_evictions_total" {
+				total += s.Value
+			}
+		}
+		return total
+	}
 
 	for i, a := range addrs {
 		if err := n.Install(a, "k", []byte{byte('a' + i)}); err != nil {
@@ -59,11 +70,11 @@ func TestNodeEvictsIdlePeers(t *testing.T) {
 
 	// Quiet period passes: only the empty session is evicted.
 	v.Run(2 * time.Second)
-	if got := len(n.Peers()); got != 2 {
+	if got := len(n.ss.Peers()); got != 2 {
 		t.Fatalf("peer table holds %d sessions after idle period, want 2", got)
 	}
-	if got := n.Evictions(); got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
+	if got := evictions(); got != 1 {
+		t.Fatalf("evictions = %v, want 1", got)
 	}
 	if rcvs[0].Len() != 1 || rcvs[1].Len() != 1 {
 		t.Fatal("active peers lost state across the eviction scan")
@@ -78,7 +89,7 @@ func TestNodeEvictsIdlePeers(t *testing.T) {
 	if got, ok := rcvs[2].Get("k"); !ok || !bytes.Equal(got, []byte("back")) {
 		t.Fatalf("returning peer state = %q, %v", got, ok)
 	}
-	if got := len(n.Peers()); got != 3 {
+	if got := len(n.ss.Peers()); got != 3 {
 		t.Fatalf("peer table holds %d sessions after return, want 3", got)
 	}
 	resumed := false
@@ -98,10 +109,10 @@ func TestNodeEvictsIdlePeers(t *testing.T) {
 	// The returning peer holds a live key again, so further idle scans
 	// must leave it (and everyone else) alone.
 	v.Run(time.Second)
-	if got := n.Evictions(); got != 1 {
-		t.Fatalf("evictions = %d after return, want still 1", got)
+	if got := evictions(); got != 1 {
+		t.Fatalf("evictions = %v after return, want still 1", got)
 	}
-	if got := len(n.Peers()); got != 3 {
+	if got := len(n.ss.Peers()); got != 3 {
 		t.Fatalf("peer table shrank to %d with live keys held", got)
 	}
 }

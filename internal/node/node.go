@@ -72,9 +72,6 @@ func New(conn net.PacketConn, cfg signal.Config) (*Node, error) {
 // Peer returns the sender session for peer, creating it on first use.
 func (n *Node) Peer(peer net.Addr) *signal.Session { return n.ss.Session(peer) }
 
-// Peers returns all sessions in no particular order.
-func (n *Node) Peers() []*signal.Session { return n.ss.Peers() }
-
 // Install installs (or reinstalls) state for key at peer.
 func (n *Node) Install(peer net.Addr, key string, value []byte) error {
 	return n.ss.Session(peer).Install(key, value)
@@ -85,11 +82,6 @@ func (n *Node) Install(peer net.Addr, key string, value []byte) error {
 // (see signal.Session.InstallCtx). A zero fwd is equivalent to Install.
 func (n *Node) InstallCtx(peer net.Addr, key string, value []byte, fwd wire.TraceContext) error {
 	return n.ss.Session(peer).InstallCtx(key, value, fwd)
-}
-
-// Update changes the state value for key at peer.
-func (n *Node) Update(peer net.Addr, key string, value []byte) error {
-	return n.ss.Session(peer).Update(key, value)
 }
 
 // Remove withdraws the state for key at peer.
@@ -116,15 +108,6 @@ func (n *Node) SentDatagrams() int64 { return n.ss.SentDatagrams() }
 
 // ReceivedDatagrams returns the cumulative signaling datagrams accepted.
 func (n *Node) ReceivedDatagrams() int64 { return n.ss.ReceivedDatagrams() }
-
-// Unknown reports how many inbound datagrams carried a source address
-// with no session (late replies from dropped peers, or strays).
-func (n *Node) Unknown() int { return int(n.unknown.Value()) }
-
-// Evictions reports how many idle peer sessions have been dropped from
-// the per-destination table (Config.PeerIdleTimeout); evicted peers are
-// re-admitted — with their sequence space resumed — on their next use.
-func (n *Node) Evictions() int { return n.ss.Evictions() }
 
 // SummarySweep sends one summary-refresh round for every peer now and
 // returns the datagram count; see signal.Sessions.SummarySweep.

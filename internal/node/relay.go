@@ -24,7 +24,6 @@ type Relay struct {
 	nexts []net.Addr
 
 	relayed atomic.Int64 // downstream operations attempted
-	errs    atomic.Int64 // downstream operations rejected (e.g. closing)
 }
 
 // NewRelay creates a relay speaking cfg.Protocol on both sides: upstream
@@ -90,19 +89,16 @@ func (r *Relay) onUpstream(ev signal.Event) {
 			// Forward the upstream trace context: the origin stamp passes
 			// through and the hop count grows, so the chain's tail measures
 			// install latency across every hop (zero contexts forward as
-			// plain installs).
-			if err := r.down.InstallCtx(next, ev.Key, ev.Value, ev.Trace); err != nil {
-				r.errs.Add(1)
-			}
+			// plain installs). A rejected re-signal (the downstream node
+			// is closing) is dropped.
+			_ = r.down.InstallCtx(next, ev.Key, ev.Value, ev.Trace)
 		}
 	case signal.EventRemoved, signal.EventExpired, signal.EventFalseRemoval, signal.EventOrphaned:
 		for _, next := range r.nexts {
 			r.relayed.Add(1)
-			if err := r.down.Remove(next, ev.Key); err != nil {
-				// Unknown keys are expected: a removal can outrun an install
-				// that never propagated (e.g. relayed while shutting down).
-				r.errs.Add(1)
-			}
+			// An unknown key is expected: a removal can outrun an install
+			// that never propagated (e.g. relayed while shutting down).
+			_ = r.down.Remove(next, ev.Key)
 		}
 	}
 }
@@ -121,10 +117,6 @@ func (r *Relay) Downstream() *Node { return r.down }
 
 // Relayed returns how many upstream changes were re-signaled downstream.
 func (r *Relay) Relayed() int { return int(r.relayed.Load()) }
-
-// Errs returns how many downstream re-signals were rejected (normally
-// only while shutting down, or removals whose install never propagated).
-func (r *Relay) Errs() int { return int(r.errs.Load()) }
 
 // Close shuts the upstream receiver first (stopping propagation), then
 // the downstream node. State already propagated is left to downstream

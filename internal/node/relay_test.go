@@ -50,7 +50,7 @@ func TestChainPropagatesInstallAndUpdate(t *testing.T) {
 	if !ok || !bytes.Equal(got, []byte("10Mbps")) {
 		t.Fatalf("tail holds %q, %v", got, ok)
 	}
-	if err := c.Update("flow/1", []byte("20Mbps")); err != nil {
+	if err := c.Origin.ss.Session(c.first).Update("flow/1", []byte("20Mbps")); err != nil {
 		t.Fatal(err)
 	}
 	within(t, v, time.Second, "update reaches the tail", func() bool {

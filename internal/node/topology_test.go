@@ -33,7 +33,7 @@ func TestTreeShape(t *testing.T) {
 	if len(tr.Leaves) != 9 {
 		t.Fatalf("want 9 leaves, got %d", len(tr.Leaves))
 	}
-	if got := len(tr.Receivers()); got != 12 {
+	if got := len(tr.receivers()); got != 12 {
 		t.Fatalf("want 12 state-holding nodes, got %d", got)
 	}
 }
@@ -48,7 +48,7 @@ func TestTreeStar(t *testing.T) {
 	if err := tr.Install("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	within(t, v, time.Second, "star install", func() bool { return tr.Holds("k") == 4 })
+	within(t, v, time.Second, "star install", func() bool { return tr.holds("k") == 4 })
 }
 
 // TestTreePropagatesToAllLeaves: one install at the root reaches every
@@ -58,8 +58,8 @@ func TestTreePropagatesToAllLeaves(t *testing.T) {
 	if err := tr.Install("flow/1", []byte("10Mbps")); err != nil {
 		t.Fatal(err)
 	}
-	total := len(tr.Receivers()) // 14
-	within(t, v, time.Second, "install reaches all nodes", func() bool { return tr.Holds("flow/1") == total })
+	total := len(tr.receivers()) // 14
+	within(t, v, time.Second, "install reaches all nodes", func() bool { return tr.holds("flow/1") == total })
 	for i, l := range tr.Leaves {
 		got, ok := l.Get("flow/1")
 		if !ok || !bytes.Equal(got, []byte("10Mbps")) {
@@ -70,7 +70,7 @@ func TestTreePropagatesToAllLeaves(t *testing.T) {
 	if err := tr.Remove("flow/1"); err != nil {
 		t.Fatal(err)
 	}
-	within(t, v, time.Second, "removal clears the tree", func() bool { return tr.Holds("flow/1") == 0 })
+	within(t, v, time.Second, "removal clears the tree", func() bool { return tr.holds("flow/1") == 0 })
 }
 
 // TestTreeConvergesUnderLoss: reliable triggers repair per-edge losses
@@ -81,8 +81,8 @@ func TestTreeConvergesUnderLoss(t *testing.T) {
 	if err := tr.Install("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	total := len(tr.Receivers())
-	within(t, v, 10*time.Second, "tree converges through 20% loss", func() bool { return tr.Holds("k") == total })
+	total := len(tr.receivers())
+	within(t, v, 10*time.Second, "tree converges through 20% loss", func() bool { return tr.holds("k") == total })
 }
 
 // TestFanRelayValidation: constructor guards.
@@ -117,4 +117,25 @@ func TestTreeValidation(t *testing.T) {
 	if _, err := NewTree(1<<11, 2, signal.Config{}, lossy.Config{}); err == nil {
 		t.Fatal("oversized tree must be rejected")
 	}
+}
+
+// holds reports how many nodes currently hold state for key.
+func (t *Tree) holds(key string) int {
+	n := 0
+	for _, r := range t.receivers() {
+		if _, ok := r.Get(key); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// receivers returns every state-holding node, breadth-first: interior
+// relays' upstream receivers, then the leaves.
+func (t *Tree) receivers() []*signal.Receiver {
+	out := make([]*signal.Receiver, 0, len(t.Relays)+len(t.Leaves))
+	for _, r := range t.Relays {
+		out = append(out, r.Receiver())
+	}
+	return append(out, t.Leaves...)
 }

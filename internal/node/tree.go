@@ -125,17 +125,6 @@ func (t *Tree) Install(key string, value []byte) error {
 	return err
 }
 
-// Update changes key's value tree-wide.
-func (t *Tree) Update(key string, value []byte) error {
-	var err error
-	for _, c := range t.children {
-		if e := t.Root.Update(c, key, value); err == nil {
-			err = e
-		}
-	}
-	return err
-}
-
 // Remove withdraws key tree-wide.
 func (t *Tree) Remove(key string) error {
 	var err error
@@ -147,31 +136,9 @@ func (t *Tree) Remove(key string) error {
 	return err
 }
 
-// Receivers returns every state-holding node, breadth-first: interior
-// relays' upstream receivers, then the leaves.
-func (t *Tree) Receivers() []*signal.Receiver {
-	out := make([]*signal.Receiver, 0, len(t.Relays)+len(t.Leaves))
-	for _, r := range t.Relays {
-		out = append(out, r.Receiver())
-	}
-	return append(out, t.Leaves...)
-}
-
 // Stats snapshots every endpoint's counters: root, relays breadth-first,
 // leaves left to right.
 func (t *Tree) Stats() []signal.Stats { return endpointStats(t.Root, t.Relays, t.Leaves) }
-
-// Holds reports how many nodes currently hold state for key (full-table
-// scan per node; test/demo use).
-func (t *Tree) Holds(key string) int {
-	n := 0
-	for _, r := range t.Receivers() {
-		if _, ok := r.Get(key); ok {
-			n++
-		}
-	}
-	return n
-}
 
 // Close shuts the tree down root-first, so nothing re-signals into
 // closing children. Safe on a partially constructed tree.

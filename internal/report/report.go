@@ -1,7 +1,6 @@
-// Package report renders experiment outputs as aligned ASCII tables and
-// tab-separated values (for plotting). Every figure and table regenerated
-// by internal/exp flows through this package, so cmd/sigfig and the
-// benchmarks share one formatting path.
+// Package report renders experiment outputs as aligned ASCII tables.
+// Every figure and table regenerated by internal/exp flows through this
+// package, so cmd/sigfig and the benchmarks share one formatting path.
 package report
 
 import (
@@ -41,43 +40,9 @@ func (t *Table) AddNumericRow(values ...float64) {
 	t.AddRow(cells...)
 }
 
-// Len returns the number of data rows.
-func (t *Table) Len() int { return len(t.rows) }
-
 // Rows returns the formatted rows (shared backing; callers must not
 // mutate).
 func (t *Table) Rows() [][]string { return t.rows }
-
-// Cell returns the raw cell at row i, column j.
-func (t *Table) Cell(i, j int) string { return t.rows[i][j] }
-
-// Float parses the cell at row i, column j as a float64.
-func (t *Table) Float(i, j int) (float64, error) {
-	return strconv.ParseFloat(t.rows[i][j], 64)
-}
-
-// ColumnIndex returns the index of the named column, or -1.
-func (t *Table) ColumnIndex(name string) int {
-	for i, c := range t.Columns {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// WriteTSV writes a tab-separated rendering with a header row.
-func (t *Table) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.Columns, "\t")); err != nil {
-		return err
-	}
-	for _, r := range t.rows {
-		if _, err := fmt.Fprintln(w, strings.Join(r, "\t")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // WritePretty writes an aligned, human-readable rendering.
 func (t *Table) WritePretty(w io.Writer) error {

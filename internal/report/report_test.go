@@ -1,6 +1,7 @@
 package report
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,47 +19,15 @@ func TestAddRowArityPanics(t *testing.T) {
 func TestNumericRowFormatting(t *testing.T) {
 	tab := New("t", "x", "y")
 	tab.AddNumericRow(1.5, 0.000123456789)
-	if tab.Cell(0, 0) != "1.5" {
-		t.Fatalf("cell = %q", tab.Cell(0, 0))
+	if tab.Rows()[0][0] != "1.5" {
+		t.Fatalf("cell = %q", tab.Rows()[0][0])
 	}
-	v, err := tab.Float(0, 1)
+	v, err := strconv.ParseFloat(tab.Rows()[0][1], 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v < 0.000123 || v > 0.000124 {
 		t.Fatalf("parsed %v", v)
-	}
-}
-
-func TestColumnIndex(t *testing.T) {
-	tab := New("t", "x", "y")
-	if tab.ColumnIndex("y") != 1 {
-		t.Fatal("wrong index")
-	}
-	if tab.ColumnIndex("z") != -1 {
-		t.Fatal("missing column should be -1")
-	}
-}
-
-func TestFloatParseError(t *testing.T) {
-	tab := New("t", "x")
-	tab.AddRow("not-a-number")
-	if _, err := tab.Float(0, 0); err == nil {
-		t.Fatal("expected parse error")
-	}
-}
-
-func TestTSV(t *testing.T) {
-	tab := New("t", "x", "y")
-	tab.AddRow("1", "2")
-	tab.AddRow("3", "4")
-	var sb strings.Builder
-	if err := tab.WriteTSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "x\ty\n1\t2\n3\t4\n"
-	if sb.String() != want {
-		t.Fatalf("TSV = %q, want %q", sb.String(), want)
 	}
 }
 
@@ -93,7 +62,7 @@ func TestPrettyNoTitle(t *testing.T) {
 func TestRowsAccessor(t *testing.T) {
 	tab := New("t", "x")
 	tab.AddRow("1")
-	if len(tab.Rows()) != 1 || tab.Len() != 1 {
+	if len(tab.Rows()) != 1 || len(tab.Rows()) != 1 {
 		t.Fatal("accessor mismatch")
 	}
 }

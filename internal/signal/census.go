@@ -262,21 +262,3 @@ func (r *Receiver) fold() (sum uint64) {
 func (r *Receiver) CensusSource(name string) telemetry.CensusSource {
 	return walkedSource(name, r.fold, func(fn func(string, uint64)) { r.digests(nil, fn) })
 }
-
-// --- per-peer health ---
-
-// RTT returns the gain-1/8 EWMA of this peer's trigger→ack round trip,
-// 0 until the first measured acknowledgement (RTT sampling needs
-// Config.Metrics, which enables the send stamps).
-func (s *Session) RTT() time.Duration { return time.Duration(s.rttNs.Load()) }
-
-// LossEstimate estimates the loss rate toward this peer as
-// retransmits / (triggers + retransmits) — 0 until anything was sent.
-// Removal retransmits count too: they signal the same path loss.
-func (s *Session) LossEstimate() float64 {
-	t, r := s.trigs.Load(), s.retxs.Load()
-	if t+r == 0 {
-		return 0
-	}
-	return float64(r) / float64(t+r)
-}

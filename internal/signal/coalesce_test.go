@@ -114,7 +114,7 @@ func TestCoalescedRemovalAcks(t *testing.T) {
 		}
 	}
 	eventually(t, "all removals acked", func() bool {
-		return rcv.Len() == 0 && len(snd.Keys()) == 0 && snd.ss.tbl.Len() == 0
+		return rcv.Len() == 0 && len(snd.sess.keys()) == 0 && snd.ss.tbl.Len() == 0
 	})
 	if rcv.Stats().Sent["removal-ack"] != 0 {
 		t.Fatal("coalescing receiver sent singleton removal-acks")

@@ -464,8 +464,8 @@ func TestEvictedSessionResolvesAnew(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Run(300 * time.Millisecond)
-	if !old.gone.Load() || ss.Evictions() != 1 {
-		t.Fatalf("gone=%v after %d evictions", old.gone.Load(), ss.Evictions())
+	if !old.gone.Load() || ss.evictions.Value() != 1 {
+		t.Fatalf("gone=%v after %d evictions", old.gone.Load(), ss.evictions.Value())
 	}
 	if ss.resolve(tableKey(old.id, "")) != nil {
 		t.Fatal("the evicted session is still filed")

@@ -82,11 +82,6 @@ func (s *Sender) Update(key string, value []byte) error {
 // receiver is left to time the state out.
 func (s *Sender) Remove(key string) error { return s.sess.Remove(key) }
 
-// Session returns the sender's single peer session — the handle for
-// per-peer health estimates (RTT, LossEstimate) and link-scoped census
-// sources.
-func (s *Sender) Session() *Session { return s.sess }
-
 // CensusSource exposes the sender's intent digest as an auditor source.
 func (s *Sender) CensusSource(name string) telemetry.CensusSource {
 	return s.ss.CensusSource(name)
@@ -97,9 +92,6 @@ func (s *Sender) CensusSource(name string) telemetry.CensusSource {
 func (s *Sender) CensusPeer(name string, timeout time.Duration) telemetry.CensusSource {
 	return s.ss.CensusPeer(name, s.sess.Peer(), timeout)
 }
-
-// Keys returns the keys with live (non-removing) state.
-func (s *Sender) Keys() []string { return s.sess.Keys() }
 
 // Close stops all timers, closes the transport, and waits for the receive
 // loop to drain. The events channel is closed afterwards.

@@ -345,9 +345,6 @@ func (ss *Sessions) CloseEvents() { ss.events.close() }
 // Peer returns the session's peer address.
 func (s *Session) Peer() net.Addr { return s.peer }
 
-// Live returns the session's live (non-removing) key count.
-func (s *Session) Live() int { return int(s.live.Load()) }
-
 // key builds the session-scoped table key for a user key.
 func (s *Session) key(key string) string { return tableKey(s.id, key) }
 
@@ -525,21 +522,6 @@ func (s *Session) Remove(key string) error {
 		return fmt.Errorf("signal: remove of unknown key %q", key)
 	}
 	return err
-}
-
-// Keys returns the keys with live (non-removing) state at this peer. It
-// scans the whole shared table (cost is O(total keys across all
-// sessions), one shard lock at a time) — fine for CLIs and tests, not
-// for hot paths on a large node; Live is the O(1) count.
-func (s *Session) Keys() []string {
-	out := make([]string, 0, s.live.Load())
-	s.ss.tbl.Range(func(ck string, e *senderEntry) bool {
-		if ownerID(ck) == s.id && !e.removing {
-			out = append(out, userKey(ck))
-		}
-		return true
-	})
-	return out
 }
 
 // --- timers (fired by the shared table's shard wheels) ---
@@ -954,10 +936,6 @@ func (s *Session) touch() {
 		s.lastActive.Store(int64(s.ss.clk.Since(s.ss.born)))
 	}
 }
-
-// Evictions reports how many idle sessions the reaper has dropped from
-// the peer table since start.
-func (ss *Sessions) Evictions() int { return int(ss.evictions.Value()) }
 
 // reapInterval is the eviction scan period: a quarter of the idle
 // timeout, so eviction lands within 1.25× the configured quiet period.

@@ -67,7 +67,7 @@ func TestInstallPropagates(t *testing.T) {
 		v, ok := c.rcv.Get("flow/1")
 		return ok && bytes.Equal(v, []byte("10Mbps"))
 	})
-	if got := c.snd.Keys(); len(got) != 1 || got[0] != "flow/1" {
+	if got := c.snd.sess.keys(); len(got) != 1 || got[0] != "flow/1" {
 		t.Fatalf("sender keys = %v", got)
 	}
 }
@@ -181,7 +181,7 @@ func TestReliableRemovalSurvivesLoss(t *testing.T) {
 	c.within(3*time.Second, "reliable removal", func() bool { _, ok := c.rcv.Get("k"); return !ok })
 	// The sender's entry must be cleaned once the removal is ACKed.
 	c.within(3*time.Second, "removal ack", func() bool {
-		return len(c.snd.Keys()) == 0 && c.snd.Stats().Received["removal-ack"] > 0
+		return len(c.snd.sess.keys()) == 0 && c.snd.Stats().Received["removal-ack"] > 0
 	})
 }
 
@@ -466,4 +466,19 @@ func mustEncode(t *testing.T, seq uint64, key string, value []byte) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// keys returns the keys with live (non-removing) state at this peer. It
+// scans the whole shared table (cost is O(total keys across all
+// sessions), one shard lock at a time) — fine for CLIs and tests, not
+// for hot paths on a large node; Live is the O(1) count.
+func (s *Session) keys() []string {
+	out := make([]string, 0, s.live.Load())
+	s.ss.tbl.Range(func(ck string, e *senderEntry) bool {
+		if ownerID(ck) == s.id && !e.removing {
+			out = append(out, userKey(ck))
+		}
+		return true
+	})
+	return out
 }

@@ -65,7 +65,7 @@ func encoderFrames(t *testing.T, sessions []*Session, maxKeys int) (out []rawDat
 		if sess.gone.Load() {
 			continue
 		}
-		keys := sess.Keys()
+		keys := sess.keys()
 		slices.Sort(keys)
 		for len(keys) > 0 {
 			n, _ := wire.SummaryFits(keys[:min(len(keys), maxKeys)])

@@ -218,6 +218,15 @@ func TestUntracedStaysZero(t *testing.T) {
 // TestPeerHealthEstimators: acked triggers feed the RTT EWMA; a lossy
 // path pushes the loss estimate above zero.
 func TestPeerHealthEstimators(t *testing.T) {
+	gauge := func(reg *telemetry.Registry, name string) float64 {
+		for _, s := range reg.Gather() {
+			if s.Name == name {
+				return s.Value
+			}
+		}
+		t.Fatalf("no %s series", name)
+		return 0
+	}
 	reg := telemetry.NewRegistry()
 	c := vEndpoints(t, SSRT, 0, func(cfg *Config) { cfg.Metrics = reg })
 	for i := 0; i < 8; i++ {
@@ -226,31 +235,26 @@ func TestPeerHealthEstimators(t *testing.T) {
 		}
 	}
 	c.within(time.Second, "acks", func() bool {
-		return c.snd.Session().RTT() > 0
+		return gauge(reg, "softstate_peer_rtt_seconds") > 0
 	})
 	// Virtual pipe: 1 ms each way.
-	if rtt := c.snd.Session().RTT(); rtt != 2*time.Millisecond {
-		t.Fatalf("RTT EWMA = %v, want 2ms", rtt)
+	if rtt := gauge(reg, "softstate_peer_rtt_seconds"); rtt != (2 * time.Millisecond).Seconds() {
+		t.Fatalf("RTT EWMA = %vs, want 0.002s", rtt)
 	}
-	if loss := c.snd.Session().LossEstimate(); loss != 0 {
+	if loss := gauge(reg, "softstate_peer_loss_ratio"); loss != 0 {
 		t.Fatalf("lossless path estimates loss %v", loss)
 	}
 
-	lossyC := vEndpointsLoss(t, SSRT, 0.4, reg)
+	lossyReg := telemetry.NewRegistry()
+	lossyC := vEndpoints(t, SSRT, 0.4, func(cfg *Config) { cfg.Metrics = lossyReg })
 	for i := 0; i < 16; i++ {
 		if err := lossyC.snd.Install(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	lossyC.within(5*time.Second, "retransmissions", func() bool {
-		return lossyC.snd.Session().LossEstimate() > 0
+		return gauge(lossyReg, "softstate_peer_loss_ratio") > 0
 	})
-}
-
-// vEndpointsLoss is vEndpoints with loss and a distinct metrics registry
-// (avoiding instrument-name collisions across pairs in one test).
-func vEndpointsLoss(t *testing.T, proto Protocol, loss float64, _ *telemetry.Registry) *vctx {
-	return vEndpoints(t, proto, loss)
 }
 
 // traceConn is discardConn remembering the trace context of every trigger

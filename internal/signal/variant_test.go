@@ -60,7 +60,7 @@ func TestBackoffConvergesUnderLoss(t *testing.T) {
 				return c.rcv.Len() == keys
 			})
 			c.within(30*time.Second, "all triggers acked", func() bool {
-				return c.snd.ss.tbl.Armed(timerRetx) == 0
+				return c.snd.ss.tbl.TimersArmed()[timerRetx] == 0
 			})
 			st := c.snd.Stats()
 			if st.Sent["trigger"] <= keys {
@@ -75,7 +75,7 @@ func TestBackoffConvergesUnderLoss(t *testing.T) {
 			if got := c.snd.Stats().Sent["trigger"] - triggers; got != 0 {
 				t.Fatalf("%d retransmissions after convergence", got)
 			}
-			if armed := c.snd.ss.tbl.Armed(timerRetx); armed != 0 {
+			if armed := c.snd.ss.tbl.TimersArmed()[timerRetx]; armed != 0 {
 				t.Fatalf("%d stale retransmit timers after convergence", armed)
 			}
 		})
@@ -222,8 +222,8 @@ func TestRetiredSeqResumeAndPrune(t *testing.T) {
 	// next session above it.
 	seq1 := s1.seq.Add(uint64(time.Second))
 	v.Run(300 * time.Millisecond) // idle period + reap ticks
-	if ss.Evictions() != 1 {
-		t.Fatalf("evictions = %d, want 1", ss.Evictions())
+	if ss.evictions.Value() != 1 {
+		t.Fatalf("evictions = %d, want 1", ss.evictions.Value())
 	}
 
 	// Prompt return: the new session's space sits at or above the evicted

@@ -88,7 +88,7 @@ func TestLiveMetricsObserverOnly(t *testing.T) {
 			t.Fatalf("registry missing %s after instrumented run; have %v", want, found)
 		}
 	}
-	if qs, ok := cfg.Metrics.Quantiles("softstate_install_ack_seconds", 0.5); !ok || qs[0] <= 0 {
+	if qs, ok := telemetry.HistogramQuantiles(cfg.Metrics.Gather(), "softstate_install_ack_seconds", 0.5); !ok || qs[0] <= 0 {
 		t.Fatalf("install→ack histogram should be populated, got %v %v", qs, ok)
 	}
 }

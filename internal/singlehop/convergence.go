@@ -39,40 +39,3 @@ func (m *Model) UpdateConvergence(times []float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// ConvergenceQuantile returns the approximate time by which the update is
-// installed with probability q (bisection over UpdateConvergence; returns
-// +Inf substitute maxT if q is not reached by maxT).
-func (m *Model) ConvergenceQuantile(q, maxT float64) (float64, error) {
-	if q <= 0 || q >= 1 {
-		return 0, fmt.Errorf("singlehop: quantile %v outside (0,1)", q)
-	}
-	lo, hi := 0.0, maxT
-	probAt := func(t float64) (float64, error) {
-		p, err := m.UpdateConvergence([]float64{t})
-		if err != nil {
-			return 0, err
-		}
-		return p[0], nil
-	}
-	pHi, err := probAt(hi)
-	if err != nil {
-		return 0, err
-	}
-	if pHi < q {
-		return maxT, nil
-	}
-	for i := 0; i < 40 && hi-lo > 1e-6*maxT; i++ {
-		mid := (lo + hi) / 2
-		p, err := probAt(mid)
-		if err != nil {
-			return 0, err
-		}
-		if p < q {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
-}

@@ -148,15 +148,6 @@ func (m *Model) rem2Rate() float64 {
 	}
 }
 
-// Chain exposes the underlying CTMC (for reporting and tests).
-func (m *Model) Chain() *markov.Chain { return m.chain }
-
-// StateID returns the chain ID for a Figure 3 state and whether the state
-// exists in this protocol's model.
-func (m *Model) StateID(s state) (markov.StateID, bool) {
-	return m.ids[s], m.has[s]
-}
-
 // rate returns the model's transition rate between two Figure 3 states,
 // zero when either state does not exist for the protocol.
 func (m *Model) rate(from, to state) float64 {

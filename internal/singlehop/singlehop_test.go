@@ -115,7 +115,7 @@ func TestRem2StateOnlyWithExplicitRemoval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, has := m.StateID(stRem2)
+		has := m.has[stRem2]
 		if has != proto.ExplicitRemoval() {
 			t.Fatalf("%v: (-,1)2 present=%v, want %v", proto, has, proto.ExplicitRemoval())
 		}

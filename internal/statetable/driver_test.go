@@ -121,9 +121,9 @@ func TestDriverParity(t *testing.T) {
 					tc.Schedule(1, 80*time.Millisecond)
 				})
 				tbl.Upsert("b", func(_ *int, _ bool, tc TimerControl[int]) { tc.Schedule(0, time.Hour) })
-				tbl.Schedule("b", 0, 120*time.Millisecond) // earlier than anything its shard may be armed for
+				tbl.schedule("b", 0, 120*time.Millisecond) // earlier than anything its shard may be armed for
 				tbl.Upsert("c", func(_ *int, _ bool, tc TimerControl[int]) { tc.Schedule(0, 60*time.Millisecond) })
-				tbl.Cancel("c", 0)
+				tbl.cancel("c", 0)
 				tbl.Upsert("d", func(_ *int, _ bool, tc TimerControl[int]) { tc.Schedule(1, 200*time.Millisecond) })
 
 				d.until(t, "the scripted expiries", func() bool {
@@ -142,7 +142,7 @@ func TestDriverParity(t *testing.T) {
 				if log.fires("c") != 0 {
 					t.Fatal("cancelled timer fired")
 				}
-				tbl.Schedule("c", 1, 25*time.Millisecond)
+				tbl.schedule("c", 1, 25*time.Millisecond)
 				d.until(t, "the re-armed expiry", func() bool { return log.fires("c") == 1 })
 
 				byKey, order := log.snapshot()

@@ -263,7 +263,7 @@ func TestIndexFloodBounded(t *testing.T) {
 		} else {
 			t.Logf("mean probe length %.2f in %d slots", mean, len(ix.slots))
 		}
-		return tbl.Keys()
+		return tbl.keys()
 	}
 	if slices.Equal(order(), order()) {
 		t.Fatal("two tables walk the same keys in the same order: slot placement is not seeded")

@@ -320,19 +320,6 @@ func (t *Table[V]) Delete(key string) bool {
 	return true
 }
 
-// Schedule arms the kind timer of key to fire after delay, reporting
-// whether the key exists. Rearming an armed timer moves its deadline.
-func (t *Table[V]) Schedule(key string, kind TimerKind, delay time.Duration) bool {
-	return t.Update(key, func(_ *V, tc TimerControl[V]) { tc.Schedule(kind, delay) })
-}
-
-// Cancel disarms the kind timer of key, reporting whether the key exists.
-// After Cancel returns, the timer's callback either already completed or
-// will never run.
-func (t *Table[V]) Cancel(key string, kind TimerKind) bool {
-	return t.Update(key, func(_ *V, tc TimerControl[V]) { tc.Cancel(kind) })
-}
-
 // Range calls fn for every entry until fn returns false, locking one shard
 // at a time. fn must not call Table methods. Entries added or removed
 // concurrently in other shards may or may not be seen.
@@ -353,30 +340,10 @@ func (t *Table[V]) Range(fn func(key string, v *V) bool) {
 	}
 }
 
-// Armed reports how many kind timers are currently armed (scheduled and
-// not yet fired or cancelled) across all shards. It walks every entry one
-// shard lock at a time, so it is a diagnostic — tests use it to prove a
-// retransmission engine left no stale timers behind after convergence —
+// TimersArmed counts the armed timers of every kind (scheduled and not
+// yet fired or cancelled) in one walk, one shard lock at a time: a
+// diagnostic that invariant checkers run after every adversarial step,
 // not a hot-path counter.
-func (t *Table[V]) Armed(kind TimerKind) int {
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.idx.slots {
-			if s.id != 0 && sh.wheel.state(nodeID(s.id, kind)) != timerIdle {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// TimersArmed counts the armed timers of every kind in a single walk —
-// the same diagnostic traversal as Armed, but one pass returns the whole
-// audit, which is what invariant checkers run after every adversarial
-// step want.
 func (t *Table[V]) TimersArmed() [NumTimerKinds]int {
 	var n [NumTimerKinds]int
 	for i := range t.shards {
@@ -395,16 +362,6 @@ func (t *Table[V]) TimersArmed() [NumTimerKinds]int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// Keys returns all keys in no particular order.
-func (t *Table[V]) Keys() []string {
-	out := make([]string, 0, t.Len())
-	t.Range(func(key string, _ *V) bool {
-		out = append(out, key)
-		return true
-	})
-	return out
 }
 
 // dropLocked removes e, whose id is id, from its shard's index and wheel,

@@ -166,7 +166,7 @@ func TestTableHeapPerEntry(t *testing.T) {
 		case 1:
 			tbl.Delete(k)
 		case 2:
-			tbl.Schedule(k, 0, time.Millisecond)
+			tbl.schedule(k, 0, time.Millisecond)
 		}
 	}
 	v.Run(time.Second)
@@ -211,8 +211,8 @@ func TestTableHeapPerEntry(t *testing.T) {
 // TestUnarmedKindsCostNothing: a table pays for the timer kinds it arms,
 // and for nothing it does not use. Each case holds 65,536 entries with a
 // 48-byte value and bounds their heap as TestTableHeapPerEntry does; with
-// both nodes in every entry whether used or not, each took over 150 B. Cancel, Armed
-// and TimersArmed on kinds never armed find them idle and allocate
+// both nodes in every entry whether used or not, each took over 150 B. Cancel and
+// TimersArmed on kinds never armed find them idle and allocate
 // nothing.
 func TestUnarmedKindsCostNothing(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
@@ -245,16 +245,13 @@ func TestUnarmedKindsCostNothing(t *testing.T) {
 			}
 			for k, armed := range c.kinds {
 				if !armed {
-					tbl.Cancel(keys[k], TimerKind(k))
+					tbl.cancel(keys[k], TimerKind(k))
 				}
 			}
 			want := [NumTimerKinds]int{}
 			for k, armed := range c.kinds {
 				if armed {
 					want[k] = n
-				}
-				if got := tbl.Armed(TimerKind(k)); got != want[k] {
-					t.Errorf("Armed(%d) = %d, want %d", k, got, want[k])
 				}
 			}
 			if got := tbl.TimersArmed(); got != want {
@@ -330,7 +327,7 @@ func TestTableBasics(t *testing.T) {
 	if tbl.Len() != 2 {
 		t.Fatalf("Len = %d", tbl.Len())
 	}
-	keys := tbl.Keys()
+	keys := tbl.keys()
 	if len(keys) != 2 {
 		t.Fatalf("Keys = %v", keys)
 	}
@@ -434,7 +431,7 @@ func TestRescheduleWhileFiring(t *testing.T) {
 	eventually(t, "five periodic fires", func() bool { return fired.Load() >= 5 })
 	// Race external reschedules against in-callback reschedules.
 	for i := 0; i < 100; i++ {
-		tbl.Schedule("periodic", 0, time.Millisecond)
+		tbl.schedule("periodic", 0, time.Millisecond)
 	}
 	before := fired.Load()
 	eventually(t, "fires continue after racing reschedules", func() bool {
@@ -456,7 +453,7 @@ func TestReschedulePushesDeadlineOut(t *testing.T) {
 	defer tbl.Close()
 	start := time.Now()
 	tbl.Upsert("k", func(_ *int, _ bool, tc TimerControl[int]) { tc.Schedule(0, 30*time.Millisecond) })
-	tbl.Schedule("k", 0, 150*time.Millisecond)
+	tbl.schedule("k", 0, 150*time.Millisecond)
 	eventually(t, "rescheduled expiry", func() bool { return fired.Load() == 1 })
 	if elapsed := time.Duration(firedAt.Load() - start.UnixNano()); elapsed < 100*time.Millisecond {
 		t.Fatalf("fired after %v despite reschedule to 150ms", elapsed)
@@ -473,9 +470,9 @@ func TestStopVsFireRace(t *testing.T) {
 	defer tbl.Close()
 	tbl.Upsert("k", nil)
 	for i := 0; i < 300; i++ {
-		tbl.Schedule("k", 0, 2*DefaultTick)
+		tbl.schedule("k", 0, 2*DefaultTick)
 		time.Sleep(time.Duration(i%3) * DefaultTick)
-		tbl.Cancel("k", 0)
+		tbl.cancel("k", 0)
 		settled := fired.Load()
 		time.Sleep(3 * DefaultTick)
 		if got := fired.Load(); got != settled {
@@ -497,7 +494,7 @@ func TestCancelAndDeleteArmed(t *testing.T) {
 		tc.Schedule(0, 20*time.Millisecond)
 		tc.Schedule(1, 20*time.Millisecond)
 	})
-	tbl.Cancel("keep", 1) // never armed; no-op
+	tbl.cancel("keep", 1) // never armed; no-op
 	tbl.Delete("drop")    // cancels both armed timers
 	eventually(t, "surviving timer", func() bool { return fired.Load() == 1 })
 	time.Sleep(50 * time.Millisecond)
@@ -546,7 +543,7 @@ func TestTableAtRestOwnsNoGoroutines(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("table at rest owns %d goroutines (%d before New, %d with %d timers armed)",
-			g-before, before, g, tbl.Armed(0))
+			g-before, before, g, tbl.TimersArmed()[0])
 	}
 }
 
@@ -643,9 +640,9 @@ func TestConcurrentChurn(t *testing.T) {
 				case 1:
 					tbl.Get(key)
 				case 2:
-					tbl.Schedule(key, TimerKind(i%NumTimerKinds), time.Millisecond)
+					tbl.schedule(key, TimerKind(i%NumTimerKinds), time.Millisecond)
 				case 3:
-					tbl.Cancel(key, TimerKind(i%NumTimerKinds))
+					tbl.cancel(key, TimerKind(i%NumTimerKinds))
 				case 4:
 					tbl.Delete(key)
 				}
@@ -653,4 +650,27 @@ func TestConcurrentChurn(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// schedule arms the kind timer of key to fire after delay, reporting
+// whether the key exists. Rearming an armed timer moves its deadline.
+func (t *Table[V]) schedule(key string, kind TimerKind, delay time.Duration) bool {
+	return t.Update(key, func(_ *V, tc TimerControl[V]) { tc.Schedule(kind, delay) })
+}
+
+// cancel disarms the kind timer of key, reporting whether the key exists.
+// After cancel returns, the timer's callback either already completed or
+// will never run.
+func (t *Table[V]) cancel(key string, kind TimerKind) bool {
+	return t.Update(key, func(_ *V, tc TimerControl[V]) { tc.Cancel(kind) })
+}
+
+// keys returns all keys in no particular order.
+func (t *Table[V]) keys() []string {
+	out := make([]string, 0, t.Len())
+	t.Range(func(key string, _ *V) bool {
+		out = append(out, key)
+		return true
+	})
+	return out
 }

@@ -69,7 +69,7 @@ func TestVirtualReschedule(t *testing.T) {
 	tbl.Upsert("k", func(_ *int, _ bool, tc TimerControl[int]) {
 		tc.Schedule(0, 10*time.Millisecond)
 	})
-	tbl.Cancel("k", 0)
+	tbl.cancel("k", 0)
 	v.Run(100 * time.Millisecond)
 	if count != 3 {
 		t.Fatal("cancelled virtual timer fired")

@@ -266,6 +266,22 @@ func TestWheelAdvanceSkipsEmptySpans(t *testing.T) {
 	}
 }
 
+// TestWheelFiredBufferBound: advance keeps a fired buffer of exactly
+// firedKeep ids for the next advance and gives a larger one back.
+func TestWheelFiredBufferBound(t *testing.T) {
+	w := newTestWheel()
+	w.fired = make([]uint32, 0, firedKeep)
+	w.advance(1)
+	if got := cap(w.fired); got != firedKeep {
+		t.Fatalf("a %d-id buffer came back with capacity %d, want it kept", firedKeep, got)
+	}
+	w.fired = make([]uint32, 0, firedKeep+1)
+	w.advance(2)
+	if got := cap(w.fired); got != 0 {
+		t.Fatalf("a %d-id buffer came back with capacity %d, want it given back", firedKeep+1, got)
+	}
+}
+
 // TestWheelNextEventTickNearestWins: the earliest event across levels is
 // reported, whether it is a level-0 deadline or an upper-level cascade.
 func TestWheelNextEventTickNearestWins(t *testing.T) {

@@ -23,9 +23,6 @@ func (m *Mean) Add(x float64) {
 	m.m2 += d * (x - m.mean)
 }
 
-// N returns the number of observations.
-func (m *Mean) N() int { return m.n }
-
 // Mean returns the sample mean (0 with no observations).
 func (m *Mean) Mean() float64 { return m.mean }
 
@@ -134,6 +131,3 @@ func (f *Fraction) Value() float64 {
 
 // TrueTime returns the accumulated time with the signal true.
 func (f *Fraction) TrueTime() float64 { return f.trueTime }
-
-// Total returns the total observed time.
-func (f *Fraction) Total() float64 { return f.total }

@@ -11,8 +11,8 @@ func TestMeanBasics(t *testing.T) {
 	for _, x := range []float64{1, 2, 3, 4, 5} {
 		m.Add(x)
 	}
-	if m.N() != 5 {
-		t.Fatalf("N = %d, want 5", m.N())
+	if m.n != 5 {
+		t.Fatalf("N = %d, want 5", m.n)
 	}
 	if math.Abs(m.Mean()-3) > 1e-12 {
 		t.Fatalf("Mean = %v, want 3", m.Mean())
@@ -108,8 +108,8 @@ func TestFractionBasic(t *testing.T) {
 	f.Observe(2, false) // true for [0,2)
 	f.Observe(5, true)  // false for [2,5)
 	f.Finish(10)        // true for [5,10)
-	if f.Total() != 10 {
-		t.Fatalf("Total = %v, want 10", f.Total())
+	if f.total != 10 {
+		t.Fatalf("Total = %v, want 10", f.total)
 	}
 	if f.TrueTime() != 7 {
 		t.Fatalf("TrueTime = %v, want 7", f.TrueTime())
@@ -136,7 +136,7 @@ func TestFractionEmpty(t *testing.T) {
 		t.Fatal("empty fraction should be 0")
 	}
 	f.Finish(10) // Finish before any Observe is a no-op
-	if f.Total() != 0 {
+	if f.total != 0 {
 		t.Fatal("Finish without Observe accumulated time")
 	}
 }

@@ -71,25 +71,6 @@ func (h *Histogram) ObserveN(d time.Duration, n int64) {
 	h.sumNs.Add(int64(d) * n)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Quantile estimates the q-quantile (0 < q ≤ 1) of the recorded
-// distribution, as the upper bound of the bucket holding the q-th
-// observation — an overestimate by at most 2×, matching the bucket
-// resolution. It returns 0 when nothing was observed.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.Snapshot().Quantile(q)
-}
-
 // Bucket is one histogram bucket's snapshot: the count of observations at
 // or below UpperNs and above the previous bucket's bound.
 type Bucket struct {
@@ -126,8 +107,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return snap
 }
 
-// Quantile estimates the q-quantile from a snapshot; see
-// Histogram.Quantile.
+// Quantile estimates the q-quantile (0 < q ≤ 1) of the snapshot's
+// distribution, as the upper bound of the bucket holding the q-th
+// observation — an overestimate by at most 2×, matching the bucket
+// resolution. It returns 0 when nothing was observed.
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 || len(s.Buckets) == 0 {
 		return 0

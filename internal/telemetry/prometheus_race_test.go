@@ -34,7 +34,7 @@ func TestWritePrometheusRacesRegistration(t *testing.T) {
 			default:
 			}
 			if i < maxRegistered {
-				c = reg.NewCounter(Opts{
+				c = reg.newCounter(Opts{
 					Name:   "softstate_race_total",
 					Labels: Labels{"i": strconv.Itoa(i)},
 				})
@@ -110,8 +110,8 @@ func TestPrometheusBucketMonotonicity(t *testing.T) {
 			fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%d", &count)
 		}
 	}
-	if inf < 0 || inf != count || inf != h.Count() {
-		t.Fatalf("quiescent +Inf=%d _count=%d Count()=%d", inf, count, h.Count())
+	if inf < 0 || inf != count || inf != h.Snapshot().Count {
+		t.Fatalf("quiescent +Inf=%d _count=%d Count()=%d", inf, count, h.Snapshot().Count)
 	}
 }
 

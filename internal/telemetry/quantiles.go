@@ -43,12 +43,3 @@ func HistogramQuantiles(samples []Sample, name string, qs ...float64) ([]time.Du
 	}
 	return out, true
 }
-
-// Quantiles is the Registry-level convenience: gather, then estimate the
-// named histogram's quantiles. Nil-safe like every Registry method.
-func (r *Registry) Quantiles(name string, qs ...float64) ([]time.Duration, bool) {
-	if r == nil {
-		return nil, false
-	}
-	return HistogramQuantiles(r.Gather(), name, qs...)
-}

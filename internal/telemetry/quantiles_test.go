@@ -15,7 +15,7 @@ func TestHistogramQuantiles(t *testing.T) {
 		h.Observe(100 * time.Millisecond)
 	}
 
-	qs, ok := reg.Quantiles("softstate_install_ack_seconds", 0.50, 0.99)
+	qs, ok := HistogramQuantiles(reg.Gather(), "softstate_install_ack_seconds", 0.50, 0.99)
 	if !ok {
 		t.Fatal("histogram exists and is non-empty")
 	}
@@ -53,14 +53,14 @@ func TestHistogramQuantilesMergesInstances(t *testing.T) {
 func TestHistogramQuantilesMissing(t *testing.T) {
 	reg := NewRegistry()
 	reg.NewHistogram(Opts{Name: "empty_seconds"}) // registered but never observed
-	if _, ok := reg.Quantiles("empty_seconds", 0.5); ok {
+	if _, ok := HistogramQuantiles(reg.Gather(), "empty_seconds", 0.5); ok {
 		t.Fatal("empty histogram must report !ok")
 	}
-	if _, ok := reg.Quantiles("absent_seconds", 0.5); ok {
+	if _, ok := HistogramQuantiles(reg.Gather(), "absent_seconds", 0.5); ok {
 		t.Fatal("absent histogram must report !ok")
 	}
 	var nilReg *Registry
-	if _, ok := nilReg.Quantiles("x", 0.5); ok {
+	if _, ok := HistogramQuantiles(nilReg.Gather(), "x", 0.5); ok {
 		t.Fatal("nil registry must report !ok")
 	}
 }

@@ -81,13 +81,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Add adjusts the gauge by n (which may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -101,7 +94,6 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -115,7 +107,6 @@ type metric struct {
 	kind   metricKind
 
 	c *Counter
-	g *Gauge
 	f func() float64
 	h *Histogram
 }
@@ -137,25 +128,11 @@ func NewRegistry() *Registry {
 	return &Registry{byID: make(map[string]*metric)}
 }
 
-// NewCounter creates and registers a counter.
-func (r *Registry) NewCounter(o Opts) *Counter {
-	c := &Counter{}
-	r.RegisterCounter(o, c)
-	return c
-}
-
 // RegisterCounter registers an existing counter — the path for counters
 // embedded by value in another struct (internal/signal's per-wire-type
 // array), which stay exactly as cheap as bare atomics.
 func (r *Registry) RegisterCounter(o Opts, c *Counter) {
 	r.register(&metric{kind: kindCounter, c: c}, o)
-}
-
-// NewGauge creates and registers a gauge.
-func (r *Registry) NewGauge(o Opts) *Gauge {
-	g := &Gauge{}
-	r.register(&metric{kind: kindGauge, g: g}, o)
-	return g
 }
 
 // GaugeFunc registers a gauge computed at scrape time — the zero-cost way
@@ -286,8 +263,6 @@ func (r *Registry) Gather() []Sample {
 		switch m.kind {
 		case kindCounter:
 			s.Kind, s.Value = "counter", float64(m.c.Value())
-		case kindGauge:
-			s.Kind, s.Value = "gauge", float64(m.g.Value())
 		case kindGaugeFunc:
 			s.Kind, s.Value = "gauge", m.f()
 		case kindHistogram:

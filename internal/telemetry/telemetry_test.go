@@ -13,21 +13,15 @@ import (
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	c := r.NewCounter(Opts{Name: "c_total"})
+	c := r.newCounter(Opts{Name: "c_total"})
 	c.Inc()
 	c.Add(2)
 	if got := c.Value(); got != 3 {
 		t.Fatalf("unregistered counter = %d, want 3", got)
 	}
-	g := r.NewGauge(Opts{Name: "g"})
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("unregistered gauge = %d, want 5", got)
-	}
 	h := r.NewHistogram(Opts{Name: "h_seconds"})
 	h.Observe(time.Millisecond)
-	if got := h.Count(); got != 1 {
+	if got := h.Snapshot().Count; got != 1 {
 		t.Fatalf("unregistered histogram count = %d, want 1", got)
 	}
 	r.GaugeFunc(Opts{Name: "f"}, func() float64 { return 1 })
@@ -39,9 +33,12 @@ func TestNilSafety(t *testing.T) {
 	nc.Inc()
 	var ng *Gauge
 	ng.Set(1)
+	if ng.Value() != 0 {
+		t.Fatal("nil gauge reads non-zero")
+	}
 	var nh *Histogram
 	nh.Observe(time.Second)
-	if nh.Quantile(0.5) != 0 {
+	if nh.Snapshot().Quantile(0.5) != 0 {
 		t.Fatal("nil histogram quantile != 0")
 	}
 	var nt *Tracer
@@ -62,9 +59,9 @@ func TestNilSafety(t *testing.T) {
 
 func TestRegistryCollisionGetsInstanceLabel(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter(Opts{Name: "dup_total", Labels: Labels{"role": "sender"}})
-	r.NewCounter(Opts{Name: "dup_total", Labels: Labels{"role": "sender"}})
-	r.NewCounter(Opts{Name: "dup_total", Labels: Labels{"role": "sender"}})
+	r.newCounter(Opts{Name: "dup_total", Labels: Labels{"role": "sender"}})
+	r.newCounter(Opts{Name: "dup_total", Labels: Labels{"role": "sender"}})
+	r.newCounter(Opts{Name: "dup_total", Labels: Labels{"role": "sender"}})
 	ids := make(map[string]bool)
 	for _, s := range r.Gather() {
 		if ids[s.ID] {
@@ -82,8 +79,8 @@ func TestRegistryCollisionGetsInstanceLabel(t *testing.T) {
 
 func TestGatherSortedAndTyped(t *testing.T) {
 	r := NewRegistry()
-	r.NewGauge(Opts{Name: "zz"}).Set(1)
-	r.NewCounter(Opts{Name: "aa_total"}).Add(4)
+	r.GaugeFunc(Opts{Name: "zz"}, func() float64 { return 1 })
+	r.newCounter(Opts{Name: "aa_total"}).Add(4)
 	r.GaugeFunc(Opts{Name: "mm"}, func() float64 { return 2.5 })
 	samples := r.Gather()
 	var order []string
@@ -103,7 +100,7 @@ func TestGatherSortedAndTyped(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter(Opts{Name: "sent_total", Help: "Datagrams sent.",
+	r.newCounter(Opts{Name: "sent_total", Help: "Datagrams sent.",
 		Labels: Labels{"type": "trigger"}}).Add(9)
 	h := r.NewHistogram(Opts{Name: "lat_seconds", Labels: Labels{"role": "sender"}})
 	h.Observe(500 * time.Nanosecond) // bucket 0 (≤ ~1µs)
@@ -134,7 +131,7 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestWriteJSONIsValid(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter(Opts{Name: "c_total", Labels: Labels{"a": `q"uo\te`}}).Inc()
+	r.newCounter(Opts{Name: "c_total", Labels: Labels{"a": `q"uo\te`}}).Inc()
 	r.NewHistogram(Opts{Name: "h_seconds"}).Observe(2 * time.Microsecond)
 	var sb strings.Builder
 	if err := r.WriteJSON(&sb); err != nil {
@@ -151,7 +148,7 @@ func TestWriteJSONIsValid(t *testing.T) {
 
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 {
+	if h.Snapshot().Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile != 0")
 	}
 	// 90 fast observations and 10 slow ones: p50 stays in the fast
@@ -162,13 +159,13 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(time.Millisecond) // bound 2^20ns ≈ 1.049ms
 	}
-	if got := h.Quantile(0.50); got != 1024*time.Nanosecond {
+	if got := h.Snapshot().Quantile(0.50); got != 1024*time.Nanosecond {
 		t.Fatalf("p50 = %v, want 1.024µs", got)
 	}
-	if got := h.Quantile(0.99); got != time.Duration(1)<<20 {
+	if got := h.Snapshot().Quantile(0.99); got != time.Duration(1)<<20 {
 		t.Fatalf("p99 = %v, want %v", got, time.Duration(1)<<20)
 	}
-	if got := h.Count(); got != 100 {
+	if got := h.Snapshot().Count; got != 100 {
 		t.Fatalf("count = %d", got)
 	}
 	// Extremes land in the edge buckets rather than panicking.
@@ -196,7 +193,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != 8000 {
+	if got := h.Snapshot().Count; got != 8000 {
 		t.Fatalf("count = %d, want 8000", got)
 	}
 }
@@ -359,4 +356,11 @@ func close1e9(a, b float64) bool {
 		b = -b
 	}
 	return d <= 1e-9*(b+1)
+}
+
+// newCounter creates and registers a counter.
+func (r *Registry) newCounter(o Opts) *Counter {
+	c := &Counter{}
+	r.RegisterCounter(o, c)
+	return c
 }

@@ -264,24 +264,6 @@ func (s *Stream) peerFor(addr net.Addr) (*streamPeer, error) {
 	return p, nil
 }
 
-// DisconnectAll closes every live peer connection without closing the
-// stream: dialed peers re-establish on the next write, accepted peers
-// when their dialer reconnects. An operational drain tool; the reconnect
-// seq-resume tests use it to sever every TCP session mid-run.
-func (s *Stream) DisconnectAll() {
-	s.mu.Lock()
-	peers := make([]*streamPeer, 0, len(s.peers))
-	for _, p := range s.peers {
-		peers = append(peers, p)
-	}
-	s.mu.Unlock()
-	for _, p := range peers {
-		p.mu.Lock()
-		p.resetLocked()
-		p.mu.Unlock()
-	}
-}
-
 // Close shuts the listener and every peer connection and waits for the
 // reader goroutines. Idempotent.
 func (s *Stream) Close() error {

@@ -119,8 +119,8 @@ func TestStreamReconnectIdentity(t *testing.T) {
 	}
 	_, from1 := readOne(t, srv)
 
-	cli.DisconnectAll()
-	srv.DisconnectAll()
+	cli.disconnectAll()
+	srv.disconnectAll()
 
 	// The dialer redials lazily on the next write; one datagram may be
 	// lost in the race with the teardown, so retry until one lands.
@@ -178,5 +178,22 @@ func TestStreamUnreachablePeer(t *testing.T) {
 
 	if n, err := cli.WriteTo([]byte("void"), dead); err != nil || n != 4 {
 		t.Fatalf("WriteTo dead peer = %d, %v; want 4, nil", n, err)
+	}
+}
+
+// disconnectAll closes every live peer connection without closing the
+// stream: dialed peers re-establish on the next write, accepted peers
+// when their dialer reconnects.
+func (s *Stream) disconnectAll() {
+	s.mu.Lock()
+	peers := make([]*streamPeer, 0, len(s.peers))
+	for _, p := range s.peers {
+		peers = append(peers, p)
+	}
+	s.mu.Unlock()
+	for _, p := range peers {
+		p.mu.Lock()
+		p.resetLocked()
+		p.mu.Unlock()
 	}
 }

@@ -114,20 +114,6 @@ func (p Profile) String() string {
 	return p.Mechanisms()
 }
 
-// Validate reports the first structural contradiction in a profile.
-func (p Profile) Validate() error {
-	if p.HardState && p.Refresh {
-		return fmt.Errorf("variant: %s mixes hard-state lifetime with soft-state refresh", p)
-	}
-	if !p.HardState && !p.Refresh {
-		return fmt.Errorf("variant: %s has no lifetime mechanism (neither refresh/timeout nor hard state)", p)
-	}
-	if p.ReliableRemoval && !p.ExplicitRemoval {
-		return fmt.Errorf("variant: %s retransmits removals it never sends", p)
-	}
-	return nil
-}
-
 // Mechanisms renders the enabled mechanism set, e.g.
 // "refresh+timeout, explicit-removal, reliable-trigger".
 func (p Profile) Mechanisms() string {

