@@ -18,17 +18,11 @@ var (
 )
 
 // listenConn opens a serving-side conn on addr for the selected
-// transport: plain UDP, batched mmsg UDP (optionally SO_REUSEPORT
-// sharded), or a TCP listener speaking the framed stream protocol.
+// transport: batched mmsg UDP (optionally SO_REUSEPORT sharded) or a TCP
+// listener speaking the framed stream protocol.
 func listenConn(addr string) (transport.Conn, error) {
 	switch tKind {
 	case "udp":
-		pc, err := net.ListenPacket("udp", addr)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Wrap(pc), nil
-	case "udp-batch":
 		return transport.ListenUDPBatch(addr, tOpts)
 	case "tcp":
 		ln, err := net.Listen("tcp", addr)
@@ -37,13 +31,11 @@ func listenConn(addr string) (transport.Conn, error) {
 		}
 		return transport.NewStream("", ln, tOpts), nil
 	}
-	return nil, fmt.Errorf("unknown -transport %q (want udp, udp-batch, or tcp)", tKind)
+	return nil, fmt.Errorf("unknown -transport %q (want udp or tcp)", tKind)
 }
 
 // clientConn opens an ephemeral-port conn for the sending side (send,
-// fan-out, relay downstream). These sockets historically bound ":0" —
-// every interface — even for loopback experiments; unless -bind names an
-// address explicitly they now stay on loopback.
+// relay downstream), on loopback unless -bind names an address.
 func clientConn() (transport.Conn, error) {
 	bind := bindAddr
 	if bind == "" {
@@ -51,19 +43,13 @@ func clientConn() (transport.Conn, error) {
 	}
 	switch tKind {
 	case "udp":
-		pc, err := net.ListenPacket("udp", bind)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Wrap(pc), nil
-	case "udp-batch":
 		return transport.ListenUDPBatch(bind, tOpts)
 	case "tcp":
 		// Dial-only stream; connections are dialed per peer on first send
 		// and announce a fresh random identity.
 		return transport.NewStream("", nil, tOpts), nil
 	}
-	return nil, fmt.Errorf("unknown -transport %q (want udp, udp-batch, or tcp)", tKind)
+	return nil, fmt.Errorf("unknown -transport %q (want udp or tcp)", tKind)
 }
 
 // resolvePeer resolves a remote address for the selected transport.

@@ -1,6 +1,6 @@
 // Command signald runs live soft/hard-state signaling endpoints over UDP
-// using the internal/signal runtime — the deployable counterpart to the
-// models and simulators.
+// or TCP using the internal/signal runtime — the deployable counterpart
+// to the models and simulators.
 //
 // Modes:
 //
@@ -21,9 +21,14 @@
 //	    across N hops (start the serve endpoint last in the chain).
 //
 //	signald -mode send -peers 10.0.0.1:7413,10.0.0.2:7413 -count 100
-//	    Multi-peer fan-out: one node maintains -count keys at every peer
-//	    over a single socket (per-destination sessions, one summary
-//	    stream per peer with -summary-refresh).
+//	    The same send path fanned out: one node maintains -count keys at
+//	    every peer over a single socket (per-destination sessions, one
+//	    summary stream per peer with -summary-refresh). Without -peers
+//	    the list is -peer alone, and -count 1 keeps -key as given.
+//
+// -transport udp (the default) is the batched kernel-socket backend
+// (sendmmsg/recvmmsg on Linux, -sockets SO_REUSEPORT read lanes);
+// -transport tcp is the framed stream with reconnect-and-resume.
 //
 // The protocol is selected with -proto (any spelling variant.Parse
 // accepts, e.g. -proto ss+rtr), the one knob that switches every
@@ -61,11 +66,11 @@ func main() {
 		mode     = flag.String("mode", "demo", "serve, send, relay, or demo")
 		proto    = flag.String("proto", "SS+ER", "protocol: SS, SS+ER, SS+RT, SS+RTR, HS (any spelling variant.Parse accepts)")
 		addr     = flag.String("addr", "127.0.0.1:7413", "listen address (serve, relay)")
-		peer     = flag.String("peer", "127.0.0.1:7413", "receiver address (send); next hop (relay)")
-		peers    = flag.String("peers", "", "comma-separated receiver addresses for multi-peer fan-out (send)")
-		key      = flag.String("key", "demo/key", "state key (send)")
+		peer     = flag.String("peer", "127.0.0.1:7413", "receiver address (send without -peers); next hop (relay)")
+		peers    = flag.String("peers", "", "comma-separated receiver addresses (send; replaces -peer)")
+		key      = flag.String("key", "demo/key", "state key (send; with -count > 1, the prefix of key/0, key/1, ...)")
 		value    = flag.String("value", "hello", "state value (send)")
-		count    = flag.Int("count", 1, "keys installed per peer in fan-out mode (send with -peers)")
+		count    = flag.Int("count", 1, "keys installed per peer (send)")
 		hold     = flag.Duration("hold", 20*time.Second, "how long to maintain state (send)")
 		refresh  = flag.Duration("refresh", 2*time.Second, "refresh interval R")
 		loss     = flag.Float64("loss", 0.2, "channel loss probability (demo)")
@@ -78,19 +83,19 @@ func main() {
 		coalesce    = flag.Bool("coalesce-acks", false,
 			"batch receiver replies into one ack-batch datagram per peer per flush tick")
 		transp = flag.String("transport", "udp",
-			"wire transport: udp (one datagram per syscall), udp-batch (sendmmsg/recvmmsg batching), "+
+			"wire transport: udp (sendmmsg/recvmmsg batching on Linux) "+
 				"or tcp (framed stream with reconnect-and-resume, for reliable variants)")
 		sockets = flag.Int("sockets", 1,
-			"SO_REUSEPORT socket count for -transport udp-batch (each is an independent read lane)")
+			"SO_REUSEPORT socket count for -transport udp (each is an independent read lane)")
 		bind = flag.String("bind", "",
-			"local bind address for ephemeral sockets (send, fan-out, relay downstream); "+
+			"local bind address for ephemeral sockets (send, relay downstream); "+
 				"default loopback 127.0.0.1:0")
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve live metrics on this address: /metrics (Prometheus text, including the paper's "+
 				"inconsistency and datagrams/key/s gauges), /metrics.json, /debug/vars, /debug/pprof/; "+
 				"SIGUSR1 dumps a snapshot to stderr")
 		census = flag.Bool("census", false,
-			"run the convergence auditor: sender-side endpoints (send, relay, fan-out) audit their "+
+			"run the convergence auditor: sender-side endpoints (send, relay) audit their "+
 				"peers' held state over the wire digest protocol, which every receiver answers, and "+
 				"serve the live report at /debug/census on -metrics-addr (softstate_divergent_keys "+
 				"gauges the latest census)")
@@ -151,12 +156,11 @@ func main() {
 			os.Exit(1)
 		}
 	case "send":
-		if *peers != "" {
-			err = fanout(splitPeers(*peers), cfg, *key, []byte(*value), *count, *hold)
-		} else {
-			err = send(*peer, cfg, *key, []byte(*value), *hold)
+		list := splitPeers(*peers)
+		if len(list) == 0 {
+			list = []string{*peer}
 		}
-		if err != nil {
+		if err := fanout(list, cfg, *key, []byte(*value), *count, *hold); err != nil {
 			fmt.Fprintln(os.Stderr, "signald:", err)
 			os.Exit(1)
 		}
@@ -226,60 +230,6 @@ func serve(addr string, cfg sig.Config) error {
 			return nil
 		}
 	}
-}
-
-func send(peerAddr string, cfg sig.Config, key string, value []byte, hold time.Duration) error {
-	raddr, err := resolvePeer(peerAddr)
-	if err != nil {
-		return err
-	}
-	conn, err := clientConn()
-	if err != nil {
-		return err
-	}
-	cfg.OnEvent = tele.paper(cfg.Protocol, "sender", true)
-	registerConn(conn, cfg.Metrics, "send")
-	snd, err := sig.NewSender(conn, raddr, cfg)
-	if err != nil {
-		return err
-	}
-	defer snd.Close()
-	installAudit(snd.CheckInvariants)
-	tele.setSent(func() int64 { return snd.SentDatagrams() + snd.ReceivedDatagrams() })
-	if auditing {
-		aud := telemetry.NewAuditor()
-		aud.AddLink(telemetry.CensusLink{
-			Name:   raddr.String(),
-			Intent: snd.CensusSource("local/intent"),
-			Held:   snd.CensusPeer("peer/held", 2*time.Second),
-		})
-		tele.setAuditor(aud, "sender", cfg.RefreshInterval)
-	}
-	go logEvents("sender", snd.Events())
-
-	fmt.Printf("signald: installing %q at %v via %v, holding %v\n", key, raddr, cfg.Protocol, hold)
-	if err := snd.Install(key, value); err != nil {
-		return err
-	}
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case <-time.After(hold):
-	case <-stop:
-		fmt.Println("\nsignald: interrupted")
-	}
-	if cfg.Protocol.ExplicitRemoval() {
-		fmt.Println("signald: removing state explicitly")
-	} else {
-		fmt.Println("signald: departing silently (receiver must time the state out)")
-	}
-	if err := snd.Remove(key); err != nil {
-		return err
-	}
-	time.Sleep(500 * time.Millisecond) // let reliable removal finish
-	st := snd.Stats()
-	fmt.Printf("signald: sent %d messages (%v)\n", st.TotalSent(), st.Sent)
-	return nil
 }
 
 // relay runs one interior hop: upstream state held at addr is re-signaled
@@ -358,7 +308,6 @@ func fanout(peerList []string, cfg sig.Config, key string, value []byte, count i
 		}
 		addrs[i] = a
 	}
-	// Fan-out's socket also used to bind ":0" on every interface.
 	conn, err := clientConn()
 	if err != nil {
 		return err

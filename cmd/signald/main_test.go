@@ -1,9 +1,11 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"softstate/internal/singlehop"
+	"softstate/internal/transport"
 	"softstate/internal/variant"
 )
 
@@ -41,5 +43,51 @@ func TestSplitPeers(t *testing.T) {
 	}
 	if out := splitPeers(""); out != nil {
 		t.Fatalf("splitPeers(\"\") = %v, want nil", out)
+	}
+}
+
+// TestTransportSelector: -transport takes udp (the batched kernel-socket
+// backend) or tcp (the framed stream); anything else, the retired
+// udp-batch spelling included, is refused before a socket opens.
+func TestTransportSelector(t *testing.T) {
+	defer func(k string) { tKind = k }(tKind)
+	testCases := []struct {
+		kind       string
+		shouldFail bool
+		listenNet  string // LocalAddr().Network() of listenConn's conn
+		clientNet  string // the same for clientConn's
+	}{
+		{"udp", false, "udp", "udp"},
+		{"tcp", false, "tcp", "softstate+stream"},
+		{"udp-batch", true, "", ""},
+		{"UDP", true, "", ""},
+		{"", true, "", ""},
+		{"quic", true, "", ""},
+	}
+	for i, tc := range testCases {
+		tKind = tc.kind
+		for _, open := range []struct {
+			name string
+			fn   func() (transport.Conn, error)
+			want string
+		}{
+			{"listenConn", func() (transport.Conn, error) { return listenConn("127.0.0.1:0") }, tc.listenNet},
+			{"clientConn", clientConn, tc.clientNet},
+		} {
+			c, err := open.fn()
+			if (err != nil) != tc.shouldFail {
+				t.Errorf("testCase %d %q: %s error = %v, want failure %v", i, tc.kind, open.name, err, tc.shouldFail)
+			}
+			if err != nil {
+				if !strings.Contains(err.Error(), "want udp or tcp") {
+					t.Errorf("testCase %d %q: %s error %q does not name the accepted values", i, tc.kind, open.name, err)
+				}
+				continue
+			}
+			if got := c.LocalAddr().Network(); got != open.want {
+				t.Errorf("testCase %d %q: %s network = %q, want %q", i, tc.kind, open.name, got, open.want)
+			}
+			c.Close()
+		}
 	}
 }

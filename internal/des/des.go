@@ -27,11 +27,10 @@ func (e *Event) Cancel() { e.cancelled = true }
 // Kernel is the simulation executive. The zero value is ready to use.
 // A Kernel must be driven from a single goroutine.
 type Kernel struct {
-	now    float64
-	seq    uint64
-	heap   []*Event
-	fired  uint64
-	inStep bool
+	now   float64
+	seq   uint64
+	heap  []*Event
+	fired uint64
 }
 
 // New returns a fresh kernel at time 0.

@@ -7,12 +7,11 @@ import (
 	"softstate/internal/telemetry"
 )
 
-// BuildArtifact produces the experiment's versioned artifact. Experiments
-// with a dedicated Artifact generator (the live/analytic cross-validated
-// ones) use it; every other experiment gets its Run table wrapped as a
-// single analytic frame. Either way the identity and provenance fields
-// are stamped here, so generators only fill frames, deltas, telemetry,
-// and checks.
+// BuildArtifact produces the experiment's versioned artifact: what its
+// Artifact generator returns, or its Run table wrapped as a single
+// analytic frame. Either way the identity and provenance fields are
+// stamped here, so generators only fill frames, deltas, telemetry, and
+// checks.
 func BuildArtifact(e Experiment, o Options) (*report.Artifact, error) {
 	var a *report.Artifact
 	if e.Artifact != nil {

@@ -59,13 +59,8 @@ func TestLive5ArtifactGolden(t *testing.T) {
 		t.Fatal("same-seed artifact builds are not byte-identical")
 	}
 
-	if _, ok := a.FrameByName(report.FrameAnalytic); !ok {
-		t.Fatal("analytic frame missing")
-	}
-	lf, ok := a.FrameByName(report.FrameLive)
-	if !ok {
-		t.Fatal("live frame missing")
-	}
+	frameNamed(t, a, report.FrameAnalytic)
+	lf := frameNamed(t, a, report.FrameLive)
 	if len(lf.Rows) != 5 {
 		t.Fatalf("live frame has %d rows, want 5", len(lf.Rows))
 	}

@@ -60,25 +60,6 @@ func init() {
 			"lost refreshes never surface in the sender's event stream — the census reads the " +
 			"divergence that end-to-end accounting misses. drained=1 records that the chain " +
 			"read fully converged during the churn-free quiesce window.",
-		Run: func(o Options) (*report.Table, error) {
-			results, err := sim.RunCensusVariants(censusSweepConfig(o))
-			if err != nil {
-				return nil, err
-			}
-			t := report.New("Convergence census, five variants on a 5-hop chain",
-				"protocol", "audited_div", "hop1_div", "estimated_I", "sampled_I", "drained")
-			for _, r := range results {
-				t.AddRow(
-					variant.For(r.Protocol).Name,
-					fmt.Sprintf("%.5f", r.AuditedDivergence),
-					fmt.Sprintf("%.5f", r.Hop1Divergence),
-					fmt.Sprintf("%.5f", r.EstimatedInconsistency),
-					fmt.Sprintf("%.5f", r.Inconsistency),
-					fmt.Sprintf("%d", boolInt(r.Drained)),
-				)
-			}
-			return t, nil
-		},
 		Artifact: censusArtifact,
 	})
 }

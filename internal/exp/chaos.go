@@ -55,29 +55,6 @@ func init() {
 			"the invariant-violation count (always zero). The cold-restart frame replays the " +
 			"paper's robustness contrast as a campaign: soft state rebuilds a cold receiver " +
 			"from refreshes, hard state has no mechanism to and never reconverges.",
-		Run: func(o Options) (*report.Table, error) {
-			t := report.New("Seeded failure campaign, five variants",
-				"protocol", "ttr_ms", "partition_I", "partition_audits", "violations", "reconverged")
-			opts := chaosCampaignOpts(o)
-			for _, prof := range variant.All() {
-				opts.Protocol = prof.Proto
-				res, err := chaos.Run(opts)
-				if err != nil {
-					return nil, fmt.Errorf("ext-chaos %s: %w", prof, err)
-				}
-				reconv := 0
-				if res.Reconverged {
-					reconv = 1
-				}
-				t.AddRow(prof.Name,
-					fmt.Sprintf("%.1f", float64(res.TimeToReconverge)/float64(time.Millisecond)),
-					fmt.Sprintf("%.4f", res.InconsistencyUnderPartition),
-					fmt.Sprintf("%d", res.PartitionAudits),
-					fmt.Sprintf("%d", len(res.Violations)),
-					fmt.Sprintf("%d", reconv))
-			}
-			return t, nil
-		},
 		Artifact: chaosArtifact,
 	})
 }

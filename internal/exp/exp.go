@@ -1,8 +1,8 @@
 // Package exp regenerates every table and figure of the paper's
-// evaluation section, plus the ablation studies listed in DESIGN.md. Each
-// experiment is a named generator producing a report.Table with the same
-// series the paper plots; cmd/sigfig and the repository benchmarks are
-// thin wrappers around this registry.
+// evaluation section, plus the ablation studies and extensions listed in
+// DESIGN.md. Each experiment is a named generator producing the series
+// the paper plots, either as one analytic report.Table or as a full
+// report.Artifact; cmd/sigfig renders this registry into figures/.
 package exp
 
 import (
@@ -32,13 +32,13 @@ type Experiment struct {
 	Description string
 	// Simulated marks experiments that run the event simulator (slower).
 	Simulated bool
-	// Run produces the table.
+	// Exactly one of Run and Artifact is set. Run produces a single
+	// analytic table, which BuildArtifact wraps as the artifact's one
+	// analytic frame.
 	Run func(Options) (*report.Table, error)
-	// Artifact, when set, produces the experiment's full versioned
-	// artifact: multiple frames (analytic beside live), recorded deltas,
-	// telemetry snapshots, and an embedded tolerance/ordering policy.
-	// Experiments without one get a single analytic frame wrapped around
-	// Run's table by BuildArtifact.
+	// Artifact produces the experiment's full versioned artifact:
+	// multiple frames (analytic beside live), recorded deltas, telemetry
+	// snapshots, and an embedded tolerance/ordering policy.
 	Artifact func(Options) (*report.Artifact, error)
 }
 

@@ -17,10 +17,11 @@ func runExp(t *testing.T, id string) *report.Table {
 	if !ok {
 		t.Fatalf("experiment %q not registered", id)
 	}
-	tab, err := e.Run(quick())
+	a, err := BuildArtifact(e, quick())
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
+	tab := a.Frames[0].Table()
 	if len(tab.Rows()) == 0 {
 		t.Fatalf("%s: empty table", id)
 	}
@@ -77,8 +78,8 @@ func TestExperimentMetadata(t *testing.T) {
 		if e.Title == "" || e.Description == "" {
 			t.Errorf("%s: missing title or description", e.ID)
 		}
-		if e.Run == nil {
-			t.Errorf("%s: nil Run", e.ID)
+		if (e.Run == nil) == (e.Artifact == nil) {
+			t.Errorf("%s: want exactly one of Run and Artifact set", e.ID)
 		}
 	}
 }

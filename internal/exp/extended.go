@@ -238,21 +238,6 @@ func extTopologyArtifact(o Options) (*report.Artifact, error) {
 	}, nil
 }
 
-// tableFromArtifact renders an artifact-producing experiment's Run view:
-// the live frame when present, the first frame otherwise.
-func tableFromArtifact(gen func(Options) (*report.Artifact, error)) func(Options) (*report.Table, error) {
-	return func(o Options) (*report.Table, error) {
-		a, err := gen(o)
-		if err != nil {
-			return nil, err
-		}
-		if f, ok := a.FrameByName(report.FrameLive); ok {
-			return f.Table(), nil
-		}
-		return a.Frames[0].Table(), nil
-	}
-}
-
 func init() {
 	register(Experiment{
 		ID:        "ext-loss50",
@@ -263,7 +248,6 @@ func init() {
 			"matched parameters. The soft-state ordering (SS+RTR best, SS worst) must hold " +
 			"on every row past 10% loss in both frames; HS is excluded from the ordering — " +
 			"its probe-based failure detection degrades on its own schedule.",
-		Run:      tableFromArtifact(extLossArtifact),
 		Artifact: extLossArtifact,
 	})
 	register(Experiment{
@@ -274,7 +258,6 @@ func init() {
 			"of up to 20 hops at 10% per-link loss: each hop re-signals with its own timers, " +
 			"so inconsistency compounds with depth while SS+RTR's repair keeps the long chain " +
 			"converged.",
-		Run:      tableFromArtifact(extChainArtifact),
 		Artifact: extChainArtifact,
 	})
 	register(Experiment{
@@ -285,7 +268,6 @@ func init() {
 			"summary refresh: held state stays complete while the keys-per-datagram " +
 			"efficiency holds at the summary batch size — the RFC 2961-style reduction " +
 			"measured at three orders of magnitude of fan-out.",
-		Run:      tableFromArtifact(extFanoutArtifact),
 		Artifact: extFanoutArtifact,
 	})
 	register(Experiment{
@@ -296,7 +278,6 @@ func init() {
 			"builders support — a 3-hop line, a 4-node cycle sampled where the signal " +
 			"arrives back at its origin, and a binary tree sampled at every leaf — at " +
 			"matched per-link loss.",
-		Run:      tableFromArtifact(extTopologyArtifact),
 		Artifact: extTopologyArtifact,
 	})
 }

@@ -19,14 +19,6 @@ import (
 // experiment reports both inconsistency/rate columns side by side; the
 // accompanying test asserts the qualitative orderings agree.
 
-// LiveAnalyticPoint pairs one protocol's live measurement with the
-// analytic prediction at matched parameters.
-type LiveAnalyticPoint struct {
-	Profile  variant.Profile
-	Live     sim.LiveResult
-	Analytic singlehop.Metrics
-}
-
 // liveSweepConfig is the matched workload: churned keys over a lossy
 // single hop with the external false-removal signal firing, sized so the
 // virtual run spans many session lifetimes.
@@ -73,30 +65,6 @@ func analyticParams(cfg sim.LiveConfig) singlehop.Params {
 	}
 }
 
-// LiveVsAnalytic runs the five-variant live sweep and the analytic model
-// at matched parameters, one point per protocol in paper order.
-func LiveVsAnalytic(o Options) ([]LiveAnalyticPoint, error) {
-	cfg := liveSweepConfig(o)
-	live, err := sim.RunLiveVariants(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("exp: live five-variant sweep: %w", err)
-	}
-	p := analyticParams(cfg)
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	profiles := variant.All()
-	out := make([]LiveAnalyticPoint, 0, len(profiles))
-	for i, prof := range profiles {
-		met, err := singlehop.Analyze(prof.Proto, p)
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s analytic: %w", prof, err)
-		}
-		out = append(out, LiveAnalyticPoint{Profile: prof, Live: live[i], Analytic: met})
-	}
-	return out, nil
-}
-
 func init() {
 	register(Experiment{
 		ID:        "live5",
@@ -108,25 +76,6 @@ func init() {
 			"measured inconsistency, pure SS the least per-message machinery, matching the " +
 			"analytic ordering. live_rate is datagrams/key/s (all types, both directions); " +
 			"analytic_rate is the paper's Λ — compare orderings, not magnitudes.",
-		Run: func(o Options) (*report.Table, error) {
-			pts, err := LiveVsAnalytic(o)
-			if err != nil {
-				return nil, err
-			}
-			t := report.New("Live vs analytic, five variants",
-				"protocol", "live_I", "live_rate", "live_machinery", "analytic_I", "analytic_rate")
-			for _, pt := range pts {
-				t.AddRow(
-					pt.Profile.Name,
-					fmt.Sprintf("%.5f", pt.Live.Inconsistency),
-					fmt.Sprintf("%.4g", pt.Live.Rate),
-					fmt.Sprintf("%d", pt.Live.Machinery()),
-					fmt.Sprintf("%.5f", pt.Analytic.Inconsistency),
-					fmt.Sprintf("%.4g", pt.Analytic.NormalizedRate),
-				)
-			}
-			return t, nil
-		},
 		Artifact: live5Artifact,
 	})
 }
@@ -134,9 +83,9 @@ func init() {
 // live5Artifact is the two-frame form of the five-variant comparison:
 // the analytic predictions and the live measurements as separate frames
 // with recorded per-protocol deltas, one telemetry snapshot per live run
-// (each run gets its own registry — metrics are pure observers, so the
-// results are identical to the uninstrumented Run path), and the paper's
-// qualitative ordering embedded as the artifact's regression policy.
+// (each run gets its own registry; metrics are pure observers), and the
+// paper's qualitative ordering embedded as the artifact's regression
+// policy.
 func live5Artifact(o Options) (*report.Artifact, error) {
 	base := liveSweepConfig(o)
 	p := analyticParams(base)

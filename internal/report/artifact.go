@@ -95,16 +95,6 @@ func (f Frame) columnIndex(name string) int {
 	return -1
 }
 
-// FrameByName returns the named frame, or false.
-func (a *Artifact) FrameByName(name string) (Frame, bool) {
-	for _, f := range a.Frames {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return Frame{}, false
-}
-
 // TelemetrySnapshot is a flat instrument snapshot: series identity →
 // value (counters and gauges verbatim, histograms as quantile/count
 // entries).

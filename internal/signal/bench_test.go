@@ -110,7 +110,7 @@ func BenchmarkSenderRefreshSummary(b *testing.B) {
 	for _, dirty := range []bool{false, true} {
 		b.Run(map[bool]string{false: "steady", true: "dirty"}[dirty], func(b *testing.B) {
 			snd := benchSender(b, keys, true)
-			snd.summarySweep()
+			snd.ss.SummarySweep()
 			before := snd.Stats()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -120,7 +120,7 @@ func BenchmarkSenderRefreshSummary(b *testing.B) {
 					_ = snd.Remove(fmt.Sprintf("flow/%06d", i%keys))
 					_ = snd.Install(fmt.Sprintf("flow/%06d", i%keys), []byte("10Mbps"))
 				}
-				total += snd.summarySweep()
+				total += snd.ss.SummarySweep()
 			}
 			after := snd.Stats()
 			b.ReportMetric(float64(total)/float64(b.N), "datagrams/round")

@@ -137,7 +137,7 @@ func TestReplayGhostOrphanedWhileSenderLives(t *testing.T) {
 		return c.rcv.Len() == 1 && c.snd.Stats().Received["removal-ack"] == 1
 	})
 
-	if _, err := c.sndConn.WriteTo(replay, c.snd.sess.Peer()); err != nil {
+	if _, err := c.sndConn.WriteTo(replay, c.snd.sess.peer); err != nil {
 		t.Fatal(err)
 	}
 	c.within(10*time.Millisecond, "the replay lands", func() bool { _, ok := c.rcv.GetFrom(c.sndAddr, ghost); return ok })

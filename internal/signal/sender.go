@@ -4,10 +4,8 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"time"
 
 	"softstate/internal/statetable"
-	"softstate/internal/telemetry"
 	"softstate/internal/transport"
 	"softstate/internal/wire"
 )
@@ -82,17 +80,6 @@ func (s *Sender) Update(key string, value []byte) error {
 // receiver is left to time the state out.
 func (s *Sender) Remove(key string) error { return s.sess.Remove(key) }
 
-// CensusSource exposes the sender's intent digest as an auditor source.
-func (s *Sender) CensusSource(name string) telemetry.CensusSource {
-	return s.ss.CensusSource(name)
-}
-
-// CensusPeer builds an auditor source that audits the remote receiver
-// over the wire digest protocol; see Sessions.CensusPeer.
-func (s *Sender) CensusPeer(name string, timeout time.Duration) telemetry.CensusSource {
-	return s.ss.CensusPeer(name, s.sess.Peer(), timeout)
-}
-
 // Close stops all timers, closes the transport, and waits for the receive
 // loop to drain. The events channel is closed afterwards.
 func (s *Sender) Close() error {
@@ -122,9 +109,6 @@ func (s *Sender) readLoop(c transport.Conn) {
 		}
 	}
 }
-
-// summarySweep is exercised directly by tests and benchmarks.
-func (s *Sender) summarySweep() int { return s.ss.SummarySweep() }
 
 func isNetTemporary(err error) bool {
 	var ne net.Error

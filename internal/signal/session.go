@@ -342,9 +342,6 @@ func (ss *Sessions) CloseEvents() { ss.events.close() }
 
 // --- per-session operations ---
 
-// Peer returns the session's peer address.
-func (s *Session) Peer() net.Addr { return s.peer }
-
 // key builds the session-scoped table key for a user key.
 func (s *Session) key(key string) string { return tableKey(s.id, key) }
 

@@ -129,7 +129,7 @@ func TestSummaryChunking(t *testing.T) {
 		}
 	}
 	c.within(time.Second, "all installs", func() bool { return c.rcv.Len() == keys })
-	sent := c.snd.summarySweep()
+	sent := c.snd.ss.SummarySweep()
 	if want := (keys + 7) / 8; sent != want {
 		t.Fatalf("sweep sent %d datagrams, want %d", sent, want)
 	}
@@ -240,7 +240,7 @@ func TestSummaryWireLimitRespected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sent := snd.summarySweep(); sent < 2 {
+	if sent := snd.ss.SummarySweep(); sent < 2 {
 		t.Fatalf("oversized key set fit %d datagrams, expected chunking", sent)
 	}
 }

@@ -57,8 +57,8 @@ func TestWireCensusAuditsLink(t *testing.T) {
 	}
 	link := telemetry.CensusLink{
 		Name:   "hop",
-		Intent: snd.CensusSource("sender"),
-		Held:   snd.CensusPeer("receiver", time.Second),
+		Intent: snd.ss.CensusSource("sender"),
+		Held:   snd.ss.CensusPeer("receiver", snd.sess.peer, time.Second),
 	}
 	census := func() *telemetry.CensusReport {
 		return telemetry.RunCensus([]telemetry.CensusLink{link})
@@ -77,7 +77,7 @@ func TestWireCensusAuditsLink(t *testing.T) {
 
 	// The receiver's in-process source must agree with the wire answer.
 	direct := telemetry.RunCensus([]telemetry.CensusLink{{
-		Intent: snd.CensusSource("sender"),
+		Intent: snd.ss.CensusSource("sender"),
 		Held:   rcv.CensusSource("receiver"),
 	}})
 	if direct.Failed != 0 || !direct.Converged() {

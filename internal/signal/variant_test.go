@@ -209,7 +209,7 @@ func TestRetiredSeqResumeAndPrune(t *testing.T) {
 		PeerIdleTimeout: 100 * time.Millisecond,
 	})
 	ss := snd.ss
-	peer := snd.sess.Peer()
+	peer := snd.sess.peer
 
 	s1 := ss.Session(peer)
 	if err := s1.Install("k", []byte("v")); err != nil {

@@ -1,14 +1,12 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 
 	"softstate/internal/clock"
 	livenode "softstate/internal/node"
 	"softstate/internal/signal"
 	"softstate/internal/telemetry"
-	"softstate/internal/variant"
 )
 
 // This file runs the convergence auditor against the live chain in
@@ -204,22 +202,4 @@ func RunCensusAudit(cfg CensusConfig) (CensusResult, error) {
 	res.Datagrams = stack.totalSent()
 	res.VirtualSeconds = live.Duration.Seconds()
 	return res, nil
-}
-
-// RunCensusVariants audits the same chain workload once per paper
-// protocol, in presentation order, sharing base's seed so all five face
-// byte-identical churn.
-func RunCensusVariants(base CensusConfig) ([]CensusResult, error) {
-	profiles := variant.All()
-	out := make([]CensusResult, 0, len(profiles))
-	for _, prof := range profiles {
-		cfg := base
-		cfg.Protocol = prof.Proto
-		r, err := RunCensusAudit(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s census run: %w", prof, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

@@ -97,37 +97,6 @@ func TestCensusAuditObservesDivergence(t *testing.T) {
 	}
 }
 
-// TestCensusVariantsOrdering: the auditor's divergence measure must
-// reproduce the paper's qualitative protocol ordering — reliable
-// removal (SS+RTR, HS) beats silent-timeout SS — and every
-// refresh-bearing variant's chain must converge once churn stops. HS has
-// no refresh to repair with, so whether one seed's chain drains is luck;
-// TestCensusHardStateDrainsLessOften asserts its contrast over seeds.
-func TestCensusVariantsOrdering(t *testing.T) {
-	base := fastCensus(signal.SS, 0.15)
-	results, err := RunCensusVariants(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byProto := map[signal.Protocol]CensusResult{}
-	for _, r := range results {
-		t.Logf("%-6v audited=%.4f sampled_I=%.4f final_divergent=%d",
-			r.Protocol, r.AuditedDivergence, r.Inconsistency, r.FinalDivergent)
-		byProto[r.Protocol] = r
-		if variant.For(r.Protocol).Refresh && !r.Drained {
-			t.Errorf("%v: no quiesce census read converged (last: %d divergent keys)",
-				r.Protocol, r.FinalDivergent)
-		}
-		if r.Censuses == 0 {
-			t.Errorf("%v: no census rounds ran", r.Protocol)
-		}
-	}
-	if byProto[signal.SSRTR].AuditedDivergence >= byProto[signal.SS].AuditedDivergence {
-		t.Errorf("reliable removal did not reduce audited divergence: SS+RTR %.4f vs SS %.4f",
-			byProto[signal.SSRTR].AuditedDivergence, byProto[signal.SS].AuditedDivergence)
-	}
-}
-
 // TestCensusHardStateDrainsLessOften: what loss broke when churn stopped
 // only a refresh repairs, so over a fixed seed set every refresh-bearing
 // variant drains in the quiesce window on every seed and HS on strictly
@@ -140,13 +109,13 @@ func TestCensusHardStateDrainsLessOften(t *testing.T) {
 	const seeds = 24
 	drained := map[signal.Protocol]int{}
 	for seed := uint64(42); seed < 42+seeds; seed++ {
-		cfg := fastCensus(signal.SS, 0.25)
-		cfg.Seed = seed
-		results, err := RunCensusVariants(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range results {
+		for _, prof := range variant.All() {
+			cfg := fastCensus(prof.Proto, 0.25)
+			cfg.Seed = seed
+			r, err := RunCensusAudit(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if r.Drained {
 				drained[r.Protocol]++
 			}

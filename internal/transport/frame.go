@@ -46,27 +46,17 @@ func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// decodeFrame decodes the first frame in b, returning its payload (an
-// alias into b) and the remaining bytes. io.ErrShortBuffer means b holds
-// an incomplete frame (read more); other errors mean the stream is
-// corrupt and must be torn down.
-func decodeFrame(b []byte) (typ byte, payload, rest []byte, err error) {
-	if len(b) < frameHeaderLen {
-		return 0, nil, b, io.ErrShortBuffer
+// writeFrame buffers one frame on bw, encoded by appendFrame straight
+// into bw's free space. A frame longer than that space flushes bw first,
+// so the encoding never needs a buffer of its own.
+func writeFrame(bw *bufio.Writer, typ byte, payload []byte) error {
+	if bw.Available() < frameHeaderLen+len(payload) {
+		if err := bw.Flush(); err != nil {
+			return err
+		}
 	}
-	typ = b[0]
-	if typ != frameHello && typ != frameData {
-		return 0, nil, b, errFrameType
-	}
-	n := binary.BigEndian.Uint32(b[1:frameHeaderLen])
-	if n > maxFramePayload {
-		return 0, nil, b, errFrameLength
-	}
-	end := frameHeaderLen + int(n)
-	if len(b) < end {
-		return 0, nil, b, io.ErrShortBuffer
-	}
-	return typ, b[frameHeaderLen:end], b[end:], nil
+	_, err := bw.Write(appendFrame(bw.AvailableBuffer(), typ, payload))
+	return err
 }
 
 // readFrame reads one frame from br into buf (which must hold

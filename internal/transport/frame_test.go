@@ -3,10 +3,34 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
 )
+
+// decodeFrame is the reference decoder FuzzFrame holds readFrame to: it
+// decodes the first frame in b, returning its payload (an alias into b)
+// and the remaining bytes. io.ErrShortBuffer means b holds an incomplete
+// frame (read more); other errors mean the stream is corrupt.
+func decodeFrame(b []byte) (typ byte, payload, rest []byte, err error) {
+	if len(b) < frameHeaderLen {
+		return 0, nil, b, io.ErrShortBuffer
+	}
+	typ = b[0]
+	if typ != frameHello && typ != frameData {
+		return 0, nil, b, errFrameType
+	}
+	n := binary.BigEndian.Uint32(b[1:frameHeaderLen])
+	if n > maxFramePayload {
+		return 0, nil, b, errFrameLength
+	}
+	end := frameHeaderLen + int(n)
+	if len(b) < end {
+		return 0, nil, b, io.ErrShortBuffer
+	}
+	return typ, b[frameHeaderLen:end], b[end:], nil
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{
@@ -33,6 +57,22 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if len(rest) != 0 {
 		t.Fatalf("trailing bytes: %d", len(rest))
+	}
+
+	// writeFrame puts the same bytes on a stream, whether a frame fits the
+	// writer's free space, needs a flush first, or outgrows the buffer.
+	var out bytes.Buffer
+	bw := bufio.NewWriterSize(&out, 16)
+	if err := writeFrame(bw, frameHello, []byte("node-a")); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if err := writeFrame(bw, frameData, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil || !bytes.Equal(out.Bytes(), wire) {
+		t.Fatalf("writeFrame wrote %d bytes (%v), appendFrame %d", out.Len(), err, len(wire))
 	}
 
 	// readFrame sees the same sequence through a bufio.Reader.

@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	crand "crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -420,7 +419,7 @@ func (p *streamPeer) sendData(data []byte, flush bool) bool {
 		if err := p.connectLocked(); err != nil {
 			return false
 		}
-		if err := p.writeFrameLocked(frameData, data); err == nil {
+		if err := writeFrame(p.bw, frameData, data); err == nil {
 			p.pending++
 			if !flush {
 				return true
@@ -452,12 +451,11 @@ func (p *streamPeer) connectLocked() error {
 	}
 	c := &countingConn{Conn: raw, st: &p.s.st}
 	bw := bufio.NewWriterSize(c, streamBufSize)
-	var hdr [frameHeaderLen]byte
-	hdr[0] = frameHello
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(p.s.name)))
-	bw.Write(hdr[:])
-	bw.WriteString(p.s.name)
-	if err := bw.Flush(); err != nil {
+	err = writeFrame(bw, frameHello, []byte(p.s.name))
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
 		raw.Close()
 		return err
 	}
@@ -477,17 +475,6 @@ func (p *streamPeer) connectLocked() error {
 	p.pending = 0
 	go p.s.readDialed(c, p, p.gen)
 	return nil
-}
-
-func (p *streamPeer) writeFrameLocked(typ byte, payload []byte) error {
-	var hdr [frameHeaderLen]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := p.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := p.bw.Write(payload)
-	return err
 }
 
 func (p *streamPeer) flushLocked() error {

@@ -170,6 +170,14 @@ if [ -z "$dg" ]; then
 fi
 echo "ok: $dg"
 
+# The sender's node counts replies from addresses with none of its
+# sessions: every reply must reach the session it answers, so it reads 0.
+unk=$(grep '^softstate_unknown_datagrams_total' "$send_scrape" | head -1 || true)
+if [ -z "$unk" ] || [ "${unk##* }" != 0 ]; then
+	fail "softstate_unknown_datagrams_total should read 0 on the sender: '$unk'"
+fi
+echo "ok: $unk"
+
 # The trace ring: every-key sampling on a refreshing sender must have
 # retained events by now.
 trace="$workdir/trace.json"

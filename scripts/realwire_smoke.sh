@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Real-wire smoke test for the transport layer: run signald serve+send
-# end to end over loopback kernel sockets, once per non-default backend
-# (udp-batch, i.e. sendmmsg/recvmmsg with SO_REUSEPORT sharding, and tcp,
-# the framed stream fallback). For each backend the script parses the
+# end to end over loopback kernel sockets, once per -transport backend
+# (udp, i.e. sendmmsg/recvmmsg with SO_REUSEPORT sharding, and tcp, the
+# framed stream fallback). For each backend the script parses the
 # kernel-assigned receiver address out of signald's startup line, drives
 # real SS+RTR state through it, scrapes /metrics, and asserts:
 #   - the receiver actually holds the installed key
@@ -118,9 +118,9 @@ run_backend() {
 
 trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
 
-# udp-batch with SO_REUSEPORT sharding across two sockets, then the
-# framed TCP stream fallback.
-run_backend udp-batch -sockets 2
+# udp with SO_REUSEPORT sharding across two sockets, then the framed TCP
+# stream fallback.
+run_backend udp -sockets 2
 run_backend tcp
 
 echo "realwire smoke passed"
